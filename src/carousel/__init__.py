@@ -4,8 +4,9 @@
 with arc-cover certificates and hull boundary construction.  Carousel
 procedures: witness search over a triangle of sites, the point-only
 decomposition rule, and the xi-sweep locating the critical scale of a fixed
-witness.  3D: sphere-in-hull direction search and the tetrahedron
-counterexample constructions, with exact 2D projection certificates.
+witness.  3D: exact sphere-in-hull containment by enumerating the critical
+directions of the support slack, and the tetrahedron counterexample
+constructions, with exact 2D projection certificates.
 """
 
 __version__ = "0.1.0"

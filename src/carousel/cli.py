@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .errors import CarouselError, ParseError, SchemaError
 from .fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
 from .harness import (
     EXIT_INPUT_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_REFUTED,
     EXIT_VERIFIED,
     run_scenario,
@@ -187,6 +189,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception:  # a crash must not read as "refuted"
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
     print(f"done in {time.perf_counter() - start:.2f}s", file=sys.stderr)
     return code
 

@@ -1,8 +1,8 @@
 """Scenario execution: dispatch a validated scenario to its module operation.
 
 Exit-code contract: 0 the scenario's claim is verified, 1 it is refuted or
-fails, 2 the input is invalid.  Reports are deterministic functions of the
-scenario bytes.
+fails, 2 the input is invalid, 3 the program itself failed.  Reports are
+deterministic functions of the scenario bytes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .witness import (
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _witness_report(kind: str, witnesses) -> tuple[dict, int]:

@@ -3,16 +3,19 @@
 The tetrahedron is embedded as alternating vertices of the cube [0, side]^3,
 which makes every construction coordinate rational.  Containment of a sphere
 in the convex hull of spheres and points is decided by minimizing the support
-slack over the direction sphere: an icosphere seed grid followed by local
-refinement of the best seeds.  A non-containment verdict carries a witness
-direction with strictly negative slack and is therefore a proof; containment
-verdicts are search results.  An orthogonal projection to a plane reduces to
-the exact 2D arc-cover test and soundly refutes 3D inclusions.
+slack over the direction sphere.  The minimum lies at one of finitely many
+critical directions (face minima of single generators, minima of pairwise
+equality circles, vertices of generator triples), and all of them are
+enumerated, so a containment verdict and a non-containment verdict with its
+negative-slack witness direction are both proofs.  An orthogonal projection
+to a plane reduces to the exact 2D arc-cover test and soundly refutes 3D
+inclusions.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -21,9 +24,6 @@ import numpy as np
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
 from .hull import ContainmentResult, GeneratorSet, circle_in_hull
 from .planar import DEFAULT_TOLERANCE, Circle2, Point2, Tolerance
-
-ICO_LEVELS = {12: 0, 42: 1, 162: 2, 642: 3, 2562: 4, 10242: 5, 40962: 6}
-
 
 @dataclass(frozen=True)
 class Point3:
@@ -85,7 +85,7 @@ class Sphere3:
 
 @dataclass(frozen=True)
 class Containment3Result:
-    """3D verdict: refutations carry a certified witness direction."""
+    """3D verdict from the exact slack minimum; refutations carry its direction."""
 
     contained: bool
     slack: float
@@ -115,240 +115,152 @@ def axis_points(a0: Point3, a1: Point3, a2: Point3, a3: Point3):
     return b, c, p_minus1, p_0
 
 
-@functools.lru_cache(maxsize=8)
-def icosphere_directions(level: int) -> np.ndarray:
-    """Unit vertices of a subdivided icosahedron; 10*4**level + 2 directions."""
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    verts = [
-        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
-        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
-        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    faces = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    pts = np.array(verts, dtype=float)
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    tris = np.array(faces, dtype=int)
-    for _ in range(level):
-        cache: dict[tuple[int, int], int] = {}
-        pts_list = [tuple(p) for p in pts]
+# Cut-offs below apply to the normalised problem, where every |d_g|, r_g and
+# r_t is at most 1, so they do not depend on the scale of the input.
+_ZERO_NORM = 1e-15  # a shorter vector (centre offset, circle step) counts as zero
+_ZERO_CROSS2 = 1e-18  # below this |n1 x n2|^2 a triple's two planes are parallel
 
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key in cache:
-                return cache[key]
-            m = np.array(pts_list[i]) + np.array(pts_list[j])
-            m /= np.linalg.norm(m)
-            pts_list.append(tuple(m))
-            cache[key] = len(pts_list) - 1
-            return cache[key]
 
-        new_tris = []
-        for i, j, k in tris:
-            a = midpoint(i, j)
-            b = midpoint(j, k)
-            c = midpoint(k, i)
-            new_tris.extend([(i, a, c), (j, b, a), (k, c, b), (a, b, c)])
-        pts = np.array(pts_list, dtype=float)
-        tris = np.array(new_tris, dtype=int)
-    out = pts.copy()
+@functools.lru_cache(maxsize=32)
+def _index_tuples(n: int, k: int) -> np.ndarray:
+    """The C(n, k) index k-tuples as k read-only rows of a (k, C(n, k)) array."""
+    idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+    out = idx.reshape(-1, k).T.copy()
     out.setflags(write=False)
     return out
 
 
-def _seed_level(seed_count: int) -> int:
-    if seed_count in ICO_LEVELS:
-        return ICO_LEVELS[seed_count]
-    for count in sorted(ICO_LEVELS):
-        if count >= seed_count:
-            return ICO_LEVELS[count]
-    return max(ICO_LEVELS.values())
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=1)
 
 
-def _slack_terms(target: Sphere3, gens):
-    t = target.center
-    return [
-        (g.center.x - t.x, g.center.y - t.y, g.center.z - t.z, g.radius)
-        for g in gens
-    ], target.radius
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
 
 
-def _slack_at(terms, rt, u) -> float:
-    ux, uy, uz = u
-    best = -math.inf
-    for dx, dy, dz, r in terms:
-        v = dx * ux + dy * uy + dz * uz + r
-        if v > best:
-            best = v
-    return best - rt
-
-
-def _pair_circle_minimum(terms, i, j):
-    """Minimum of the shared value of generators i, j on their equality circle."""
-    dxi, dyi, dzi, ri = terms[i]
-    dxj, dyj, dzj, rj = terms[j]
-    nx, ny, nz = dxi - dxj, dyi - dyj, dzi - dzj
-    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if nn <= 1e-15:
-        return None
-    c0 = (rj - ri) / nn
-    if abs(c0) > 1.0:
-        return None
-    nx, ny, nz = nx / nn, ny / nn, nz / nn
-    rho = math.sqrt(max(0.0, 1.0 - c0 * c0))
-    # orthonormal basis of the circle plane
-    if abs(nx) <= abs(ny) and abs(nx) <= abs(nz):
-        ax, ay, az = 1.0, 0.0, 0.0
-    elif abs(ny) <= abs(nz):
-        ax, ay, az = 0.0, 1.0, 0.0
-    else:
-        ax, ay, az = 0.0, 0.0, 1.0
-    px, py, pz = ny * az - nz * ay, nz * ax - nx * az, nx * ay - ny * ax
-    pn = math.sqrt(px * px + py * py + pz * pz)
-    px, py, pz = px / pn, py / pn, pz / pn
-    qx, qy, qz = ny * pz - nz * py, nz * px - nx * pz, nx * py - ny * px
-    gp = dxi * px + dyi * py + dzi * pz
-    gq = dxi * qx + dyi * qy + dzi * qz
-    h = math.hypot(gp, gq)
-    if h <= 1e-15:
-        cosv, sinv = 1.0, 0.0
-    else:
-        cosv, sinv = -gp / h, -gq / h
-    return (
-        c0 * nx + rho * (px * cosv + qx * sinv),
-        c0 * ny + rho * (py * cosv + qy * sinv),
-        c0 * nz + rho * (pz * cosv + qz * sinv),
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row-wise; np.cross costs several times more on arrays this small
+    return np.stack(
+        [
+            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+        ],
+        axis=1,
     )
 
 
-def _triple_points(terms, i, j, k):
-    """Unit directions where generators i, j, k share the same support value."""
-    def plane(a, b):
-        dxa, dya, dza, ra = terms[a]
-        dxb, dyb, dzb, rb = terms[b]
-        return (dxa - dxb, dya - dyb, dza - dzb, rb - ra)
-
-    n1x, n1y, n1z, b1 = plane(i, j)
-    n2x, n2y, n2z, b2 = plane(i, k)
-    g11 = n1x * n1x + n1y * n1y + n1z * n1z
-    g12 = n1x * n2x + n1y * n2y + n1z * n2z
-    g22 = n2x * n2x + n2y * n2y + n2z * n2z
-    det = g11 * g22 - g12 * g12
-    if abs(det) <= 1e-18:
-        return []
-    x = (b1 * g22 - b2 * g12) / det
-    y = (b2 * g11 - b1 * g12) / det
-    bx = x * n1x + y * n2x
-    by = x * n1y + y * n2y
-    bz = x * n1z + y * n2z
-    cx = n1y * n2z - n1z * n2y
-    cy = n1z * n2x - n1x * n2z
-    cz = n1x * n2y - n1y * n2x
-    cc = cx * cx + cy * cy + cz * cz
-    if cc <= 1e-18:
-        return []
-    rem = 1.0 - (bx * bx + by * by + bz * bz)
-    if rem < 0.0:
-        return []
-    z = math.sqrt(rem / cc)
-    return [
-        (bx + z * cx, by + z * cy, bz + z * cz),
-        (bx - z * cx, by - z * cy, bz - z * cz),
-    ]
+def _face_minima(d: np.ndarray) -> np.ndarray:
+    """Minimum direction -d_g/|d_g| of each generator not concentric with the target."""
+    norm = _norm(d)
+    keep = norm > _ZERO_NORM
+    return -d[keep] / norm[keep, None]
 
 
-def _refine_seed(terms, rt, u, scale) -> tuple[float, tuple[float, float, float]]:
-    """Local active-set refinement from one seed direction.
+def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum of each pair's shared value on its equality circle.
 
-    Repeatedly builds the exact stationary candidates of the currently
-    active generator subset (single minima, pair equality-circle minima,
-    triple intersections) and jumps to the best improvement.
+    Generators i, j tie on the circle n.u = r_j - r_i, n = d_i - d_j, of the
+    unit sphere.  Along it the shared value d_i.u + r_i is least where u
+    leans from the circle's centre against the in-plane part of d_i; when
+    that part vanishes the value is constant and any circle point serves.
     """
-    best_u = u
-    best = _slack_at(terms, rt, u)
-    n = len(terms)
-    for band in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        vals = []
-        ux, uy, uz = best_u
-        for dx, dy, dz, r in terms:
-            vals.append(dx * ux + dy * uy + dz * uz + r)
-        top = max(vals)
-        active = [i for i in range(n) if vals[i] >= top - band * scale]
-        if len(active) > 4:
-            # at a stationary point at most three generators tie; keep the top few
-            active = sorted(active, key=lambda i: -vals[i])[:4]
-        cands = []
-        for i in active:
-            dx, dy, dz, _ = terms[i]
-            norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if norm > 1e-15:
-                cands.append((-dx / norm, -dy / norm, -dz / norm))
-        for a in range(len(active)):
-            for b in range(a + 1, len(active)):
-                cand = _pair_circle_minimum(terms, active[a], active[b])
-                if cand is not None:
-                    cands.append(cand)
-                for c in range(b + 1, len(active)):
-                    cands.extend(_triple_points(terms, active[a], active[b], active[c]))
-        for cand in cands:
-            v = _slack_at(terms, rt, cand)
-            if v < best:
-                best = v
-                best_u = cand
-    return best, best_u
+    i, j = _index_tuples(len(r), 2)
+    n = d[i] - d[j]
+    nn = _norm(n)
+    keep = (nn > _ZERO_NORM) & (np.abs(r[j] - r[i]) <= nn)
+    i, j, n, nn = i[keep], j[keep], n[keep], nn[keep]
+    n /= nn[:, None]
+    c0 = (r[j] - r[i]) / nn
+    rho = np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
+    p = d[i] - _dot(d[i], n)[:, None] * n
+    pn = _norm(p)
+    flat = pn <= _ZERO_NORM
+    # for flat pairs: the coordinate axis least aligned with n, made
+    # orthogonal to it, is a unit vector in the circle's plane
+    axis = np.eye(3)[np.argmin(np.abs(n), axis=1)]
+    q = axis - _dot(axis, n)[:, None] * n
+    q /= _norm(q)[:, None]
+    step = np.where(flat[:, None], q, -p / np.where(flat, 1.0, pn)[:, None])
+    return c0[:, None] * n + rho[:, None] * step
+
+
+def _triple_vertices(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Both unit directions where each triple of generators shares one value.
+
+    The tie planes n1.u = b1 and n2.u = b2 of the pairs (i, j) and (i, k)
+    meet in a line along c = n1 x n2 through the point base of span(n1, n2)
+    that solves both; the line crosses the unit sphere at base +- z c.
+    Triples whose planes are parallel (collinear centres, duplicates) have
+    no vertex; any minimum they tie at lies on a pair circle instead.
+    """
+    i, j, k = _index_tuples(len(r), 3)
+    n1 = d[i] - d[j]
+    n2 = d[i] - d[k]
+    c = _cross(n1, n2)
+    cc = _dot(c, c)  # the Gram determinant of n1, n2
+    keep = cc > _ZERO_CROSS2
+    i, j, k, n1, n2, c, cc = i[keep], j[keep], k[keep], n1[keep], n2[keep], c[keep], cc[keep]
+    b1 = r[j] - r[i]
+    b2 = r[k] - r[i]
+    g11, g12, g22 = _dot(n1, n1), _dot(n1, n2), _dot(n2, n2)
+    x = (b1 * g22 - b2 * g12) / cc
+    y = (b2 * g11 - b1 * g12) / cc
+    base = x[:, None] * n1 + y[:, None] * n2
+    rem = 1.0 - _dot(base, base)
+    meets = rem >= 0.0
+    base, c = base[meets], c[meets]
+    zc = np.sqrt(rem[meets] / cc[meets])[:, None] * c
+    return np.concatenate([base + zc, base - zc])
 
 
 def sphere_in_hull3(
     target: Sphere3,
     gens,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    seed_count: int = 2562,
 ) -> Containment3Result:
     """Decide sphere containment in the hull of spheres and points.
 
-    Minimizes the support slack over directions: icosphere seeds, then local
-    refinement from the 20 best seeds plus every single-generator minimum.
-    Ties between equal minima break toward the lexicographically smallest
-    direction, which keeps the result deterministic.
+    The slack of direction u is max_g(d_g.u + r_g) - r_t with d_g the offset
+    of generator g's centre from the target's.  Its minimum over the unit
+    sphere lies at a critical point of the envelope: a face minimum of one
+    generator, the minimum of a pair's equality circle, or a vertex where
+    three generators tie.  All of them are enumerated and evaluated in one
+    product, so the minimum is exact and both verdicts are proofs.  One fixed
+    direction is added for generators that are all concentric with the
+    target, whose envelope is constant.  The input is normalised by its
+    largest length before the enumeration and the slack rescaled after it.
+    Ties go to the first candidate in enumeration order, which keeps the
+    witness direction deterministic.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("generator list must be nonempty")
-    terms, rt = _slack_terms(target, gens)
-    scale = max(1.0, max(abs(v) for t in terms for v in t), rt)
+    tc = target.center
+    d = np.array(
+        [(g.center.x - tc.x, g.center.y - tc.y, g.center.z - tc.z) for g in gens], dtype=float
+    )
+    r = np.array([g.radius for g in gens], dtype=float)
+    scale = max(float(_norm(d).max()), float(r.max()), target.radius)
+    if scale == 0.0:
+        scale = 1.0
+    d /= scale
+    r /= scale
+    rt = target.radius / scale
 
-    dirs = icosphere_directions(_seed_level(seed_count))
-    mat = np.array([(t[0], t[1], t[2]) for t in terms])
-    radii = np.array([t[3] for t in terms])
-    vals = dirs @ mat.T + radii
-    slacks = vals.max(axis=1) - rt
-    order = np.lexsort((dirs[:, 2], dirs[:, 1], dirs[:, 0], slacks))
+    cands = np.concatenate(
+        [_face_minima(d), _pair_circle_minima(d, r), _triple_vertices(d, r), [(1.0, 0.0, 0.0)]]
+    )
+    cands /= _norm(cands)[:, None]
+    envelope = (cands @ d.T + r).max(axis=1)
+    best = int(np.argmin(envelope))
+    slack = float(envelope[best] - rt) * scale
 
-    seeds = [tuple(dirs[i]) for i in order[:20]]
-    for dx, dy, dz, _ in terms:
-        norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if norm > 1e-15:
-            seeds.append((-dx / norm, -dy / norm, -dz / norm))
-
-    best = math.inf
-    best_u = (1.0, 0.0, 0.0)
-    for seed in seeds:
-        v, u = _refine_seed(terms, rt, seed, scale)
-        if v < best - 1e-15 or (abs(v - best) <= 1e-15 and u < best_u):
-            best = v
-            best_u = u
-    norm = math.sqrt(sum(c * c for c in best_u))
-    best_u = tuple(c / norm for c in best_u)
-
-    contained = best >= -tol.eps_decision
+    contained = slack >= -tol.eps_decision
     return Containment3Result(
         contained=contained,
-        slack=best,
-        witness_direction=None if contained else best_u,
+        slack=slack,
+        witness_direction=None if contained else tuple(float(c) for c in cands[best]),
     )
 
 
@@ -455,7 +367,6 @@ def example_4_1(
     side: float = 1.0,
     r: float = 0.1,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    seed_count: int = 2562,
 ) -> Example41Report:
     """Two equal spheres on the trisection points of the mid-edge axis.
 
@@ -478,7 +389,7 @@ def example_4_1(
     for j in range(4):
         for k in (-1, 0):
             target, gens = _ex41_target_gens(verts, spheres, j, k)
-            res = sphere_in_hull3(target, gens, tol, seed_count)
+            res = sphere_in_hull3(target, gens, tol)
             if j == 3:
                 cert = projection_reduction(target, gens, plane, tol)
                 res = replace(res, projection_certificate=cert)
@@ -520,7 +431,6 @@ def example_4_2(
     side: float = 1.0,
     r: float = 0.1,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    seed_count: int = 2562,
 ) -> Example42Report:
     """Extend the two-sphere axis configuration to t spheres on the axis.
 
@@ -583,7 +493,7 @@ def example_4_2(
             gens = [s for q, s in enumerate(spheres) if q != pos] + [
                 Sphere3(verts[i], 0.0) for i in range(4) if i != j
             ]
-            res = sphere_in_hull3(target, gens, tol, seed_count)
+            res = sphere_in_hull3(target, gens, tol)
             outcomes.append(PairOutcome(j, k, res))
 
     return Example42Report(

@@ -215,6 +215,27 @@ def test_example_4_2_reproduction():
     announce("example-4.2-reproduction", ok, "; ".join(details))
 
 
+def test_example_4_2_every_t():
+    # the claim is for every chain length, so check the whole range 3..12
+    worst = -math.inf
+    failures = []
+    for t in range(3, 13):
+        rep = example_4_2(t)
+        tang = max(rep.tangency_residuals)
+        margin = min(rep.interior_margins)
+        worst = max(worst, max(o.result.slack for o in rep.outcomes))
+        if not (rep.all_refuted and tang <= 1e-9 and margin >= 1e-6):
+            failures.append(
+                f"t={t}: refuted={rep.all_refuted} tangency={tang:.1e} margin={margin:.1e}"
+            )
+    announce(
+        "example-4.2-every-t",
+        not failures,
+        f"t=3..12, worst slack {worst:.2e}" + "".join(f"; {f}" for f in failures),
+    )
+    assert not failures, failures
+
+
 def _slack_curve(inst, j, k, zetas):
     """Vectorized exact slack over a scale grid, reimplemented independently."""
     own = inst.circle(k)

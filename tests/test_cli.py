@@ -219,6 +219,26 @@ class TestRepro3dVerb:
         assert rep["all_refuted"] is True
         assert max(rep["tangency_residuals"]) <= 1e-9
 
+    def test_ex42_t12(self, tmp_path):
+        # the long chains once crashed the report writer and exited 1
+        out = tmp_path / "rep.json"
+        assert main(["repro3d", "--example", "4.2", "--t", "12", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["example"]["all_refuted"] is True
+
+
+class TestInternalError:
+    def test_crash_exits_3_with_traceback(self, monkeypatch, capsys):
+        from carousel import cli
+
+        def crash(args):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(cli._COMMANDS, "repro3d", crash)
+        assert main(["repro3d", "--example", "4.1"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "RuntimeError: injected fault" in err
+
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

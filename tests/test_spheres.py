@@ -1,4 +1,4 @@
-"""3D tests: tetrahedron construction, direction search, projections, examples."""
+"""3D tests: tetrahedron construction, exact containment, projections, examples."""
 
 import math
 import random
@@ -20,7 +20,9 @@ from carousel import (
     sphere_in_hull3,
     tetrahedron_from_cube,
 )
-from carousel.spheres import icosphere_directions, project_to_plane
+from carousel.spheres import _ex41_target_gens, project_to_plane
+
+from probe_grid import icosphere_directions, probe_slack
 
 
 class TestTetrahedron:
@@ -74,6 +76,16 @@ class TestIcosphere:
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
+def assert_matches_probe(target, gens, slack):
+    """The exact minimum is at or below the level-5 probe, and close to it."""
+    sampled = probe_slack(target, gens, 5)
+    assert slack <= sampled + 1e-12
+    # at a kink minimum the sampled value is off by at most
+    # |gradient| * grid spacing (level-5 spacing is under 0.05 rad)
+    grad = max(g.center.distance_to(target.center) for g in gens)
+    assert sampled - slack <= 0.05 * grad + 1e-9
+
+
 class TestSphereInHull3:
     def test_concentric_contained(self):
         t = Sphere3(Point3(0.5, 0.5, 0.5), 0.1)
@@ -121,27 +133,13 @@ class TestSphereInHull3:
 
     def test_search_not_above_dense_sampling(self):
         rng = random.Random(52)
-        probe = icosphere_directions(5)
         for _ in range(20):
             t = Sphere3(Point3(*(rng.uniform(-2, 2) for _ in range(3))), rng.uniform(0, 1))
             gens = [
                 Sphere3(Point3(*(rng.uniform(-2, 2) for _ in range(3))), rng.uniform(0, 1))
                 for _ in range(rng.randint(1, 6))
             ]
-            res = sphere_in_hull3(t, gens)
-            mat = np.array(
-                [
-                    (g.center.x - t.center.x, g.center.y - t.center.y, g.center.z - t.center.z)
-                    for g in gens
-                ]
-            )
-            radii = np.array([g.radius for g in gens])
-            sampled = float((probe @ mat.T + radii).max(axis=1).min()) - t.radius
-            assert res.slack <= sampled + 1e-12
-            # at a kink minimum the sampled value is off by at most
-            # |gradient| * grid spacing (level-5 spacing is under 0.05 rad)
-            grad = float(np.linalg.norm(mat, axis=1).max())
-            assert sampled - res.slack <= 0.05 * grad + 1e-9
+            assert_matches_probe(t, gens, sphere_in_hull3(t, gens).slack)
 
     def test_similarity_covariance(self):
         rng = random.Random(53)
@@ -186,6 +184,115 @@ class TestSphereInHull3:
                 ],
             ).slack
             assert grown == pytest.approx(s * base, rel=1e-9, abs=1e-9)
+
+    def test_slack_scales_linearly_from_1e_minus_6_to_1e6(self):
+        rng = random.Random(54)
+        for _ in range(30):
+            t = Sphere3(Point3(*(rng.uniform(-2, 2) for _ in range(3))), rng.uniform(0, 1))
+            gens = [
+                Sphere3(
+                    Point3(*(rng.uniform(-2, 2) for _ in range(3))),
+                    0.0 if rng.random() < 0.3 else rng.uniform(0, 1.5),
+                )
+                for _ in range(rng.randint(1, 8))
+            ]
+            base = sphere_in_hull3(t, gens).slack
+            for e in range(-6, 7):
+                s = 10.0**e
+                scaled = sphere_in_hull3(
+                    Sphere3(t.center * s, t.radius * s),
+                    [Sphere3(g.center * s, g.radius * s) for g in gens],
+                ).slack
+                assert scaled == pytest.approx(s * base, rel=1e-9)
+
+
+class TestDegenerateInputs:
+    def test_duplicate_centre_equal_radii(self):
+        target = Sphere3(Point3(0.2, 0.1, 0.3), 0.2)
+        a = Sphere3(Point3(1.0, 0.0, 0.0), 0.4)
+        rest = [Sphere3(Point3(-1.0, 0.5, 0.0), 0.3), Sphere3(Point3(0.0, -1.0, 1.0), 0.0)]
+        res = sphere_in_hull3(target, [a, a] + rest)
+        assert res.slack == pytest.approx(sphere_in_hull3(target, [a] + rest).slack, abs=1e-12)
+        assert_matches_probe(target, [a, a] + rest, res.slack)
+
+    def test_duplicate_centre_different_radii(self):
+        # the smaller sphere lies inside the larger and changes nothing
+        target = Sphere3(Point3(0.2, 0.1, 0.3), 0.2)
+        small = Sphere3(Point3(1.0, 0.0, 0.0), 0.1)
+        big = Sphere3(Point3(1.0, 0.0, 0.0), 0.5)
+        rest = [Sphere3(Point3(-1.0, 0.5, 0.0), 0.3), Sphere3(Point3(0.0, -1.0, 1.0), 0.0)]
+        res = sphere_in_hull3(target, [small, big] + rest)
+        assert res.slack == pytest.approx(sphere_in_hull3(target, [big] + rest).slack, abs=1e-12)
+        assert_matches_probe(target, [small, big] + rest, res.slack)
+
+    @pytest.mark.parametrize("c", [(1.0, 0.3, 0.0), (0.4, 0.0, 0.0), (-0.5, 0.2, 0.1)])
+    def test_collinear_centres_closed_form(self, c):
+        # equal spheres on a segment: their hull is a capsule, so the slack
+        # is R - r_t - dist(centre, segment); all triple planes are parallel
+        gens = [Sphere3(Point3(x, 0.0, 0.0), 0.5) for x in (0.0, 1.0, 2.0)]
+        target = Sphere3(Point3(*c), 0.1)
+        x = min(max(c[0], 0.0), 2.0)
+        dist = math.hypot(c[0] - x, math.hypot(c[1], c[2]))
+        res = sphere_in_hull3(target, gens)
+        assert res.slack == pytest.approx(0.5 - 0.1 - dist, abs=1e-12)
+        assert_matches_probe(target, gens, res.slack)
+
+    def test_collinear_centres_unequal_radii(self):
+        target = Sphere3(Point3(0.8, 0.7, -0.2), 0.3)
+        gens = [
+            Sphere3(Point3(0.0, 0.0, 0.0), 0.2),
+            Sphere3(Point3(1.0, 1.0, 1.0), 0.6),
+            Sphere3(Point3(2.0, 2.0, 2.0), 0.3),
+            Sphere3(Point3(1.0, -1.0, 0.0), 0.0),
+        ]
+        assert_matches_probe(target, gens, sphere_in_hull3(target, gens).slack)
+
+    def test_generator_concentric_with_target(self):
+        target = Sphere3(Point3(0.5, 0.5, 0.5), 0.2)
+        ball = Sphere3(Point3(0.5, 0.5, 0.5), 0.3)
+        # a point at distance 2 leaves the side facing away bounded by the ball
+        res = sphere_in_hull3(target, [ball, Sphere3(Point3(2.5, 0.5, 0.5), 0.0)])
+        assert res.slack == pytest.approx(0.1, abs=1e-12)
+        gens = [ball, Sphere3(Point3(1.5, 0.0, 0.5), 0.4), Sphere3(Point3(0.0, 1.2, 0.0), 0.1)]
+        assert_matches_probe(target, gens, sphere_in_hull3(target, gens).slack)
+
+    def test_all_generators_concentric(self):
+        target = Sphere3(Point3(1.0, 2.0, 3.0), 0.5)
+        gens = [Sphere3(Point3(1.0, 2.0, 3.0), r) for r in (0.2, 0.4, 0.0)]
+        res = sphere_in_hull3(target, gens)
+        assert res.slack == pytest.approx(-0.1, abs=1e-12)
+        assert not res.contained
+
+    def test_points_only(self):
+        # target at the centroid of the regular tetrahedron on the unit cube:
+        # the slack is the inradius 1/(2 sqrt 3) minus the target radius
+        verts = tetrahedron_from_cube(1.0)
+        target = Sphere3(Point3(0.5, 0.5, 0.5), 0.1)
+        gens = [Sphere3(v, 0.0) for v in verts]
+        res = sphere_in_hull3(target, gens)
+        assert res.slack == pytest.approx(1 / (2 * math.sqrt(3)) - 0.1, abs=1e-12)
+        assert_matches_probe(target, gens, res.slack)
+
+    def test_single_point_generator(self):
+        target = Sphere3(Point3(0.0, 0.0, 0.0), 0.25)
+        res = sphere_in_hull3(target, [Sphere3(Point3(0.0, 3.0, 4.0), 0.0)])
+        assert res.slack == pytest.approx(-5.25, abs=1e-12)
+        assert res.witness_direction == pytest.approx((0.0, -0.6, -0.8), abs=1e-12)
+
+    def test_single_point_on_point_target(self):
+        # every length is zero: the hull is the target itself
+        p = Point3(1.0, 1.0, 1.0)
+        res = sphere_in_hull3(Sphere3(p, 0.0), [Sphere3(p, 0.0)])
+        assert res.contained
+        assert res.slack == 0.0
+
+    def test_result_fields_are_python_native(self):
+        res = sphere_in_hull3(
+            Sphere3(Point3(0.0, 0.0, 0.0), 1.0), [Sphere3(Point3(0.5, 0.0, 0.0), 0.2)]
+        )
+        assert type(res.contained) is bool
+        assert type(res.slack) is float
+        assert all(type(c) is float for c in res.witness_direction)
 
 
 class TestProjection:
@@ -285,11 +392,13 @@ class TestExample41:
         ) - target.radius
         assert val <= res.slack + 1e-6
 
-    def test_slack_stable_across_seed_resolutions(self):
-        reps = [example_4_1(1.0, 0.1, seed_count=n) for n in (2562, 10242, 40962)]
-        for a, b in zip(reps, reps[1:]):
-            for oa, ob in zip(a.outcomes, b.outcomes):
-                assert abs(oa.result.slack - ob.result.slack) < 1e-6
+    def test_slack_not_above_level6_probe(self):
+        # the enumerated minimum is at or below every one of 40,962 directions
+        rep = example_4_1(1.0, 0.1)
+        spheres = tuple(Sphere3(c, 0.1) for c in rep.centers)
+        for o in rep.outcomes:
+            target, gens = _ex41_target_gens(rep.vertices, spheres, o.j, o.k)
+            assert o.result.slack <= probe_slack(target, gens, 6) + 1e-12
 
     def test_radius_too_large(self):
         with pytest.raises(PreconditionRadius):
