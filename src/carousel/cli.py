@@ -25,7 +25,7 @@ from .harness import (
     write_report,
 )
 from .reports import TOOL_INFO, canonical_json
-from .scenario import load_scenario
+from .scenario import load_scenario, parse_scenario
 from .svgfig import render_svg
 
 
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", type=Path)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("-o", "--output", type=Path, default=None)
 
     p = sub.add_parser("repro3d", help="reproduce a 3D counterexample")
@@ -122,20 +121,9 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     if scenario.kind not in ("sweep", "theorem2d"):
         raise SchemaError(f"sweep needs a sweep/theorem2d scenario, got {scenario.kind!r}")
-    overrides = {}
-    if args.j is not None:
-        overrides["j"] = args.j
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.tol is not None:
-        overrides["tol"] = args.tol
+    overrides = {key: v for key, v in (("j", args.j), ("k", args.k)) if v is not None}
     if overrides or scenario.kind != "sweep":
-        data = dict(scenario.raw)
-        data["kind"] = "sweep"
-        data.update(overrides)
-        from .scenario import parse_scenario
-
-        scenario = parse_scenario(data)
+        scenario = parse_scenario({**scenario.raw, "kind": "sweep", **overrides})
     report, code = run_scenario_obj(scenario)
     _emit(report, args.output)
     print(f"sweep: xi_star={report['sweep']['xi_star']}", file=sys.stderr)
@@ -143,8 +131,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_repro3d(args) -> int:
-    from .scenario import parse_scenario
-
     if args.example == "4.1":
         data = {"schema": "carousel/1", "kind": "sphere3_ex41",
                 "side": args.side, "r": args.r}

@@ -27,6 +27,7 @@ from .scenario import (
 from .witness import (
     RngConfig,
     corollary_witness_search,
+    pair_generators,
     random_corollary_instance,
     random_instance,
     random_points_instance,
@@ -105,8 +106,7 @@ def _points_trial(seed: int, cfg: RngConfig) -> tuple[int, float | None, dict | 
     w = two_carousel_points(sites, b0, b1)
     # independent re-verification through the containment engine
     pts = (b0, b1)
-    kept = tuple(Circle2(s, 0.0) for i, s in enumerate(sites) if i != w.j)
-    gens = GeneratorSet((Circle2(pts[w.k], 0.0),) + kept)
+    gens = pair_generators(Circle2(pts[w.k], 0.0), sites, w.j)
     res = circle_in_hull(Circle2(pts[1 - w.k], 0.0), gens)
     if res.contained:
         return seed, w.slack, None

@@ -33,7 +33,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
-def _witness_report(kind: str, witnesses) -> tuple[dict, int]:
+def _witness_report(witnesses) -> tuple[dict, int]:
     report = {
         "witnesses": [witness_to_dict(w) for w in witnesses],
         "claim": "a witness pair exists",
@@ -42,57 +42,74 @@ def _witness_report(kind: str, witnesses) -> tuple[dict, int]:
     return report, EXIT_VERIFIED if witnesses else EXIT_REFUTED
 
 
+def _run_theorem(scenario: Scenario) -> tuple[dict, int]:
+    return _witness_report(witness_search(scenario.instance(), scenario.tolerance))
+
+
+def _run_corollary(scenario: Scenario) -> tuple[dict, int]:
+    return _witness_report(corollary_witness_search(*scenario.circles, scenario.tolerance))
+
+
+def _run_points(scenario: Scenario) -> tuple[dict, int]:
+    b0, b1 = (c.center for c in scenario.circles)
+    w = two_carousel_points(scenario.sites, b0, b1, scenario.tolerance)
+    body = {
+        "witness": witness_to_dict(w),
+        "claim": "the decomposition yields a witness",
+        "verdict": "verified",
+    }
+    return body, EXIT_VERIFIED
+
+
+def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
+    rep = xi_sweep_fixed(scenario.instance(), scenario.j, scenario.k, scenario.tolerance)
+    body = {
+        "sweep": sweep_to_dict(rep),
+        "claim": "critical scale located",
+        "verdict": "verified",
+    }
+    return body, EXIT_VERIFIED
+
+
+def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
+    rep = example_4_1(scenario.side, scenario.r, scenario.tolerance)
+    body = {
+        "example": example41_to_dict(rep),
+        "claim": "all 8 inclusions refuted",
+        "verdict": "verified" if rep.all_refuted else "refuted",
+    }
+    return body, EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
+
+
+def _run_ex42(scenario: Scenario) -> tuple[dict, int]:
+    rep = example_4_2(
+        scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r, scenario.tolerance
+    )
+    body = {
+        "example": example42_to_dict(rep),
+        "claim": "every sphere refuted against the others",
+        "verdict": "verified" if rep.all_refuted else "refuted",
+    }
+    return body, EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
+
+
+_RUNNERS = {
+    "theorem2d": _run_theorem,
+    "corollary2d": _run_corollary,
+    "points2d": _run_points,
+    "sweep": _run_sweep,
+    "sphere3_ex41": _run_ex41,
+    "sphere3_ex42": _run_ex42,
+}
+
+
 def run_scenario_obj(scenario: Scenario) -> tuple[dict, int]:
     """Execute one scenario; returns (report dict, exit code)."""
-    kind = scenario.kind
-    tol = scenario.tolerance
-    if kind == "theorem2d":
-        body, code = _witness_report(kind, witness_search(scenario.instance(), tol))
-    elif kind == "corollary2d":
-        c0, c1, c2, u0, u1 = scenario.circles
-        body, code = _witness_report(kind, corollary_witness_search(c0, c1, c2, u0, u1, tol))
-    elif kind == "points2d":
-        sites = scenario.sites
-        b0 = scenario.circles[0].center
-        b1 = scenario.circles[1].center
-        w = two_carousel_points(sites, b0, b1, tol)
-        body = {
-            "witness": witness_to_dict(w),
-            "claim": "the decomposition yields a witness",
-            "verdict": "verified",
-        }
-        code = EXIT_VERIFIED
-    elif kind == "sweep":
-        j = scenario.j if scenario.j is not None else 0
-        k = scenario.k if scenario.k is not None else 0
-        tol_bisect = scenario.tol if scenario.tol is not None else 1e-9
-        rep = xi_sweep_fixed(scenario.instance(), j, k, tol_bisect, tol)
-        body = {
-            "sweep": sweep_to_dict(rep),
-            "claim": "critical scale located",
-            "verdict": "verified",
-        }
-        code = EXIT_VERIFIED
-    elif kind == "sphere3_ex41":
-        rep = example_4_1(scenario.side, scenario.r, tol)
-        body = {
-            "example": example41_to_dict(rep),
-            "claim": "all 8 inclusions refuted",
-            "verdict": "verified" if rep.all_refuted else "refuted",
-        }
-        code = EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
-    elif kind == "sphere3_ex42":
-        rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r, tol)
-        body = {
-            "example": example42_to_dict(rep),
-            "claim": "every sphere refuted against the others",
-            "verdict": "verified" if rep.all_refuted else "refuted",
-        }
-        code = EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
-    else:  # pragma: no cover - parse_scenario rejects unknown kinds
-        raise CarouselError(f"unhandled kind {kind!r}")
-
-    report = {"tool": TOOL_INFO, "kind": kind, "scenario": scenario.raw, **body}
+    runner = _RUNNERS.get(scenario.kind)
+    if runner is None:  # pragma: no cover - parse_scenario rejects unknown kinds
+        raise CarouselError(f"unhandled kind {scenario.kind!r}")
+    body, code = runner(scenario)
+    report = {"tool": TOOL_INFO, "kind": scenario.kind, "scenario": scenario.raw, **body}
     return report, code
 
 

@@ -11,8 +11,7 @@ piecewise-sinusoidal support gap: arc endpoints, pairwise switch angles,
 and per-generator antipodal angles.
 
 The same switch-angle machinery yields the hull boundary as a cyclic chain
-of circular arcs and common external tangent segments, used for rendering
-and for tangency classification in sweeps.
+of circular arcs and common external tangent segments, used for rendering.
 """
 
 from __future__ import annotations

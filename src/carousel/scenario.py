@@ -32,7 +32,7 @@ KINDS = (
 _COMMON_KEYS = {"schema", "kind", "tolerance", "seed"}
 _KIND_KEYS = {
     "theorem2d": {"sites", "circles"},
-    "sweep": {"sites", "circles", "j", "k", "tol"},
+    "sweep": {"sites", "circles", "j", "k"},
     "points2d": {"sites", "circles"},
     "corollary2d": {"circles"},
     "sphere3_ex41": {"side", "r"},
@@ -47,9 +47,8 @@ class Scenario:
     seed: int | None
     sites: tuple[Point2, ...] = ()
     circles: tuple[Circle2, ...] = ()
-    j: int | None = None
-    k: int | None = None
-    tol: float | None = None
+    j: int = 0
+    k: int = 0
     side: float = 1.0
     r: float = 0.1
     t: int = 3
@@ -142,11 +141,6 @@ def parse_scenario(data: dict) -> Scenario:
                     if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= hi:
                         raise SchemaError(f"{key} must be an integer in 0..{hi}")
                     kwargs[key] = v
-            if "tol" in data:
-                v = _num(data["tol"], "tol")
-                if v <= 0.0:
-                    raise SchemaError("tol must be positive")
-                kwargs["tol"] = v
     elif kind == "points2d":
         sites = _array2d(data, "sites", 3, point_only=True)
         kwargs["sites"] = tuple(c.center for c in sites)

@@ -229,9 +229,11 @@ def sphere_in_hull3(
     product, so the minimum is exact and both verdicts are proofs.  One fixed
     direction is added for generators that are all concentric with the
     target, whose envelope is constant.  The input is normalised by its
-    largest length before the enumeration and the slack rescaled after it.
-    Ties go to the first candidate in enumeration order, which keeps the
-    witness direction deterministic.
+    largest length before the enumeration and the slack rescaled after it;
+    the verdict compares the normalised slack with eps_decision, so it does
+    not change when the whole input is scaled.  Ties go to the first
+    candidate in enumeration order, which keeps the witness direction
+    deterministic.
     """
     gens = list(gens)
     if not gens:
@@ -254,9 +256,10 @@ def sphere_in_hull3(
     cands /= _norm(cands)[:, None]
     envelope = (cands @ d.T + r).max(axis=1)
     best = int(np.argmin(envelope))
-    slack = float(envelope[best] - rt) * scale
+    unit_slack = float(envelope[best] - rt)
+    slack = unit_slack * scale
 
-    contained = slack >= -tol.eps_decision
+    contained = unit_slack >= -tol.eps_decision
     return Containment3Result(
         contained=contained,
         slack=slack,

@@ -24,11 +24,18 @@ from .spheres import (
 )
 from .witness import (
     corollary_witness_search,
+    pair_generators,
+    scaled_instance,
     two_carousel_points,
     witness_generators,
     witness_search,
     xi_sweep_fixed,
 )
+
+# scale step past xi_star at which the sweep figure reads its touch direction:
+# a much smaller step leaves the slack inside the band that still counts as
+# contained, and then no direction comes back
+TOUCH_PROBE_STEP = 1e-4
 
 
 def _f(v: float) -> str:
@@ -210,9 +217,7 @@ def _render_corollary(scenario: Scenario) -> _Canvas:
     cs = (c0, c1, c2)
     if witnesses:
         best = witnesses[0]
-        us = (u0, u1)
-        gens = GeneratorSet((us[best.k],) + tuple(c for i, c in enumerate(cs) if i != best.j))
-        _fill_hull(canvas, gens)
+        _fill_hull(canvas, pair_generators((u0, u1)[best.k], cs, best.j))
         canvas.text(
             f"witness j={best.j} k={best.k} slack={best.slack:.6f} "
             f"({len(witnesses)}/6 pairs hold)"
@@ -232,9 +237,8 @@ def _render_points(scenario: Scenario) -> _Canvas:
     b0 = scenario.circles[0].center
     b1 = scenario.circles[1].center
     w = two_carousel_points(sites, b0, b1, scenario.tolerance)
-    pts = (b0, b1)
-    kept = [s for i, s in enumerate(sites) if i != w.j]
-    canvas.polygon([pts[w.k]] + kept, stroke="#707070", fill="#d9d9d9")
+    gens = pair_generators(Circle2((b0, b1)[w.k], 0.0), sites, w.j)
+    canvas.polygon([g.center for g in gens], stroke="#707070", fill="#d9d9d9")
     _draw_sites(canvas, sites)
     canvas.dot(b0, fill="#1f77b4")
     canvas.dot(b1, fill="#2ca02c")
@@ -245,35 +249,26 @@ def _render_points(scenario: Scenario) -> _Canvas:
 def _render_sweep(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     inst = scenario.instance()
-    j = scenario.j if scenario.j is not None else 0
-    k = scenario.k if scenario.k is not None else 0
-    tol = scenario.tol if scenario.tol is not None else 1e-9
-    rep = xi_sweep_fixed(inst, j, k, tol, scenario.tolerance)
+    j, k = scenario.j, scenario.k
+    rep = xi_sweep_fixed(inst, j, k, scenario.tolerance)
     zeta = rep.xi_star
-    own = inst.circle(k)
-    target = inst.circle(1 - k)
-    scaled_own = Circle2(own.center, zeta * own.radius)
-    scaled_target = Circle2(target.center, zeta * target.radius)
-    kept = tuple(Circle2(s, 0.0) for i, s in enumerate(inst.sites) if i != j)
-    gens = GeneratorSet((scaled_own,) + kept)
-    _fill_hull(canvas, gens)
+    scaled = scaled_instance(inst, zeta)
+    _fill_hull(canvas, witness_generators(scaled, j, k))
     _draw_sites(canvas, inst.sites)
     canvas.circle(inst.u0, "#9ecae1", dash="0.05,0.05")
     canvas.circle(inst.u1, "#a1d99b", dash="0.05,0.05")
-    canvas.circle(scaled_own, "#1f77b4")
-    canvas.circle(scaled_target, "#2ca02c")
-    if rep.xi_star < 1.0:
-        probe = min(1.0, rep.xi_star + tol)
+    canvas.circle(scaled.circle(k), "#1f77b4")
+    canvas.circle(scaled.circle(1 - k), "#2ca02c")
+    if zeta < 1.0:
+        past = scaled_instance(inst, min(1.0, zeta + TOUCH_PROBE_STEP))
         res = circle_in_hull(
-            Circle2(target.center, probe * target.radius),
-            GeneratorSet((Circle2(own.center, probe * own.radius),) + kept),
-            scenario.tolerance,
+            past.circle(1 - k), witness_generators(past, j, k), scenario.tolerance
         )
-        res_dir = res.witness_direction
-        if res_dir is not None:
+        if res.witness_direction is not None:
+            target = scaled.circle(1 - k)
             touch = Point2(
-                target.center.x + zeta * target.radius * math.cos(res_dir),
-                target.center.y + zeta * target.radius * math.sin(res_dir),
+                target.center.x + target.radius * math.cos(res.witness_direction),
+                target.center.y + target.radius * math.sin(res.witness_direction),
             )
             canvas.marker(touch)
     canvas.text(

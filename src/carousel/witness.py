@@ -3,9 +3,12 @@
 An instance holds three sites A0, A1, A2 and two circles u0, u1 inside their
 hull.  A witness is a pair (j, k) such that u_(1-k) lies in the convex hull
 of u_k together with the two sites other than A_j.  The xi-sweep scales both
-circles about their own centers by a common factor and traces the supremum
-of the scales at which a fixed (j, k) witness still holds, classifying the
-boundary piece that becomes tangent there.
+circles about their own centers by a common factor and finds the supremum
+of the scales at which a fixed (j, k) witness still holds.  The target can
+only reach the hull boundary by touching the front arc of u_k, the base
+side between the two kept sites, a site vertex or a leg, and each of these
+happens at a closed-form scale, so the sweep enumerates those events and
+reads the tangency off the family of the event where the inclusion fails.
 """
 
 from __future__ import annotations
@@ -17,21 +20,13 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CoincidentPoints,
-    DegenerateHull,
     GenerationExhausted,
     InvalidInstance,
     NotInterior,
 )
-from .hull import (
-    ArcPiece,
-    GeneratorSet,
-    circle_in_hull,
-    hull_boundary,
-    min_slack,
-)
+from .hull import GeneratorSet, circle_in_hull, min_slack
 from .planar import (
     DEFAULT_TOLERANCE,
-    TAU,
     Circle2,
     Point2,
     Tolerance,
@@ -121,10 +116,35 @@ def scaled_instance(inst: CarouselInstance, zeta: float) -> CarouselInstance:
     )
 
 
+def _others(items, j: int) -> tuple:
+    """The items other than item j, in order: the two sites other than A_j."""
+    return tuple(x for i, x in enumerate(items) if i != j)
+
+
+def pair_generators(own: Circle2, bases, j: int) -> GeneratorSet:
+    """Generators of a (j, k) inclusion: u_k plus the bases other than base j.
+
+    Bases are the three sites (points, taken as radius-0 circles) or the
+    three generator circles of the corollary.
+    """
+    kept = tuple(b if isinstance(b, Circle2) else Circle2(b, 0.0) for b in _others(bases, j))
+    return GeneratorSet((own,) + kept)
+
+
 def witness_generators(inst: CarouselInstance, j: int, k: int) -> GeneratorSet:
     """Generator set for the (j, k) inclusion: u_k plus the sites other than A_j."""
-    kept = tuple(Circle2(s, 0.0) for i, s in enumerate(inst.sites) if i != j)
-    return GeneratorSet((inst.circle(k),) + kept)
+    return pair_generators(inst.circle(k), inst.sites, j)
+
+
+def _witness_pairs(bases, us, tol: Tolerance) -> list[Witness]:
+    """All (j, k) pairs over three bases whose inclusion holds, by descending slack."""
+    found = []
+    for j, k in JK_PAIRS:
+        res = circle_in_hull(us[1 - k], pair_generators(us[k], bases, j), tol)
+        if res.contained:
+            found.append(Witness(j, k, res.slack))
+    found.sort(key=lambda w: (-w.slack, w.j, w.k))
+    return found
 
 
 def witness_search(
@@ -132,13 +152,7 @@ def witness_search(
 ) -> list[Witness]:
     """All (j, k) pairs whose inclusion holds, sorted by descending slack."""
     validate_instance(inst, tol)
-    found = []
-    for j, k in JK_PAIRS:
-        res = circle_in_hull(inst.circle(1 - k), witness_generators(inst, j, k), tol)
-        if res.contained:
-            found.append(Witness(j, k, res.slack))
-    found.sort(key=lambda w: (-w.slack, w.j, w.k))
-    return found
+    return _witness_pairs(inst.sites, (inst.u0, inst.u1), tol)
 
 
 def corollary_witness_search(
@@ -159,14 +173,7 @@ def corollary_witness_search(
             raise InvalidInstance(
                 f"u{k} is not inside the generator hull (slack {res.slack:.3g})"
             )
-    found = []
-    for j, k in JK_PAIRS:
-        gens = GeneratorSet((us[k],) + tuple(c for i, c in enumerate(cs) if i != j))
-        res = circle_in_hull(us[1 - k], gens, tol)
-        if res.contained:
-            found.append(Witness(j, k, res.slack))
-    found.sort(key=lambda w: (-w.slack, w.j, w.k))
-    return found
+    return _witness_pairs(cs, us, tol)
 
 
 def _strictly_inside(p: Point2, tri, tol: Tolerance) -> bool:
@@ -182,8 +189,7 @@ def _strictly_inside(p: Point2, tri, tol: Tolerance) -> bool:
 
 
 def _point_witness_slack(sites, b_keep: Point2, b_target: Point2, j: int, tol) -> float:
-    kept = tuple(Circle2(s, 0.0) for i, s in enumerate(sites) if i != j)
-    gens = GeneratorSet((Circle2(b_keep, 0.0),) + kept)
+    gens = pair_generators(Circle2(b_keep, 0.0), sites, j)
     return min_slack(Circle2(b_target, 0.0), gens, tol)
 
 
@@ -234,118 +240,103 @@ def two_carousel_points(
 
 # -- xi sweep ----------------------------------------------------------------
 
-PRE_GRID = 64
+EVENT_TIE = 1e-12
+# order among events that tie: a vertex reports as the leg that ends there
+_EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 
 
 def sweep_slack(
     inst: CarouselInstance, j: int, k: int, zeta: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta."""
-    target = inst.circle(1 - k)
-    scaled_target = Circle2(target.center, zeta * target.radius)
-    own = inst.circle(k)
-    kept = tuple(Circle2(s, 0.0) for i, s in enumerate(inst.sites) if i != j)
-    gens = GeneratorSet((Circle2(own.center, zeta * own.radius),) + kept)
-    return min_slack(scaled_target, gens, tol)
+    scaled = scaled_instance(inst, zeta)
+    return min_slack(scaled.circle(1 - k), witness_generators(scaled, j, k), tol)
 
 
-def _classify_tangency(
-    inst: CarouselInstance, j: int, k: int, zeta: float, tol: Tolerance
-) -> Tangency:
-    """Which boundary piece of the hull the scaled target touches at zeta.
+def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Tangency]]:
+    """Scales in (0, 1) where the scaled target can touch a hull piece, ascending.
 
-    Picks the boundary piece nearest the touch point; ties at a vertex go to
-    the leg.  Arc pieces always belong to the scaled u_k circle, segments
-    between the two sites form the base side, segments involving u_k are legs.
+    With target u_(1-k) = (c_t, r_t), kept circle u_k = (c_k, r_k) and sites
+    a, b other than A_j, the target touches at scale zeta
+      - the front arc when |c_t - c_k| = zeta (r_k - r_t),
+      - the base side when dist(c_t, line ab) = zeta r_t,
+      - a vertex s in {a, b} when |s - c_t| = zeta r_t (reported as a leg),
+      - a leg from s when the line through s with unit normal u is tangent to
+        both circles: u is perpendicular to r_t (s - c_k) - r_k (s - c_t) and
+        zeta = (s - c_k).u / r_k, or (s - c_t).u / r_t when r_k = 0.
+    Events closer than EVENT_TIE merge into one, whose family is the first in
+    the order leg, front arc, base side.
     """
-    own = inst.circle(k)
-    target = inst.circle(1 - k)
-    scaled_own = Circle2(own.center, zeta * own.radius)
-    kept = tuple(Circle2(s, 0.0) for i, s in enumerate(inst.sites) if i != j)
-    gens = GeneratorSet((scaled_own,) + kept)
-    res = circle_in_hull(Circle2(target.center, zeta * target.radius), gens, tol)
-    theta = res.witness_direction
-    if theta is None:
-        # contained at the reported scale: use the minimizing direction anyway
-        theta = 0.0
-    touch = Point2(
-        target.center.x + zeta * target.radius * math.cos(theta),
-        target.center.y + zeta * target.radius * math.sin(theta),
-    )
-    try:
-        boundary = hull_boundary(gens, tol)
-    except DegenerateHull:
+    own, target = inst.circle(k), inst.circle(1 - k)
+    ck, rk = own.center, own.radius
+    ct, rt = target.center, target.radius
+    a, b = _others(inst.sites, j)
+    events = []
+    if rk > rt:
+        events.append((ct.distance_to(ck) / (rk - rt), Tangency.FRONT_ARC))
+    if rt > 0.0:
+        base = b - a
+        events.append((abs(base.cross(ct - a)) / base.norm() / rt, Tangency.BASE_SIDE))
+        events += [(s.distance_to(ct) / rt, Tangency.LEG) for s in (a, b)]
+    for s in (a, b):
+        w = rt * (s - ck) - rk * (s - ct)
+        n = w.norm()
+        if n == 0.0:
+            continue
+        for u in (Point2(-w.y / n, w.x / n), Point2(w.y / n, -w.x / n)):
+            zeta = (s - ck).dot(u) / rk if rk > 0.0 else (s - ct).dot(u) / rt
+            events.append((zeta, Tangency.LEG))
+    merged: list[tuple[float, Tangency]] = []
+    for zeta, family in sorted((e for e in events if 0.0 < e[0] < 1.0), key=lambda e: e[0]):
+        if not merged or zeta - merged[-1][0] > EVENT_TIE:
+            merged.append((zeta, family))
+        elif _EVENT_RANK[family] < _EVENT_RANK[merged[-1][1]]:
+            merged[-1] = (merged[-1][0], family)
+    return merged
+
+
+def _tangency_at_zero(inst: CarouselInstance, j: int, k: int, tol: Tolerance) -> Tangency:
+    """Side of the triangle c_k, a, b nearest the target's centre; legs win ties."""
+    ck, ct = inst.circle(k).center, inst.circle(1 - k).center
+    a, b = _others(inst.sites, j)
+    if orientation(ck, a, b, tol) == 0:
         return Tangency.BASE_SIDE
-    glist = list(gens.generators)
-    entries = []
-    for piece in boundary.pieces:
-        if isinstance(piece, ArcPiece):
-            g = glist[piece.generator]
-            ang = math.atan2(touch.y - g.center.y, touch.x - g.center.x)
-            rel = (ang - piece.start_angle) % TAU
-            if rel <= piece.width:
-                dist = abs(touch.distance_to(g.center) - g.radius)
-            else:
-                dist = min(touch.distance_to(piece.start), touch.distance_to(piece.end))
-            entries.append((dist, 1, Tangency.FRONT_ARC))
-        else:
-            dist = point_segment_distance(touch, piece.start, piece.end)
-            if 0 in piece.generators:
-                entries.append((dist, 0, Tangency.LEG))
-            else:
-                entries.append((dist, 2, Tangency.BASE_SIDE))
-    dmin = min(e[0] for e in entries)
-    near = [e for e in entries if e[0] <= dmin + tol.eps_geom]
-    near.sort(key=lambda e: (e[1], e[0]))
-    return near[0][2]
+    leg = min(point_segment_distance(ct, ck, s) for s in (a, b))
+    base = point_segment_distance(ct, a, b)
+    return Tangency.LEG if leg <= base + tol.eps_geom else Tangency.BASE_SIDE
 
 
 def xi_sweep_fixed(
     inst: CarouselInstance,
     j: int,
     k: int,
-    tol: float = 1e-9,
     tolerance: Tolerance = DEFAULT_TOLERANCE,
 ) -> XiSweepReport:
     """Supremum scale at which the fixed (j, k) inclusion still holds.
 
-    A 64-point pre-grid over [0, 1] brackets the first sign change of the
-    slack (the slack need not be monotone in zeta), then bisection refines
-    the bracket to width ``tol``.  If the slack is nonnegative on the whole
-    grid including zeta = 1, the sweep reports xi_star = 1 with no tangency.
+    The slack can change sign only at one of the tangency events of
+    ``sweep_events``, so it keeps one sign between consecutive events.  One
+    probe at the midpoint of each interval, from zeta = 0 upward, finds the
+    first interval on which the inclusion fails: xi_star is its left end and
+    the tangency is the family of the event there.  When it fails from
+    zeta = 0 on, xi_star = 0 and the tangency is the side of the point hull
+    nearest the target's centre.  When no interval fails, xi_star = 1 with
+    no tangency.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if j not in (0, 1, 2) or k not in (0, 1):
         raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
     validate_instance(inst, tolerance)
-
-    zs = [i / (PRE_GRID - 1) for i in range(PRE_GRID)]
-    slacks = [sweep_slack(inst, j, k, z, tolerance) for z in zs]
-    bad = next((i for i, s in enumerate(slacks) if s < 0.0), None)
-
-    if bad is None:
-        return XiSweepReport(j, k, 1.0, slacks[-1], Tangency.NONE_AT_ONE)
-    if bad == 0:
-        return XiSweepReport(
-            j, k, 0.0, slacks[0], _classify_tangency(inst, j, k, 0.0, tolerance)
-        )
-
-    lo, hi = zs[bad - 1], zs[bad]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sweep_slack(inst, j, k, mid, tolerance) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    xi = lo
-    return XiSweepReport(
-        j,
-        k,
-        xi,
-        sweep_slack(inst, j, k, xi, tolerance),
-        _classify_tangency(inst, j, k, hi, tolerance),
-    )
+    events = sweep_events(inst, j, k)
+    edges = [0.0] + [zeta for zeta, _ in events] + [1.0]
+    for i in range(len(edges) - 1):
+        if sweep_slack(inst, j, k, 0.5 * (edges[i] + edges[i + 1]), tolerance) < 0.0:
+            break
+    else:
+        slack = sweep_slack(inst, j, k, 1.0, tolerance)
+        return XiSweepReport(j, k, 1.0, slack, Tangency.NONE_AT_ONE)
+    xi = edges[i]
+    tangency = events[i - 1][1] if i else _tangency_at_zero(inst, j, k, tolerance)
+    return XiSweepReport(j, k, xi, sweep_slack(inst, j, k, xi, tolerance), tangency)
 
 
 # -- seeded instance generation ----------------------------------------------

@@ -159,8 +159,7 @@ class TestSweepVerb:
     def test_sweep_with_flags(self, tmp_path):
         path = write(tmp_path, "s.json", {k: v for k, v in SWEEP.items() if k not in ("j", "k")})
         out = tmp_path / "rep.json"
-        assert main(["sweep", str(path), "--j", "0", "--k", "0", "--tol", "1e-9",
-                     "-o", str(out)]) == 0
+        assert main(["sweep", str(path), "--j", "0", "--k", "0", "-o", str(out)]) == 0
         report = json.loads(out.read_text())
         assert 0.0 < report["sweep"]["xi_star"] < 1.0
         assert report["sweep"]["tangency"] in ("leg", "front_arc")
@@ -225,6 +224,13 @@ class TestRepro3dVerb:
         assert main(["repro3d", "--example", "4.2", "--t", "12", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["example"]["all_refuted"] is True
 
+    def test_ex42_t12_small_scale(self, tmp_path):
+        # slacks near -4.6e-7 at this scale: the verdict must not flip with size
+        out = tmp_path / "rep.json"
+        argv = ["repro3d", "--example", "4.2", "--t", "12", "--side", "0.01", "--r", "0.001"]
+        assert main(argv + ["-o", str(out)]) == 0
+        assert json.loads(out.read_text())["example"]["all_refuted"] is True
+
 
 class TestInternalError:
     def test_crash_exits_3_with_traceback(self, monkeypatch, capsys):
@@ -283,6 +289,7 @@ class TestRenderVerb:
         text = out.read_text()
         assert " A " in text  # hull back arc rendered as an SVG arc
         assert "tangency=" in text
+        assert 'stroke="#cc0000"' in text  # touch marker at the critical scale
 
     def test_ex42_figure_has_dashed_guide_arc(self, tmp_path):
         src = write(tmp_path, "ex42.json", EX42)

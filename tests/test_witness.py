@@ -1,5 +1,6 @@
 """Carousel procedure tests: witness search, point decomposition, xi sweeps."""
 
+import math
 import random
 
 import pytest
@@ -30,10 +31,12 @@ from carousel.witness import (
     JK_PAIRS,
     random_corollary_instance,
     random_points_instance,
+    sweep_events,
     witness_generators,
 )
 
 SITES_466 = (pt(0, 0), pt(6, 0), pt(0, 6))
+SITES_8 = (pt(0, 0), pt(8, 0), pt(0, 8))
 
 
 def reverify(inst, w) -> bool:
@@ -192,25 +195,85 @@ class TestXiSweep:
             assert rep.tangency is Tangency.NONE_AT_ONE
 
     def test_crossing_instance(self):
-        # inclusion holds for small scales, fails at full scale
-        inst = CarouselInstance(
-            (pt(0, 0), pt(8, 0), pt(0, 8)), circle(2, 2, 0.4), circle(2.5, 2.5, 1.2)
+        # inclusion holds for small scales, fails at full scale; the second
+        # instance keeps u_k at radius 0, so its legs run through its centre
+        for own in (circle(2, 2, 0.4), circle(2, 2, 0.0)):
+            inst = CarouselInstance(SITES_8, own, circle(2.5, 2.5, 1.2))
+            rep = xi_sweep_fixed(inst, 0, 0)
+            assert 0.0 < rep.xi_star < 1.0
+            assert abs(rep.slack_at_xi_star) < 1e-6
+            assert rep.tangency in (Tangency.LEG, Tangency.FRONT_ARC)
+            # fine grid scan oracle: last good scale before the first failure
+            zs = [i / 10_000 for i in range(10_001)]
+            first_bad = next(z for z in zs if sweep_slack(inst, 0, 0, z) < 0.0)
+            assert abs(rep.xi_star - (first_bad - 1e-4)) <= 2e-4
+
+    def test_leg_not_base_side_regression(self):
+        # a nearest-piece classifier called this base_side, yet the target
+        # stays well clear of the base line A0A2 at xi_star
+        sites = (
+            pt(6.305934132773345, 3.525545954878842),
+            pt(2.597177973958525, -6.826373526571974),
+            pt(6.968564034641648, -0.8042745045463224),
         )
-        rep = xi_sweep_fixed(inst, 0, 0, tol=1e-9)
-        assert 0.0 < rep.xi_star < 1.0
-        assert abs(rep.slack_at_xi_star) < 1e-6
-        assert rep.tangency in (Tangency.LEG, Tangency.FRONT_ARC)
-        # fine grid scan oracle: last good scale before the first failure
-        zs = [i / 10_000 for i in range(10_001)]
-        first_bad = next(z for z in zs if sweep_slack(inst, 0, 0, z) < 0.0)
-        assert abs(rep.xi_star - (first_bad - 1e-4)) <= 2e-4
+        u0 = circle(5.668003783748008, -0.8547170236518535, 0.6637857999305479)
+        u1 = circle(5.9689922943097375, 1.0313558399652858, 0.40904997942265436)
+        rep = xi_sweep_fixed(CarouselInstance(sites, u0, u1), 1, 0)
+        assert rep.tangency is Tangency.LEG
+        assert rep.xi_star == pytest.approx(0.81631924, abs=1e-8)
+        assert abs(rep.slack_at_xi_star) < 1e-9
+        a, b = sites[0], sites[2]
+        line_dist = abs((b - a).cross(u1.center - a)) / (b - a).norm()
+        assert line_dist - rep.xi_star * u1.radius > 0.3
+
+    def test_base_side_inside_hypothesis_band(self):
+        # u1 pokes 1e-7 out of the base line A0A1, which the hypothesis check
+        # still accepts, so the base-side event falls just below zeta = 1
+        inst = CarouselInstance(SITES_8, circle(2, 3, 0.5), circle(4, 1, 1 + 1e-7))
+        assert sweep_slack(inst, 2, 0, 1.0) < 0.0
+        rep = xi_sweep_fixed(inst, 2, 0)
+        assert rep.xi_star == pytest.approx(1 / (1 + 1e-7), abs=1e-12)
+        assert rep.tangency is Tangency.BASE_SIDE
+
+    def test_leg_wins_tie_with_base_side(self):
+        # u1 sits in the 30-degree corner at A1 between the base line and the
+        # leg to u0, tangent to both at the same scale z0: the tie goes to the leg
+        z0, half = 1 - 1e-7, math.radians(15)
+        corner = pt(8, 0) + (0.4 / math.sin(half)) * pt(-math.cos(half), math.sin(half))
+        leg_point = pt(8, 0) + 5 * pt(-math.cos(2 * half), math.sin(2 * half))
+        own = leg_point + z0 * pt(-math.sin(2 * half), -math.cos(2 * half))
+        inst = CarouselInstance(SITES_8, Circle2(own, 1.0), Circle2(corner, 0.4 / z0))
+        assert [family for _, family in sweep_events(inst, 2, 0)] == [Tangency.LEG]
+        rep = xi_sweep_fixed(inst, 2, 0)
+        assert rep.xi_star == pytest.approx(z0, abs=1e-12)
+        assert rep.tangency is Tangency.LEG
+
+    def test_point_target_fails_from_zero(self):
+        # a point target only gains room as u_k grows: here it is outside the
+        # triangle u_k, A0, A1 at zeta = 0 and enters u_k at the front-arc event
+        inst = CarouselInstance(SITES_8, circle(2, 2, 1.5), circle(2, 3.2, 0.0))
+        assert (pytest.approx(0.8), Tangency.FRONT_ARC) in sweep_events(inst, 2, 0)
+        assert sweep_slack(inst, 2, 0, 0.8) == pytest.approx(0.0, abs=1e-12)
+        rep = xi_sweep_fixed(inst, 2, 0)
+        assert (rep.xi_star, rep.tangency) == (0.0, Tangency.LEG)
+        assert rep.slack_at_xi_star == pytest.approx(-1.2)
+
+    def test_leg_event_at_zero(self):
+        # the target's centre lies on the leg from u_k's centre to A1 and the
+        # target outgrows the leg, so the inclusion fails for every zeta > 0
+        inst = CarouselInstance(SITES_8, circle(2, 2, 1.0), circle(5, 1, 0.8))
+        assert sweep_slack(inst, 2, 0, 1e-6) < 0.0
+        rep = xi_sweep_fixed(inst, 2, 0)
+        assert rep.xi_star == pytest.approx(0.0, abs=1e-12)
+        assert abs(rep.slack_at_xi_star) < 1e-12
+        assert rep.tangency is Tangency.LEG
 
     def test_sweep_consistency_bracket(self):
         inst = CarouselInstance(
             (pt(0, 0), pt(8, 0), pt(0, 8)), circle(2, 2, 0.4), circle(2.5, 2.5, 1.2)
         )
         tol = 1e-9
-        rep = xi_sweep_fixed(inst, 0, 0, tol=tol)
+        rep = xi_sweep_fixed(inst, 0, 0)
         assert sweep_slack(inst, 0, 0, rep.xi_star - tol) >= -1e-6
         assert sweep_slack(inst, 0, 0, rep.xi_star + tol) < 1e-6
 
@@ -250,8 +313,6 @@ class TestXiSweep:
         inst = CarouselInstance(SITES_466, circle(2, 2, 1), circle(2, 2, 0.5))
         with pytest.raises(ValueError):
             xi_sweep_fixed(inst, 3, 0)
-        with pytest.raises(ValueError):
-            xi_sweep_fixed(inst, 0, 0, tol=0.0)
 
 
 class TestZeroRadiusShortcut:
