@@ -8,6 +8,7 @@ machine-readable stream stays reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import traceback
@@ -29,6 +30,7 @@ from .scenario import load_scenario, parse_scenario
 from .svgfig import render_svg
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carousel",

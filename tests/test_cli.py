@@ -1,7 +1,10 @@
 """Scenario schema, CLI verbs, exit codes, report and SVG determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -244,6 +247,41 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "RuntimeError: injected fault" in err
+
+
+class TestParserReuse:
+    def test_consecutive_calls_share_no_state(self, tmp_path):
+        from carousel import cli
+
+        src = write(tmp_path, "s.json", SWEEP)
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--kind", "no-such-kind", "--n", "3"])
+        assert exc.value.code == 2
+        assert main(["sweep", str(src), "--j", "1", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["sweep"]["j"] == 1
+        assert main(["sweep", str(src), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["sweep"]["j"] == 0  # no --j carried over
+        assert main(["repro3d", "--example", "4.1", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["verdict"] == "verified"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle"])
+        assert exc.value.code == 2
+        assert main(["oracle", "--n", "3", "--seed", "2", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["trials"] == 3
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_out(self):
+        import carousel
+
+        src = Path(carousel.__file__).resolve().parents[1]
+        probe = "import sys, carousel.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
