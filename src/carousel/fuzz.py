@@ -215,7 +215,7 @@ def _oracle_trial(args) -> tuple[int, bool, bool, float]:
 
 
 def run_oracle_check(n: int, seed: int) -> OracleReport:
-    """Compare the arc-cover predicate with the sampling-polygon oracle."""
+    """Compare the support-slack predicate with the sampling-polygon oracle."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()

@@ -3,12 +3,13 @@
 The decision runs in the support (dual) domain.  For direction theta the
 hull of generators supports h(theta) = max_g(center_g . u(theta) + r_g), so
 the target circle is contained iff every direction satisfies the support
-inequality.  Per generator the solution set of that inequality is a closed
-angular interval with a closed form, which makes full coverage of the
-direction circle a certificate either way.  The slack (minimal support
-surplus) is found exactly by enumerating the critical angles of the
-piecewise-sinusoidal support gap: arc endpoints, pairwise switch angles,
-and per-generator antipodal angles.
+inequality.  The slack, the least support surplus over all directions, is
+the minimum of an envelope of sinusoids; it is found exactly by evaluating
+the envelope at its critical angles (each generator's antipodal minimum and
+the pairwise switch angles), and it decides the verdict: contained iff
+slack >= -eps_decision, the rule the 3D kernel uses too.  Per generator the
+directions that satisfy the inequality form a closed arc with a closed form;
+the directions no arc covers are the certificate, built only when read.
 
 The same switch-angle machinery yields the hull boundary as a cyclic chain
 of circular arcs and common external tangent segments, used for rendering.
@@ -17,14 +18,11 @@ of circular arcs and common external tangent segments, used for rendering.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .errors import DegenerateHull
 from .planar import DEFAULT_TOLERANCE, TAU, Circle2, Point2, Tolerance
-
-# Angular width under which a coverage gap may still count as covered,
-# provided the support slack at its midpoint is within the decision band.
-GAP_ANGLE_EPS = 1e-3
 
 _TINY = 1e-15
 
@@ -63,8 +61,8 @@ class ArcInterval:
     lo: float
     hi: float
 
-    EMPTY: "ArcInterval" = None  # assigned below
-    FULL: "ArcInterval" = None
+    EMPTY: ClassVar["ArcInterval"]  # assigned below
+    FULL: ClassVar["ArcInterval"]
 
     @property
     def is_empty(self) -> bool:
@@ -86,9 +84,6 @@ class ArcInterval:
         if self.is_full:
             return True
         return (theta - self.lo) % TAU <= self.hi - self.lo
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
 
 ArcInterval.EMPTY = ArcInterval(0.0, -1.0)
@@ -184,41 +179,36 @@ def uncovered_gaps(arcs: list[ArcInterval]) -> list[ArcInterval]:
 class ContainmentResult:
     """Verdict plus certificate for one containment query.
 
-    ``slack`` is the minimal support surplus over all directions;
-    ``witness_direction`` (present iff not contained) attains it with a
-    strictly positive violation; ``uncovered`` lists the coverage gaps.
+    ``slack`` is the minimal support surplus over all directions and decides
+    the verdict: contained iff ``slack >= -eps_decision``.
+    ``witness_direction`` (present iff not contained) attains that slack.
+    ``uncovered`` is the arc-cover certificate: the directions that no
+    generator's coverage arc covers, built from the stored query when read.
     """
 
     contained: bool
     slack: float
     witness_direction: float | None = None
-    uncovered: tuple[ArcInterval, ...] = ()
+    target: Circle2 = field(kw_only=True, compare=False, repr=False)
+    generators: GeneratorSet = field(kw_only=True, compare=False, repr=False)
+
+    @property
+    def uncovered(self) -> tuple[ArcInterval, ...]:
+        return tuple(uncovered_gaps([coverage_arc(g, self.target) for g in self.generators]))
 
 
-def _gen_terms(target: Circle2, gens: GeneratorSet):
-    tx = target.center.x
-    ty = target.center.y
-    tr = target.radius
-    terms = []
-    for g in gens:
-        terms.append((g.center.x - tx, g.center.y - ty, g.radius - tr))
-    return terms
+def _critical_angles(terms) -> list[float]:
+    """Angles where max_g(dx cos + dy sin + dr) can take its minimum, ascending mod tau.
 
-
-def _candidate_angles(terms) -> list[float]:
+    An envelope of sinusoids is smallest at one sinusoid's own minimum (the
+    direction antipodal to its centre offset) or where two of them cross;
+    theta = 0 stands in when every centre coincides with the target's.
+    """
     cands = [0.0]
     n = len(terms)
-    for dx, dy, dr in terms:
-        d = math.hypot(dx, dy)
-        if d <= _TINY:
-            continue
-        phi = math.atan2(dy, dx)
-        cands.append(phi + math.pi)  # minimum of this generator's sinusoid
-        x = -dr / d
-        if -1.0 <= x <= 1.0:
-            alpha = math.acos(x)
-            cands.append(phi - alpha)  # coverage-arc endpoints
-            cands.append(phi + alpha)
+    for dx, dy, _ in terms:
+        if math.hypot(dx, dy) > _TINY:
+            cands.append(math.atan2(dy, dx) + math.pi)
     for i in range(n):
         dxi, dyi, dri = terms[i]
         for j in range(i + 1, n):
@@ -232,20 +222,9 @@ def _candidate_angles(terms) -> list[float]:
             if -1.0 <= x <= 1.0:
                 base = math.atan2(ay, ax)
                 delta = math.acos(x)
-                cands.append(base + delta)  # switch angles of the two sinusoids
+                cands.append(base + delta)
                 cands.append(base - delta)
     return sorted(c % TAU for c in cands)
-
-
-def _slack_at(terms, theta: float) -> float:
-    c = math.cos(theta)
-    s = math.sin(theta)
-    best = -math.inf
-    for dx, dy, dr in terms:
-        v = dx * c + dy * s + dr
-        if v > best:
-            best = v
-    return best
 
 
 def circle_in_hull(
@@ -253,39 +232,38 @@ def circle_in_hull(
 ) -> ContainmentResult:
     """Decide target-circle containment in the hull of the generators.
 
-    Containment is read off the arc cover: the target is contained iff the
-    per-generator coverage arcs cover every direction (a gap narrower than
-    GAP_ANGLE_EPS still counts as covered when the slack at its midpoint is
-    within the decision band, absorbing tangency rounding).  The slack is
-    minimized exactly over the critical-angle set.  Points are the radius-0
-    special case on either side.
+    The slack is minimised exactly over the critical angles of the support
+    gap, and the target is contained iff that slack is at least
+    ``-tol.eps_decision`` (the rule ``sphere_in_hull3`` uses in 3D).  The
+    first critical angle attaining the minimum is the witness direction of a
+    non-containment.  Points are the radius-0 special case on either side.
     """
-    terms = _gen_terms(target, gens)
-    arcs = [coverage_arc(g, target) for g in gens]
+    tx = target.center.x
+    ty = target.center.y
+    tr = target.radius
+    terms = [(g.center.x - tx, g.center.y - ty, g.radius - tr) for g in gens]
 
     best = math.inf
     best_theta = 0.0
-    for theta in _candidate_angles(terms):
-        v = _slack_at(terms, theta)
+    for theta in _critical_angles(terms):
+        c = math.cos(theta)
+        s = math.sin(theta)
+        v = -math.inf
+        for dx, dy, dr in terms:
+            w = dx * c + dy * s + dr
+            if w > v:
+                v = w
         if v < best:
             best = v
             best_theta = theta
 
-    gaps = uncovered_gaps(arcs)
-    contained = True
-    for gap in gaps:
-        if gap.is_full or gap.width >= GAP_ANGLE_EPS:
-            contained = False
-            break
-        if _slack_at(terms, gap.midpoint() % TAU) < -tol.eps_decision:
-            contained = False
-            break
-
+    contained = best >= -tol.eps_decision
     return ContainmentResult(
         contained=contained,
         slack=best,
         witness_direction=None if contained else best_theta,
-        uncovered=tuple(gaps),
+        target=target,
+        generators=gens,
     )
 
 

@@ -3,7 +3,7 @@
 Every generator circle is sampled at the same m angles theta_i = 2 pi i / m,
 the convex hull of all samples is taken as a polygon, and the target
 circle's own samples are tested point-in-polygon.  This is a primal-space
-cross-check of the dual (support/arc-cover) decision; the two may
+cross-check of the dual (support-slack) decision; the two may
 legitimately disagree only inside a narrow slack band around tangency, set
 by the sampling density.
 
@@ -120,12 +120,12 @@ def polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float = 
     on vertex angles, then checks the single facing edge.
     """
     k = len(poly)
-    if k == 1:
+    ab = poly[-1] - poly[0]
+    denom = float(ab @ ab)
+    if k == 1 or (k == 2 and denom == 0.0):  # a zero-length segment is its one point
         return np.hypot(*(queries - poly[0]).T) <= eps
     if k == 2:
-        a, b = poly
-        ab = b - a
-        denom = float(ab @ ab)
+        a = poly[0]
         t = np.clip((queries - a) @ ab / denom, 0.0, 1.0)
         feet = a + t[:, None] * ab
         return np.hypot(*(queries - feet).T) <= eps

@@ -8,7 +8,7 @@ critical directions (face minima of single generators, minima of pairwise
 equality circles, vertices of generator triples), and all of them are
 enumerated, so a containment verdict and a non-containment verdict with its
 negative-slack witness direction are both proofs.  An orthogonal projection
-to a plane reduces to the exact 2D arc-cover test and soundly refutes 3D
+to a plane reduces to the exact 2D containment test and soundly refutes 3D
 inclusions.
 """
 

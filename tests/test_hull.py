@@ -1,5 +1,6 @@
 """Support-hull tests: coverage arcs, containment, slack, boundary chains."""
 
+import dataclasses
 import math
 import random
 
@@ -26,8 +27,10 @@ from carousel import (
     tangent_points_from_point,
     uncovered_gaps,
 )
+from carousel.fuzz import random_containment_query
 from carousel.hull import boundary_support
 from carousel.oracle import hull_polygon_area
+from carousel.planar import DEFAULT_TOLERANCE
 
 TAU = math.tau
 
@@ -102,6 +105,11 @@ class TestArcIntervals:
     def test_empty_cover_is_full_gap(self):
         assert uncovered_gaps([ArcInterval.EMPTY])[0].is_full
 
+    def test_class_constants_are_not_fields(self):
+        assert [f.name for f in dataclasses.fields(ArcInterval)] == ["lo", "hi"]
+        assert ArcInterval(0, 1).FULL.is_full
+        assert ArcInterval(0, 1).EMPTY.is_empty
+
 
 class TestCircleInHull:
     def test_self_inclusion(self):
@@ -140,6 +148,89 @@ class TestCircleInHull:
         gens = GeneratorSet((circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0)))
         assert circle_in_hull(circle(1, 1, 0), gens).contained
         assert not circle_in_hull(circle(3, 3, 0), gens).contained
+
+
+def _dense_slack(target, gens, m=3600):
+    """Least support slack over m equally spaced directions."""
+    theta = np.arange(m) * (TAU / m)
+    tc = target.center
+    d = np.array([(g.center.x - tc.x, g.center.y - tc.y) for g in gens])
+    dr = np.array([g.radius - target.radius for g in gens])
+    vals = np.outer(d[:, 0], np.cos(theta)) + np.outer(d[:, 1], np.sin(theta)) + dr[:, None]
+    return float(vals.max(axis=0).min())
+
+
+DEGENERATE_QUERIES = {
+    "one generator concentric": (
+        circle(0, 0, 1), (circle(0, 0, 0.5), circle(3, 0, 0), circle(-1, 2, 0.2))
+    ),
+    "every generator concentric": (circle(1, 2, 1), (circle(1, 2, 0.5), circle(1, 2, 2))),
+    "duplicate generators": (
+        circle(0.5, 0.2, 0.7), (circle(3, 0, 1), circle(3, 0, 1), circle(-2, 1, 0))
+    ),
+    "single point generator": (circle(1.5, 0.5, 0.25), (circle(2, 1, 0),)),
+    "points only": (circle(1, 1, 0), (circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0))),
+}
+
+
+class TestCriticalAngles:
+    """The pruned candidate set must find the envelope's minimum."""
+
+    @staticmethod
+    def _check(target, gens):
+        res = circle_in_hull(target, gens)
+        dense = _dense_slack(target, gens)
+        # a dense direction is at most half a grid step from the minimiser,
+        # where the envelope climbs no faster than its largest amplitude
+        amp = max(g.center.distance_to(target.center) for g in gens)
+        assert res.slack <= dense + 1e-12
+        assert dense - res.slack <= amp * math.pi / 3600 + 1e-12
+        assert res.contained == (res.slack >= -DEFAULT_TOLERANCE.eps_decision)
+        assert res.uncovered == tuple(
+            uncovered_gaps([coverage_arc(g, target) for g in gens])
+        )
+
+    def test_dense_direction_probe(self):
+        for seed in range(300):
+            self._check(*random_containment_query(seed))
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_QUERIES))
+    def test_degenerate(self, name):
+        target, gens = DEGENERATE_QUERIES[name]
+        self._check(target, GeneratorSet(gens))
+
+    def test_every_generator_concentric_is_exact(self):
+        target, gens = DEGENERATE_QUERIES["every generator concentric"]
+        res = circle_in_hull(target, GeneratorSet(gens))
+        assert res.contained and res.slack == 1.0 and res.uncovered == ()
+
+
+def near_tangency_queries(n_seeds):
+    """Random queries with the target radius moved to +-1e-3 ... +-1e-7 of tangency.
+
+    Yields (target, generators, offset): the slack of the query is -offset.
+    """
+    for seed in range(n_seeds):
+        target, gens = random_containment_query(seed)
+        tangent = target.radius + min_slack(target, gens)
+        if tangent < 1e-3:
+            continue
+        for k in range(3, 8):
+            for offset in (10.0**-k, -(10.0**-k)):
+                yield Circle2(target.center, tangent + offset), gens, offset
+
+
+class TestVerdictRule:
+    def test_near_tangency_verdicts_follow_the_slack(self):
+        eps = DEFAULT_TOLERANCE.eps_decision
+        count = 0
+        for target, gens, offset in near_tangency_queries(11776):
+            res = circle_in_hull(target, gens)
+            assert res.slack == pytest.approx(-offset, abs=1e-9)
+            assert res.contained == (res.slack >= -eps)
+            assert (res.witness_direction is None) == res.contained
+            count += 1
+        assert count == 21_560
 
 
 class TestMinSlack:

@@ -41,6 +41,13 @@ def test_polygon_point_membership():
     assert got.tolist() == [True, False, False, True]
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_length_segment_is_its_point():
+    poly = np.array([[0.0, 1.0], [0.0, 1.0]])
+    queries = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.5]])
+    assert polygon_contains_points(poly, queries).tolist() == [True, False, False]
+
+
 def test_degenerate_generators():
     # a single point and a pair of points still answer sensibly
     one = GeneratorSet((circle(1, 1, 0),))
