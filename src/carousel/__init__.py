@@ -5,8 +5,9 @@ with arc-cover certificates and hull boundary construction.  Carousel
 procedures: witness search over a triangle of sites, the point-only
 decomposition rule, and the xi-sweep locating the critical scale of a fixed
 witness.  3D: exact sphere-in-hull containment by enumerating the critical
-directions of the support slack, and the tetrahedron counterexample
-constructions, with exact 2D projection certificates.
+directions of the support slack, one set of inclusions per call, and the
+tetrahedron counterexample constructions, with exact 2D projection
+certificates.
 """
 
 __version__ = "0.1.0"
@@ -75,6 +76,7 @@ from .spheres import (
     plane_through,
     projection_reduction,
     sphere_in_hull3,
+    spheres_in_hull3,
     tetrahedron_from_cube,
 )
 from .witness import (

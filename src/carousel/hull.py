@@ -197,6 +197,33 @@ class ContainmentResult:
         return tuple(uncovered_gaps([coverage_arc(g, self.target) for g in self.generators]))
 
 
+def _switch_angles(terms) -> list[float]:
+    """Angles where two sinusoids x cos + y sin + r cross, pair by pair, not reduced mod tau.
+
+    ``terms`` are (x, y, r) triples; each pair i < j with distinct centres
+    and |r_j - r_i| at most their distance contributes base + delta, then
+    base - delta.
+    """
+    out = []
+    n = len(terms)
+    for i in range(n):
+        xi, yi, ri = terms[i]
+        for j in range(i + 1, n):
+            xj, yj, rj = terms[j]
+            ax = xi - xj
+            ay = yi - yj
+            rho = math.hypot(ax, ay)
+            if rho <= _TINY:
+                continue
+            x = (rj - ri) / rho
+            if -1.0 <= x <= 1.0:
+                base = math.atan2(ay, ax)
+                delta = math.acos(x)
+                out.append(base + delta)
+                out.append(base - delta)
+    return out
+
+
 def _critical_angles(terms) -> list[float]:
     """Angles where max_g(dx cos + dy sin + dr) can take its minimum, ascending mod tau.
 
@@ -205,25 +232,10 @@ def _critical_angles(terms) -> list[float]:
     theta = 0 stands in when every centre coincides with the target's.
     """
     cands = [0.0]
-    n = len(terms)
     for dx, dy, _ in terms:
         if math.hypot(dx, dy) > _TINY:
             cands.append(math.atan2(dy, dx) + math.pi)
-    for i in range(n):
-        dxi, dyi, dri = terms[i]
-        for j in range(i + 1, n):
-            dxj, dyj, drj = terms[j]
-            ax = dxi - dxj
-            ay = dyi - dyj
-            rho = math.hypot(ax, ay)
-            if rho <= _TINY:
-                continue
-            x = (drj - dri) / rho
-            if -1.0 <= x <= 1.0:
-                base = math.atan2(ay, ax)
-                delta = math.acos(x)
-                cands.append(base + delta)
-                cands.append(base - delta)
+    cands.extend(_switch_angles(terms))
     return sorted(c % TAU for c in cands)
 
 
@@ -403,26 +415,8 @@ def hull_boundary(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE) -> Hul
                 best_i = i
         return best_i
 
-    # pairwise switch angles
-    angles = []
-    for a_pos in range(len(live)):
-        i = live[a_pos]
-        gi = glist[i]
-        for b_pos in range(a_pos + 1, len(live)):
-            j = live[b_pos]
-            gj = glist[j]
-            ax = gi.center.x - gj.center.x
-            ay = gi.center.y - gj.center.y
-            rho = math.hypot(ax, ay)
-            if rho <= _TINY:
-                continue
-            x = (gj.radius - gi.radius) / rho
-            if -1.0 <= x <= 1.0:
-                base = math.atan2(ay, ax)
-                delta = math.acos(x)
-                angles.append((base + delta) % TAU)
-                angles.append((base - delta) % TAU)
-    angles = sorted(angles)
+    terms = [(glist[i].center.x, glist[i].center.y, glist[i].radius) for i in live]
+    angles = sorted(a % TAU for a in _switch_angles(terms))
     dedup = []
     for a in angles:
         if not dedup or a - dedup[-1] > 1e-12:

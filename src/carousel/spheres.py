@@ -7,9 +7,12 @@ slack over the direction sphere.  The minimum lies at one of finitely many
 critical directions (face minima of single generators, minima of pairwise
 equality circles, vertices of generator triples), and all of them are
 enumerated, so a containment verdict and a non-containment verdict with its
-negative-slack witness direction are both proofs.  An orthogonal projection
-to a plane reduces to the exact 2D containment test and soundly refutes 3D
-inclusions.
+negative-slack witness direction are both proofs.  One kernel,
+``spheres_in_hull3``, decides a whole set of inclusions among the same
+objects in one array pass: the triple vertices do not depend on the target,
+so they are enumerated once and shared, and each example makes one call.
+An orthogonal projection to a plane reduces to the exact 2D containment test
+and soundly refutes 3D inclusions.
 """
 
 from __future__ import annotations
@@ -115,10 +118,16 @@ def axis_points(a0: Point3, a1: Point3, a2: Point3, a3: Point3):
     return b, c, p_minus1, p_0
 
 
-# Cut-offs below apply to the normalised problem, where every |d_g|, r_g and
-# r_t is at most 1, so they do not depend on the scale of the input.
+# Cut-offs below apply to normalised problems, where every centre offset and
+# radius is at most 1, so they do not depend on the scale of the input.
 _ZERO_NORM = 1e-15  # a shorter vector (centre offset, circle step) counts as zero
 _ZERO_CROSS2 = 1e-18  # below this |n1 x n2|^2 a triple's two planes are parallel
+# Elements in one kernel temporary (inclusions x candidates x generators, or
+# inclusions x directions); inclusions and directions go in blocks this size.
+_BLOCK = 1 << 15
+# The candidate for a constant envelope (every generator concentric with the
+# target); it also fills the rows of rejected candidates before masking.
+_FIXED = np.array([1.0, 0.0, 0.0])
 
 
 @functools.lru_cache(maxsize=32)
@@ -131,7 +140,7 @@ def _index_tuples(n: int, k: int) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a * b).sum(axis=1)
+    return (a * b).sum(axis=-1)
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -139,68 +148,81 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row-wise; np.cross costs several times more on arrays this small
+    # along the last axis; np.cross costs several times more on arrays this small
     return np.stack(
         [
-            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
         ],
-        axis=1,
+        axis=-1,
     )
 
 
-def _face_minima(d: np.ndarray) -> np.ndarray:
-    """Minimum direction -d_g/|d_g| of each generator not concentric with the target."""
+def _face_minima(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum direction -d_g/|d_g| of each generator, and which are off the target's centre.
+
+    ``d`` holds the centre offsets along its second-last axis; the mask
+    rejects the concentric generators, whose rows are placeholders.
+    """
     norm = _norm(d)
     keep = norm > _ZERO_NORM
-    return -d[keep] / norm[keep, None]
+    return -d / np.where(keep, norm, 1.0)[..., None], keep
 
 
-def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimum of each pair's shared value on its equality circle.
+def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum of each pair's shared value on its equality circle, and which pairs have one.
 
     Generators i, j tie on the circle n.u = r_j - r_i, n = d_i - d_j, of the
     unit sphere.  Along it the shared value d_i.u + r_i is least where u
     leans from the circle's centre against the in-plane part of d_i; when
     that part vanishes the value is constant and any circle point serves.
+    Pairs come in combination order along the second-last axis; the mask
+    rejects concentric pairs and circles that miss the sphere.
     """
-    i, j = _index_tuples(len(r), 2)
-    n = d[i] - d[j]
+    i, j = _index_tuples(r.shape[-1], 2)
+    di, dj = d[..., i, :], d[..., j, :]
+    b = r[..., j] - r[..., i]
+    n = di - dj
     nn = _norm(n)
-    keep = (nn > _ZERO_NORM) & (np.abs(r[j] - r[i]) <= nn)
-    i, j, n, nn = i[keep], j[keep], n[keep], nn[keep]
-    n /= nn[:, None]
-    c0 = (r[j] - r[i]) / nn
+    nonzero = nn > _ZERO_NORM
+    keep = nonzero & (np.abs(b) <= nn)
+    nn = np.where(nonzero, nn, 1.0)
+    n /= nn[..., None]
+    c0 = b / nn
     rho = np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
-    p = d[i] - _dot(d[i], n)[:, None] * n
+    p = di - _dot(di, n)[..., None] * n
     pn = _norm(p)
     flat = pn <= _ZERO_NORM
     # for flat pairs: the coordinate axis least aligned with n, made
     # orthogonal to it, is a unit vector in the circle's plane
-    axis = np.eye(3)[np.argmin(np.abs(n), axis=1)]
-    q = axis - _dot(axis, n)[:, None] * n
-    q /= _norm(q)[:, None]
-    step = np.where(flat[:, None], q, -p / np.where(flat, 1.0, pn)[:, None])
-    return c0[:, None] * n + rho[:, None] * step
+    axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
+    q = axis - _dot(axis, n)[..., None] * n
+    q /= _norm(q)[..., None]
+    step = np.where(flat[..., None], q, -p / np.where(flat, 1.0, pn)[..., None])
+    return c0[..., None] * n + rho[..., None] * step, keep
 
 
-def _triple_vertices(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Both unit directions where each triple of generators shares one value.
+def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions where each triple of objects shares one value, with the triple.
 
-    The tie planes n1.u = b1 and n2.u = b2 of the pairs (i, j) and (i, k)
-    meet in a line along c = n1 x n2 through the point base of span(n1, n2)
-    that solves both; the line crosses the unit sphere at base +- z c.
-    Triples whose planes are parallel (collinear centres, duplicates) have
-    no vertex; any minimum they tie at lies on a pair circle instead.
+    The tie planes n1.u = b1 and n2.u = b2 of the pairs (i, j) and (i, k),
+    with n1 = c_i - c_j and n2 = c_i - c_k, meet in a line along
+    w = n1 x n2 through the point base of span(n1, n2) that solves both; the
+    line crosses the unit sphere at base +- z w.  Neither plane depends on
+    where the target is, so one enumeration over all objects serves every
+    inclusion.  Triples whose planes are parallel (collinear centres,
+    duplicates) have no vertex; any minimum they tie at lies on a pair
+    circle instead.  Returns every + vertex, then every - vertex, in
+    combination order, and the rows (i, j, k) they belong to.
     """
     i, j, k = _index_tuples(len(r), 3)
-    n1 = d[i] - d[j]
-    n2 = d[i] - d[k]
-    c = _cross(n1, n2)
-    cc = _dot(c, c)  # the Gram determinant of n1, n2
+    n1 = c[i] - c[j]
+    n2 = c[i] - c[k]
+    w = _cross(n1, n2)
+    cc = _dot(w, w)  # the Gram determinant of n1, n2
     keep = cc > _ZERO_CROSS2
-    i, j, k, n1, n2, c, cc = i[keep], j[keep], k[keep], n1[keep], n2[keep], c[keep], cc[keep]
+    i, j, k, n1, n2, w, cc = i[keep], j[keep], k[keep], n1[keep], n2[keep], w[keep], cc[keep]
     b1 = r[j] - r[i]
     b2 = r[k] - r[i]
     g11, g12, g22 = _dot(n1, n1), _dot(n1, n2), _dot(n2, n2)
@@ -209,9 +231,148 @@ def _triple_vertices(d: np.ndarray, r: np.ndarray) -> np.ndarray:
     base = x[:, None] * n1 + y[:, None] * n2
     rem = 1.0 - _dot(base, base)
     meets = rem >= 0.0
-    base, c = base[meets], c[meets]
-    zc = np.sqrt(rem[meets] / cc[meets])[:, None] * c
-    return np.concatenate([base + zc, base - zc])
+    base, w = base[meets], w[meets]
+    zw = np.sqrt(rem[meets] / cc[meets])[:, None] * w
+    tri = np.stack([i[meets], j[meets], k[meets]], axis=-1)
+    return np.concatenate([base + zw, base - zw]), np.concatenate([tri, tri])
+
+
+def _best_triple_vertices(c, r, targets, removed) -> tuple[np.ndarray, np.ndarray]:
+    """Each inclusion's least-slack triple vertex and whether it has one.
+
+    All objects are centred and normalised by their largest length, so the
+    parallel-plane cut-off stays scale-free.  Every object is evaluated once
+    at every shared vertex, and each vertex keeps its best objects, one more
+    than any inclusion removes.  An inclusion's envelope there is the first
+    of those it did not remove; vertices of triples that contain a removed
+    object are not its candidates.  Ties go to the first vertex in
+    enumeration order.  Vertices go in blocks, so memory stays bounded.
+    """
+    cn = c - c.mean(axis=0)
+    scale = max(float(_norm(cn).max()), float(r.max())) or 1.0
+    cn /= scale
+    rn = r / scale
+    u, tri = _triple_vertices(cn, rn)
+    m, n = removed.shape
+    if not len(u):
+        return np.tile(_FIXED, (m, 1)), np.zeros(m, dtype=bool)
+    u /= _norm(u)[:, None]
+    depth = min(n, int(removed.sum(axis=1).max()) + 1)
+    best = np.full(m, np.inf)
+    best_at = np.zeros(m, dtype=np.intp)
+    rows = np.arange(m)
+    step = max(1, _BLOCK // m)
+    for lo in range(0, len(u), step):
+        s = u[lo : lo + step] @ cn.T + rn
+        top = np.argsort(s, axis=1)[:, : -depth - 1 : -1]
+        top_s = np.take_along_axis(s, top, axis=1)
+        env = top_s[:, -1]
+        for q in range(depth - 2, -1, -1):
+            env = np.where(removed[:, top[:, q]], env, top_s[:, q])
+        slack = env - s[:, targets].T
+        t = tri[lo : lo + step]
+        out = removed[:, t[:, 0]] | removed[:, t[:, 1]] | removed[:, t[:, 2]]
+        slack[out] = np.inf
+        at = np.argmin(slack, axis=1)
+        low = slack[rows, at]
+        better = low < best
+        best = np.where(better, low, best)
+        best_at = np.where(better, at + lo, best_at)
+    return u[best_at], np.isfinite(best)
+
+
+def spheres_in_hull3(
+    objects,
+    inclusions,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> tuple[Containment3Result, ...]:
+    """Decide a set of sphere inclusions among the same spheres and points.
+
+    ``objects`` are spheres (radius 0 for points).  Each inclusion is a pair
+    (target index, indices it also excludes); its generators are the other
+    objects, in object order.  The slack of direction u is
+    max_g(d_g.u + r_g) - r_t with d_g the offset of generator g's centre
+    from the target's.  Its minimum over the unit sphere lies at a critical
+    point of the envelope: a face minimum of one generator, the minimum of a
+    pair's equality circle, or a vertex where three generators tie.  All of
+    them are enumerated, so the minimum is exact and both verdicts are
+    proofs.  Face and pair minima depend on the target and are stacked over
+    the inclusions; triple vertices do not, so they are enumerated once over
+    all objects and shared (the vertex normals of the hull of spheres,
+    Boissonnat et al., CGTA 6, 1996).  One fixed direction is added for
+    generators that are all concentric with the target, whose envelope is
+    constant.  Each inclusion is normalised by its largest length; the
+    verdict compares the normalised slack with eps_decision, so it does not
+    change when the whole input is scaled.  The witness direction is a
+    minimiser: ties go to the first candidate in the order face, pair,
+    triple +, triple -, fixed.  Results come in the order of ``inclusions``.
+    """
+    objects = list(objects)
+    inclusions = list(inclusions)
+    if not inclusions:
+        return ()
+    n = len(objects)
+    c = np.array([(o.center.x, o.center.y, o.center.z) for o in objects], dtype=float)
+    rad = np.array([o.radius for o in objects], dtype=float)
+    targets = []
+    removed = np.zeros((len(inclusions), n), dtype=bool)
+    for q, (target, excluded) in enumerate(inclusions):
+        removed[q, target] = True
+        removed[q, list(excluded)] = True
+        targets.append(target)
+    if removed.all(axis=1).any():
+        raise ValueError("generator list must be nonempty")
+    targets = np.array(targets, dtype=np.intp)
+    triple_best, has_triple = _best_triple_vertices(c, rad, targets, removed)
+
+    results: list[Containment3Result | None] = [None] * len(targets)
+    counts = n - removed.sum(axis=1)
+    for g in np.unique(counts):
+        group = np.flatnonzero(counts == g)
+        gens = np.nonzero(~removed[group])[1].reshape(len(group), g)
+        cands_per = g + g * (g - 1) // 2 + 2
+        step = max(1, _BLOCK // (cands_per * g))
+        for lo in range(0, len(group), step):
+            qs = group[lo : lo + step]
+            gi = gens[lo : lo + step]
+            d = c[gi] - c[targets[qs]][:, None, :]
+            r = rad[gi]
+            rt = rad[targets[qs]]
+            scale = np.maximum(np.maximum(_norm(d).max(axis=1), r.max(axis=1)), rt)
+            scale[scale == 0.0] = 1.0
+            d /= scale[:, None, None]
+            r /= scale[:, None]
+            rt = rt / scale
+            face, face_keep = _face_minima(d)
+            pair, pair_keep = _pair_circle_minima(d, r)
+            fixed = np.broadcast_to(_FIXED, (len(qs), 1, 3))
+            cands = np.concatenate([face, pair, triple_best[qs][:, None, :], fixed], axis=1)
+            keep = np.concatenate(
+                [face_keep, pair_keep, has_triple[qs][:, None], np.ones((len(qs), 1), bool)],
+                axis=1,
+            )
+            cands = np.where(keep[..., None], cands, _FIXED)
+            cands /= _norm(cands)[..., None]
+            envelope = cands @ d.transpose(0, 2, 1)
+            envelope += r[:, None, :]
+            envelope = envelope.max(axis=2)
+            envelope[~keep] = np.inf
+            rows = np.arange(len(qs))
+            best = np.argmin(envelope, axis=1)
+            unit_slack = envelope[rows, best] - rt
+            contained = unit_slack >= -tol.eps_decision
+            for q, inside, slack, witness in zip(
+                qs.tolist(),
+                contained.tolist(),
+                (unit_slack * scale).tolist(),
+                cands[rows, best].tolist(),
+            ):
+                results[q] = Containment3Result(
+                    contained=inside,
+                    slack=slack,
+                    witness_direction=None if inside else tuple(witness),
+                )
+    return tuple(results)
 
 
 def sphere_in_hull3(
@@ -219,52 +380,12 @@ def sphere_in_hull3(
     gens,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Containment3Result:
-    """Decide sphere containment in the hull of spheres and points.
+    """Decide one sphere's containment in the hull of spheres and points.
 
-    The slack of direction u is max_g(d_g.u + r_g) - r_t with d_g the offset
-    of generator g's centre from the target's.  Its minimum over the unit
-    sphere lies at a critical point of the envelope: a face minimum of one
-    generator, the minimum of a pair's equality circle, or a vertex where
-    three generators tie.  All of them are enumerated and evaluated in one
-    product, so the minimum is exact and both verdicts are proofs.  One fixed
-    direction is added for generators that are all concentric with the
-    target, whose envelope is constant.  The input is normalised by its
-    largest length before the enumeration and the slack rescaled after it;
-    the verdict compares the normalised slack with eps_decision, so it does
-    not change when the whole input is scaled.  Ties go to the first
-    candidate in enumeration order, which keeps the witness direction
-    deterministic.
+    This is the one-inclusion case of ``spheres_in_hull3``: the target and
+    its generators are the objects, and the target is the only one removed.
     """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    tc = target.center
-    d = np.array(
-        [(g.center.x - tc.x, g.center.y - tc.y, g.center.z - tc.z) for g in gens], dtype=float
-    )
-    r = np.array([g.radius for g in gens], dtype=float)
-    scale = max(float(_norm(d).max()), float(r.max()), target.radius)
-    if scale == 0.0:
-        scale = 1.0
-    d /= scale
-    r /= scale
-    rt = target.radius / scale
-
-    cands = np.concatenate(
-        [_face_minima(d), _pair_circle_minima(d, r), _triple_vertices(d, r), [(1.0, 0.0, 0.0)]]
-    )
-    cands /= _norm(cands)[:, None]
-    envelope = (cands @ d.T + r).max(axis=1)
-    best = int(np.argmin(envelope))
-    unit_slack = float(envelope[best] - rt)
-    slack = unit_slack * scale
-
-    contained = unit_slack >= -tol.eps_decision
-    return Containment3Result(
-        contained=contained,
-        slack=slack,
-        witness_direction=None if contained else tuple(float(c) for c in cands[best]),
-    )
+    return spheres_in_hull3([target, *gens], [(0, ())], tol)[0]
 
 
 # -- projection reduction ------------------------------------------------------
@@ -319,8 +440,8 @@ def projection_reduction(
 # -- counterexample reproductions ----------------------------------------------
 
 
-def _face_distances(vertices, p: Point3) -> list[float]:
-    """Distance from p to each face plane, positive toward the inside."""
+def _face_planes(vertices) -> tuple[tuple[Point3, Point3], ...]:
+    """(point, inward unit normal) of each face, the face opposite vertex j at j."""
     out = []
     for j in range(4):
         others = [vertices[i] for i in range(4) if i != j]
@@ -328,8 +449,13 @@ def _face_distances(vertices, p: Point3) -> list[float]:
         n = n.normalized()
         if (vertices[j] - others[0]).dot(n) < 0.0:
             n = n * -1.0
-        out.append((p - others[0]).dot(n))
-    return out
+        out.append((others[0], n))
+    return tuple(out)
+
+
+def _face_distances(planes, p: Point3) -> list[float]:
+    """Distance from p to each face plane, positive toward the inside."""
+    return [(p - o).dot(n) for o, n in planes]
 
 
 @dataclass(frozen=True)
@@ -380,7 +506,8 @@ def example_4_1(
     """
     verts = tetrahedron_from_cube(side)
     b, c, p_m1, p_0 = axis_points(*verts)
-    face_d = (tuple(_face_distances(verts, p_m1)), tuple(_face_distances(verts, p_0)))
+    planes = _face_planes(verts)
+    face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
     for dists in face_d:
         if min(dists) < r + tol.eps_decision:
             raise PreconditionRadius(
@@ -388,15 +515,17 @@ def example_4_1(
             )
     spheres = (Sphere3(p_m1, r), Sphere3(p_0, r))
     plane = plane_through(b, verts[2], verts[3])
+    # objects: S_-1, S_0, A0..A3; k = 0 keeps S_0 as generator, so S_-1 is the target
+    pairs = [(j, k) for j in range(4) for k in (-1, 0)]
+    objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
+    inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
     outcomes = []
-    for j in range(4):
-        for k in (-1, 0):
+    for (j, k), res in zip(pairs, spheres_in_hull3(objects, inclusions, tol)):
+        if j == 3:
             target, gens = _ex41_target_gens(verts, spheres, j, k)
-            res = sphere_in_hull3(target, gens, tol)
-            if j == 3:
-                cert = projection_reduction(target, gens, plane, tol)
-                res = replace(res, projection_certificate=cert)
-            outcomes.append(PairOutcome(j, k, res))
+            cert = projection_reduction(target, gens, plane, tol)
+            res = replace(res, projection_certificate=cert)
+        outcomes.append(PairOutcome(j, k, res))
     return Example41Report(
         side=side,
         r=r,
@@ -470,9 +599,10 @@ def example_4_2(
     bulges = {i: dist_end - center_o.distance_to(centers[i]) for i in indices}
 
     # largest base radius keeping every sphere strictly inside
+    planes = _face_planes(verts)
     margin_room = []
     for i in indices:
-        d_min = min(_face_distances(verts, centers[i]))
+        d_min = min(_face_distances(planes, centers[i]))
         margin_room.append(d_min - tol.eps_decision - bulges[i])
     base_r = min(r, min(margin_room))
     if base_r <= 0.0:
@@ -486,18 +616,16 @@ def example_4_2(
         abs(center_o.distance_to(s.center) + s.radius - arc_radius) for s in spheres
     )
     margins = tuple(
-        min(_face_distances(verts, s.center)) - s.radius for s in spheres
+        min(_face_distances(planes, s.center)) - s.radius for s in spheres
     )
 
-    outcomes = []
-    for j in range(4):
-        for pos, k in enumerate(indices):
-            target = spheres[pos]
-            gens = [s for q, s in enumerate(spheres) if q != pos] + [
-                Sphere3(verts[i], 0.0) for i in range(4) if i != j
-            ]
-            res = sphere_in_hull3(target, gens, tol)
-            outcomes.append(PairOutcome(j, k, res))
+    # objects: the spheres in index order, then A0..A3; inclusion (j, k)
+    # drops the target and vertex j
+    objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
+    pairs = [(j, pos) for j in range(4) for pos in range(t)]
+    inclusions = [(pos, (t + j,)) for j, pos in pairs]
+    results = spheres_in_hull3(objects, inclusions, tol)
+    outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
 
     return Example42Report(
         t=t,

@@ -227,6 +227,11 @@ class TestRepro3dVerb:
         assert main(["repro3d", "--example", "4.2", "--t", "12", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["example"]["all_refuted"] is True
 
+    def test_ex42_t32(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert main(["repro3d", "--example", "4.2", "--t", "32", "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["example"]["outcomes"]) == 128
+
     def test_ex42_t12_small_scale(self, tmp_path):
         # slacks near -4.6e-7 at this scale: the verdict must not flip with size
         out = tmp_path / "rep.json"
