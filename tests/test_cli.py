@@ -1,5 +1,6 @@
 """Scenario schema, CLI verbs, exit codes, report and SVG determinism."""
 
+import hashlib
 import json
 import os
 import re
@@ -206,6 +207,15 @@ class TestOracleVerb:
         report = json.loads(out.read_text())
         assert report["trials"] == 20
         assert report["within_band"] is True
+
+    def test_report_is_pinned(self, tmp_path):
+        # sha256 of the canonical report as first written by the oracle that
+        # located every target sample; any change to it is listed in CHANGES.md
+        out = tmp_path / "rep.json"
+        assert main(["oracle", "--n", "300", "--seed", "1", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "eb125602925acdab27899936082c5f60f618799657febe93521b8e86c7c9c876"
+        )
 
 
 class TestRepro3dVerb:

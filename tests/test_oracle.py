@@ -1,9 +1,11 @@
 """Sampling-polygon oracle tests and predicate agreement."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+import reference_oracle
 
 from carousel import GeneratorSet, circle, circle_in_hull
 from carousel.fuzz import random_containment_query
@@ -11,6 +13,7 @@ from carousel.oracle import (
     DEFAULT_SAMPLES,
     ORACLE_SLACK_BAND,
     _circle_samples,
+    _extreme_samples_pass,
     hull_polygon_area,
     polygon_contains_points,
     sample_hull_polygon,
@@ -200,3 +203,123 @@ def test_single_circle_is_every_sample_in_order():
     poly = sample_hull_polygon(GeneratorSet((c,)))
     assert np.array_equal(poly, _circle_samples(c, DEFAULT_SAMPLES))
     assert set(map(tuple, poly.tolist())) == set(map(tuple, _qhull_polygon((c,)).tolist()))
+
+
+# -- equivalence with the reference oracle ------------------------------------
+
+# the reference's absolute membership band, at which both sides are compared
+_ABSOLUTE_BAND = 1e-12
+
+
+def _reference_verdict(poly, target, samples=DEFAULT_SAMPLES):
+    """The reference's point location of every target sample in ``poly``."""
+    queries = reference_oracle.circle_samples(target, samples)
+    return bool(np.all(reference_oracle.polygon_contains_points(poly, queries, _ABSOLUTE_BAND)))
+
+
+def _assert_matches_reference(target, gens, samples=DEFAULT_SAMPLES):
+    poly = sample_hull_polygon(gens, samples)
+    ref = reference_oracle.sample_hull_polygon(gens, samples)
+    assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
+    expected = _reference_verdict(ref, target, samples)
+    if len(poly) < 3:  # point location, as in the reference, at the scaled band
+        assert sampling_oracle_contains(target, gens, samples) == expected
+    else:
+        assert _extreme_samples_pass(poly, target, samples, _ABSOLUTE_BAND) == expected
+
+
+@pytest.mark.parametrize(
+    "query, seeds",
+    [(random_containment_query, 2000), (_tie_heavy_query, 300)],
+    ids=["random", "ties"],
+)
+def test_matches_reference_oracle(query, seeds):
+    for seed in range(seeds):
+        _assert_matches_reference(*query(seed))
+
+
+@pytest.mark.parametrize("samples", [3, 4, 7])
+def test_matches_reference_at_coarse_sampling(samples):
+    # wide gaps between grid angles: the two samples bracketing an edge's
+    # normal must still be the extreme ones, and their indices wrap
+    for seed in range(200):
+        _assert_matches_reference(*random_containment_query(seed), samples)
+        _assert_matches_reference(*_tie_heavy_query(seed), samples)
+
+
+def _all_edges_boundary(poly, start, step):
+    """Least t at which start + t * step leaves the polygon as seen through the
+    extreme samples of each edge at the absolute band: a guess at where the
+    reference's verdict changes.  ``step`` is (dx, dy, dr).
+    """
+    a = np.roll(poly, 1, axis=0)
+    ex, ey = (poly - a).T
+    m = DEFAULT_SAMPLES
+    slot = np.arctan2(-ex, ey) * (m / (2.0 * math.pi))
+    reach = np.cos((slot - np.round(slot)) * (2.0 * math.pi / m)) * np.hypot(ex, ey)
+    base = ex * (start[1] - a[:, 1]) - ey * (start[0] - a[:, 0]) + _ABSOLUTE_BAND
+    rate = ey * step[0] - ex * step[1] + step[2] * reach  # how fast the cross falls
+    return float(np.min(base[rate > 0] / rate[rate > 0]))
+
+
+def _bisect_boundary(inside, guess):
+    """lo with inside(lo) and hi without, within 1e-14 of each other, near guess."""
+    margin = 1e-12
+    while not (inside(guess * (1 - margin)) and not inside(guess * (1 + margin))):
+        margin *= 100
+        assert margin < 0.1, guess
+    lo, hi = guess * (1 - margin), guess * (1 + margin)
+    while hi - lo > 1e-14 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+    return lo, hi
+
+
+def test_matches_reference_on_its_boundary():
+    # targets placed where the reference's verdict changes: a circle about the
+    # centres' centroid grown to the boundary, and a point pushed out along a
+    # random ray; both sides of each crossing and 1e-13 beyond them
+    checked = 0
+    for seed in range(300):
+        _, gens = random_containment_query(seed)
+        ref = reference_oracle.sample_hull_polygon(gens)
+        if len(ref) < 3:
+            continue
+        ours = sample_hull_polygon(gens)
+        cx = sum(g.center.x for g in gens) / len(gens)
+        cy = sum(g.center.y for g in gens) / len(gens)
+        angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
+        ux, uy = math.cos(angle), math.sin(angle)
+        rays = [
+            (lambda r: circle(cx, cy, r), (0.0, 0.0, 1.0)),
+            (lambda t: circle(cx + t * ux, cy + t * uy, 0.0), (ux, uy, 0.0)),
+        ]
+        for make, step in rays:
+            guess = _all_edges_boundary(ref, (cx, cy), step)
+            lo, hi = _bisect_boundary(lambda t: _reference_verdict(ref, make(t)), guess)
+            for t in (lo, hi, lo * (1 - 1e-13), hi * (1 + 1e-13)):
+                target = make(t)
+                assert _extreme_samples_pass(ours, target, DEFAULT_SAMPLES, _ABSOLUTE_BAND) == (
+                    _reference_verdict(ref, target)
+                ), (seed, step, t)
+        checked += 1
+        if checked == 200:
+            break
+    assert checked == 200
+
+
+def test_verdicts_do_not_change_under_scale_and_translation():
+    # rotations are left out: the sample grid is fixed in absolute angles, so
+    # a rotated input has legitimately different sampled polygons
+    rng = random.Random(7)
+    for seed in range(200):
+        target, gens = random_containment_query(seed)
+        verdict = sampling_oracle_contains(target, gens)
+        for scale in (1e-6, 1e-3, 1e3, 1e6):
+            dx, dy = rng.uniform(-10, 10) * scale, rng.uniform(-10, 10) * scale
+
+            def moved(c):
+                return circle(c.center.x * scale + dx, c.center.y * scale + dy, c.radius * scale)
+
+            moved_gens = GeneratorSet(tuple(moved(g) for g in gens))
+            assert sampling_oracle_contains(moved(target), moved_gens) == verdict, (seed, scale)
