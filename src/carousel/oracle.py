@@ -40,14 +40,17 @@ target samples whose angles bracket phi (a radius-0 target only at its
 centre), O(number of hull vertices) work in place of locating all m target
 samples.
 
-Membership is decided with a band that scales with the input: with L the
-largest coordinate magnitude the input reaches (|centre coordinate| + radius
-over the generators and the target), a cross product, which is an area,
-passes at >= -1e-12 L**2, and a distance to a 1- or 2-vertex polygon at
-<= 1e-12 L.  The sample coordinates carry rounding errors proportional to L,
-and a pair of vertices that coincide up to rounding makes an edge whose
-direction is noise, so the band is not taken relative to the edge's own
-length.  Uniformly scaling the input then leaves every verdict unchanged.
+Membership is decided with bands that follow the rounding error.  With L
+the largest coordinate magnitude the input reaches (|centre coordinate| +
+radius over the generators and the target) and D its extent (the longer side
+of the circles' bounding box), a cross product passes at >= -1e-12 L D and a
+distance to a 1- or 2-vertex polygon at <= 1e-12 L.  A sample coordinate is
+rounded to about 1e-16 L, and a cross product (b - a) x (q - a), whose factors
+are at most about D long, to about 1e-16 L D.  A pair of vertices that
+coincide up to rounding makes an edge whose direction is noise, so the band is
+not taken relative to the edge's own length.  Uniformly scaling the input
+leaves every verdict unchanged; moving it away from the origin widens the
+bands only as fast as the rounding error grows, in proportion to L.
 """
 
 from __future__ import annotations
@@ -153,29 +156,22 @@ def sample_hull_polygon(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> n
     return np.column_stack((x[keep], y[keep]))
 
 
-def polygon_contains_points(
-    poly: np.ndarray, queries: np.ndarray, eps: float = _BAND
-) -> np.ndarray:
+def polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     """Vectorized membership of query points in a convex ccw polygon.
 
     Locates each query's wedge around the polygon centroid by binary search
-    on vertex angles, then checks the single facing edge.  ``eps`` is the
-    band at unit length scale: with L the largest coordinate magnitude of
-    ``poly`` and ``queries``, a query passes its edge when the cross product
-    is >= -eps * L**2, and a 1- or 2-vertex polygon when its distance is
-    <= eps * L.
+    on vertex angles, then checks the single facing edge.
     """
-    scale = float(max(np.max(np.abs(poly)), np.max(np.abs(queries), initial=0.0)))
     k = len(poly)
     ab = poly[-1] - poly[0]
     denom = float(ab @ ab)
     if k == 1 or (k == 2 and denom == 0.0):  # a zero-length segment is its one point
-        return np.hypot(*(queries - poly[0]).T) <= eps * scale
+        return np.hypot(*(queries - poly[0]).T) <= eps
     if k == 2:
         a = poly[0]
         t = np.clip((queries - a) @ ab / denom, 0.0, 1.0)
         feet = a + t[:, None] * ab
-        return np.hypot(*(queries - feet).T) <= eps * scale
+        return np.hypot(*(queries - feet).T) <= eps
 
     centroid = poly.mean(axis=0)
     rel = poly - centroid
@@ -192,7 +188,21 @@ def polygon_contains_points(
     cross = (b[:, 0] - a[:, 0]) * (queries[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
         queries[:, 0] - a[:, 0]
     )
-    return cross >= -eps * scale * scale
+    return cross >= -eps
+
+
+def _membership_bands(target: Circle2, gens: GeneratorSet) -> tuple[float, float]:
+    """(distance band, cross-product band) for this input: 1e-12 L and
+    1e-12 L D, with L the largest coordinate magnitude the input reaches and
+    D its extent (see the module docstring).
+    """
+    circles = (target, *gens)
+    reach = max(max(abs(c.center.x), abs(c.center.y)) + c.radius for c in circles)
+    extent = max(
+        max(c.center.x + c.radius for c in circles) - min(c.center.x - c.radius for c in circles),
+        max(c.center.y + c.radius for c in circles) - min(c.center.y - c.radius for c in circles),
+    )
+    return _BAND * reach, _BAND * reach * extent
 
 
 def _extreme_samples_pass(poly: np.ndarray, target: Circle2, m: int, band: float) -> bool:
@@ -223,10 +233,11 @@ def sampling_oracle_contains(
 ) -> bool:
     """True iff every sampled target point lies in the sampled hull polygon."""
     poly = sample_hull_polygon(gens, samples)
+    distance_band, cross_band = _membership_bands(target, gens)
     if len(poly) < 3:
-        return bool(np.all(polygon_contains_points(poly, _circle_samples(target, samples))))
-    scale = max(max(abs(c.center.x), abs(c.center.y)) + c.radius for c in (target, *gens))
-    return _extreme_samples_pass(poly, target, samples, _BAND * scale * scale)
+        queries = _circle_samples(target, samples)
+        return bool(np.all(polygon_contains_points(poly, queries, distance_band)))
+    return _extreme_samples_pass(poly, target, samples, cross_band)
 
 
 def hull_polygon_area(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> float:

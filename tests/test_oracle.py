@@ -14,6 +14,7 @@ from carousel.oracle import (
     ORACLE_SLACK_BAND,
     _circle_samples,
     _extreme_samples_pass,
+    _membership_bands,
     hull_polygon_area,
     polygon_contains_points,
     sample_hull_polygon,
@@ -211,21 +212,29 @@ def test_single_circle_is_every_sample_in_order():
 _ABSOLUTE_BAND = 1e-12
 
 
-def _reference_verdict(poly, target, samples=DEFAULT_SAMPLES):
+def _reference_verdict(poly, target, samples=DEFAULT_SAMPLES, band=_ABSOLUTE_BAND):
     """The reference's point location of every target sample in ``poly``."""
     queries = reference_oracle.circle_samples(target, samples)
-    return bool(np.all(reference_oracle.polygon_contains_points(poly, queries, _ABSOLUTE_BAND)))
+    return bool(np.all(reference_oracle.polygon_contains_points(poly, queries, band)))
+
+
+def _oracle_band(target, gens, vertices):
+    """The band the oracle applies to this input and a hull of ``vertices``."""
+    distance_band, cross_band = _membership_bands(target, gens)
+    return cross_band if vertices >= 3 else distance_band
 
 
 def _assert_matches_reference(target, gens, samples=DEFAULT_SAMPLES):
     poly = sample_hull_polygon(gens, samples)
     ref = reference_oracle.sample_hull_polygon(gens, samples)
     assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
-    expected = _reference_verdict(ref, target, samples)
-    if len(poly) < 3:  # point location, as in the reference, at the scaled band
-        assert sampling_oracle_contains(target, gens, samples) == expected
-    else:
+    if len(poly) >= 3:  # the edge test at the reference's absolute band
+        expected = _reference_verdict(ref, target, samples)
         assert _extreme_samples_pass(poly, target, samples, _ABSOLUTE_BAND) == expected
+    # the oracle itself, at its own band, against the reference at that band
+    band = _oracle_band(target, gens, len(ref))
+    expected = _reference_verdict(ref, target, samples, band)
+    assert sampling_oracle_contains(target, gens, samples) == expected
 
 
 @pytest.mark.parametrize(
@@ -247,17 +256,17 @@ def test_matches_reference_at_coarse_sampling(samples):
         _assert_matches_reference(*_tie_heavy_query(seed), samples)
 
 
-def _all_edges_boundary(poly, start, step):
+def _all_edges_boundary(poly, start, step, band):
     """Least t at which start + t * step leaves the polygon as seen through the
-    extreme samples of each edge at the absolute band: a guess at where the
-    reference's verdict changes.  ``step`` is (dx, dy, dr).
+    extreme samples of each edge at ``band``: a guess at where the reference's
+    verdict changes.  ``step`` is (dx, dy, dr).
     """
     a = np.roll(poly, 1, axis=0)
     ex, ey = (poly - a).T
     m = DEFAULT_SAMPLES
     slot = np.arctan2(-ex, ey) * (m / (2.0 * math.pi))
     reach = np.cos((slot - np.round(slot)) * (2.0 * math.pi / m)) * np.hypot(ex, ey)
-    base = ex * (start[1] - a[:, 1]) - ey * (start[0] - a[:, 0]) + _ABSOLUTE_BAND
+    base = ex * (start[1] - a[:, 1]) - ey * (start[0] - a[:, 0]) + band
     rate = ey * step[0] - ex * step[1] + step[2] * reach  # how fast the cross falls
     return float(np.min(base[rate > 0] / rate[rate > 0]))
 
@@ -275,10 +284,14 @@ def _bisect_boundary(inside, guess):
     return lo, hi
 
 
-def test_matches_reference_on_its_boundary():
+@pytest.mark.parametrize("band, seeds", [("absolute", 200), ("oracle", 100)])
+def test_matches_reference_on_its_boundary(band, seeds):
     # targets placed where the reference's verdict changes: a circle about the
     # centres' centroid grown to the boundary, and a point pushed out along a
-    # random ray; both sides of each crossing and 1e-13 beyond them
+    # random ray; both sides of each crossing and 1e-13 beyond them.  With
+    # "absolute" the edge test and the reference both use the reference's
+    # band; with "oracle" the oracle itself is compared with the reference at
+    # the band the oracle applies to each target
     checked = 0
     for seed in range(300):
         _, gens = random_containment_query(seed)
@@ -286,6 +299,15 @@ def test_matches_reference_on_its_boundary():
         if len(ref) < 3:
             continue
         ours = sample_hull_polygon(gens)
+
+        def band_of(target):
+            return _ABSOLUTE_BAND if band == "absolute" else _oracle_band(target, gens, len(ref))
+
+        def ours_inside(target):
+            if band == "absolute":
+                return _extreme_samples_pass(ours, target, DEFAULT_SAMPLES, _ABSOLUTE_BAND)
+            return sampling_oracle_contains(target, gens)
+
         cx = sum(g.center.x for g in gens) / len(gens)
         cy = sum(g.center.y for g in gens) / len(gens)
         angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
@@ -295,31 +317,56 @@ def test_matches_reference_on_its_boundary():
             (lambda t: circle(cx + t * ux, cy + t * uy, 0.0), (ux, uy, 0.0)),
         ]
         for make, step in rays:
-            guess = _all_edges_boundary(ref, (cx, cy), step)
-            lo, hi = _bisect_boundary(lambda t: _reference_verdict(ref, make(t)), guess)
+            guess = _all_edges_boundary(ref, (cx, cy), step, band_of(make(0.0)))
+            lo, hi = _bisect_boundary(
+                lambda t: _reference_verdict(ref, make(t), band=band_of(make(t))), guess
+            )
             for t in (lo, hi, lo * (1 - 1e-13), hi * (1 + 1e-13)):
                 target = make(t)
-                assert _extreme_samples_pass(ours, target, DEFAULT_SAMPLES, _ABSOLUTE_BAND) == (
-                    _reference_verdict(ref, target)
-                ), (seed, step, t)
+                expected = _reference_verdict(ref, target, band=band_of(target))
+                assert ours_inside(target) == expected, (seed, step, t)
         checked += 1
-        if checked == 200:
+        if checked == seeds:
             break
-    assert checked == 200
+    assert checked == seeds
 
 
 def test_verdicts_do_not_change_under_scale_and_translation():
     # rotations are left out: the sample grid is fixed in absolute angles, so
-    # a rotated input has legitimately different sampled polygons
+    # a rotated input has legitimately different sampled polygons.  Offsets
+    # reach 1e5 times the scale, so the input sits far from the origin
     rng = random.Random(7)
     for seed in range(200):
         target, gens = random_containment_query(seed)
         verdict = sampling_oracle_contains(target, gens)
         for scale in (1e-6, 1e-3, 1e3, 1e6):
-            dx, dy = rng.uniform(-10, 10) * scale, rng.uniform(-10, 10) * scale
+            for reach in (10.0, 1e4, 1e5):
+                dx, dy = rng.uniform(-reach, reach) * scale, rng.uniform(-reach, reach) * scale
 
-            def moved(c):
-                return circle(c.center.x * scale + dx, c.center.y * scale + dy, c.radius * scale)
+                def moved(c):
+                    x, y = c.center.x * scale + dx, c.center.y * scale + dy
+                    return circle(x, y, c.radius * scale)
 
-            moved_gens = GeneratorSet(tuple(moved(g) for g in gens))
-            assert sampling_oracle_contains(moved(target), moved_gens) == verdict, (seed, scale)
+                moved_gens = GeneratorSet(tuple(moved(g) for g in gens))
+                assert sampling_oracle_contains(moved(target), moved_gens) == verdict, (
+                    seed,
+                    scale,
+                    reach,
+                )
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e4, 1e6])
+def test_shifted_copy_stays_refuted_far_from_the_origin(offset, scale):
+    # the band follows the rounding error, not the distance from the origin:
+    # a unit circle moved by 0.01 off its only generator, or off the top of a
+    # hull of three circles, stays refuted wherever the input sits
+    def at(x, y, r):
+        return circle((offset + x) * scale, y * scale, r * scale)
+
+    one = GeneratorSet((at(0, 0, 1),))
+    assert sampling_oracle_contains(at(0, 0, 1), one)
+    assert not sampling_oracle_contains(at(0.01, 0, 1), one)
+    three = GeneratorSet((at(-3, 0, 1), at(3, 0, 1), at(0, 4, 1)))
+    assert sampling_oracle_contains(at(0, 4, 1), three)
+    assert not sampling_oracle_contains(at(0, 4.01, 1), three)
