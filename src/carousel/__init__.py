@@ -1,10 +1,10 @@
 """Circle/sphere convex-hull containment toolkit.
 
 2D: support-function containment of circles in hulls of circles and points,
-with arc-cover certificates and hull boundary construction.  Carousel
-procedures: witness search over a triangle of sites, the point-only
-decomposition rule, and the xi-sweep locating the critical scale of a fixed
-witness.  3D: exact sphere-in-hull containment by enumerating the critical
+one query or a set of queries per call, with arc-cover certificates and hull
+boundary construction.  Carousel procedures: witness search over a triangle
+of sites (one instance or a set per call), the point-only decomposition
+rule, and the xi-sweep locating the critical scale of a fixed witness.  3D: exact sphere-in-hull containment by enumerating the critical
 directions of the support slack, one set of inclusions per call, and the
 tetrahedron counterexample constructions, with exact 2D projection
 certificates.
@@ -38,6 +38,7 @@ from .hull import (
     HullBoundary,
     SegmentPiece,
     circle_in_hull,
+    circles_in_hulls,
     coverage_arc,
     hull_area,
     hull_boundary,
@@ -91,5 +92,6 @@ from .witness import (
     sweep_slack,
     two_carousel_points,
     witness_search,
+    witness_searches,
     xi_sweep_fixed,
 )

@@ -1,8 +1,15 @@
 """Seeded fuzz campaigns and the oracle cross-check.
 
 Each trial derives its own seed from the campaign seed, so trials are pure
-and order-independent; results merge sorted by seed.  CAROUSEL_THREADS (an
-environment variable) caps parallel workers; unset means single-threaded.
+and order-independent.  A campaign goes in blocks of seeds: a block first
+draws all its instances (the rejection sampling stays one query at a time),
+then decides all their inclusions in one set-level call
+(``witness_searches``, or ``pair_inclusions`` for the points kind, whose
+decomposition names the one inclusion to solve).  The set-level kernel is
+bitwise equal to the one-query kernel and each trial's result depends only
+on its seed, so blocks merge sorted by seed into the same report whatever
+their size.  CAROUSEL_THREADS (an environment variable) caps the parallel
+workers that blocks are spread over; unset means single-threaded.
 Wall time is measured but kept out of the serialized report so identical
 inputs produce byte-identical files.
 """
@@ -26,13 +33,12 @@ from .scenario import (
 )
 from .witness import (
     RngConfig,
-    corollary_witness_search,
-    pair_generators,
+    pair_inclusions,
+    point_decomposition,
     random_corollary_instance,
     random_instance,
     random_points_instance,
-    two_carousel_points,
-    witness_search,
+    witness_searches,
 )
 
 FUZZ_KINDS = ("theorem2d", "corollary2d", "points2d")
@@ -85,39 +91,42 @@ def _histogram(slacks: list[float]) -> tuple[dict, ...]:
     return tuple(bins)
 
 
-def _theorem_trial(seed: int, cfg: RngConfig) -> tuple[int, float | None, dict | None]:
-    inst = random_instance(seed, cfg)
-    witnesses = witness_search(inst)
-    if witnesses:
-        return seed, witnesses[0].slack, None
-    return seed, None, instance_scenario_dict(inst, seed)
+def _theorem_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
+    insts = [random_instance(seed, cfg) for seed in seeds]
+    found = witness_searches((inst.sites, (inst.u0, inst.u1)) for inst in insts)
+    return [
+        (seed, ws[0].slack, None) if ws else (seed, None, instance_scenario_dict(inst, seed))
+        for seed, inst, ws in zip(seeds, insts, found)
+    ]
 
 
-def _corollary_trial(seed: int, cfg: RngConfig) -> tuple[int, float | None, dict | None]:
-    c0, c1, c2, u0, u1 = random_corollary_instance(seed, cfg)
-    witnesses = corollary_witness_search(c0, c1, c2, u0, u1)
-    if witnesses:
-        return seed, witnesses[0].slack, None
-    return seed, None, corollary_scenario_dict((c0, c1, c2), (u0, u1), seed)
+def _corollary_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
+    draws = [random_corollary_instance(seed, cfg) for seed in seeds]
+    found = witness_searches((d[:3], d[3:]) for d in draws)
+    return [
+        (seed, ws[0].slack, None) if ws else (seed, None, corollary_scenario_dict(d[:3], d[3:], seed))
+        for seed, d, ws in zip(seeds, draws, found)
+    ]
 
 
-def _points_trial(seed: int, cfg: RngConfig) -> tuple[int, float | None, dict | None]:
-    sites, b0, b1 = random_points_instance(seed, cfg)
-    w = two_carousel_points(sites, b0, b1)
-    # independent re-verification through the containment engine
-    pts = (b0, b1)
-    gens = pair_generators(Circle2(pts[w.k], 0.0), sites, w.j)
-    res = circle_in_hull(Circle2(pts[1 - w.k], 0.0), gens)
-    if res.contained:
-        return seed, w.slack, None
-    return seed, None, points_scenario_dict(sites, b0, b1, seed)
+def _points_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
+    draws = [random_points_instance(seed, cfg) for seed in seeds]
+    pairs = [point_decomposition(sites, b0, b1) for sites, b0, b1 in draws]
+    slacks, inside = pair_inclusions(((sites, (b0, b1)) for sites, b0, b1 in draws), pairs)
+    return [
+        (seed, slack, None) if ok else (seed, None, points_scenario_dict(*d, seed))
+        for seed, d, slack, ok in zip(seeds, draws, slacks, inside)
+    ]
 
 
-_TRIALS = {
-    "theorem2d": _theorem_trial,
-    "corollary2d": _corollary_trial,
-    "points2d": _points_trial,
+_BLOCKS = {
+    "theorem2d": _theorem_block,
+    "corollary2d": _corollary_block,
+    "points2d": _points_block,
 }
+# Trials per block: a block's instances are drawn first and then decided in
+# one set-level call, and the blocks are what the parallel path distributes.
+_SEED_BLOCK = 500
 
 
 def _worker_count() -> int:
@@ -129,9 +138,9 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def _run_trial(args):
-    kind, seed, cfg = args
-    return _TRIALS[kind](seed, cfg)
+def _run_block(args):
+    kind, seeds, cfg = args
+    return _BLOCKS[kind](seeds, cfg)
 
 
 def run_fuzz(
@@ -149,13 +158,14 @@ def run_fuzz(
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
     workers = _worker_count()
-    jobs = [(kind, s, config) for s in seeds]
+    size = min(_SEED_BLOCK, -(-n // workers))  # every worker gets a block
+    jobs = [(kind, seeds[i : i + size], config) for i in range(0, n, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, jobs, chunksize=64))
+            blocks = list(pool.map(_run_block, jobs))
     else:
-        results = [_run_trial(job) for job in jobs]
-    results.sort(key=lambda r: r[0])
+        blocks = [_run_block(job) for job in jobs]
+    results = sorted((r for block in blocks for r in block), key=lambda r: r[0])
     slacks = [r[1] for r in results if r[1] is not None]
     failures = tuple(
         {"seed": r[0], "scenario": r[2]} for r in results if r[2] is not None

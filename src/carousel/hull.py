@@ -11,20 +11,33 @@ slack >= -eps_decision, the rule the 3D kernel uses too.  Per generator the
 directions that satisfy the inequality form a closed arc with a closed form;
 the directions no arc covers are the certificate, built only when read.
 
+``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
+queries with the same number of generators in one array pass.  Both take
+their candidate angles from the same formulas (``_antipodes`` and
+``_crossings``), and the set kernel evaluates the envelope with numpy in
+bounded blocks of queries.  Its results are bitwise those of the one-query
+kernel, so a caller may batch its queries without changing any report.
+
 The same switch-angle machinery yields the hull boundary as a cyclic chain
 of circular arcs and common external tangent segments, used for rendering.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
+
+import numpy as np
 
 from .errors import DegenerateHull
 from .planar import DEFAULT_TOLERANCE, TAU, Circle2, Point2, Tolerance
 
 _TINY = 1e-15
+# Elements in one temporary of ``circles_in_hulls`` (queries x candidate
+# angles x generators); queries go in blocks of about this size.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -197,31 +210,54 @@ class ContainmentResult:
         return tuple(uncovered_gaps([coverage_arc(g, self.target) for g in self.generators]))
 
 
-def _switch_angles(terms) -> list[float]:
-    """Angles where two sinusoids x cos + y sin + r cross, pair by pair, not reduced mod tau.
+def _antipodes(offsets, fill=None) -> list[float]:
+    """Where each sinusoid x cos + y sin + r is least: the angle antipodal to (x, y).
 
-    ``terms`` are (x, y, r) triples; each pair i < j with distinct centres
-    and |r_j - r_i| at most their distance contributes base + delta, then
-    base - delta.
+    ``offsets`` are (x, y, r) triples.  An offset no longer than _TINY has
+    no such angle and is skipped, or stands as ``fill`` when one is given,
+    so that an array row keeps one entry per offset.
     """
     out = []
-    n = len(terms)
-    for i in range(n):
-        xi, yi, ri = terms[i]
-        for j in range(i + 1, n):
-            xj, yj, rj = terms[j]
-            ax = xi - xj
-            ay = yi - yj
-            rho = math.hypot(ax, ay)
-            if rho <= _TINY:
-                continue
-            x = (rj - ri) / rho
+    for x, y, _ in offsets:
+        if math.hypot(x, y) > _TINY:
+            out.append(math.atan2(y, x) + math.pi)
+        elif fill is not None:
+            out.append(fill)
+    return out
+
+
+def _crossings(diffs, fill=None) -> list[float]:
+    """Both angles where two sinusoids cross, pair by pair, not reduced mod tau.
+
+    ``diffs`` are (xi - xj, yi - yj, rj - ri) triples of sinusoids
+    x cos + y sin + r.  A pair with distinct centres and |rj - ri| at most
+    their distance contributes base + delta, then base - delta; any other
+    pair is skipped, or contributes ``fill`` twice when one is given.
+    """
+    out = []
+    for ax, ay, dr in diffs:
+        rho = math.hypot(ax, ay)
+        if rho > _TINY:
+            x = dr / rho
             if -1.0 <= x <= 1.0:
                 base = math.atan2(ay, ax)
                 delta = math.acos(x)
                 out.append(base + delta)
                 out.append(base - delta)
+                continue
+        if fill is not None:
+            out.append(fill)
+            out.append(fill)
     return out
+
+
+def _switch_angles(terms) -> list[float]:
+    """Angles where two of the sinusoids (x, y, r) cross, pairs i < j in order."""
+    return _crossings([
+        (xi - xj, yi - yj, rj - ri)
+        for i, (xi, yi, ri) in enumerate(terms)
+        for xj, yj, rj in terms[i + 1 :]
+    ])
 
 
 def _critical_angles(terms) -> list[float]:
@@ -231,12 +267,8 @@ def _critical_angles(terms) -> list[float]:
     direction antipodal to its centre offset) or where two of them cross;
     theta = 0 stands in when every centre coincides with the target's.
     """
-    cands = [0.0]
-    for dx, dy, _ in terms:
-        if math.hypot(dx, dy) > _TINY:
-            cands.append(math.atan2(dy, dx) + math.pi)
-    cands.extend(_switch_angles(terms))
-    return sorted(c % TAU for c in cands)
+    cands = [0.0, *_antipodes(terms), *_switch_angles(terms)]
+    return sorted([c % TAU for c in cands])
 
 
 def circle_in_hull(
@@ -265,6 +297,8 @@ def circle_in_hull(
             w = dx * c + dy * s + dr
             if w > v:
                 v = w
+                if v >= best:
+                    break  # this angle cannot lower the minimum
         if v < best:
             best = v
             best_theta = theta
@@ -277,6 +311,70 @@ def circle_in_hull(
         target=target,
         generators=gens,
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of the pairs i < j of g generators, in scalar loop order."""
+    first, second = np.triu_indices(g, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+def _rows(a: np.ndarray):
+    """The (x, y, r) triples of an (..., 3) array as Python floats, in C order."""
+    return zip(*a.reshape(-1, 3).T.tolist())
+
+
+def circles_in_hulls(
+    targets, gens, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decide a set of containment queries in one array pass, as ``circle_in_hull`` does each.
+
+    ``targets`` is an (n, 3) array of circles (x, y, r) and ``gens`` an
+    (n, g, 3) array of each query's g >= 1 generators.  Returns each
+    query's slack, verdict (``slack >= -tol.eps_decision``) and witness
+    angle, the first critical angle in ascending order that attains the
+    slack; it is a witness only where the verdict is False.  The candidates
+    come from the formulas of ``circle_in_hull``, with a copy of theta = 0
+    standing for every one that a guard rejects, and every result is
+    bitwise equal to that kernel's: atan2, acos and hypot are taken from
+    ``math`` one element at a time, because their numpy versions round
+    differently, while the arithmetic, ``%``, cos and sin round alike in
+    both.  Queries go in blocks, so the temporaries stay bounded.
+    """
+    targets = np.asarray(targets, dtype=float)
+    gens = np.asarray(gens, dtype=float)
+    n, g, _ = gens.shape
+    if g < 1:
+        raise ValueError("generator sets must be nonempty")
+    first, second = _pairs(g)
+    width = 1 + g + 2 * len(first)  # theta = 0, antipodes, crossings
+    slack = np.empty(n)
+    theta = np.empty(n)
+    step = max(1, _BLOCK // (width * g))
+    for lo in range(0, n, step):
+        terms = gens[lo : lo + step] - targets[lo : lo + step, None, :]
+        m = len(terms)
+        diffs = terms[:, first] - terms[:, second]
+        diffs[..., 2] *= -1.0  # rj - ri, exactly
+        cands = np.zeros((m, width))
+        cands[:, 1 : 1 + g] = np.array(_antipodes(_rows(terms), 0.0)).reshape(m, g)
+        cands[:, 1 + g :] = np.array(_crossings(_rows(diffs), 0.0)).reshape(m, -1)
+        cands %= TAU
+        cands.sort(axis=1)
+        c = np.cos(cands)
+        s = np.sin(cands)
+        env = terms[:, 0, 0, None] * c + terms[:, 0, 1, None] * s + terms[:, 0, 2, None]
+        for q in range(1, g):
+            w = terms[:, q, 0, None] * c + terms[:, q, 1, None] * s + terms[:, q, 2, None]
+            np.maximum(env, w, out=env)
+        at = env.argmin(axis=1)
+        rows = np.arange(m)
+        slack[lo : lo + m] = env[rows, at]
+        theta[lo : lo + m] = cands[rows, at]
+    return slack, slack >= -tol.eps_decision, theta
 
 
 def min_slack(

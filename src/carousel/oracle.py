@@ -111,7 +111,14 @@ def _prev(a: np.ndarray) -> np.ndarray:
 
 
 def sample_hull_polygon(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Counterclockwise vertex array of the hull polygon of all circle samples."""
+    """Counterclockwise vertex array of the hull polygon of all circle samples.
+
+    Raises ValueError for fewer than 3 samples per circle: an arc of normals
+    then spans half the circle or more, and a single owner no longer means a
+    single vertex.
+    """
+    if samples < 3:
+        raise ValueError(f"need at least 3 samples per circle, got {samples}")
     m = samples
     cos_t, sin_t, cos_b, sin_b = _angle_tables(m)
     cx = np.array([g.center.x for g in gens], dtype=float)
@@ -231,7 +238,10 @@ def _extreme_samples_pass(poly: np.ndarray, target: Circle2, m: int, band: float
 def sampling_oracle_contains(
     target: Circle2, gens: GeneratorSet, samples: int = DEFAULT_SAMPLES
 ) -> bool:
-    """True iff every sampled target point lies in the sampled hull polygon."""
+    """True iff every sampled target point lies in the sampled hull polygon.
+
+    Raises ValueError for fewer than 3 samples, as ``sample_hull_polygon``.
+    """
     poly = sample_hull_polygon(gens, samples)
     distance_band, cross_band = _membership_bands(target, gens)
     if len(poly) < 3:

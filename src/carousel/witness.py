@@ -18,13 +18,15 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import (
     CoincidentPoints,
     GenerationExhausted,
     InvalidInstance,
     NotInterior,
 )
-from .hull import GeneratorSet, circle_in_hull, min_slack
+from .hull import GeneratorSet, circle_in_hull, circles_in_hulls, min_slack
 from .planar import (
     DEFAULT_TOLERANCE,
     Circle2,
@@ -90,19 +92,24 @@ def sites_as_generators(sites) -> GeneratorSet:
     return GeneratorSet(tuple(Circle2(s, 0.0) for s in sites))
 
 
+def _check_collinear(sites, us, tol: Tolerance) -> None:
+    if orientation(*sites, tol) == 0 and any(u.radius > 0.0 for u in us):
+        raise InvalidInstance("collinear sites admit only radius-0 circles")
+
+
+def _require_inside(k: int, contained: bool, slack: float, hull: str) -> None:
+    if not contained:
+        raise InvalidInstance(f"u{k} is not inside the {hull} hull (slack {slack:.3g})")
+
+
 def validate_instance(inst: CarouselInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> None:
     """Check the carousel hypotheses; raises InvalidInstance otherwise."""
-    a0, a1, a2 = inst.sites
-    if orientation(a0, a1, a2, tol) == 0:
-        if inst.u0.radius > 0.0 or inst.u1.radius > 0.0:
-            raise InvalidInstance("collinear sites admit only radius-0 circles")
+    us = (inst.u0, inst.u1)
+    _check_collinear(inst.sites, us, tol)
     site_gens = sites_as_generators(inst.sites)
     for k in (0, 1):
-        res = circle_in_hull(inst.circle(k), site_gens, tol)
-        if not res.contained:
-            raise InvalidInstance(
-                f"u{k} is not inside the site hull (slack {res.slack:.3g})"
-            )
+        res = circle_in_hull(us[k], site_gens, tol)
+        _require_inside(k, res.contained, res.slack, "site")
 
 
 def scaled_instance(inst: CarouselInstance, zeta: float) -> CarouselInstance:
@@ -136,23 +143,90 @@ def witness_generators(inst: CarouselInstance, j: int, k: int) -> GeneratorSet:
     return pair_generators(inst.circle(k), inst.sites, j)
 
 
-def _witness_pairs(bases, us, tol: Tolerance) -> list[Witness]:
-    """All (j, k) pairs over three bases whose inclusion holds, by descending slack."""
-    found = []
-    for j, k in JK_PAIRS:
-        res = circle_in_hull(us[1 - k], pair_generators(us[k], bases, j), tol)
-        if res.contained:
-            found.append(Witness(j, k, res.slack))
-    found.sort(key=lambda w: (-w.slack, w.j, w.k))
-    return found
+# The inclusions of one instance over its objects b0, b1, b2, u0, u1, as
+# (target, generators): first the hypotheses u_k in the hull of the bases,
+# then the (j, k) inclusions of JK_PAIRS, u_(1-k) in the hull of u_k and the
+# bases other than base j, with generators in ``pair_generators`` order.
+_INCLUSIONS = ((3, (0, 1, 2)), (4, (0, 1, 2))) + tuple(
+    (4 - k, (3 + k, *_others(range(3), j))) for j, k in JK_PAIRS
+)
+_TARGET_AT = np.array([t for t, _ in _INCLUSIONS])
+_GENS_AT = np.array([g for _, g in _INCLUSIONS])
+
+
+def _xyr(obj) -> tuple[float, float, float]:
+    if isinstance(obj, Circle2):
+        return obj.center.x, obj.center.y, obj.radius
+    return obj.x, obj.y, 0.0
+
+
+def _decide(cases, which, tol: Tolerance) -> tuple[list, list]:
+    """Slack and verdict of inclusions ``which`` of every case, from one kernel call.
+
+    ``which`` holds indices into _INCLUSIONS, one row per case or one row
+    for all; the results come as one list per case in that order.
+    """
+    n = len(cases)
+    objs = np.array([[_xyr(o) for o in (*bases, *us)] for bases, us in cases], dtype=float)
+    objs = objs.reshape(n, 5, 3)
+    rows = np.arange(n)[:, None]
+    targets = objs[rows, _TARGET_AT[which]]
+    gens = objs[rows[..., None], _GENS_AT[which]]
+    slack, inside, _ = circles_in_hulls(targets.reshape(-1, 3), gens.reshape(-1, 3, 3), tol)
+    return slack.reshape(n, -1).tolist(), inside.reshape(n, -1).tolist()
+
+
+def witness_searches(cases, tol: Tolerance = DEFAULT_TOLERANCE) -> list[list[Witness]]:
+    """Each case's (j, k) pairs whose inclusion holds, by descending slack.
+
+    A case is (bases, (u0, u1)) with three bases that are sites (points)
+    or generator circles.  Its two hypothesis inclusions and six (j, k)
+    inclusions, over all cases, are decided in one ``circles_in_hulls``
+    call.  Cases are then checked in order, and the first that breaks a
+    hypothesis raises InvalidInstance: sites must not be collinear under
+    circles of positive radius, and each u_k must lie in the hull of the
+    bases.
+    """
+    cases = list(cases)
+    if not cases:
+        return []
+    slacks, insides = _decide(cases, np.arange(len(_INCLUSIONS)), tol)
+    out = []
+    for (bases, us), slack, inside in zip(cases, slacks, insides):
+        sites = not isinstance(bases[0], Circle2)
+        if sites:
+            _check_collinear(bases, us, tol)
+        for k in (0, 1):
+            _require_inside(k, inside[k], slack[k], "site" if sites else "generator")
+        found = [
+            Witness(j, k, s) for (j, k), s, ok in zip(JK_PAIRS, slack[2:], inside[2:]) if ok
+        ]
+        found.sort(key=lambda w: (-w.slack, w.j, w.k))
+        out.append(found)
+    return out
+
+
+def pair_inclusions(cases, pairs, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[list, list]:
+    """Slack and verdict of one named (j, k) inclusion per case, from one kernel call.
+
+    Cases are as for ``witness_searches``; u0 and u1 may be points.
+    """
+    cases = list(cases)
+    if not cases:
+        return [], []
+    which = np.array([[2 + JK_PAIRS.index(p)] for p in pairs])
+    slacks, insides = _decide(cases, which, tol)
+    return [s for s, in slacks], [ok for ok, in insides]
 
 
 def witness_search(
     inst: CarouselInstance, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> list[Witness]:
-    """All (j, k) pairs whose inclusion holds, sorted by descending slack."""
-    validate_instance(inst, tol)
-    return _witness_pairs(inst.sites, (inst.u0, inst.u1), tol)
+    """All (j, k) pairs whose inclusion holds, sorted by descending slack.
+
+    The one-instance case of ``witness_searches``.
+    """
+    return witness_searches([(inst.sites, (inst.u0, inst.u1))], tol)[0]
 
 
 def corollary_witness_search(
@@ -163,17 +237,11 @@ def corollary_witness_search(
     u1: Circle2,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[Witness]:
-    """Witness search with three circle generators instead of point sites."""
-    cs = (c0, c1, c2)
-    base = GeneratorSet(cs)
-    us = (u0, u1)
-    for k in (0, 1):
-        res = circle_in_hull(us[k], base, tol)
-        if not res.contained:
-            raise InvalidInstance(
-                f"u{k} is not inside the generator hull (slack {res.slack:.3g})"
-            )
-    return _witness_pairs(cs, us, tol)
+    """Witness search with three circle generators instead of point sites.
+
+    The one-instance case of ``witness_searches``.
+    """
+    return witness_searches([((c0, c1, c2), (u0, u1))], tol)[0]
 
 
 def _strictly_inside(p: Point2, tri, tol: Tolerance) -> bool:
@@ -188,15 +256,10 @@ def _strictly_inside(p: Point2, tri, tol: Tolerance) -> bool:
     )
 
 
-def _point_witness_slack(sites, b_keep: Point2, b_target: Point2, j: int, tol) -> float:
-    gens = pair_generators(Circle2(b_keep, 0.0), sites, j)
-    return min_slack(Circle2(b_target, 0.0), gens, tol)
-
-
-def two_carousel_points(
+def point_decomposition(
     sites, b0: Point2, b1: Point2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Witness:
-    """Point-only carousel witness via the triangle decomposition through b0.
+) -> tuple[int, int]:
+    """The (j, k) pair the triangle decomposition through b0 names for b1.
 
     Splitting the site triangle into the three sub-triangles spanned by b0
     and two sites, b1 is strictly inside one of them (pick k = 0 and the
@@ -213,7 +276,7 @@ def two_carousel_points(
     for j in range(3):
         tri = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
         if _strictly_inside(b1, tri, tol):
-            return Witness(j, 0, _point_witness_slack(sites, b0, b1, j, tol))
+            return j, 0
 
     # b1 sits on one of the three segments from b0 to a site
     for j in range(3):
@@ -221,7 +284,7 @@ def two_carousel_points(
         if orientation(b0, aj, b1, tol) == 0:
             t = (b1 - b0).dot(aj - b0)
             if 0.0 < t < (aj - b0).dot(aj - b0):
-                return Witness(j, 1, _point_witness_slack(sites, b1, b0, j, tol))
+                return j, 1
 
     # numerical fringe: fall back to closed sub-triangle membership
     for j in range(3):
@@ -234,8 +297,18 @@ def two_carousel_points(
             orientation(c, a, b1, tol),
         )
         if ref != 0 and all(s == 0 or s == ref for s in signs):
-            return Witness(j, 0, _point_witness_slack(sites, b0, b1, j, tol))
+            return j, 0
     raise NotInterior("b1 could not be located in the decomposition")
+
+
+def two_carousel_points(
+    sites, b0: Point2, b1: Point2, tol: Tolerance = DEFAULT_TOLERANCE
+) -> Witness:
+    """Point-only carousel witness: ``point_decomposition`` and the slack it holds by."""
+    j, k = point_decomposition(sites, b0, b1, tol)
+    pts = (b0, b1)
+    gens = pair_generators(Circle2(pts[k], 0.0), sites, j)
+    return Witness(j, k, min_slack(Circle2(pts[1 - k], 0.0), gens, tol))
 
 
 # -- xi sweep ----------------------------------------------------------------

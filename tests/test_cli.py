@@ -199,6 +199,28 @@ class TestFuzzVerb:
         assert sc.instance() == inst
         assert main(["check", str(path)]) == 0
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("theorem2d", "d5cfd4b804d339f602552491b1d7ce2e4da1ce6216b077ce256bdc357d05d0cd"),
+        ("corollary2d", "c62c58f90934b24845039aab3c1eabfb5f5fd3a3c2a6d58a1801c5bc1d3adc23"),
+        ("points2d", "ea3aa74064db8d715d4d6fc1a42f7d9c1fd1bbf29e8bb2aa8eadef89ec583d52"),
+    ])
+    def test_report_is_pinned(self, tmp_path, kind, digest):
+        # sha256 of the canonical report as written when every trial was
+        # solved one query at a time; any change to it is listed in CHANGES.md
+        out = tmp_path / "rep.json"
+        assert main(["fuzz", "--kind", kind, "--n", "300", "--seed", "1", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_workers_change_no_report(self, monkeypatch):
+        # each kind runs once serially and once on a pool of 2 processes
+        from carousel.fuzz import FUZZ_KINDS, run_fuzz
+
+        for kind in FUZZ_KINDS:
+            monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+            serial = canonical_json(run_fuzz(200, 5, kind).to_dict())
+            monkeypatch.setenv("CAROUSEL_THREADS", "2")
+            assert canonical_json(run_fuzz(200, 5, kind).to_dict()) == serial
+
 
 class TestOracleVerb:
     def test_small_run(self, tmp_path):

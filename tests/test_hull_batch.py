@@ -1,0 +1,196 @@
+"""The set-level 2D kernel against the one-query kernel, bit for bit."""
+
+import random
+import struct
+
+import numpy as np
+import pytest
+
+from carousel import (
+    Circle2,
+    GeneratorSet,
+    InvalidInstance,
+    circle,
+    circle_in_hull,
+    pt,
+)
+from carousel import hull
+from carousel.hull import circles_in_hulls
+from carousel.witness import (
+    JK_PAIRS,
+    Witness,
+    pair_generators,
+    pair_inclusions,
+    point_decomposition,
+    random_corollary_instance,
+    random_instance,
+    random_points_instance,
+    witness_searches,
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _arrays(queries):
+    targets = [(t.center.x, t.center.y, t.radius) for t, _ in queries]
+    gens = [[(g.center.x, g.center.y, g.radius) for g in gs] for _, gs in queries]
+    return np.array(targets, dtype=float), np.array(gens, dtype=float)
+
+
+def _assert_matches_scalar(queries):
+    """Slack, verdict and witness angle of every query equal circle_in_hull's bitwise."""
+    slack, inside, theta = circles_in_hulls(*_arrays(queries))
+    for (target, gens), s, ok, th in zip(queries, slack.tolist(), inside.tolist(), theta.tolist()):
+        res = circle_in_hull(target, gens)
+        assert (_bits(s), ok) == (_bits(res.slack), res.contained), (target, gens)
+        if not ok:
+            assert _bits(th) == _bits(res.witness_direction), (target, gens)
+
+
+def _random_circle(rng: random.Random, lo: float = -10.0, hi: float = 10.0) -> Circle2:
+    r = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
+    return circle(rng.uniform(lo, hi), rng.uniform(lo, hi), r)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_matches_scalar_on_random_queries(g):
+    rng = random.Random(100 + g)
+    queries = [
+        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(g))))
+        for _ in range(4000)
+    ]
+    _assert_matches_scalar(queries)
+
+
+def _degenerate_queries():
+    unit = circle(0, 0, 1)
+    # generators whose radii differ by exactly their distance: |x| = 1 on
+    # both sides, internally tangent (3-4-5 offsets keep every value exact)
+    tangent_in = (circle(0, 0, 1), circle(3, 4, 6))
+    tangent_out = (circle(0, 0, 6), circle(3, 4, 1))
+    points = (circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0))
+    cases = [
+        (unit, (unit,)),  # the target itself
+        (unit, (circle(0, 0, 2),)),  # concentric, larger
+        (circle(0, 0, 2), (unit,)),  # concentric, smaller
+        (unit, (unit, unit, unit)),  # duplicates of the target
+        (circle(1, 1, 0.5), (unit, unit, circle(3, 0, 1))),  # duplicate generators
+        (circle(0, 0, 0), (circle(0, 0, 0),)),  # a point on itself
+        (circle(1, 1, 0), points),  # points only, inside
+        (circle(2, 2, 0), points),  # points only, on the hypotenuse
+        (circle(5, 5, 0), points),  # points only, outside
+        (circle(1, 1, 0.5), points),
+        (circle(0, 0, 0), (circle(0, 0, 0), circle(1, 0, 0))),  # point at a segment's end
+        (circle(1, 1, 0), tangent_in),
+        (circle(1, 1, 0), tangent_out),
+        (circle(3, 4, 1), tangent_in),
+        (circle(0, 0, 6), tangent_out),
+        (circle(0, 0, 1), tangent_in + (circle(3, 4, 6),)),
+        (circle(3, 4, 0), (circle(0, 0, 0), circle(6, 8, 0))),  # on a segment
+        (circle(0, 0, 5), (circle(0, 0, 5), circle(3, 4, 0))),  # point on the circle
+    ]
+    # a generator concentric with the target flattens the envelope, so the
+    # least slack ties over a range of angles and the first one must win
+    cases += [(unit, (circle(0, 0, r), circle(d, 0, 0))) for r in (0.25, 0.5) for d in range(2, 10)]
+    return cases
+
+
+def test_matches_scalar_on_degenerate_queries():
+    by_size = {}
+    for target, gens in _degenerate_queries():
+        by_size.setdefault(len(gens), []).append((target, GeneratorSet(gens)))
+    for queries in by_size.values():
+        _assert_matches_scalar(queries)
+
+
+def test_matches_scalar_when_translated_tangent_pairs_round():
+    # |x| = 1 up to rounding once the pair is moved away from the origin
+    rng = random.Random(7)
+    queries = []
+    for _ in range(500):
+        ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        k = rng.uniform(0.1, 3.0)
+        gens = (circle(ox, oy, k), circle(ox + 3 * k, oy + 4 * k, 6 * k), circle(ox, oy, 0))
+        queries.append((circle(ox + rng.uniform(-1, 1), oy + rng.uniform(-1, 1), 0.0),
+                        GeneratorSet(gens)))
+    _assert_matches_scalar(queries)
+
+
+def test_any_split_into_blocks_gives_the_same_arrays(monkeypatch):
+    rng = random.Random(3)
+    queries = [
+        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(3))))
+        for _ in range(600)
+    ]
+    targets, gens = _arrays(queries)
+    whole = [a.tobytes() for a in circles_in_hulls(targets, gens)]
+    cuts = sorted(rng.sample(range(1, 600), 9))
+    parts = [circles_in_hulls(targets[a:b], gens[a:b]) for a, b in zip([0] + cuts, cuts + [600])]
+    assert [np.concatenate(p).tobytes() for p in zip(*parts)] == whole
+    for block in (1, 30, 301):  # one query per block, and ragged last blocks
+        monkeypatch.setattr(hull, "_BLOCK", block)
+        assert [a.tobytes() for a in circles_in_hulls(targets, gens)] == whole
+
+
+def test_rejects_empty_generator_sets():
+    with pytest.raises(ValueError):
+        circles_in_hulls(np.zeros((2, 3)), np.zeros((2, 0, 3)))
+
+
+# -- set-level witness search -------------------------------------------------
+
+
+def _scalar_witness_pairs(bases, us):
+    """The one-query-at-a-time search: one circle_in_hull per (j, k) pair."""
+    found = []
+    for j, k in JK_PAIRS:
+        res = circle_in_hull(us[1 - k], pair_generators(us[k], bases, j))
+        if res.contained:
+            found.append(Witness(j, k, res.slack))
+    found.sort(key=lambda w: (-w.slack, w.j, w.k))
+    return found
+
+
+def _key(witnesses):
+    return [(w.j, w.k, _bits(w.slack)) for w in witnesses]
+
+
+def test_theorem_search_matches_scalar_pairs():
+    insts = [random_instance(seed) for seed in range(3000)]
+    cases = [(inst.sites, (inst.u0, inst.u1)) for inst in insts]
+    for case, got in zip(cases, witness_searches(cases)):
+        assert _key(got) == _key(_scalar_witness_pairs(*case))
+
+
+def test_corollary_search_matches_scalar_pairs():
+    draws = [random_corollary_instance(seed) for seed in range(3000)]
+    cases = [(d[:3], d[3:]) for d in draws]
+    for case, got in zip(cases, witness_searches(cases)):
+        assert _key(got) == _key(_scalar_witness_pairs(*case))
+
+
+def test_point_inclusions_match_scalar():
+    draws = [random_points_instance(seed) for seed in range(3000)]
+    pairs = [point_decomposition(*d) for d in draws]
+    slacks, inside = pair_inclusions([(s, (b0, b1)) for s, b0, b1 in draws], pairs)
+    for (sites, b0, b1), (j, k), slack, ok in zip(draws, pairs, slacks, inside):
+        pts = (Circle2(b0, 0.0), Circle2(b1, 0.0))
+        res = circle_in_hull(pts[1 - k], pair_generators(pts[k], sites, j))
+        assert (_bits(slack), ok) == (_bits(res.slack), res.contained)
+
+
+def test_first_case_breaking_a_hypothesis_raises():
+    good = random_instance(1)
+    sites = (good.sites, (good.u0, good.u1))
+    outside = (good.sites, (good.u0, circle(100, 100, 1)))
+    collinear = ((pt(0, 0), pt(2, 0), pt(5, 0)), (circle(1, 0, 0.1), circle(3, 0, 0)))
+    with pytest.raises(InvalidInstance, match="u1 is not inside the site hull"):
+        witness_searches([sites, outside, collinear])
+    with pytest.raises(InvalidInstance, match="collinear"):
+        witness_searches([sites, collinear, outside])
+    cs = (circle(0, 0, 1), circle(8, 0, 1), circle(0, 8, 1))
+    with pytest.raises(InvalidInstance, match="u0 is not inside the generator hull"):
+        witness_searches([(cs, (circle(7, 7, 0.5), circle(2, 2, 0.5)))])
+    assert witness_searches([]) == []

@@ -199,6 +199,18 @@ def test_descending_segment_keeps_both_ends():
     assert not sampling_oracle_contains(circle(1, 1.5, 0), gens)
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1, 2])
+def test_fewer_than_three_samples_rejected(samples):
+    # at one sample, three points used to give the one-vertex polygon [[0, 1]]
+    # and an interior point read as outside
+    gens = GeneratorSet((circle(0, 0, 0), circle(1, 0, 0), circle(0, 1, 0)))
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        sample_hull_polygon(gens, samples)
+    with pytest.raises(ValueError, match="at least 3 samples"):
+        sampling_oracle_contains(circle(0.2, 0.2, 0), gens, samples)
+    assert sampling_oracle_contains(circle(0.2, 0.2, 0), gens, 3)
+
+
 def test_single_circle_is_every_sample_in_order():
     c = circle(1, 2, 1.5)
     poly = sample_hull_polygon(GeneratorSet((c,)))
