@@ -4,10 +4,10 @@
 one query or a set of queries per call, with arc-cover certificates and hull
 boundary construction.  Carousel procedures: witness search over a triangle
 of sites (one instance or a set per call), the point-only decomposition
-rule, and the xi-sweep locating the critical scale of a fixed witness.  3D: exact sphere-in-hull containment by enumerating the critical
-directions of the support slack, one set of inclusions per call, and the
-tetrahedron counterexample constructions, with exact 2D projection
-certificates.
+rule, and the xi-sweep locating the critical scale of a fixed witness.  3D:
+exact sphere-in-hull containment by enumerating the critical directions of
+the support slack, one set of inclusions per call, and the tetrahedron
+counterexample constructions, with exact 2D projection certificates.
 """
 
 __version__ = "0.1.0"

@@ -101,11 +101,11 @@ def _theorem_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict 
 
 
 def _corollary_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    draws = [random_corollary_instance(seed, cfg) for seed in seeds]
-    found = witness_searches((d[:3], d[3:]) for d in draws)
+    cases = [(d[:3], d[3:]) for d in (random_corollary_instance(seed, cfg) for seed in seeds)]
+    found = witness_searches(cases)
     return [
-        (seed, ws[0].slack, None) if ws else (seed, None, corollary_scenario_dict(d[:3], d[3:], seed))
-        for seed, d, ws in zip(seeds, draws, found)
+        (seed, ws[0].slack, None) if ws else (seed, None, corollary_scenario_dict(*case, seed))
+        for seed, case, ws in zip(seeds, cases, found)
     ]
 
 
