@@ -26,7 +26,7 @@ from .harness import (
     write_report,
 )
 from .reports import TOOL_INFO, canonical_json
-from .scenario import load_scenario, parse_scenario
+from .scenario import decode_scenario, load_scenario, parse_scenario, scenario_kind
 from .svgfig import render_svg
 
 
@@ -120,15 +120,17 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if scenario.kind not in ("sweep", "theorem2d"):
-        raise SchemaError(f"sweep needs a sweep/theorem2d scenario, got {scenario.kind!r}")
+    data = decode_scenario(args.scenario)
+    kind = scenario_kind(data)
+    if kind not in ("sweep", "theorem2d"):
+        raise SchemaError(f"sweep needs a sweep/theorem2d scenario, got {kind!r}")
     overrides = {key: v for key, v in (("j", args.j), ("k", args.k)) if v is not None}
-    if overrides or scenario.kind != "sweep":
-        scenario = parse_scenario({**scenario.raw, "kind": "sweep", **overrides})
-    report, code = run_scenario_obj(scenario)
+    report, code = run_scenario_obj(parse_scenario({**data, "kind": "sweep", **overrides}))
     _emit(report, args.output)
-    print(f"sweep: xi_star={report['sweep']['xi_star']}", file=sys.stderr)
+    if "sweep" in report:
+        print(f"sweep: xi_star={report['sweep']['xi_star']}", file=sys.stderr)
+    else:
+        print(f"sweep: {report['verdict']}: {report['error']}", file=sys.stderr)
     return code
 
 

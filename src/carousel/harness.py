@@ -104,33 +104,26 @@ _RUNNERS = {
 
 
 def run_scenario_obj(scenario: Scenario) -> tuple[dict, int]:
-    """Execute one scenario; returns (report dict, exit code)."""
+    """Execute one scenario; returns (report dict, exit code).
+
+    Scenario geometry that violates an operation's hypotheses (for example a
+    circle outside the site hull) is an input error, not a refutation: the
+    report then carries the verdict "input_error" and the message.
+    """
     runner = _RUNNERS.get(scenario.kind)
     if runner is None:  # pragma: no cover - parse_scenario rejects unknown kinds
         raise CarouselError(f"unhandled kind {scenario.kind!r}")
-    body, code = runner(scenario)
-    report = {"tool": TOOL_INFO, "kind": scenario.kind, "scenario": scenario.raw, **body}
-    return report, code
+    head = {"tool": TOOL_INFO, "kind": scenario.kind, "scenario": scenario.raw}
+    try:
+        body, code = runner(scenario)
+    except InvalidInstance as exc:
+        return {**head, "verdict": "input_error", "error": str(exc)}, EXIT_INPUT_ERROR
+    return {**head, **body}, code
 
 
 def run_scenario(path: str | Path) -> tuple[dict, int]:
-    """Load and execute a scenario file.
-
-    Scenario geometry that violates an operation's hypotheses (for example a
-    circle outside the site hull) is an input error, not a refutation.
-    """
-    scenario = load_scenario(path)
-    try:
-        return run_scenario_obj(scenario)
-    except InvalidInstance as exc:
-        report = {
-            "tool": TOOL_INFO,
-            "kind": scenario.kind,
-            "scenario": scenario.raw,
-            "verdict": "input_error",
-            "error": str(exc),
-        }
-        return report, EXIT_INPUT_ERROR
+    """Load and execute a scenario file, as ``run_scenario_obj`` does."""
+    return run_scenario_obj(load_scenario(path))
 
 
 def write_report(report: dict, path: str | Path | None) -> str:

@@ -271,22 +271,12 @@ def _critical_angles(terms) -> list[float]:
     return sorted([c % TAU for c in cands])
 
 
-def circle_in_hull(
-    target: Circle2, gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ContainmentResult:
-    """Decide target-circle containment in the hull of the generators.
+def _envelope_min(terms) -> tuple[float, float]:
+    """Least value of max_g(dx cos + dy sin + dr) and the first critical angle attaining it.
 
-    The slack is minimised exactly over the critical angles of the support
-    gap, and the target is contained iff that slack is at least
-    ``-tol.eps_decision`` (the rule ``sphere_in_hull3`` uses in 3D).  The
-    first critical angle attaining the minimum is the witness direction of a
-    non-containment.  Points are the radius-0 special case on either side.
+    ``terms`` are each generator's (dx, dy, dr) relative to the target; the
+    least value is the containment slack.
     """
-    tx = target.center.x
-    ty = target.center.y
-    tr = target.radius
-    terms = [(g.center.x - tx, g.center.y - ty, g.radius - tr) for g in gens]
-
     best = math.inf
     best_theta = 0.0
     for theta in _critical_angles(terms):
@@ -302,7 +292,26 @@ def circle_in_hull(
         if v < best:
             best = v
             best_theta = theta
+    return best, best_theta
 
+
+def circle_in_hull(
+    target: Circle2, gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE
+) -> ContainmentResult:
+    """Decide target-circle containment in the hull of the generators.
+
+    The slack is minimised exactly over the critical angles of the support
+    gap, and the target is contained iff that slack is at least
+    ``-tol.eps_decision`` (the rule ``sphere_in_hull3`` uses in 3D).  The
+    first critical angle attaining the minimum is the witness direction of a
+    non-containment.  Points are the radius-0 special case on either side.
+    """
+    tx = target.center.x
+    ty = target.center.y
+    tr = target.radius
+    best, best_theta = _envelope_min(
+        [(g.center.x - tx, g.center.y - ty, g.radius - tr) for g in gens]
+    )
     contained = best >= -tol.eps_decision
     return ContainmentResult(
         contained=contained,

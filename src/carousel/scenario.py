@@ -94,8 +94,8 @@ def _array2d(data, key: str, count: int, point_only: bool = False):
     return tuple(out)
 
 
-def parse_scenario(data: dict) -> Scenario:
-    """Validate a decoded scenario object and build the typed payload."""
+def scenario_kind(data) -> str:
+    """The kind of a decoded scenario object, once its schema tag and field names check out."""
     if not isinstance(data, dict):
         raise SchemaError("scenario must be a JSON object")
     if data.get("schema") != SCHEMA_TAG:
@@ -107,6 +107,12 @@ def parse_scenario(data: dict) -> Scenario:
     unknown = set(data) - allowed
     if unknown:
         raise SchemaError(f"unknown fields for kind {kind!r}: {sorted(unknown)}")
+    return kind
+
+
+def parse_scenario(data: dict) -> Scenario:
+    """Validate a decoded scenario object and build the typed payload."""
+    kind = scenario_kind(data)
 
     tolerance = Tolerance()
     if "tolerance" in data:
@@ -166,17 +172,21 @@ def parse_scenario(data: dict) -> Scenario:
     return Scenario(**kwargs)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read, decode and validate a scenario file."""
+def decode_scenario(path: str | Path):
+    """Read and decode a scenario file, without validating it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_scenario(data)
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    """Read, decode and validate a scenario file."""
+    return parse_scenario(decode_scenario(path))
 
 
 def instance_scenario_dict(inst: CarouselInstance, seed: int | None = None, kind: str = "theorem2d") -> dict:

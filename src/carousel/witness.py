@@ -9,6 +9,9 @@ only reach the hull boundary by touching the front arc of u_k, the base
 side between the two kept sites, a site vertex or a leg, and each of these
 happens at a closed-form scale, so the sweep enumerates those events and
 reads the tangency off the family of the event where the inclusion fails.
+Its hypothesis checks and probes hand plain (dx, dy, dr) terms to the
+envelope loop of ``circle_in_hull``, so a probe builds no scaled instance,
+generator set or containment result, and its slack is bitwise theirs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     InvalidInstance,
     NotInterior,
 )
-from .hull import GeneratorSet, circle_in_hull, circles_in_hulls, min_slack
+from .hull import GeneratorSet, _envelope_min, circle_in_hull, circles_in_hulls, min_slack
 from .planar import (
     DEFAULT_TOLERANCE,
     Circle2,
@@ -103,13 +106,17 @@ def _require_inside(k: int, contained: bool, slack: float, hull: str) -> None:
 
 
 def validate_instance(inst: CarouselInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> None:
-    """Check the carousel hypotheses; raises InvalidInstance otherwise."""
+    """Check the carousel hypotheses; raises InvalidInstance otherwise.
+
+    Each u_k is decided as ``circle_in_hull`` decides it against the sites
+    as radius-0 generators, from the same floats, without building them.
+    """
     us = (inst.u0, inst.u1)
     _check_collinear(inst.sites, us, tol)
-    site_gens = sites_as_generators(inst.sites)
-    for k in (0, 1):
-        res = circle_in_hull(us[k], site_gens, tol)
-        _require_inside(k, res.contained, res.slack, "site")
+    for k, u in enumerate(us):
+        tx, ty, tr = u.center.x, u.center.y, u.radius
+        slack, _ = _envelope_min([(s.x - tx, s.y - ty, 0.0 - tr) for s in inst.sites])
+        _require_inside(k, slack >= -tol.eps_decision, slack, "site")
 
 
 def scaled_instance(inst: CarouselInstance, zeta: float) -> CarouselInstance:
@@ -321,9 +328,21 @@ _EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 def sweep_slack(
     inst: CarouselInstance, j: int, k: int, zeta: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
-    """Slack of the scaled (j, k) inclusion at scale zeta."""
-    scaled = scaled_instance(inst, zeta)
-    return min_slack(scaled.circle(1 - k), witness_generators(scaled, j, k), tol)
+    """Slack of the scaled (j, k) inclusion at scale zeta.
+
+    Bitwise ``min_slack(scaled.circle(1 - k), witness_generators(scaled, j,
+    k))`` with ``scaled = scaled_instance(inst, zeta)``: the envelope terms
+    come from the centres and the zeta-scaled radii by the same float
+    operations, without building the scaled instance or its generators.
+    """
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
+    own, target = inst.circle(k), inst.circle(1 - k)
+    tx, ty = target.center.x, target.center.y
+    tr = zeta * target.radius
+    terms = [(own.center.x - tx, own.center.y - ty, zeta * own.radius - tr)]
+    terms += [(s.x - tx, s.y - ty, 0.0 - tr) for s in _others(inst.sites, j)]
+    return _envelope_min(terms)[0]
 
 
 def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Tangency]]:
@@ -341,23 +360,26 @@ def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Ta
     the order leg, front arc, base side.
     """
     own, target = inst.circle(k), inst.circle(1 - k)
-    ck, rk = own.center, own.radius
-    ct, rt = target.center, target.radius
+    ckx, cky, rk = own.center.x, own.center.y, own.radius
+    ctx, cty, rt = target.center.x, target.center.y, target.radius
     a, b = _others(inst.sites, j)
     events = []
     if rk > rt:
-        events.append((ct.distance_to(ck) / (rk - rt), Tangency.FRONT_ARC))
+        events.append((math.hypot(ctx - ckx, cty - cky) / (rk - rt), Tangency.FRONT_ARC))
     if rt > 0.0:
-        base = b - a
-        events.append((abs(base.cross(ct - a)) / base.norm() / rt, Tangency.BASE_SIDE))
-        events += [(s.distance_to(ct) / rt, Tangency.LEG) for s in (a, b)]
+        bx, by = b.x - a.x, b.y - a.y
+        cross = bx * (cty - a.y) - by * (ctx - a.x)
+        events.append((abs(cross) / math.hypot(bx, by) / rt, Tangency.BASE_SIDE))
+        events += [(math.hypot(s.x - ctx, s.y - cty) / rt, Tangency.LEG) for s in (a, b)]
     for s in (a, b):
-        w = rt * (s - ck) - rk * (s - ct)
-        n = w.norm()
+        kx, ky = s.x - ckx, s.y - cky  # s - c_k
+        tx, ty = s.x - ctx, s.y - cty  # s - c_t
+        wx, wy = kx * rt - tx * rk, ky * rt - ty * rk
+        n = math.hypot(wx, wy)
         if n == 0.0:
             continue
-        for u in (Point2(-w.y / n, w.x / n), Point2(w.y / n, -w.x / n)):
-            zeta = (s - ck).dot(u) / rk if rk > 0.0 else (s - ct).dot(u) / rt
+        for ux, uy in ((-wy / n, wx / n), (wy / n, -wx / n)):
+            zeta = (kx * ux + ky * uy) / rk if rk > 0.0 else (tx * ux + ty * uy) / rt
             events.append((zeta, Tangency.LEG))
     merged: list[tuple[float, Tangency]] = []
     for zeta, family in sorted((e for e in events if 0.0 < e[0] < 1.0), key=lambda e: e[0]):

@@ -48,6 +48,12 @@ COROLLARY = {
 EX41 = {"schema": "carousel/1", "kind": "sphere3_ex41", "side": 1.0, "r": 0.1}
 EX42 = {"schema": "carousel/1", "kind": "sphere3_ex42", "t": 4}
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 def write(tmp: Path, name: str, data) -> Path:
     path = tmp / name
@@ -173,6 +179,84 @@ class TestSweepVerb:
         out = tmp_path / "rep.json"
         assert main(["sweep", str(path), "--j", "1", "--k", "0", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["sweep"]["xi_star"] == 1.0
+
+    # sha256 of the reports as written when every sweep probe built a scaled
+    # instance and a containment query; any change to them is listed in CHANGES.md
+    @pytest.mark.parametrize("j, k, digest", [
+        (0, 0, "66e5f0527bdd2e33ae7ace7f7fab6806ee4161db1c55c4f0a5a46669bd98a0b0"),
+        (0, 1, "bd409b6c5f4b7a17804042da14d3ab895936a509d4b34c3fefd25a6550db4567"),
+        (1, 0, "ff35c621521739fd8850b14f4c6eec7b093063ee8023ff8c028a036b5b50be22"),
+        (1, 1, "6b636bdc8a68be10723f8ef442a18f2dd032fa4860e5343982813a2e14bbe74c"),
+        (2, 0, "ff24c0e2ce7553ffb3c7e8feb33930ce48cbe31683dd9eb41669970b5bc0aac0"),
+        (2, 1, "c5f54f051125b54e87dbe41ba24a35b4cda0e4c9c2d79b8df8f2cbb9811f72a0"),
+    ])
+    def test_report_is_pinned(self, tmp_path, j, k, digest):
+        out = tmp_path / "rep.json"
+        src = SCENARIOS / "sweep_leg_tangency.json"
+        assert main(["sweep", str(src), "--j", str(j), "--k", str(k), "-o", str(out)]) == 0
+        assert sha256_of(out) == digest
+
+    @pytest.mark.parametrize("j, k, digest", [
+        (1, 0, "bedc89d035aad1c1ed1294fdc963a81e9dccd24f939622c6308292d59b156f15"),
+        (2, 1, "86e9c516147af56f3142437e223e0caf33819885926d52a271cfdd0be06e4a85"),
+        (0, 1, "eaab5c7f064e684699ebeefd3ca87474b103bd8c251f786ca63aa47ecbd90f3d"),
+    ])
+    def test_theorem_report_is_pinned(self, tmp_path, j, k, digest):
+        out = tmp_path / "rep.json"
+        src = SCENARIOS / "theorem_concentric.json"
+        assert main(["sweep", str(src), "--j", str(j), "--k", str(k), "-o", str(out)]) == 0
+        assert sha256_of(out) == digest
+
+    def test_theorem_file_reports_as_its_sweep_file(self, tmp_path):
+        # the overrides and the kind go into the scenario object the report
+        # echoes, so a theorem2d copy of a sweep file gives the same bytes
+        data = json.loads((SCENARIOS / "sweep_leg_tangency.json").read_text())
+        theorem = {key: v for key, v in data.items() if key not in ("j", "k")}
+        src = write(tmp_path, "t.json", {**theorem, "kind": "theorem2d"})
+        out = tmp_path / "rep.json"
+        assert main(["sweep", str(src), "--j", "0", "--k", "0", "-o", str(out)]) == 0
+        assert sha256_of(out) == (
+            "66e5f0527bdd2e33ae7ace7f7fab6806ee4161db1c55c4f0a5a46669bd98a0b0"
+        )
+
+    def test_broken_hypothesis_writes_input_error_report(self, tmp_path, capsys):
+        # u1 lies outside the sites' hull: the report says so, as check's
+        # does, and replaces whatever an earlier run left at -o
+        bad = {**SWEEP, "sites": [[0, 0, 0], [6, 0, 0], [0, 6, 0]],
+               "circles": [[2, 2, 0.5], [9, 9, 0.5]]}
+        src = write(tmp_path, "bad.json", bad)
+        out = tmp_path / "rep.json"
+        out.write_text("stale", encoding="utf-8")
+        assert main(["sweep", str(src), "-o", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "input_error"
+        assert report["error"] == "u1 is not inside the site hull (slack -8.99)"
+        assert "u1 is not inside the site hull" in capsys.readouterr().err
+        checked = tmp_path / "check.json"
+        assert main(["check", str(src), "-o", str(checked)]) == 2
+        assert out.read_bytes() == checked.read_bytes()
+        assert sha256_of(out) == (
+            "8e2c9e658da01595f2e8fc149044d66919672e32f59679acf95b8e436ba8a8e7"
+        )
+
+    def test_points_scenario_rejected(self, tmp_path, capsys):
+        src = write(tmp_path, "p.json", POINTS)
+        assert main(["sweep", str(src)]) == 2
+        assert "sweep needs a sweep/theorem2d scenario, got 'points2d'" in (
+            capsys.readouterr().err
+        )
+
+    def test_pair_out_of_range_rejected(self, tmp_path, capsys):
+        src = write(tmp_path, "s.json", SWEEP)
+        out = tmp_path / "rep.json"
+        assert main(["sweep", str(src), "--j", "3", "-o", str(out)]) == 2
+        assert "j must be an integer in 0..2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theorem_file_keeps_its_own_field_check(self, tmp_path):
+        # a theorem2d file may not carry j or k, even though the sweep adds them
+        src = write(tmp_path, "t.json", {**THEOREM, "j": 0})
+        assert main(["sweep", str(src), "--j", "0"]) == 2
 
 
 class TestFuzzVerb:
@@ -365,6 +449,14 @@ class TestRenderVerb:
         assert " A " in text  # hull back arc rendered as an SVG arc
         assert "tangency=" in text
         assert 'stroke="#cc0000"' in text  # touch marker at the critical scale
+
+    def test_sweep_figure_is_pinned(self, tmp_path):
+        # sha256 of the figure as drawn before the sweep worked on plain floats
+        out = tmp_path / "sweep.svg"
+        assert main(["render", str(SCENARIOS / "sweep_leg_tangency.json"), "-o", str(out)]) == 0
+        assert sha256_of(out) == (
+            "2f5dfd0090df1ca8ce7555deb5e5034bcaa101adf961ffe0d6f9150baf6f5757"
+        )
 
     def test_ex42_figure_has_dashed_guide_arc(self, tmp_path):
         src = write(tmp_path, "ex42.json", EX42)

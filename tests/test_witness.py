@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+import reference_sweep
 
 from carousel import (
     CarouselInstance,
@@ -26,12 +27,16 @@ from carousel import (
     witness_search,
     xi_sweep_fixed,
 )
+from carousel import witness
+from carousel.hull import min_slack
 from carousel.oracle import sampling_oracle_contains
 from carousel.witness import (
     JK_PAIRS,
     random_corollary_instance,
     random_points_instance,
+    sites_as_generators,
     sweep_events,
+    validate_instance,
     witness_generators,
 )
 
@@ -313,6 +318,128 @@ class TestXiSweep:
         inst = CarouselInstance(SITES_466, circle(2, 2, 1), circle(2, 2, 0.5))
         with pytest.raises(ValueError):
             xi_sweep_fixed(inst, 3, 0)
+
+
+def _float_sweep_instances():
+    """Random instances, plus equal, concentric and radius-0 circles and a flat triangle."""
+    insts = [random_instance(seed) for seed in range(300)]
+    for seed in range(100):
+        sites, b0, b1 = random_points_instance(seed)
+        insts.append(CarouselInstance(sites, Circle2(b0, 0.0), Circle2(b1, 0.0)))
+    insts += [
+        CarouselInstance(SITES_466, circle(2, 2, 0.5), circle(2, 2, 0.5)),
+        CarouselInstance(SITES_466, circle(2, 2, 1), circle(2, 2, 0.5)),
+        CarouselInstance(SITES_8, circle(2, 2, 0.0), circle(2.5, 2.5, 1.2)),
+        CarouselInstance(SITES_8, circle(2, 2, 1.5), circle(2, 3.2, 0.0)),
+        CarouselInstance(SITES_8, circle(2, 2, 1.0), circle(5, 1, 0.8)),
+        CarouselInstance((pt(0, 0), pt(2, 0), pt(4, 0)), circle(1, 0, 0), circle(3, 0, 0)),
+        # a point target on a site: a zero slack keeps the sign of 0.0 - r_t
+        CarouselInstance(SITES_8, circle(2, 2, 1.0), circle(0, 0, 0.0)),
+        CarouselInstance(SITES_8, circle(2, 3, 0.5), circle(4, 1, 1 + 1e-7)),
+    ]
+    return insts
+
+
+def _unchecked_instances():
+    """Circles anywhere, so that every event family falls inside (0, 1) often."""
+    rng = random.Random(9)
+    out = []
+    for _ in range(300):
+        sites = tuple(pt(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(3))
+        u0, u1 = (circle(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 5))
+                  for _ in range(2))
+        out.append(CarouselInstance(sites, u0, u1))
+    return out
+
+
+def _bits(x: float) -> str:
+    return x.hex()  # tells -0.0 from 0.0
+
+
+class TestFloatSweep:
+    """The float-level sweep equals its definition on scaled instances, bit for bit."""
+
+    insts = _float_sweep_instances()
+    unchecked = _unchecked_instances()
+
+    def test_slack_matches_scaled_instance_definition(self):
+        checked = 0
+        for inst in self.insts + self.unchecked:
+            for j, k in JK_PAIRS:
+                events = [z for z, _ in sweep_events(inst, j, k)]
+                edges = [0.0, *events, 1.0]
+                zetas = edges + [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+                for zeta in zetas:
+                    scaled = scaled_instance(inst, zeta)
+                    ref = min_slack(scaled.circle(1 - k), witness_generators(scaled, j, k))
+                    assert _bits(sweep_slack(inst, j, k, zeta)) == _bits(ref), (inst, j, k, zeta)
+                    checked += 1
+        assert checked > 15_000
+
+    def test_events_match_point2_reference(self):
+        for inst in self.insts + self.unchecked:
+            for j, k in JK_PAIRS:
+                got = sweep_events(inst, j, k)
+                ref = reference_sweep.sweep_events(inst, j, k)
+                assert [(_bits(z), f) for z, f in got] == [(_bits(z), f) for z, f in ref]
+
+    def test_validate_matches_circle_in_hull(self):
+        rng = random.Random(5)
+        for inst in self.insts[:300]:
+            # move u1 by up to twice the site box, so about half leave the hull
+            u1 = circle(
+                inst.u1.center.x + rng.uniform(-20, 20),
+                inst.u1.center.y + rng.uniform(-20, 20),
+                inst.u1.radius,
+            )
+            bad = CarouselInstance(inst.sites, inst.u0, u1)
+            res = circle_in_hull(u1, sites_as_generators(inst.sites))
+            if res.contained:
+                validate_instance(bad)
+            else:
+                msg = f"u1 is not inside the site hull (slack {res.slack:.3g})"
+                with pytest.raises(InvalidInstance) as exc:
+                    validate_instance(bad)
+                assert str(exc.value) == msg
+
+    @pytest.mark.parametrize("zeta", [-1e-300, -0.5, 1.0000000000000002, 2.0, math.nan])
+    def test_zeta_out_of_range_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be in"):
+            sweep_slack(self.insts[0], 0, 0, zeta)
+
+    def test_envelope_evaluations_per_sweep(self, monkeypatch):
+        # 2 hypothesis checks, one probe per interval up to the first that
+        # fails (all of them when none does) and the final slack; no object-
+        # level containment query is made
+        calls = {"envelope": 0, "sweep_slack": 0}
+        envelope_min, slack_of = witness._envelope_min, witness.sweep_slack
+
+        def counted_envelope(terms):
+            calls["envelope"] += 1
+            return envelope_min(terms)
+
+        def counted_slack(*args):
+            calls["sweep_slack"] += 1
+            return slack_of(*args)
+
+        def forbidden(*args):
+            raise AssertionError("the sweep must not build containment queries")
+
+        monkeypatch.setattr(witness, "_envelope_min", counted_envelope)
+        monkeypatch.setattr(witness, "sweep_slack", counted_slack)
+        monkeypatch.setattr(witness, "circle_in_hull", forbidden)
+        monkeypatch.setattr(witness, "min_slack", forbidden)
+        for inst in self.insts[:100]:
+            for j, k in JK_PAIRS:
+                edges = [0.0, *(z for z, _ in sweep_events(inst, j, k)), 1.0]
+                mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+                probes = next(
+                    (i + 1 for i, z in enumerate(mids) if slack_of(inst, j, k, z) < 0.0),
+                    len(mids),
+                )
+                calls.update(envelope=0, sweep_slack=0)
+                xi_sweep_fixed(inst, j, k)
+                assert calls == {"envelope": 2 + probes + 1, "sweep_slack": probes + 1}
 
 
 class TestZeroRadiusShortcut:
