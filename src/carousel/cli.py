@@ -30,6 +30,17 @@ from .scenario import decode_scenario, load_scenario, parse_scenario, scenario_k
 from .svgfig import render_svg
 
 
+def _trial_count(text: str) -> int:
+    """A --n value: a whole number of trials, at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {n}")
+    return n
+
+
 @functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,14 +56,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="seeded fuzz campaign over random instances")
     p.add_argument("--kind", choices=FUZZ_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_trial_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", type=Path, default=None)
     p.add_argument("--dump-dir", type=Path, default=None,
                    help="write one scenario file per failure here")
 
     p = sub.add_parser("oracle", help="cross-check the predicate against the sampling oracle")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_trial_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", type=Path, default=None)
 

@@ -1,17 +1,20 @@
 """Seeded fuzz campaigns and the oracle cross-check.
 
 Each trial derives its own seed from the campaign seed, so trials are pure
-and order-independent.  A campaign goes in blocks of seeds: a block first
-draws all its instances (the rejection sampling stays one query at a time),
-then decides all their inclusions in one set-level call
-(``witness_searches``, or ``pair_inclusions`` for the points kind, whose
-decomposition names the one inclusion to solve).  The set-level kernel is
-bitwise equal to the one-query kernel and each trial's result depends only
-on its seed, so blocks merge sorted by seed into the same report whatever
-their size.  CAROUSEL_THREADS (an environment variable) caps the parallel
-workers that blocks are spread over; unset means single-threaded.
-Wall time is measured but kept out of the serialized report so identical
-inputs produce byte-identical files.
+and order-independent.  A campaign goes in blocks of seeds.  A block draws
+its instances as rows of floats, in rounds: one set-level call decides the
+pending rejection-sampling query of every seed still drawing
+(``random_instances`` and its siblings).  One more such call then decides
+all their inclusions (``witness_searches_rows``, or ``pair_inclusions_rows``
+for the points kind, whose decomposition names the one inclusion to solve).
+Point and circle objects and a scenario are built only for a trial that
+fails.  The set-level kernel is bitwise equal to the one-query kernel and
+each trial's result depends only on its seed, so blocks merge sorted by
+seed into the same report whatever their size.  CAROUSEL_THREADS (an
+environment variable) caps the parallel workers that blocks are spread
+over; unset means single-threaded, and a pool gets no more workers than it
+has blocks or the machine has CPUs.  Wall time is measured but kept out of
+the serialized report so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,12 +36,15 @@ from .scenario import (
 )
 from .witness import (
     RngConfig,
-    pair_inclusions,
-    point_decomposition,
-    random_corollary_instance,
-    random_instance,
-    random_points_instance,
-    witness_searches,
+    corollary_of_row,
+    decomposition_pairs,
+    instance_of_row,
+    pair_inclusions_rows,
+    points_of_row,
+    random_corollary_instances,
+    random_instances,
+    random_points_instances,
+    witness_searches_rows,
 )
 
 FUZZ_KINDS = ("theorem2d", "corollary2d", "points2d")
@@ -92,30 +98,37 @@ def _histogram(slacks: list[float]) -> tuple[dict, ...]:
 
 
 def _theorem_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    insts = [random_instance(seed, cfg) for seed in seeds]
-    found = witness_searches((inst.sites, (inst.u0, inst.u1)) for inst in insts)
+    rows = random_instances(seeds, cfg)
+    found = witness_searches_rows(rows, [True] * len(rows))
     return [
-        (seed, ws[0].slack, None) if ws else (seed, None, instance_scenario_dict(inst, seed))
-        for seed, inst, ws in zip(seeds, insts, found)
+        (seed, ws[0].slack, None) if ws
+        else (seed, None, instance_scenario_dict(instance_of_row(row), seed))
+        for seed, row, ws in zip(seeds, rows, found)
     ]
 
 
 def _corollary_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    cases = [(d[:3], d[3:]) for d in (random_corollary_instance(seed, cfg) for seed in seeds)]
-    found = witness_searches(cases)
+    rows = random_corollary_instances(seeds, cfg)
+    found = witness_searches_rows(rows, [False] * len(rows))
     return [
-        (seed, ws[0].slack, None) if ws else (seed, None, corollary_scenario_dict(*case, seed))
-        for seed, case, ws in zip(seeds, cases, found)
+        (seed, ws[0].slack, None) if ws else (seed, None, _corollary_dict(row, seed))
+        for seed, row, ws in zip(seeds, rows, found)
     ]
 
 
+def _corollary_dict(row, seed: int) -> dict:
+    cs = corollary_of_row(row)
+    return corollary_scenario_dict(cs[:3], cs[3:], seed)
+
+
 def _points_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    draws = [random_points_instance(seed, cfg) for seed in seeds]
-    pairs = [point_decomposition(sites, b0, b1) for sites, b0, b1 in draws]
-    slacks, inside = pair_inclusions(((sites, (b0, b1)) for sites, b0, b1 in draws), pairs)
+    rows = random_points_instances(seeds, cfg)
+    pairs = decomposition_pairs(rows)
+    slacks, inside = pair_inclusions_rows(rows, pairs)
     return [
-        (seed, slack, None) if ok else (seed, None, points_scenario_dict(*d, seed))
-        for seed, d, slack, ok in zip(seeds, draws, slacks, inside)
+        (seed, slack, None) if ok
+        else (seed, None, points_scenario_dict(*points_of_row(row), seed))
+        for seed, row, slack, ok in zip(seeds, rows, slacks, inside)
     ]
 
 
@@ -124,18 +137,32 @@ _BLOCKS = {
     "corollary2d": _corollary_block,
     "points2d": _points_block,
 }
-# Trials per block: a block's instances are drawn first and then decided in
-# one set-level call, and the blocks are what the parallel path distributes.
+# Trials per block: a block's instances are drawn in rounds and then decided
+# in one set-level call, and the blocks are what the parallel path distributes.
 _SEED_BLOCK = 500
 
 
-def _worker_count() -> int:
+def _worker_count(tasks: int) -> int:
+    """Workers for ``tasks`` parallel tasks: CAROUSEL_THREADS, at most one per task and CPU.
+
+    A pool that forks starts all of its workers on the first task, so a
+    larger count would only start idle processes.
+    """
     raw = os.environ.get("CAROUSEL_THREADS", "")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, tasks, os.cpu_count() or 1))
+
+
+def _map(fn, jobs: list, chunksize: int = 1) -> list:
+    """``fn`` over ``jobs`` in order, over parallel workers when CAROUSEL_THREADS asks."""
+    workers = _worker_count(-(-len(jobs) // chunksize))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
 
 
 def _run_block(args):
@@ -157,14 +184,9 @@ def run_fuzz(
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
-    workers = _worker_count()
-    size = min(_SEED_BLOCK, -(-n // workers))  # every worker gets a block
+    size = min(_SEED_BLOCK, -(-n // _worker_count(n)))  # every worker gets a block
     jobs = [(kind, seeds[i : i + size], config) for i in range(0, n, size)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_block, jobs))
-    else:
-        blocks = [_run_block(job) for job in jobs]
+    blocks = _map(_run_block, jobs)
     results = sorted((r for block in blocks for r in block), key=lambda r: r[0])
     slacks = [r[1] for r in results if r[1] is not None]
     failures = tuple(
@@ -231,12 +253,7 @@ def run_oracle_check(n: int, seed: int) -> OracleReport:
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
     jobs = [("oracle", s, None) for s in seeds]
-    workers = _worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_oracle_trial, jobs, chunksize=16))
-    else:
-        results = [_oracle_trial(job) for job in jobs]
+    results = _map(_oracle_trial, jobs, chunksize=16)
     results.sort(key=lambda r: r[0])
     disagreements = tuple(
         {"seed": s, "predicate": a, "oracle": o, "slack": slack}

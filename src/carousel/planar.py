@@ -172,12 +172,21 @@ def homothety_conjugate(
     return R, lhs, rhs
 
 
-def orientation(a: Point2, b: Point2, c: Point2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Sign of the cross product (b-a) x (c-a); values within eps_geom count as 0."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+def _cross(ax, ay, bx, by, cx, cy) -> float:
+    """The cross product (b-a) x (c-a) on plain floats: twice the signed area of abc."""
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+
+
+def _orientation(ax, ay, bx, by, cx, cy, tol: Tolerance) -> int:
+    v = _cross(ax, ay, bx, by, cx, cy)
     if abs(v) <= tol.eps_geom:
         return 0
     return 1 if v > 0.0 else -1
+
+
+def orientation(a: Point2, b: Point2, c: Point2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
+    """Sign of the cross product (b-a) x (c-a); values within eps_geom count as 0."""
+    return _orientation(a.x, a.y, b.x, b.y, c.x, c.y, tol)
 
 
 def tangent_points_from_point(

@@ -12,6 +12,12 @@ reads the tangency off the family of the event where the inclusion fails.
 Its hypothesis checks and probes hand plain (dx, dy, dr) terms to the
 envelope loop of ``circle_in_hull``, so a probe builds no scaled instance,
 generator set or containment result, and its slack is bitwise theirs.
+
+Seeded instances are drawn on plain floats, as rows of five (x, y, r)
+objects.  A block of seeds is drawn in rounds, and each round decides the
+pending rejection-sampling query of every seed in one ``circles_in_hulls``
+call; the witness search decides such rows directly.  The one-seed draws
+build point and circle objects from their row.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ from .errors import (
     InvalidInstance,
     NotInterior,
 )
-from .hull import GeneratorSet, _envelope_min, circle_in_hull, circles_in_hulls, min_slack
+from .hull import GeneratorSet, _envelope_min, circles_in_hulls, min_slack
 from .planar import (
     DEFAULT_TOLERANCE,
     Circle2,
     Point2,
     Tolerance,
+    _cross,
+    _orientation,
+    _point_segment_distance,
     orientation,
     point_segment_distance,
 )
@@ -90,13 +99,22 @@ class RngConfig:
     min_hypothesis_slack: float = 0.01
     max_tries: int = 10_000
 
+    def __post_init__(self):
+        # the draws run on plain floats, which no Point2 or Circle2 checks
+        if not all(math.isfinite(v) for v in self.coord_range):
+            raise ValueError(f"coord_range must be finite, got {self.coord_range}")
+        if not all(r >= 0.0 for r in self.radius_range):
+            raise ValueError(f"radius_range must be >= 0, got {self.radius_range}")
+
 
 def sites_as_generators(sites) -> GeneratorSet:
     return GeneratorSet(tuple(Circle2(s, 0.0) for s in sites))
 
 
-def _check_collinear(sites, us, tol: Tolerance) -> None:
-    if orientation(*sites, tol) == 0 and any(u.radius > 0.0 for u in us):
+def _check_collinear(row, tol: Tolerance) -> None:
+    """Raise if a row's sites b0, b1, b2 are collinear and u0 or u1 has a radius."""
+    (ax, ay, _), (bx, by, _), (cx, cy, _), u0, u1 = row
+    if _orientation(ax, ay, bx, by, cx, cy, tol) == 0 and (u0[2] > 0.0 or u1[2] > 0.0):
         raise InvalidInstance("collinear sites admit only radius-0 circles")
 
 
@@ -111,11 +129,10 @@ def validate_instance(inst: CarouselInstance, tol: Tolerance = DEFAULT_TOLERANCE
     Each u_k is decided as ``circle_in_hull`` decides it against the sites
     as radius-0 generators, from the same floats, without building them.
     """
-    us = (inst.u0, inst.u1)
-    _check_collinear(inst.sites, us, tol)
-    for k, u in enumerate(us):
-        tx, ty, tr = u.center.x, u.center.y, u.radius
-        slack, _ = _envelope_min([(s.x - tx, s.y - ty, 0.0 - tr) for s in inst.sites])
+    row = [_xyr(obj) for obj in (*inst.sites, inst.u0, inst.u1)]
+    _check_collinear(row, tol)
+    for k, (tx, ty, tr) in enumerate(row[3:]):
+        slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
         _require_inside(k, slack >= -tol.eps_decision, slack, "site")
 
 
@@ -167,18 +184,21 @@ def _xyr(obj) -> tuple[float, float, float]:
     return obj.x, obj.y, 0.0
 
 
-def _decide(cases, which, tol: Tolerance) -> tuple[list, list]:
-    """Slack and verdict of inclusions ``which`` of every case, from one kernel call.
+def _rows(cases) -> np.ndarray:
+    """Cases (bases, (u0, u1)) as an (n, 5, 3) array of (x, y, r) rows b0, b1, b2, u0, u1."""
+    return _block([[_xyr(o) for o in (*bases, *us)] for bases, us in cases])
+
+
+def _decide(rows: np.ndarray, which, tol: Tolerance) -> tuple[list, list]:
+    """Slack and verdict of inclusions ``which`` of every row, from one kernel call.
 
     ``which`` holds indices into _INCLUSIONS, one row per case or one row
     for all; the results come as one list per case in that order.
     """
-    n = len(cases)
-    objs = np.array([[_xyr(o) for o in (*bases, *us)] for bases, us in cases], dtype=float)
-    objs = objs.reshape(n, 5, 3)
-    rows = np.arange(n)[:, None]
-    targets = objs[rows, _TARGET_AT[which]]
-    gens = objs[rows[..., None], _GENS_AT[which]]
+    n = len(rows)
+    at = np.arange(n)[:, None]
+    targets = rows[at, _TARGET_AT[which]]
+    gens = rows[at[..., None], _GENS_AT[which]]
     slack, inside, _ = circles_in_hulls(targets.reshape(-1, 3), gens.reshape(-1, 3, 3), tol)
     return slack.reshape(n, -1).tolist(), inside.reshape(n, -1).tolist()
 
@@ -187,24 +207,38 @@ def witness_searches(cases, tol: Tolerance = DEFAULT_TOLERANCE) -> list[list[Wit
     """Each case's (j, k) pairs whose inclusion holds, by descending slack.
 
     A case is (bases, (u0, u1)) with three bases that are sites (points)
-    or generator circles.  Its two hypothesis inclusions and six (j, k)
-    inclusions, over all cases, are decided in one ``circles_in_hulls``
-    call.  Cases are then checked in order, and the first that breaks a
-    hypothesis raises InvalidInstance: sites must not be collinear under
-    circles of positive radius, and each u_k must lie in the hull of the
-    bases.
+    or generator circles.  The cases go to ``witness_searches_rows`` as
+    rows, so all of them are decided in one kernel call and the first that
+    breaks a hypothesis raises InvalidInstance.
     """
     cases = list(cases)
-    if not cases:
+    sites = [not isinstance(bases[0], Circle2) for bases, _ in cases]
+    return witness_searches_rows(_rows(cases), sites, tol)
+
+
+def witness_searches_rows(
+    rows, sites, tol: Tolerance = DEFAULT_TOLERANCE
+) -> list[list[Witness]]:
+    """Each row's (j, k) pairs whose inclusion holds, by descending slack.
+
+    ``rows`` is an (n, 5, 3) array of the (x, y, r) objects b0, b1, b2, u0,
+    u1, and ``sites`` says for each row whether its bases are sites or
+    generator circles.
+    The two hypothesis inclusions and six (j, k) inclusions of all rows are
+    decided in one ``circles_in_hulls`` call.  Rows are then checked in
+    order, and the first that breaks a hypothesis raises InvalidInstance:
+    sites must not be collinear under circles of positive radius, and each
+    u_k must lie in the hull of the bases.
+    """
+    if not len(rows):
         return []
-    slacks, insides = _decide(cases, np.arange(len(_INCLUSIONS)), tol)
+    slacks, insides = _decide(rows, np.arange(len(_INCLUSIONS)), tol)
     out = []
-    for (bases, us), slack, inside in zip(cases, slacks, insides):
-        sites = not isinstance(bases[0], Circle2)
-        if sites:
-            _check_collinear(bases, us, tol)
+    for row, site, slack, inside in zip(rows.tolist(), sites, slacks, insides):
+        if site:
+            _check_collinear(row, tol)
         for k in (0, 1):
-            _require_inside(k, inside[k], slack[k], "site" if sites else "generator")
+            _require_inside(k, inside[k], slack[k], "site" if site else "generator")
         found = [
             Witness(j, k, s) for (j, k), s, ok in zip(JK_PAIRS, slack[2:], inside[2:]) if ok
         ]
@@ -218,11 +252,17 @@ def pair_inclusions(cases, pairs, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[l
 
     Cases are as for ``witness_searches``; u0 and u1 may be points.
     """
-    cases = list(cases)
-    if not cases:
+    return pair_inclusions_rows(_rows(list(cases)), pairs, tol)
+
+
+def pair_inclusions_rows(
+    rows, pairs, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[list, list]:
+    """``pair_inclusions`` on rows as for ``witness_searches_rows``."""
+    if not len(rows):
         return [], []
     which = np.array([[2 + JK_PAIRS.index(p)] for p in pairs])
-    slacks, insides = _decide(cases, which, tol)
+    slacks, insides = _decide(rows, which, tol)
     return [s for s, in slacks], [ok for ok, in insides]
 
 
@@ -251,15 +291,16 @@ def corollary_witness_search(
     return witness_searches([((c0, c1, c2), (u0, u1))], tol)[0]
 
 
-def _strictly_inside(p: Point2, tri, tol: Tolerance) -> bool:
-    a, b, c = tri
-    ref = orientation(a, b, c, tol)
+def _strictly_inside(p, tri, tol: Tolerance) -> bool:
+    (ax, ay), (bx, by), (cx, cy) = tri
+    px, py = p
+    ref = _orientation(ax, ay, bx, by, cx, cy, tol)
     if ref == 0:
         return False
     return (
-        orientation(a, b, p, tol) == ref
-        and orientation(b, c, p, tol) == ref
-        and orientation(c, a, p, tol) == ref
+        _orientation(ax, ay, bx, by, px, py, tol) == ref
+        and _orientation(bx, by, cx, cy, px, py, tol) == ref
+        and _orientation(cx, cy, ax, ay, px, py, tol) == ref
     )
 
 
@@ -273,9 +314,22 @@ def point_decomposition(
     missing site's index), or b1 lies on the segment from b0 to a site A_j,
     in which case b0 lies behind b1 as seen from A_j (pick k = 1 and that j).
     """
-    if b0.distance_to(b1) <= tol.eps_geom:
+    return _decomposition([(s.x, s.y) for s in sites], (b0.x, b0.y), (b1.x, b1.y), tol)
+
+
+def decomposition_pairs(rows, tol: Tolerance = DEFAULT_TOLERANCE) -> list[tuple[int, int]]:
+    """``point_decomposition`` of each row of sites A0, A1, A2 and points b0, b1."""
+    return [
+        _decomposition([(x, y) for x, y, _ in row[:3]], row[3][:2], row[4][:2], tol)
+        for row in np.asarray(rows).tolist()
+    ]
+
+
+def _decomposition(sites, b0, b1, tol: Tolerance) -> tuple[int, int]:
+    """``point_decomposition`` on (x, y) pairs."""
+    (x0, y0), (x1, y1) = b0, b1
+    if math.hypot(x0 - x1, y0 - y1) <= tol.eps_geom:
         raise CoincidentPoints("the two interior points coincide")
-    sites = tuple(sites)
     for p, name in ((b0, "b0"), (b1, "b1")):
         if not _strictly_inside(p, sites, tol):
             raise NotInterior(f"{name} is not strictly inside the site triangle")
@@ -287,21 +341,20 @@ def point_decomposition(
 
     # b1 sits on one of the three segments from b0 to a site
     for j in range(3):
-        aj = sites[j]
-        if orientation(b0, aj, b1, tol) == 0:
-            t = (b1 - b0).dot(aj - b0)
-            if 0.0 < t < (aj - b0).dot(aj - b0):
+        ax, ay = sites[j]
+        if _orientation(x0, y0, ax, ay, x1, y1, tol) == 0:
+            t = (x1 - x0) * (ax - x0) + (y1 - y0) * (ay - y0)
+            if 0.0 < t < (ax - x0) * (ax - x0) + (ay - y0) * (ay - y0):
                 return j, 1
 
     # numerical fringe: fall back to closed sub-triangle membership
     for j in range(3):
-        tri = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
-        a, b, c = tri
-        ref = orientation(a, b, c, tol)
+        (ax, ay), (bx, by), (cx, cy) = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
+        ref = _orientation(ax, ay, bx, by, cx, cy, tol)
         signs = (
-            orientation(a, b, b1, tol),
-            orientation(b, c, b1, tol),
-            orientation(c, a, b1, tol),
+            _orientation(ax, ay, bx, by, x1, y1, tol),
+            _orientation(bx, by, cx, cy, x1, y1, tol),
+            _orientation(cx, cy, ax, ay, x1, y1, tol),
         )
         if ref != 0 and all(s == 0 or s == ref for s in signs):
             return j, 0
@@ -435,6 +488,15 @@ def xi_sweep_fixed(
 
 
 # -- seeded instance generation ----------------------------------------------
+#
+# An instance is drawn on plain floats, as a flat row of five (x, y, r)
+# objects b0, b1, b2, u0, u1.  A draw that rejection-samples circles is a
+# generator over its seed's own random.Random: it yields each candidate
+# query as a flat row of the target and its three generators and is sent
+# back the slack.  ``_draw_rounds`` runs a block of draws in rounds and
+# decides each round's pending queries in one ``circles_in_hulls`` call,
+# whose slack is bitwise ``circle_in_hull``'s, so a draw makes the same
+# random draws in the same order in any block.
 
 
 def _sample_triangle(rng: random.Random, cfg: RngConfig):
@@ -442,91 +504,63 @@ def _sample_triangle(rng: random.Random, cfg: RngConfig):
     span = hi - lo
     min_cross = 0.04 * span * span  # reject slivers; keeps placement feasible
     for _ in range(cfg.max_tries):
-        pts = tuple(Point2(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
-        a, b, c = pts
-        if abs((b - a).cross(c - a)) >= min_cross:
-            return pts
+        ax, ay, bx, by, cx, cy = [rng.uniform(lo, hi) for _ in range(6)]
+        if abs(_cross(ax, ay, bx, by, cx, cy)) >= min_cross:
+            return (ax, ay), (bx, by), (cx, cy)
     raise GenerationExhausted("could not sample a non-degenerate triangle")
 
 
-def _interior_point(rng: random.Random, sites) -> Point2:
+def _interior_point(rng: random.Random, sites) -> tuple[float, float]:
     r1 = math.sqrt(rng.random())
     r2 = rng.random()
-    a, b, c = sites
+    (ax, ay), (bx, by), (cx, cy) = sites
     w0 = 1.0 - r1
     w1 = r1 * (1.0 - r2)
     w2 = r1 * r2
-    return Point2(
-        w0 * a.x + w1 * b.x + w2 * c.x,
-        w0 * a.y + w1 * b.y + w2 * c.y,
+    return w0 * ax + w1 * bx + w2 * cx, w0 * ay + w1 * by + w2 * cy
+
+
+def _edge_clearance(x: float, y: float, sites) -> float:
+    (ax, ay), (bx, by), (cx, cy) = sites
+    return min(
+        _point_segment_distance(x, y, ax, ay, bx, by),
+        _point_segment_distance(x, y, bx, by, cx, cy),
+        _point_segment_distance(x, y, cx, cy, ax, ay),
     )
 
 
-def _edge_clearance(p: Point2, sites) -> float:
-    dists = []
-    for i in range(3):
-        a = sites[i]
-        b = sites[(i + 1) % 3]
-        dists.append(point_segment_distance(p, a, b))
-    return min(dists)
+def _as_points(sites) -> tuple[float, ...]:
+    """Sites as flat radius-0 (x, y, r) objects."""
+    (ax, ay), (bx, by), (cx, cy) = sites
+    return ax, ay, 0.0, bx, by, 0.0, cx, cy, 0.0
 
 
-def random_instance(seed: int, config: RngConfig = RngConfig()) -> CarouselInstance:
-    """Deterministic valid instance from a seed.
-
-    Sites are sampled in the configured square with a sliver rejection;
-    circle centers and radii are rejection-sampled until both hypothesis
-    inclusions hold with slack above the configured floor.
-    """
+def _instance_draw(seed: int, config: RngConfig):
     rng = random.Random(seed)
-    tol = DEFAULT_TOLERANCE
     sites = _sample_triangle(rng, config)
-    site_gens = sites_as_generators(sites)
+    gens = _as_points(sites)
     r_lo, r_hi = config.radius_range
     floor = config.min_hypothesis_slack
-    circles = []
+    us = ()
     tries = 0
-    while len(circles) < 2:
+    while len(us) < 6:
         tries += 1
         if tries > config.max_tries:
             raise GenerationExhausted(
                 f"no admissible circle after {config.max_tries} rejections"
             )
-        center = _interior_point(rng, sites)
-        room = _edge_clearance(center, sites) - floor
+        x, y = _interior_point(rng, sites)
+        room = _edge_clearance(x, y, sites) - floor
         if room <= r_lo:
             continue
-        radius = rng.uniform(r_lo, min(r_hi, room))
-        cand = Circle2(center, radius)
-        if circle_in_hull(cand, site_gens, tol).slack > floor:
-            circles.append(cand)
-    return CarouselInstance(sites, circles[0], circles[1])
+        cand = (x, y, rng.uniform(r_lo, min(r_hi, room)))
+        if (yield cand + gens) > floor:
+            us += cand
+    return gens + us
 
 
-def random_points_instance(seed: int, config: RngConfig = RngConfig()):
-    """Deterministic triangle plus two distinct interior points."""
+def _corollary_draw(seed: int, config: RngConfig):
     rng = random.Random(seed)
-    sites = _sample_triangle(rng, config)
-    floor = 1e-3 * (config.coord_range[1] - config.coord_range[0])
-    pts = []
-    tries = 0
-    while len(pts) < 2:
-        tries += 1
-        if tries > config.max_tries:
-            raise GenerationExhausted("could not sample interior points")
-        p = _interior_point(rng, sites)
-        if _edge_clearance(p, sites) < floor:
-            continue
-        if pts and pts[0].distance_to(p) <= 1e-6:
-            continue
-        pts.append(p)
-    return sites, pts[0], pts[1]
-
-
-def random_corollary_instance(seed: int, config: RngConfig = RngConfig()):
-    """Deterministic corollary instance: three circle generators plus two circles."""
-    rng = random.Random(seed)
-    tol = DEFAULT_TOLERANCE
     lo, hi = config.coord_range
     floor = config.min_hypothesis_slack
     tries = 0
@@ -534,20 +568,142 @@ def random_corollary_instance(seed: int, config: RngConfig = RngConfig()):
         tries += 1
         if tries > config.max_tries:
             raise GenerationExhausted("could not sample corollary generators")
-        centers = tuple(Point2(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
-        a, b, c = centers
-        if abs((b - a).cross(c - a)) < 0.04 * (hi - lo) ** 2:
+        centers = tuple((rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
+        (ax, ay), (bx, by), (cx, cy) = centers
+        if abs(_cross(ax, ay, bx, by, cx, cy)) < 0.04 * (hi - lo) ** 2:
             continue
-        cs = tuple(Circle2(p, rng.uniform(0.2, 2.0)) for p in centers)
-        base = GeneratorSet(cs)
-        us = []
+        gens = (ax, ay, rng.uniform(0.2, 2.0), bx, by, rng.uniform(0.2, 2.0),
+                cx, cy, rng.uniform(0.2, 2.0))
+        us = ()
         inner_tries = 0
-        while len(us) < 2 and inner_tries < 200:
+        while len(us) < 6 and inner_tries < 200:
             inner_tries += 1
-            center = _interior_point(rng, centers)
-            radius = rng.uniform(0.0, 1.5)
-            cand = Circle2(center, radius)
-            if circle_in_hull(cand, base, tol).slack > floor:
-                us.append(cand)
-        if len(us) == 2:
-            return cs[0], cs[1], cs[2], us[0], us[1]
+            cand = (*_interior_point(rng, centers), rng.uniform(0.0, 1.5))
+            if (yield cand + gens) > floor:
+                us += cand
+        if len(us) == 6:
+            return gens + us
+
+
+def _points_row(seed: int, config: RngConfig) -> tuple[float, ...]:
+    rng = random.Random(seed)
+    sites = _sample_triangle(rng, config)
+    floor = 1e-3 * (config.coord_range[1] - config.coord_range[0])
+    pts = ()
+    tries = 0
+    while len(pts) < 6:
+        tries += 1
+        if tries > config.max_tries:
+            raise GenerationExhausted("could not sample interior points")
+        x, y = _interior_point(rng, sites)
+        if _edge_clearance(x, y, sites) < floor:
+            continue
+        if pts and math.hypot(pts[0] - x, pts[1] - y) <= 1e-6:
+            continue
+        pts += (x, y, 0.0)
+    return _as_points(sites) + pts
+
+
+def _draw_rounds(draws) -> np.ndarray:
+    """The rows of a block of draws, whose queries are decided a round at a time.
+
+    Each round sends every live draw the slack of its last query and
+    collects its next one, then decides them all in one kernel call.  A
+    draw that runs out of tries does not stop the others; the error of the
+    first such draw in block order is raised at the end, as drawing the
+    block one seed after another would raise it.
+    """
+    rows = [None] * len(draws)
+    failures = []
+    live = list(enumerate(draws))
+    slacks = [None] * len(live)  # sending None starts a draw
+    while live:
+        asked, queries = [], []
+        for (i, draw), slack in zip(live, slacks):
+            try:
+                queries.append(draw.send(slack))
+            except StopIteration as done:
+                rows[i] = done.value
+            except GenerationExhausted as exc:
+                failures.append((i, exc))
+            else:
+                asked.append((i, draw))
+        live = asked
+        if queries:
+            q = np.array(queries, dtype=float)
+            slacks = circles_in_hulls(q[:, :3], q[:, 3:].reshape(-1, 3, 3))[0].tolist()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return _block(rows)
+
+
+def _block(rows) -> np.ndarray:
+    """Rows of five (x, y, r) objects, nested or flat, as an (n, 5, 3) array."""
+    return np.array(rows, dtype=float).reshape(len(rows), 5, 3)
+
+
+def random_instances(seeds, config: RngConfig = RngConfig()) -> np.ndarray:
+    """Rows (b0, b1, b2, u0, u1) of ``random_instance`` for each seed, drawn in rounds."""
+    return _draw_rounds([_instance_draw(seed, config) for seed in seeds])
+
+
+def random_corollary_instances(seeds, config: RngConfig = RngConfig()) -> np.ndarray:
+    """Rows (c0, c1, c2, u0, u1) of ``random_corollary_instance`` for each seed."""
+    return _draw_rounds([_corollary_draw(seed, config) for seed in seeds])
+
+
+def random_points_instances(seeds, config: RngConfig = RngConfig()) -> np.ndarray:
+    """Rows (A0, A1, A2, b0, b1) of ``random_points_instance`` for each seed, radii 0."""
+    return _block([_points_row(seed, config) for seed in seeds])
+
+
+def _point(obj) -> Point2:
+    return Point2(obj[0], obj[1])
+
+
+def _circle(obj) -> Circle2:
+    return Circle2(Point2(obj[0], obj[1]), obj[2])
+
+
+def instance_of_row(row) -> CarouselInstance:
+    """The instance of a row: three sites, then u0 and u1."""
+    b0, b1, b2, u0, u1 = np.asarray(row).tolist()
+    return CarouselInstance((_point(b0), _point(b1), _point(b2)), _circle(u0), _circle(u1))
+
+
+def corollary_of_row(row) -> tuple[Circle2, ...]:
+    """The corollary instance of a row: generator circles c0, c1, c2, then u0 and u1."""
+    return tuple(_circle(obj) for obj in np.asarray(row).tolist())
+
+
+def points_of_row(row):
+    """The points instance of a row: the sites, then the points b0 and b1."""
+    a0, a1, a2, b0, b1 = (_point(obj) for obj in np.asarray(row).tolist())
+    return (a0, a1, a2), b0, b1
+
+
+def random_instance(seed: int, config: RngConfig = RngConfig()) -> CarouselInstance:
+    """Deterministic valid instance from a seed.
+
+    Sites are sampled in the configured square with a sliver rejection;
+    circle centers and radii are rejection-sampled until both hypothesis
+    inclusions hold with slack above the configured floor.  The one-seed
+    case of ``random_instances``.
+    """
+    return instance_of_row(random_instances([seed], config)[0])
+
+
+def random_points_instance(seed: int, config: RngConfig = RngConfig()):
+    """Deterministic triangle plus two distinct interior points.
+
+    The one-seed case of ``random_points_instances``.
+    """
+    return points_of_row(random_points_instances([seed], config)[0])
+
+
+def random_corollary_instance(seed: int, config: RngConfig = RngConfig()):
+    """Deterministic corollary instance: three circle generators plus two circles.
+
+    The one-seed case of ``random_corollary_instances``.
+    """
+    return corollary_of_row(random_corollary_instances([seed], config)[0])

@@ -1,0 +1,119 @@
+"""Seeded instance draws as first written, on ``Point2`` and ``Circle2`` objects.
+
+``witness.random_instance`` and its siblings now draw on plain floats, a
+block of seeds at a time, with the rejection-sampling queries of a round
+decided in one set-level call; the tests check that they return exactly
+these instances, bit for bit, and raise the same errors.  Kept only as a
+reference.
+"""
+
+import math
+import random
+
+from carousel.errors import GenerationExhausted
+from carousel.hull import GeneratorSet, circle_in_hull
+from carousel.planar import DEFAULT_TOLERANCE, Circle2, Point2, point_segment_distance
+from carousel.witness import CarouselInstance, RngConfig, sites_as_generators
+
+
+def _sample_triangle(rng, cfg):
+    lo, hi = cfg.coord_range
+    span = hi - lo
+    min_cross = 0.04 * span * span
+    for _ in range(cfg.max_tries):
+        pts = tuple(Point2(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
+        a, b, c = pts
+        if abs((b - a).cross(c - a)) >= min_cross:
+            return pts
+    raise GenerationExhausted("could not sample a non-degenerate triangle")
+
+
+def _interior_point(rng, sites):
+    r1 = math.sqrt(rng.random())
+    r2 = rng.random()
+    a, b, c = sites
+    w0 = 1.0 - r1
+    w1 = r1 * (1.0 - r2)
+    w2 = r1 * r2
+    return Point2(
+        w0 * a.x + w1 * b.x + w2 * c.x,
+        w0 * a.y + w1 * b.y + w2 * c.y,
+    )
+
+
+def _edge_clearance(p, sites):
+    return min(point_segment_distance(p, sites[i], sites[(i + 1) % 3]) for i in range(3))
+
+
+def random_instance(seed, config=RngConfig()):
+    rng = random.Random(seed)
+    tol = DEFAULT_TOLERANCE
+    sites = _sample_triangle(rng, config)
+    site_gens = sites_as_generators(sites)
+    r_lo, r_hi = config.radius_range
+    floor = config.min_hypothesis_slack
+    circles = []
+    tries = 0
+    while len(circles) < 2:
+        tries += 1
+        if tries > config.max_tries:
+            raise GenerationExhausted(
+                f"no admissible circle after {config.max_tries} rejections"
+            )
+        center = _interior_point(rng, sites)
+        room = _edge_clearance(center, sites) - floor
+        if room <= r_lo:
+            continue
+        radius = rng.uniform(r_lo, min(r_hi, room))
+        cand = Circle2(center, radius)
+        if circle_in_hull(cand, site_gens, tol).slack > floor:
+            circles.append(cand)
+    return CarouselInstance(sites, circles[0], circles[1])
+
+
+def random_points_instance(seed, config=RngConfig()):
+    rng = random.Random(seed)
+    sites = _sample_triangle(rng, config)
+    floor = 1e-3 * (config.coord_range[1] - config.coord_range[0])
+    pts = []
+    tries = 0
+    while len(pts) < 2:
+        tries += 1
+        if tries > config.max_tries:
+            raise GenerationExhausted("could not sample interior points")
+        p = _interior_point(rng, sites)
+        if _edge_clearance(p, sites) < floor:
+            continue
+        if pts and pts[0].distance_to(p) <= 1e-6:
+            continue
+        pts.append(p)
+    return sites, pts[0], pts[1]
+
+
+def random_corollary_instance(seed, config=RngConfig()):
+    rng = random.Random(seed)
+    tol = DEFAULT_TOLERANCE
+    lo, hi = config.coord_range
+    floor = config.min_hypothesis_slack
+    tries = 0
+    while True:
+        tries += 1
+        if tries > config.max_tries:
+            raise GenerationExhausted("could not sample corollary generators")
+        centers = tuple(Point2(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
+        a, b, c = centers
+        if abs((b - a).cross(c - a)) < 0.04 * (hi - lo) ** 2:
+            continue
+        cs = tuple(Circle2(p, rng.uniform(0.2, 2.0)) for p in centers)
+        base = GeneratorSet(cs)
+        us = []
+        inner_tries = 0
+        while len(us) < 2 and inner_tries < 200:
+            inner_tries += 1
+            center = _interior_point(rng, centers)
+            radius = rng.uniform(0.0, 1.5)
+            cand = Circle2(center, radius)
+            if circle_in_hull(cand, base, tol).slack > floor:
+                us.append(cand)
+        if len(us) == 2:
+            return cs[0], cs[1], cs[2], us[0], us[1]

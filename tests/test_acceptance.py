@@ -33,7 +33,7 @@ from carousel import (
 from carousel.cli import main
 from carousel.fuzz import random_containment_query, run_fuzz
 from carousel.oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
-from carousel.witness import JK_PAIRS, random_points_instance
+from carousel.witness import JK_PAIRS, points_of_row, random_points_instances
 
 from test_planar import _perspective_config, reangle_boundary_samples
 
@@ -80,8 +80,8 @@ def test_circle_generator_fuzz_1k():
 
 def test_point_pair_fuzz_10k():
     failures = 0
-    for seed in range(10_000):
-        sites, b0, b1 = random_points_instance(seed)
+    for row in random_points_instances(range(10_000)):
+        sites, b0, b1 = points_of_row(row)
         w = two_carousel_points(sites, b0, b1)
         pts = (b0, b1)
         kept = tuple(Circle2(s, 0.0) for i, s in enumerate(sites) if i != w.j)

@@ -295,6 +295,29 @@ class TestFuzzVerb:
         assert main(["fuzz", "--kind", kind, "--n", "300", "--seed", "1", "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("theorem2d", "db5a0eb7159de07c2d34e8dbfef55d12b140f3db5c522b01dcba3c0d358c87fa"),
+        ("corollary2d", "12f01bb0e76ca72094d3b5b69f7684cdd95417d49603c19c51ec0b73838270e7"),
+        ("points2d", "96080963568d0dc499b69c44f1bc3b8d00985a9f9ab194df62dc415a0719776b"),
+    ])
+    def test_10k_report_is_pinned(self, tmp_path, monkeypatch, kind, digest):
+        # sha256 of the canonical report as written when every instance was
+        # drawn one seed and one rejection query at a time; any change to it
+        # is listed in CHANGES.md
+        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+        out = tmp_path / "rep.json"
+        assert main(["fuzz", "--kind", kind, "--n", "10000", "--seed", "1", "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_no_trials_is_an_input_error(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--kind", "theorem2d", "--n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "need at least 1 trial" in err
+        assert "Traceback" not in err
+
     def test_workers_change_no_report(self, monkeypatch):
         # each kind runs once serially and once on a pool of 2 processes
         from carousel.fuzz import FUZZ_KINDS, run_fuzz
@@ -313,6 +336,15 @@ class TestOracleVerb:
         report = json.loads(out.read_text())
         assert report["trials"] == 20
         assert report["within_band"] is True
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_no_trials_is_an_input_error(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n", n])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "need at least 1 trial" in err
+        assert "Traceback" not in err
 
     def test_report_is_pinned(self, tmp_path):
         # sha256 of the canonical report as first written by the oracle that

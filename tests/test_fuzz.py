@@ -1,0 +1,246 @@
+"""Seeded draws in rounds, the fuzz blocks built on them, and the worker count."""
+
+import math
+import os
+
+import pytest
+import reference_draws
+
+from carousel import fuzz
+from carousel.errors import GenerationExhausted
+from carousel.fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
+from carousel.reports import canonical_json
+from carousel.scenario import (
+    corollary_scenario_dict,
+    instance_scenario_dict,
+    points_scenario_dict,
+)
+from carousel.witness import (
+    RngConfig,
+    _xyr,
+    random_corollary_instance,
+    random_corollary_instances,
+    random_instance,
+    random_instances,
+    random_points_instance,
+    random_points_instances,
+)
+
+SEEDS = range(5000)
+
+
+def _hex(objs) -> list[str]:
+    """Every coordinate of a draw's objects, as float.hex, points with radius 0."""
+    return [v.hex() for obj in objs for v in _xyr(obj)]
+
+
+def _objects(kind, draw) -> tuple:
+    if kind == "theorem2d":
+        return (*draw.sites, draw.u0, draw.u1)
+    if kind == "points2d":
+        sites, b0, b1 = draw
+        return (*sites, b0, b1)
+    return tuple(draw)
+
+
+# kind: (reference one-seed draw, one-seed draw, block draw)
+DRAWS = {
+    "theorem2d": (reference_draws.random_instance, random_instance, random_instances),
+    "corollary2d": (
+        reference_draws.random_corollary_instance,
+        random_corollary_instance,
+        random_corollary_instances,
+    ),
+    "points2d": (
+        reference_draws.random_points_instance,
+        random_points_instance,
+        random_points_instances,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_hex():
+    return {
+        kind: [_hex(_objects(kind, ref(seed))) for seed in SEEDS]
+        for kind, (ref, _, _) in DRAWS.items()
+    }
+
+
+class TestDrawsMatchReference:
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_block_draws_are_bitwise_the_reference(self, kind, reference_hex):
+        _, _, block = DRAWS[kind]
+        got = [[v.hex() for v in row] for row in block(SEEDS).reshape(len(SEEDS), 15).tolist()]
+        assert got == reference_hex[kind]
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_one_seed_draws_are_bitwise_the_reference(self, kind, reference_hex):
+        _, one, _ = DRAWS[kind]
+        assert [_hex(_objects(kind, one(seed))) for seed in SEEDS] == reference_hex[kind]
+
+    def test_one_seed_draws_keep_their_types(self):
+        inst = random_instance(3)
+        assert inst == reference_draws.random_instance(3)
+        assert random_corollary_instance(3) == reference_draws.random_corollary_instance(3)
+        assert random_points_instance(3) == reference_draws.random_points_instance(3)
+
+
+def _outcome(draw, *args):
+    try:
+        draw(*args)
+    except GenerationExhausted as exc:
+        return str(exc)
+    return None
+
+
+class TestExhaustion:
+    CONFIGS = [
+        RngConfig(max_tries=1),
+        RngConfig(max_tries=2),
+        RngConfig(max_tries=3, coord_range=(0.0, 1.0)),
+        RngConfig(radius_range=(20.0, 30.0), max_tries=50),  # the room test rejects all
+    ]
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_messages_match_reference(self, kind, cfg):
+        ref, one, block = DRAWS[kind]
+        seeds = range(60)
+        expected = [_outcome(ref, seed, cfg) for seed in seeds]
+        assert [_outcome(one, seed, cfg) for seed in seeds] == expected
+        # a block raises what drawing its seeds one after another raises first
+        first = next((msg for msg in expected if msg is not None), None)
+        assert _outcome(block, seeds, cfg) == first
+
+    def test_every_message_is_reached(self):
+        msgs = {
+            _outcome(ref, seed, cfg)
+            for ref, _, _ in DRAWS.values()
+            for cfg in self.CONFIGS
+            for seed in range(60)
+        }
+        assert {
+            "could not sample a non-degenerate triangle",
+            "no admissible circle after 50 rejections",
+            "could not sample corollary generators",
+            "could not sample interior points",
+        } <= msgs
+
+    def test_block_raises_the_first_failure_in_seed_order(self, monkeypatch):
+        # a seed that fails after a solve fails in a later round than one
+        # whose triangle fails before any; the block still raises the error
+        # of its first failing seed, as drawing one seed at a time does
+        cfg = RngConfig(max_tries=2)
+        solves = []
+        solve = reference_draws.circle_in_hull
+        monkeypatch.setattr(
+            reference_draws, "circle_in_hull", lambda *args: solves.append(1) or solve(*args)
+        )
+
+        def failure(seed):
+            solves.clear()
+            return _outcome(reference_draws.random_instance, seed, cfg), len(solves)
+
+        failures = {seed: failure(seed) for seed in range(2000)}
+        late = next(s for s, (msg, n) in failures.items() if msg and "circle" in msg and n)
+        early = next(s for s, (msg, n) in failures.items() if msg and "triangle" in msg)
+        assert _outcome(random_instances, [late, early], cfg) == failures[late][0]
+        assert _outcome(random_instances, [early, late], cfg) == failures[early][0]
+
+
+@pytest.mark.parametrize("bad", [
+    {"coord_range": (-math.inf, 10.0)},
+    {"coord_range": (0.0, math.nan)},
+    {"radius_range": (-1.0, 3.0)},
+    {"radius_range": (0.0, math.nan)},
+])
+def test_config_that_could_draw_an_invalid_object_is_rejected(bad):
+    # the object-level draws raised from Point2 or Circle2 on such a draw
+    with pytest.raises(ValueError, match="must be"):
+        RngConfig(**bad)
+
+
+class TestFuzzBlocks:
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_block_size_changes_no_report(self, monkeypatch, kind):
+        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+        reports = set()
+        for size in (1, 7, 500):
+            monkeypatch.setattr(fuzz, "_SEED_BLOCK", size)
+            reports.add(canonical_json(run_fuzz(300, 1, kind).to_dict()))
+        assert len(reports) == 1
+
+    @pytest.mark.parametrize("kind", FUZZ_KINDS)
+    def test_failures_dump_the_drawn_instance(self, monkeypatch, kind):
+        # no natural seed lacks a witness, so the decision is made to say so
+        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+        monkeypatch.setattr(fuzz, "witness_searches_rows", lambda rows, sites: [[]] * len(rows))
+        monkeypatch.setattr(
+            fuzz, "pair_inclusions_rows",
+            lambda rows, pairs: ([-1.0] * len(rows), [False] * len(rows)),
+        )
+        rep = run_fuzz(12, 40, kind)
+        expected = []
+        for seed in range(40, 52):
+            if kind == "theorem2d":
+                scenario = instance_scenario_dict(random_instance(seed), seed)
+            elif kind == "corollary2d":
+                c = random_corollary_instance(seed)
+                scenario = corollary_scenario_dict(c[:3], c[3:], seed)
+            else:
+                scenario = points_scenario_dict(*random_points_instance(seed), seed)
+            expected.append({"seed": seed, "scenario": scenario})
+        assert not rep.ok
+        assert list(rep.failures) == expected
+        assert sum(b["count"] for b in rep.slack_histogram) == 0
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the size asked for, starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+class TestWorkerCount:
+    def test_capped_by_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.setenv("CAROUSEL_THREADS", "64")
+        cpus = os.cpu_count() or 1
+        assert fuzz._worker_count(10) == min(10, cpus)
+        assert fuzz._worker_count(1) == 1
+        assert fuzz._worker_count(10**6) == min(64, cpus)
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
+        assert fuzz._worker_count(10) == 10
+        assert fuzz._worker_count(10**6) == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert fuzz._worker_count(10) == 1
+
+    @pytest.mark.parametrize("raw", ["", "0", "-3", "many"])
+    def test_unset_or_invalid_is_serial(self, monkeypatch, raw):
+        monkeypatch.setenv("CAROUSEL_THREADS", raw)
+        assert fuzz._worker_count(10) == 1
+
+    def test_pools_are_no_larger_than_their_work(self, monkeypatch):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(fuzz, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
+        monkeypatch.setenv("CAROUSEL_THREADS", "64")
+        parallel = canonical_json(run_fuzz(10, 1, "theorem2d").to_dict())  # 10 one-seed blocks
+        oracle = run_oracle_check(40, 1).to_dict()  # 3 chunks of up to 16 trials
+        assert _InlinePool.sizes == [10, 3]
+        monkeypatch.delenv("CAROUSEL_THREADS")
+        assert canonical_json(run_fuzz(10, 1, "theorem2d").to_dict()) == parallel
+        assert run_oracle_check(40, 1).to_dict() == oracle
+        assert _InlinePool.sizes == [10, 3]

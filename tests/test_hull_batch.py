@@ -20,11 +20,15 @@ from carousel.witness import (
     JK_PAIRS,
     Witness,
     pair_generators,
+    corollary_of_row,
+    instance_of_row,
     pair_inclusions,
     point_decomposition,
-    random_corollary_instance,
+    points_of_row,
+    random_corollary_instances,
     random_instance,
-    random_points_instance,
+    random_instances,
+    random_points_instances,
     witness_searches,
 )
 
@@ -158,21 +162,21 @@ def _key(witnesses):
 
 
 def test_theorem_search_matches_scalar_pairs():
-    insts = [random_instance(seed) for seed in range(3000)]
+    insts = [instance_of_row(row) for row in random_instances(range(3000))]
     cases = [(inst.sites, (inst.u0, inst.u1)) for inst in insts]
     for case, got in zip(cases, witness_searches(cases)):
         assert _key(got) == _key(_scalar_witness_pairs(*case))
 
 
 def test_corollary_search_matches_scalar_pairs():
-    draws = [random_corollary_instance(seed) for seed in range(3000)]
+    draws = [corollary_of_row(row) for row in random_corollary_instances(range(3000))]
     cases = [(d[:3], d[3:]) for d in draws]
     for case, got in zip(cases, witness_searches(cases)):
         assert _key(got) == _key(_scalar_witness_pairs(*case))
 
 
 def test_point_inclusions_match_scalar():
-    draws = [random_points_instance(seed) for seed in range(3000)]
+    draws = [points_of_row(row) for row in random_points_instances(range(3000))]
     pairs = [point_decomposition(*d) for d in draws]
     slacks, inside = pair_inclusions([(s, (b0, b1)) for s, b0, b1 in draws], pairs)
     for (sites, b0, b1), (j, k), slack, ok in zip(draws, pairs, slacks, inside):

@@ -27,7 +27,7 @@ from carousel import (
     witness_search,
     xi_sweep_fixed,
 )
-from carousel import witness
+from carousel import hull, witness
 from carousel.hull import min_slack
 from carousel.oracle import sampling_oracle_contains
 from carousel.witness import (
@@ -427,7 +427,7 @@ class TestFloatSweep:
 
         monkeypatch.setattr(witness, "_envelope_min", counted_envelope)
         monkeypatch.setattr(witness, "sweep_slack", counted_slack)
-        monkeypatch.setattr(witness, "circle_in_hull", forbidden)
+        monkeypatch.setattr(hull, "circle_in_hull", forbidden)
         monkeypatch.setattr(witness, "min_slack", forbidden)
         for inst in self.insts[:100]:
             for j, k in JK_PAIRS:
