@@ -5,16 +5,18 @@ and order-independent.  A campaign goes in blocks of seeds.  A block draws
 its instances as rows of floats, in rounds: one set-level call decides the
 pending rejection-sampling query of every seed still drawing
 (``random_instances`` and its siblings).  One more such call then decides
-all their inclusions (``witness_searches_rows``, or ``pair_inclusions_rows``
-for the points kind, whose decomposition names the one inclusion to solve).
-Point and circle objects and a scenario are built only for a trial that
-fails.  The set-level kernel is bitwise equal to the one-query kernel and
-each trial's result depends only on its seed, so blocks merge sorted by
-seed into the same report whatever their size.  CAROUSEL_THREADS (an
-environment variable) caps the parallel workers that blocks are spread
-over; unset means single-threaded, and a pool gets no more workers than it
-has blocks or the machine has CPUs.  Wall time is measured but kept out of
-the serialized report so identical inputs produce byte-identical files.
+all their inclusions (``best_witness_slacks_rows``, which reads each
+trial's best witness slack from the slack and verdict arrays, or
+``pair_inclusions_rows`` for the points kind, whose decomposition names
+the one inclusion to solve).  Point and circle objects and a scenario are
+built only for a trial that fails.  The set-level kernel is bitwise equal
+to the one-query kernel and each trial's result depends only on its seed,
+so blocks merge sorted by seed into the same report whatever their size.
+CAROUSEL_THREADS (an environment variable) caps the parallel workers that
+blocks are spread over; unset means single-threaded, and a pool gets no
+more workers than it has blocks or the machine has CPUs.  Wall time is
+measured but kept out of the serialized report so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .scenario import (
 )
 from .witness import (
     RngConfig,
+    best_witness_slacks_rows,
     corollary_of_row,
     decomposition_pairs,
     instance_of_row,
@@ -44,7 +47,6 @@ from .witness import (
     random_corollary_instances,
     random_instances,
     random_points_instances,
-    witness_searches_rows,
 )
 
 FUZZ_KINDS = ("theorem2d", "corollary2d", "points2d")
@@ -99,20 +101,20 @@ def _histogram(slacks: list[float]) -> tuple[dict, ...]:
 
 def _theorem_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
     rows = random_instances(seeds, cfg)
-    found = witness_searches_rows(rows, [True] * len(rows))
+    best = best_witness_slacks_rows(rows, [True] * len(rows))
     return [
-        (seed, ws[0].slack, None) if ws
+        (seed, slack, None) if slack is not None
         else (seed, None, instance_scenario_dict(instance_of_row(row), seed))
-        for seed, row, ws in zip(seeds, rows, found)
+        for seed, row, slack in zip(seeds, rows, best)
     ]
 
 
 def _corollary_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
     rows = random_corollary_instances(seeds, cfg)
-    found = witness_searches_rows(rows, [False] * len(rows))
+    best = best_witness_slacks_rows(rows, [False] * len(rows))
     return [
-        (seed, ws[0].slack, None) if ws else (seed, None, _corollary_dict(row, seed))
-        for seed, row, ws in zip(seeds, rows, found)
+        (seed, slack, None) if slack is not None else (seed, None, _corollary_dict(row, seed))
+        for seed, row, slack in zip(seeds, rows, best)
     ]
 
 

@@ -12,11 +12,15 @@ directions that satisfy the inequality form a closed arc with a closed form;
 the directions no arc covers are the certificate, built only when read.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
-queries with the same number of generators in one array pass.  Both take
-their candidate angles from the same formulas (``_antipodes`` and
-``_crossings``), and the set kernel evaluates the envelope with numpy in
-bounded blocks of queries.  Its results are bitwise those of the one-query
-kernel, so a caller may batch its queries without changing any report.
+rows with the same number of objects in one array pass, each row against
+one or more subsets of its objects that all rows share.  A row's candidate
+angles are built once, from all its objects, by the formulas of
+``_antipodes`` and ``_crossings``: their own loops for a few rows, ``math``
+over whole columns with the guards in numpy for more.  Each subset's
+envelope is read at its own candidates only, in bounded blocks of rows, so
+every result is bitwise the one-query kernel's on that subset, and a
+caller may batch its queries, or share one target's candidates among its
+queries, without changing any report.
 
 The same switch-angle machinery yields the hull boundary as a cyclic chain
 of circular arcs and common external tangent segments, used for rendering.
@@ -35,9 +39,12 @@ from .errors import DegenerateHull
 from .planar import DEFAULT_TOLERANCE, TAU, Circle2, Point2, Tolerance
 
 _TINY = 1e-15
-# Elements in one temporary of ``circles_in_hulls`` (queries x candidate
-# angles x generators); queries go in blocks of about this size.
+# Elements in the largest temporary of ``circles_in_hulls`` (subsets x
+# their objects x rows x candidate angles); rows go in blocks of about this size.
 _BLOCK = 1 << 15
+# Below this many offset elements, ``circles_in_hulls`` builds its candidates
+# with the scalar loops, which cost less than numpy's calls for a few rows.
+_FEW = 256
 
 
 @dataclass(frozen=True)
@@ -322,68 +329,139 @@ def circle_in_hull(
     )
 
 
+def _column(fn, *cols: list) -> np.ndarray:
+    """A ``math`` function over whole columns of Python floats, as an array."""
+    return np.fromiter(map(fn, *cols), float, len(cols[0]))
+
+
+_SIGNS = np.array([1.0, -1.0])
+_FLIP = np.array([1.0, 1.0, -1.0])
+
+
+def _candidates(offsets: np.ndarray, g: int) -> np.ndarray:
+    """Each row's candidate angles mod tau: theta = 0, the antipodes, then the crossings.
+
+    ``offsets`` is an (m, g + p, 3) array: a row's g offsets (x, y, r) and
+    then its p pair differences (xi - xj, yi - yj, rj - ri).  The angles
+    are those of ``_antipodes`` and ``_crossings``, with 0.0 for each one
+    that a guard rejects.  A few offsets go through those functions
+    themselves, because numpy's cost per call exceeds their loop's.  More
+    are taken column by column: the ``math`` functions over whole columns
+    and the guards in numpy, with base - delta as base + (-delta), which
+    rounds alike.
+    """
+    m = len(offsets)
+    if offsets.size < _FEW:
+        cands = np.array([
+            [0.0, *_antipodes(row[:g], 0.0), *_crossings(row[g:], 0.0)]
+            for row in offsets.tolist()
+        ])
+    else:
+        x, y, _ = offsets.reshape(-1, 3).T.tolist()
+        length = _column(math.hypot, x, y).reshape(m, -1)
+        angle = _column(math.atan2, y, x).reshape(m, -1)
+        apart = length > _TINY
+        ratio = offsets[:, g:, 2] / np.where(apart[:, g:], length[:, g:], 1.0)
+        meet = apart[:, g:] & (np.abs(ratio) <= 1.0)
+        delta = _column(math.acos, np.where(meet, ratio, 0.0).ravel().tolist())
+        crossing = angle[:, g:, None] + delta.reshape(m, -1, 1) * _SIGNS
+        cands = np.concatenate([
+            np.zeros((m, 1)),
+            np.where(apart[:, :g], angle[:, :g] + math.pi, 0.0),
+            np.where(meet[..., None], crossing, 0.0).reshape(m, -1),
+        ], axis=1)
+    cands %= TAU
+    return cands
+
+
 @functools.lru_cache(maxsize=16)
-def _pairs(g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index arrays of the pairs i < j of g generators, in scalar loop order."""
+def _layout(g: int, subsets: bytes | None):
+    """Pair indices and subset tables of ``circles_in_hulls`` for g objects.
+
+    ``subsets`` holds the bytes of a (q, g) boolean array, None for one
+    subset of all g.  Returns the pairs i < j in scalar loop order; a (q, s)
+    array of each subset's objects, padded to the largest subset by
+    repeating its first, which leaves a max unchanged; and a (q, 1, width)
+    array of each subset's own candidates: theta = 0, the antipodes of its
+    objects and the crossings of its pairs.  All are read-only.
+    """
+    if subsets is None:
+        sets = np.ones((1, g), bool)
+    else:
+        sets = np.frombuffer(subsets, bool).reshape(-1, g)
+    sizes = sets.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("every subset must hold at least one object")
     first, second = np.triu_indices(g, 1)
-    first.setflags(write=False)
-    second.setflags(write=False)
-    return first, second
-
-
-def _rows(a: np.ndarray):
-    """The (x, y, r) triples of an (..., 3) array as Python floats, in C order."""
-    return zip(*a.reshape(-1, 3).T.tolist())
+    members = np.array([
+        [*np.flatnonzero(s)] + [np.argmax(s)] * (sizes.max() - k) for s, k in zip(sets, sizes)
+    ])
+    pair = sets[:, first] & sets[:, second]
+    own = np.concatenate([np.ones((len(sets), 1), bool), sets, pair.repeat(2, axis=1)], axis=1)
+    tables = first, second, members, own[:, None, :]
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def circles_in_hulls(
-    targets, gens, tol: Tolerance = DEFAULT_TOLERANCE
+    targets, gens, tol: Tolerance = DEFAULT_TOLERANCE, subsets=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide a set of containment queries in one array pass, as ``circle_in_hull`` does each.
 
     ``targets`` is an (n, 3) array of circles (x, y, r) and ``gens`` an
-    (n, g, 3) array of each query's g >= 1 generators.  Returns each
-    query's slack, verdict (``slack >= -tol.eps_decision``) and witness
-    angle, the first critical angle in ascending order that attains the
-    slack; it is a witness only where the verdict is False.  The candidates
-    come from the formulas of ``circle_in_hull``, with a copy of theta = 0
-    standing for every one that a guard rejects, and every result is
-    bitwise equal to that kernel's: atan2, acos and hypot are taken from
-    ``math`` one element at a time, because their numpy versions round
+    (n, g, 3) array of each row's g >= 1 objects.  Returns each query's
+    slack, verdict (``slack >= -tol.eps_decision``) and witness angle, the
+    first critical angle in ascending order that attains the slack; it is a
+    witness only where the verdict is False.
+
+    ``subsets``, a (q, g) boolean array shared by all rows, makes each row
+    q queries: the target against each subset's objects, with results of
+    shape (n, q).  The default is one subset of all g objects, with results
+    of shape (n,).  A row's candidates are built once, from all its objects:
+    theta = 0, every antipode and both crossings of every pair i < j; a
+    subset's envelope is the max over its objects, taken only at its own
+    candidates.  The candidates come from the formulas of
+    ``circle_in_hull``, and each subset's result is bitwise that kernel's on
+    the subset's objects in row order: hypot, atan2 and acos are taken from
+    ``math`` over whole columns, because their numpy versions round
     differently, while the arithmetic, ``%``, cos and sin round alike in
-    both.  Queries go in blocks, so the temporaries stay bounded.
+    both.  Rows go in blocks, so the temporaries stay bounded.
     """
     targets = np.asarray(targets, dtype=float)
     gens = np.asarray(gens, dtype=float)
     n, g, _ = gens.shape
     if g < 1:
         raise ValueError("generator sets must be nonempty")
-    first, second = _pairs(g)
-    width = 1 + g + 2 * len(first)  # theta = 0, antipodes, crossings
-    slack = np.empty(n)
-    theta = np.empty(n)
-    step = max(1, _BLOCK // (width * g))
+    key = None
+    if subsets is not None:
+        subsets = np.asarray(subsets, dtype=bool)
+        if subsets.ndim != 2 or subsets.shape[1] != g:
+            raise ValueError(f"subsets must be a (q, {g}) boolean array")
+        key = subsets.tobytes()
+    first, second, members, own = _layout(g, key)
+    q, size = members.shape
+    slack = np.empty((n, q))
+    theta = np.empty((n, q))
+    step = max(1, _BLOCK // (q * size * own.shape[2]))
     for lo in range(0, n, step):
         terms = gens[lo : lo + step] - targets[lo : lo + step, None, :]
         m = len(terms)
-        diffs = terms[:, first] - terms[:, second]
-        diffs[..., 2] *= -1.0  # rj - ri, exactly
-        cands = np.zeros((m, width))
-        cands[:, 1 : 1 + g] = np.array(_antipodes(_rows(terms), 0.0)).reshape(m, g)
-        cands[:, 1 + g :] = np.array(_crossings(_rows(diffs), 0.0)).reshape(m, -1)
-        cands %= TAU
-        cands.sort(axis=1)
+        flip = terms * _FLIP  # -ri - (-rj) is rj - ri, exactly
+        pairs = flip.take(first, axis=1) - flip.take(second, axis=1)
+        cands = _candidates(np.concatenate([terms, pairs], axis=1), g)
         c = np.cos(cands)
         s = np.sin(cands)
-        env = terms[:, 0, 0, None] * c + terms[:, 0, 1, None] * s + terms[:, 0, 2, None]
-        for q in range(1, g):
-            w = terms[:, q, 0, None] * c + terms[:, q, 1, None] * s + terms[:, q, 2, None]
-            np.maximum(env, w, out=env)
-        at = env.argmin(axis=1)
-        rows = np.arange(m)
-        slack[lo : lo + m] = env[rows, at]
-        theta[lo : lo + m] = cands[rows, at]
-    return slack, slack >= -tol.eps_decision, theta
+        by_object = terms.transpose(1, 0, 2)[..., None]
+        waves = by_object[:, :, 0] * c + by_object[:, :, 1] * s + by_object[:, :, 2]
+        env = np.where(own, waves[members].max(axis=1), np.inf)
+        least = env.min(axis=2)
+        slack[lo : lo + m] = least.T
+        theta[lo : lo + m] = np.where(env == least[..., None], cands, np.inf).min(axis=2).T
+    inside = slack >= -tol.eps_decision
+    if subsets is None:
+        return slack.ravel(), inside.ravel(), theta.ravel()
+    return slack, inside, theta
 
 
 def min_slack(

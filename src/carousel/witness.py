@@ -16,8 +16,11 @@ generator set or containment result, and its slack is bitwise theirs.
 Seeded instances are drawn on plain floats, as rows of five (x, y, r)
 objects.  A block of seeds is drawn in rounds, and each round decides the
 pending rejection-sampling query of every seed in one ``circles_in_hulls``
-call; the witness search decides such rows directly.  The one-seed draws
-build point and circle objects from their row.
+call; the witness search decides such rows directly.  It decides a row's
+eight inclusions as two targets, u0 and u1, each against the other circle
+and the three bases under four subsets of them, so each target's antipodes
+and crossings are computed once for its four inclusions.  The one-seed
+draws build point and circle objects from their row.
 """
 
 from __future__ import annotations
@@ -167,15 +170,20 @@ def witness_generators(inst: CarouselInstance, j: int, k: int) -> GeneratorSet:
     return pair_generators(inst.circle(k), inst.sites, j)
 
 
-# The inclusions of one instance over its objects b0, b1, b2, u0, u1, as
-# (target, generators): first the hypotheses u_k in the hull of the bases,
-# then the (j, k) inclusions of JK_PAIRS, u_(1-k) in the hull of u_k and the
-# bases other than base j, with generators in ``pair_generators`` order.
-_INCLUSIONS = ((3, (0, 1, 2)), (4, (0, 1, 2))) + tuple(
-    (4 - k, (3 + k, *_others(range(3), j))) for j, k in JK_PAIRS
-)
-_TARGET_AT = np.array([t for t, _ in _INCLUSIONS])
-_GENS_AT = np.array([g for _, g in _INCLUSIONS])
+# The eight inclusions of an instance over its objects b0, b1, b2, u0, u1
+# are decided as two targets, u0 and u1, each against the objects
+# (u_other, b0, b1, b2) and four subsets of them: the hypothesis {b0, b1, b2},
+# then for j = 0, 1, 2 the (j, k) inclusion with u_k the other circle, whose
+# objects u_k and the bases other than base j are in ``pair_generators`` order.
+_OBJECTS = np.array([[4, 0, 1, 2], [3, 0, 1, 2]])
+_SUBSETS = np.array([[False, True, True, True]] + [
+    [True] + [b != j for b in range(3)] for j in range(3)
+])
+# Columns of the (target, subset) results, in the order hypothesis u0,
+# hypothesis u1, then the (j, k) of JK_PAIRS, whose target is u_(1-k).
+_ORDER = np.array([0, 4] + [4 * (1 - k) + 1 + j for j, k in JK_PAIRS])
+# Per (j, k): the objects of its inclusion, target u_(1-k) first.
+_PAIR_OBJECTS = {(j, k): (4 - k, 3 + k, *_others(range(3), j)) for j, k in JK_PAIRS}
 
 
 def _xyr(obj) -> tuple[float, float, float]:
@@ -189,18 +197,33 @@ def _rows(cases) -> np.ndarray:
     return _block([[_xyr(o) for o in (*bases, *us)] for bases, us in cases])
 
 
-def _decide(rows: np.ndarray, which, tol: Tolerance) -> tuple[list, list]:
-    """Slack and verdict of inclusions ``which`` of every row, from one kernel call.
+def _decide(rows: np.ndarray, sites, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Slack and verdict of the eight inclusions of every row, from one kernel call.
 
-    ``which`` holds indices into _INCLUSIONS, one row per case or one row
-    for all; the results come as one list per case in that order.
+    The results are (n, 8) arrays, the two hypotheses first and then the
+    (j, k) of JK_PAIRS.  Rows are checked in order, and the first that
+    breaks a hypothesis raises InvalidInstance: sites must not be collinear
+    under circles of positive radius, and each u_k must lie in the hull of
+    the bases.
     """
     n = len(rows)
-    at = np.arange(n)[:, None]
-    targets = rows[at, _TARGET_AT[which]]
-    gens = rows[at[..., None], _GENS_AT[which]]
-    slack, inside, _ = circles_in_hulls(targets.reshape(-1, 3), gens.reshape(-1, 3, 3), tol)
-    return slack.reshape(n, -1).tolist(), inside.reshape(n, -1).tolist()
+    slack, inside, _ = circles_in_hulls(
+        rows[:, 3:].reshape(-1, 3), rows.take(_OBJECTS, axis=1).reshape(-1, 4, 3), tol, _SUBSETS
+    )
+    slack = slack.reshape(n, 8).take(_ORDER, axis=1)
+    inside = inside.reshape(n, 8).take(_ORDER, axis=1)
+    # the rows _check_collinear rejects, with _cross's products rounded alike
+    legs = rows[:, 1:3, :2] - rows[:, :1, :2]  # b1 - b0 and b2 - b0
+    cross = legs[:, 0] * legs[:, 1, ::-1]
+    flat = np.abs(cross[:, 0] - cross[:, 1]) <= tol.eps_geom
+    bad = (flat & (rows[:, 3:, 2] > 0.0).any(axis=1) & sites) | ~(inside[:, 0] & inside[:, 1])
+    if bad.any():
+        i = int(bad.argmax())
+        if sites[i]:
+            _check_collinear(rows[i].tolist(), tol)
+        for k in (0, 1):
+            _require_inside(k, inside[i, k], slack[i, k], "site" if sites[i] else "generator")
+    return slack, inside
 
 
 def witness_searches(cases, tol: Tolerance = DEFAULT_TOLERANCE) -> list[list[Witness]]:
@@ -223,28 +246,37 @@ def witness_searches_rows(
 
     ``rows`` is an (n, 5, 3) array of the (x, y, r) objects b0, b1, b2, u0,
     u1, and ``sites`` says for each row whether its bases are sites or
-    generator circles.
-    The two hypothesis inclusions and six (j, k) inclusions of all rows are
-    decided in one ``circles_in_hulls`` call.  Rows are then checked in
-    order, and the first that breaks a hypothesis raises InvalidInstance:
-    sites must not be collinear under circles of positive radius, and each
-    u_k must lie in the hull of the bases.
+    generator circles.  The two hypothesis inclusions and six (j, k)
+    inclusions of all rows are decided in one ``circles_in_hulls`` call,
+    and the first row that breaks a hypothesis raises InvalidInstance.
     """
     if not len(rows):
         return []
-    slacks, insides = _decide(rows, np.arange(len(_INCLUSIONS)), tol)
+    slack, inside = _decide(rows, sites, tol)
     out = []
-    for row, site, slack, inside in zip(rows.tolist(), sites, slacks, insides):
-        if site:
-            _check_collinear(row, tol)
-        for k in (0, 1):
-            _require_inside(k, inside[k], slack[k], "site" if site else "generator")
+    for row_slack, row_inside in zip(slack[:, 2:].tolist(), inside[:, 2:].tolist()):
         found = [
-            Witness(j, k, s) for (j, k), s, ok in zip(JK_PAIRS, slack[2:], inside[2:]) if ok
+            Witness(j, k, s) for (j, k), s, ok in zip(JK_PAIRS, row_slack, row_inside) if ok
         ]
         found.sort(key=lambda w: (-w.slack, w.j, w.k))
         out.append(found)
     return out
+
+
+def best_witness_slacks_rows(
+    rows, sites, tol: Tolerance = DEFAULT_TOLERANCE
+) -> list[float | None]:
+    """Each row's largest (j, k) slack among the inclusions that hold, or None if none holds.
+
+    The slack of the first witness of ``witness_searches_rows``, read from
+    the same decision without building the witness lists.
+    """
+    if not len(rows):
+        return []
+    slack, inside = _decide(rows, sites, tol)
+    held = inside[:, 2:]
+    best = np.where(held, slack[:, 2:], -np.inf).max(axis=1)
+    return [s if ok else None for s, ok in zip(best.tolist(), held.any(axis=1).tolist())]
 
 
 def pair_inclusions(cases, pairs, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[list, list]:
@@ -261,9 +293,9 @@ def pair_inclusions_rows(
     """``pair_inclusions`` on rows as for ``witness_searches_rows``."""
     if not len(rows):
         return [], []
-    which = np.array([[2 + JK_PAIRS.index(p)] for p in pairs])
-    slacks, insides = _decide(rows, which, tol)
-    return [s for s, in slacks], [ok for ok, in insides]
+    objs = rows[np.arange(len(rows))[:, None], [_PAIR_OBJECTS[p] for p in pairs]]
+    slack, inside, _ = circles_in_hulls(objs[:, 0], objs[:, 1:], tol)
+    return slack.tolist(), inside.tolist()
 
 
 def witness_search(

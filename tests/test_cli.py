@@ -436,6 +436,16 @@ class TestStartup:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["oracle", "--n", "0"], 2)])
+    def test_python_dash_m_runs_the_cli(self, argv, code):
+        import carousel
+
+        src = Path(carousel.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "carousel", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 

@@ -175,7 +175,9 @@ class TestFuzzBlocks:
     def test_failures_dump_the_drawn_instance(self, monkeypatch, kind):
         # no natural seed lacks a witness, so the decision is made to say so
         monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
-        monkeypatch.setattr(fuzz, "witness_searches_rows", lambda rows, sites: [[]] * len(rows))
+        monkeypatch.setattr(
+            fuzz, "best_witness_slacks_rows", lambda rows, sites: [None] * len(rows)
+        )
         monkeypatch.setattr(
             fuzz, "pair_inclusions_rows",
             lambda rows, pairs: ([-1.0] * len(rows), [False] * len(rows)),

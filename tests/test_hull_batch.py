@@ -1,5 +1,6 @@
 """The set-level 2D kernel against the one-query kernel, bit for bit."""
 
+import math
 import random
 import struct
 
@@ -14,8 +15,9 @@ from carousel import (
     circle_in_hull,
     pt,
 )
-from carousel import hull
+from carousel import hull, witness
 from carousel.hull import circles_in_hulls
+from carousel.planar import DEFAULT_TOLERANCE
 from carousel.witness import (
     JK_PAIRS,
     Witness,
@@ -143,6 +145,133 @@ def test_rejects_empty_generator_sets():
         circles_in_hulls(np.zeros((2, 3)), np.zeros((2, 0, 3)))
 
 
+# -- subset form ----------------------------------------------------------------
+
+
+@pytest.fixture(params=["loops", "columns"])
+def candidate_path(request, monkeypatch):
+    """Build the candidates with the scalar loops everywhere, or column by column."""
+    monkeypatch.setattr(hull, "_FEW", 10**9 if request.param == "loops" else 0)
+    return request.param
+
+
+def _assert_subsets_match_one_subset_calls(targets, gens, subsets):
+    """Each subset's slack, verdict and angle equal a one-subset call on its objects."""
+    got = circles_in_hulls(targets, gens, subsets=subsets)
+    assert all(a.shape == (len(targets), len(subsets)) for a in got)
+    for q, keep in enumerate(np.asarray(subsets, bool)):
+        alone = circles_in_hulls(targets, gens[:, keep])
+        assert [a[:, q].tobytes() for a in got] == [a.tobytes() for a in alone], keep
+
+
+def _all_subsets(g: int) -> np.ndarray:
+    return np.array([[bool(mask >> i & 1) for i in range(g)] for mask in range(1, 1 << g)])
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_subsets_match_one_subset_calls_on_random_rows(g, candidate_path):
+    rng = random.Random(200 + g)
+    targets, gens = _arrays([
+        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(g))))
+        for _ in range(400)
+    ])
+    for _ in range(4):
+        choices = list(_all_subsets(g))
+        picked = rng.sample(choices, rng.randint(1, min(6, len(choices))))
+        _assert_subsets_match_one_subset_calls(targets, gens, np.array(picked))
+
+
+def test_subsets_match_one_subset_calls_on_degenerate_rows(candidate_path):
+    # a subset's envelope is flat from its first own candidate on, and a
+    # third object's antipode, not the subset's own, lies before it
+    unit = circle(0, 0, 1)
+    flat = [(unit, (circle(0, 0, r), circle(d, 0, 0), circle(1, -2, 0)))
+            for r in (0.25, 0.5) for d in (3, 5, 8)]
+    by_size = {}
+    for target, gens in _degenerate_queries() + flat:
+        by_size.setdefault(len(gens), []).append((target, GeneratorSet(gens)))
+    for g, queries in by_size.items():
+        _assert_subsets_match_one_subset_calls(*_arrays(queries), _all_subsets(g))
+
+
+def test_subsets_match_one_subset_calls_on_translated_tangent_pairs(candidate_path):
+    rng = random.Random(7)
+    queries = []
+    for _ in range(500):
+        ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+        k = rng.uniform(0.1, 3.0)
+        gens = (circle(ox, oy, k), circle(ox + 3 * k, oy + 4 * k, 6 * k), circle(ox, oy, 0))
+        queries.append((circle(ox + rng.uniform(-1, 1), oy + rng.uniform(-1, 1), 0.0),
+                        GeneratorSet(gens)))
+    _assert_subsets_match_one_subset_calls(*_arrays(queries), _all_subsets(3))
+
+
+def test_any_split_into_blocks_gives_the_same_subset_arrays(monkeypatch):
+    rng = random.Random(4)
+    targets, gens = _arrays([
+        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(4))))
+        for _ in range(300)
+    ])
+    subsets = _all_subsets(4)
+    whole = [a.tobytes() for a in circles_in_hulls(targets, gens, subsets=subsets)]
+    for block in (1, 30, 301):
+        monkeypatch.setattr(hull, "_BLOCK", block)
+        assert [a.tobytes() for a in circles_in_hulls(targets, gens, subsets=subsets)] == whole
+
+
+@pytest.mark.parametrize("subsets", [
+    [[True, False, True], [False, False, False]],  # an empty subset
+    [[True, True]],  # not one flag per object
+    [True, True, True],  # not a (q, g) array
+])
+def test_rejects_malformed_subsets(subsets):
+    with pytest.raises(ValueError):
+        circles_in_hulls(np.zeros((2, 3)), np.zeros((2, 3, 3)), subsets=subsets)
+
+
+def _after(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def test_guards_match_scalar_at_their_boundaries(candidate_path):
+    tiny = hull._TINY
+    origin = circle(0, 0, 0)
+    # an offset whose hypot is exactly _TINY has no antipode; one ulp longer has one
+    short = [(origin, (circle(tiny, 0, 0),)), (origin, (circle(0, tiny, 0),))]
+    long_ = [(origin, (circle(_after(tiny), 0, 0),)), (origin, (circle(0, _after(tiny), 0),))]
+    assert [math.hypot(g[0].center.x, g[0].center.y) for _, g in short] == [tiny, tiny]
+    # pairs with |dr / rho| exactly 1 cross, tangentially; one ulp above 1 they do not
+    tangent = [
+        (circle(0, 0, 2), (circle(0, 0, 1), circle(-6, -8, 11), circle(-1, -4, 1.5))),
+        (circle(0, 0, 2.5), (circle(3, 0, 0), circle(3, -5, 5), circle(0, 0, 0.5),
+                             circle(1, -3, 0))),
+        (circle(0, 0, 2.5), (circle(3, -5, 5), circle(3, 0, 0), circle(0, 0, 0.5),
+                             circle(1, -3, 0))),
+    ]
+    apart = [(t, (gs[0], circle(gs[1].center.x, gs[1].center.y, _after(gs[1].radius)), *gs[2:]))
+             for t, gs in tangent[:2]]
+    apart.append((tangent[2][0], (circle(3, -5, _after(5)),) + tangent[2][1][1:]))
+
+    def ratio(target, gens):
+        (xi, yi, ri), (xj, yj, rj) = [(g.center.x - target.center.x, g.center.y - target.center.y,
+                                       g.radius - target.radius) for g in gens[:2]]
+        return (rj - ri) / math.hypot(xi - xj, yi - yj)
+
+    assert [ratio(*q) for q in tangent] == [1.0, 1.0, -1.0]
+    assert [abs(ratio(*q)) for q in apart] == [_after(1.0)] * 3
+    for pair in (short, long_), (tangent, apart):
+        for queries in pair:
+            by_size = {}
+            for target, gens in queries:
+                by_size.setdefault(len(gens), []).append((target, GeneratorSet(gens)))
+            for group in by_size.values():
+                _assert_matches_scalar(group)
+        # each boundary decides something: the two sides give different results
+        scalar = [[circle_in_hull(t, GeneratorSet(gs)) for t, gs in side] for side in pair]
+        assert all((a.slack, a.witness_direction) != (b.slack, b.witness_direction)
+                   for a, b in zip(*scalar))
+
+
 # -- set-level witness search -------------------------------------------------
 
 
@@ -159,6 +288,46 @@ def _scalar_witness_pairs(bases, us):
 
 def _key(witnesses):
     return [(w.j, w.k, _bits(w.slack)) for w in witnesses]
+
+
+# The eight inclusions of a row b0, b1, b2, u0, u1 as (target, generators),
+# each its own one-subset call: the hypotheses u_k in the hull of the bases,
+# then the (j, k) of JK_PAIRS, u_(1-k) in the hull of u_k and the bases
+# other than base j.
+_INCLUSIONS = [(3, (0, 1, 2)), (4, (0, 1, 2))] + [
+    (4 - k, (3 + k, *(b for b in range(3) if b != j))) for j, k in JK_PAIRS
+]
+
+
+@pytest.mark.parametrize("draw, sites", [
+    (random_instances, True), (random_corollary_instances, False),
+])
+def test_decide_matches_per_inclusion_calls(draw, sites):
+    rows = draw(range(5000))
+    slack, inside = witness._decide(rows, [sites] * len(rows), DEFAULT_TOLERANCE)
+    for col, (target, gens) in enumerate(_INCLUSIONS):
+        alone = circles_in_hulls(rows[:, target], rows[:, list(gens)])
+        assert slack[:, col].tobytes() == alone[0].tobytes()
+        assert inside[:, col].tobytes() == alone[1].tobytes()
+    best = witness.best_witness_slacks_rows(rows, [sites] * len(rows))
+    found = witness.witness_searches_rows(rows, [sites] * len(rows))
+    assert [None if s is None else _bits(s) for s in best] == [
+        _bits(ws[0].slack) if ws else None for ws in found
+    ]
+
+
+def test_best_slack_is_none_without_a_witness(monkeypatch):
+    rows = random_instances(range(20))
+    real = circles_in_hulls
+
+    def no_pair_holds(targets, gens, tol, subsets):
+        slack, inside, theta = real(targets, gens, tol, subsets)
+        inside[:, 1:] = False  # keep the hypotheses, refute every (j, k)
+        return slack, inside, theta
+
+    monkeypatch.setattr(witness, "circles_in_hulls", no_pair_holds)
+    assert witness.best_witness_slacks_rows(rows, [True] * 20) == [None] * 20
+    assert witness.witness_searches_rows(rows, [True] * 20) == [[]] * 20
 
 
 def test_theorem_search_matches_scalar_pairs():
@@ -194,6 +363,10 @@ def test_first_case_breaking_a_hypothesis_raises():
         witness_searches([sites, outside, collinear])
     with pytest.raises(InvalidInstance, match="collinear"):
         witness_searches([sites, collinear, outside])
+    # a radius within the decision band keeps the hypotheses on collinear sites
+    thin = ((pt(0, 0), pt(2, 0), pt(5, 0)), (circle(1, 0, 1e-9), circle(3, 0, 0)))
+    with pytest.raises(InvalidInstance, match="collinear"):
+        witness_searches([sites, thin])
     cs = (circle(0, 0, 1), circle(8, 0, 1), circle(0, 8, 1))
     with pytest.raises(InvalidInstance, match="u0 is not inside the generator hull"):
         witness_searches([(cs, (circle(7, 7, 0.5), circle(2, 2, 0.5)))])
