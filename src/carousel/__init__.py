@@ -1,13 +1,14 @@
 """Circle/sphere convex-hull containment toolkit.
 
 2D: support-function containment of circles in hulls of circles and points,
-one query or a set of queries per call, with arc-cover certificates and hull
-boundary construction.  Carousel procedures: witness search over a triangle
-of sites (one instance or a set per call), the point-only decomposition
-rule, and the xi-sweep locating the critical scale of a fixed witness.  3D:
-exact sphere-in-hull containment by enumerating the critical directions of
-the support slack, one set of inclusions per call, and the tetrahedron
-counterexample constructions, with exact 2D projection certificates.
+one query or a set of queries per call, with witness-direction certificates,
+and hull boundary construction.  Carousel procedures: witness search over a
+triangle of sites (one instance or a set of rows per call), the point-only
+decomposition rule, and the xi-sweep locating the critical scale of a fixed
+witness.  3D: exact sphere-in-hull containment by enumerating the critical
+directions of the support slack, one set of inclusions per call, and the
+tetrahedron counterexample constructions, with exact 2D projection
+certificates.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +32,6 @@ from .errors import (
     UnsupportedKind,
 )
 from .hull import (
-    ArcInterval,
     ArcPiece,
     ContainmentResult,
     GeneratorSet,
@@ -39,13 +39,8 @@ from .hull import (
     SegmentPiece,
     circle_in_hull,
     circles_in_hulls,
-    coverage_arc,
-    hull_area,
     hull_boundary,
-    merge_arcs,
     min_slack,
-    support,
-    uncovered_gaps,
 )
 from .planar import (
     DEFAULT_TOLERANCE,
@@ -92,6 +87,5 @@ from .witness import (
     sweep_slack,
     two_carousel_points,
     witness_search,
-    witness_searches,
     xi_sweep_fixed,
 )

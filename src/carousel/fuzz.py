@@ -8,8 +8,8 @@ pending rejection-sampling query of every seed still drawing
 all their inclusions (``best_witness_slacks_rows``, which reads each
 trial's best witness slack from the slack and verdict arrays, or
 ``pair_inclusions_rows`` for the points kind, whose decomposition names
-the one inclusion to solve).  Point and circle objects and a scenario are
-built only for a trial that fails.  The set-level kernel is bitwise equal
+the one inclusion to solve).  A trial that fails dumps its scenario
+straight from its row.  The set-level kernel is bitwise equal
 to the one-query kernel and each trial's result depends only on its seed,
 so blocks merge sorted by seed into the same report whatever their size.
 CAROUSEL_THREADS (an environment variable) caps the parallel workers that
@@ -21,6 +21,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import random
@@ -31,19 +32,12 @@ from dataclasses import dataclass
 from .hull import GeneratorSet, circle_in_hull
 from .oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
 from .planar import Circle2, Point2
-from .scenario import (
-    corollary_scenario_dict,
-    instance_scenario_dict,
-    points_scenario_dict,
-)
+from .scenario import row_scenario_dict
 from .witness import (
     RngConfig,
     best_witness_slacks_rows,
-    corollary_of_row,
-    decomposition_pairs,
-    instance_of_row,
     pair_inclusions_rows,
-    points_of_row,
+    point_decomposition,
     random_corollary_instances,
     random_instances,
     random_points_instances,
@@ -79,66 +73,35 @@ class FuzzReport:
 
 
 def _histogram(slacks: list[float]) -> tuple[dict, ...]:
-    counts = [0] * (len(SLACK_BINS) - 1)
-    below = 0
+    # counts[0] holds the negative slacks, counts[i] the bin from SLACK_BINS[i - 1]
+    counts = [0] * len(SLACK_BINS)
     for s in slacks:
-        if s < 0.0:
-            below += 1
-            continue
-        for i in range(len(SLACK_BINS) - 1):
-            if SLACK_BINS[i] <= s < SLACK_BINS[i + 1]:
-                counts[i] += 1
-                break
-    bins = [{"lo": SLACK_BINS[i], "hi": SLACK_BINS[i + 1], "count": counts[i]}
-            for i in range(len(counts))]
-    for b in bins:
-        if b["hi"] == math.inf:
-            b["hi"] = "inf"
-    if below:
-        bins.insert(0, {"lo": "-inf", "hi": 0.0, "count": below})
+        counts[bisect.bisect_right(SLACK_BINS, s)] += 1
+    bins = [{"lo": lo, "hi": "inf" if hi == math.inf else hi, "count": c}
+            for lo, hi, c in zip(SLACK_BINS, SLACK_BINS[1:], counts[1:])]
+    if counts[0]:
+        bins.insert(0, {"lo": "-inf", "hi": 0.0, "count": counts[0]})
     return tuple(bins)
 
 
-def _theorem_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    rows = random_instances(seeds, cfg)
-    best = best_witness_slacks_rows(rows, [True] * len(rows))
+def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
+    """Each seed's best witness slack, or None and the scenario of its drawn row."""
+    kind, seeds, cfg = args
+    if kind == "points2d":
+        rows = random_points_instances(seeds, cfg)
+        pairs = [point_decomposition(row) for row in rows.tolist()]
+        slacks, inside = pair_inclusions_rows(rows, pairs)
+        best = [s if ok else None for s, ok in zip(slacks, inside)]
+    else:
+        sites = kind == "theorem2d"
+        rows = (random_instances if sites else random_corollary_instances)(seeds, cfg)
+        best = best_witness_slacks_rows(rows, [sites] * len(rows))
     return [
-        (seed, slack, None) if slack is not None
-        else (seed, None, instance_scenario_dict(instance_of_row(row), seed))
+        (seed, slack, None if slack is not None else row_scenario_dict(kind, row, seed))
         for seed, row, slack in zip(seeds, rows, best)
     ]
 
 
-def _corollary_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    rows = random_corollary_instances(seeds, cfg)
-    best = best_witness_slacks_rows(rows, [False] * len(rows))
-    return [
-        (seed, slack, None) if slack is not None else (seed, None, _corollary_dict(row, seed))
-        for seed, row, slack in zip(seeds, rows, best)
-    ]
-
-
-def _corollary_dict(row, seed: int) -> dict:
-    cs = corollary_of_row(row)
-    return corollary_scenario_dict(cs[:3], cs[3:], seed)
-
-
-def _points_block(seeds, cfg: RngConfig) -> list[tuple[int, float | None, dict | None]]:
-    rows = random_points_instances(seeds, cfg)
-    pairs = decomposition_pairs(rows)
-    slacks, inside = pair_inclusions_rows(rows, pairs)
-    return [
-        (seed, slack, None) if ok
-        else (seed, None, points_scenario_dict(*points_of_row(row), seed))
-        for seed, row, slack, ok in zip(seeds, rows, slacks, inside)
-    ]
-
-
-_BLOCKS = {
-    "theorem2d": _theorem_block,
-    "corollary2d": _corollary_block,
-    "points2d": _points_block,
-}
 # Trials per block: a block's instances are drawn in rounds and then decided
 # in one set-level call, and the blocks are what the parallel path distributes.
 _SEED_BLOCK = 500
@@ -165,11 +128,6 @@ def _map(fn, jobs: list, chunksize: int = 1) -> list:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunksize))
-
-
-def _run_block(args):
-    kind, seeds, cfg = args
-    return _BLOCKS[kind](seeds, cfg)
 
 
 def run_fuzz(
@@ -240,8 +198,7 @@ def random_containment_query(seed: int) -> tuple[Circle2, GeneratorSet]:
     return circ(), GeneratorSet(tuple(circ() for _ in range(n)))
 
 
-def _oracle_trial(args) -> tuple[int, bool, bool, float]:
-    _, seed, _ = args
+def _oracle_trial(seed: int) -> tuple[int, bool, bool, float]:
     target, gens = random_containment_query(seed)
     res = circle_in_hull(target, gens)
     oracle = sampling_oracle_contains(target, gens)
@@ -254,8 +211,7 @@ def run_oracle_check(n: int, seed: int) -> OracleReport:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
-    jobs = [("oracle", s, None) for s in seeds]
-    results = _map(_oracle_trial, jobs, chunksize=16)
+    results = _map(_oracle_trial, seeds, chunksize=16)
     results.sort(key=lambda r: r[0])
     disagreements = tuple(
         {"seed": s, "predicate": a, "oracle": o, "slack": slack}

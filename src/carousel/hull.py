@@ -7,9 +7,8 @@ inequality.  The slack, the least support surplus over all directions, is
 the minimum of an envelope of sinusoids; it is found exactly by evaluating
 the envelope at its critical angles (each generator's antipodal minimum and
 the pairwise switch angles), and it decides the verdict: contained iff
-slack >= -eps_decision, the rule the 3D kernel uses too.  Per generator the
-directions that satisfy the inequality form a closed arc with a closed form;
-the directions no arc covers are the certificate, built only when read.
+slack >= -eps_decision, the rule the 3D kernel uses too.  A direction that
+attains a negative slack is the certificate of a non-containment.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
 rows with the same number of objects in one array pass, each row against
@@ -30,8 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,135 +63,6 @@ class GeneratorSet:
     def __len__(self) -> int:
         return len(self.generators)
 
-    @classmethod
-    def from_points(cls, points) -> "GeneratorSet":
-        return cls(tuple(Circle2(p, 0.0) for p in points))
-
-
-@dataclass(frozen=True)
-class ArcInterval:
-    """Closed set of directions {theta mod tau : lo <= theta <= hi}.
-
-    Spans keep hi - lo in [0, tau).  Two distinguished values: EMPTY is
-    encoded with hi < lo, FULL with width exactly tau.
-    """
-
-    lo: float
-    hi: float
-
-    EMPTY: ClassVar["ArcInterval"]  # assigned below
-    FULL: ClassVar["ArcInterval"]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.hi < self.lo
-
-    @property
-    def is_full(self) -> bool:
-        return self.hi - self.lo >= TAU
-
-    @property
-    def width(self) -> float:
-        if self.is_empty:
-            return 0.0
-        return min(self.hi - self.lo, TAU)
-
-    def contains(self, theta: float) -> bool:
-        if self.is_empty:
-            return False
-        if self.is_full:
-            return True
-        return (theta - self.lo) % TAU <= self.hi - self.lo
-
-
-ArcInterval.EMPTY = ArcInterval(0.0, -1.0)
-ArcInterval.FULL = ArcInterval(0.0, TAU)
-
-
-def support(gens: GeneratorSet, theta: float) -> float:
-    """Support value of the hull in direction theta: max of center.u + radius."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return max(g.center.x * c + g.center.y * s + g.radius for g in gens)
-
-
-def coverage_arc(g: Circle2, target: Circle2) -> ArcInterval:
-    """Directions where generator ``g`` alone satisfies the support inequality.
-
-    Closed form: with d the center distance, phi the direction from the
-    target center to the generator center, and delta = target.radius -
-    g.radius, the set is FULL when delta <= -d, EMPTY when delta > d, and
-    otherwise the closed arc [phi - alpha, phi + alpha] with
-    alpha = arccos(delta / d).  Concentric pairs (d = 0) are FULL when
-    delta <= 0 and EMPTY otherwise.
-    """
-    dx = g.center.x - target.center.x
-    dy = g.center.y - target.center.y
-    d = math.hypot(dx, dy)
-    delta = target.radius - g.radius
-    if d <= _TINY:
-        return ArcInterval.FULL if delta <= 0.0 else ArcInterval.EMPTY
-    x = delta / d
-    if x <= -1.0:
-        return ArcInterval.FULL
-    if x > 1.0:
-        return ArcInterval.EMPTY
-    phi = math.atan2(dy, dx)
-    alpha = math.acos(x)
-    return ArcInterval(phi - alpha, phi + alpha)
-
-
-def merge_arcs(arcs: list[ArcInterval]) -> list[ArcInterval]:
-    """Union of closed arcs as disjoint spans with lo in [0, tau), sorted by lo."""
-    if any(a.is_full for a in arcs):
-        return [ArcInterval.FULL]
-    spans = []
-    for a in arcs:
-        if a.is_empty:
-            continue
-        lo = a.lo % TAU
-        hi = lo + a.width
-        if hi > TAU:
-            spans.append((lo, TAU))
-            spans.append((0.0, hi - TAU))
-        else:
-            spans.append((lo, hi))
-    if not spans:
-        return []
-    spans.sort()
-    merged = [spans[0]]
-    for lo, hi in spans[1:]:
-        mlo, mhi = merged[-1]
-        if lo <= mhi:
-            merged[-1] = (mlo, max(mhi, hi))
-        else:
-            merged.append((lo, hi))
-    # closed arcs meeting across 0 merge into one wrapped span
-    if len(merged) > 1 and merged[0][0] <= 0.0 and merged[-1][1] >= TAU:
-        lo, hi = merged.pop()
-        first = merged.pop(0)
-        merged.insert(0, (lo - TAU, first[1]))
-    result = [ArcInterval(lo, hi) for lo, hi in merged]
-    if len(result) == 1 and result[0].width >= TAU - _TINY:
-        return [ArcInterval.FULL]
-    return result
-
-
-def uncovered_gaps(arcs: list[ArcInterval]) -> list[ArcInterval]:
-    """Complement of the arc union, as disjoint closed spans."""
-    merged = merge_arcs(arcs)
-    if merged and merged[0].is_full:
-        return []
-    if not merged:
-        return [ArcInterval.FULL]
-    gaps = []
-    for cur, nxt in zip(merged, merged[1:]):
-        gaps.append(ArcInterval(cur.hi, nxt.lo))
-    wrap = merged[0].lo + TAU - merged[-1].hi
-    if wrap > 0.0:
-        gaps.append(ArcInterval(merged[-1].hi, merged[0].lo + TAU))
-    return gaps
-
 
 @dataclass(frozen=True)
 class ContainmentResult:
@@ -201,20 +70,13 @@ class ContainmentResult:
 
     ``slack`` is the minimal support surplus over all directions and decides
     the verdict: contained iff ``slack >= -eps_decision``.
-    ``witness_direction`` (present iff not contained) attains that slack.
-    ``uncovered`` is the arc-cover certificate: the directions that no
-    generator's coverage arc covers, built from the stored query when read.
+    ``witness_direction`` (present iff not contained) attains that slack, so
+    it proves a non-containment.
     """
 
     contained: bool
     slack: float
     witness_direction: float | None = None
-    target: Circle2 = field(kw_only=True, compare=False, repr=False)
-    generators: GeneratorSet = field(kw_only=True, compare=False, repr=False)
-
-    @property
-    def uncovered(self) -> tuple[ArcInterval, ...]:
-        return tuple(uncovered_gaps([coverage_arc(g, self.target) for g in self.generators]))
 
 
 def _antipodes(offsets, fill=None) -> list[float]:
@@ -324,8 +186,6 @@ def circle_in_hull(
         contained=contained,
         slack=best,
         witness_direction=None if contained else best_theta,
-        target=target,
-        generators=gens,
     )
 
 
@@ -525,30 +385,6 @@ def _point_on(g: Circle2, theta: float) -> Point2:
     )
 
 
-def _boundary_support(gens: list[Circle2], boundary: HullBoundary, theta: float) -> float:
-    """Support of the boundary chain: arcs contribute their sub-arc maximum."""
-    c = math.cos(theta)
-    s = math.sin(theta)
-    best = -math.inf
-    for p in boundary.pieces:
-        if isinstance(p, ArcPiece):
-            g = gens[p.generator]
-            rel = (theta - p.start_angle) % TAU
-            if rel <= p.width:
-                v = g.center.x * c + g.center.y * s + g.radius
-            else:
-                v = max(p.start.x * c + p.start.y * s, p.end.x * c + p.end.y * s)
-        else:
-            v = max(p.start.x * c + p.start.y * s, p.end.x * c + p.end.y * s)
-        if v > best:
-            best = v
-    return best
-
-
-def boundary_support(gens: GeneratorSet, boundary: HullBoundary, theta: float) -> float:
-    return _boundary_support(list(gens), boundary, theta)
-
-
 def hull_boundary(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE) -> HullBoundary:
     """Construct the hull boundary chain by sweeping the support argmax.
 
@@ -667,21 +503,3 @@ def hull_boundary(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE) -> Hul
     omitted = tuple(i for i in range(n) if i not in attributed)
     return HullBoundary(tuple(pieces), omitted)
 
-
-def hull_area(gens: GeneratorSet, boundary: HullBoundary) -> float:
-    """Exact hull area from the boundary chain: shoelace plus arc-segment bulges."""
-    glist = list(gens.generators)
-    if len(boundary.pieces) == 1 and isinstance(boundary.pieces[0], ArcPiece):
-        g = glist[boundary.pieces[0].generator]
-        return math.pi * g.radius * g.radius
-    verts = [p.start for p in boundary.pieces]
-    area2 = 0.0
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        area2 += a.cross(b)
-    area = 0.5 * area2
-    for p in boundary.pieces:
-        if isinstance(p, ArcPiece):
-            r = glist[p.generator].radius
-            w = p.width
-            area += 0.5 * r * r * (w - math.sin(w))
-    return area

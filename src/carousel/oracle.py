@@ -249,8 +249,3 @@ def sampling_oracle_contains(
         return bool(np.all(polygon_contains_points(poly, queries, distance_band)))
     return _extreme_samples_pass(poly, target, samples, cross_band)
 
-
-def hull_polygon_area(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> float:
-    """Area of the densely inscribed hull polygon (independent area estimate)."""
-    x, y = sample_hull_polygon(gens, samples).T
-    return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))

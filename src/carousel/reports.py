@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .hull import ArcInterval, ContainmentResult
+from .hull import ContainmentResult
 from .spheres import Containment3Result, Example41Report, Example42Report
 from .witness import Witness, XiSweepReport
 
@@ -98,20 +98,11 @@ def canonical_json(data) -> str:
     return "".join(out)
 
 
-def arc_to_list(arc: ArcInterval) -> list[float] | str:
-    if arc.is_full:
-        return "full"
-    if arc.is_empty:
-        return "empty"
-    return [arc.lo, arc.hi]
-
-
 def containment_to_dict(res: ContainmentResult) -> dict:
     return {
         "contained": res.contained,
         "slack": res.slack,
         "witness_direction": res.witness_direction,
-        "uncovered": [arc_to_list(a) for a in res.uncovered],
     }
 
 

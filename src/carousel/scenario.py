@@ -189,40 +189,17 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(decode_scenario(path))
 
 
-def instance_scenario_dict(inst: CarouselInstance, seed: int | None = None, kind: str = "theorem2d") -> dict:
-    """Self-contained scenario object reproducing one instance."""
-    data = {
-        "schema": SCHEMA_TAG,
-        "kind": kind,
-        "sites": [[s.x, s.y, 0.0] for s in inst.sites],
-        "circles": [
-            [inst.u0.center.x, inst.u0.center.y, inst.u0.radius],
-            [inst.u1.center.x, inst.u1.center.y, inst.u1.radius],
-        ],
-    }
-    if seed is not None:
-        data["seed"] = seed
-    return data
+def row_scenario_dict(kind: str, row, seed: int) -> dict:
+    """Self-contained scenario object reproducing one drawn row of a fuzz kind.
 
-
-def points_scenario_dict(sites, b0: Point2, b1: Point2, seed: int | None = None) -> dict:
-    data = {
-        "schema": SCHEMA_TAG,
-        "kind": "points2d",
-        "sites": [[s.x, s.y, 0.0] for s in sites],
-        "circles": [[b0.x, b0.y, 0.0], [b1.x, b1.y, 0.0]],
-    }
-    if seed is not None:
-        data["seed"] = seed
-    return data
-
-
-def corollary_scenario_dict(cs, us, seed: int | None = None) -> dict:
-    data = {
-        "schema": SCHEMA_TAG,
-        "kind": "corollary2d",
-        "circles": [[c.center.x, c.center.y, c.radius] for c in (*cs, *us)],
-    }
-    if seed is not None:
-        data["seed"] = seed
+    ``row`` holds five (x, y, r) objects: the sites and then u0, u1 for
+    theorem2d, the sites and then b0, b1 (radius 0) for points2d, or the
+    circles c0, c1, c2, u0, u1 for corollary2d.
+    """
+    objs = [[float(v) for v in obj] for obj in row]
+    data = {"schema": SCHEMA_TAG, "kind": kind, "seed": seed}
+    if kind == "corollary2d":
+        data["circles"] = objs
+    else:
+        data["sites"], data["circles"] = objs[:3], objs[3:]
     return data

@@ -110,10 +110,6 @@ class RngConfig:
             raise ValueError(f"radius_range must be >= 0, got {self.radius_range}")
 
 
-def sites_as_generators(sites) -> GeneratorSet:
-    return GeneratorSet(tuple(Circle2(s, 0.0) for s in sites))
-
-
 def _check_collinear(row, tol: Tolerance) -> None:
     """Raise if a row's sites b0, b1, b2 are collinear and u0 or u1 has a radius."""
     (ax, ay, _), (bx, by, _), (cx, cy, _), u0, u1 = row
@@ -192,11 +188,6 @@ def _xyr(obj) -> tuple[float, float, float]:
     return obj.x, obj.y, 0.0
 
 
-def _rows(cases) -> np.ndarray:
-    """Cases (bases, (u0, u1)) as an (n, 5, 3) array of (x, y, r) rows b0, b1, b2, u0, u1."""
-    return _block([[_xyr(o) for o in (*bases, *us)] for bases, us in cases])
-
-
 def _decide(rows: np.ndarray, sites, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Slack and verdict of the eight inclusions of every row, from one kernel call.
 
@@ -224,19 +215,6 @@ def _decide(rows: np.ndarray, sites, tol: Tolerance) -> tuple[np.ndarray, np.nda
         for k in (0, 1):
             _require_inside(k, inside[i, k], slack[i, k], "site" if sites[i] else "generator")
     return slack, inside
-
-
-def witness_searches(cases, tol: Tolerance = DEFAULT_TOLERANCE) -> list[list[Witness]]:
-    """Each case's (j, k) pairs whose inclusion holds, by descending slack.
-
-    A case is (bases, (u0, u1)) with three bases that are sites (points)
-    or generator circles.  The cases go to ``witness_searches_rows`` as
-    rows, so all of them are decided in one kernel call and the first that
-    breaks a hypothesis raises InvalidInstance.
-    """
-    cases = list(cases)
-    sites = [not isinstance(bases[0], Circle2) for bases, _ in cases]
-    return witness_searches_rows(_rows(cases), sites, tol)
 
 
 def witness_searches_rows(
@@ -279,18 +257,13 @@ def best_witness_slacks_rows(
     return [s if ok else None for s, ok in zip(best.tolist(), held.any(axis=1).tolist())]
 
 
-def pair_inclusions(cases, pairs, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[list, list]:
-    """Slack and verdict of one named (j, k) inclusion per case, from one kernel call.
-
-    Cases are as for ``witness_searches``; u0 and u1 may be points.
-    """
-    return pair_inclusions_rows(_rows(list(cases)), pairs, tol)
-
-
 def pair_inclusions_rows(
     rows, pairs, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> tuple[list, list]:
-    """``pair_inclusions`` on rows as for ``witness_searches_rows``."""
+    """Slack and verdict of one named (j, k) inclusion per row, from one kernel call.
+
+    Rows are as for ``witness_searches_rows``; u0 and u1 may be points.
+    """
     if not len(rows):
         return [], []
     objs = rows[np.arange(len(rows))[:, None], [_PAIR_OBJECTS[p] for p in pairs]]
@@ -303,9 +276,10 @@ def witness_search(
 ) -> list[Witness]:
     """All (j, k) pairs whose inclusion holds, sorted by descending slack.
 
-    The one-instance case of ``witness_searches``.
+    The one-row case of ``witness_searches_rows``.
     """
-    return witness_searches([(inst.sites, (inst.u0, inst.u1))], tol)[0]
+    row = [_xyr(o) for o in (*inst.sites, inst.u0, inst.u1)]
+    return witness_searches_rows(_block([row]), [True], tol)[0]
 
 
 def corollary_witness_search(
@@ -318,9 +292,10 @@ def corollary_witness_search(
 ) -> list[Witness]:
     """Witness search with three circle generators instead of point sites.
 
-    The one-instance case of ``witness_searches``.
+    The one-row case of ``witness_searches_rows``.
     """
-    return witness_searches([((c0, c1, c2), (u0, u1))], tol)[0]
+    row = [_xyr(o) for o in (c0, c1, c2, u0, u1)]
+    return witness_searches_rows(_block([row]), [False], tol)[0]
 
 
 def _strictly_inside(p, tri, tol: Tolerance) -> bool:
@@ -336,29 +311,17 @@ def _strictly_inside(p, tri, tol: Tolerance) -> bool:
     )
 
 
-def point_decomposition(
-    sites, b0: Point2, b1: Point2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[int, int]:
+def point_decomposition(row, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, int]:
     """The (j, k) pair the triangle decomposition through b0 names for b1.
 
-    Splitting the site triangle into the three sub-triangles spanned by b0
-    and two sites, b1 is strictly inside one of them (pick k = 0 and the
-    missing site's index), or b1 lies on the segment from b0 to a site A_j,
-    in which case b0 lies behind b1 as seen from A_j (pick k = 1 and that j).
+    ``row`` holds the (x, y, r) objects A0, A1, A2, b0, b1 as floats; the
+    radii are not read.  Splitting the site triangle into the three
+    sub-triangles spanned by b0 and two sites, b1 is strictly inside one of
+    them (pick k = 0 and the missing site's index), or b1 lies on the segment
+    from b0 to a site A_j, in which case b0 lies behind b1 as seen from A_j
+    (pick k = 1 and that j).
     """
-    return _decomposition([(s.x, s.y) for s in sites], (b0.x, b0.y), (b1.x, b1.y), tol)
-
-
-def decomposition_pairs(rows, tol: Tolerance = DEFAULT_TOLERANCE) -> list[tuple[int, int]]:
-    """``point_decomposition`` of each row of sites A0, A1, A2 and points b0, b1."""
-    return [
-        _decomposition([(x, y) for x, y, _ in row[:3]], row[3][:2], row[4][:2], tol)
-        for row in np.asarray(rows).tolist()
-    ]
-
-
-def _decomposition(sites, b0, b1, tol: Tolerance) -> tuple[int, int]:
-    """``point_decomposition`` on (x, y) pairs."""
+    *sites, b0, b1 = [(x, y) for x, y, _ in row]
     (x0, y0), (x1, y1) = b0, b1
     if math.hypot(x0 - x1, y0 - y1) <= tol.eps_geom:
         raise CoincidentPoints("the two interior points coincide")
@@ -397,7 +360,7 @@ def two_carousel_points(
     sites, b0: Point2, b1: Point2, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> Witness:
     """Point-only carousel witness: ``point_decomposition`` and the slack it holds by."""
-    j, k = point_decomposition(sites, b0, b1, tol)
+    j, k = point_decomposition([_xyr(o) for o in (*sites, b0, b1)], tol)
     pts = (b0, b1)
     gens = pair_generators(Circle2(pts[k], 0.0), sites, j)
     return Witness(j, k, min_slack(Circle2(pts[1 - k], 0.0), gens, tol))

@@ -13,7 +13,8 @@ import random
 from carousel.errors import GenerationExhausted
 from carousel.hull import GeneratorSet, circle_in_hull
 from carousel.planar import DEFAULT_TOLERANCE, Circle2, Point2, point_segment_distance
-from carousel.witness import CarouselInstance, RngConfig, sites_as_generators
+from carousel.witness import CarouselInstance, RngConfig
+from reference_hull import sites_as_generators
 
 
 def _sample_triangle(rng, cfg):

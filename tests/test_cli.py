@@ -271,11 +271,12 @@ class TestFuzzVerb:
 
     def test_failure_dump_roundtrips(self, tmp_path):
         # exercise the dump path directly with a fabricated record
-        from carousel.scenario import instance_scenario_dict
-        from carousel.witness import random_instance
+        from carousel.scenario import row_scenario_dict
+        from carousel.witness import instance_of_row, random_instances
 
-        inst = random_instance(3)
-        dump = instance_scenario_dict(inst, seed=3)
+        row = random_instances([3])[0]
+        inst = instance_of_row(row)
+        dump = row_scenario_dict("theorem2d", row, 3)
         path = tmp_path / "dump.json"
         path.write_text(canonical_json(dump), encoding="utf-8")
         sc = load_scenario(path)
@@ -361,6 +362,15 @@ class TestRepro3dVerb:
         out = tmp_path / "rep.json"
         assert main(["repro3d", "--example", "4.1", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["example"]["all_refuted"] is True
+
+    def test_ex41_report_is_pinned(self, tmp_path):
+        # sha256 of the side 1, r 0.1 report once its projection certificates
+        # carried only the verdict, slack and witness direction
+        out = tmp_path / "rep.json"
+        assert main(["repro3d", "--example", "4.1", "-o", str(out)]) == 0
+        assert sha256_of(out) == (
+            "8d2b6084dd452038cf0e0738db2d4e246c119cd58ab77b152326e302c85c9e23"
+        )
 
     def test_ex42(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -10,11 +10,7 @@ from carousel import fuzz
 from carousel.errors import GenerationExhausted
 from carousel.fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
 from carousel.reports import canonical_json
-from carousel.scenario import (
-    corollary_scenario_dict,
-    instance_scenario_dict,
-    points_scenario_dict,
-)
+from carousel.scenario import parse_scenario
 from carousel.witness import (
     RngConfig,
     _xyr,
@@ -161,6 +157,17 @@ def test_config_that_could_draw_an_invalid_object_is_rejected(bad):
         RngConfig(**bad)
 
 
+def test_histogram_bins_each_bound_with_the_slacks_above_it():
+    # each finite bound and the float just below it, a negative slack and one
+    # past the last finite bound; the counts are the loop-over-bounds output
+    bounds = fuzz.SLACK_BINS[:-1]
+    slacks = [*bounds, *(math.nextafter(b, -math.inf) for b in bounds), -0.5, 7.0]
+    bins = [(b["lo"], b["hi"], b["count"]) for b in fuzz._histogram(slacks)]
+    assert bins == [("-inf", 0.0, 2)] + [
+        (lo, "inf" if hi == math.inf else hi, 2) for lo, hi in zip(bounds, fuzz.SLACK_BINS[1:])
+    ]
+
+
 class TestFuzzBlocks:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_block_size_changes_no_report(self, monkeypatch, kind):
@@ -183,18 +190,18 @@ class TestFuzzBlocks:
             lambda rows, pairs: ([-1.0] * len(rows), [False] * len(rows)),
         )
         rep = run_fuzz(12, 40, kind)
-        expected = []
-        for seed in range(40, 52):
-            if kind == "theorem2d":
-                scenario = instance_scenario_dict(random_instance(seed), seed)
-            elif kind == "corollary2d":
-                c = random_corollary_instance(seed)
-                scenario = corollary_scenario_dict(c[:3], c[3:], seed)
-            else:
-                scenario = points_scenario_dict(*random_points_instance(seed), seed)
-            expected.append({"seed": seed, "scenario": scenario})
         assert not rep.ok
-        assert list(rep.failures) == expected
+        assert [f["seed"] for f in rep.failures] == list(range(40, 52))
+        for failure in rep.failures:
+            sc = parse_scenario(failure["scenario"])
+            assert (sc.kind, sc.seed) == (kind, failure["seed"])
+            if kind == "theorem2d":
+                rebuilt = sc.instance()
+            elif kind == "corollary2d":
+                rebuilt = sc.circles
+            else:
+                rebuilt = (sc.sites, *(c.center for c in sc.circles))
+            assert rebuilt == DRAWS[kind][1](failure["seed"])
         assert sum(b["count"] for b in rep.slack_histogram) == 0
 
 

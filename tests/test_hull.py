@@ -1,6 +1,5 @@
 """Support-hull tests: coverage arcs, containment, slack, boundary chains."""
 
-import dataclasses
 import math
 import random
 
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from carousel import (
-    ArcInterval,
     ArcPiece,
     Circle2,
     DegenerateHull,
@@ -17,20 +15,21 @@ from carousel import (
     SegmentPiece,
     circle,
     circle_in_hull,
-    coverage_arc,
-    hull_area,
     hull_boundary,
-    merge_arcs,
     min_slack,
     pt,
-    support,
     tangent_points_from_point,
-    uncovered_gaps,
 )
 from carousel.fuzz import random_containment_query
-from carousel.hull import boundary_support
-from carousel.oracle import hull_polygon_area
 from carousel.planar import DEFAULT_TOLERANCE
+from reference_hull import (
+    boundary_support,
+    coverage_arc,
+    hull_area,
+    hull_polygon_area,
+    support,
+    uncovered_gaps,
+)
 
 TAU = math.tau
 
@@ -50,16 +49,14 @@ class TestSupport:
 
 class TestCoverageArc:
     def test_point_generator_closed_form(self):
-        arc = coverage_arc(circle(3, 0, 0), circle(0, 0, 1))
         alpha = math.acos(1 / 3)
-        assert arc.lo == pytest.approx(-alpha)
-        assert arc.hi == pytest.approx(alpha)
+        assert coverage_arc(circle(3, 0, 0), circle(0, 0, 1)) == pytest.approx((-alpha, alpha))
 
     def test_concentric_larger_is_full(self):
-        assert coverage_arc(circle(0, 0, 2), circle(0, 0, 1)).is_full
+        assert coverage_arc(circle(0, 0, 2), circle(0, 0, 1)) == (0.0, TAU)
 
     def test_small_point_is_empty(self):
-        assert coverage_arc(circle(0.5, 0, 0), circle(0, 0, 1)).is_empty
+        assert coverage_arc(circle(0.5, 0, 0), circle(0, 0, 1)) is None
 
     def test_against_dense_angle_scan(self):
         # membership in the closed-form arc must match the raw inequality
@@ -73,42 +70,16 @@ class TestCoverageArc:
             arc = coverage_arc(g, tgt)
             lhs = (g.center.x - tgt.center.x) * cos_t + (g.center.y - tgt.center.y) * sin_t
             holds = lhs >= (tgt.radius - g.radius)
-            member = np.fromiter((arc.contains(t) for t in thetas), bool, len(thetas))
+            lo, hi = arc or (0.0, -1.0)
+            member = (thetas - lo) % TAU <= hi - lo
             # disagreements may only hug the arc endpoints
             diff = np.nonzero(member != holds)[0]
             if diff.size:
-                ends = [arc.lo % TAU, arc.hi % TAU] if not (arc.is_full or arc.is_empty) else []
+                ends = [lo % TAU, hi % TAU] if arc and hi - lo < TAU else []
                 for i in diff:
                     assert ends and min(
                         min(abs(thetas[i] - e), TAU - abs(thetas[i] - e)) for e in ends
                     ) < 1e-4
-
-
-class TestArcIntervals:
-    def test_contains_wraps(self):
-        arc = ArcInterval(TAU - 0.5, TAU + 0.5)
-        assert arc.contains(0.2)
-        assert arc.contains(TAU - 0.2)
-        assert not arc.contains(1.0)
-
-    def test_merge_and_gaps(self):
-        arcs = [ArcInterval(0.0, 1.0), ArcInterval(0.5, 2.0), ArcInterval(3.0, 4.0)]
-        merged = merge_arcs(arcs)
-        assert [(round(a.lo, 9), round(a.hi, 9)) for a in merged] == [(0.0, 2.0), (3.0, 4.0)]
-        gaps = uncovered_gaps(arcs)
-        assert [(g.lo, g.hi) for g in gaps] == [(2.0, 3.0), (4.0, pytest.approx(TAU))]
-
-    def test_full_cover_has_no_gaps(self):
-        arcs = [ArcInterval(0.0, 4.0), ArcInterval(3.5, 3.5 + 3.0)]
-        assert uncovered_gaps(arcs) == []
-
-    def test_empty_cover_is_full_gap(self):
-        assert uncovered_gaps([ArcInterval.EMPTY])[0].is_full
-
-    def test_class_constants_are_not_fields(self):
-        assert [f.name for f in dataclasses.fields(ArcInterval)] == ["lo", "hi"]
-        assert ArcInterval(0, 1).FULL.is_full
-        assert ArcInterval(0, 1).EMPTY.is_empty
 
 
 class TestCircleInHull:
@@ -124,16 +95,15 @@ class TestCircleInHull:
         assert res.witness_direction is not None
 
     def test_uncovered_gap_location(self):
-        res = circle_in_hull(
-            circle(0, 0, 1), GeneratorSet((circle(3, 0, 0), circle(-2, 0, 1.5)))
-        )
+        target, gens = circle(0, 0, 1), (circle(3, 0, 0), circle(-2, 0, 1.5))
+        res = circle_in_hull(target, GeneratorSet(gens))
         assert not res.contained
+        gaps = uncovered_gaps([coverage_arc(g, target) for g in gens])
         lo = math.acos(1 / 3)
         hi = math.pi - math.acos(-0.25)  # = 1.31812...
-        gap = res.uncovered[0]
-        assert gap.lo == pytest.approx(lo, abs=1e-9)
-        assert gap.hi == pytest.approx(hi, abs=1e-9)
-        assert any(g.contains(res.witness_direction) for g in res.uncovered)
+        assert gaps[0] == pytest.approx((lo, hi), abs=1e-9)
+        # the witness direction lies where no generator's arc reaches
+        assert any((res.witness_direction - a) % TAU <= b - a for a, b in gaps)
 
     def test_incircle_touches_all_sides(self):
         s = 4 - 2 * math.sqrt(2)
@@ -186,9 +156,6 @@ class TestCriticalAngles:
         assert res.slack <= dense + 1e-12
         assert dense - res.slack <= amp * math.pi / 3600 + 1e-12
         assert res.contained == (res.slack >= -DEFAULT_TOLERANCE.eps_decision)
-        assert res.uncovered == tuple(
-            uncovered_gaps([coverage_arc(g, target) for g in gens])
-        )
 
     def test_dense_direction_probe(self):
         for seed in range(300):
@@ -202,7 +169,7 @@ class TestCriticalAngles:
     def test_every_generator_concentric_is_exact(self):
         target, gens = DEGENERATE_QUERIES["every generator concentric"]
         res = circle_in_hull(target, GeneratorSet(gens))
-        assert res.contained and res.slack == 1.0 and res.uncovered == ()
+        assert res.contained and res.slack == 1.0
 
 
 def near_tangency_queries(n_seeds):
@@ -296,9 +263,8 @@ class TestSlackProperties:
             res = circle_in_hull(target, gens)
             if abs(res.slack) <= 1e-4:
                 continue
-            covered = not res.uncovered or all(
-                not g.is_full and g.width < 1e-3 for g in res.uncovered
-            )
+            gaps = uncovered_gaps([coverage_arc(g, target) for g in gens])
+            covered = all(hi - lo < 1e-3 for lo, hi in gaps)
             assert res.contained == (res.slack >= 0.0) == covered
 
     def test_scaled_generator_slack_monotone(self):

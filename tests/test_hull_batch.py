@@ -13,7 +13,6 @@ from carousel import (
     InvalidInstance,
     circle,
     circle_in_hull,
-    pt,
 )
 from carousel import hull, witness
 from carousel.hull import circles_in_hulls
@@ -24,14 +23,13 @@ from carousel.witness import (
     pair_generators,
     corollary_of_row,
     instance_of_row,
-    pair_inclusions,
+    pair_inclusions_rows,
     point_decomposition,
     points_of_row,
     random_corollary_instances,
-    random_instance,
     random_instances,
     random_points_instances,
-    witness_searches,
+    witness_searches_rows,
 )
 
 
@@ -331,43 +329,46 @@ def test_best_slack_is_none_without_a_witness(monkeypatch):
 
 
 def test_theorem_search_matches_scalar_pairs():
-    insts = [instance_of_row(row) for row in random_instances(range(3000))]
-    cases = [(inst.sites, (inst.u0, inst.u1)) for inst in insts]
-    for case, got in zip(cases, witness_searches(cases)):
-        assert _key(got) == _key(_scalar_witness_pairs(*case))
+    rows = random_instances(range(3000))
+    for row, got in zip(rows, witness_searches_rows(rows, [True] * len(rows))):
+        inst = instance_of_row(row)
+        assert _key(got) == _key(_scalar_witness_pairs(inst.sites, (inst.u0, inst.u1)))
 
 
 def test_corollary_search_matches_scalar_pairs():
-    draws = [corollary_of_row(row) for row in random_corollary_instances(range(3000))]
-    cases = [(d[:3], d[3:]) for d in draws]
-    for case, got in zip(cases, witness_searches(cases)):
-        assert _key(got) == _key(_scalar_witness_pairs(*case))
+    rows = random_corollary_instances(range(3000))
+    for row, got in zip(rows, witness_searches_rows(rows, [False] * len(rows))):
+        cs = corollary_of_row(row)
+        assert _key(got) == _key(_scalar_witness_pairs(cs[:3], cs[3:]))
 
 
 def test_point_inclusions_match_scalar():
-    draws = [points_of_row(row) for row in random_points_instances(range(3000))]
-    pairs = [point_decomposition(*d) for d in draws]
-    slacks, inside = pair_inclusions([(s, (b0, b1)) for s, b0, b1 in draws], pairs)
-    for (sites, b0, b1), (j, k), slack, ok in zip(draws, pairs, slacks, inside):
+    rows = random_points_instances(range(3000))
+    pairs = [point_decomposition(row) for row in rows.tolist()]
+    slacks, inside = pair_inclusions_rows(rows, pairs)
+    for row, (j, k), slack, ok in zip(rows, pairs, slacks, inside):
+        sites, b0, b1 = points_of_row(row)
         pts = (Circle2(b0, 0.0), Circle2(b1, 0.0))
         res = circle_in_hull(pts[1 - k], pair_generators(pts[k], sites, j))
         assert (_bits(slack), ok) == (_bits(res.slack), res.contained)
 
 
 def test_first_case_breaking_a_hypothesis_raises():
-    good = random_instance(1)
-    sites = (good.sites, (good.u0, good.u1))
-    outside = (good.sites, (good.u0, circle(100, 100, 1)))
-    collinear = ((pt(0, 0), pt(2, 0), pt(5, 0)), (circle(1, 0, 0.1), circle(3, 0, 0)))
+    def search(*rows, sites=True):
+        return witness_searches_rows(np.array(rows, dtype=float), [sites] * len(rows))
+
+    good = random_instances([1])[0].tolist()
+    outside = good[:4] + [[100, 100, 1]]
+    collinear = [[0, 0, 0], [2, 0, 0], [5, 0, 0], [1, 0, 0.1], [3, 0, 0]]
     with pytest.raises(InvalidInstance, match="u1 is not inside the site hull"):
-        witness_searches([sites, outside, collinear])
+        search(good, outside, collinear)
     with pytest.raises(InvalidInstance, match="collinear"):
-        witness_searches([sites, collinear, outside])
+        search(good, collinear, outside)
     # a radius within the decision band keeps the hypotheses on collinear sites
-    thin = ((pt(0, 0), pt(2, 0), pt(5, 0)), (circle(1, 0, 1e-9), circle(3, 0, 0)))
+    thin = collinear[:3] + [[1, 0, 1e-9], [3, 0, 0]]
     with pytest.raises(InvalidInstance, match="collinear"):
-        witness_searches([sites, thin])
-    cs = (circle(0, 0, 1), circle(8, 0, 1), circle(0, 8, 1))
+        search(good, thin)
+    cs = [[0, 0, 1], [8, 0, 1], [0, 8, 1], [7, 7, 0.5], [2, 2, 0.5]]
     with pytest.raises(InvalidInstance, match="u0 is not inside the generator hull"):
-        witness_searches([(cs, (circle(7, 7, 0.5), circle(2, 2, 0.5)))])
-    assert witness_searches([]) == []
+        search(cs, sites=False)
+    assert witness_searches_rows(np.zeros((0, 5, 3)), []) == []

@@ -30,11 +30,11 @@ from carousel import (
 from carousel import hull, witness
 from carousel.hull import min_slack
 from carousel.oracle import sampling_oracle_contains
+from reference_hull import sites_as_generators
 from carousel.witness import (
     JK_PAIRS,
     random_corollary_instance,
     random_points_instance,
-    sites_as_generators,
     sweep_events,
     validate_instance,
     witness_generators,
@@ -470,8 +470,6 @@ class TestRandomInstance:
         assert random_instance(42) != random_instance(43)
 
     def test_hypothesis_slack_floor(self):
-        from carousel.witness import sites_as_generators
-
         for seed in range(50):
             inst = random_instance(seed)
             gens = sites_as_generators(inst.sites)
