@@ -29,7 +29,6 @@ from .errors import (
     ParseError,
     PreconditionRadius,
     SchemaError,
-    UnsupportedKind,
 )
 from .hull import (
     ArcPiece,
@@ -43,12 +42,12 @@ from .hull import (
     min_slack,
 )
 from .planar import (
-    DEFAULT_TOLERANCE,
+    EPS_DECISION,
+    EPS_GEOM,
     AffineSimilarity,
     Circle2,
     Homothety,
     Point2,
-    Tolerance,
     circle,
     external_homothety_center,
     homothety_apply,

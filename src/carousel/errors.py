@@ -79,7 +79,3 @@ class ParseError(CarouselError):
 
 class SchemaError(CarouselError):
     """Scenario JSON does not match the carousel/1 schema."""
-
-
-class UnsupportedKind(CarouselError):
-    """Operation does not support this scenario kind."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import CarouselError, InvalidInstance
+from .errors import InvalidInstance
 from .reports import (
     TOOL_INFO,
     canonical_json,
@@ -43,16 +43,16 @@ def _witness_report(witnesses) -> tuple[dict, int]:
 
 
 def _run_theorem(scenario: Scenario) -> tuple[dict, int]:
-    return _witness_report(witness_search(scenario.instance(), scenario.tolerance))
+    return _witness_report(witness_search(scenario.instance()))
 
 
 def _run_corollary(scenario: Scenario) -> tuple[dict, int]:
-    return _witness_report(corollary_witness_search(*scenario.circles, scenario.tolerance))
+    return _witness_report(corollary_witness_search(*scenario.circles))
 
 
 def _run_points(scenario: Scenario) -> tuple[dict, int]:
     b0, b1 = (c.center for c in scenario.circles)
-    w = two_carousel_points(scenario.sites, b0, b1, scenario.tolerance)
+    w = two_carousel_points(scenario.sites, b0, b1)
     body = {
         "witness": witness_to_dict(w),
         "claim": "the decomposition yields a witness",
@@ -62,7 +62,7 @@ def _run_points(scenario: Scenario) -> tuple[dict, int]:
 
 
 def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
-    rep = xi_sweep_fixed(scenario.instance(), scenario.j, scenario.k, scenario.tolerance)
+    rep = xi_sweep_fixed(scenario.instance(), scenario.j, scenario.k)
     body = {
         "sweep": sweep_to_dict(rep),
         "claim": "critical scale located",
@@ -72,7 +72,7 @@ def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
 
 
 def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
-    rep = example_4_1(scenario.side, scenario.r, scenario.tolerance)
+    rep = example_4_1(scenario.side, scenario.r)
     body = {
         "example": example41_to_dict(rep),
         "claim": "all 8 inclusions refuted",
@@ -82,9 +82,7 @@ def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
 
 
 def _run_ex42(scenario: Scenario) -> tuple[dict, int]:
-    rep = example_4_2(
-        scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r, scenario.tolerance
-    )
+    rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
     body = {
         "example": example42_to_dict(rep),
         "claim": "every sphere refuted against the others",
@@ -110,12 +108,9 @@ def run_scenario_obj(scenario: Scenario) -> tuple[dict, int]:
     circle outside the site hull) is an input error, not a refutation: the
     report then carries the verdict "input_error" and the message.
     """
-    runner = _RUNNERS.get(scenario.kind)
-    if runner is None:  # pragma: no cover - parse_scenario rejects unknown kinds
-        raise CarouselError(f"unhandled kind {scenario.kind!r}")
     head = {"tool": TOOL_INFO, "kind": scenario.kind, "scenario": scenario.raw}
     try:
-        body, code = runner(scenario)
+        body, code = _RUNNERS[scenario.kind](scenario)
     except InvalidInstance as exc:
         return {**head, "verdict": "input_error", "error": str(exc)}, EXIT_INPUT_ERROR
     return {**head, **body}, code

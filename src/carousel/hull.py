@@ -7,7 +7,7 @@ inequality.  The slack, the least support surplus over all directions, is
 the minimum of an envelope of sinusoids; it is found exactly by evaluating
 the envelope at its critical angles (each generator's antipodal minimum and
 the pairwise switch angles), and it decides the verdict: contained iff
-slack >= -eps_decision, the rule the 3D kernel uses too.  A direction that
+slack >= -EPS_DECISION, the rule the 3D kernel uses too.  A direction that
 attains a negative slack is the certificate of a non-containment.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateHull
-from .planar import DEFAULT_TOLERANCE, TAU, Circle2, Point2, Tolerance
+from .planar import EPS_DECISION, EPS_GEOM, TAU, Circle2, Point2
 
 _TINY = 1e-15
 # Elements in the largest temporary of ``circles_in_hulls`` (subsets x
@@ -69,7 +69,7 @@ class ContainmentResult:
     """Verdict plus certificate for one containment query.
 
     ``slack`` is the minimal support surplus over all directions and decides
-    the verdict: contained iff ``slack >= -eps_decision``.
+    the verdict: contained iff ``slack >= -EPS_DECISION``.
     ``witness_direction`` (present iff not contained) attains that slack, so
     it proves a non-containment.
     """
@@ -164,14 +164,12 @@ def _envelope_min(terms) -> tuple[float, float]:
     return best, best_theta
 
 
-def circle_in_hull(
-    target: Circle2, gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ContainmentResult:
+def circle_in_hull(target: Circle2, gens: GeneratorSet) -> ContainmentResult:
     """Decide target-circle containment in the hull of the generators.
 
     The slack is minimised exactly over the critical angles of the support
     gap, and the target is contained iff that slack is at least
-    ``-tol.eps_decision`` (the rule ``sphere_in_hull3`` uses in 3D).  The
+    ``-EPS_DECISION`` (the rule ``sphere_in_hull3`` uses in 3D).  The
     first critical angle attaining the minimum is the witness direction of a
     non-containment.  Points are the radius-0 special case on either side.
     """
@@ -181,7 +179,7 @@ def circle_in_hull(
     best, best_theta = _envelope_min(
         [(g.center.x - tx, g.center.y - ty, g.radius - tr) for g in gens]
     )
-    contained = best >= -tol.eps_decision
+    contained = best >= -EPS_DECISION
     return ContainmentResult(
         contained=contained,
         slack=best,
@@ -264,14 +262,12 @@ def _layout(g: int, subsets: bytes | None):
     return tables
 
 
-def circles_in_hulls(
-    targets, gens, tol: Tolerance = DEFAULT_TOLERANCE, subsets=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide a set of containment queries in one array pass, as ``circle_in_hull`` does each.
 
     ``targets`` is an (n, 3) array of circles (x, y, r) and ``gens`` an
     (n, g, 3) array of each row's g >= 1 objects.  Returns each query's
-    slack, verdict (``slack >= -tol.eps_decision``) and witness angle, the
+    slack, verdict (``slack >= -EPS_DECISION``) and witness angle, the
     first critical angle in ascending order that attains the slack; it is a
     witness only where the verdict is False.
 
@@ -318,17 +314,15 @@ def circles_in_hulls(
         least = env.min(axis=2)
         slack[lo : lo + m] = least.T
         theta[lo : lo + m] = np.where(env == least[..., None], cands, np.inf).min(axis=2).T
-    inside = slack >= -tol.eps_decision
+    inside = slack >= -EPS_DECISION
     if subsets is None:
         return slack.ravel(), inside.ravel(), theta.ravel()
     return slack, inside, theta
 
 
-def min_slack(
-    target: Circle2, gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def min_slack(target: Circle2, gens: GeneratorSet) -> float:
     """Minimal support surplus; strictly positive iff the target is interior."""
-    return circle_in_hull(target, gens, tol).slack
+    return circle_in_hull(target, gens).slack
 
 
 # -- hull boundary -----------------------------------------------------------
@@ -385,7 +379,7 @@ def _point_on(g: Circle2, theta: float) -> Point2:
     )
 
 
-def hull_boundary(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE) -> HullBoundary:
+def hull_boundary(gens: GeneratorSet) -> HullBoundary:
     """Construct the hull boundary chain by sweeping the support argmax.
 
     Switch angles come from pairwise equalities of the support sinusoids; on
@@ -411,12 +405,12 @@ def hull_boundary(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE) -> Hul
         a = pts[0]
         extent = max((p - a).norm() for p in pts)
         dirp = max(pts, key=lambda p: (p - a).norm())
-        collinear = all(abs((dirp - a).cross(p - a)) <= tol.eps_geom for p in pts)
+        collinear = all(abs((dirp - a).cross(p - a)) <= EPS_GEOM for p in pts)
         if collinear:
             axis = dirp - a
             lo = min(pts, key=lambda p: (p - a).dot(axis))
             hi = max(pts, key=lambda p: (p - a).dot(axis))
-            if extent <= tol.eps_geom:
+            if extent <= EPS_GEOM:
                 raise DegenerateHull("hull is a single point", "point", (a,))
             raise DegenerateHull("hull is a segment", "segment", (lo, hi))
 
@@ -498,7 +492,7 @@ def hull_boundary(gens: GeneratorSet, tol: Tolerance = DEFAULT_TOLERANCE) -> Hul
             pieces.append(ArcPiece(gen_i, lo, hi, _point_on(g, lo), _point_on(g, hi)))
         p_from = _point_on(g, hi)
         p_to = _point_on(glist[nxt_gen], hi)
-        if p_from.distance_to(p_to) > tol.eps_geom:
+        if p_from.distance_to(p_to) > EPS_GEOM:
             pieces.append(SegmentPiece(p_from, p_to, (gen_i, nxt_gen)))
     omitted = tuple(i for i in range(n) if i not in attributed)
     return HullBoundary(tuple(pieces), omitted)

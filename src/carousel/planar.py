@@ -21,21 +21,10 @@ from .errors import (
 TAU = math.tau
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numeric policy: eps_geom for geometry residuals, eps_decision for verdicts."""
-
-    eps_geom: float = 1e-9
-    eps_decision: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_geom < self.eps_decision):
-            raise ValueError(
-                f"need 0 < eps_geom < eps_decision, got {self.eps_geom}, {self.eps_decision}"
-            )
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# Absolute band for geometric residuals: orientations, tangencies, coincidences.
+EPS_GEOM = 1e-9
+# Verdict band, in 2D and 3D alike: an inclusion is contained iff its slack >= -EPS_DECISION.
+EPS_DECISION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -177,21 +166,19 @@ def _cross(ax, ay, bx, by, cx, cy) -> float:
     return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
-def _orientation(ax, ay, bx, by, cx, cy, tol: Tolerance) -> int:
+def _orientation(ax, ay, bx, by, cx, cy) -> int:
     v = _cross(ax, ay, bx, by, cx, cy)
-    if abs(v) <= tol.eps_geom:
+    if abs(v) <= EPS_GEOM:
         return 0
     return 1 if v > 0.0 else -1
 
 
-def orientation(a: Point2, b: Point2, c: Point2, tol: Tolerance = DEFAULT_TOLERANCE) -> int:
-    """Sign of the cross product (b-a) x (c-a); values within eps_geom count as 0."""
-    return _orientation(a.x, a.y, b.x, b.y, c.x, c.y, tol)
+def orientation(a: Point2, b: Point2, c: Point2) -> int:
+    """Sign of the cross product (b-a) x (c-a); values within EPS_GEOM count as 0."""
+    return _orientation(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
-def tangent_points_from_point(
-    F: Point2, c: Circle2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[Point2, Point2]:
+def tangent_points_from_point(F: Point2, c: Circle2) -> tuple[Point2, Point2]:
     """The two tangent points on ``c`` of the tangent lines through ``F``.
 
     T1 is the counterclockwise one as seen from F (positive cross of the
@@ -201,7 +188,7 @@ def tangent_points_from_point(
     if c.radius <= 0.0:
         raise DegenerateRadius("tangent points need a positive radius")
     d = F.distance_to(c.center)
-    if d <= c.radius + tol.eps_geom:
+    if d <= c.radius + EPS_GEOM:
         raise FocusInsideOrOn(f"focus at distance {d} is within the closed disk of radius {c.radius}")
     phi = math.atan2(F.y - c.center.y, F.x - c.center.x)
     alpha = math.acos(min(1.0, c.radius / d))
@@ -218,9 +205,7 @@ def tangent_points_from_point(
     return tb, ta
 
 
-def external_homothety_center(
-    c1: Circle2, c2: Circle2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Point2:
+def external_homothety_center(c1: Circle2, c2: Circle2) -> Point2:
     """Intersection point of the external tangent lines of two circles.
 
     Solves the positive-ratio homothety equation mapping c1 onto c2; requires
@@ -228,10 +213,10 @@ def external_homothety_center(
     """
     if c1.radius <= 0.0 or c2.radius <= 0.0:
         raise DegenerateRadius("external homothety center needs positive radii")
-    if abs(c1.radius - c2.radius) <= tol.eps_geom:
+    if abs(c1.radius - c2.radius) <= EPS_GEOM:
         raise EqualRadii("equal radii: external tangents are parallel")
     d = c1.center.distance_to(c2.center)
-    if d <= abs(c1.radius - c2.radius) + tol.eps_geom:
+    if d <= abs(c1.radius - c2.radius) + EPS_GEOM:
         raise NestedCircles("one circle lies inside the other")
     lam = c2.radius / c1.radius
     inv = 1.0 / (1.0 - lam)
@@ -274,16 +259,14 @@ def point_ray_distance(p: Point2, origin: Point2, direction: Point2) -> float:
     return p.distance_to(foot)
 
 
-def _reangle_check(F: Point2, c: Circle2, tol: Tolerance) -> float:
+def _reangle_check(F: Point2, c: Circle2) -> float:
     d = F.distance_to(c.center)
-    if d <= c.radius + tol.eps_geom:
+    if d <= c.radius + EPS_GEOM:
         raise FocusInsideOrOn(f"focus at distance {d} is within the closed disk of radius {c.radius}")
     return d
 
 
-def reangle_contains(
-    F: Point2, c: Circle2, x: Point2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> bool:
+def reangle_contains(F: Point2, c: Circle2, x: Point2) -> bool:
     """Membership in the round-edged angle with focus ``F`` and spanning circle ``c``.
 
     The region is the tangent cone of the disk apexed at F intersected with
@@ -291,33 +274,31 @@ def reangle_contains(
     keeps the whole disk, excludes F, is unbounded away from F, and is
     bounded by the front arc and two tangent half-lines.
     """
-    d = _reangle_check(F, c, tol)
+    d = _reangle_check(F, c)
     vx = x.x - F.x
     vy = x.y - F.y
     wx = c.center.x - F.x
     wy = c.center.y - F.y
     vn = math.hypot(vx, vy)
-    if vn <= tol.eps_geom:
+    if vn <= EPS_GEOM:
         return False  # the focus itself is never in the region
     gamma = math.atan2(abs(wx * vy - wy * vx), wx * vx + wy * vy)
     beta = math.asin(min(1.0, c.radius / d))
-    if gamma > beta + tol.eps_geom:
+    if gamma > beta + EPS_GEOM:
         return False
     seg = _point_segment_distance(c.center.x, c.center.y, F.x, F.y, x.x, x.y)
-    return seg <= c.radius + tol.eps_geom
+    return seg <= c.radius + EPS_GEOM
 
 
-def reangle_clearance(
-    F: Point2, c: Circle2, x: Point2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def reangle_clearance(F: Point2, c: Circle2, x: Point2) -> float:
     """Signed distance from ``x`` to the boundary of the round-edged angle.
 
     Positive inside, negative outside.  The boundary is the front arc of the
     spanning circle plus the two tangent half-lines starting at the tangent
     points and running away from the focus.
     """
-    _reangle_check(F, c, tol)
-    t1, t2 = tangent_points_from_point(F, c, tol)
+    _reangle_check(F, c)
+    t1, t2 = tangent_points_from_point(F, c)
     pieces = []
     for t in (t1, t2):
         pieces.append(point_ray_distance(x, t, t - F))
@@ -331,4 +312,4 @@ def reangle_clearance(
     else:
         pieces.append(min(x.distance_to(t1), x.distance_to(t2)))
     dist = min(pieces)
-    return dist if reangle_contains(F, c, x, tol) else -dist
+    return dist if reangle_contains(F, c, x) else -dist

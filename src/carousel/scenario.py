@@ -2,9 +2,10 @@
 
 Top-level object: ``schema`` must be "carousel/1"; ``kind`` picks the
 geometry payload.  2D entries are [x, y, r] triples, 3D entries are
-[x, y, z, r]; sites and bare points must carry r = 0.  ``tolerance`` and
-``seed`` are optional.  Validation is strict: unknown keys are rejected so
-fixtures stay diff-able.
+[x, y, z, r]; sites and bare points must carry r = 0.  ``seed`` is
+optional.  Validation is strict: unknown keys are rejected so fixtures stay
+diff-able.  The numeric bands are fixed (``planar.EPS_GEOM`` and
+``planar.EPS_DECISION``), so no scenario field sets them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, SchemaError
-from .planar import Circle2, Point2, Tolerance
+from .planar import Circle2, Point2
 from .witness import CarouselInstance
 
 SCHEMA_TAG = "carousel/1"
@@ -29,7 +30,7 @@ KINDS = (
     "sphere3_ex42",
 )
 
-_COMMON_KEYS = {"schema", "kind", "tolerance", "seed"}
+_COMMON_KEYS = {"schema", "kind", "seed"}
 _KIND_KEYS = {
     "theorem2d": {"sites", "circles"},
     "sweep": {"sites", "circles", "j", "k"},
@@ -43,7 +44,6 @@ _KIND_KEYS = {
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    tolerance: Tolerance
     seed: int | None
     sites: tuple[Point2, ...] = ()
     circles: tuple[Circle2, ...] = ()
@@ -114,19 +114,6 @@ def parse_scenario(data: dict) -> Scenario:
     """Validate a decoded scenario object and build the typed payload."""
     kind = scenario_kind(data)
 
-    tolerance = Tolerance()
-    if "tolerance" in data:
-        t = data["tolerance"]
-        if not isinstance(t, dict) or set(t) - {"eps_geom", "eps_decision"}:
-            raise SchemaError("tolerance must be {eps_geom, eps_decision}")
-        try:
-            tolerance = Tolerance(
-                eps_geom=_num(t.get("eps_geom", 1e-9), "tolerance.eps_geom"),
-                eps_decision=_num(t.get("eps_decision", 1e-6), "tolerance.eps_decision"),
-            )
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-
     seed = None
     if "seed" in data:
         s = data["seed"]
@@ -134,7 +121,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise SchemaError("seed must be an unsigned 64-bit integer")
         seed = s
 
-    kwargs = dict(kind=kind, tolerance=tolerance, seed=seed, raw=data)
+    kwargs = dict(kind=kind, seed=seed, raw=data)
 
     if kind in ("theorem2d", "sweep"):
         sites = _array2d(data, "sites", 3, point_only=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
 from .hull import ContainmentResult, GeneratorSet, circle_in_hull
-from .planar import DEFAULT_TOLERANCE, Circle2, Point2, Tolerance
+from .planar import EPS_DECISION, Circle2, Point2
 
 @dataclass(frozen=True)
 class Point3:
@@ -281,11 +281,7 @@ def _best_triple_vertices(c, r, targets, removed) -> tuple[np.ndarray, np.ndarra
     return u[best_at], np.isfinite(best)
 
 
-def spheres_in_hull3(
-    objects,
-    inclusions,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> tuple[Containment3Result, ...]:
+def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     """Decide a set of sphere inclusions among the same spheres and points.
 
     ``objects`` are spheres (radius 0 for points).  Each inclusion is a pair
@@ -302,7 +298,7 @@ def spheres_in_hull3(
     Boissonnat et al., CGTA 6, 1996).  One fixed direction is added for
     generators that are all concentric with the target, whose envelope is
     constant.  Each inclusion is normalised by its largest length; the
-    verdict compares the normalised slack with eps_decision, so it does not
+    verdict compares the normalised slack with EPS_DECISION, so it does not
     change when the whole input is scaled.  The witness direction is a
     minimiser: ties go to the first candidate in the order face, pair,
     triple +, triple -, fixed.  Results come in the order of ``inclusions``.
@@ -360,7 +356,7 @@ def spheres_in_hull3(
             rows = np.arange(len(qs))
             best = np.argmin(envelope, axis=1)
             unit_slack = envelope[rows, best] - rt
-            contained = unit_slack >= -tol.eps_decision
+            contained = unit_slack >= -EPS_DECISION
             for q, inside, slack, witness in zip(
                 qs.tolist(),
                 contained.tolist(),
@@ -375,17 +371,13 @@ def spheres_in_hull3(
     return tuple(results)
 
 
-def sphere_in_hull3(
-    target: Sphere3,
-    gens,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Containment3Result:
+def sphere_in_hull3(target: Sphere3, gens) -> Containment3Result:
     """Decide one sphere's containment in the hull of spheres and points.
 
     This is the one-inclusion case of ``spheres_in_hull3``: the target and
     its generators are the objects, and the target is the only one removed.
     """
-    return spheres_in_hull3([target, *gens], [(0, ())], tol)[0]
+    return spheres_in_hull3([target, *gens], [(0, ())])[0]
 
 
 # -- projection reduction ------------------------------------------------------
@@ -412,12 +404,7 @@ def project_to_plane(p: Point3, plane) -> Point2:
     return Point2(rel.dot(e1), rel.dot(e2))
 
 
-def projection_reduction(
-    target: Sphere3,
-    gens,
-    plane,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> ContainmentResult:
+def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
     """Project spheres orthogonally into a plane and run the exact 2D test.
 
     Projection commutes with convex hulls, so a 2D non-containment exactly
@@ -434,7 +421,7 @@ def projection_reduction(
     gens2 = GeneratorSet(
         tuple(Circle2(project_to_plane(g.center, plane), g.radius) for g in gens)
     )
-    return circle_in_hull(target2, gens2, tol)
+    return circle_in_hull(target2, gens2)
 
 
 # -- counterexample reproductions ----------------------------------------------
@@ -492,11 +479,7 @@ def _ex41_target_gens(vertices, spheres, j: int, k: int):
     return target, gens
 
 
-def example_4_1(
-    side: float = 1.0,
-    r: float = 0.1,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Example41Report:
+def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     """Two equal spheres on the trisection points of the mid-edge axis.
 
     Every one of the 8 inclusions (choice of omitted vertex and of which
@@ -509,7 +492,7 @@ def example_4_1(
     planes = _face_planes(verts)
     face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
     for dists in face_d:
-        if min(dists) < r + tol.eps_decision:
+        if min(dists) < r + EPS_DECISION:
             raise PreconditionRadius(
                 f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
             )
@@ -520,10 +503,10 @@ def example_4_1(
     objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
     outcomes = []
-    for (j, k), res in zip(pairs, spheres_in_hull3(objects, inclusions, tol)):
+    for (j, k), res in zip(pairs, spheres_in_hull3(objects, inclusions)):
         if j == 3:
             target, gens = _ex41_target_gens(verts, spheres, j, k)
-            cert = projection_reduction(target, gens, plane, tol)
+            cert = projection_reduction(target, gens, plane)
             res = replace(res, projection_certificate=cert)
         outcomes.append(PairOutcome(j, k, res))
     return Example41Report(
@@ -562,7 +545,6 @@ def example_4_2(
     arc_radius_factor: float = 10.0,
     side: float = 1.0,
     r: float = 0.1,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> Example42Report:
     """Extend the two-sphere axis configuration to t spheres on the axis.
 
@@ -603,7 +585,7 @@ def example_4_2(
     margin_room = []
     for i in indices:
         d_min = min(_face_distances(planes, centers[i]))
-        margin_room.append(d_min - tol.eps_decision - bulges[i])
+        margin_room.append(d_min - EPS_DECISION - bulges[i])
     base_r = min(r, min(margin_room))
     if base_r <= 0.0:
         raise ConstructionFailed(
@@ -624,7 +606,7 @@ def example_4_2(
     objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
     pairs = [(j, pos) for j in range(4) for pos in range(t)]
     inclusions = [(pos, (t + j,)) for j, pos in pairs]
-    results = spheres_in_hull3(objects, inclusions, tol)
+    results = spheres_in_hull3(objects, inclusions)
     outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
 
     return Example42Report(

@@ -8,9 +8,7 @@ a fixed format, which keeps output byte-identical for identical input.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .errors import UnsupportedKind
 from .hull import ArcPiece, GeneratorSet, HullBoundary, circle_in_hull, hull_boundary
 from .planar import Circle2, Point2
 from .scenario import Scenario
@@ -194,7 +192,7 @@ def _draw_sites(canvas: _Canvas, sites):
 def _render_theorem(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     inst = scenario.instance()
-    witnesses = witness_search(inst, scenario.tolerance)
+    witnesses = witness_search(inst)
     if witnesses:
         best = witnesses[0]
         _fill_hull(canvas, witness_generators(inst, best.j, best.k))
@@ -213,7 +211,7 @@ def _render_theorem(scenario: Scenario) -> _Canvas:
 def _render_corollary(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     c0, c1, c2, u0, u1 = scenario.circles
-    witnesses = corollary_witness_search(c0, c1, c2, u0, u1, scenario.tolerance)
+    witnesses = corollary_witness_search(c0, c1, c2, u0, u1)
     cs = (c0, c1, c2)
     if witnesses:
         best = witnesses[0]
@@ -236,7 +234,7 @@ def _render_points(scenario: Scenario) -> _Canvas:
     sites = scenario.sites
     b0 = scenario.circles[0].center
     b1 = scenario.circles[1].center
-    w = two_carousel_points(sites, b0, b1, scenario.tolerance)
+    w = two_carousel_points(sites, b0, b1)
     gens = pair_generators(Circle2((b0, b1)[w.k], 0.0), sites, w.j)
     canvas.polygon([g.center for g in gens], stroke="#707070", fill="#d9d9d9")
     _draw_sites(canvas, sites)
@@ -250,7 +248,7 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     inst = scenario.instance()
     j, k = scenario.j, scenario.k
-    rep = xi_sweep_fixed(inst, j, k, scenario.tolerance)
+    rep = xi_sweep_fixed(inst, j, k)
     zeta = rep.xi_star
     scaled = scaled_instance(inst, zeta)
     _fill_hull(canvas, witness_generators(scaled, j, k))
@@ -261,9 +259,7 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     canvas.circle(scaled.circle(1 - k), "#2ca02c")
     if zeta < 1.0:
         past = scaled_instance(inst, min(1.0, zeta + TOUCH_PROBE_STEP))
-        res = circle_in_hull(
-            past.circle(1 - k), witness_generators(past, j, k), scenario.tolerance
-        )
+        res = circle_in_hull(past.circle(1 - k), witness_generators(past, j, k))
         if res.witness_direction is not None:
             target = scaled.circle(1 - k)
             touch = Point2(
@@ -280,7 +276,7 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
 
 def _render_ex41(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
-    rep = example_4_1(scenario.side, scenario.r, scenario.tolerance)
+    rep = example_4_1(scenario.side, scenario.r)
     verts = rep.vertices
     b, c, p_m1, p_0 = axis_points(*verts)
     plane = plane_through(b, verts[2], verts[3])
@@ -306,10 +302,7 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
 
 def _render_ex42(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
-    rep = example_4_2(
-        scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r,
-        scenario.tolerance,
-    )
+    rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
     verts = rep.vertices
     b, c, _, _ = axis_points(*verts)
     plane = plane_through(b, verts[2], verts[3])
@@ -354,12 +347,5 @@ _RENDERERS = {
 
 def render_svg(scenario: Scenario) -> str:
     """Deterministic SVG text for a scenario figure."""
-    renderer = _RENDERERS.get(scenario.kind)
-    if renderer is None:
-        raise UnsupportedKind(f"cannot render kind {scenario.kind!r}")
-    canvas = renderer(scenario)
+    canvas = _RENDERERS[scenario.kind](scenario)
     return canvas.render(f"carousel {scenario.kind}")
-
-
-def write_svg(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(render_svg(scenario), encoding="utf-8")

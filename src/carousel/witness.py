@@ -40,10 +40,10 @@ from .errors import (
 )
 from .hull import GeneratorSet, _envelope_min, circles_in_hulls, min_slack
 from .planar import (
-    DEFAULT_TOLERANCE,
+    EPS_DECISION,
+    EPS_GEOM,
     Circle2,
     Point2,
-    Tolerance,
     _cross,
     _orientation,
     _point_segment_distance,
@@ -110,10 +110,10 @@ class RngConfig:
             raise ValueError(f"radius_range must be >= 0, got {self.radius_range}")
 
 
-def _check_collinear(row, tol: Tolerance) -> None:
+def _check_collinear(row) -> None:
     """Raise if a row's sites b0, b1, b2 are collinear and u0 or u1 has a radius."""
     (ax, ay, _), (bx, by, _), (cx, cy, _), u0, u1 = row
-    if _orientation(ax, ay, bx, by, cx, cy, tol) == 0 and (u0[2] > 0.0 or u1[2] > 0.0):
+    if _orientation(ax, ay, bx, by, cx, cy) == 0 and (u0[2] > 0.0 or u1[2] > 0.0):
         raise InvalidInstance("collinear sites admit only radius-0 circles")
 
 
@@ -122,17 +122,17 @@ def _require_inside(k: int, contained: bool, slack: float, hull: str) -> None:
         raise InvalidInstance(f"u{k} is not inside the {hull} hull (slack {slack:.3g})")
 
 
-def validate_instance(inst: CarouselInstance, tol: Tolerance = DEFAULT_TOLERANCE) -> None:
+def validate_instance(inst: CarouselInstance) -> None:
     """Check the carousel hypotheses; raises InvalidInstance otherwise.
 
     Each u_k is decided as ``circle_in_hull`` decides it against the sites
     as radius-0 generators, from the same floats, without building them.
     """
     row = [_xyr(obj) for obj in (*inst.sites, inst.u0, inst.u1)]
-    _check_collinear(row, tol)
+    _check_collinear(row)
     for k, (tx, ty, tr) in enumerate(row[3:]):
         slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
-        _require_inside(k, slack >= -tol.eps_decision, slack, "site")
+        _require_inside(k, slack >= -EPS_DECISION, slack, "site")
 
 
 def scaled_instance(inst: CarouselInstance, zeta: float) -> CarouselInstance:
@@ -188,7 +188,7 @@ def _xyr(obj) -> tuple[float, float, float]:
     return obj.x, obj.y, 0.0
 
 
-def _decide(rows: np.ndarray, sites, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _decide(rows: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
     """Slack and verdict of the eight inclusions of every row, from one kernel call.
 
     The results are (n, 8) arrays, the two hypotheses first and then the
@@ -199,27 +199,25 @@ def _decide(rows: np.ndarray, sites, tol: Tolerance) -> tuple[np.ndarray, np.nda
     """
     n = len(rows)
     slack, inside, _ = circles_in_hulls(
-        rows[:, 3:].reshape(-1, 3), rows.take(_OBJECTS, axis=1).reshape(-1, 4, 3), tol, _SUBSETS
+        rows[:, 3:].reshape(-1, 3), rows.take(_OBJECTS, axis=1).reshape(-1, 4, 3), _SUBSETS
     )
     slack = slack.reshape(n, 8).take(_ORDER, axis=1)
     inside = inside.reshape(n, 8).take(_ORDER, axis=1)
     # the rows _check_collinear rejects, with _cross's products rounded alike
     legs = rows[:, 1:3, :2] - rows[:, :1, :2]  # b1 - b0 and b2 - b0
     cross = legs[:, 0] * legs[:, 1, ::-1]
-    flat = np.abs(cross[:, 0] - cross[:, 1]) <= tol.eps_geom
+    flat = np.abs(cross[:, 0] - cross[:, 1]) <= EPS_GEOM
     bad = (flat & (rows[:, 3:, 2] > 0.0).any(axis=1) & sites) | ~(inside[:, 0] & inside[:, 1])
     if bad.any():
         i = int(bad.argmax())
         if sites[i]:
-            _check_collinear(rows[i].tolist(), tol)
+            _check_collinear(rows[i].tolist())
         for k in (0, 1):
             _require_inside(k, inside[i, k], slack[i, k], "site" if sites[i] else "generator")
     return slack, inside
 
 
-def witness_searches_rows(
-    rows, sites, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[list[Witness]]:
+def witness_searches_rows(rows, sites) -> list[list[Witness]]:
     """Each row's (j, k) pairs whose inclusion holds, by descending slack.
 
     ``rows`` is an (n, 5, 3) array of the (x, y, r) objects b0, b1, b2, u0,
@@ -230,7 +228,7 @@ def witness_searches_rows(
     """
     if not len(rows):
         return []
-    slack, inside = _decide(rows, sites, tol)
+    slack, inside = _decide(rows, sites)
     out = []
     for row_slack, row_inside in zip(slack[:, 2:].tolist(), inside[:, 2:].tolist()):
         found = [
@@ -241,9 +239,7 @@ def witness_searches_rows(
     return out
 
 
-def best_witness_slacks_rows(
-    rows, sites, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[float | None]:
+def best_witness_slacks_rows(rows, sites) -> list[float | None]:
     """Each row's largest (j, k) slack among the inclusions that hold, or None if none holds.
 
     The slack of the first witness of ``witness_searches_rows``, read from
@@ -251,15 +247,13 @@ def best_witness_slacks_rows(
     """
     if not len(rows):
         return []
-    slack, inside = _decide(rows, sites, tol)
+    slack, inside = _decide(rows, sites)
     held = inside[:, 2:]
     best = np.where(held, slack[:, 2:], -np.inf).max(axis=1)
     return [s if ok else None for s, ok in zip(best.tolist(), held.any(axis=1).tolist())]
 
 
-def pair_inclusions_rows(
-    rows, pairs, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[list, list]:
+def pair_inclusions_rows(rows, pairs) -> tuple[list, list]:
     """Slack and verdict of one named (j, k) inclusion per row, from one kernel call.
 
     Rows are as for ``witness_searches_rows``; u0 and u1 may be points.
@@ -267,19 +261,17 @@ def pair_inclusions_rows(
     if not len(rows):
         return [], []
     objs = rows[np.arange(len(rows))[:, None], [_PAIR_OBJECTS[p] for p in pairs]]
-    slack, inside, _ = circles_in_hulls(objs[:, 0], objs[:, 1:], tol)
+    slack, inside, _ = circles_in_hulls(objs[:, 0], objs[:, 1:])
     return slack.tolist(), inside.tolist()
 
 
-def witness_search(
-    inst: CarouselInstance, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[Witness]:
+def witness_search(inst: CarouselInstance) -> list[Witness]:
     """All (j, k) pairs whose inclusion holds, sorted by descending slack.
 
     The one-row case of ``witness_searches_rows``.
     """
     row = [_xyr(o) for o in (*inst.sites, inst.u0, inst.u1)]
-    return witness_searches_rows(_block([row]), [True], tol)[0]
+    return witness_searches_rows(_block([row]), [True])[0]
 
 
 def corollary_witness_search(
@@ -288,30 +280,29 @@ def corollary_witness_search(
     c2: Circle2,
     u0: Circle2,
     u1: Circle2,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> list[Witness]:
     """Witness search with three circle generators instead of point sites.
 
     The one-row case of ``witness_searches_rows``.
     """
     row = [_xyr(o) for o in (c0, c1, c2, u0, u1)]
-    return witness_searches_rows(_block([row]), [False], tol)[0]
+    return witness_searches_rows(_block([row]), [False])[0]
 
 
-def _strictly_inside(p, tri, tol: Tolerance) -> bool:
+def _strictly_inside(p, tri) -> bool:
     (ax, ay), (bx, by), (cx, cy) = tri
     px, py = p
-    ref = _orientation(ax, ay, bx, by, cx, cy, tol)
+    ref = _orientation(ax, ay, bx, by, cx, cy)
     if ref == 0:
         return False
     return (
-        _orientation(ax, ay, bx, by, px, py, tol) == ref
-        and _orientation(bx, by, cx, cy, px, py, tol) == ref
-        and _orientation(cx, cy, ax, ay, px, py, tol) == ref
+        _orientation(ax, ay, bx, by, px, py) == ref
+        and _orientation(bx, by, cx, cy, px, py) == ref
+        and _orientation(cx, cy, ax, ay, px, py) == ref
     )
 
 
-def point_decomposition(row, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, int]:
+def point_decomposition(row) -> tuple[int, int]:
     """The (j, k) pair the triangle decomposition through b0 names for b1.
 
     ``row`` holds the (x, y, r) objects A0, A1, A2, b0, b1 as floats; the
@@ -323,21 +314,21 @@ def point_decomposition(row, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, i
     """
     *sites, b0, b1 = [(x, y) for x, y, _ in row]
     (x0, y0), (x1, y1) = b0, b1
-    if math.hypot(x0 - x1, y0 - y1) <= tol.eps_geom:
+    if math.hypot(x0 - x1, y0 - y1) <= EPS_GEOM:
         raise CoincidentPoints("the two interior points coincide")
     for p, name in ((b0, "b0"), (b1, "b1")):
-        if not _strictly_inside(p, sites, tol):
+        if not _strictly_inside(p, sites):
             raise NotInterior(f"{name} is not strictly inside the site triangle")
 
     for j in range(3):
         tri = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
-        if _strictly_inside(b1, tri, tol):
+        if _strictly_inside(b1, tri):
             return j, 0
 
     # b1 sits on one of the three segments from b0 to a site
     for j in range(3):
         ax, ay = sites[j]
-        if _orientation(x0, y0, ax, ay, x1, y1, tol) == 0:
+        if _orientation(x0, y0, ax, ay, x1, y1) == 0:
             t = (x1 - x0) * (ax - x0) + (y1 - y0) * (ay - y0)
             if 0.0 < t < (ax - x0) * (ax - x0) + (ay - y0) * (ay - y0):
                 return j, 1
@@ -345,25 +336,23 @@ def point_decomposition(row, tol: Tolerance = DEFAULT_TOLERANCE) -> tuple[int, i
     # numerical fringe: fall back to closed sub-triangle membership
     for j in range(3):
         (ax, ay), (bx, by), (cx, cy) = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
-        ref = _orientation(ax, ay, bx, by, cx, cy, tol)
+        ref = _orientation(ax, ay, bx, by, cx, cy)
         signs = (
-            _orientation(ax, ay, bx, by, x1, y1, tol),
-            _orientation(bx, by, cx, cy, x1, y1, tol),
-            _orientation(cx, cy, ax, ay, x1, y1, tol),
+            _orientation(ax, ay, bx, by, x1, y1),
+            _orientation(bx, by, cx, cy, x1, y1),
+            _orientation(cx, cy, ax, ay, x1, y1),
         )
         if ref != 0 and all(s == 0 or s == ref for s in signs):
             return j, 0
     raise NotInterior("b1 could not be located in the decomposition")
 
 
-def two_carousel_points(
-    sites, b0: Point2, b1: Point2, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Witness:
+def two_carousel_points(sites, b0: Point2, b1: Point2) -> Witness:
     """Point-only carousel witness: ``point_decomposition`` and the slack it holds by."""
-    j, k = point_decomposition([_xyr(o) for o in (*sites, b0, b1)], tol)
+    j, k = point_decomposition([_xyr(o) for o in (*sites, b0, b1)])
     pts = (b0, b1)
     gens = pair_generators(Circle2(pts[k], 0.0), sites, j)
-    return Witness(j, k, min_slack(Circle2(pts[1 - k], 0.0), gens, tol))
+    return Witness(j, k, min_slack(Circle2(pts[1 - k], 0.0), gens))
 
 
 # -- xi sweep ----------------------------------------------------------------
@@ -373,9 +362,7 @@ EVENT_TIE = 1e-12
 _EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 
 
-def sweep_slack(
-    inst: CarouselInstance, j: int, k: int, zeta: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def sweep_slack(inst: CarouselInstance, j: int, k: int, zeta: float) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta.
 
     Bitwise ``min_slack(scaled.circle(1 - k), witness_generators(scaled, j,
@@ -438,23 +425,18 @@ def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Ta
     return merged
 
 
-def _tangency_at_zero(inst: CarouselInstance, j: int, k: int, tol: Tolerance) -> Tangency:
+def _tangency_at_zero(inst: CarouselInstance, j: int, k: int) -> Tangency:
     """Side of the triangle c_k, a, b nearest the target's centre; legs win ties."""
     ck, ct = inst.circle(k).center, inst.circle(1 - k).center
     a, b = _others(inst.sites, j)
-    if orientation(ck, a, b, tol) == 0:
+    if orientation(ck, a, b) == 0:
         return Tangency.BASE_SIDE
     leg = min(point_segment_distance(ct, ck, s) for s in (a, b))
     base = point_segment_distance(ct, a, b)
-    return Tangency.LEG if leg <= base + tol.eps_geom else Tangency.BASE_SIDE
+    return Tangency.LEG if leg <= base + EPS_GEOM else Tangency.BASE_SIDE
 
 
-def xi_sweep_fixed(
-    inst: CarouselInstance,
-    j: int,
-    k: int,
-    tolerance: Tolerance = DEFAULT_TOLERANCE,
-) -> XiSweepReport:
+def xi_sweep_fixed(inst: CarouselInstance, j: int, k: int) -> XiSweepReport:
     """Supremum scale at which the fixed (j, k) inclusion still holds.
 
     The slack can change sign only at one of the tangency events of
@@ -468,18 +450,18 @@ def xi_sweep_fixed(
     """
     if j not in (0, 1, 2) or k not in (0, 1):
         raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
-    validate_instance(inst, tolerance)
+    validate_instance(inst)
     events = sweep_events(inst, j, k)
     edges = [0.0] + [zeta for zeta, _ in events] + [1.0]
     for i in range(len(edges) - 1):
-        if sweep_slack(inst, j, k, 0.5 * (edges[i] + edges[i + 1]), tolerance) < 0.0:
+        if sweep_slack(inst, j, k, 0.5 * (edges[i] + edges[i + 1])) < 0.0:
             break
     else:
-        slack = sweep_slack(inst, j, k, 1.0, tolerance)
+        slack = sweep_slack(inst, j, k, 1.0)
         return XiSweepReport(j, k, 1.0, slack, Tangency.NONE_AT_ONE)
     xi = edges[i]
-    tangency = events[i - 1][1] if i else _tangency_at_zero(inst, j, k, tolerance)
-    return XiSweepReport(j, k, xi, sweep_slack(inst, j, k, xi, tolerance), tangency)
+    tangency = events[i - 1][1] if i else _tangency_at_zero(inst, j, k)
+    return XiSweepReport(j, k, xi, sweep_slack(inst, j, k, xi), tangency)
 
 
 # -- seeded instance generation ----------------------------------------------

@@ -12,7 +12,7 @@ import random
 
 from carousel.errors import GenerationExhausted
 from carousel.hull import GeneratorSet, circle_in_hull
-from carousel.planar import DEFAULT_TOLERANCE, Circle2, Point2, point_segment_distance
+from carousel.planar import Circle2, Point2, point_segment_distance
 from carousel.witness import CarouselInstance, RngConfig
 from reference_hull import sites_as_generators
 
@@ -48,7 +48,6 @@ def _edge_clearance(p, sites):
 
 def random_instance(seed, config=RngConfig()):
     rng = random.Random(seed)
-    tol = DEFAULT_TOLERANCE
     sites = _sample_triangle(rng, config)
     site_gens = sites_as_generators(sites)
     r_lo, r_hi = config.radius_range
@@ -67,7 +66,7 @@ def random_instance(seed, config=RngConfig()):
             continue
         radius = rng.uniform(r_lo, min(r_hi, room))
         cand = Circle2(center, radius)
-        if circle_in_hull(cand, site_gens, tol).slack > floor:
+        if circle_in_hull(cand, site_gens).slack > floor:
             circles.append(cand)
     return CarouselInstance(sites, circles[0], circles[1])
 
@@ -93,7 +92,6 @@ def random_points_instance(seed, config=RngConfig()):
 
 def random_corollary_instance(seed, config=RngConfig()):
     rng = random.Random(seed)
-    tol = DEFAULT_TOLERANCE
     lo, hi = config.coord_range
     floor = config.min_hypothesis_slack
     tries = 0
@@ -114,7 +112,7 @@ def random_corollary_instance(seed, config=RngConfig()):
             center = _interior_point(rng, centers)
             radius = rng.uniform(0.0, 1.5)
             cand = Circle2(center, radius)
-            if circle_in_hull(cand, base, tol).slack > floor:
+            if circle_in_hull(cand, base).slack > floor:
                 us.append(cand)
         if len(us) == 2:
             return cs[0], cs[1], cs[2], us[0], us[1]

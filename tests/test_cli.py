@@ -101,13 +101,18 @@ class TestSchema:
             parse_scenario({**THEOREM, "seed": 2**64})
         assert parse_scenario({**THEOREM, "seed": 2**64 - 1}).seed == 2**64 - 1
 
-    def test_tolerance_override(self):
-        sc = parse_scenario(
-            {**THEOREM, "tolerance": {"eps_geom": 1e-10, "eps_decision": 1e-5}}
-        )
-        assert sc.tolerance.eps_geom == 1e-10
-        with pytest.raises(SchemaError):
-            parse_scenario({**THEOREM, "tolerance": {"eps_geom": 1.0, "eps_decision": 0.5}})
+    def test_tolerance_key_rejected(self, tmp_path):
+        # the bands are fixed constants; a scenario cannot set them
+        bad = {**THEOREM, "tolerance": {"eps_geom": 1e-10, "eps_decision": 1e-5}}
+        with pytest.raises(SchemaError, match="tolerance"):
+            parse_scenario(bad)
+        assert main(["check", str(write(tmp_path, "t.json", bad))]) == 2
+
+    def test_every_kind_has_a_runner_and_a_renderer(self):
+        from carousel import harness, svgfig
+        from carousel.scenario import KINDS
+
+        assert set(harness._RUNNERS) == set(svgfig._RENDERERS) == set(KINDS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

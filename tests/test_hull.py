@@ -21,7 +21,7 @@ from carousel import (
     tangent_points_from_point,
 )
 from carousel.fuzz import random_containment_query
-from carousel.planar import DEFAULT_TOLERANCE
+from carousel.planar import EPS_DECISION
 from reference_hull import (
     boundary_support,
     coverage_arc,
@@ -155,7 +155,7 @@ class TestCriticalAngles:
         amp = max(g.center.distance_to(target.center) for g in gens)
         assert res.slack <= dense + 1e-12
         assert dense - res.slack <= amp * math.pi / 3600 + 1e-12
-        assert res.contained == (res.slack >= -DEFAULT_TOLERANCE.eps_decision)
+        assert res.contained == (res.slack >= -EPS_DECISION)
 
     def test_dense_direction_probe(self):
         for seed in range(300):
@@ -189,12 +189,11 @@ def near_tangency_queries(n_seeds):
 
 class TestVerdictRule:
     def test_near_tangency_verdicts_follow_the_slack(self):
-        eps = DEFAULT_TOLERANCE.eps_decision
         count = 0
         for target, gens, offset in near_tangency_queries(11776):
             res = circle_in_hull(target, gens)
             assert res.slack == pytest.approx(-offset, abs=1e-9)
-            assert res.contained == (res.slack >= -eps)
+            assert res.contained == (res.slack >= -EPS_DECISION)
             assert (res.witness_direction is None) == res.contained
             count += 1
         assert count == 21_560

@@ -16,7 +16,6 @@ from carousel import (
 )
 from carousel import hull, witness
 from carousel.hull import circles_in_hulls
-from carousel.planar import DEFAULT_TOLERANCE
 from carousel.witness import (
     JK_PAIRS,
     Witness,
@@ -302,7 +301,7 @@ _INCLUSIONS = [(3, (0, 1, 2)), (4, (0, 1, 2))] + [
 ])
 def test_decide_matches_per_inclusion_calls(draw, sites):
     rows = draw(range(5000))
-    slack, inside = witness._decide(rows, [sites] * len(rows), DEFAULT_TOLERANCE)
+    slack, inside = witness._decide(rows, [sites] * len(rows))
     for col, (target, gens) in enumerate(_INCLUSIONS):
         alone = circles_in_hulls(rows[:, target], rows[:, list(gens)])
         assert slack[:, col].tobytes() == alone[0].tobytes()
@@ -318,8 +317,8 @@ def test_best_slack_is_none_without_a_witness(monkeypatch):
     rows = random_instances(range(20))
     real = circles_in_hulls
 
-    def no_pair_holds(targets, gens, tol, subsets):
-        slack, inside, theta = real(targets, gens, tol, subsets)
+    def no_pair_holds(targets, gens, subsets):
+        slack, inside, theta = real(targets, gens, subsets)
         inside[:, 1:] = False  # keep the hypotheses, refute every (j, k)
         return slack, inside, theta
 

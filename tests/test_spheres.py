@@ -460,9 +460,8 @@ class TestExample42:
         assert min(rep.interior_margins) >= 1e-6 - 1e-12
 
     def test_margin_too_demanding_fails(self):
-        from carousel import Tolerance
-
-        # the end spheres sit 0.19 from the nearest face, so a 0.2 margin
-        # leaves no admissible radius at all
+        # the end spheres sit 0.19 side from the nearest face, so at side 1e-6
+        # the EPS_DECISION margin leaves no admissible radius; at 1e-5 it does
         with pytest.raises(ConstructionFailed):
-            example_4_2(3, tol=Tolerance(eps_geom=1e-3, eps_decision=0.2))
+            example_4_2(3, side=1e-6)
+        assert example_4_2(3, side=1e-5).t == 3
