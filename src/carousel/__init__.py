@@ -39,7 +39,6 @@ from .hull import (
     circle_in_hull,
     circles_in_hulls,
     hull_boundary,
-    min_slack,
 )
 from .planar import (
     EPS_DECISION,
@@ -76,7 +75,6 @@ from .spheres import (
 )
 from .witness import (
     CarouselInstance,
-    RngConfig,
     Tangency,
     Witness,
     XiSweepReport,

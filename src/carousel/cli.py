@@ -88,6 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verdict(report: dict) -> str:
+    """A scenario report's verdict, and its message when the input broke a hypothesis."""
+    if "error" in report:
+        return f"{report['verdict']}: {report['error']}"
+    return report["verdict"]
+
+
 def _emit(report: dict, output: Path | None) -> None:
     text = write_report(report, output)
     if output is None:
@@ -97,7 +104,7 @@ def _emit(report: dict, output: Path | None) -> None:
 def _cmd_check(args) -> int:
     report, code = run_scenario(args.scenario)
     _emit(report, args.output)
-    print(f"check: {report.get('verdict', '?')}", file=sys.stderr)
+    print(f"check: {_verdict(report)}", file=sys.stderr)
     return code
 
 
@@ -141,7 +148,7 @@ def _cmd_sweep(args) -> int:
     if "sweep" in report:
         print(f"sweep: xi_star={report['sweep']['xi_star']}", file=sys.stderr)
     else:
-        print(f"sweep: {report['verdict']}: {report['error']}", file=sys.stderr)
+        print(f"sweep: {_verdict(report)}", file=sys.stderr)
     return code
 
 
@@ -154,7 +161,7 @@ def _cmd_repro3d(args) -> int:
                 "arc_radius_factor": args.factor, "side": args.side, "r": args.r}
     report, code = run_scenario_obj(parse_scenario(data))
     _emit(report, args.output)
-    print(f"repro3d {args.example}: {report['verdict']}", file=sys.stderr)
+    print(f"repro3d {args.example}: {_verdict(report)}", file=sys.stderr)
     return code
 
 

@@ -34,7 +34,6 @@ from .oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
 from .planar import Circle2, Point2
 from .scenario import row_scenario_dict
 from .witness import (
-    RngConfig,
     best_witness_slacks_rows,
     pair_inclusions_rows,
     point_decomposition,
@@ -62,7 +61,7 @@ class FuzzReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        # wall time deliberately omitted: reports must be reproducible bytes
+        # wall time deliberately left out: reports must be reproducible bytes
         return {
             "kind": self.kind,
             "trials": self.trials,
@@ -86,15 +85,15 @@ def _histogram(slacks: list[float]) -> tuple[dict, ...]:
 
 def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
     """Each seed's best witness slack, or None and the scenario of its drawn row."""
-    kind, seeds, cfg = args
+    kind, seeds = args
     if kind == "points2d":
-        rows = random_points_instances(seeds, cfg)
+        rows = random_points_instances(seeds)
         pairs = [point_decomposition(row) for row in rows.tolist()]
         slacks, inside = pair_inclusions_rows(rows, pairs)
         best = [s if ok else None for s, ok in zip(slacks, inside)]
     else:
         sites = kind == "theorem2d"
-        rows = (random_instances if sites else random_corollary_instances)(seeds, cfg)
+        rows = (random_instances if sites else random_corollary_instances)(seeds)
         best = best_witness_slacks_rows(rows, [sites] * len(rows))
     return [
         (seed, slack, None if slack is not None else row_scenario_dict(kind, row, seed))
@@ -130,9 +129,7 @@ def _map(fn, jobs: list, chunksize: int = 1) -> list:
         return list(pool.map(fn, jobs, chunksize=chunksize))
 
 
-def run_fuzz(
-    n: int, seed: int, kind: str, config: RngConfig = RngConfig()
-) -> FuzzReport:
+def run_fuzz(n: int, seed: int, kind: str) -> FuzzReport:
     """Run n seeded trials of one claim kind; any failure is a finding.
 
     Every failure dumps as a self-contained scenario object inside the
@@ -145,7 +142,7 @@ def run_fuzz(
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
     size = min(_SEED_BLOCK, -(-n // _worker_count(n)))  # every worker gets a block
-    jobs = [(kind, seeds[i : i + size], config) for i in range(0, n, size)]
+    jobs = [(kind, seeds[i : i + size]) for i in range(0, n, size)]
     blocks = _map(_run_block, jobs)
     results = sorted((r for block in blocks for r in block), key=lambda r: r[0])
     slacks = [r[1] for r in results if r[1] is not None]

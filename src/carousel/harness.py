@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import InvalidInstance
+from .errors import CarouselError
 from .reports import (
     TOOL_INFO,
     canonical_json,
@@ -105,13 +105,15 @@ def run_scenario_obj(scenario: Scenario) -> tuple[dict, int]:
     """Execute one scenario; returns (report dict, exit code).
 
     Scenario geometry that violates an operation's hypotheses (for example a
-    circle outside the site hull) is an input error, not a refutation: the
-    report then carries the verdict "input_error" and the message.
+    circle outside the site hull, a point on the triangle's boundary or a
+    sphere radius too large for its tetrahedron) is an input error, not a
+    refutation: any CarouselError of the run gives the verdict "input_error"
+    and the message.
     """
     head = {"tool": TOOL_INFO, "kind": scenario.kind, "scenario": scenario.raw}
     try:
         body, code = _RUNNERS[scenario.kind](scenario)
-    except InvalidInstance as exc:
+    except CarouselError as exc:
         return {**head, "verdict": "input_error", "error": str(exc)}, EXIT_INPUT_ERROR
     return {**head, **body}, code
 

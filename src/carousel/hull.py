@@ -320,11 +320,6 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
     return slack, inside, theta
 
 
-def min_slack(target: Circle2, gens: GeneratorSet) -> float:
-    """Minimal support surplus; strictly positive iff the target is interior."""
-    return circle_in_hull(target, gens).slack
-
-
 # -- hull boundary -----------------------------------------------------------
 
 
@@ -354,14 +349,9 @@ class SegmentPiece:
 
 @dataclass(frozen=True)
 class HullBoundary:
-    """Counterclockwise cyclic chain of arcs and tangent segments.
-
-    Generators that are never active (strictly interior or duplicates) are
-    listed in ``omitted`` for diagnostics.
-    """
+    """Counterclockwise cyclic chain of arcs and tangent segments."""
 
     pieces: tuple
-    omitted: tuple[int, ...] = ()
 
     def chain_closure_error(self) -> float:
         if not self.pieces:
@@ -384,12 +374,11 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
 
     Switch angles come from pairwise equalities of the support sinusoids; on
     each interval between consecutive switch angles a single generator is
-    active and contributes an arc (omitted for radius-0 vertices), and
+    active and contributes an arc (none for radius-0 vertices), and
     consecutive distinct generators are joined by their common external
     tangent segment at the switch angle.
     """
     glist = list(gens.generators)
-    n = len(glist)
 
     # exact duplicates never become active on their own
     first_of = {}
@@ -440,15 +429,6 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
         dedup.pop()
     angles = dedup
 
-    if not angles:
-        g0 = argmax_at(0.0)
-        if glist[g0].radius <= 0.0:
-            raise DegenerateHull("hull is a single point", "point", (glist[g0].center,))
-        start = _point_on(glist[g0], 0.0)
-        piece = ArcPiece(g0, 0.0, TAU, start, start)
-        omitted = tuple(i for i in range(n) if i != g0)
-        return HullBoundary((piece,), omitted)
-
     # active generator on each interval between consecutive switch angles
     runs = []  # (gen index, theta_start, theta_end) with theta_end > theta_start
     m = len(angles)
@@ -457,6 +437,8 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
         hi = angles[(k + 1) % m] + (TAU if k + 1 == m else 0.0)
         mid = 0.5 * (lo + hi)
         runs.append([argmax_at(mid % TAU), lo, hi])
+    if not runs:  # no switch angle: one generator is active all round
+        runs.append([argmax_at(0.0), 0.0, TAU])
 
     # merge circular runs of the same active generator
     merged = []
@@ -476,24 +458,19 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
             raise DegenerateHull("hull is a single point", "point", (glist[g0].center,))
         theta0 = merged[0][1] % TAU
         start = _point_on(glist[g0], theta0)
-        piece = ArcPiece(g0, theta0, theta0 + TAU, start, start)
-        omitted = tuple(i for i in range(n) if i != g0)
-        return HullBoundary((piece,), omitted)
+        return HullBoundary((ArcPiece(g0, theta0, theta0 + TAU, start, start),))
 
     pieces = []
-    attributed = set()
     count = len(merged)
     for idx in range(count):
         gen_i, lo, hi = merged[idx]
         nxt_gen = merged[(idx + 1) % count][0]
         g = glist[gen_i]
-        attributed.add(gen_i)
         if g.radius > 0.0 and hi - lo > 1e-12:
             pieces.append(ArcPiece(gen_i, lo, hi, _point_on(g, lo), _point_on(g, hi)))
         p_from = _point_on(g, hi)
         p_to = _point_on(glist[nxt_gen], hi)
         if p_from.distance_to(p_to) > EPS_GEOM:
             pieces.append(SegmentPiece(p_from, p_to, (gen_i, nxt_gen)))
-    omitted = tuple(i for i in range(n) if i not in attributed)
-    return HullBoundary(tuple(pieces), omitted)
+    return HullBoundary(tuple(pieces))
 

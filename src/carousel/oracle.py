@@ -163,39 +163,19 @@ def sample_hull_polygon(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> n
     return np.column_stack((x[keep], y[keep]))
 
 
-def polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Vectorized membership of query points in a convex ccw polygon.
+def polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float) -> np.ndarray:
+    """Membership of query points in a polygon of 1 or 2 vertices: a point or a segment.
 
-    Locates each query's wedge around the polygon centroid by binary search
-    on vertex angles, then checks the single facing edge.
+    A query is in when its distance to the point or segment is at most eps.
     """
-    k = len(poly)
     ab = poly[-1] - poly[0]
     denom = float(ab @ ab)
-    if k == 1 or (k == 2 and denom == 0.0):  # a zero-length segment is its one point
+    if denom == 0.0:  # one vertex, or a zero-length segment: its one point
         return np.hypot(*(queries - poly[0]).T) <= eps
-    if k == 2:
-        a = poly[0]
-        t = np.clip((queries - a) @ ab / denom, 0.0, 1.0)
-        feet = a + t[:, None] * ab
-        return np.hypot(*(queries - feet).T) <= eps
-
-    centroid = poly.mean(axis=0)
-    rel = poly - centroid
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    start = int(np.argmin(angles))
-    poly = np.roll(poly, -start, axis=0)
-    angles = np.roll(angles, -start)
-
-    q_ang = np.arctan2(queries[:, 1] - centroid[1], queries[:, 0] - centroid[0])
-    idx = np.searchsorted(angles, q_ang, side="right") - 1
-    idx %= k
-    a = poly[idx]
-    b = poly[(idx + 1) % k]
-    cross = (b[:, 0] - a[:, 0]) * (queries[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        queries[:, 0] - a[:, 0]
-    )
-    return cross >= -eps
+    a = poly[0]
+    t = np.clip((queries - a) @ ab / denom, 0.0, 1.0)
+    feet = a + t[:, None] * ab
+    return np.hypot(*(queries - feet).T) <= eps
 
 
 def _membership_bands(target: Circle2, gens: GeneratorSet) -> tuple[float, float]:
@@ -216,8 +196,8 @@ def _extreme_samples_pass(poly: np.ndarray, target: Circle2, m: int, band: float
     """True iff every edge a -> b of the ccw polygon (>= 3 vertices) has
     (b - a) x (q - a) >= -band at the target samples q extreme along its
     outward normal: the two whose angles bracket the normal's, or the centre
-    of a radius-0 target.  The cross product is the expression
-    ``polygon_contains_points`` evaluates, term for term.
+    of a radius-0 target.  The cross product is evaluated as
+    (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term.
     """
     a = _prev(poly)  # edge j runs from a[j] to poly[j]
     ax, ay = a.T

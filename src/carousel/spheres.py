@@ -482,9 +482,9 @@ def _ex41_target_gens(vertices, spheres, j: int, k: int):
 def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     """Two equal spheres on the trisection points of the mid-edge axis.
 
-    Every one of the 8 inclusions (choice of omitted vertex and of which
+    Every one of the 8 inclusions (choice of the vertex left out and of which
     sphere generates) is refuted by a negative-slack direction, and the
-    omitted-vertex-3 cases additionally carry an exact 2D projection
+    cases that leave out vertex 3 additionally carry an exact 2D projection
     certificate in the plane through A2, A3 and the axis endpoint B.
     """
     verts = tetrahedron_from_cube(side)
@@ -546,7 +546,7 @@ def example_4_2(
     side: float = 1.0,
     r: float = 0.1,
 ) -> Example42Report:
-    """Extend the two-sphere axis configuration to t spheres on the axis.
+    """Extend the two-sphere axis arrangement to t spheres on the axis.
 
     The interior centers divide the segment between the two original centers
     equidistantly.  A guide-arc center sits on the in-plane perpendicular of

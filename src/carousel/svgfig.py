@@ -282,7 +282,7 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
     plane = plane_through(b, verts[2], verts[3])
     tri = [project_to_plane(q, plane) for q in (b, verts[2], verts[3])]
     canvas.polygon(tri, stroke="#303030")
-    # hull for the omitted-vertex-3 case with the k=0 generator sphere
+    # hull for the case that leaves out vertex 3, with the k=0 generator sphere
     spheres = (Sphere3(p_m1, scenario.r), Sphere3(p_0, scenario.r))
     gens3 = [spheres[1]] + [Sphere3(verts[i], 0.0) for i in range(3)]
     gens2 = GeneratorSet(

@@ -38,7 +38,7 @@ from .errors import (
     InvalidInstance,
     NotInterior,
 )
-from .hull import GeneratorSet, _envelope_min, circles_in_hulls, min_slack
+from .hull import GeneratorSet, _envelope_min, circle_in_hull, circles_in_hulls
 from .planar import (
     EPS_DECISION,
     EPS_GEOM,
@@ -91,23 +91,6 @@ class XiSweepReport:
     xi_star: float
     slack_at_xi_star: float
     tangency: Tangency
-
-
-@dataclass(frozen=True)
-class RngConfig:
-    """Sampling ranges for the fuzz-instance generator."""
-
-    coord_range: tuple[float, float] = (-10.0, 10.0)
-    radius_range: tuple[float, float] = (0.0, 3.0)
-    min_hypothesis_slack: float = 0.01
-    max_tries: int = 10_000
-
-    def __post_init__(self):
-        # the draws run on plain floats, which no Point2 or Circle2 checks
-        if not all(math.isfinite(v) for v in self.coord_range):
-            raise ValueError(f"coord_range must be finite, got {self.coord_range}")
-        if not all(r >= 0.0 for r in self.radius_range):
-            raise ValueError(f"radius_range must be >= 0, got {self.radius_range}")
 
 
 def _check_collinear(row) -> None:
@@ -352,7 +335,7 @@ def two_carousel_points(sites, b0: Point2, b1: Point2) -> Witness:
     j, k = point_decomposition([_xyr(o) for o in (*sites, b0, b1)])
     pts = (b0, b1)
     gens = pair_generators(Circle2(pts[k], 0.0), sites, j)
-    return Witness(j, k, min_slack(Circle2(pts[1 - k], 0.0), gens))
+    return Witness(j, k, circle_in_hull(Circle2(pts[1 - k], 0.0), gens).slack)
 
 
 # -- xi sweep ----------------------------------------------------------------
@@ -365,9 +348,9 @@ _EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 def sweep_slack(inst: CarouselInstance, j: int, k: int, zeta: float) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta.
 
-    Bitwise ``min_slack(scaled.circle(1 - k), witness_generators(scaled, j,
-    k))`` with ``scaled = scaled_instance(inst, zeta)``: the envelope terms
-    come from the centres and the zeta-scaled radii by the same float
+    Bitwise ``circle_in_hull(scaled.circle(1 - k), witness_generators(scaled,
+    j, k)).slack`` with ``scaled = scaled_instance(inst, zeta)``: the envelope
+    terms come from the centres and the zeta-scaled radii by the same float
     operations, without building the scaled instance or its generators.
     """
     if not 0.0 <= zeta <= 1.0:
@@ -475,12 +458,17 @@ def xi_sweep_fixed(inst: CarouselInstance, j: int, k: int) -> XiSweepReport:
 # whose slack is bitwise ``circle_in_hull``'s, so a draw makes the same
 # random draws in the same order in any block.
 
+COORD_RANGE = (-10.0, 10.0)  # sites and corollary centres, in both coordinates
+RADIUS_RANGE = (0.0, 3.0)  # radii of the theorem's circles u0 and u1
+MIN_HYPOTHESIS_SLACK = 0.01  # least slack of a drawn hypothesis inclusion
+MAX_TRIES = 10_000  # rejections a draw may make before it gives up
 
-def _sample_triangle(rng: random.Random, cfg: RngConfig):
-    lo, hi = cfg.coord_range
+
+def _sample_triangle(rng: random.Random):
+    lo, hi = COORD_RANGE
     span = hi - lo
     min_cross = 0.04 * span * span  # reject slivers; keeps placement feasible
-    for _ in range(cfg.max_tries):
+    for _ in range(MAX_TRIES):
         ax, ay, bx, by, cx, cy = [rng.uniform(lo, hi) for _ in range(6)]
         if abs(_cross(ax, ay, bx, by, cx, cy)) >= min_cross:
             return (ax, ay), (bx, by), (cx, cy)
@@ -512,20 +500,18 @@ def _as_points(sites) -> tuple[float, ...]:
     return ax, ay, 0.0, bx, by, 0.0, cx, cy, 0.0
 
 
-def _instance_draw(seed: int, config: RngConfig):
+def _instance_draw(seed: int):
     rng = random.Random(seed)
-    sites = _sample_triangle(rng, config)
+    sites = _sample_triangle(rng)
     gens = _as_points(sites)
-    r_lo, r_hi = config.radius_range
-    floor = config.min_hypothesis_slack
+    r_lo, r_hi = RADIUS_RANGE
+    floor = MIN_HYPOTHESIS_SLACK
     us = ()
     tries = 0
     while len(us) < 6:
         tries += 1
-        if tries > config.max_tries:
-            raise GenerationExhausted(
-                f"no admissible circle after {config.max_tries} rejections"
-            )
+        if tries > MAX_TRIES:
+            raise GenerationExhausted(f"no admissible circle after {MAX_TRIES} rejections")
         x, y = _interior_point(rng, sites)
         room = _edge_clearance(x, y, sites) - floor
         if room <= r_lo:
@@ -536,14 +522,14 @@ def _instance_draw(seed: int, config: RngConfig):
     return gens + us
 
 
-def _corollary_draw(seed: int, config: RngConfig):
+def _corollary_draw(seed: int):
     rng = random.Random(seed)
-    lo, hi = config.coord_range
-    floor = config.min_hypothesis_slack
+    lo, hi = COORD_RANGE
+    floor = MIN_HYPOTHESIS_SLACK
     tries = 0
     while True:
         tries += 1
-        if tries > config.max_tries:
+        if tries > MAX_TRIES:
             raise GenerationExhausted("could not sample corollary generators")
         centers = tuple((rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
         (ax, ay), (bx, by), (cx, cy) = centers
@@ -562,15 +548,15 @@ def _corollary_draw(seed: int, config: RngConfig):
             return gens + us
 
 
-def _points_row(seed: int, config: RngConfig) -> tuple[float, ...]:
+def _points_row(seed: int) -> tuple[float, ...]:
     rng = random.Random(seed)
-    sites = _sample_triangle(rng, config)
-    floor = 1e-3 * (config.coord_range[1] - config.coord_range[0])
+    sites = _sample_triangle(rng)
+    floor = 1e-3 * (COORD_RANGE[1] - COORD_RANGE[0])
     pts = ()
     tries = 0
     while len(pts) < 6:
         tries += 1
-        if tries > config.max_tries:
+        if tries > MAX_TRIES:
             raise GenerationExhausted("could not sample interior points")
         x, y = _interior_point(rng, sites)
         if _edge_clearance(x, y, sites) < floor:
@@ -619,19 +605,19 @@ def _block(rows) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(rows), 5, 3)
 
 
-def random_instances(seeds, config: RngConfig = RngConfig()) -> np.ndarray:
+def random_instances(seeds) -> np.ndarray:
     """Rows (b0, b1, b2, u0, u1) of ``random_instance`` for each seed, drawn in rounds."""
-    return _draw_rounds([_instance_draw(seed, config) for seed in seeds])
+    return _draw_rounds([_instance_draw(seed) for seed in seeds])
 
 
-def random_corollary_instances(seeds, config: RngConfig = RngConfig()) -> np.ndarray:
+def random_corollary_instances(seeds) -> np.ndarray:
     """Rows (c0, c1, c2, u0, u1) of ``random_corollary_instance`` for each seed."""
-    return _draw_rounds([_corollary_draw(seed, config) for seed in seeds])
+    return _draw_rounds([_corollary_draw(seed) for seed in seeds])
 
 
-def random_points_instances(seeds, config: RngConfig = RngConfig()) -> np.ndarray:
+def random_points_instances(seeds) -> np.ndarray:
     """Rows (A0, A1, A2, b0, b1) of ``random_points_instance`` for each seed, radii 0."""
-    return _block([_points_row(seed, config) for seed in seeds])
+    return _block([_points_row(seed) for seed in seeds])
 
 
 def _point(obj) -> Point2:
@@ -659,28 +645,28 @@ def points_of_row(row):
     return (a0, a1, a2), b0, b1
 
 
-def random_instance(seed: int, config: RngConfig = RngConfig()) -> CarouselInstance:
+def random_instance(seed: int) -> CarouselInstance:
     """Deterministic valid instance from a seed.
 
-    Sites are sampled in the configured square with a sliver rejection;
+    Sites are sampled in the COORD_RANGE square with a sliver rejection;
     circle centers and radii are rejection-sampled until both hypothesis
-    inclusions hold with slack above the configured floor.  The one-seed
+    inclusions hold with slack above MIN_HYPOTHESIS_SLACK.  The one-seed
     case of ``random_instances``.
     """
-    return instance_of_row(random_instances([seed], config)[0])
+    return instance_of_row(random_instances([seed])[0])
 
 
-def random_points_instance(seed: int, config: RngConfig = RngConfig()):
+def random_points_instance(seed: int):
     """Deterministic triangle plus two distinct interior points.
 
     The one-seed case of ``random_points_instances``.
     """
-    return points_of_row(random_points_instances([seed], config)[0])
+    return points_of_row(random_points_instances([seed])[0])
 
 
-def random_corollary_instance(seed: int, config: RngConfig = RngConfig()):
+def random_corollary_instance(seed: int):
     """Deterministic corollary instance: three circle generators plus two circles.
 
     The one-seed case of ``random_corollary_instances``.
     """
-    return corollary_of_row(random_corollary_instances([seed], config)[0])
+    return corollary_of_row(random_corollary_instances([seed])[0])

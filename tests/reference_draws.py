@@ -4,17 +4,37 @@
 block of seeds at a time, with the rejection-sampling queries of a round
 decided in one set-level call; the tests check that they return exactly
 these instances, bit for bit, and raise the same errors.  Kept only as a
-reference.
+reference.  The draw ranges, fixed constants in ``witness``, are a
+``DrawConfig`` here, so that the tests can draw under other ranges and set
+the constants to match with ``set_witness_constants``.
 """
 
 import math
 import random
+from dataclasses import dataclass, fields
 
+from carousel import witness
 from carousel.errors import GenerationExhausted
 from carousel.hull import GeneratorSet, circle_in_hull
 from carousel.planar import Circle2, Point2, point_segment_distance
-from carousel.witness import CarouselInstance, RngConfig
+from carousel.witness import CarouselInstance
 from reference_hull import sites_as_generators
+
+
+@dataclass(frozen=True)
+class DrawConfig:
+    """Sampling ranges of the draws; each field is the ``witness`` constant of its name."""
+
+    coord_range: tuple[float, float] = (-10.0, 10.0)
+    radius_range: tuple[float, float] = (0.0, 3.0)
+    min_hypothesis_slack: float = 0.01
+    max_tries: int = 10_000
+
+
+def set_witness_constants(monkeypatch, cfg):
+    """Make ``witness`` draw under ``cfg``: set each constant to its field's value."""
+    for field in fields(cfg):
+        monkeypatch.setattr(witness, field.name.upper(), getattr(cfg, field.name))
 
 
 def _sample_triangle(rng, cfg):
@@ -46,7 +66,7 @@ def _edge_clearance(p, sites):
     return min(point_segment_distance(p, sites[i], sites[(i + 1) % 3]) for i in range(3))
 
 
-def random_instance(seed, config=RngConfig()):
+def random_instance(seed, config=DrawConfig()):
     rng = random.Random(seed)
     sites = _sample_triangle(rng, config)
     site_gens = sites_as_generators(sites)
@@ -71,7 +91,7 @@ def random_instance(seed, config=RngConfig()):
     return CarouselInstance(sites, circles[0], circles[1])
 
 
-def random_points_instance(seed, config=RngConfig()):
+def random_points_instance(seed, config=DrawConfig()):
     rng = random.Random(seed)
     sites = _sample_triangle(rng, config)
     floor = 1e-3 * (config.coord_range[1] - config.coord_range[0])
@@ -90,7 +110,7 @@ def random_points_instance(seed, config=RngConfig()):
     return sites, pts[0], pts[1]
 
 
-def random_corollary_instance(seed, config=RngConfig()):
+def random_corollary_instance(seed, config=DrawConfig()):
     rng = random.Random(seed)
     lo, hi = config.coord_range
     floor = config.min_hypothesis_slack

@@ -170,6 +170,32 @@ class TestCheckVerb:
         assert json.loads(out)["verdict"] == "verified"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check", {**POINTS, "circles": [[1, 1, 0], [5, 1, 0]]}],
+     "b1 is not strictly inside the site triangle"),
+    (["check", {**POINTS, "circles": [[1, 1, 0], [1, 1, 0]]}],
+     "the two interior points coincide"),
+    (["check", {**EX41, "r": 0.3}],
+     "radius 0.3 does not fit strictly inside (min face distance 0.19245)"),
+    (["check", {**EX42, "side": 1e-6}],
+     "no positive radius keeps every sphere strictly inside the tetrahedron"),
+    (["repro3d", "--example", "4.1", "--r", "0.3"],
+     "radius 0.3 does not fit strictly inside (min face distance 0.19245)"),
+], ids=["points-outside", "points-coincide", "ex41-radius", "ex42-side", "repro3d-radius"])
+def test_broken_hypothesis_of_every_kind_writes_input_error_report(
+    tmp_path, capsys, argv, message
+):
+    # each kind's hypothesis error is a report over whatever -o held before
+    argv = [write(tmp_path, "bad.json", a) if isinstance(a, dict) else a for a in argv]
+    out = tmp_path / "rep.json"
+    out.write_text("stale", encoding="utf-8")
+    assert main([str(a) for a in argv] + ["-o", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["verdict"] == "input_error"
+    assert report["error"] == message
+    assert message in capsys.readouterr().err
+
+
 class TestSweepVerb:
     def test_sweep_with_flags(self, tmp_path):
         path = write(tmp_path, "s.json", {k: v for k, v in SWEEP.items() if k not in ("j", "k")})

@@ -5,6 +5,7 @@ import os
 
 import pytest
 import reference_draws
+from reference_draws import DrawConfig, set_witness_constants
 
 from carousel import fuzz
 from carousel.errors import GenerationExhausted
@@ -12,7 +13,6 @@ from carousel.fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
 from carousel.reports import canonical_json
 from carousel.scenario import parse_scenario
 from carousel.witness import (
-    RngConfig,
     _xyr,
     random_corollary_instance,
     random_corollary_instances,
@@ -91,23 +91,26 @@ def _outcome(draw, *args):
 
 
 class TestExhaustion:
+    # the reference draws under each config, and the draws under the
+    # witness constants set to match
     CONFIGS = [
-        RngConfig(max_tries=1),
-        RngConfig(max_tries=2),
-        RngConfig(max_tries=3, coord_range=(0.0, 1.0)),
-        RngConfig(radius_range=(20.0, 30.0), max_tries=50),  # the room test rejects all
+        DrawConfig(max_tries=1),
+        DrawConfig(max_tries=2),
+        DrawConfig(max_tries=3, coord_range=(0.0, 1.0)),
+        DrawConfig(radius_range=(20.0, 30.0), max_tries=50),  # the room test rejects all
     ]
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
-    def test_messages_match_reference(self, kind, cfg):
+    def test_messages_match_reference(self, kind, cfg, monkeypatch):
         ref, one, block = DRAWS[kind]
         seeds = range(60)
         expected = [_outcome(ref, seed, cfg) for seed in seeds]
-        assert [_outcome(one, seed, cfg) for seed in seeds] == expected
+        set_witness_constants(monkeypatch, cfg)
+        assert [_outcome(one, seed) for seed in seeds] == expected
         # a block raises what drawing its seeds one after another raises first
         first = next((msg for msg in expected if msg is not None), None)
-        assert _outcome(block, seeds, cfg) == first
+        assert _outcome(block, seeds) == first
 
     def test_every_message_is_reached(self):
         msgs = {
@@ -127,7 +130,7 @@ class TestExhaustion:
         # a seed that fails after a solve fails in a later round than one
         # whose triangle fails before any; the block still raises the error
         # of its first failing seed, as drawing one seed at a time does
-        cfg = RngConfig(max_tries=2)
+        cfg = DrawConfig(max_tries=2)
         solves = []
         solve = reference_draws.circle_in_hull
         monkeypatch.setattr(
@@ -141,20 +144,9 @@ class TestExhaustion:
         failures = {seed: failure(seed) for seed in range(2000)}
         late = next(s for s, (msg, n) in failures.items() if msg and "circle" in msg and n)
         early = next(s for s, (msg, n) in failures.items() if msg and "triangle" in msg)
-        assert _outcome(random_instances, [late, early], cfg) == failures[late][0]
-        assert _outcome(random_instances, [early, late], cfg) == failures[early][0]
-
-
-@pytest.mark.parametrize("bad", [
-    {"coord_range": (-math.inf, 10.0)},
-    {"coord_range": (0.0, math.nan)},
-    {"radius_range": (-1.0, 3.0)},
-    {"radius_range": (0.0, math.nan)},
-])
-def test_config_that_could_draw_an_invalid_object_is_rejected(bad):
-    # the object-level draws raised from Point2 or Circle2 on such a draw
-    with pytest.raises(ValueError, match="must be"):
-        RngConfig(**bad)
+        set_witness_constants(monkeypatch, cfg)
+        assert _outcome(random_instances, [late, early]) == failures[late][0]
+        assert _outcome(random_instances, [early, late]) == failures[early][0]
 
 
 def test_histogram_bins_each_bound_with_the_slacks_above_it():

@@ -16,7 +16,6 @@ from carousel import (
     circle,
     circle_in_hull,
     hull_boundary,
-    min_slack,
     pt,
     tangent_points_from_point,
 )
@@ -179,7 +178,7 @@ def near_tangency_queries(n_seeds):
     """
     for seed in range(n_seeds):
         target, gens = random_containment_query(seed)
-        tangent = target.radius + min_slack(target, gens)
+        tangent = target.radius + circle_in_hull(target, gens).slack
         if tangent < 1e-3:
             continue
         for k in range(3, 8):
@@ -200,14 +199,18 @@ class TestVerdictRule:
 
 
 class TestMinSlack:
+    """The slack of ``circle_in_hull``: the least support surplus over directions."""
+
+    UNIT = GeneratorSet((circle(0, 0, 1),))
+
     def test_concentric(self):
-        assert min_slack(circle(0, 0, 0.5), GeneratorSet((circle(0, 0, 1),))) == pytest.approx(0.5)
+        assert circle_in_hull(circle(0, 0, 0.5), self.UNIT).slack == pytest.approx(0.5)
 
     def test_equality(self):
-        assert min_slack(circle(0, 0, 1), GeneratorSet((circle(0, 0, 1),))) == pytest.approx(0.0)
+        assert circle_in_hull(circle(0, 0, 1), self.UNIT).slack == pytest.approx(0.0)
 
     def test_offset(self):
-        assert min_slack(circle(0.2, 0, 0.5), GeneratorSet((circle(0, 0, 1),))) == pytest.approx(0.3)
+        assert circle_in_hull(circle(0.2, 0, 0.5), self.UNIT).slack == pytest.approx(0.3)
 
 
 def _random_query(rng, n_max=5):
@@ -224,8 +227,8 @@ class TestSlackProperties:
         for _ in range(200):
             target, gens = _random_query(rng)
             extra = circle(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 3))
-            s0 = min_slack(target, gens)
-            s1 = min_slack(target, GeneratorSet(gens.generators + (extra,)))
+            s0 = circle_in_hull(target, gens).slack
+            s1 = circle_in_hull(target, GeneratorSet(gens.generators + (extra,))).slack
             assert s1 >= s0 - 1e-12
 
     def test_similarity_invariance(self):
@@ -243,16 +246,16 @@ class TestSlackProperties:
             def scaled(p):
                 return Point2(s * p.x, s * p.y)
 
-            base = min_slack(target, gens)
-            moved = min_slack(
+            base = circle_in_hull(target, gens).slack
+            moved = circle_in_hull(
                 Circle2(rigid(target.center), target.radius),
                 GeneratorSet(tuple(Circle2(rigid(g.center), g.radius) for g in gens)),
-            )
+            ).slack
             assert moved == pytest.approx(base, abs=1e-9)
-            grown = min_slack(
+            grown = circle_in_hull(
                 Circle2(scaled(target.center), s * target.radius),
                 GeneratorSet(tuple(Circle2(scaled(g.center), s * g.radius) for g in gens)),
-            )
+            ).slack
             assert grown == pytest.approx(s * base, rel=1e-9, abs=1e-9)
 
     def test_coverage_slack_consistency(self):
@@ -279,7 +282,7 @@ class TestSlackProperties:
                 gens = GeneratorSet(
                     (Circle2(cen, zeta * r),) + tuple(Circle2(s, 0.0) for s in sites)
                 )
-                s = min_slack(target, gens)
+                s = circle_in_hull(target, gens).slack
                 assert s >= prev - 1e-12
                 prev = s
 
@@ -332,7 +335,7 @@ class TestHullBoundary:
     def test_interior_generators_omitted(self):
         gens = GeneratorSet((circle(0, 0, 2), circle(0.2, 0, 0.3), circle(0, 0.1, 0)))
         b = hull_boundary(gens)
-        assert b.omitted == (1, 2)
+        assert b.pieces == (ArcPiece(0, 0.0, TAU, pt(2, 0), pt(2, 0)),)
 
     def test_degenerate_single_point(self):
         with pytest.raises(DegenerateHull) as exc:

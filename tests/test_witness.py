@@ -14,7 +14,6 @@ from carousel import (
     GeneratorSet,
     InvalidInstance,
     NotInterior,
-    RngConfig,
     Tangency,
     circle,
     circle_in_hull,
@@ -28,7 +27,6 @@ from carousel import (
     xi_sweep_fixed,
 )
 from carousel import hull, witness
-from carousel.hull import min_slack
 from carousel.oracle import sampling_oracle_contains
 from reference_hull import sites_as_generators
 from carousel.witness import (
@@ -371,7 +369,9 @@ class TestFloatSweep:
                 zetas = edges + [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
                 for zeta in zetas:
                     scaled = scaled_instance(inst, zeta)
-                    ref = min_slack(scaled.circle(1 - k), witness_generators(scaled, j, k))
+                    ref = circle_in_hull(
+                        scaled.circle(1 - k), witness_generators(scaled, j, k)
+                    ).slack
                     assert _bits(sweep_slack(inst, j, k, zeta)) == _bits(ref), (inst, j, k, zeta)
                     checked += 1
         assert checked > 15_000
@@ -428,7 +428,7 @@ class TestFloatSweep:
         monkeypatch.setattr(witness, "_envelope_min", counted_envelope)
         monkeypatch.setattr(witness, "sweep_slack", counted_slack)
         monkeypatch.setattr(hull, "circle_in_hull", forbidden)
-        monkeypatch.setattr(witness, "min_slack", forbidden)
+        monkeypatch.setattr(witness, "circle_in_hull", forbidden)
         for inst in self.insts[:100]:
             for j, k in JK_PAIRS:
                 edges = [0.0, *(z for z, _ in sweep_events(inst, j, k)), 1.0]
@@ -476,16 +476,18 @@ class TestRandomInstance:
             assert circle_in_hull(inst.u0, gens).slack > 0.01
             assert circle_in_hull(inst.u1, gens).slack > 0.01
 
-    def test_point_circle_config(self):
-        cfg = RngConfig(radius_range=(0.0, 0.0))
-        inst = random_instance(7, cfg)
+    def test_point_circle_config(self, monkeypatch):
+        monkeypatch.setattr(witness, "RADIUS_RANGE", (0.0, 0.0))
+        inst = random_instance(7)
         assert inst.u0.radius == 0.0 and inst.u1.radius == 0.0
         assert witness_search(inst)
 
-    def test_exhaustion(self):
-        cfg = RngConfig(coord_range=(-1.0, 1.0), radius_range=(3.0, 3.0), max_tries=25)
+    def test_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(witness, "COORD_RANGE", (-1.0, 1.0))
+        monkeypatch.setattr(witness, "RADIUS_RANGE", (3.0, 3.0))
+        monkeypatch.setattr(witness, "MAX_TRIES", 25)
         with pytest.raises(GenerationExhausted):
-            random_instance(1, cfg)
+            random_instance(1)
 
     def test_corollary_generator_valid(self):
         c0, c1, c2, u0, u1 = random_corollary_instance(5)
