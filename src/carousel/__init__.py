@@ -18,7 +18,6 @@ from .errors import (
     CoincidentPoints,
     ConstructionFailed,
     DegenerateBasis,
-    DegenerateHull,
     DegenerateRadius,
     EqualRadii,
     FocusInsideOrOn,

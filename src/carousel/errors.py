@@ -25,20 +25,6 @@ class NestedCircles(CarouselError):
     """One circle lies inside the other; no external perspectivity."""
 
 
-# -- hulls ------------------------------------------------------------------
-
-class DegenerateHull(CarouselError):
-    """Hull has empty interior (a single point or a segment).
-
-    Carries the degenerate geometry so callers can still report it.
-    """
-
-    def __init__(self, message: str, kind: str, geometry: tuple):
-        super().__init__(message)
-        self.kind = kind  # "point" | "segment"
-        self.geometry = geometry
-
-
 # -- carousel instances -----------------------------------------------------
 
 class InvalidInstance(CarouselError):

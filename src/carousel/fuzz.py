@@ -94,7 +94,7 @@ def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
     else:
         sites = kind == "theorem2d"
         rows = (random_instances if sites else random_corollary_instances)(seeds)
-        best = best_witness_slacks_rows(rows, [sites] * len(rows))
+        best = best_witness_slacks_rows(rows, sites)
     return [
         (seed, slack, None if slack is not None else row_scenario_dict(kind, row, seed))
         for seed, row, slack in zip(seeds, rows, best)

@@ -23,6 +23,9 @@ queries, without changing any report.
 
 The same switch-angle machinery yields the hull boundary as a cyclic chain
 of circular arcs and common external tangent segments, used for rendering.
+Every nonempty generator set has one: a hull that is a segment is its two
+tangent segments, there and back, and a hull that is a single point is the
+empty chain.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateHull
 from .planar import EPS_DECISION, EPS_GEOM, TAU, Circle2, Point2
 
 _TINY = 1e-15
@@ -349,7 +351,7 @@ class SegmentPiece:
 
 @dataclass(frozen=True)
 class HullBoundary:
-    """Counterclockwise cyclic chain of arcs and tangent segments."""
+    """Counterclockwise cyclic chain of arcs and tangent segments; empty for a point."""
 
     pieces: tuple
 
@@ -372,99 +374,68 @@ def _point_on(g: Circle2, theta: float) -> Point2:
 def hull_boundary(gens: GeneratorSet) -> HullBoundary:
     """Construct the hull boundary chain by sweeping the support argmax.
 
-    Switch angles come from pairwise equalities of the support sinusoids; on
-    each interval between consecutive switch angles a single generator is
-    active and contributes an arc (none for radius-0 vertices), and
-    consecutive distinct generators are joined by their common external
-    tangent segment at the switch angle.
+    Switch angles come from pairwise equalities of the support sinusoids and
+    are merged when within 1e-12 of each other.  On each interval between
+    consecutive switch angles a single generator is active; consecutive
+    intervals of the same generator form one run, and the run that crosses
+    theta = 0 is joined across it.  A run contributes an arc of its
+    generator (none for a radius-0 vertex), and consecutive runs are joined
+    by their common external tangent segment at the switch angle.
+
+    Degenerate hulls take the same path: a segment comes out as its two
+    tangent segments, there and back, and a single point as no pieces.
     """
     glist = list(gens.generators)
 
     # exact duplicates never become active on their own
     first_of = {}
     for i, g in enumerate(glist):
-        key = (g.center.x, g.center.y, g.radius)
-        first_of.setdefault(key, i)
-    live = sorted(set(first_of.values()))
-
-    if all(glist[i].radius == 0.0 for i in live):
-        pts = [glist[i].center for i in live]
-        if len(pts) == 1:
-            raise DegenerateHull("hull is a single point", "point", (pts[0],))
-        a = pts[0]
-        extent = max((p - a).norm() for p in pts)
-        dirp = max(pts, key=lambda p: (p - a).norm())
-        collinear = all(abs((dirp - a).cross(p - a)) <= EPS_GEOM for p in pts)
-        if collinear:
-            axis = dirp - a
-            lo = min(pts, key=lambda p: (p - a).dot(axis))
-            hi = max(pts, key=lambda p: (p - a).dot(axis))
-            if extent <= EPS_GEOM:
-                raise DegenerateHull("hull is a single point", "point", (a,))
-            raise DegenerateHull("hull is a segment", "segment", (lo, hi))
-
-    def sval(i: int, c: float, s: float) -> float:
-        g = glist[i]
-        return g.center.x * c + g.center.y * s + g.radius
+        first_of.setdefault((g.center.x, g.center.y, g.radius), i)
+    live = sorted(first_of.values())
+    terms = [(glist[i].center.x, glist[i].center.y, glist[i].radius) for i in live]
 
     def argmax_at(theta: float) -> int:
+        """The first live generator whose support is greatest at theta."""
         c = math.cos(theta)
         s = math.sin(theta)
-        best_i = live[0]
-        best_v = sval(best_i, c, s)
-        for i in live[1:]:
-            v = sval(i, c, s)
-            if v > best_v:
-                best_v = v
-                best_i = i
-        return best_i
+        values = [x * c + y * s + r for x, y, r in terms]
+        return live[values.index(max(values))]
 
-    terms = [(glist[i].center.x, glist[i].center.y, glist[i].radius) for i in live]
-    angles = sorted(a % TAU for a in _switch_angles(terms))
-    dedup = []
-    for a in angles:
-        if not dedup or a - dedup[-1] > 1e-12:
-            dedup.append(a)
-    if dedup and dedup[0] + TAU - dedup[-1] <= 1e-12:
-        dedup.pop()
-    angles = dedup
+    angles = []
+    for a in sorted(a % TAU for a in _switch_angles(terms)):
+        if not angles or a - angles[-1] > 1e-12:
+            angles.append(a)
+    if angles and angles[0] + TAU - angles[-1] <= 1e-12:
+        angles.pop()
 
-    # active generator on each interval between consecutive switch angles
-    runs = []  # (gen index, theta_start, theta_end) with theta_end > theta_start
-    m = len(angles)
-    for k in range(m):
-        lo = angles[k]
-        hi = angles[(k + 1) % m] + (TAU if k + 1 == m else 0.0)
-        mid = 0.5 * (lo + hi)
-        runs.append([argmax_at(mid % TAU), lo, hi])
+    # [active generator, theta_start, theta_end] with theta_end > theta_start
+    runs = []
+    for lo, hi in zip(angles, angles[1:] + angles[:1]):
+        if hi <= lo:  # the last interval wraps past tau
+            hi += TAU
+        active = argmax_at(0.5 * (lo + hi) % TAU)
+        if runs and runs[-1][0] == active:
+            runs[-1][2] = hi
+        else:
+            runs.append([active, lo, hi])
     if not runs:  # no switch angle: one generator is active all round
         runs.append([argmax_at(0.0), 0.0, TAU])
-
-    # merge circular runs of the same active generator
-    merged = []
-    for r in runs:
-        if merged and merged[-1][0] == r[0] and abs(merged[-1][2] - r[1]) <= 1e-12:
-            merged[-1][2] = r[2]
-        else:
-            merged.append(r)
-    if len(merged) > 1 and merged[0][0] == merged[-1][0]:
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
         # same generator active across the sweep start: one wrapped run
-        first = merged.pop(0)
-        merged[-1][2] = first[2] + TAU
+        first = runs.pop(0)
+        runs[-1][2] = first[2] + TAU
 
-    if len(merged) == 1:
-        g0 = merged[0][0]
-        if glist[g0].radius <= 0.0:
-            raise DegenerateHull("hull is a single point", "point", (glist[g0].center,))
-        theta0 = merged[0][1] % TAU
-        start = _point_on(glist[g0], theta0)
-        return HullBoundary((ArcPiece(g0, theta0, theta0 + TAU, start, start),))
+    if len(runs) == 1:
+        gen_i = runs[0][0]
+        g = glist[gen_i]
+        if g.radius <= 0.0:
+            return HullBoundary(())
+        theta0 = runs[0][1] % TAU
+        start = _point_on(g, theta0)
+        return HullBoundary((ArcPiece(gen_i, theta0, theta0 + TAU, start, start),))
 
     pieces = []
-    count = len(merged)
-    for idx in range(count):
-        gen_i, lo, hi = merged[idx]
-        nxt_gen = merged[(idx + 1) % count][0]
+    for (gen_i, lo, hi), (nxt_gen, _, _) in zip(runs, runs[1:] + runs[:1]):
         g = glist[gen_i]
         if g.radius > 0.0 and hi - lo > 1e-12:
             pieces.append(ArcPiece(gen_i, lo, hi, _point_on(g, lo), _point_on(g, hi)))
@@ -473,4 +444,3 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
         if p_from.distance_to(p_to) > EPS_GEOM:
             pieces.append(SegmentPiece(p_from, p_to, (gen_i, nxt_gen)))
     return HullBoundary(tuple(pieces))
-

@@ -179,8 +179,9 @@ def _fill_hull(canvas: _Canvas, gens: GeneratorSet):
     boundary = hull_boundary(gens)
     for g in gens:
         canvas.bump(g.center.x, g.center.y, g.radius)
-    canvas.path(hull_path_d(gens, boundary), fill="#d9d9d9", stroke="#707070",
-                width=0.02, opacity=0.8)
+    if boundary.pieces:  # a hull that is a single point has no chain to draw
+        canvas.path(hull_path_d(gens, boundary), fill="#d9d9d9", stroke="#707070",
+                    width=0.02, opacity=0.8)
 
 
 def _draw_sites(canvas: _Canvas, sites):

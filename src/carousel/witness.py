@@ -171,14 +171,15 @@ def _xyr(obj) -> tuple[float, float, float]:
     return obj.x, obj.y, 0.0
 
 
-def _decide(rows: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
+def _decide(rows: np.ndarray, sites: bool) -> tuple[np.ndarray, np.ndarray]:
     """Slack and verdict of the eight inclusions of every row, from one kernel call.
 
     The results are (n, 8) arrays, the two hypotheses first and then the
     (j, k) of JK_PAIRS.  Rows are checked in order, and the first that
     breaks a hypothesis raises InvalidInstance: sites must not be collinear
     under circles of positive radius, and each u_k must lie in the hull of
-    the bases.
+    the bases.  ``sites`` says whether the bases of every row are sites or
+    generator circles.
     """
     n = len(rows)
     slack, inside, _ = circles_in_hulls(
@@ -193,18 +194,18 @@ def _decide(rows: np.ndarray, sites) -> tuple[np.ndarray, np.ndarray]:
     bad = (flat & (rows[:, 3:, 2] > 0.0).any(axis=1) & sites) | ~(inside[:, 0] & inside[:, 1])
     if bad.any():
         i = int(bad.argmax())
-        if sites[i]:
+        if sites:
             _check_collinear(rows[i].tolist())
         for k in (0, 1):
-            _require_inside(k, inside[i, k], slack[i, k], "site" if sites[i] else "generator")
+            _require_inside(k, inside[i, k], slack[i, k], "site" if sites else "generator")
     return slack, inside
 
 
-def witness_searches_rows(rows, sites) -> list[list[Witness]]:
+def witness_searches_rows(rows, sites: bool) -> list[list[Witness]]:
     """Each row's (j, k) pairs whose inclusion holds, by descending slack.
 
     ``rows`` is an (n, 5, 3) array of the (x, y, r) objects b0, b1, b2, u0,
-    u1, and ``sites`` says for each row whether its bases are sites or
+    u1, and ``sites`` says whether the bases of all rows are sites or
     generator circles.  The two hypothesis inclusions and six (j, k)
     inclusions of all rows are decided in one ``circles_in_hulls`` call,
     and the first row that breaks a hypothesis raises InvalidInstance.
@@ -222,7 +223,7 @@ def witness_searches_rows(rows, sites) -> list[list[Witness]]:
     return out
 
 
-def best_witness_slacks_rows(rows, sites) -> list[float | None]:
+def best_witness_slacks_rows(rows, sites: bool) -> list[float | None]:
     """Each row's largest (j, k) slack among the inclusions that hold, or None if none holds.
 
     The slack of the first witness of ``witness_searches_rows``, read from
@@ -254,7 +255,7 @@ def witness_search(inst: CarouselInstance) -> list[Witness]:
     The one-row case of ``witness_searches_rows``.
     """
     row = [_xyr(o) for o in (*inst.sites, inst.u0, inst.u1)]
-    return witness_searches_rows(_block([row]), [True])[0]
+    return witness_searches_rows(_block([row]), True)[0]
 
 
 def corollary_witness_search(
@@ -269,7 +270,7 @@ def corollary_witness_search(
     The one-row case of ``witness_searches_rows``.
     """
     row = [_xyr(o) for o in (c0, c1, c2, u0, u1)]
-    return witness_searches_rows(_block([row]), [False])[0]
+    return witness_searches_rows(_block([row]), False)[0]
 
 
 def _strictly_inside(p, tri) -> bool:

@@ -548,6 +548,47 @@ class TestRenderVerb:
         assert "stroke-dasharray" in out.read_text()
 
 
+# inputs whose drawn hull is a segment or a single point: the theorem allows
+# radius-0 circles on a site or on a line through two sites
+DEGENERATE = {
+    "theorem-collinear": {**THEOREM, "sites": [[0, 0, 0], [4, 0, 0], [8, 0, 0]],
+                          "circles": [[1, 0, 0], [2, 0, 0]]},
+    "theorem-point-on-site": {**THEOREM, "sites": [[2, 3, 0], [-2, -4, 0], [4, -3, 0]],
+                              "circles": [[4, -3, 0], [2.8, 0.6, 0]]},
+    "sweep-collinear": {**SWEEP, "sites": [[0, 0, 0], [4, 0, 0], [8, 0, 0]],
+                        "circles": [[1, 0, 0], [2, 0, 0]]},
+    "corollary-segment": {**COROLLARY,
+                          "circles": [[0, 0, 0], [4, 0, 0], [8, 0, 0], [1, 0, 0], [2, 0, 0]]},
+    "theorem-one-point": {**THEOREM, "sites": [[1, 1, 0]] * 3, "circles": [[1, 1, 0]] * 2},
+}
+
+
+def check_and_render(tmp_path: Path, src: Path) -> str:
+    """Run ``check`` (exit 0) and ``render`` (valid SVG) on a scenario; return the SVG."""
+    assert main(["check", str(src), "-o", str(tmp_path / "rep.json")]) == 0
+    out = tmp_path / "fig.svg"
+    assert main(["render", str(src), "-o", str(out)]) == 0
+    assert_valid_svg(out)
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_degenerate_hull_renders_what_check_verifies(tmp_path, name):
+    text = check_and_render(tmp_path, write(tmp_path, "deg.json", DEGENERATE[name]))
+    hulls = re.findall(r'<path d="([^"]*)"', text)
+    if name == "theorem-one-point":
+        assert hulls == []  # a single point has no chain to draw
+    else:  # a segment is drawn there and back
+        assert len(hulls) == 1
+        assert re.fullmatch(r"M (\S+ \S+) L \S+ \S+ L \1 Z", hulls[0]), hulls[0]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_every_scenario_checks_and_renders(tmp_path, path):
+    text = check_and_render(tmp_path, path)
+    assert 'd=""' not in text
+
+
 class TestDeterminism:
     def test_reports_and_svg_are_byte_identical(self, tmp_path):
         jobs = [

@@ -9,7 +9,6 @@ import pytest
 from carousel import (
     ArcPiece,
     Circle2,
-    DegenerateHull,
     GeneratorSet,
     Point2,
     SegmentPiece,
@@ -338,18 +337,20 @@ class TestHullBoundary:
         assert b.pieces == (ArcPiece(0, 0.0, TAU, pt(2, 0), pt(2, 0)),)
 
     def test_degenerate_single_point(self):
-        with pytest.raises(DegenerateHull) as exc:
-            hull_boundary(GeneratorSet((circle(1, 2, 0),)))
-        assert exc.value.kind == "point"
+        b = hull_boundary(GeneratorSet((circle(1, 2, 0),)))
+        assert b.pieces == ()
+        assert b.chain_closure_error() == 0.0
 
     def test_degenerate_collinear_points(self):
-        with pytest.raises(DegenerateHull) as exc:
-            hull_boundary(
-                GeneratorSet((circle(0, 0, 0), circle(1, 1, 0), circle(3, 3, 0)))
-            )
-        assert exc.value.kind == "segment"
-        lo, hi = exc.value.geometry
-        assert {(lo.x, lo.y), (hi.x, hi.y)} == {(0.0, 0.0), (3.0, 3.0)}
+        b = hull_boundary(
+            GeneratorSet((circle(0, 0, 0), circle(1, 1, 0), circle(3, 3, 0)))
+        )
+        assert len(b.pieces) == 2
+        assert all(isinstance(p, SegmentPiece) for p in b.pieces)
+        there, back = b.pieces
+        assert (there.start, there.end) == (pt(0, 0), pt(3, 3))
+        assert (back.start, back.end) == (pt(3, 3), pt(0, 0))
+        assert b.chain_closure_error() == 0.0
 
     def test_boundary_support_matches_support(self):
         rng = random.Random(35)
@@ -365,13 +366,30 @@ class TestHullBoundary:
                     for _ in range(n)
                 )
             )
-            try:
-                b = hull_boundary(gens)
-            except DegenerateHull:
+            b = hull_boundary(gens)
+            if not b.pieces:
                 continue
             assert b.chain_closure_error() < 1e-9
             for k in range(3600):
                 theta = k * TAU / 3600
+                assert boundary_support(gens, b, theta) == pytest.approx(
+                    support(gens, theta), abs=1e-9
+                )
+
+    def test_segment_boundary_support_matches_support(self):
+        # collinear points, with repeats, are a segment hull: two tangent segments
+        for pts in (
+            [(0, 0), (4, 0), (8, 0)],
+            [(2, 3), (4, -3), (4, -3)],
+            [(-1, -2), (3, 6), (1, 2), (3, 6), (0, 0)],
+        ):
+            gens = GeneratorSet(tuple(circle(x, y, 0) for x, y in pts))
+            b = hull_boundary(gens)
+            assert len(b.pieces) == 2
+            assert all(isinstance(p, SegmentPiece) for p in b.pieces)
+            assert b.chain_closure_error() == 0.0
+            for k in range(360):
+                theta = k * TAU / 360
                 assert boundary_support(gens, b, theta) == pytest.approx(
                     support(gens, theta), abs=1e-9
                 )
