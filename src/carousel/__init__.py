@@ -18,12 +18,8 @@ from .errors import (
     CoincidentPoints,
     ConstructionFailed,
     DegenerateBasis,
-    DegenerateRadius,
-    EqualRadii,
-    FocusInsideOrOn,
     GenerationExhausted,
     InvalidInstance,
-    NestedCircles,
     NotInterior,
     ParseError,
     PreconditionRadius,
@@ -42,20 +38,11 @@ from .hull import (
 from .planar import (
     EPS_DECISION,
     EPS_GEOM,
-    AffineSimilarity,
     Circle2,
-    Homothety,
     Point2,
     circle,
-    external_homothety_center,
-    homothety_apply,
-    homothety_apply_circle,
-    homothety_conjugate,
     orientation,
     pt,
-    reangle_clearance,
-    reangle_contains,
-    tangent_points_from_point,
 )
 from .spheres import (
     Containment3Result,

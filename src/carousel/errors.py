@@ -7,24 +7,6 @@ class CarouselError(Exception):
     """Base class for every library-specific error."""
 
 
-# -- planar primitives ------------------------------------------------------
-
-class FocusInsideOrOn(CarouselError):
-    """Focus point lies inside or on the spanning circle."""
-
-
-class DegenerateRadius(CarouselError):
-    """A construction needs a strictly positive radius."""
-
-
-class EqualRadii(CarouselError):
-    """External tangents are parallel; no finite homothety center."""
-
-
-class NestedCircles(CarouselError):
-    """One circle lies inside the other; no external perspectivity."""
-
-
 # -- carousel instances -----------------------------------------------------
 
 class InvalidInstance(CarouselError):
@@ -54,7 +36,7 @@ class PreconditionRadius(CarouselError):
 
 
 class ConstructionFailed(CarouselError):
-    """No positive radius satisfies the interiority requirement."""
+    """No positive radius keeps every sphere inside, or a value leaves the float range."""
 
 
 # -- harness ----------------------------------------------------------------

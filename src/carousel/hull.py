@@ -355,14 +355,6 @@ class HullBoundary:
 
     pieces: tuple
 
-    def chain_closure_error(self) -> float:
-        if not self.pieces:
-            return 0.0
-        worst = 0.0
-        for cur, nxt in zip(self.pieces, self.pieces[1:] + (self.pieces[0],)):
-            worst = max(worst, cur.end.distance_to(nxt.start))
-        return worst
-
 
 def _point_on(g: Circle2, theta: float) -> Point2:
     return Point2(

@@ -64,7 +64,10 @@ class Scenario:
 def _num(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {v!r}")
-    f = float(v)
+    try:
+        f = float(v)
+    except OverflowError:  # a JSON integer beyond float range
+        f = math.inf
     if not math.isfinite(f):
         raise SchemaError(f"{where}: number must be finite")
     return f

@@ -485,19 +485,24 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     Every one of the 8 inclusions (choice of the vertex left out and of which
     sphere generates) is refuted by a negative-slack direction, and the
     cases that leave out vertex 3 additionally carry an exact 2D projection
-    certificate in the plane through A2, A3 and the axis endpoint B.
+    certificate in the plane through A2, A3 and the axis endpoint B.  A side
+    and radius whose construction overflows or underflows raise
+    ConstructionFailed.
     """
     verts = tetrahedron_from_cube(side)
-    b, c, p_m1, p_0 = axis_points(*verts)
-    planes = _face_planes(verts)
-    face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
-    for dists in face_d:
-        if min(dists) < r + EPS_DECISION:
-            raise PreconditionRadius(
-                f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
-            )
-    spheres = (Sphere3(p_m1, r), Sphere3(p_0, r))
-    plane = plane_through(b, verts[2], verts[3])
+    try:
+        b, c, p_m1, p_0 = axis_points(*verts)
+        planes = _face_planes(verts)
+        face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
+        for dists in face_d:
+            if min(dists) < r + EPS_DECISION:
+                raise PreconditionRadius(
+                    f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
+                )
+        spheres = (Sphere3(p_m1, r), Sphere3(p_0, r))
+        plane = plane_through(b, verts[2], verts[3])
+    except ValueError as exc:
+        raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
     # objects: S_-1, S_0, A0..A3; k = 0 keeps S_0 as generator, so S_-1 is the target
     pairs = [(j, k) for j in range(4) for k in (-1, 0)]
     objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
@@ -555,44 +560,48 @@ def example_4_2(
     interior radius is chosen tangent to the same arc.  If any sphere would
     poke out of the tetrahedron, all radii shrink by a common offset (which
     preserves the tangencies, against a concentric arc) until every sphere
-    is strictly inside; failing that raises ConstructionFailed.
+    is strictly inside; failing that raises ConstructionFailed, as does a
+    construction that overflows or underflows.
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     verts = tetrahedron_from_cube(side)
-    b, c, p_m1, p_0 = axis_points(*verts)
-    axis = (c - b).normalized()
-    length = (c - b).norm()
-    mid = (b + c) * 0.5
-    # in-plane unit normal of the axis within the plane through A2, A3, B
-    a2_rel = verts[2] - mid
-    n = a2_rel - axis * a2_rel.dot(axis)
-    n = n.normalized()
+    try:
+        b, c, p_m1, p_0 = axis_points(*verts)
+        axis = (c - b).normalized()
+        length = (c - b).norm()
+        mid = (b + c) * 0.5
+        # in-plane unit normal of the axis within the plane through A2, A3, B
+        a2_rel = verts[2] - mid
+        n = a2_rel - axis * a2_rel.dot(axis)
+        n = n.normalized()
 
-    height = arc_radius_factor * length
-    center_o = mid + n * height
+        height = arc_radius_factor * length
+        center_o = mid + n * height
 
-    indices = tuple([-1, 0] + list(range(1, t - 1)))
-    centers = {-1: p_m1, 0: p_0}
-    for i in range(1, t - 1):
-        centers[i] = p_0 + (p_m1 - p_0) * (i / (t - 1))
+        indices = tuple([-1, 0] + list(range(1, t - 1)))
+        centers = {-1: p_m1, 0: p_0}
+        for i in range(1, t - 1):
+            centers[i] = p_0 + (p_m1 - p_0) * (i / (t - 1))
 
-    dist_end = center_o.distance_to(p_0)
-    bulges = {i: dist_end - center_o.distance_to(centers[i]) for i in indices}
+        dist_end = center_o.distance_to(p_0)
+        bulges = {i: dist_end - center_o.distance_to(centers[i]) for i in indices}
 
-    # largest base radius keeping every sphere strictly inside
-    planes = _face_planes(verts)
-    margin_room = []
-    for i in indices:
-        d_min = min(_face_distances(planes, centers[i]))
-        margin_room.append(d_min - EPS_DECISION - bulges[i])
-    base_r = min(r, min(margin_room))
-    if base_r <= 0.0:
-        raise ConstructionFailed(
-            "no positive radius keeps every sphere strictly inside the tetrahedron"
-        )
-    arc_radius = dist_end + base_r
-    spheres = tuple(Sphere3(centers[i], base_r + bulges[i]) for i in indices)
+        # largest base radius keeping every sphere strictly inside
+        planes = _face_planes(verts)
+        margin_room = []
+        for i in indices:
+            d_min = min(_face_distances(planes, centers[i]))
+            margin_room.append(d_min - EPS_DECISION - bulges[i])
+        base_r = min(r, min(margin_room))
+        if base_r <= 0.0:
+            raise ConstructionFailed(
+                "no positive radius keeps every sphere strictly inside the tetrahedron"
+            )
+        arc_radius = dist_end + base_r
+        spheres = tuple(Sphere3(centers[i], base_r + bulges[i]) for i in indices)
+    except ValueError as exc:
+        raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
 
     residuals = tuple(
         abs(center_o.distance_to(s.center) + s.radius - arc_radius) for s in spheres

@@ -1,7 +1,8 @@
 """Reference helpers for the 2D hull tests, kept out of the package: no verb reads them.
 
 ``support`` and ``boundary_support`` give the support function of a
-generator set and of its boundary chain, ``hull_area`` and
+generator set and of its boundary chain, ``chain_closure_error`` the largest
+gap between consecutive pieces of the chain, ``hull_area`` and
 ``hull_polygon_area`` the exact and the sampled hull area.  The closed-form
 coverage arcs and their uncovered gaps are an independent cross-check of the
 kernel's slack: the target is contained iff the arcs of its generators cover
@@ -43,6 +44,16 @@ def boundary_support(gens: GeneratorSet, boundary: HullBoundary, theta: float) -
             v = g.center.x * c + g.center.y * s + g.radius
         best = max(best, v)
     return best
+
+
+def chain_closure_error(boundary: HullBoundary) -> float:
+    """Largest gap between a piece's end and the next piece's start, cyclically."""
+    if not boundary.pieces:
+        return 0.0
+    worst = 0.0
+    for cur, nxt in zip(boundary.pieces, boundary.pieces[1:] + (boundary.pieces[0],)):
+        worst = max(worst, cur.end.distance_to(nxt.start))
+    return worst
 
 
 def hull_area(gens: GeneratorSet, boundary: HullBoundary) -> float:

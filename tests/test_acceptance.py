@@ -18,11 +18,8 @@ from carousel import (
     Point2,
     Tangency,
     circle_in_hull,
-    homothety_conjugate,
     pt,
     random_instance,
-    reangle_clearance,
-    reangle_contains,
     sweep_slack,
     two_carousel_points,
     witness_search,
@@ -35,7 +32,13 @@ from carousel.fuzz import random_containment_query, run_fuzz
 from carousel.oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
 from carousel.witness import JK_PAIRS, points_of_row, random_points_instances
 
-from test_planar import _perspective_config, reangle_boundary_samples
+from lemmas import (
+    _perspective_config,
+    homothety_conjugate,
+    reangle_boundary_samples,
+    reangle_clearance,
+    reangle_contains,
+)
 
 
 def announce(name: str, ok: bool, detail: str) -> None:

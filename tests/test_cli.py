@@ -94,6 +94,16 @@ class TestSchema:
         with pytest.raises((SchemaError, ValueError)):
             parse_scenario(json.loads(json.dumps(bad).replace("Infinity", "1e999")))
 
+    @pytest.mark.parametrize("bad", [
+        {**EX41, "side": 10**400},
+        {**THEOREM, "sites": [[10**400, 0, 0], [6, 0, 0], [0, 6, 0]]},
+    ], ids=["ex41-side", "theorem-site"])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, bad):
+        with pytest.raises(SchemaError, match="number must be finite"):
+            parse_scenario(bad)
+        assert main(["check", str(write(tmp_path, "big.json", bad))]) == 2
+        assert "number must be finite" in capsys.readouterr().err
+
     def test_seed_range(self):
         with pytest.raises(SchemaError):
             parse_scenario({**THEOREM, "seed": -1})
@@ -181,7 +191,22 @@ class TestCheckVerb:
      "no positive radius keeps every sphere strictly inside the tetrahedron"),
     (["repro3d", "--example", "4.1", "--r", "0.3"],
      "radius 0.3 does not fit strictly inside (min face distance 0.19245)"),
-], ids=["points-outside", "points-coincide", "ex41-radius", "ex42-side", "repro3d-radius"])
+    (["repro3d", "--example", "4.1", "--side", "1e308"],
+     "the construction leaves the float range "
+     "(coordinates must be finite, got (1e+308, 1e+308, inf))"),
+    (["repro3d", "--example", "4.1", "--side", "1e200", "--r", "1e199"],
+     "the construction leaves the float range "
+     "(coordinates must be finite, got (-inf, -inf, -inf))"),
+    (["repro3d", "--example", "4.2", "--t", "3", "--side", "1e200", "--r", "1e199"],
+     "the construction leaves the float range "
+     "(coordinates must be finite, got (nan, nan, nan))"),
+    (["repro3d", "--example", "4.2", "--t", "3", "--factor", "1e308"],
+     "the construction leaves the float range (radius must be finite and >= 0, got nan)"),
+    (["repro3d", "--example", "4.1", "--side", "1e-200", "--r", "1e-201"],
+     "the construction leaves the float range (cannot normalize the zero vector)"),
+], ids=["points-outside", "points-coincide", "ex41-radius", "ex42-side", "repro3d-radius",
+        "ex41-side-overflow", "ex41-scale-overflow", "ex42-scale-overflow",
+        "ex42-factor-overflow", "ex41-scale-underflow"])
 def test_broken_hypothesis_of_every_kind_writes_input_error_report(
     tmp_path, capsys, argv, message
 ):

@@ -1,25 +1,24 @@
-"""Planar primitive tests: homotheties, tangents, orientation, round-edged angles."""
+"""Planar tests: the package's orientation predicate, and the lemma helpers of
+``lemmas.py`` (homotheties, tangents, round-edged angles)."""
 
 import math
 import random
 
 import pytest
 
-from carousel import (
-    Circle2,
+from carousel import Circle2, Point2, circle, orientation, pt
+from lemmas import (
     DegenerateRadius,
     EqualRadii,
     FocusInsideOrOn,
     Homothety,
     NestedCircles,
-    Point2,
-    circle,
+    _perspective_config,
     external_homothety_center,
     homothety_apply,
     homothety_apply_circle,
     homothety_conjugate,
-    orientation,
-    pt,
+    reangle_boundary_samples,
     reangle_clearance,
     reangle_contains,
     tangent_points_from_point,
@@ -279,38 +278,6 @@ class TestReangle:
             ang = phi + t * alpha
             p = Point2(3 + math.cos(ang), math.sin(ang))
             assert abs(reangle_clearance(self.F, self.c, p)) < 1e-9
-
-
-def _perspective_config(rng):
-    """Externally perspective circle pair plus an admissible inner focus G."""
-    r2 = rng.uniform(0.2, 1.5)
-    lam = rng.uniform(1.1, 5.0)
-    r1 = lam * r2
-    F = pt(rng.uniform(-3, 3), rng.uniform(-3, 3))
-    d2 = r2 * rng.uniform(1.5, 10.0)
-    ang = rng.uniform(0, math.tau)
-    P2 = Point2(F.x + d2 * math.cos(ang), F.y + d2 * math.sin(ang))
-    P1 = Point2(F.x + lam * (P2.x - F.x), F.y + lam * (P2.y - F.y))
-    s = rng.uniform(r2 / d2 + 0.05, 0.95)
-    G = Point2(P2.x + s * (F.x - P2.x), P2.y + s * (F.y - P2.y))
-    return F, Circle2(P1, r1), G, Circle2(P2, r2)
-
-
-def reangle_boundary_samples(F, c, arc_n=120, leg_n=120, leg_reach=40.0):
-    phi = math.atan2(F.y - c.center.y, F.x - c.center.x)
-    alpha = math.acos(min(1.0, c.radius / F.distance_to(c.center)))
-    pts = []
-    for i in range(arc_n):
-        a = phi - alpha + (2 * alpha) * i / (arc_n - 1)
-        pts.append(Point2(c.center.x + c.radius * math.cos(a), c.center.y + c.radius * math.sin(a)))
-    t1, t2 = tangent_points_from_point(F, c)
-    for t in (t1, t2):
-        d = t - F
-        d = d * (1.0 / d.norm())
-        for i in range(leg_n):
-            reach = leg_reach * (i + 1) / leg_n
-            pts.append(Point2(t.x + reach * d.x, t.y + reach * d.y))
-    return pts
 
 
 def test_perspective_circles_loose_inclusion_sample():
