@@ -19,7 +19,7 @@ from .reports import (
     witness_to_dict,
 )
 from .scenario import Scenario, load_scenario
-from .spheres import example_4_1, example_4_2
+from .spheres import Example41Report, Example42Report, example_4_1, example_4_2
 from .witness import (
     corollary_witness_search,
     two_carousel_points,
@@ -71,24 +71,23 @@ def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
     return body, EXIT_VERIFIED
 
 
-def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
-    rep = example_4_1(scenario.side, scenario.r)
+def _example_report(rep: Example41Report | Example42Report, claim: str) -> tuple[dict, int]:
+    to_dict = example41_to_dict if isinstance(rep, Example41Report) else example42_to_dict
     body = {
-        "example": example41_to_dict(rep),
-        "claim": "all 8 inclusions refuted",
+        "example": to_dict(rep),
+        "claim": claim,
         "verdict": "verified" if rep.all_refuted else "refuted",
     }
     return body, EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
+
+
+def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
+    return _example_report(example_4_1(scenario.side, scenario.r), "all 8 inclusions refuted")
 
 
 def _run_ex42(scenario: Scenario) -> tuple[dict, int]:
     rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
-    body = {
-        "example": example42_to_dict(rep),
-        "claim": "every sphere refuted against the others",
-        "verdict": "verified" if rep.all_refuted else "refuted",
-    }
-    return body, EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
+    return _example_report(rep, "every sphere refuted against the others")
 
 
 _RUNNERS = {

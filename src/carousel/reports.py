@@ -131,16 +131,23 @@ def sweep_to_dict(rep: XiSweepReport) -> dict:
     }
 
 
+def _refutations_to_dict(rep: Example41Report | Example42Report) -> dict:
+    """Whether an example refutes every inclusion, and each inclusion's outcome."""
+    return {
+        "all_refuted": rep.all_refuted,
+        "outcomes": [
+            {"j": o.j, "k": o.k, **containment3_to_dict(o.result)} for o in rep.outcomes
+        ],
+    }
+
+
 def example41_to_dict(rep: Example41Report) -> dict:
     return {
         "side": rep.side,
         "r": rep.r,
         "face_distances": [list(d) for d in rep.face_distances],
-        "centers": [[p.x, p.y, p.z] for p in rep.centers],
-        "all_refuted": rep.all_refuted,
-        "outcomes": [
-            {"j": o.j, "k": o.k, **containment3_to_dict(o.result)} for o in rep.outcomes
-        ],
+        "centers": [[s.center.x, s.center.y, s.center.z] for s in rep.spheres],
+        **_refutations_to_dict(rep),
     }
 
 
@@ -155,8 +162,5 @@ def example42_to_dict(rep: Example42Report) -> dict:
         "spheres": [[s.center.x, s.center.y, s.center.z, s.radius] for s in rep.spheres],
         "tangency_residuals": list(rep.tangency_residuals),
         "interior_margins": list(rep.interior_margins),
-        "all_refuted": rep.all_refuted,
-        "outcomes": [
-            {"j": o.j, "k": o.k, **containment3_to_dict(o.result)} for o in rep.outcomes
-        ],
+        **_refutations_to_dict(rep),
     }

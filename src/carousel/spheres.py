@@ -404,6 +404,11 @@ def project_to_plane(p: Point3, plane) -> Point2:
     return Point2(rel.dot(e1), rel.dot(e2))
 
 
+def project_sphere(s: Sphere3, plane) -> Circle2:
+    """The circle a sphere projects to orthogonally in a plane: centre projected, radius kept."""
+    return Circle2(project_to_plane(s.center, plane), s.radius)
+
+
 def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
     """Project spheres orthogonally into a plane and run the exact 2D test.
 
@@ -417,11 +422,8 @@ def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
             raise DegenerateBasis(f"{name} is not a unit vector")
     if abs(e1.dot(e2)) > 1e-9:
         raise DegenerateBasis("basis vectors are not orthogonal")
-    target2 = Circle2(project_to_plane(target.center, plane), target.radius)
-    gens2 = GeneratorSet(
-        tuple(Circle2(project_to_plane(g.center, plane), g.radius) for g in gens)
-    )
-    return circle_in_hull(target2, gens2)
+    gens2 = GeneratorSet(tuple(project_sphere(g, plane) for g in gens))
+    return circle_in_hull(project_sphere(target, plane), gens2)
 
 
 # -- counterexample reproductions ----------------------------------------------
@@ -459,7 +461,7 @@ class Example41Report:
     side: float
     r: float
     vertices: tuple[Point3, Point3, Point3, Point3]
-    centers: tuple[Point3, Point3]  # (P_-1, P_0)
+    spheres: tuple[Sphere3, Sphere3]  # (S_-1, S_0), centred on P_-1 and P_0
     face_distances: tuple[tuple[float, ...], tuple[float, ...]]
     outcomes: tuple[PairOutcome, ...]
 
@@ -518,7 +520,7 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
         side=side,
         r=r,
         vertices=verts,
-        centers=(p_m1, p_0),
+        spheres=spheres,
         face_distances=face_d,
         outcomes=tuple(outcomes),
     )

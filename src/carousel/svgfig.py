@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import math
 
-from .hull import ArcPiece, GeneratorSet, HullBoundary, circle_in_hull, hull_boundary
+from .hull import ArcPiece, GeneratorSet, HullBoundary, hull_boundary
 from .planar import Circle2, Point2
 from .scenario import Scenario
 from .spheres import (
-    Sphere3,
+    _ex41_target_gens,
     axis_points,
     example_4_1,
     example_4_2,
     plane_through,
+    project_sphere,
     project_to_plane,
 )
 from .witness import (
@@ -30,11 +31,6 @@ from .witness import (
     xi_sweep_fixed,
 )
 
-# scale step past xi_star at which the sweep figure reads its touch direction:
-# a much smaller step leaves the slack inside the band that still counts as
-# contained, and then no direction comes back
-TOUCH_PROBE_STEP = 1e-4
-
 
 def _f(v: float) -> str:
     return f"{v:.6f}"
@@ -42,6 +38,11 @@ def _f(v: float) -> str:
 
 def _xy(p: Point2) -> str:
     return f"{_f(p.x)} {_f(-p.y)}"
+
+
+def _polar(o: Point2, r: float, theta: float) -> Point2:
+    """The point at angle theta on the circle of radius r about o."""
+    return Point2(o.x + r * math.cos(theta), o.y + r * math.sin(theta))
 
 
 class _Canvas:
@@ -155,10 +156,7 @@ def hull_path_d(gens: GeneratorSet, boundary: HullBoundary) -> str:
         g = glist[p.generator]
         r = g.radius
         start = p.start
-        mid = Point2(
-            g.center.x + r * math.cos(p.start_angle + math.pi),
-            g.center.y + r * math.sin(p.start_angle + math.pi),
-        )
+        mid = _polar(g.center, r, p.start_angle + math.pi)
         return (
             f"M {_xy(start)} A {_f(r)} {_f(r)} 0 0 0 {_xy(mid)} "
             f"A {_f(r)} {_f(r)} 0 0 0 {_xy(start)} Z"
@@ -190,44 +188,38 @@ def _draw_sites(canvas: _Canvas, sites):
         canvas.dot(s)
 
 
-def _render_theorem(scenario: Scenario) -> _Canvas:
-    canvas = _Canvas()
-    inst = scenario.instance()
-    witnesses = witness_search(inst)
-    if witnesses:
-        best = witnesses[0]
-        _fill_hull(canvas, witness_generators(inst, best.j, best.k))
-        canvas.text(
-            f"witness j={best.j} k={best.k} slack={best.slack:.6f} "
-            f"({len(witnesses)}/6 pairs hold)"
-        )
-    else:
-        canvas.text("no witness found")
-    _draw_sites(canvas, inst.sites)
-    canvas.circle(inst.u0, "#1f77b4")
-    canvas.circle(inst.u1, "#2ca02c")
-    return canvas
-
-
-def _render_corollary(scenario: Scenario) -> _Canvas:
-    canvas = _Canvas()
-    c0, c1, c2, u0, u1 = scenario.circles
-    witnesses = corollary_witness_search(c0, c1, c2, u0, u1)
-    cs = (c0, c1, c2)
-    if witnesses:
-        best = witnesses[0]
-        _fill_hull(canvas, pair_generators((u0, u1)[best.k], cs, best.j))
-        canvas.text(
-            f"witness j={best.j} k={best.k} slack={best.slack:.6f} "
-            f"({len(witnesses)}/6 pairs hold)"
-        )
-    else:
-        canvas.text("no witness found")
-    for c in cs:
+def _draw_circles(canvas: _Canvas, circles):
+    for c in circles:
         canvas.circle(c, "#303030")
+
+
+def _witness_figure(witnesses, bases, u0: Circle2, u1: Circle2, draw_bases) -> _Canvas:
+    """The best witness's hull under the bases and both circles, for theorem and corollary."""
+    canvas = _Canvas()
+    if witnesses:
+        best = witnesses[0]
+        _fill_hull(canvas, pair_generators((u0, u1)[best.k], bases, best.j))
+        canvas.text(
+            f"witness j={best.j} k={best.k} slack={best.slack:.6f} "
+            f"({len(witnesses)}/6 pairs hold)"
+        )
+    else:
+        canvas.text("no witness found")
+    draw_bases(canvas, bases)
     canvas.circle(u0, "#1f77b4")
     canvas.circle(u1, "#2ca02c")
     return canvas
+
+
+def _render_theorem(scenario: Scenario) -> _Canvas:
+    inst = scenario.instance()
+    return _witness_figure(witness_search(inst), inst.sites, inst.u0, inst.u1, _draw_sites)
+
+
+def _render_corollary(scenario: Scenario) -> _Canvas:
+    *cs, u0, u1 = scenario.circles
+    witnesses = corollary_witness_search(*cs, u0, u1)
+    return _witness_figure(witnesses, cs, u0, u1, _draw_circles)
 
 
 def _render_points(scenario: Scenario) -> _Canvas:
@@ -250,24 +242,16 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     inst = scenario.instance()
     j, k = scenario.j, scenario.k
     rep = xi_sweep_fixed(inst, j, k)
-    zeta = rep.xi_star
-    scaled = scaled_instance(inst, zeta)
+    scaled = scaled_instance(inst, rep.xi_star)
     _fill_hull(canvas, witness_generators(scaled, j, k))
     _draw_sites(canvas, inst.sites)
     canvas.circle(inst.u0, "#9ecae1", dash="0.05,0.05")
     canvas.circle(inst.u1, "#a1d99b", dash="0.05,0.05")
     canvas.circle(scaled.circle(k), "#1f77b4")
-    canvas.circle(scaled.circle(1 - k), "#2ca02c")
-    if zeta < 1.0:
-        past = scaled_instance(inst, min(1.0, zeta + TOUCH_PROBE_STEP))
-        res = circle_in_hull(past.circle(1 - k), witness_generators(past, j, k))
-        if res.witness_direction is not None:
-            target = scaled.circle(1 - k)
-            touch = Point2(
-                target.center.x + target.radius * math.cos(res.witness_direction),
-                target.center.y + target.radius * math.sin(res.witness_direction),
-            )
-            canvas.marker(touch)
+    target = scaled.circle(1 - k)
+    canvas.circle(target, "#2ca02c")
+    if rep.touch_direction is not None:
+        canvas.marker(_polar(target.center, target.radius, rep.touch_direction))
     canvas.text(
         f"j={j} k={k} xi*={rep.xi_star:.6f} slack={rep.slack_at_xi_star:.2e} "
         f"tangency={rep.tangency.value}"
@@ -275,23 +259,24 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     return canvas
 
 
-def _render_ex41(scenario: Scenario) -> _Canvas:
-    canvas = _Canvas()
-    rep = example_4_1(scenario.side, scenario.r)
-    verts = rep.vertices
-    b, c, p_m1, p_0 = axis_points(*verts)
+def _draw_section(canvas: _Canvas, verts):
+    """Draw the section triangle (B, A2, A3); return its plane, its corners and the projected C."""
+    b, c, _, _ = axis_points(*verts)
     plane = plane_through(b, verts[2], verts[3])
     tri = [project_to_plane(q, plane) for q in (b, verts[2], verts[3])]
     canvas.polygon(tri, stroke="#303030")
+    return plane, tri, project_to_plane(c, plane)
+
+
+def _render_ex41(scenario: Scenario) -> _Canvas:
+    canvas = _Canvas()
+    rep = example_4_1(scenario.side, scenario.r)
+    plane, tri, _ = _draw_section(canvas, rep.vertices)
     # hull for the case that leaves out vertex 3, with the k=0 generator sphere
-    spheres = (Sphere3(p_m1, scenario.r), Sphere3(p_0, scenario.r))
-    gens3 = [spheres[1]] + [Sphere3(verts[i], 0.0) for i in range(3)]
-    gens2 = GeneratorSet(
-        tuple(Circle2(project_to_plane(g.center, plane), g.radius) for g in gens3)
-    )
-    _fill_hull(canvas, gens2)
-    canvas.circle(Circle2(project_to_plane(p_m1, plane), scenario.r), "#1f77b4")
-    canvas.circle(Circle2(project_to_plane(p_0, plane), scenario.r), "#2ca02c")
+    _, gens = _ex41_target_gens(rep.vertices, rep.spheres, 3, 0)
+    _fill_hull(canvas, GeneratorSet(tuple(project_sphere(g, plane) for g in gens)))
+    canvas.circle(project_sphere(rep.spheres[0], plane), "#1f77b4")
+    canvas.circle(project_sphere(rep.spheres[1], plane), "#2ca02c")
     for q in tri:
         canvas.dot(q)
     worst = max(o.result.slack for o in rep.outcomes)
@@ -304,26 +289,20 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
 def _render_ex42(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
-    verts = rep.vertices
-    b, c, _, _ = axis_points(*verts)
-    plane = plane_through(b, verts[2], verts[3])
-    tri = [project_to_plane(q, plane) for q in (b, verts[2], verts[3])]
-    canvas.polygon(tri, stroke="#303030")
-    b2 = project_to_plane(b, plane)
-    c2 = project_to_plane(c, plane)
-    canvas.line(b2, c2, "#909090", dash="0.02,0.02")
-    centers2 = [project_to_plane(s.center, plane) for s in rep.spheres]
-    for p2, s in zip(centers2, rep.spheres):
-        canvas.circle(Circle2(p2, s.radius), "#1f77b4")
+    plane, tri, c2 = _draw_section(canvas, rep.vertices)
+    canvas.line(tri[0], c2, "#909090", dash="0.02,0.02")
+    circles = [project_sphere(s, plane) for s in rep.spheres]
+    for c in circles:
+        canvas.circle(c, "#1f77b4")
     o2 = project_to_plane(rep.arc_center, plane)
-    angles = [math.atan2(p2.y - o2.y, p2.x - o2.x) for p2 in centers2]
+    angles = [math.atan2(c.center.y - o2.y, c.center.x - o2.x) for c in circles]
     lo = min(angles)
     hi = max(angles)
     spread = max(hi - lo, 0.02)
     lo -= 0.4 * spread
     hi += 0.4 * spread
-    a0 = Point2(o2.x + rep.arc_radius * math.cos(lo), o2.y + rep.arc_radius * math.sin(lo))
-    a1 = Point2(o2.x + rep.arc_radius * math.cos(hi), o2.y + rep.arc_radius * math.sin(hi))
+    a0 = _polar(o2, rep.arc_radius, lo)
+    a1 = _polar(o2, rep.arc_radius, hi)
     laf = 1 if hi - lo > math.pi else 0
     d = f"M {_xy(a0)} A {_f(rep.arc_radius)} {_f(rep.arc_radius)} 0 {laf} 0 {_xy(a1)}"
     canvas.path(d, fill="none", stroke="#707070", width=0.01, dash="0.03,0.03")

@@ -84,13 +84,18 @@ class Tangency(enum.Enum):
 
 @dataclass(frozen=True)
 class XiSweepReport:
-    """Critical-scale trace for a fixed (j, k): supremum and binding tangency."""
+    """Critical-scale trace for a fixed (j, k): supremum and binding tangency.
+
+    ``touch_direction`` is the angle of the target's support point that
+    touches the hull at xi_star, or None when no tangency binds.
+    """
 
     j: int
     k: int
     xi_star: float
     slack_at_xi_star: float
     tangency: Tangency
+    touch_direction: float | None
 
 
 def _check_collinear(row) -> None:
@@ -346,6 +351,18 @@ EVENT_TIE = 1e-12
 _EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 
 
+def _sweep_envelope(inst: CarouselInstance, j: int, k: int, zeta: float) -> tuple[float, float]:
+    """Slack of the scaled (j, k) inclusion at scale zeta and the first angle attaining it."""
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
+    own, target = inst.circle(k), inst.circle(1 - k)
+    tx, ty = target.center.x, target.center.y
+    tr = zeta * target.radius
+    terms = [(own.center.x - tx, own.center.y - ty, zeta * own.radius - tr)]
+    terms += [(s.x - tx, s.y - ty, 0.0 - tr) for s in _others(inst.sites, j)]
+    return _envelope_min(terms)
+
+
 def sweep_slack(inst: CarouselInstance, j: int, k: int, zeta: float) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta.
 
@@ -354,14 +371,7 @@ def sweep_slack(inst: CarouselInstance, j: int, k: int, zeta: float) -> float:
     terms come from the centres and the zeta-scaled radii by the same float
     operations, without building the scaled instance or its generators.
     """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    own, target = inst.circle(k), inst.circle(1 - k)
-    tx, ty = target.center.x, target.center.y
-    tr = zeta * target.radius
-    terms = [(own.center.x - tx, own.center.y - ty, zeta * own.radius - tr)]
-    terms += [(s.x - tx, s.y - ty, 0.0 - tr) for s in _others(inst.sites, j)]
-    return _envelope_min(terms)[0]
+    return _sweep_envelope(inst, j, k, zeta)[0]
 
 
 def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Tangency]]:
@@ -430,7 +440,8 @@ def xi_sweep_fixed(inst: CarouselInstance, j: int, k: int) -> XiSweepReport:
     the tangency is the family of the event there.  When it fails from
     zeta = 0 on, xi_star = 0 and the tangency is the side of the point hull
     nearest the target's centre.  When no interval fails, xi_star = 1 with
-    no tangency.
+    no tangency.  The slack at xi_star and the touch direction come from
+    one envelope evaluation there.
     """
     if j not in (0, 1, 2) or k not in (0, 1):
         raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
@@ -441,11 +452,12 @@ def xi_sweep_fixed(inst: CarouselInstance, j: int, k: int) -> XiSweepReport:
         if sweep_slack(inst, j, k, 0.5 * (edges[i] + edges[i + 1])) < 0.0:
             break
     else:
-        slack = sweep_slack(inst, j, k, 1.0)
-        return XiSweepReport(j, k, 1.0, slack, Tangency.NONE_AT_ONE)
+        slack, _ = _sweep_envelope(inst, j, k, 1.0)
+        return XiSweepReport(j, k, 1.0, slack, Tangency.NONE_AT_ONE, None)
     xi = edges[i]
     tangency = events[i - 1][1] if i else _tangency_at_zero(inst, j, k)
-    return XiSweepReport(j, k, xi, sweep_slack(inst, j, k, xi), tangency)
+    slack, touch = _sweep_envelope(inst, j, k, xi)
+    return XiSweepReport(j, k, xi, slack, tangency, touch)
 
 
 # -- seeded instance generation ----------------------------------------------

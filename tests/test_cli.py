@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ from carousel import ParseError, SchemaError
 from carousel.cli import main
 from carousel.reports import canonical_json
 from carousel.scenario import load_scenario, parse_scenario
+from carousel.witness import scaled_instance, xi_sweep_fixed
 
 THEOREM = {
     "schema": "carousel/1",
@@ -559,12 +561,63 @@ class TestRenderVerb:
         assert 'stroke="#cc0000"' in text  # touch marker at the critical scale
 
     def test_sweep_figure_is_pinned(self, tmp_path):
-        # sha256 of the figure as drawn before the sweep worked on plain floats
+        # sha256 of the figure whose marker sits at the sweep's own touch
+        # direction.  The scenario is symmetric about y = x and touches both
+        # legs at xi_star; a probe past xi_star had marked the mirror point.
+        path = SCENARIOS / "sweep_leg_tangency.json"
         out = tmp_path / "sweep.svg"
-        assert main(["render", str(SCENARIOS / "sweep_leg_tangency.json"), "-o", str(out)]) == 0
+        assert main(["render", str(path), "-o", str(out)]) == 0
         assert sha256_of(out) == (
-            "2f5dfd0090df1ca8ce7555deb5e5034bcaa101adf961ffe0d6f9150baf6f5757"
+            "be86a13c06e1e3e5e1bcd1a6b20d139aa0dc6728e73022db28a6089a890ee139"
         )
+        sc = load_scenario(path)
+        rep = xi_sweep_fixed(sc.instance(), sc.j, sc.k)
+        target = scaled_instance(sc.instance(), rep.xi_star).circle(1 - sc.k)
+        stroke = ET.parse(out).getroot().findall(f"{SVG_NS}line[@stroke='#cc0000']")[0]
+        x1, y1, x2, y2 = (float(stroke.get(a)) for a in ("x1", "y1", "x2", "y2"))
+        centre = (0.5 * (x1 + x2), -0.5 * (y1 + y2))
+        assert centre == pytest.approx((
+            target.center.x + target.radius * math.cos(rep.touch_direction),
+            target.center.y + target.radius * math.sin(rep.touch_direction),
+        ), abs=1e-6)
+        assert centre == pytest.approx((2.2507, 1.6098), abs=1e-4)
+
+    def test_sweep_marker_at_missing_probe_direction(self, tmp_path):
+        # xi_star = 0.270372 with a leg tangency: a probe 1e-4 past xi_star
+        # still read a slack inside the decision band and drew no marker
+        src = write(tmp_path, "sweep.json", {
+            "schema": "carousel/1", "kind": "sweep",
+            "sites": [[-4.98837722514576, 0.4061000069479981, 0],
+                      [-1.3261745517473926, 9.017317300948335, 0],
+                      [-4.2495430837506305, -3.8917651254603864, 0]],
+            "circles": [[-2.3246370172551702, 6.084936991408851, 0.12408589291411641],
+                        [-3.797460025818067, 1.7480414784204625, 0.294003784100763]],
+            "j": 2, "k": 1,
+        })
+        out = tmp_path / "sweep.svg"
+        assert main(["render", str(src), "-o", str(out)]) == 0
+        text = out.read_text()
+        assert "xi*=0.270372" in text and "tangency=leg" in text
+        assert 'stroke="#cc0000"' in text
+
+    # sha256 of each figure as drawn when the sweep figure still probed for
+    # its touch direction; no other figure reads the sweep
+    @pytest.mark.parametrize("name, digest", [
+        ("corollary_circles", "45f6469d908f3be537c08f56cd8471ca4d4a189f2c7167e5534039760cd780b5"),
+        ("points_decomposition",
+         "0a63d4f6728f379b5ba9936611c5b7ce5e1981279a05207514bd49181aedaf91"),
+        ("sphere_counterexample_41",
+         "ceb15a986d74e32844b4343205b75422821c2a81d143a84d507bd3a034a62d65"),
+        ("sphere_counterexample_42",
+         "541077a98422198bf014d032e80c862dbbc4cb61f6b2042da41e99c079951480"),
+        ("theorem_concentric", "75bb5e8a5dd7921fdc9a6f20ff0fbd1531917ad0f724b359b6bb88ca331e1527"),
+        ("theorem_point_on_site",
+         "d323daa436478df37815a5e836fdfe7a6ef80a0166b2872ede7d51aa1f08fa79"),
+    ])
+    def test_scenario_figure_is_pinned(self, tmp_path, name, digest):
+        out = tmp_path / f"{name}.svg"
+        assert main(["render", str(SCENARIOS / f"{name}.json"), "-o", str(out)]) == 0
+        assert sha256_of(out) == digest
 
     def test_ex42_figure_has_dashed_guide_arc(self, tmp_path):
         src = write(tmp_path, "ex42.json", EX42)

@@ -395,9 +395,8 @@ class TestExample41:
     def test_slack_not_above_level6_probe(self):
         # the enumerated minimum is at or below every one of 40,962 directions
         rep = example_4_1(1.0, 0.1)
-        spheres = tuple(Sphere3(c, 0.1) for c in rep.centers)
         for o in rep.outcomes:
-            target, gens = _ex41_target_gens(rep.vertices, spheres, o.j, o.k)
+            target, gens = _ex41_target_gens(rep.vertices, rep.spheres, o.j, o.k)
             assert o.result.slack <= probe_slack(target, gens, 6) + 1e-12
 
     def test_radius_too_large(self):

@@ -121,9 +121,8 @@ class TestReferenceEquivalence:
             side = rng.uniform(0.5, 2.0)
             r = side * rng.uniform(0.03, 0.15)
             rep = example_4_1(side, r)
-            spheres = tuple(Sphere3(c, r) for c in rep.centers)
             for o in rep.outcomes:
-                target, gens = _ex41_target_gens(rep.vertices, spheres, o.j, o.k)
+                target, gens = _ex41_target_gens(rep.vertices, rep.spheres, o.j, o.k)
                 assert_matches_reference(target, gens, o.result)
 
     @pytest.mark.parametrize("factor", [5.0, 20.0, 50.0])

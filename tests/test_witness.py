@@ -317,6 +317,24 @@ class TestXiSweep:
         with pytest.raises(ValueError):
             xi_sweep_fixed(inst, 3, 0)
 
+    def test_touch_direction_is_the_envelope_minimiser_at_xi_star(self):
+        touched = 0
+        for inst in _float_sweep_instances():
+            for j, k in JK_PAIRS:
+                rep = xi_sweep_fixed(inst, j, k)
+                assert (rep.touch_direction is None) == (rep.tangency is Tangency.NONE_AT_ONE)
+                if rep.touch_direction is None:
+                    continue
+                scaled = scaled_instance(inst, rep.xi_star)
+                t = scaled.circle(1 - k)
+                terms = [(g.center.x - t.center.x, g.center.y - t.center.y, g.radius - t.radius)
+                         for g in witness_generators(scaled, j, k)]
+                slack, theta = hull._envelope_min(terms)
+                assert _bits(slack) == _bits(rep.slack_at_xi_star), (inst, j, k)
+                assert _bits(theta) == _bits(rep.touch_direction), (inst, j, k)
+                touched += 1
+        assert touched > 500
+
 
 def _float_sweep_instances():
     """Random instances, plus equal, concentric and radius-0 circles and a flat triangle."""
@@ -409,8 +427,9 @@ class TestFloatSweep:
 
     def test_envelope_evaluations_per_sweep(self, monkeypatch):
         # 2 hypothesis checks, one probe per interval up to the first that
-        # fails (all of them when none does) and the final slack; no object-
-        # level containment query is made
+        # fails (all of them when none does) and the final evaluation, which
+        # reads the slack and touch direction without going through
+        # sweep_slack; no object-level containment query is made
         calls = {"envelope": 0, "sweep_slack": 0}
         envelope_min, slack_of = witness._envelope_min, witness.sweep_slack
 
@@ -439,7 +458,7 @@ class TestFloatSweep:
                 )
                 calls.update(envelope=0, sweep_slack=0)
                 xi_sweep_fixed(inst, j, k)
-                assert calls == {"envelope": 2 + probes + 1, "sweep_slack": probes + 1}
+                assert calls == {"envelope": 2 + probes + 1, "sweep_slack": probes}
 
 
 class TestZeroRadiusShortcut:
