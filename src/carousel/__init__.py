@@ -41,7 +41,6 @@ from .planar import (
     Circle2,
     Point2,
     circle,
-    orientation,
     pt,
 )
 from .spheres import (

@@ -21,7 +21,6 @@ from .harness import (
     EXIT_INTERNAL_ERROR,
     EXIT_REFUTED,
     EXIT_VERIFIED,
-    run_scenario,
     run_scenario_obj,
     write_report,
 )
@@ -102,7 +101,7 @@ def _emit(report: dict, output: Path | None) -> None:
 
 
 def _cmd_check(args) -> int:
-    report, code = run_scenario(args.scenario)
+    report, code = run_scenario_obj(load_scenario(args.scenario))
     _emit(report, args.output)
     print(f"check: {_verdict(report)}", file=sys.stderr)
     return code

@@ -92,9 +92,9 @@ def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
         slacks, inside = pair_inclusions_rows(rows, pairs)
         best = [s if ok else None for s, ok in zip(slacks, inside)]
     else:
-        sites = kind == "theorem2d"
-        rows = (random_instances if sites else random_corollary_instances)(seeds)
-        best = best_witness_slacks_rows(rows, sites)
+        draw = random_instances if kind == "theorem2d" else random_corollary_instances
+        rows = draw(seeds)
+        best = best_witness_slacks_rows(rows)
     return [
         (seed, slack, None if slack is not None else row_scenario_dict(kind, row, seed))
         for seed, row, slack in zip(seeds, rows, best)

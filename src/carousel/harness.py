@@ -18,7 +18,7 @@ from .reports import (
     sweep_to_dict,
     witness_to_dict,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario
 from .spheres import Example41Report, Example42Report, example_4_1, example_4_2
 from .witness import (
     corollary_witness_search,
@@ -33,13 +33,15 @@ EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
 
 
+def _judged(body: dict, claim: str, holds: bool) -> tuple[dict, int]:
+    """A report body with its claim and the verdict on it, and the exit code."""
+    verdict = "verified" if holds else "refuted"
+    return {**body, "claim": claim, "verdict": verdict}, EXIT_VERIFIED if holds else EXIT_REFUTED
+
+
 def _witness_report(witnesses) -> tuple[dict, int]:
-    report = {
-        "witnesses": [witness_to_dict(w) for w in witnesses],
-        "claim": "a witness pair exists",
-        "verdict": "verified" if witnesses else "refuted",
-    }
-    return report, EXIT_VERIFIED if witnesses else EXIT_REFUTED
+    body = {"witnesses": [witness_to_dict(w) for w in witnesses]}
+    return _judged(body, "a witness pair exists", bool(witnesses))
 
 
 def _run_theorem(scenario: Scenario) -> tuple[dict, int]:
@@ -52,33 +54,18 @@ def _run_corollary(scenario: Scenario) -> tuple[dict, int]:
 
 def _run_points(scenario: Scenario) -> tuple[dict, int]:
     b0, b1 = (c.center for c in scenario.circles)
-    w = two_carousel_points(scenario.sites, b0, b1)
-    body = {
-        "witness": witness_to_dict(w),
-        "claim": "the decomposition yields a witness",
-        "verdict": "verified",
-    }
-    return body, EXIT_VERIFIED
+    w, holds = two_carousel_points(scenario.sites, b0, b1)
+    return _judged({"witness": witness_to_dict(w)}, "the decomposition yields a witness", holds)
 
 
 def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
     rep = xi_sweep_fixed(scenario.instance(), scenario.j, scenario.k)
-    body = {
-        "sweep": sweep_to_dict(rep),
-        "claim": "critical scale located",
-        "verdict": "verified",
-    }
-    return body, EXIT_VERIFIED
+    return _judged({"sweep": sweep_to_dict(rep)}, "critical scale located", True)
 
 
 def _example_report(rep: Example41Report | Example42Report, claim: str) -> tuple[dict, int]:
     to_dict = example41_to_dict if isinstance(rep, Example41Report) else example42_to_dict
-    body = {
-        "example": to_dict(rep),
-        "claim": claim,
-        "verdict": "verified" if rep.all_refuted else "refuted",
-    }
-    return body, EXIT_VERIFIED if rep.all_refuted else EXIT_REFUTED
+    return _judged({"example": to_dict(rep)}, claim, rep.all_refuted)
 
 
 def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
@@ -115,11 +102,6 @@ def run_scenario_obj(scenario: Scenario) -> tuple[dict, int]:
     except CarouselError as exc:
         return {**head, "verdict": "input_error", "error": str(exc)}, EXIT_INPUT_ERROR
     return {**head, **body}, code
-
-
-def run_scenario(path: str | Path) -> tuple[dict, int]:
-    """Load and execute a scenario file, as ``run_scenario_obj`` does."""
-    return run_scenario_obj(load_scenario(path))
 
 
 def write_report(report: dict, path: str | Path | None) -> str:

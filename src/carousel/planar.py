@@ -16,7 +16,8 @@ TAU = math.tau
 
 # Absolute band for geometric residuals: orientations, tangencies, coincidences.
 EPS_GEOM = 1e-9
-# Verdict band, in 2D and 3D alike: an inclusion is contained iff its slack >= -EPS_DECISION.
+# Verdict band, in 2D and 3D alike: an inclusion is contained iff its slack >= -EPS_DECISION;
+# the 3D rule compares the slack normalised by the inclusion's largest length.
 EPS_DECISION = 1e-6
 
 
@@ -81,18 +82,15 @@ def _cross(ax, ay, bx, by, cx, cy) -> float:
 
 
 def _orientation(ax, ay, bx, by, cx, cy) -> int:
+    """Sign of the cross product (b-a) x (c-a); values within EPS_GEOM count as 0."""
     v = _cross(ax, ay, bx, by, cx, cy)
     if abs(v) <= EPS_GEOM:
         return 0
     return 1 if v > 0.0 else -1
 
 
-def orientation(a: Point2, b: Point2, c: Point2) -> int:
-    """Sign of the cross product (b-a) x (c-a); values within EPS_GEOM count as 0."""
-    return _orientation(a.x, a.y, b.x, b.y, c.x, c.y)
-
-
 def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
+    """Distance from (px, py) to the closed segment from (ax, ay) to (bx, by)."""
     vx = bx - ax
     vy = by - ay
     wx = px - ax
@@ -106,8 +104,3 @@ def _point_segment_distance(px, py, ax, ay, bx, by) -> float:
     elif t > 1.0:
         t = 1.0
     return math.hypot(wx - t * vx, wy - t * vy)
-
-
-def point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    """Distance from ``p`` to the closed segment [a, b]."""
-    return _point_segment_distance(p.x, p.y, a.x, a.y, b.x, b.y)

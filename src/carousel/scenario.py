@@ -21,24 +21,16 @@ from .witness import CarouselInstance
 
 SCHEMA_TAG = "carousel/1"
 
-KINDS = (
-    "theorem2d",
-    "corollary2d",
-    "points2d",
-    "sweep",
-    "sphere3_ex41",
-    "sphere3_ex42",
-)
-
 _COMMON_KEYS = {"schema", "kind", "seed"}
 _KIND_KEYS = {
     "theorem2d": {"sites", "circles"},
-    "sweep": {"sites", "circles", "j", "k"},
-    "points2d": {"sites", "circles"},
     "corollary2d": {"circles"},
+    "points2d": {"sites", "circles"},
+    "sweep": {"sites", "circles", "j", "k"},
     "sphere3_ex41": {"side", "r"},
     "sphere3_ex42": {"t", "arc_radius_factor", "side", "r"},
 }
+KINDS = tuple(_KIND_KEYS)
 
 
 @dataclass(frozen=True)

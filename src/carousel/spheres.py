@@ -487,8 +487,9 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     Every one of the 8 inclusions (choice of the vertex left out and of which
     sphere generates) is refuted by a negative-slack direction, and the
     cases that leave out vertex 3 additionally carry an exact 2D projection
-    certificate in the plane through A2, A3 and the axis endpoint B.  A side
-    and radius whose construction overflows or underflows raise
+    certificate in the plane through A2, A3 and the axis endpoint B.  The
+    spheres must clear every face by EPS_DECISION * side.  A side and
+    radius whose construction overflows or underflows raise
     ConstructionFailed.
     """
     verts = tetrahedron_from_cube(side)
@@ -497,7 +498,7 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
         planes = _face_planes(verts)
         face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
         for dists in face_d:
-            if min(dists) < r + EPS_DECISION:
+            if min(dists) < r + EPS_DECISION * side:
                 raise PreconditionRadius(
                     f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
                 )
@@ -589,12 +590,12 @@ def example_4_2(
         dist_end = center_o.distance_to(p_0)
         bulges = {i: dist_end - center_o.distance_to(centers[i]) for i in indices}
 
-        # largest base radius keeping every sphere strictly inside
+        # largest base radius keeping every sphere inside by EPS_DECISION * side
         planes = _face_planes(verts)
         margin_room = []
         for i in indices:
             d_min = min(_face_distances(planes, centers[i]))
-            margin_room.append(d_min - EPS_DECISION - bulges[i])
+            margin_room.append(d_min - EPS_DECISION * side - bulges[i])
         base_r = min(r, min(margin_room))
         if base_r <= 0.0:
             raise ConstructionFailed(

@@ -26,7 +26,6 @@ from .witness import (
     pair_generators,
     scaled_instance,
     two_carousel_points,
-    witness_generators,
     witness_search,
     xi_sweep_fixed,
 )
@@ -227,7 +226,7 @@ def _render_points(scenario: Scenario) -> _Canvas:
     sites = scenario.sites
     b0 = scenario.circles[0].center
     b1 = scenario.circles[1].center
-    w = two_carousel_points(sites, b0, b1)
+    w, _ = two_carousel_points(sites, b0, b1)
     gens = pair_generators(Circle2((b0, b1)[w.k], 0.0), sites, w.j)
     canvas.polygon([g.center for g in gens], stroke="#707070", fill="#d9d9d9")
     _draw_sites(canvas, sites)
@@ -243,7 +242,7 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     j, k = scenario.j, scenario.k
     rep = xi_sweep_fixed(inst, j, k)
     scaled = scaled_instance(inst, rep.xi_star)
-    _fill_hull(canvas, witness_generators(scaled, j, k))
+    _fill_hull(canvas, pair_generators(scaled.circle(k), inst.sites, j))
     _draw_sites(canvas, inst.sites)
     canvas.circle(inst.u0, "#9ecae1", dash="0.05,0.05")
     canvas.circle(inst.u1, "#a1d99b", dash="0.05,0.05")

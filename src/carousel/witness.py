@@ -47,8 +47,6 @@ from .planar import (
     _cross,
     _orientation,
     _point_segment_distance,
-    orientation,
-    point_segment_distance,
 )
 
 JK_PAIRS = tuple((j, k) for j in (0, 1, 2) for k in (0, 1))
@@ -149,11 +147,6 @@ def pair_generators(own: Circle2, bases, j: int) -> GeneratorSet:
     return GeneratorSet((own,) + kept)
 
 
-def witness_generators(inst: CarouselInstance, j: int, k: int) -> GeneratorSet:
-    """Generator set for the (j, k) inclusion: u_k plus the sites other than A_j."""
-    return pair_generators(inst.circle(k), inst.sites, j)
-
-
 # The eight inclusions of an instance over its objects b0, b1, b2, u0, u1
 # are decided as two targets, u0 and u1, each against the objects
 # (u_other, b0, b1, b2) and four subsets of them: the hypothesis {b0, b1, b2},
@@ -176,15 +169,14 @@ def _xyr(obj) -> tuple[float, float, float]:
     return obj.x, obj.y, 0.0
 
 
-def _decide(rows: np.ndarray, sites: bool) -> tuple[np.ndarray, np.ndarray]:
+def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slack and verdict of the eight inclusions of every row, from one kernel call.
 
     The results are (n, 8) arrays, the two hypotheses first and then the
     (j, k) of JK_PAIRS.  Rows are checked in order, and the first that
     breaks a hypothesis raises InvalidInstance: sites must not be collinear
     under circles of positive radius, and each u_k must lie in the hull of
-    the bases.  ``sites`` says whether the bases of every row are sites or
-    generator circles.
+    the bases.  A row's bases are sites iff their three radii are 0.
     """
     n = len(rows)
     slack, inside, _ = circles_in_hulls(
@@ -192,6 +184,7 @@ def _decide(rows: np.ndarray, sites: bool) -> tuple[np.ndarray, np.ndarray]:
     )
     slack = slack.reshape(n, 8).take(_ORDER, axis=1)
     inside = inside.reshape(n, 8).take(_ORDER, axis=1)
+    sites = (rows[:, :3, 2] == 0.0).all(axis=1)
     # the rows _check_collinear rejects, with _cross's products rounded alike
     legs = rows[:, 1:3, :2] - rows[:, :1, :2]  # b1 - b0 and b2 - b0
     cross = legs[:, 0] * legs[:, 1, ::-1]
@@ -199,25 +192,25 @@ def _decide(rows: np.ndarray, sites: bool) -> tuple[np.ndarray, np.ndarray]:
     bad = (flat & (rows[:, 3:, 2] > 0.0).any(axis=1) & sites) | ~(inside[:, 0] & inside[:, 1])
     if bad.any():
         i = int(bad.argmax())
-        if sites:
+        if sites[i]:
             _check_collinear(rows[i].tolist())
         for k in (0, 1):
-            _require_inside(k, inside[i, k], slack[i, k], "site" if sites else "generator")
+            _require_inside(k, inside[i, k], slack[i, k], "site" if sites[i] else "generator")
     return slack, inside
 
 
-def witness_searches_rows(rows, sites: bool) -> list[list[Witness]]:
+def witness_searches_rows(rows) -> list[list[Witness]]:
     """Each row's (j, k) pairs whose inclusion holds, by descending slack.
 
     ``rows`` is an (n, 5, 3) array of the (x, y, r) objects b0, b1, b2, u0,
-    u1, and ``sites`` says whether the bases of all rows are sites or
-    generator circles.  The two hypothesis inclusions and six (j, k)
+    u1; a row's bases are sites when their radii are all 0 and generator
+    circles otherwise.  The two hypothesis inclusions and six (j, k)
     inclusions of all rows are decided in one ``circles_in_hulls`` call,
     and the first row that breaks a hypothesis raises InvalidInstance.
     """
     if not len(rows):
         return []
-    slack, inside = _decide(rows, sites)
+    slack, inside = _decide(rows)
     out = []
     for row_slack, row_inside in zip(slack[:, 2:].tolist(), inside[:, 2:].tolist()):
         found = [
@@ -228,7 +221,7 @@ def witness_searches_rows(rows, sites: bool) -> list[list[Witness]]:
     return out
 
 
-def best_witness_slacks_rows(rows, sites: bool) -> list[float | None]:
+def best_witness_slacks_rows(rows) -> list[float | None]:
     """Each row's largest (j, k) slack among the inclusions that hold, or None if none holds.
 
     The slack of the first witness of ``witness_searches_rows``, read from
@@ -236,7 +229,7 @@ def best_witness_slacks_rows(rows, sites: bool) -> list[float | None]:
     """
     if not len(rows):
         return []
-    slack, inside = _decide(rows, sites)
+    slack, inside = _decide(rows)
     held = inside[:, 2:]
     best = np.where(held, slack[:, 2:], -np.inf).max(axis=1)
     return [s if ok else None for s, ok in zip(best.tolist(), held.any(axis=1).tolist())]
@@ -260,7 +253,7 @@ def witness_search(inst: CarouselInstance) -> list[Witness]:
     The one-row case of ``witness_searches_rows``.
     """
     row = [_xyr(o) for o in (*inst.sites, inst.u0, inst.u1)]
-    return witness_searches_rows(_block([row]), True)[0]
+    return witness_searches_rows(_block([row]))[0]
 
 
 def corollary_witness_search(
@@ -275,7 +268,7 @@ def corollary_witness_search(
     The one-row case of ``witness_searches_rows``.
     """
     row = [_xyr(o) for o in (c0, c1, c2, u0, u1)]
-    return witness_searches_rows(_block([row]), False)[0]
+    return witness_searches_rows(_block([row]))[0]
 
 
 def _strictly_inside(p, tri) -> bool:
@@ -336,12 +329,13 @@ def point_decomposition(row) -> tuple[int, int]:
     raise NotInterior("b1 could not be located in the decomposition")
 
 
-def two_carousel_points(sites, b0: Point2, b1: Point2) -> Witness:
-    """Point-only carousel witness: ``point_decomposition`` and the slack it holds by."""
+def two_carousel_points(sites, b0: Point2, b1: Point2) -> tuple[Witness, bool]:
+    """The pair ``point_decomposition`` names, with its inclusion's slack and verdict."""
     j, k = point_decomposition([_xyr(o) for o in (*sites, b0, b1)])
     pts = (b0, b1)
     gens = pair_generators(Circle2(pts[k], 0.0), sites, j)
-    return Witness(j, k, circle_in_hull(Circle2(pts[1 - k], 0.0), gens).slack)
+    res = circle_in_hull(Circle2(pts[1 - k], 0.0), gens)
+    return Witness(j, k, res.slack), res.contained
 
 
 # -- xi sweep ----------------------------------------------------------------
@@ -366,10 +360,11 @@ def _sweep_envelope(inst: CarouselInstance, j: int, k: int, zeta: float) -> tupl
 def sweep_slack(inst: CarouselInstance, j: int, k: int, zeta: float) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta.
 
-    Bitwise ``circle_in_hull(scaled.circle(1 - k), witness_generators(scaled,
-    j, k)).slack`` with ``scaled = scaled_instance(inst, zeta)``: the envelope
-    terms come from the centres and the zeta-scaled radii by the same float
-    operations, without building the scaled instance or its generators.
+    Bitwise ``circle_in_hull(scaled.circle(1 - k), pair_generators(
+    scaled.circle(k), scaled.sites, j)).slack`` with ``scaled =
+    scaled_instance(inst, zeta)``: the envelope terms come from the centres
+    and the zeta-scaled radii by the same float operations, without building
+    the scaled instance or its generators.
     """
     return _sweep_envelope(inst, j, k, zeta)[0]
 
@@ -423,10 +418,10 @@ def _tangency_at_zero(inst: CarouselInstance, j: int, k: int) -> Tangency:
     """Side of the triangle c_k, a, b nearest the target's centre; legs win ties."""
     ck, ct = inst.circle(k).center, inst.circle(1 - k).center
     a, b = _others(inst.sites, j)
-    if orientation(ck, a, b) == 0:
+    if _orientation(ck.x, ck.y, a.x, a.y, b.x, b.y) == 0:
         return Tangency.BASE_SIDE
-    leg = min(point_segment_distance(ct, ck, s) for s in (a, b))
-    base = point_segment_distance(ct, a, b)
+    leg = min(_point_segment_distance(ct.x, ct.y, ck.x, ck.y, s.x, s.y) for s in (a, b))
+    base = _point_segment_distance(ct.x, ct.y, a.x, a.y, b.x, b.y)
     return Tangency.LEG if leg <= base + EPS_GEOM else Tangency.BASE_SIDE
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from carousel import witness
 from carousel.errors import GenerationExhausted
 from carousel.hull import GeneratorSet, circle_in_hull
-from carousel.planar import Circle2, Point2, point_segment_distance
+from carousel.planar import Circle2, Point2, _point_segment_distance
 from carousel.witness import CarouselInstance
 from reference_hull import sites_as_generators
 
@@ -63,7 +63,10 @@ def _interior_point(rng, sites):
 
 
 def _edge_clearance(p, sites):
-    return min(point_segment_distance(p, sites[i], sites[(i + 1) % 3]) for i in range(3))
+    return min(
+        _point_segment_distance(p.x, p.y, a.x, a.y, b.x, b.y)
+        for a, b in ((sites[i], sites[(i + 1) % 3]) for i in range(3))
+    )
 
 
 def random_instance(seed, config=DrawConfig()):

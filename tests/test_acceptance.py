@@ -85,7 +85,7 @@ def test_point_pair_fuzz_10k():
     failures = 0
     for row in random_points_instances(range(10_000)):
         sites, b0, b1 = points_of_row(row)
-        w = two_carousel_points(sites, b0, b1)
+        w, _ = two_carousel_points(sites, b0, b1)
         pts = (b0, b1)
         kept = tuple(Circle2(s, 0.0) for i, s in enumerate(sites) if i != w.j)
         gens = GeneratorSet((Circle2(pts[w.k], 0.0),) + kept)

@@ -14,6 +14,8 @@ import pytest
 
 from carousel import ParseError, SchemaError
 from carousel.cli import main
+from carousel.harness import run_scenario_obj
+from carousel.planar import EPS_DECISION
 from carousel.reports import canonical_json
 from carousel.scenario import load_scenario, parse_scenario
 from carousel.witness import scaled_instance, xi_sweep_fixed
@@ -74,8 +76,12 @@ class TestSchema:
             parse_scenario({**THEOREM, "schema": "carousel/2"})
 
     def test_unknown_kind(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as exc:
             parse_scenario({**THEOREM, "kind": "mystery"})
+        assert str(exc.value) == (
+            "kind must be one of ('theorem2d', 'corollary2d', 'points2d', 'sweep', "
+            "'sphere3_ex41', 'sphere3_ex42'), got 'mystery'"
+        )
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError):
@@ -153,6 +159,68 @@ class TestCheckVerb:
         report = json.loads(out.read_text())
         assert report["witness"]["j"] == 0 and report["witness"]["k"] == 0
 
+    def test_points_refuted_when_the_named_inclusion_fails(self, tmp_path):
+        # near-cevian points whose named pair (1, 1) fails the kernel by more
+        # than the band; the verdict is the kernel's, and the pair is reported
+        data = {
+            **POINTS,
+            "sites": [[2.602854361276897e-05, 8.915528520913464e-05, 0],
+                      [0.00029981593005159356, -3.251141663660107e-05, 0],
+                      [0.00029902406559807835, -0.00010977566199580497, 0]],
+            "circles": [[0.0001668238053490119, 1.1195100114414079e-07, 0],
+                        [0.00017941549069409667, -1.0354520423146949e-05, 0]],
+        }
+        out = tmp_path / "rep.json"
+        assert main(["check", str(write(tmp_path, "p.json", data)), "-o", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "refuted"
+        assert (report["witness"]["j"], report["witness"]["k"]) == (1, 1)
+        assert report["witness"]["slack"] < -EPS_DECISION
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 1: the decomposition rule reads each cevian's absolute-band "
+        "orientation twice, in different argument orders, and locates b1 in neither",
+    )
+    def test_points_fringe_is_located(self):
+        # both points pass the interiority test, and theorem2d verifies them
+        data = {
+            **POINTS,
+            "sites": [[-3495.044769918209, -7015.892409932034, 0],
+                      [2350.1090744356807, -3485.508093066656, 0],
+                      [76.98699372583562, -9877.326524963666, 0]],
+            "circles": [[-403.99434342425013, -7718.291317651524, 0],
+                        [-403.99172696622, -7718.2872964155795, 0]],
+        }
+        assert run_scenario_obj(parse_scenario({**data, "kind": "theorem2d"}))[1] == 0
+        report, _ = run_scenario_obj(parse_scenario(data))
+        assert report["verdict"] == "verified", report.get("error")
+
+    @pytest.mark.parametrize("sites, circles", [
+        ([[0, 0, 0], [8, 0, 0], [0, 8, 0]], [[2, 2, 0.4], [2.5, 2.5, 1.2]]),
+        (THEOREM["sites"], THEOREM["circles"]),
+        (THEOREM["sites"], [[2, 2, 0.5], [100, 100, 1]]),
+        ([[0, 0, 0], [2, 0, 0], [5, 0, 0]], [[1, 0, 0.1], [3, 0, 0]]),
+        ([[0, 0, 0], [2, 0, 0], [5, 0, 0]], [[1, 0, 0], [3, 0, 0]]),
+    ], ids=["general", "concentric", "outside", "collinear", "collinear-points"])
+    def test_corollary_with_point_generators_is_the_theorem(self, sites, circles):
+        # bases of radius 0 are sites, whichever kind the scenario names
+        def run(data):
+            report, code = run_scenario_obj(parse_scenario(data))
+            return {k: v for k, v in report.items() if k not in ("kind", "scenario")}, code
+
+        theorem = run({**THEOREM, "sites": sites, "circles": circles})
+        corollary = run({**COROLLARY, "circles": sites + circles})
+        assert corollary == theorem
+
+    def test_ex42_small_side_verified(self, tmp_path):
+        # the interiority margin is EPS_DECISION * side, so side 1e-6 fits
+        path = write(tmp_path, "e.json", {**EX42, "side": 1e-6})
+        out = tmp_path / "rep.json"
+        assert main(["check", str(path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["example"]["all_refuted"] is True
+
     def test_ex41_verified(self, tmp_path):
         path = write(tmp_path, "e.json", EX41)
         out = tmp_path / "rep.json"
@@ -189,8 +257,6 @@ class TestCheckVerb:
      "the two interior points coincide"),
     (["check", {**EX41, "r": 0.3}],
      "radius 0.3 does not fit strictly inside (min face distance 0.19245)"),
-    (["check", {**EX42, "side": 1e-6}],
-     "no positive radius keeps every sphere strictly inside the tetrahedron"),
     (["repro3d", "--example", "4.1", "--r", "0.3"],
      "radius 0.3 does not fit strictly inside (min face distance 0.19245)"),
     (["repro3d", "--example", "4.1", "--side", "1e308"],
@@ -206,7 +272,7 @@ class TestCheckVerb:
      "the construction leaves the float range (radius must be finite and >= 0, got nan)"),
     (["repro3d", "--example", "4.1", "--side", "1e-200", "--r", "1e-201"],
      "the construction leaves the float range (cannot normalize the zero vector)"),
-], ids=["points-outside", "points-coincide", "ex41-radius", "ex42-side", "repro3d-radius",
+], ids=["points-outside", "points-coincide", "ex41-radius", "repro3d-radius",
         "ex41-side-overflow", "ex41-scale-overflow", "ex42-scale-overflow",
         "ex42-factor-overflow", "ex41-scale-underflow"])
 def test_broken_hypothesis_of_every_kind_writes_input_error_report(
@@ -447,6 +513,15 @@ class TestRepro3dVerb:
         out = tmp_path / "rep.json"
         assert main(["repro3d", "--example", "4.2", "--t", "32", "-o", str(out)]) == 0
         assert len(json.loads(out.read_text())["example"]["outcomes"]) == 128
+
+    @pytest.mark.parametrize("argv", [
+        ["--example", "4.1", "--side", "1e-6", "--r", "1e-7"],
+        ["--example", "4.2", "--t", "5", "--side", "1e-6", "--r", "1e-7"],
+    ], ids=["ex41", "ex42"])
+    def test_scaled_copy_verifies(self, tmp_path, argv):
+        out = tmp_path / "rep.json"
+        assert main(["repro3d", *argv, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["example"]["all_refuted"] is True
 
     def test_ex42_t12_small_scale(self, tmp_path):
         # slacks near -4.6e-7 at this scale: the verdict must not flip with size

@@ -175,7 +175,7 @@ class TestFuzzBlocks:
         # no natural seed lacks a witness, so the decision is made to say so
         monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
         monkeypatch.setattr(
-            fuzz, "best_witness_slacks_rows", lambda rows, sites: [None] * len(rows)
+            fuzz, "best_witness_slacks_rows", lambda rows: [None] * len(rows)
         )
         monkeypatch.setattr(
             fuzz, "pair_inclusions_rows",

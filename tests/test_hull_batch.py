@@ -301,13 +301,15 @@ _INCLUSIONS = [(3, (0, 1, 2)), (4, (0, 1, 2))] + [
 ])
 def test_decide_matches_per_inclusion_calls(draw, sites):
     rows = draw(range(5000))
-    slack, inside = witness._decide(rows, sites)
+    # the bases are read as sites exactly when their radii are all 0
+    assert ((rows[:, :3, 2] == 0.0).all(axis=1) == sites).all()
+    slack, inside = witness._decide(rows)
     for col, (target, gens) in enumerate(_INCLUSIONS):
         alone = circles_in_hulls(rows[:, target], rows[:, list(gens)])
         assert slack[:, col].tobytes() == alone[0].tobytes()
         assert inside[:, col].tobytes() == alone[1].tobytes()
-    best = witness.best_witness_slacks_rows(rows, sites)
-    found = witness.witness_searches_rows(rows, sites)
+    best = witness.best_witness_slacks_rows(rows)
+    found = witness.witness_searches_rows(rows)
     assert [None if s is None else _bits(s) for s in best] == [
         _bits(ws[0].slack) if ws else None for ws in found
     ]
@@ -323,20 +325,20 @@ def test_best_slack_is_none_without_a_witness(monkeypatch):
         return slack, inside, theta
 
     monkeypatch.setattr(witness, "circles_in_hulls", no_pair_holds)
-    assert witness.best_witness_slacks_rows(rows, True) == [None] * 20
-    assert witness.witness_searches_rows(rows, True) == [[]] * 20
+    assert witness.best_witness_slacks_rows(rows) == [None] * 20
+    assert witness.witness_searches_rows(rows) == [[]] * 20
 
 
 def test_theorem_search_matches_scalar_pairs():
     rows = random_instances(range(3000))
-    for row, got in zip(rows, witness_searches_rows(rows, True)):
+    for row, got in zip(rows, witness_searches_rows(rows)):
         inst = instance_of_row(row)
         assert _key(got) == _key(_scalar_witness_pairs(inst.sites, (inst.u0, inst.u1)))
 
 
 def test_corollary_search_matches_scalar_pairs():
     rows = random_corollary_instances(range(3000))
-    for row, got in zip(rows, witness_searches_rows(rows, False)):
+    for row, got in zip(rows, witness_searches_rows(rows)):
         cs = corollary_of_row(row)
         assert _key(got) == _key(_scalar_witness_pairs(cs[:3], cs[3:]))
 
@@ -353,8 +355,8 @@ def test_point_inclusions_match_scalar():
 
 
 def test_first_case_breaking_a_hypothesis_raises():
-    def search(*rows, sites=True):
-        return witness_searches_rows(np.array(rows, dtype=float), sites)
+    def search(*rows):
+        return witness_searches_rows(np.array(rows, dtype=float))
 
     good = random_instances([1])[0].tolist()
     outside = good[:4] + [[100, 100, 1]]
@@ -369,5 +371,5 @@ def test_first_case_breaking_a_hypothesis_raises():
         search(good, thin)
     cs = [[0, 0, 1], [8, 0, 1], [0, 8, 1], [7, 7, 0.5], [2, 2, 0.5]]
     with pytest.raises(InvalidInstance, match="u0 is not inside the generator hull"):
-        search(cs, sites=False)
-    assert witness_searches_rows(np.zeros((0, 5, 3)), True) == []
+        search(cs)
+    assert witness_searches_rows(np.zeros((0, 5, 3))) == []

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from carousel import Circle2, Point2, circle, orientation, pt
+from carousel import Circle2, Point2, circle, pt
+from carousel.planar import _orientation
 from lemmas import (
     DegenerateRadius,
     EqualRadii,
@@ -189,16 +190,16 @@ class TestExternalHomothetyCenter:
 
 class TestOrientation:
     def test_counterclockwise(self):
-        assert orientation(pt(0, 0), pt(1, 0), pt(0, 1)) == 1
+        assert _orientation(0, 0, 1, 0, 0, 1) == 1
 
     def test_collinear(self):
-        assert orientation(pt(0, 0), pt(1, 0), pt(2, 0)) == 0
+        assert _orientation(0, 0, 1, 0, 2, 0) == 0
 
     def test_clockwise(self):
-        assert orientation(pt(0, 0), pt(0, 1), pt(1, 0)) == -1
+        assert _orientation(0, 0, 0, 1, 1, 0) == -1
 
     def test_collinearity_band(self):
-        assert orientation(pt(0, 0), pt(1, 0), pt(2, 1e-12)) == 0
+        assert _orientation(0, 0, 1, 0, 2, 1e-12) == 0
 
 
 class TestReangle:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from carousel import (
-    ConstructionFailed,
     DegenerateBasis,
     Point3,
     PreconditionRadius,
@@ -410,6 +409,16 @@ class TestExample41:
         for a, b in zip(rep1.outcomes, rep2.outcomes):
             assert b.result.slack == pytest.approx(2 * a.result.slack, abs=1e-9)
 
+    @pytest.mark.parametrize("side", [1e-6, 1e-3, 1.0, 1e3])
+    def test_scaled_copies_are_refuted_with_scaled_slacks(self, side):
+        # the interiority margin is EPS_DECISION * side, so no scale is refused
+        unit = example_4_1(1.0, 0.1)
+        rep = example_4_1(side, 0.1 * side)
+        assert rep.all_refuted
+        for a, b in zip(unit.outcomes, rep.outcomes):
+            assert (b.j, b.k) == (a.j, a.k)
+            assert b.result.slack == pytest.approx(side * a.result.slack, rel=1e-12)
+
     def test_symmetry_j3_equals_j2(self):
         # exchanging the two far vertices maps one case onto the other
         rep = example_4_1(1.0, 0.1)
@@ -458,9 +467,10 @@ class TestExample42:
         assert max(rep.tangency_residuals) <= 1e-9
         assert min(rep.interior_margins) >= 1e-6 - 1e-12
 
-    def test_margin_too_demanding_fails(self):
-        # the end spheres sit 0.19 side from the nearest face, so at side 1e-6
-        # the EPS_DECISION margin leaves no admissible radius; at 1e-5 it does
-        with pytest.raises(ConstructionFailed):
-            example_4_2(3, side=1e-6)
-        assert example_4_2(3, side=1e-5).t == 3
+    def test_margin_scales_with_side(self):
+        # at side 1e-6 the default radius 0.1 shrinks to fit, as r = 1.0 does
+        # at side 1, keeping the margin EPS_DECISION * side
+        rep = example_4_2(3, side=1e-6)
+        assert rep.all_refuted
+        assert all(s.radius < 0.1 for s in rep.spheres)
+        assert min(rep.interior_margins) >= 1e-12 - 1e-18

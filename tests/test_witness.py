@@ -34,8 +34,8 @@ from carousel.witness import (
     random_corollary_instance,
     random_points_instance,
     sweep_events,
+    pair_generators,
     validate_instance,
-    witness_generators,
 )
 
 SITES_466 = (pt(0, 0), pt(6, 0), pt(0, 6))
@@ -43,7 +43,7 @@ SITES_8 = (pt(0, 0), pt(8, 0), pt(0, 8))
 
 
 def reverify(inst, w) -> bool:
-    res = circle_in_hull(inst.circle(1 - w.k), witness_generators(inst, w.j, w.k))
+    res = circle_in_hull(inst.circle(1 - w.k), pair_generators(inst.circle(w.k), inst.sites, w.j))
     return res.contained
 
 
@@ -153,17 +153,17 @@ class TestTwoCarouselPoints:
     sites = (pt(0, 0), pt(4, 0), pt(0, 4))
 
     def test_subtriangle_case(self):
-        w = two_carousel_points(self.sites, pt(1, 1), pt(2, 1))
+        w, holds = two_carousel_points(self.sites, pt(1, 1), pt(2, 1))
         assert (w.j, w.k) == (0, 0)
-        assert w.slack > 0
+        assert w.slack > 0 and holds
 
     def test_subtriangle_case_along_extension(self):
         # on the far side of b0 from A0: falls in the sub-triangle missing A0
-        w = two_carousel_points(self.sites, pt(1, 1), pt(1.9, 1.9))
+        w, _ = two_carousel_points(self.sites, pt(1, 1), pt(1.9, 1.9))
         assert (w.j, w.k) == (0, 0)
 
     def test_collinear_with_vertex(self):
-        w = two_carousel_points(self.sites, pt(1, 1), pt(0.5, 0.5))
+        w, _ = two_carousel_points(self.sites, pt(1, 1), pt(0.5, 0.5))
         assert (w.j, w.k) == (0, 1)
 
     def test_boundary_point_rejected(self):
@@ -182,7 +182,7 @@ class TestTwoCarouselPoints:
     def test_fuzz_reverifies(self):
         for seed in range(500):
             sites, b0, b1 = random_points_instance(seed)
-            w = two_carousel_points(sites, b0, b1)
+            w, _ = two_carousel_points(sites, b0, b1)
             pts = (b0, b1)
             kept = tuple(Circle2(s, 0.0) for i, s in enumerate(sites) if i != w.j)
             gens = GeneratorSet((Circle2(pts[w.k], 0.0),) + kept)
@@ -328,7 +328,7 @@ class TestXiSweep:
                 scaled = scaled_instance(inst, rep.xi_star)
                 t = scaled.circle(1 - k)
                 terms = [(g.center.x - t.center.x, g.center.y - t.center.y, g.radius - t.radius)
-                         for g in witness_generators(scaled, j, k)]
+                         for g in pair_generators(scaled.circle(k), scaled.sites, j)]
                 slack, theta = hull._envelope_min(terms)
                 assert _bits(slack) == _bits(rep.slack_at_xi_star), (inst, j, k)
                 assert _bits(theta) == _bits(rep.touch_direction), (inst, j, k)
@@ -388,7 +388,7 @@ class TestFloatSweep:
                 for zeta in zetas:
                     scaled = scaled_instance(inst, zeta)
                     ref = circle_in_hull(
-                        scaled.circle(1 - k), witness_generators(scaled, j, k)
+                        scaled.circle(1 - k), pair_generators(scaled.circle(k), scaled.sites, j)
                     ).slack
                     assert _bits(sweep_slack(inst, j, k, zeta)) == _bits(ref), (inst, j, k, zeta)
                     checked += 1
@@ -474,7 +474,7 @@ class TestZeroRadiusShortcut:
             assert ws
             # a k = 0 witness always exists when the target is a point
             assert any(w.k == 0 for w in ws)
-            w = two_carousel_points(inst.sites, inst.u0.center, inst.u1.center)
+            w, _ = two_carousel_points(inst.sites, inst.u0.center, inst.u1.center)
             pts = (inst.u0.center, inst.u1.center)
             kept = tuple(
                 Circle2(s, 0.0) for i, s in enumerate(inst.sites) if i != w.j
