@@ -1,18 +1,23 @@
 """3D counterexample constructions and sphere-hull containment testing.
 
 The tetrahedron is embedded as alternating vertices of the cube [0, side]^3,
-which makes every construction coordinate rational.  Containment of a sphere
-in the convex hull of spheres and points is decided by minimizing the support
-slack over the direction sphere.  The minimum lies at one of finitely many
-critical directions (face minima of single generators, minima of pairwise
-equality circles, vertices of generator triples), and all of them are
-enumerated, so a containment verdict and a non-containment verdict with its
-negative-slack witness direction are both proofs.  One kernel,
-``spheres_in_hull3``, decides a whole set of inclusions among the same
-objects in one array pass: the triple vertices do not depend on the target,
-so they are enumerated once and shared, and each example makes one call.
-An orthogonal projection to a plane reduces to the exact 2D containment test
-and soundly refutes 3D inclusions.
+which makes every construction coordinate rational.  The constructions run
+on plain (x, y, z) float triples; ``Point3`` and ``Sphere3`` are built only
+for the fields of the reports and at the public API, whose helpers are thin
+adapters over the float ones.  A length whose square leaves the normal float
+range is rescaled by its largest coordinate, so a scaled copy of an example
+builds as long as its coordinates and their products stay finite.
+Containment of a sphere in the convex hull of spheres and points is decided
+by minimizing the support slack over the direction sphere.  The minimum lies
+at one of finitely many critical directions (face minima of single
+generators, minima of pairwise equality circles, vertices of generator
+triples), and all of them are enumerated, so a containment verdict and a
+non-containment verdict with its negative-slack witness direction are both
+proofs.  One kernel, ``spheres_in_hull3``, decides a whole set of inclusions
+among the same objects in one array pass: the triple vertices do not depend
+on the target, so they are enumerated once and shared, and each example
+makes one call.  An orthogonal projection to a plane reduces to the exact 2D
+containment test and soundly refutes 3D inclusions.
 """
 
 from __future__ import annotations
@@ -20,13 +25,73 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
-from .hull import ContainmentResult, GeneratorSet, circle_in_hull
+from .hull import ContainmentResult, _envelope_min
 from .planar import EPS_DECISION, Circle2, Point2
+
+# -- float triples -------------------------------------------------------------
+# Each helper does the float operations of the Point3 method it stands for,
+# in the same order, and one that returns a vector refuses a non-finite
+# result, with Point3's message.
+
+_MIN_NORMAL = sys.float_info.min
+
+
+def _finite3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
+        return x, y, z
+    raise ValueError(f"coordinates must be finite, got {(x, y, z)}")
+
+
+def _add3(a, b):
+    return _finite3(a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def _sub3(a, b):
+    return _finite3(a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def _scale3(a, s: float):
+    return _finite3(a[0] * s, a[1] * s, a[2] * s)
+
+
+def _dot3(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross3(a, b):
+    ax, ay, az = a
+    bx, by, bz = b
+    return _finite3(ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
+def _norm3(a) -> float:
+    """Length of a; rescaled by its largest coordinate when the square leaves the normal range."""
+    dd = _dot3(a, a)
+    if _MIN_NORMAL <= dd < math.inf:
+        return math.sqrt(dd)
+    m = max(abs(a[0]), abs(a[1]), abs(a[2]))
+    if m == 0.0:
+        return 0.0
+    x, y, z = a[0] / m, a[1] / m, a[2] / m
+    return m * math.sqrt(x * x + y * y + z * z)
+
+
+def _unit3(a):
+    n = _norm3(a)
+    if n <= 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return _scale3(a, 1.0 / n)
+
+
+def _xyz(p: "Point3") -> tuple[float, float, float]:
+    return p.x, p.y, p.z
+
 
 @dataclass(frozen=True)
 class Point3:
@@ -37,41 +102,33 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
-            raise ValueError(f"coordinates must be finite, got {(self.x, self.y, self.z)}")
+        _finite3(self.x, self.y, self.z)
 
     def __add__(self, o: "Point3") -> "Point3":
-        return Point3(self.x + o.x, self.y + o.y, self.z + o.z)
+        return Point3(*_add3(_xyz(self), _xyz(o)))
 
     def __sub__(self, o: "Point3") -> "Point3":
-        return Point3(self.x - o.x, self.y - o.y, self.z - o.z)
+        return Point3(*_sub3(_xyz(self), _xyz(o)))
 
     def __mul__(self, s: float) -> "Point3":
-        return Point3(self.x * s, self.y * s, self.z * s)
+        return Point3(*_scale3(_xyz(self), s))
 
     __rmul__ = __mul__
 
     def dot(self, o: "Point3") -> float:
-        return self.x * o.x + self.y * o.y + self.z * o.z
+        return _dot3(_xyz(self), _xyz(o))
 
     def cross(self, o: "Point3") -> "Point3":
-        return Point3(
-            self.y * o.z - self.z * o.y,
-            self.z * o.x - self.x * o.z,
-            self.x * o.y - self.y * o.x,
-        )
+        return Point3(*_cross3(_xyz(self), _xyz(o)))
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        return _norm3(_xyz(self))
 
     def distance_to(self, o: "Point3") -> float:
-        return (self - o).norm()
+        return _norm3(_sub3(_xyz(self), _xyz(o)))
 
     def normalized(self) -> "Point3":
-        n = self.norm()
-        if n <= 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return self * (1.0 / n)
+        return Point3(*_unit3(_xyz(self)))
 
 
 @dataclass(frozen=True)
@@ -109,13 +166,16 @@ def tetrahedron_from_cube(side: float) -> tuple[Point3, Point3, Point3, Point3]:
     )
 
 
+def _axis_points(a0, a1, a2, a3):
+    b = _scale3(_add3(a0, a1), 0.5)
+    c = _scale3(_add3(a2, a3), 0.5)
+    bc = _sub3(c, b)
+    return b, c, _add3(b, _scale3(bc, 1.0 / 3.0)), _add3(b, _scale3(bc, 2.0 / 3.0))
+
+
 def axis_points(a0: Point3, a1: Point3, a2: Point3, a3: Point3):
     """Midpoints B, C of two opposite edges and the trisection points of [B, C]."""
-    b = (a0 + a1) * 0.5
-    c = (a2 + a3) * 0.5
-    p_minus1 = b + (c - b) * (1.0 / 3.0)
-    p_0 = b + (c - b) * (2.0 / 3.0)
-    return b, c, p_minus1, p_0
+    return tuple(Point3(*p) for p in _axis_points(_xyz(a0), _xyz(a1), _xyz(a2), _xyz(a3)))
 
 
 # Cut-offs below apply to normalised problems, where every centre offset and
@@ -148,15 +208,12 @@ def _norm(a: np.ndarray) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # along the last axis; np.cross costs several times more on arrays this small
-    return np.stack(
-        [
-            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-        ],
-        axis=-1,
-    )
+    # along the last axis; np.cross and np.stack cost several times more on arrays this small
+    out = np.empty(a.shape)
+    np.subtract(a[..., 1] * b[..., 2], a[..., 2] * b[..., 1], out=out[..., 0])
+    np.subtract(a[..., 2] * b[..., 0], a[..., 0] * b[..., 2], out=out[..., 1])
+    np.subtract(a[..., 0] * b[..., 1], a[..., 1] * b[..., 0], out=out[..., 2])
+    return out
 
 
 def _face_minima(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +251,15 @@ def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     p = di - _dot(di, n)[..., None] * n
     pn = _norm(p)
     flat = pn <= _ZERO_NORM
-    # for flat pairs: the coordinate axis least aligned with n, made
-    # orthogonal to it, is a unit vector in the circle's plane
-    axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
-    q = axis - _dot(axis, n)[..., None] * n
-    q /= _norm(q)[..., None]
-    step = np.where(flat[..., None], q, -p / np.where(flat, 1.0, pn)[..., None])
+    if flat.any():
+        # for flat pairs: the coordinate axis least aligned with n, made
+        # orthogonal to it, is a unit vector in the circle's plane
+        axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
+        q = axis - _dot(axis, n)[..., None] * n
+        q /= _norm(q)[..., None]
+        step = np.where(flat[..., None], q, -p / np.where(flat, 1.0, pn)[..., None])
+    else:
+        step = -p / pn[..., None]
     return c0[..., None] * n + rho[..., None] * step, keep
 
 
@@ -216,13 +276,14 @@ def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     circle instead.  Returns every + vertex, then every - vertex, in
     combination order, and the rows (i, j, k) they belong to.
     """
-    i, j, k = _index_tuples(len(r), 3)
+    tri = _index_tuples(len(r), 3)
+    i, j, k = tri
     n1 = c[i] - c[j]
     n2 = c[i] - c[k]
     w = _cross(n1, n2)
     cc = _dot(w, w)  # the Gram determinant of n1, n2
-    keep = cc > _ZERO_CROSS2
-    i, j, k, n1, n2, w, cc = i[keep], j[keep], k[keep], n1[keep], n2[keep], w[keep], cc[keep]
+    parallel = cc <= _ZERO_CROSS2
+    cc[parallel] = 1.0  # any divisor: these rows are dropped below
     b1 = r[j] - r[i]
     b2 = r[k] - r[i]
     g11, g12, g22 = _dot(n1, n1), _dot(n1, n2), _dot(n2, n2)
@@ -231,33 +292,34 @@ def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     base = x[:, None] * n1 + y[:, None] * n2
     rem = 1.0 - _dot(base, base)
     meets = rem >= 0.0
-    base, w = base[meets], w[meets]
-    zw = np.sqrt(rem[meets] / cc[meets])[:, None] * w
-    tri = np.stack([i[meets], j[meets], k[meets]], axis=-1)
+    meets[parallel] = False
+    zw = np.sqrt(np.maximum(rem, 0.0) / cc)[:, None] * w
+    tri = tri.T
+    if not meets.all():
+        base, zw, tri = base[meets], zw[meets], tri[meets]
     return np.concatenate([base + zw, base - zw]), np.concatenate([tri, tri])
 
 
-def _best_triple_vertices(c, r, targets, removed) -> tuple[np.ndarray, np.ndarray]:
+def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np.ndarray]:
     """Each inclusion's least-slack triple vertex and whether it has one.
 
     All objects are centred and normalised by their largest length, so the
     parallel-plane cut-off stays scale-free.  Every object is evaluated once
-    at every shared vertex, and each vertex keeps its best objects, one more
-    than any inclusion removes.  An inclusion's envelope there is the first
-    of those it did not remove; vertices of triples that contain a removed
-    object are not its candidates.  Ties go to the first vertex in
+    at every shared vertex, and each vertex keeps its ``depth`` best
+    objects, one more than any inclusion removes.  An inclusion's envelope
+    there is the first of those it did not remove; vertices of triples that
+    contain a removed object are not its candidates.  Ties go to the first vertex in
     enumeration order.  Vertices go in blocks, so memory stays bounded.
     """
-    cn = c - c.mean(axis=0)
+    cn = c - c.sum(axis=0) / len(c)  # c.mean(axis=0), without its Python overhead
     scale = max(float(_norm(cn).max()), float(r.max())) or 1.0
     cn /= scale
     rn = r / scale
     u, tri = _triple_vertices(cn, rn)
-    m, n = removed.shape
+    m = len(removed)
     if not len(u):
         return np.tile(_FIXED, (m, 1)), np.zeros(m, dtype=bool)
     u /= _norm(u)[:, None]
-    depth = min(n, int(removed.sum(axis=1).max()) + 1)
     best = np.full(m, np.inf)
     best_at = np.zeros(m, dtype=np.intp)
     rows = np.arange(m)
@@ -265,7 +327,7 @@ def _best_triple_vertices(c, r, targets, removed) -> tuple[np.ndarray, np.ndarra
     for lo in range(0, len(u), step):
         s = u[lo : lo + step] @ cn.T + rn
         top = np.argsort(s, axis=1)[:, : -depth - 1 : -1]
-        top_s = np.take_along_axis(s, top, axis=1)
+        top_s = s[np.arange(len(s))[:, None], top]
         env = top_s[:, -1]
         for q in range(depth - 2, -1, -1):
             env = np.where(removed[:, top[:, q]], env, top_s[:, q])
@@ -303,27 +365,35 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     minimiser: ties go to the first candidate in the order face, pair,
     triple +, triple -, fixed.  Results come in the order of ``inclusions``.
     """
-    objects = list(objects)
     inclusions = list(inclusions)
     if not inclusions:
         return ()
-    n = len(objects)
-    c = np.array([(o.center.x, o.center.y, o.center.z) for o in objects], dtype=float)
+    objects = list(objects)
+    c = np.array([_xyz(o.center) for o in objects], dtype=float)
     rad = np.array([o.radius for o in objects], dtype=float)
-    targets = []
-    removed = np.zeros((len(inclusions), n), dtype=bool)
+    return _inclusions_in_hull3(c, rad, inclusions)
+
+
+def _inclusions_in_hull3(c: np.ndarray, rad: np.ndarray, inclusions):
+    """``spheres_in_hull3`` on the objects' (n, 3) centres and (n,) radii."""
+    n = len(rad)
+    targets = np.array([target for target, _ in inclusions], dtype=np.intp)
+    removed_at, removed_ids = [], []
     for q, (target, excluded) in enumerate(inclusions):
-        removed[q, target] = True
-        removed[q, list(excluded)] = True
-        targets.append(target)
-    if removed.all(axis=1).any():
+        dropped = (target, *excluded)
+        removed_at += [q] * len(dropped)
+        removed_ids += dropped
+    removed = np.zeros((len(inclusions), n), dtype=bool)
+    removed[removed_at, removed_ids] = True
+    counts = n - removed.sum(axis=1)
+    sizes = sorted(set(counts.tolist()))
+    if sizes[0] == 0:
         raise ValueError("generator list must be nonempty")
-    targets = np.array(targets, dtype=np.intp)
-    triple_best, has_triple = _best_triple_vertices(c, rad, targets, removed)
+    depth = min(n, n - sizes[0] + 1)
+    triple_best, has_triple = _best_triple_vertices(c, rad, targets, removed, depth)
 
     results: list[Containment3Result | None] = [None] * len(targets)
-    counts = n - removed.sum(axis=1)
-    for g in np.unique(counts):
+    for g in sizes:
         group = np.flatnonzero(counts == g)
         gens = np.nonzero(~removed[group])[1].reshape(len(group), g)
         cands_per = g + g * (g - 1) // 2 + 2
@@ -341,7 +411,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
             rt = rt / scale
             face, face_keep = _face_minima(d)
             pair, pair_keep = _pair_circle_minima(d, r)
-            fixed = np.broadcast_to(_FIXED, (len(qs), 1, 3))
+            fixed = _FIXED[None, None].repeat(len(qs), axis=0)
             cands = np.concatenate([face, pair, triple_best[qs][:, None, :], fixed], axis=1)
             keep = np.concatenate(
                 [face_keep, pair_keep, has_triple[qs][:, None], np.ones((len(qs), 1), bool)],
@@ -383,25 +453,55 @@ def sphere_in_hull3(target: Sphere3, gens) -> Containment3Result:
 # -- projection reduction ------------------------------------------------------
 
 
+def _plane_basis(p, q, r):
+    """Orthonormal in-plane basis (p, e1, e2) of the plane through three float triples.
+
+    Both degeneracy tests are relative to the lengths of the vectors they
+    come from, so a scaled copy of a plane is accepted or refused with it.
+    """
+    w1 = _sub3(q, p)
+    w2 = _sub3(r, p)
+    n1 = _norm3(w1)
+    if n1 <= 1e-12 * max(_norm3(p), _norm3(q)):
+        raise DegenerateBasis("first two plane points coincide")
+    e1 = _scale3(w1, 1.0 / n1)
+    w2p = _sub3(w2, _scale3(e1, _dot3(w2, e1)))
+    n2 = _norm3(w2p)
+    if n2 <= 1e-12 * _norm3(w2):
+        raise DegenerateBasis("plane points are collinear")
+    return p, e1, _scale3(w2p, 1.0 / n2)
+
+
+def _project(p, plane) -> tuple[float, float]:
+    origin, e1, e2 = plane
+    rel = _sub3(p, origin)
+    return _dot3(rel, e1), _dot3(rel, e2)
+
+
+def _projection_certificate(target, gens, plane) -> ContainmentResult:
+    """The exact 2D test of the projected (centre, radius) pairs, on ``circle_in_hull``'s terms."""
+    (tc, tr) = target
+    tx, ty = _project(tc, plane)
+    terms = []
+    for gc, gr in gens:
+        x, y = _project(gc, plane)
+        terms.append((x - tx, y - ty, gr - tr))
+    best, best_theta = _envelope_min(terms)
+    contained = best >= -EPS_DECISION
+    return ContainmentResult(contained, best, None if contained else best_theta)
+
+
+def _plane3(plane):
+    return tuple(_xyz(v) for v in plane)
+
+
 def plane_through(p: Point3, q: Point3, r: Point3):
     """Orthonormal in-plane basis (origin, e1, e2) of the plane through three points."""
-    w1 = q - p
-    w2 = r - p
-    n1 = w1.norm()
-    if n1 <= 1e-12:
-        raise DegenerateBasis("first two plane points coincide")
-    e1 = w1 * (1.0 / n1)
-    w2p = w2 - e1 * w2.dot(e1)
-    n2 = w2p.norm()
-    if n2 <= 1e-12:
-        raise DegenerateBasis("plane points are collinear")
-    return p, e1, w2p * (1.0 / n2)
+    return tuple(Point3(*v) for v in _plane_basis(_xyz(p), _xyz(q), _xyz(r)))
 
 
 def project_to_plane(p: Point3, plane) -> Point2:
-    origin, e1, e2 = plane
-    rel = p - origin
-    return Point2(rel.dot(e1), rel.dot(e2))
+    return Point2(*_project(_xyz(p), _plane3(plane)))
 
 
 def project_sphere(s: Sphere3, plane) -> Circle2:
@@ -422,29 +522,30 @@ def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
             raise DegenerateBasis(f"{name} is not a unit vector")
     if abs(e1.dot(e2)) > 1e-9:
         raise DegenerateBasis("basis vectors are not orthogonal")
-    gens2 = GeneratorSet(tuple(project_sphere(g, plane) for g in gens))
-    return circle_in_hull(project_sphere(target, plane), gens2)
+    gens = [(_xyz(g.center), g.radius) for g in gens]
+    if not gens:
+        raise ValueError("generator set must be nonempty")
+    return _projection_certificate((_xyz(target.center), target.radius), gens, _plane3(plane))
 
 
 # -- counterexample reproductions ----------------------------------------------
 
 
-def _face_planes(vertices) -> tuple[tuple[Point3, Point3], ...]:
+def _face_planes(vertices):
     """(point, inward unit normal) of each face, the face opposite vertex j at j."""
     out = []
     for j in range(4):
-        others = [vertices[i] for i in range(4) if i != j]
-        n = (others[1] - others[0]).cross(others[2] - others[0])
-        n = n.normalized()
-        if (vertices[j] - others[0]).dot(n) < 0.0:
-            n = n * -1.0
-        out.append((others[0], n))
-    return tuple(out)
+        o0, o1, o2 = [vertices[i] for i in range(4) if i != j]
+        n = _unit3(_cross3(_sub3(o1, o0), _sub3(o2, o0)))
+        if _dot3(_sub3(vertices[j], o0), n) < 0.0:
+            n = _scale3(n, -1.0)
+        out.append((o0, n))
+    return out
 
 
-def _face_distances(planes, p: Point3) -> list[float]:
+def _face_distances(planes, p) -> list[float]:
     """Distance from p to each face plane, positive toward the inside."""
-    return [(p - o).dot(n) for o, n in planes]
+    return [_dot3(_sub3(p, o), n) for o, n in planes]
 
 
 @dataclass(frozen=True)
@@ -493,29 +594,33 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     ConstructionFailed.
     """
     verts = tetrahedron_from_cube(side)
+    v = [_xyz(p) for p in verts]
     try:
-        b, c, p_m1, p_0 = axis_points(*verts)
-        planes = _face_planes(verts)
+        b, _, p_m1, p_0 = _axis_points(*v)
+        planes = _face_planes(v)
         face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
         for dists in face_d:
             if min(dists) < r + EPS_DECISION * side:
                 raise PreconditionRadius(
                     f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
                 )
-        spheres = (Sphere3(p_m1, r), Sphere3(p_0, r))
-        plane = plane_through(b, verts[2], verts[3])
+        spheres = (Sphere3(Point3(*p_m1), r), Sphere3(Point3(*p_0), r))
+        plane = _plane_basis(b, v[2], v[3])
     except ValueError as exc:
         raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
     # objects: S_-1, S_0, A0..A3; k = 0 keeps S_0 as generator, so S_-1 is the target
     pairs = [(j, k) for j in range(4) for k in (-1, 0)]
-    objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
+    centers = np.array([p_m1, p_0, *v])
+    radii = np.array([r, r, 0.0, 0.0, 0.0, 0.0])
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
+    # the cases that leave out vertex 3 project S_-1, S_0 and A0..A2
+    projected = [(p_m1, r), (p_0, r), *[(p, 0.0) for p in v[:3]]]
     outcomes = []
-    for (j, k), res in zip(pairs, spheres_in_hull3(objects, inclusions)):
+    for (j, k), res in zip(pairs, _inclusions_in_hull3(centers, radii, inclusions)):
         if j == 3:
-            target, gens = _ex41_target_gens(verts, spheres, j, k)
-            cert = projection_reduction(target, gens, plane)
-            res = replace(res, projection_certificate=cert)
+            target, gen = projected[:2] if k == 0 else projected[1::-1]
+            cert = _projection_certificate(target, [gen, *projected[2:]], plane)
+            res = Containment3Result(res.contained, res.slack, res.witness_direction, cert)
         outcomes.append(PairOutcome(j, k, res))
     return Example41Report(
         side=side,
@@ -569,56 +674,53 @@ def example_4_2(
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     verts = tetrahedron_from_cube(side)
+    v = [_xyz(p) for p in verts]
     try:
-        b, c, p_m1, p_0 = axis_points(*verts)
-        axis = (c - b).normalized()
-        length = (c - b).norm()
-        mid = (b + c) * 0.5
+        b, c, p_m1, p_0 = _axis_points(*v)
+        bc = _sub3(c, b)
+        axis = _unit3(bc)
+        length = _norm3(bc)
+        mid = _scale3(_add3(b, c), 0.5)
         # in-plane unit normal of the axis within the plane through A2, A3, B
-        a2_rel = verts[2] - mid
-        n = a2_rel - axis * a2_rel.dot(axis)
-        n = n.normalized()
+        a2_rel = _sub3(v[2], mid)
+        n = _unit3(_sub3(a2_rel, _scale3(axis, _dot3(a2_rel, axis))))
 
         height = arc_radius_factor * length
-        center_o = mid + n * height
+        center_o = _add3(mid, _scale3(n, height))
 
         indices = tuple([-1, 0] + list(range(1, t - 1)))
-        centers = {-1: p_m1, 0: p_0}
-        for i in range(1, t - 1):
-            centers[i] = p_0 + (p_m1 - p_0) * (i / (t - 1))
+        step = _sub3(p_m1, p_0)
+        centers = [p_m1, p_0] + [_add3(p_0, _scale3(step, i / (t - 1))) for i in range(1, t - 1)]
 
-        dist_end = center_o.distance_to(p_0)
-        bulges = {i: dist_end - center_o.distance_to(centers[i]) for i in indices}
+        dist_end = _norm3(_sub3(center_o, p_0))
+        dists = [_norm3(_sub3(center_o, ci)) for ci in centers]
+        bulges = [dist_end - d for d in dists]
 
         # largest base radius keeping every sphere inside by EPS_DECISION * side
-        planes = _face_planes(verts)
-        margin_room = []
-        for i in indices:
-            d_min = min(_face_distances(planes, centers[i]))
-            margin_room.append(d_min - EPS_DECISION * side - bulges[i])
+        planes = _face_planes(v)
+        d_mins = [min(_face_distances(planes, ci)) for ci in centers]
+        margin_room = [d - EPS_DECISION * side - bulge for d, bulge in zip(d_mins, bulges)]
         base_r = min(r, min(margin_room))
         if base_r <= 0.0:
             raise ConstructionFailed(
                 "no positive radius keeps every sphere strictly inside the tetrahedron"
             )
         arc_radius = dist_end + base_r
-        spheres = tuple(Sphere3(centers[i], base_r + bulges[i]) for i in indices)
+        radii = [base_r + bulge for bulge in bulges]
+        spheres = tuple(Sphere3(Point3(*ci), ri) for ci, ri in zip(centers, radii))
     except ValueError as exc:
         raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
 
-    residuals = tuple(
-        abs(center_o.distance_to(s.center) + s.radius - arc_radius) for s in spheres
-    )
-    margins = tuple(
-        min(_face_distances(planes, s.center)) - s.radius for s in spheres
-    )
+    residuals = tuple(abs(d + ri - arc_radius) for d, ri in zip(dists, radii))
+    margins = tuple(d - ri for d, ri in zip(d_mins, radii))
 
     # objects: the spheres in index order, then A0..A3; inclusion (j, k)
     # drops the target and vertex j
-    objects = list(spheres) + [Sphere3(v, 0.0) for v in verts]
     pairs = [(j, pos) for j in range(4) for pos in range(t)]
     inclusions = [(pos, (t + j,)) for j, pos in pairs]
-    results = spheres_in_hull3(objects, inclusions)
+    results = _inclusions_in_hull3(
+        np.array(centers + v), np.array(radii + [0.0] * 4), inclusions
+    )
     outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
 
     return Example42Report(
@@ -626,7 +728,7 @@ def example_4_2(
         arc_radius_factor=arc_radius_factor,
         side=side,
         vertices=verts,
-        arc_center=center_o,
+        arc_center=Point3(*center_o),
         arc_radius=arc_radius,
         sphere_indices=indices,
         spheres=spheres,

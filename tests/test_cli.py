@@ -267,9 +267,10 @@ class TestCheckVerb:
      "(coordinates must be finite, got (-inf, -inf, -inf))"),
     (["repro3d", "--example", "4.2", "--t", "3", "--side", "1e200", "--r", "1e199"],
      "the construction leaves the float range "
-     "(coordinates must be finite, got (nan, nan, nan))"),
-    (["repro3d", "--example", "4.2", "--t", "3", "--factor", "1e308"],
-     "the construction leaves the float range (radius must be finite and >= 0, got nan)"),
+     "(coordinates must be finite, got (-inf, -inf, -inf))"),
+    (["repro3d", "--example", "4.2", "--t", "3", "--factor", "1e308", "--side", "2"],
+     "the construction leaves the float range "
+     "(coordinates must be finite, got (inf, -inf, nan))"),
     (["repro3d", "--example", "4.1", "--side", "1e-200", "--r", "1e-201"],
      "the construction leaves the float range (cannot normalize the zero vector)"),
 ], ids=["points-outside", "points-coincide", "ex41-radius", "repro3d-radius",
@@ -495,6 +496,62 @@ class TestRepro3dVerb:
         assert sha256_of(out) == (
             "8d2b6084dd452038cf0e0738db2d4e246c119cd58ab77b152326e302c85c9e23"
         )
+
+    @pytest.mark.parametrize("side,r,digest", [
+        ("0.5", "0.07", "46439b7cdc5c4be0d6331d5ebc499e29a0e0b3bc3d5c6b5376937a33ade4e830"),
+        ("2", "0.3", "77965c91059e0b2d5ea4a364f6e608b6263fbceda83eceacdf2ffc72851e8d01"),
+    ], ids=["side0.5", "side2"])
+    def test_more_ex41_reports_are_pinned(self, tmp_path, side, r, digest):
+        # sha256 of the reports as written when the construction built Point3 objects
+        out = tmp_path / "rep.json"
+        assert main(["repro3d", "--example", "4.1", "--side", side, "--r", r, "-o", str(out)]) == 0
+        assert sha256_of(out) == digest
+
+    @pytest.mark.parametrize("t,factor,digest", [
+        ("3", "5.0", "9def6be8de34c781a9e03d548b58eb8aef1351047e059b095964b56bdf17aad8"),
+        ("8", "23.5", "f894fb8916d5cb891f2c8413f15fe7b41d0084394664bde9ef5174ba6cd07dc6"),
+        ("12", "50.0", "1e9b8d00a2a61b79b89c99060ed99a90937b726cd0b16805e1d8ab9013fab0f2"),
+    ], ids=["t3", "t8", "t12"])
+    def test_ex42_reports_are_pinned(self, tmp_path, t, factor, digest):
+        # sha256 of the reports as written when the construction built Point3 objects
+        out = tmp_path / "rep.json"
+        argv = ["repro3d", "--example", "4.2", "--t", t, "--factor", factor, "-o", str(out)]
+        assert main(argv) == 0
+        assert sha256_of(out) == digest
+
+    def test_scaled_copies_verify_from_1e_minus_150_to_1e150(self, tmp_path):
+        out = tmp_path / "rep.json"
+        for k in range(-150, 151, 10):
+            side, r = repr(10.0**k), repr(10.0**k / 10)
+            for example in (["4.1"], ["4.2", "--t", "3"]):
+                argv = ["repro3d", "--example", *example, "--side", side, "--r", r]
+                assert main(argv + ["-o", str(out)]) == 0, (example, side)
+                assert json.loads(out.read_text())["example"]["all_refuted"] is True
+
+    @pytest.mark.parametrize("side", ["1e77", "1e-100"])
+    @pytest.mark.parametrize("example", [["4.1"], ["4.2", "--t", "3"]], ids=["ex41", "ex42"])
+    def test_squared_norms_out_of_range_still_verify(self, tmp_path, example, side):
+        # the squared face normal overflows at 1e77 and underflows at 1e-100
+        out = tmp_path / "rep.json"
+        r = repr(float(side) / 10)
+        argv = ["repro3d", "--example", *example, "--side", side, "--r", r, "-o", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["example"]["all_refuted"] is True
+
+    @pytest.mark.parametrize("example", [["4.1"], ["4.2", "--t", "3"]], ids=["ex41", "ex42"])
+    def test_products_out_of_range_are_input_errors(self, tmp_path, example):
+        # at side 1e160 a face normal's coordinates (side squared) overflow
+        out = tmp_path / "rep.json"
+        argv = ["repro3d", "--example", *example, "--side", "1e160", "--r", "1e159"]
+        assert main(argv + ["-o", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["verdict"] == "input_error"
+        assert report["error"].startswith("the construction leaves the float range (")
+
+    def test_tiny_ex41_scenario_checks_and_renders(self, tmp_path):
+        # the section plane's degeneracy tests are relative to the input's size
+        tiny = {**EX41, "side": 1e-13, "r": 1e-14}
+        check_and_render(tmp_path, write(tmp_path, "ex41.json", tiny))
 
     def test_ex42(self, tmp_path):
         out = tmp_path / "rep.json"

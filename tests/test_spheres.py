@@ -47,6 +47,20 @@ class TestTetrahedron:
             tetrahedron_from_cube(0.0)
 
 
+class TestPoint3:
+    def test_norm_when_the_square_leaves_the_float_range(self):
+        assert Point3(3e200, 4e200, 0.0).norm() == pytest.approx(5e200, rel=1e-15)
+        assert Point3(0.0, 3e-200, 4e-200).norm() == pytest.approx(5e-200, rel=1e-15)
+        assert Point3(0.0, 0.0, 5e-324).norm() == 5e-324
+        assert Point3(0.0, 0.0, 0.0).norm() == 0.0
+
+    def test_tiny_vectors_normalize(self):
+        u = Point3(3e-200, 0.0, 4e-200).normalized()
+        assert (u.x, u.y, u.z) == pytest.approx((0.6, 0.0, 0.8), rel=1e-15)
+        with pytest.raises(ValueError, match="zero vector"):
+            Point3(0.0, 0.0, 0.0).normalized()
+
+
 class TestAxisPoints:
     def test_unit_cube_coordinates(self):
         b, c, p_m1, p_0 = axis_points(*tetrahedron_from_cube(1.0))
@@ -320,6 +334,18 @@ class TestProjection:
             )
         with pytest.raises(DegenerateBasis):
             plane_through(Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0))
+
+    @pytest.mark.parametrize("side", [1e-13, 1e-100, 1e100])
+    def test_plane_through_takes_scaled_copies(self, side):
+        # the degeneracy tests are relative, so every scale gets the unit section's basis
+        def basis(s):
+            verts = tetrahedron_from_cube(s)
+            b, *_ = axis_points(*verts)
+            _, e1, e2 = plane_through(b, verts[2], verts[3])
+            return [(e.x, e.y, e.z) for e in (e1, e2)]
+
+        for got, want in zip(basis(side), basis(1.0)):
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_both_tetrahedron_ends_collapse_to_b(self):
         verts = tetrahedron_from_cube(1.0)
