@@ -47,7 +47,6 @@ from .spheres import (
     Containment3Result,
     Example41Report,
     Example42Report,
-    Point3,
     Sphere3,
     axis_points,
     example_4_1,

@@ -7,8 +7,10 @@ inequality.  The slack, the least support surplus over all directions, is
 the minimum of an envelope of sinusoids; it is found exactly by evaluating
 the envelope at its critical angles (each generator's antipodal minimum and
 the pairwise switch angles), and it decides the verdict: contained iff
-slack >= -EPS_DECISION, the rule the 3D kernel uses too.  A direction that
-attains a negative slack is the certificate of a non-containment.
+slack >= -EPS_DECISION, an absolute band.  The 3D kernel compares the same
+band with the slack normalised by each inclusion's largest length instead.
+A direction that attains a negative slack is the certificate of a
+non-containment.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
 rows with the same number of objects in one array pass, each row against
@@ -171,9 +173,11 @@ def circle_in_hull(target: Circle2, gens: GeneratorSet) -> ContainmentResult:
 
     The slack is minimised exactly over the critical angles of the support
     gap, and the target is contained iff that slack is at least
-    ``-EPS_DECISION`` (the rule ``sphere_in_hull3`` uses in 3D).  The
-    first critical angle attaining the minimum is the witness direction of a
-    non-containment.  Points are the radius-0 special case on either side.
+    ``-EPS_DECISION``.  The band is absolute here; in 3D,
+    ``spheres_in_hull3`` compares it with the slack normalised by each
+    inclusion's largest length.  The first critical angle attaining the
+    minimum is the witness direction of a non-containment.  Points are the
+    radius-0 special case on either side.
     """
     tx = target.center.x
     ty = target.center.y

@@ -146,7 +146,7 @@ def example41_to_dict(rep: Example41Report) -> dict:
         "side": rep.side,
         "r": rep.r,
         "face_distances": [list(d) for d in rep.face_distances],
-        "centers": [[s.center.x, s.center.y, s.center.z] for s in rep.spheres],
+        "centers": [list(s.center) for s in rep.spheres],
         **_refutations_to_dict(rep),
     }
 
@@ -156,10 +156,10 @@ def example42_to_dict(rep: Example42Report) -> dict:
         "t": rep.t,
         "arc_radius_factor": rep.arc_radius_factor,
         "side": rep.side,
-        "arc_center": [rep.arc_center.x, rep.arc_center.y, rep.arc_center.z],
+        "arc_center": list(rep.arc_center),
         "arc_radius": rep.arc_radius,
         "sphere_indices": list(rep.sphere_indices),
-        "spheres": [[s.center.x, s.center.y, s.center.z, s.radius] for s in rep.spheres],
+        "spheres": [[*s.center, s.radius] for s in rep.spheres],
         "tangency_residuals": list(rep.tangency_residuals),
         "interior_margins": list(rep.interior_margins),
         **_refutations_to_dict(rep),

@@ -1,12 +1,11 @@
 """3D counterexample constructions and sphere-hull containment testing.
 
-The tetrahedron is embedded as alternating vertices of the cube [0, side]^3,
-which makes every construction coordinate rational.  The constructions run
-on plain (x, y, z) float triples; ``Point3`` and ``Sphere3`` are built only
-for the fields of the reports and at the public API, whose helpers are thin
-adapters over the float ones.  A length whose square leaves the normal float
-range is rescaled by its largest coordinate, so a scaled copy of an example
-builds as long as its coordinates and their products stay finite.
+Points and free vectors are plain (x, y, z) float triples, and a
+``Sphere3`` holds its centre as one.  The tetrahedron is embedded as
+alternating vertices of the cube [0, side]^3, which makes every
+construction coordinate rational.  A length whose square leaves the normal
+float range is rescaled by its largest coordinate, so a scaled copy of an
+example builds as long as its coordinates and their products stay finite.
 Containment of a sphere in the convex hull of spheres and points is decided
 by minimizing the support slack over the direction sphere.  The minimum lies
 at one of finitely many critical directions (face minima of single
@@ -32,17 +31,17 @@ import numpy as np
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
 from .hull import ContainmentResult, _envelope_min
-from .planar import EPS_DECISION, Circle2, Point2
+from .planar import EPS_DECISION
 
 # -- float triples -------------------------------------------------------------
-# Each helper does the float operations of the Point3 method it stands for,
-# in the same order, and one that returns a vector refuses a non-finite
-# result, with Point3's message.
+# A helper that returns a vector refuses a non-finite result.
+
+Vec3 = tuple[float, float, float]
 
 _MIN_NORMAL = sys.float_info.min
 
 
-def _finite3(x: float, y: float, z: float) -> tuple[float, float, float]:
+def _finite3(x: float, y: float, z: float) -> Vec3:
     if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
         return x, y, z
     raise ValueError(f"coordinates must be finite, got {(x, y, z)}")
@@ -89,56 +88,18 @@ def _unit3(a):
     return _scale3(a, 1.0 / n)
 
 
-def _xyz(p: "Point3") -> tuple[float, float, float]:
-    return p.x, p.y, p.z
-
-
-@dataclass(frozen=True)
-class Point3:
-    """Point (or free vector) in 3-space."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        _finite3(self.x, self.y, self.z)
-
-    def __add__(self, o: "Point3") -> "Point3":
-        return Point3(*_add3(_xyz(self), _xyz(o)))
-
-    def __sub__(self, o: "Point3") -> "Point3":
-        return Point3(*_sub3(_xyz(self), _xyz(o)))
-
-    def __mul__(self, s: float) -> "Point3":
-        return Point3(*_scale3(_xyz(self), s))
-
-    __rmul__ = __mul__
-
-    def dot(self, o: "Point3") -> float:
-        return _dot3(_xyz(self), _xyz(o))
-
-    def cross(self, o: "Point3") -> "Point3":
-        return Point3(*_cross3(_xyz(self), _xyz(o)))
-
-    def norm(self) -> float:
-        return _norm3(_xyz(self))
-
-    def distance_to(self, o: "Point3") -> float:
-        return _norm3(_sub3(_xyz(self), _xyz(o)))
-
-    def normalized(self) -> "Point3":
-        return Point3(*_unit3(_xyz(self)))
-
-
 @dataclass(frozen=True)
 class Sphere3:
     """Sphere with nonnegative radius; radius 0 denotes a point."""
 
-    center: Point3
+    center: Vec3
     radius: float
 
     def __post_init__(self):
+        center = tuple(map(float, self.center))
+        if len(center) != 3:
+            raise ValueError(f"centre must have 3 coordinates, got {len(center)}")
+        object.__setattr__(self, "center", _finite3(*center))
         if not (math.isfinite(self.radius) and self.radius >= 0.0):
             raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
 
@@ -149,33 +110,25 @@ class Containment3Result:
 
     contained: bool
     slack: float
-    witness_direction: tuple[float, float, float] | None = None
+    witness_direction: Vec3 | None = None
     projection_certificate: ContainmentResult | None = None
 
 
-def tetrahedron_from_cube(side: float) -> tuple[Point3, Point3, Point3, Point3]:
+def tetrahedron_from_cube(side: float) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Regular tetrahedron on alternating vertices of the cube [0, side]^3."""
     if side <= 0.0:
         raise ValueError(f"side must be positive, got {side}")
     s = side
-    return (
-        Point3(0.0, 0.0, 0.0),
-        Point3(s, s, 0.0),
-        Point3(s, 0.0, s),
-        Point3(0.0, s, s),
-    )
+    # every coordinate is 0 or s, so checking one vertex checks them all
+    return (0.0, 0.0, 0.0), _finite3(s, s, 0.0), (s, 0.0, s), (0.0, s, s)
 
 
-def _axis_points(a0, a1, a2, a3):
+def axis_points(a0, a1, a2, a3):
+    """Midpoints B, C of two opposite edges and the trisection points of [B, C]."""
     b = _scale3(_add3(a0, a1), 0.5)
     c = _scale3(_add3(a2, a3), 0.5)
     bc = _sub3(c, b)
     return b, c, _add3(b, _scale3(bc, 1.0 / 3.0)), _add3(b, _scale3(bc, 2.0 / 3.0))
-
-
-def axis_points(a0: Point3, a1: Point3, a2: Point3, a3: Point3):
-    """Midpoints B, C of two opposite edges and the trisection points of [B, C]."""
-    return tuple(Point3(*p) for p in _axis_points(_xyz(a0), _xyz(a1), _xyz(a2), _xyz(a3)))
 
 
 # Cut-offs below apply to normalised problems, where every centre offset and
@@ -369,7 +322,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     if not inclusions:
         return ()
     objects = list(objects)
-    c = np.array([_xyz(o.center) for o in objects], dtype=float)
+    c = np.array([o.center for o in objects], dtype=float)
     rad = np.array([o.radius for o in objects], dtype=float)
     return _inclusions_in_hull3(c, rad, inclusions)
 
@@ -453,8 +406,8 @@ def sphere_in_hull3(target: Sphere3, gens) -> Containment3Result:
 # -- projection reduction ------------------------------------------------------
 
 
-def _plane_basis(p, q, r):
-    """Orthonormal in-plane basis (p, e1, e2) of the plane through three float triples.
+def plane_through(p, q, r):
+    """Orthonormal in-plane basis (origin, e1, e2) of the plane through three points.
 
     Both degeneracy tests are relative to the lengths of the vectors they
     come from, so a scaled copy of a plane is accepted or refused with it.
@@ -472,7 +425,8 @@ def _plane_basis(p, q, r):
     return p, e1, _scale3(w2p, 1.0 / n2)
 
 
-def _project(p, plane) -> tuple[float, float]:
+def project_to_plane(p, plane) -> tuple[float, float]:
+    """In-plane coordinates of p's orthogonal projection."""
     origin, e1, e2 = plane
     rel = _sub3(p, origin)
     return _dot3(rel, e1), _dot3(rel, e2)
@@ -481,32 +435,14 @@ def _project(p, plane) -> tuple[float, float]:
 def _projection_certificate(target, gens, plane) -> ContainmentResult:
     """The exact 2D test of the projected (centre, radius) pairs, on ``circle_in_hull``'s terms."""
     (tc, tr) = target
-    tx, ty = _project(tc, plane)
+    tx, ty = project_to_plane(tc, plane)
     terms = []
     for gc, gr in gens:
-        x, y = _project(gc, plane)
+        x, y = project_to_plane(gc, plane)
         terms.append((x - tx, y - ty, gr - tr))
     best, best_theta = _envelope_min(terms)
     contained = best >= -EPS_DECISION
     return ContainmentResult(contained, best, None if contained else best_theta)
-
-
-def _plane3(plane):
-    return tuple(_xyz(v) for v in plane)
-
-
-def plane_through(p: Point3, q: Point3, r: Point3):
-    """Orthonormal in-plane basis (origin, e1, e2) of the plane through three points."""
-    return tuple(Point3(*v) for v in _plane_basis(_xyz(p), _xyz(q), _xyz(r)))
-
-
-def project_to_plane(p: Point3, plane) -> Point2:
-    return Point2(*_project(_xyz(p), _plane3(plane)))
-
-
-def project_sphere(s: Sphere3, plane) -> Circle2:
-    """The circle a sphere projects to orthogonally in a plane: centre projected, radius kept."""
-    return Circle2(project_to_plane(s.center, plane), s.radius)
 
 
 def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
@@ -518,14 +454,14 @@ def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
     """
     origin, e1, e2 = plane
     for v, name in ((e1, "e1"), (e2, "e2")):
-        if abs(v.norm() - 1.0) > 1e-9:
+        if abs(_norm3(v) - 1.0) > 1e-9:
             raise DegenerateBasis(f"{name} is not a unit vector")
-    if abs(e1.dot(e2)) > 1e-9:
+    if abs(_dot3(e1, e2)) > 1e-9:
         raise DegenerateBasis("basis vectors are not orthogonal")
-    gens = [(_xyz(g.center), g.radius) for g in gens]
+    gens = [(g.center, g.radius) for g in gens]
     if not gens:
         raise ValueError("generator set must be nonempty")
-    return _projection_certificate((_xyz(target.center), target.radius), gens, _plane3(plane))
+    return _projection_certificate((target.center, target.radius), gens, plane)
 
 
 # -- counterexample reproductions ----------------------------------------------
@@ -561,7 +497,7 @@ class Example41Report:
 
     side: float
     r: float
-    vertices: tuple[Point3, Point3, Point3, Point3]
+    vertices: tuple[Vec3, Vec3, Vec3, Vec3]
     spheres: tuple[Sphere3, Sphere3]  # (S_-1, S_0), centred on P_-1 and P_0
     face_distances: tuple[tuple[float, ...], tuple[float, ...]]
     outcomes: tuple[PairOutcome, ...]
@@ -571,15 +507,16 @@ class Example41Report:
         return all(not o.result.contained for o in self.outcomes)
 
 
-def _ex41_target_gens(vertices, spheres, j: int, k: int):
-    # k indexes the generator sphere: 0 -> S_0, -1 -> S_-1; target is the other
-    s_m1, s_0 = spheres
-    gen_sphere = s_0 if k == 0 else s_m1
-    target = s_m1 if k == 0 else s_0
-    gens = [gen_sphere] + [
-        Sphere3(vertices[i], 0.0) for i in range(4) if i != j
-    ]
-    return target, gens
+def _ex41_target_gens(centers, r: float, vertices, j: int, k: int):
+    """Target and generators of Example 4.1's inclusion (j, k), as (centre, radius) pairs.
+
+    ``centers`` are those of S_-1 and S_0.  k names the generator sphere
+    (0 for S_0, -1 for S_-1), the target is the other one, and every vertex
+    but A_j follows the generator sphere.
+    """
+    c_m1, c_0 = centers
+    gen, target = (c_0, c_m1) if k == 0 else (c_m1, c_0)
+    return (target, r), [(gen, r), *[(vertices[i], 0.0) for i in range(4) if i != j]]
 
 
 def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
@@ -593,10 +530,9 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     radius whose construction overflows or underflows raise
     ConstructionFailed.
     """
-    verts = tetrahedron_from_cube(side)
-    v = [_xyz(p) for p in verts]
+    v = tetrahedron_from_cube(side)
     try:
-        b, _, p_m1, p_0 = _axis_points(*v)
+        b, _, p_m1, p_0 = axis_points(*v)
         planes = _face_planes(v)
         face_d = (tuple(_face_distances(planes, p_m1)), tuple(_face_distances(planes, p_0)))
         for dists in face_d:
@@ -604,8 +540,8 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
                 raise PreconditionRadius(
                     f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
                 )
-        spheres = (Sphere3(Point3(*p_m1), r), Sphere3(Point3(*p_0), r))
-        plane = _plane_basis(b, v[2], v[3])
+        spheres = (Sphere3(p_m1, r), Sphere3(p_0, r))
+        plane = plane_through(b, v[2], v[3])
     except ValueError as exc:
         raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
     # objects: S_-1, S_0, A0..A3; k = 0 keeps S_0 as generator, so S_-1 is the target
@@ -613,19 +549,16 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     centers = np.array([p_m1, p_0, *v])
     radii = np.array([r, r, 0.0, 0.0, 0.0, 0.0])
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
-    # the cases that leave out vertex 3 project S_-1, S_0 and A0..A2
-    projected = [(p_m1, r), (p_0, r), *[(p, 0.0) for p in v[:3]]]
     outcomes = []
     for (j, k), res in zip(pairs, _inclusions_in_hull3(centers, radii, inclusions)):
         if j == 3:
-            target, gen = projected[:2] if k == 0 else projected[1::-1]
-            cert = _projection_certificate(target, [gen, *projected[2:]], plane)
+            cert = _projection_certificate(*_ex41_target_gens((p_m1, p_0), r, v, j, k), plane)
             res = Containment3Result(res.contained, res.slack, res.witness_direction, cert)
         outcomes.append(PairOutcome(j, k, res))
     return Example41Report(
         side=side,
         r=r,
-        vertices=verts,
+        vertices=v,
         spheres=spheres,
         face_distances=face_d,
         outcomes=tuple(outcomes),
@@ -639,8 +572,8 @@ class Example42Report:
     t: int
     arc_radius_factor: float
     side: float
-    vertices: tuple[Point3, Point3, Point3, Point3]
-    arc_center: Point3
+    vertices: tuple[Vec3, Vec3, Vec3, Vec3]
+    arc_center: Vec3
     arc_radius: float
     sphere_indices: tuple[int, ...]  # -1, 0, 1, ..., t-2
     spheres: tuple[Sphere3, ...]
@@ -673,10 +606,9 @@ def example_4_2(
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
-    verts = tetrahedron_from_cube(side)
-    v = [_xyz(p) for p in verts]
+    v = tetrahedron_from_cube(side)
     try:
-        b, c, p_m1, p_0 = _axis_points(*v)
+        b, c, p_m1, p_0 = axis_points(*v)
         bc = _sub3(c, b)
         axis = _unit3(bc)
         length = _norm3(bc)
@@ -707,7 +639,7 @@ def example_4_2(
             )
         arc_radius = dist_end + base_r
         radii = [base_r + bulge for bulge in bulges]
-        spheres = tuple(Sphere3(Point3(*ci), ri) for ci, ri in zip(centers, radii))
+        spheres = tuple(Sphere3(ci, ri) for ci, ri in zip(centers, radii))
     except ValueError as exc:
         raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
 
@@ -719,7 +651,7 @@ def example_4_2(
     pairs = [(j, pos) for j in range(4) for pos in range(t)]
     inclusions = [(pos, (t + j,)) for j, pos in pairs]
     results = _inclusions_in_hull3(
-        np.array(centers + v), np.array(radii + [0.0] * 4), inclusions
+        np.array([*centers, *v]), np.array(radii + [0.0] * 4), inclusions
     )
     outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
 
@@ -727,8 +659,8 @@ def example_4_2(
         t=t,
         arc_radius_factor=arc_radius_factor,
         side=side,
-        vertices=verts,
-        arc_center=Point3(*center_o),
+        vertices=v,
+        arc_center=center_o,
         arc_radius=arc_radius,
         sphere_indices=indices,
         spheres=spheres,

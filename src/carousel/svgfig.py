@@ -18,7 +18,6 @@ from .spheres import (
     example_4_1,
     example_4_2,
     plane_through,
-    project_sphere,
     project_to_plane,
 )
 from .witness import (
@@ -258,27 +257,37 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     return canvas
 
 
-def _draw_section(canvas: _Canvas, verts):
-    """Draw the section triangle (B, A2, A3); return its plane, its corners and the projected C."""
+def _draw_section(canvas: _Canvas, verts, side: float):
+    """Draw the section triangle (B, A2, A3) in units of the side.
+
+    Returns the map from a (centre, radius) pair to its section circle in
+    those units, the triangle's corners and the section point of C.
+    """
     b, c, _, _ = axis_points(*verts)
     plane = plane_through(b, verts[2], verts[3])
-    tri = [project_to_plane(q, plane) for q in (b, verts[2], verts[3])]
+
+    def section(p, r: float = 0.0) -> Circle2:
+        x, y = project_to_plane(p, plane)
+        return Circle2(Point2(x / side, y / side), r / side)
+
+    tri = [section(q).center for q in (b, verts[2], verts[3])]
     canvas.polygon(tri, stroke="#303030")
-    return plane, tri, project_to_plane(c, plane)
+    return section, tri, section(c).center
 
 
 def _render_ex41(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     rep = example_4_1(scenario.side, scenario.r)
-    plane, tri, _ = _draw_section(canvas, rep.vertices)
+    section, tri, _ = _draw_section(canvas, rep.vertices, rep.side)
     # hull for the case that leaves out vertex 3, with the k=0 generator sphere
-    _, gens = _ex41_target_gens(rep.vertices, rep.spheres, 3, 0)
-    _fill_hull(canvas, GeneratorSet(tuple(project_sphere(g, plane) for g in gens)))
-    canvas.circle(project_sphere(rep.spheres[0], plane), "#1f77b4")
-    canvas.circle(project_sphere(rep.spheres[1], plane), "#2ca02c")
+    centers = [s.center for s in rep.spheres]
+    _, gens = _ex41_target_gens(centers, rep.r, rep.vertices, 3, 0)
+    _fill_hull(canvas, GeneratorSet(tuple(section(*g) for g in gens)))
+    canvas.circle(section(centers[0], rep.r), "#1f77b4")
+    canvas.circle(section(centers[1], rep.r), "#2ca02c")
     for q in tri:
         canvas.dot(q)
-    worst = max(o.result.slack for o in rep.outcomes)
+    worst = max(o.result.slack for o in rep.outcomes) / rep.side
     canvas.text(
         f"8 inclusions refuted: {str(rep.all_refuted).lower()}; worst slack {worst:.6f}"
     )
@@ -288,22 +297,23 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
 def _render_ex42(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
-    plane, tri, c2 = _draw_section(canvas, rep.vertices)
+    section, tri, c2 = _draw_section(canvas, rep.vertices, rep.side)
     canvas.line(tri[0], c2, "#909090", dash="0.02,0.02")
-    circles = [project_sphere(s, plane) for s in rep.spheres]
+    circles = [section(s.center, s.radius) for s in rep.spheres]
     for c in circles:
         canvas.circle(c, "#1f77b4")
-    o2 = project_to_plane(rep.arc_center, plane)
+    guide = section(rep.arc_center, rep.arc_radius)
+    o2, arc_radius = guide.center, guide.radius
     angles = [math.atan2(c.center.y - o2.y, c.center.x - o2.x) for c in circles]
     lo = min(angles)
     hi = max(angles)
     spread = max(hi - lo, 0.02)
     lo -= 0.4 * spread
     hi += 0.4 * spread
-    a0 = _polar(o2, rep.arc_radius, lo)
-    a1 = _polar(o2, rep.arc_radius, hi)
+    a0 = _polar(o2, arc_radius, lo)
+    a1 = _polar(o2, arc_radius, hi)
     laf = 1 if hi - lo > math.pi else 0
-    d = f"M {_xy(a0)} A {_f(rep.arc_radius)} {_f(rep.arc_radius)} 0 {laf} 0 {_xy(a1)}"
+    d = f"M {_xy(a0)} A {_f(arc_radius)} {_f(arc_radius)} 0 {laf} 0 {_xy(a1)}"
     canvas.path(d, fill="none", stroke="#707070", width=0.01, dash="0.03,0.03")
     canvas.bump(a0.x, a0.y)
     canvas.bump(a1.x, a1.y)

@@ -54,7 +54,6 @@ def icosphere_directions(level: int) -> np.ndarray:
 def probe_slack(target, gens, level: int) -> float:
     """Least support slack over the level-`level` icosphere directions."""
     probe = icosphere_directions(level)
-    tc = target.center
-    mat = np.array([(g.center.x - tc.x, g.center.y - tc.y, g.center.z - tc.z) for g in gens])
+    mat = np.array([g.center for g in gens]) - np.array(target.center)
     radii = np.array([g.radius for g in gens])
     return float((probe @ mat.T + radii).max(axis=1).min()) - target.radius

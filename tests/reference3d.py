@@ -108,10 +108,7 @@ class Reference:
 
 
 def reference(target, gens, eps_decision: float = 1e-6) -> Reference:
-    tc = target.center
-    d = np.array(
-        [(g.center.x - tc.x, g.center.y - tc.y, g.center.z - tc.z) for g in gens], dtype=float
-    )
+    d = np.array([g.center for g in gens], dtype=float) - np.array(target.center)
     r = np.array([g.radius for g in gens], dtype=float)
     scale = max(float(_norm(d).max()), float(r.max()), target.radius) or 1.0
     d /= scale

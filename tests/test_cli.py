@@ -548,6 +548,10 @@ class TestRepro3dVerb:
         assert report["verdict"] == "input_error"
         assert report["error"].startswith("the construction leaves the float range (")
 
+    def test_non_finite_side_is_an_input_error(self, capsys):
+        assert main(["repro3d", "--example", "4.1", "--side", "nan"]) == 2
+        assert "side: number must be finite" in capsys.readouterr().err
+
     def test_tiny_ex41_scenario_checks_and_renders(self, tmp_path):
         # the section plane's degeneracy tests are relative to the input's size
         tiny = {**EX41, "side": 1e-13, "r": 1e-14}
@@ -750,6 +754,21 @@ class TestRenderVerb:
         out = tmp_path / f"{name}.svg"
         assert main(["render", str(SCENARIOS / f"{name}.json"), "-o", str(out)]) == 0
         assert sha256_of(out) == digest
+
+    @pytest.mark.parametrize("side", [1e-13, 1e-100, 1e4])
+    @pytest.mark.parametrize("payload", [EX41, EX42], ids=["ex41", "ex42"])
+    def test_3d_figures_are_drawn_in_units_of_the_side(self, tmp_path, payload, side):
+        # a scaled copy draws the unit figure: every number agrees to the printed digits
+        def numbers(scale):
+            src = write(tmp_path, "s.json", {**payload, "side": scale, "r": 0.1 * scale})
+            out = tmp_path / "fig.svg"
+            assert main(["render", str(src), "-o", str(out)]) == 0
+            return [float(x) for x in re.findall(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?", out.read_text())]
+
+        unit = numbers(1.0)
+        scaled = numbers(side)
+        assert len(scaled) == len(unit)
+        assert scaled == pytest.approx(unit, rel=0.0, abs=1e-6)
 
     def test_ex42_figure_has_dashed_guide_arc(self, tmp_path):
         src = write(tmp_path, "ex42.json", EX42)

@@ -8,7 +8,6 @@ import pytest
 
 from carousel import (
     DegenerateBasis,
-    Point3,
     PreconditionRadius,
     Sphere3,
     axis_points,
@@ -19,7 +18,7 @@ from carousel import (
     sphere_in_hull3,
     tetrahedron_from_cube,
 )
-from carousel.spheres import _ex41_target_gens, project_to_plane
+from carousel.spheres import _dot3, _ex41_target_gens, _norm3, _unit3, project_to_plane
 
 from probe_grid import icosphere_directions, probe_slack
 
@@ -29,56 +28,72 @@ class TestTetrahedron:
         verts = tetrahedron_from_cube(1.0)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert verts[i].distance_to(verts[j]) == pytest.approx(math.sqrt(2))
+                assert math.dist(verts[i], verts[j]) == pytest.approx(math.sqrt(2))
 
     def test_scaling(self):
         verts = tetrahedron_from_cube(2.0)
-        assert verts[1].distance_to(verts[2]) == pytest.approx(2 * math.sqrt(2))
+        assert math.dist(verts[1], verts[2]) == pytest.approx(2 * math.sqrt(2))
 
     def test_centroid(self):
         verts = tetrahedron_from_cube(1.0)
-        cx = sum(v.x for v in verts) / 4
-        cy = sum(v.y for v in verts) / 4
-        cz = sum(v.z for v in verts) / 4
+        cx = sum(v[0] for v in verts) / 4
+        cy = sum(v[1] for v in verts) / 4
+        cz = sum(v[2] for v in verts) / 4
         assert (cx, cy, cz) == pytest.approx((0.5, 0.5, 0.5))
 
     def test_side_must_be_positive(self):
         with pytest.raises(ValueError):
             tetrahedron_from_cube(0.0)
 
+    @pytest.mark.parametrize("side", [math.nan, math.inf])
+    def test_side_must_be_finite(self, side):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            tetrahedron_from_cube(side)
 
-class TestPoint3:
+
+class TestFloatTriples:
     def test_norm_when_the_square_leaves_the_float_range(self):
-        assert Point3(3e200, 4e200, 0.0).norm() == pytest.approx(5e200, rel=1e-15)
-        assert Point3(0.0, 3e-200, 4e-200).norm() == pytest.approx(5e-200, rel=1e-15)
-        assert Point3(0.0, 0.0, 5e-324).norm() == 5e-324
-        assert Point3(0.0, 0.0, 0.0).norm() == 0.0
+        assert _norm3((3e200, 4e200, 0.0)) == pytest.approx(5e200, rel=1e-15)
+        assert _norm3((0.0, 3e-200, 4e-200)) == pytest.approx(5e-200, rel=1e-15)
+        assert _norm3((0.0, 0.0, 5e-324)) == 5e-324
+        assert _norm3((0.0, 0.0, 0.0)) == 0.0
 
     def test_tiny_vectors_normalize(self):
-        u = Point3(3e-200, 0.0, 4e-200).normalized()
-        assert (u.x, u.y, u.z) == pytest.approx((0.6, 0.0, 0.8), rel=1e-15)
+        assert _unit3((3e-200, 0.0, 4e-200)) == pytest.approx((0.6, 0.0, 0.8), rel=1e-15)
         with pytest.raises(ValueError, match="zero vector"):
-            Point3(0.0, 0.0, 0.0).normalized()
+            _unit3((0.0, 0.0, 0.0))
+
+
+class TestSphere3:
+    def test_centre_is_stored_as_three_floats(self):
+        s = Sphere3([1, 2, 3], 0.5)
+        assert s.center == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in s.center)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0)])
+    def test_centre_must_be_three_finite_coordinates(self, center):
+        with pytest.raises(ValueError):
+            Sphere3(center, 1.0)
 
 
 class TestAxisPoints:
     def test_unit_cube_coordinates(self):
         b, c, p_m1, p_0 = axis_points(*tetrahedron_from_cube(1.0))
-        assert (b.x, b.y, b.z) == pytest.approx((0.5, 0.5, 0.0))
-        assert (c.x, c.y, c.z) == pytest.approx((0.5, 0.5, 1.0))
-        assert (p_m1.x, p_m1.y, p_m1.z) == pytest.approx((0.5, 0.5, 1 / 3))
-        assert (p_0.x, p_0.y, p_0.z) == pytest.approx((0.5, 0.5, 2 / 3))
+        assert b == pytest.approx((0.5, 0.5, 0.0))
+        assert c == pytest.approx((0.5, 0.5, 1.0))
+        assert p_m1 == pytest.approx((0.5, 0.5, 1 / 3))
+        assert p_0 == pytest.approx((0.5, 0.5, 2 / 3))
 
     def test_trisection(self):
         b, c, p_m1, p_0 = axis_points(*tetrahedron_from_cube(1.0))
-        assert b.distance_to(p_m1) == pytest.approx(p_m1.distance_to(p_0))
-        assert p_m1.distance_to(p_0) == pytest.approx(p_0.distance_to(c))
+        assert math.dist(b, p_m1) == pytest.approx(math.dist(p_m1, p_0))
+        assert math.dist(p_m1, p_0) == pytest.approx(math.dist(p_0, c))
 
     def test_scales_linearly(self):
         b3, c3, pm3, p03 = axis_points(*tetrahedron_from_cube(3.0))
         b1, c1, pm1, p01 = axis_points(*tetrahedron_from_cube(1.0))
         for big, small in ((b3, b1), (c3, c1), (pm3, pm1), (p03, p01)):
-            assert (big.x, big.y, big.z) == pytest.approx((3 * small.x, 3 * small.y, 3 * small.z))
+            assert big == pytest.approx(tuple(3 * v for v in small))
 
 
 class TestIcosphere:
@@ -95,21 +110,21 @@ def assert_matches_probe(target, gens, slack):
     assert slack <= sampled + 1e-12
     # at a kink minimum the sampled value is off by at most
     # |gradient| * grid spacing (level-5 spacing is under 0.05 rad)
-    grad = max(g.center.distance_to(target.center) for g in gens)
+    grad = max(math.dist(g.center, target.center) for g in gens)
     assert sampled - slack <= 0.05 * grad + 1e-9
 
 
 class TestSphereInHull3:
     def test_concentric_contained(self):
-        t = Sphere3(Point3(0.5, 0.5, 0.5), 0.1)
-        g = Sphere3(Point3(0.5, 0.5, 0.5), 0.2)
+        t = Sphere3((0.5, 0.5, 0.5), 0.1)
+        g = Sphere3((0.5, 0.5, 0.5), 0.2)
         res = sphere_in_hull3(t, [g])
         assert res.contained
         assert res.slack == pytest.approx(0.1)
 
     def test_concentric_not_contained(self):
-        t = Sphere3(Point3(0.5, 0.5, 0.5), 0.3)
-        g = Sphere3(Point3(0.5, 0.5, 0.5), 0.2)
+        t = Sphere3((0.5, 0.5, 0.5), 0.3)
+        g = Sphere3((0.5, 0.5, 0.5), 0.2)
         res = sphere_in_hull3(t, [g])
         assert not res.contained
         assert res.slack == pytest.approx(-0.1)
@@ -119,10 +134,10 @@ class TestSphereInHull3:
         # slack of one generator is r_g - r_t - |c_g - c_t| exactly
         rng = random.Random(51)
         for _ in range(50):
-            t = Sphere3(Point3(*(rng.uniform(-5, 5) for _ in range(3))), rng.uniform(0, 2))
-            g = Sphere3(Point3(*(rng.uniform(-5, 5) for _ in range(3))), rng.uniform(0, 2))
+            t = Sphere3(tuple(rng.uniform(-5, 5) for _ in range(3)), rng.uniform(0, 2))
+            g = Sphere3(tuple(rng.uniform(-5, 5) for _ in range(3)), rng.uniform(0, 2))
             res = sphere_in_hull3(t, [g])
-            expected = g.radius - t.radius - g.center.distance_to(t.center)
+            expected = g.radius - t.radius - math.dist(g.center, t.center)
             assert res.slack == pytest.approx(expected, abs=1e-12)
 
     def test_witness_direction_certifies(self):
@@ -135,9 +150,9 @@ class TestSphereInHull3:
         ux, uy, uz = res.witness_direction
         assert math.hypot(ux, math.hypot(uy, uz)) == pytest.approx(1.0)
         direct = max(
-            (g.center.x - target.center.x) * ux
-            + (g.center.y - target.center.y) * uy
-            + (g.center.z - target.center.z) * uz
+            (g.center[0] - target.center[0]) * ux
+            + (g.center[1] - target.center[1]) * uy
+            + (g.center[2] - target.center[2]) * uz
             + g.radius
             for g in gens
         ) - target.radius
@@ -147,20 +162,20 @@ class TestSphereInHull3:
     def test_search_not_above_dense_sampling(self):
         rng = random.Random(52)
         for _ in range(20):
-            t = Sphere3(Point3(*(rng.uniform(-2, 2) for _ in range(3))), rng.uniform(0, 1))
+            t = Sphere3(tuple(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
             gens = [
-                Sphere3(Point3(*(rng.uniform(-2, 2) for _ in range(3))), rng.uniform(0, 1))
+                Sphere3(tuple(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
                 for _ in range(rng.randint(1, 6))
             ]
             assert_matches_probe(t, gens, sphere_in_hull3(t, gens).slack)
 
     def test_similarity_covariance(self):
         rng = random.Random(53)
-        t = Sphere3(Point3(0.3, 0.4, 0.5), 0.2)
+        t = Sphere3((0.3, 0.4, 0.5), 0.2)
         gens = [
-            Sphere3(Point3(0.0, 0.0, 0.0), 0.5),
-            Sphere3(Point3(1.0, 0.2, -0.3), 0.4),
-            Sphere3(Point3(0.1, 1.1, 0.4), 0.0),
+            Sphere3((0.0, 0.0, 0.0), 0.5),
+            Sphere3((1.0, 0.2, -0.3), 0.4),
+            Sphere3((0.1, 1.1, 0.4), 0.0),
         ]
         base = sphere_in_hull3(t, gens).slack
         for _ in range(10):
@@ -179,8 +194,7 @@ class TestSphereInHull3:
             s = rng.uniform(0.5, 3.0)
 
             def move(p, scale):
-                v = scale * (R @ np.array([p.x, p.y, p.z])) + off
-                return Point3(*v)
+                return tuple(scale * (R @ np.array(p)) + off)
 
             moved = sphere_in_hull3(
                 Sphere3(move(t.center, 1.0), t.radius),
@@ -188,23 +202,18 @@ class TestSphereInHull3:
             ).slack
             assert moved == pytest.approx(base, abs=1e-9)
             grown = sphere_in_hull3(
-                Sphere3(Point3(s * t.center.x, s * t.center.y, s * t.center.z), s * t.radius),
-                [
-                    Sphere3(
-                        Point3(s * g.center.x, s * g.center.y, s * g.center.z), s * g.radius
-                    )
-                    for g in gens
-                ],
+                Sphere3(tuple(s * v for v in t.center), s * t.radius),
+                [Sphere3(tuple(s * v for v in g.center), s * g.radius) for g in gens],
             ).slack
             assert grown == pytest.approx(s * base, rel=1e-9, abs=1e-9)
 
     def test_slack_scales_linearly_from_1e_minus_6_to_1e6(self):
         rng = random.Random(54)
         for _ in range(30):
-            t = Sphere3(Point3(*(rng.uniform(-2, 2) for _ in range(3))), rng.uniform(0, 1))
+            t = Sphere3(tuple(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
             gens = [
                 Sphere3(
-                    Point3(*(rng.uniform(-2, 2) for _ in range(3))),
+                    tuple(rng.uniform(-2, 2) for _ in range(3)),
                     0.0 if rng.random() < 0.3 else rng.uniform(0, 1.5),
                 )
                 for _ in range(rng.randint(1, 8))
@@ -213,27 +222,27 @@ class TestSphereInHull3:
             for e in range(-6, 7):
                 s = 10.0**e
                 scaled = sphere_in_hull3(
-                    Sphere3(t.center * s, t.radius * s),
-                    [Sphere3(g.center * s, g.radius * s) for g in gens],
+                    Sphere3(tuple(v * s for v in t.center), t.radius * s),
+                    [Sphere3(tuple(v * s for v in g.center), g.radius * s) for g in gens],
                 ).slack
                 assert scaled == pytest.approx(s * base, rel=1e-9)
 
 
 class TestDegenerateInputs:
     def test_duplicate_centre_equal_radii(self):
-        target = Sphere3(Point3(0.2, 0.1, 0.3), 0.2)
-        a = Sphere3(Point3(1.0, 0.0, 0.0), 0.4)
-        rest = [Sphere3(Point3(-1.0, 0.5, 0.0), 0.3), Sphere3(Point3(0.0, -1.0, 1.0), 0.0)]
+        target = Sphere3((0.2, 0.1, 0.3), 0.2)
+        a = Sphere3((1.0, 0.0, 0.0), 0.4)
+        rest = [Sphere3((-1.0, 0.5, 0.0), 0.3), Sphere3((0.0, -1.0, 1.0), 0.0)]
         res = sphere_in_hull3(target, [a, a] + rest)
         assert res.slack == pytest.approx(sphere_in_hull3(target, [a] + rest).slack, abs=1e-12)
         assert_matches_probe(target, [a, a] + rest, res.slack)
 
     def test_duplicate_centre_different_radii(self):
         # the smaller sphere lies inside the larger and changes nothing
-        target = Sphere3(Point3(0.2, 0.1, 0.3), 0.2)
-        small = Sphere3(Point3(1.0, 0.0, 0.0), 0.1)
-        big = Sphere3(Point3(1.0, 0.0, 0.0), 0.5)
-        rest = [Sphere3(Point3(-1.0, 0.5, 0.0), 0.3), Sphere3(Point3(0.0, -1.0, 1.0), 0.0)]
+        target = Sphere3((0.2, 0.1, 0.3), 0.2)
+        small = Sphere3((1.0, 0.0, 0.0), 0.1)
+        big = Sphere3((1.0, 0.0, 0.0), 0.5)
+        rest = [Sphere3((-1.0, 0.5, 0.0), 0.3), Sphere3((0.0, -1.0, 1.0), 0.0)]
         res = sphere_in_hull3(target, [small, big] + rest)
         assert res.slack == pytest.approx(sphere_in_hull3(target, [big] + rest).slack, abs=1e-12)
         assert_matches_probe(target, [small, big] + rest, res.slack)
@@ -242,8 +251,8 @@ class TestDegenerateInputs:
     def test_collinear_centres_closed_form(self, c):
         # equal spheres on a segment: their hull is a capsule, so the slack
         # is R - r_t - dist(centre, segment); all triple planes are parallel
-        gens = [Sphere3(Point3(x, 0.0, 0.0), 0.5) for x in (0.0, 1.0, 2.0)]
-        target = Sphere3(Point3(*c), 0.1)
+        gens = [Sphere3((x, 0.0, 0.0), 0.5) for x in (0.0, 1.0, 2.0)]
+        target = Sphere3(c, 0.1)
         x = min(max(c[0], 0.0), 2.0)
         dist = math.hypot(c[0] - x, math.hypot(c[1], c[2]))
         res = sphere_in_hull3(target, gens)
@@ -251,27 +260,27 @@ class TestDegenerateInputs:
         assert_matches_probe(target, gens, res.slack)
 
     def test_collinear_centres_unequal_radii(self):
-        target = Sphere3(Point3(0.8, 0.7, -0.2), 0.3)
+        target = Sphere3((0.8, 0.7, -0.2), 0.3)
         gens = [
-            Sphere3(Point3(0.0, 0.0, 0.0), 0.2),
-            Sphere3(Point3(1.0, 1.0, 1.0), 0.6),
-            Sphere3(Point3(2.0, 2.0, 2.0), 0.3),
-            Sphere3(Point3(1.0, -1.0, 0.0), 0.0),
+            Sphere3((0.0, 0.0, 0.0), 0.2),
+            Sphere3((1.0, 1.0, 1.0), 0.6),
+            Sphere3((2.0, 2.0, 2.0), 0.3),
+            Sphere3((1.0, -1.0, 0.0), 0.0),
         ]
         assert_matches_probe(target, gens, sphere_in_hull3(target, gens).slack)
 
     def test_generator_concentric_with_target(self):
-        target = Sphere3(Point3(0.5, 0.5, 0.5), 0.2)
-        ball = Sphere3(Point3(0.5, 0.5, 0.5), 0.3)
+        target = Sphere3((0.5, 0.5, 0.5), 0.2)
+        ball = Sphere3((0.5, 0.5, 0.5), 0.3)
         # a point at distance 2 leaves the side facing away bounded by the ball
-        res = sphere_in_hull3(target, [ball, Sphere3(Point3(2.5, 0.5, 0.5), 0.0)])
+        res = sphere_in_hull3(target, [ball, Sphere3((2.5, 0.5, 0.5), 0.0)])
         assert res.slack == pytest.approx(0.1, abs=1e-12)
-        gens = [ball, Sphere3(Point3(1.5, 0.0, 0.5), 0.4), Sphere3(Point3(0.0, 1.2, 0.0), 0.1)]
+        gens = [ball, Sphere3((1.5, 0.0, 0.5), 0.4), Sphere3((0.0, 1.2, 0.0), 0.1)]
         assert_matches_probe(target, gens, sphere_in_hull3(target, gens).slack)
 
     def test_all_generators_concentric(self):
-        target = Sphere3(Point3(1.0, 2.0, 3.0), 0.5)
-        gens = [Sphere3(Point3(1.0, 2.0, 3.0), r) for r in (0.2, 0.4, 0.0)]
+        target = Sphere3((1.0, 2.0, 3.0), 0.5)
+        gens = [Sphere3((1.0, 2.0, 3.0), r) for r in (0.2, 0.4, 0.0)]
         res = sphere_in_hull3(target, gens)
         assert res.slack == pytest.approx(-0.1, abs=1e-12)
         assert not res.contained
@@ -280,28 +289,28 @@ class TestDegenerateInputs:
         # target at the centroid of the regular tetrahedron on the unit cube:
         # the slack is the inradius 1/(2 sqrt 3) minus the target radius
         verts = tetrahedron_from_cube(1.0)
-        target = Sphere3(Point3(0.5, 0.5, 0.5), 0.1)
+        target = Sphere3((0.5, 0.5, 0.5), 0.1)
         gens = [Sphere3(v, 0.0) for v in verts]
         res = sphere_in_hull3(target, gens)
         assert res.slack == pytest.approx(1 / (2 * math.sqrt(3)) - 0.1, abs=1e-12)
         assert_matches_probe(target, gens, res.slack)
 
     def test_single_point_generator(self):
-        target = Sphere3(Point3(0.0, 0.0, 0.0), 0.25)
-        res = sphere_in_hull3(target, [Sphere3(Point3(0.0, 3.0, 4.0), 0.0)])
+        target = Sphere3((0.0, 0.0, 0.0), 0.25)
+        res = sphere_in_hull3(target, [Sphere3((0.0, 3.0, 4.0), 0.0)])
         assert res.slack == pytest.approx(-5.25, abs=1e-12)
         assert res.witness_direction == pytest.approx((0.0, -0.6, -0.8), abs=1e-12)
 
     def test_single_point_on_point_target(self):
         # every length is zero: the hull is the target itself
-        p = Point3(1.0, 1.0, 1.0)
+        p = (1.0, 1.0, 1.0)
         res = sphere_in_hull3(Sphere3(p, 0.0), [Sphere3(p, 0.0)])
         assert res.contained
         assert res.slack == 0.0
 
     def test_result_fields_are_python_native(self):
         res = sphere_in_hull3(
-            Sphere3(Point3(0.0, 0.0, 0.0), 1.0), [Sphere3(Point3(0.5, 0.0, 0.0), 0.2)]
+            Sphere3((0.0, 0.0, 0.0), 1.0), [Sphere3((0.5, 0.0, 0.0), 0.2)]
         )
         assert type(res.contained) is bool
         assert type(res.slack) is float
@@ -310,30 +319,41 @@ class TestDegenerateInputs:
 
 class TestProjection:
     def test_projection_loses_depth(self):
-        plane = (Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0))
+        plane = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
         res = projection_reduction(
-            Sphere3(Point3(0, 0, 5), 1.0), [Sphere3(Point3(0, 0, 0), 2.0)], plane
+            Sphere3((0, 0, 5), 1.0), [Sphere3((0, 0, 0), 2.0)], plane
         )
         assert res.contained  # inconclusive for 3D; the 3D answer is not-contained
-        res3 = sphere_in_hull3(Sphere3(Point3(0, 0, 5), 1.0), [Sphere3(Point3(0, 0, 0), 2.0)])
+        res3 = sphere_in_hull3(Sphere3((0, 0, 5), 1.0), [Sphere3((0, 0, 0), 2.0)])
         assert not res3.contained
 
     def test_far_generators_refuted_in_both(self):
-        plane = (Point3(0, 0, 0), Point3(1, 0, 0), Point3(0, 1, 0))
-        target = Sphere3(Point3(0, 0, 0), 1.0)
-        gens = [Sphere3(Point3(10, 0, 0), 1.0)]
+        plane = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        target = Sphere3((0, 0, 0), 1.0)
+        gens = [Sphere3((10, 0, 0), 1.0)]
         assert not projection_reduction(target, gens, plane).contained
         assert not sphere_in_hull3(target, gens).contained
 
     def test_degenerate_basis(self):
         with pytest.raises(DegenerateBasis):
             projection_reduction(
-                Sphere3(Point3(0, 0, 0), 1.0),
-                [Sphere3(Point3(1, 0, 0), 1.0)],
-                (Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0)),
+                Sphere3((0, 0, 0), 1.0),
+                [Sphere3((1, 0, 0), 1.0)],
+                ((0, 0, 0), (1, 0, 0), (2, 0, 0)),
             )
         with pytest.raises(DegenerateBasis):
-            plane_through(Point3(0, 0, 0), Point3(1, 0, 0), Point3(2, 0, 0))
+            plane_through((0, 0, 0), (1, 0, 0), (2, 0, 0))
+
+    @pytest.mark.parametrize("e1, e2, message", [
+        ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), "e1 is not a unit vector"),
+        ((1.0, 0.0, 0.0), (0.0, 0.5, 0.0), "e2 is not a unit vector"),
+        ((1.0, 0.0, 0.0), (0.6, 0.8, 0.0), "basis vectors are not orthogonal"),
+    ])
+    def test_plane_basis_is_checked(self, e1, e2, message):
+        with pytest.raises(DegenerateBasis, match=message):
+            projection_reduction(
+                Sphere3((0, 0, 0), 1.0), [Sphere3((1, 0, 0), 1.0)], ((0, 0, 0), e1, e2)
+            )
 
     @pytest.mark.parametrize("side", [1e-13, 1e-100, 1e100])
     def test_plane_through_takes_scaled_copies(self, side):
@@ -342,7 +362,7 @@ class TestProjection:
             verts = tetrahedron_from_cube(s)
             b, *_ = axis_points(*verts)
             _, e1, e2 = plane_through(b, verts[2], verts[3])
-            return [(e.x, e.y, e.z) for e in (e1, e2)]
+            return [e1, e2]
 
         for got, want in zip(basis(side), basis(1.0)):
             assert got == pytest.approx(want, abs=1e-12)
@@ -353,8 +373,8 @@ class TestProjection:
         plane = plane_through(b, verts[2], verts[3])
         pa0 = project_to_plane(verts[0], plane)
         pa1 = project_to_plane(verts[1], plane)
-        assert pa0.distance_to(pa1) < 1e-12
-        assert pa0.distance_to(project_to_plane(b, plane)) < 1e-12
+        assert math.dist(pa0, pa1) < 1e-12
+        assert math.dist(pa0, project_to_plane(b, plane)) < 1e-12
 
 
 class TestExample41:
@@ -403,15 +423,14 @@ class TestExample41:
         target = Sphere3(p_m1, 0.1)
         gens = [Sphere3(p_0, 0.1)] + [Sphere3(verts[i], 0.0) for i in range(3)]
         res = sphere_in_hull3(target, gens)
-        ux, uy, uz = res.witness_direction
-        u = Point3(ux, uy, uz)
-        in_plane = math.hypot(u.dot(e1), u.dot(e2))
+        u = res.witness_direction
+        in_plane = math.hypot(_dot3(u, e1), _dot3(u, e2))
         assert in_plane > 1e-9
-        c, s = u.dot(e1) / in_plane, u.dot(e2) / in_plane
+        c, s = _dot3(u, e1) / in_plane, _dot3(u, e2) / in_plane
         t2 = project_to_plane(target.center, plane)
         val = max(
-            (project_to_plane(g.center, plane).x - t2.x) * c
-            + (project_to_plane(g.center, plane).y - t2.y) * s
+            (project_to_plane(g.center, plane)[0] - t2[0]) * c
+            + (project_to_plane(g.center, plane)[1] - t2[1]) * s
             + g.radius
             for g in gens
         ) - target.radius
@@ -421,8 +440,10 @@ class TestExample41:
         # the enumerated minimum is at or below every one of 40,962 directions
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
-            target, gens = _ex41_target_gens(rep.vertices, rep.spheres, o.j, o.k)
-            assert o.result.slack <= probe_slack(target, gens, 6) + 1e-12
+            centers = [s.center for s in rep.spheres]
+            target, gens = _ex41_target_gens(centers, rep.r, rep.vertices, o.j, o.k)
+            spheres = [Sphere3(*g) for g in gens]
+            assert o.result.slack <= probe_slack(Sphere3(*target), spheres, 6) + 1e-12
 
     def test_radius_too_large(self):
         with pytest.raises(PreconditionRadius):
@@ -472,7 +493,7 @@ class TestExample42:
             for i in range(len(rep.spheres)):
                 for j in range(i + 1, len(rep.spheres)):
                     a, b = rep.spheres[i], rep.spheres[j]
-                    d = a.center.distance_to(b.center)
+                    d = math.dist(a.center, b.center)
                     assert d + min(a.radius, b.radius) > max(a.radius, b.radius)
 
     def test_limit_radii_equalize(self):

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from carousel import Point3, Sphere3, example_4_1, example_4_2, sphere_in_hull3
+from carousel import Sphere3, example_4_1, example_4_2, sphere_in_hull3
 from carousel.spheres import _ex41_target_gens, spheres_in_hull3
 
 from reference3d import reference
@@ -36,7 +36,11 @@ def assert_set_matches_reference(objects, inclusions, results):
 
 
 def _point(rng, spread):
-    return Point3(*(rng.uniform(-spread, spread) for _ in range(3)))
+    return tuple(rng.uniform(-spread, spread) for _ in range(3))
+
+
+def _scaled(p, s, off):
+    return tuple(x * s + o for x, o in zip(p, off))
 
 
 def random_set(seed: int):
@@ -56,13 +60,13 @@ def random_set(seed: int):
         a, v = _point(rng, 1.0), _point(rng, 1.0)
         on_line = n if rng.random() < 0.5 else n - 1
         for q in range(on_line):
-            objects[q] = Sphere3(a + v * rng.uniform(-2.0, 2.0), objects[q].radius)
+            objects[q] = Sphere3(_scaled(v, rng.uniform(-2.0, 2.0), a), objects[q].radius)
     elif kind == 4:  # points only
         objects = [Sphere3(o.center, 0.0) for o in objects]
     elif kind == 5:  # a similarity copy far from the origin, at another scale
         s = 10.0 ** rng.uniform(-3.0, 3.0)
         off = _point(rng, 1e3)
-        objects = [Sphere3(o.center * s + off, o.radius * s) for o in objects]
+        objects = [Sphere3(_scaled(o.center, s, off), o.radius * s) for o in objects]
     inclusions = []
     for _ in range(rng.randint(1, 6)):
         target = rng.randrange(n)
@@ -73,10 +77,10 @@ def random_set(seed: int):
 
 class TestSetEntryPoint:
     def test_no_inclusions(self):
-        assert spheres_in_hull3([Sphere3(Point3(0, 0, 0), 1.0)], []) == ()
+        assert spheres_in_hull3([Sphere3((0, 0, 0), 1.0)], []) == ()
 
     def test_every_object_removed_is_an_error(self):
-        objects = [Sphere3(Point3(0, 0, 0), 1.0), Sphere3(Point3(1, 0, 0), 0.0)]
+        objects = [Sphere3((0, 0, 0), 1.0), Sphere3((1, 0, 0), 0.0)]
         with pytest.raises(ValueError):
             spheres_in_hull3(objects, [(0, (1,))])
         with pytest.raises(ValueError):
@@ -84,9 +88,9 @@ class TestSetEntryPoint:
 
     def test_removed_object_is_not_a_generator(self):
         # the big ball holds the target; without it two points cannot
-        target = Sphere3(Point3(0, 0, 0), 0.1)
-        ball = Sphere3(Point3(0, 0, 0), 1.0)
-        points = [Sphere3(Point3(1, 0, 0), 0.0), Sphere3(Point3(-1, 0, 0), 0.0)]
+        target = Sphere3((0, 0, 0), 0.1)
+        ball = Sphere3((0, 0, 0), 1.0)
+        points = [Sphere3((1, 0, 0), 0.0), Sphere3((-1, 0, 0), 0.0)]
         with_ball, without = spheres_in_hull3([target, ball, *points], [(0, ()), (0, (1,))])
         assert with_ball.contained and with_ball.slack == pytest.approx(0.9)
         assert not without.contained and without.slack == pytest.approx(-0.1)
@@ -105,7 +109,8 @@ class TestSetEntryPoint:
             for e in range(-6, 7):
                 s = 10.0**e
                 scaled = spheres_in_hull3(
-                    [Sphere3(o.center * s, o.radius * s) for o in objects], inclusions
+                    [Sphere3(tuple(x * s for x in o.center), o.radius * s) for o in objects],
+                    inclusions,
                 )
                 for a, b in zip(base, scaled):
                     assert b.contained == a.contained
@@ -122,8 +127,9 @@ class TestReferenceEquivalence:
             r = side * rng.uniform(0.03, 0.15)
             rep = example_4_1(side, r)
             for o in rep.outcomes:
-                target, gens = _ex41_target_gens(rep.vertices, rep.spheres, o.j, o.k)
-                assert_matches_reference(target, gens, o.result)
+                centers = [s.center for s in rep.spheres]
+                target, gens = _ex41_target_gens(centers, rep.r, rep.vertices, o.j, o.k)
+                assert_matches_reference(Sphere3(*target), [Sphere3(*g) for g in gens], o.result)
 
     @pytest.mark.parametrize("factor", [5.0, 20.0, 50.0])
     def test_example_4_2_t3_to_32(self, factor):
