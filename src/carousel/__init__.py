@@ -1,5 +1,7 @@
 """Circle/sphere convex-hull containment toolkit.
 
+2D objects are (x, y, r) float triples, a point having r = 0, and a carousel
+instance is the row of five of them b0, b1, b2, u0, u1.
 2D: support-function containment of circles in hulls of circles and points,
 one query or a set of queries per call, with witness-direction certificates,
 and hull boundary construction.  Carousel procedures: witness search over a
@@ -28,21 +30,13 @@ from .errors import (
 from .hull import (
     ArcPiece,
     ContainmentResult,
-    GeneratorSet,
     HullBoundary,
     SegmentPiece,
     circle_in_hull,
     circles_in_hulls,
     hull_boundary,
 )
-from .planar import (
-    EPS_DECISION,
-    EPS_GEOM,
-    Circle2,
-    Point2,
-    circle,
-    pt,
-)
+from .planar import EPS_DECISION, EPS_GEOM
 from .spheres import (
     Containment3Result,
     Example41Report,
@@ -58,7 +52,6 @@ from .spheres import (
     tetrahedron_from_cube,
 )
 from .witness import (
-    CarouselInstance,
     Tangency,
     Witness,
     XiSweepReport,

@@ -29,9 +29,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .hull import GeneratorSet, circle_in_hull
+from .hull import circle_in_hull
 from .oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
-from .planar import Circle2, Point2
 from .scenario import row_scenario_dict
 from .witness import (
     best_witness_slacks_rows,
@@ -185,14 +184,14 @@ class OracleReport:
         }
 
 
-def random_containment_query(seed: int) -> tuple[Circle2, GeneratorSet]:
-    """Deterministic random (target, generators) pair at desk scale."""
+def random_containment_query(seed: int) -> tuple[tuple, tuple]:
+    """Deterministic random (target, generators) pair of (x, y, r) objects at desk scale."""
     rng = random.Random(seed)
-    def circ() -> Circle2:
+    def circ() -> tuple[float, float, float]:
         r = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
-        return Circle2(Point2(rng.uniform(-10, 10), rng.uniform(-10, 10)), r)
+        return rng.uniform(-10, 10), rng.uniform(-10, 10), r
     n = rng.randint(1, 5)
-    return circ(), GeneratorSet(tuple(circ() for _ in range(n)))
+    return circ(), tuple(circ() for _ in range(n))
 
 
 def _oracle_trial(seed: int) -> tuple[int, bool, bool, float]:

@@ -20,12 +20,7 @@ from .reports import (
 )
 from .scenario import Scenario
 from .spheres import Example41Report, Example42Report, example_4_1, example_4_2
-from .witness import (
-    corollary_witness_search,
-    two_carousel_points,
-    witness_search,
-    xi_sweep_fixed,
-)
+from .witness import two_carousel_points, witness_search, xi_sweep_fixed
 
 EXIT_VERIFIED = 0
 EXIT_REFUTED = 1
@@ -39,27 +34,20 @@ def _judged(body: dict, claim: str, holds: bool) -> tuple[dict, int]:
     return {**body, "claim": claim, "verdict": verdict}, EXIT_VERIFIED if holds else EXIT_REFUTED
 
 
-def _witness_report(witnesses) -> tuple[dict, int]:
+def _run_witness(scenario: Scenario) -> tuple[dict, int]:
+    """theorem2d and corollary2d: the row's bases are sites iff their radii are 0."""
+    witnesses = witness_search(scenario.row)
     body = {"witnesses": [witness_to_dict(w) for w in witnesses]}
     return _judged(body, "a witness pair exists", bool(witnesses))
 
 
-def _run_theorem(scenario: Scenario) -> tuple[dict, int]:
-    return _witness_report(witness_search(scenario.instance()))
-
-
-def _run_corollary(scenario: Scenario) -> tuple[dict, int]:
-    return _witness_report(corollary_witness_search(*scenario.circles))
-
-
 def _run_points(scenario: Scenario) -> tuple[dict, int]:
-    b0, b1 = (c.center for c in scenario.circles)
-    w, holds = two_carousel_points(scenario.sites, b0, b1)
+    w, holds = two_carousel_points(scenario.row)
     return _judged({"witness": witness_to_dict(w)}, "the decomposition yields a witness", holds)
 
 
 def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
-    rep = xi_sweep_fixed(scenario.instance(), scenario.j, scenario.k)
+    rep = xi_sweep_fixed(scenario.row, scenario.j, scenario.k)
     return _judged({"sweep": sweep_to_dict(rep)}, "critical scale located", True)
 
 
@@ -78,8 +66,8 @@ def _run_ex42(scenario: Scenario) -> tuple[dict, int]:
 
 
 _RUNNERS = {
-    "theorem2d": _run_theorem,
-    "corollary2d": _run_corollary,
+    "theorem2d": _run_witness,
+    "corollary2d": _run_witness,
     "points2d": _run_points,
     "sweep": _run_sweep,
     "sphere3_ex41": _run_ex41,

@@ -1,6 +1,8 @@
 """Containment of a circle in the convex hull of circles and points.
 
-The decision runs in the support (dual) domain.  For direction theta the
+Circles and points are (x, y, r) float triples, a point having r = 0; each
+one-query entry checks its objects with ``planar.checked_objects``.  The
+decision runs in the support (dual) domain.  For direction theta the
 hull of generators supports h(theta) = max_g(center_g . u(theta) + r_g), so
 the target circle is contained iff every direction satisfies the support
 inequality.  The slack, the least support surplus over all directions, is
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planar import EPS_DECISION, EPS_GEOM, TAU, Circle2, Point2
+from .planar import EPS_DECISION, EPS_GEOM, TAU, checked_objects
 
 _TINY = 1e-15
 # Elements in the largest temporary of ``circles_in_hulls`` (subsets x
@@ -47,25 +49,6 @@ _BLOCK = 1 << 15
 # Below this many offset elements, ``circles_in_hulls`` builds its candidates
 # with the scalar loops, which cost less than numpy's calls for a few rows.
 _FEW = 256
-
-
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Nonempty finite set of circles (radius >= 0) spanning the hull."""
-
-    generators: tuple[Circle2, ...]
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        if not gens:
-            raise ValueError("generator set must be nonempty")
-        object.__setattr__(self, "generators", gens)
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
 
 
 @dataclass(frozen=True)
@@ -168,8 +151,10 @@ def _envelope_min(terms) -> tuple[float, float]:
     return best, best_theta
 
 
-def circle_in_hull(target: Circle2, gens: GeneratorSet) -> ContainmentResult:
+def circle_in_hull(target, gens) -> ContainmentResult:
     """Decide target-circle containment in the hull of the generators.
+
+    ``target`` and each of the nonempty ``gens`` are (x, y, r) objects.
 
     The slack is minimised exactly over the critical angles of the support
     gap, and the target is contained iff that slack is at least
@@ -179,11 +164,9 @@ def circle_in_hull(target: Circle2, gens: GeneratorSet) -> ContainmentResult:
     minimum is the witness direction of a non-containment.  Points are the
     radius-0 special case on either side.
     """
-    tx = target.center.x
-    ty = target.center.y
-    tr = target.radius
+    ((tx, ty, tr),) = checked_objects((target,))
     best, best_theta = _envelope_min(
-        [(g.center.x - tx, g.center.y - ty, g.radius - tr) for g in gens]
+        [(x - tx, y - ty, r - tr) for x, y, r in checked_objects(gens, nonempty=True)]
     )
     contained = best >= -EPS_DECISION
     return ContainmentResult(
@@ -336,8 +319,8 @@ class ArcPiece:
     generator: int
     start_angle: float
     end_angle: float  # end_angle > start_angle; may wrap past tau
-    start: Point2
-    end: Point2
+    start: tuple[float, float]
+    end: tuple[float, float]
 
     @property
     def width(self) -> float:
@@ -348,8 +331,8 @@ class ArcPiece:
 class SegmentPiece:
     """Common external tangent segment between two consecutive active generators."""
 
-    start: Point2
-    end: Point2
+    start: tuple[float, float]
+    end: tuple[float, float]
     generators: tuple[int, int]
 
 
@@ -360,15 +343,13 @@ class HullBoundary:
     pieces: tuple
 
 
-def _point_on(g: Circle2, theta: float) -> Point2:
-    return Point2(
-        g.center.x + g.radius * math.cos(theta),
-        g.center.y + g.radius * math.sin(theta),
-    )
+def _point_on(g, theta: float) -> tuple[float, float]:
+    x, y, r = g
+    return x + r * math.cos(theta), y + r * math.sin(theta)
 
 
-def hull_boundary(gens: GeneratorSet) -> HullBoundary:
-    """Construct the hull boundary chain by sweeping the support argmax.
+def hull_boundary(gens) -> HullBoundary:
+    """Construct the hull boundary chain of the nonempty (x, y, r) objects ``gens``.
 
     Switch angles come from pairwise equalities of the support sinusoids and
     are merged when within 1e-12 of each other.  On each interval between
@@ -381,14 +362,14 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
     Degenerate hulls take the same path: a segment comes out as its two
     tangent segments, there and back, and a single point as no pieces.
     """
-    glist = list(gens.generators)
+    glist = checked_objects(gens, nonempty=True)
 
     # exact duplicates never become active on their own
     first_of = {}
     for i, g in enumerate(glist):
-        first_of.setdefault((g.center.x, g.center.y, g.radius), i)
+        first_of.setdefault(g, i)
     live = sorted(first_of.values())
-    terms = [(glist[i].center.x, glist[i].center.y, glist[i].radius) for i in live]
+    terms = [glist[i] for i in live]
 
     def argmax_at(theta: float) -> int:
         """The first live generator whose support is greatest at theta."""
@@ -424,7 +405,7 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
     if len(runs) == 1:
         gen_i = runs[0][0]
         g = glist[gen_i]
-        if g.radius <= 0.0:
+        if g[2] <= 0.0:
             return HullBoundary(())
         theta0 = runs[0][1] % TAU
         start = _point_on(g, theta0)
@@ -433,10 +414,10 @@ def hull_boundary(gens: GeneratorSet) -> HullBoundary:
     pieces = []
     for (gen_i, lo, hi), (nxt_gen, _, _) in zip(runs, runs[1:] + runs[:1]):
         g = glist[gen_i]
-        if g.radius > 0.0 and hi - lo > 1e-12:
+        if g[2] > 0.0 and hi - lo > 1e-12:
             pieces.append(ArcPiece(gen_i, lo, hi, _point_on(g, lo), _point_on(g, hi)))
         p_from = _point_on(g, hi)
         p_to = _point_on(glist[nxt_gen], hi)
-        if p_from.distance_to(p_to) > EPS_GEOM:
+        if math.dist(p_from, p_to) > EPS_GEOM:
             pieces.append(SegmentPiece(p_from, p_to, (gen_i, nxt_gen)))
     return HullBoundary(tuple(pieces))

@@ -1,6 +1,7 @@
 """Independent sampling oracle for the 2D containment predicate.
 
-Every generator circle is sampled at the same m angles theta_i = 2 pi i / m,
+It takes the (x, y, r) float triples that ``circle_in_hull`` takes.  Every
+generator circle is sampled at the same m angles theta_i = 2 pi i / m,
 the convex hull of all samples is taken as a polygon, and the target
 circle's own samples are tested against it.  This is a primal-space
 cross-check of the dual (support-slack) decision; the two may
@@ -60,8 +61,7 @@ import math
 
 import numpy as np
 
-from .hull import GeneratorSet
-from .planar import Circle2
+from .planar import checked_objects
 
 DEFAULT_SAMPLES = 3600
 
@@ -82,11 +82,12 @@ def _angle_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return tables
 
 
-def _circle_samples(c: Circle2, m: int) -> np.ndarray:
-    if c.radius <= 0.0:
-        return np.array([[c.center.x, c.center.y]])
+def _circle_samples(c, m: int) -> np.ndarray:
+    x, y, r = c
+    if r <= 0.0:
+        return np.array([[x, y]])
     cos_t, sin_t, _, _ = _angle_tables(m)
-    return np.column_stack((c.center.x + c.radius * cos_t, c.center.y + c.radius * sin_t))
+    return np.column_stack((x + r * cos_t, y + r * sin_t))
 
 
 def _outer_chain(a, b, pts: list) -> list:
@@ -110,8 +111,8 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def sample_hull_polygon(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Counterclockwise vertex array of the hull polygon of all circle samples.
+def sample_hull_polygon(gens, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """Counterclockwise vertex array of the hull polygon of all samples of the (x, y, r) ``gens``.
 
     Raises ValueError for fewer than 3 samples per circle: an arc of normals
     then spans half the circle or more, and a single owner no longer means a
@@ -121,9 +122,7 @@ def sample_hull_polygon(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> n
         raise ValueError(f"need at least 3 samples per circle, got {samples}")
     m = samples
     cos_t, sin_t, cos_b, sin_b = _angle_tables(m)
-    cx = np.array([g.center.x for g in gens], dtype=float)
-    cy = np.array([g.center.y for g in gens], dtype=float)
-    r = np.array([g.radius for g in gens], dtype=float)
+    cx, cy, r = np.array(gens, dtype=float).reshape(-1, 3).T
 
     # owner[i]: the first generator whose support is largest at normal
     # theta_i + pi/m (np.argmax's tie rule, hence the strict comparison)
@@ -178,21 +177,21 @@ def polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float) -
     return np.hypot(*(queries - feet).T) <= eps
 
 
-def _membership_bands(target: Circle2, gens: GeneratorSet) -> tuple[float, float]:
+def _membership_bands(target, gens) -> tuple[float, float]:
     """(distance band, cross-product band) for this input: 1e-12 L and
     1e-12 L D, with L the largest coordinate magnitude the input reaches and
     D its extent (see the module docstring).
     """
     circles = (target, *gens)
-    reach = max(max(abs(c.center.x), abs(c.center.y)) + c.radius for c in circles)
+    reach = max(max(abs(x), abs(y)) + r for x, y, r in circles)
     extent = max(
-        max(c.center.x + c.radius for c in circles) - min(c.center.x - c.radius for c in circles),
-        max(c.center.y + c.radius for c in circles) - min(c.center.y - c.radius for c in circles),
+        max(x + r for x, _, r in circles) - min(x - r for x, _, r in circles),
+        max(y + r for _, y, r in circles) - min(y - r for _, y, r in circles),
     )
     return _BAND * reach, _BAND * reach * extent
 
 
-def _extreme_samples_pass(poly: np.ndarray, target: Circle2, m: int, band: float) -> bool:
+def _extreme_samples_pass(poly: np.ndarray, target, m: int, band: float) -> bool:
     """True iff every edge a -> b of the ccw polygon (>= 3 vertices) has
     (b - a) x (q - a) >= -band at the target samples q extreme along its
     outward normal: the two whose angles bracket the normal's, or the centre
@@ -202,26 +201,28 @@ def _extreme_samples_pass(poly: np.ndarray, target: Circle2, m: int, band: float
     a = _prev(poly)  # edge j runs from a[j] to poly[j]
     ax, ay = a.T
     ex, ey = (poly - a).T
-    c, tr = target.center, target.radius
+    tx, ty, tr = target
     if tr > 0.0:
         cos_t, sin_t, _, _ = _angle_tables(m)
         # grid index at or below the outward normal (ey, -ex); it lies in
         # [-m/2 - 1, m/2], so for m >= 3 it and the next one index the
         # tables cyclically
         below = np.floor(np.arctan2(-ex, ey) * (m / (2.0 * math.pi))).astype(np.intp)
-        extremes = [(c.x + tr * cos_t[i], c.y + tr * sin_t[i]) for i in (below, below + 1)]
+        extremes = [(tx + tr * cos_t[i], ty + tr * sin_t[i]) for i in (below, below + 1)]
     else:
-        extremes = [(c.x, c.y)]
+        extremes = [(tx, ty)]
     return all(np.all(ex * (qy - ay) - ey * (qx - ax) >= -band) for qx, qy in extremes)
 
 
-def sampling_oracle_contains(
-    target: Circle2, gens: GeneratorSet, samples: int = DEFAULT_SAMPLES
-) -> bool:
+def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bool:
     """True iff every sampled target point lies in the sampled hull polygon.
 
-    Raises ValueError for fewer than 3 samples, as ``sample_hull_polygon``.
+    ``target`` and each of the nonempty ``gens`` are (x, y, r) objects.
+    Raises ValueError on an object that ``checked_objects`` refuses, and for
+    fewer than 3 samples, as ``sample_hull_polygon``.
     """
+    (target,) = checked_objects((target,))
+    gens = checked_objects(gens, nonempty=True)
     poly = sample_hull_polygon(gens, samples)
     distance_band, cross_band = _membership_bands(target, gens)
     if len(poly) < 3:

@@ -1,15 +1,15 @@
 """Exact-leaning 2D primitives.
 
-Points, circles, the two numeric bands, orientation predicates and the
-point-to-segment distance that the hull and witness code are built on.  All
-values are immutable and all operations are pure functions; everything works
-in plain double precision.
+A 2D object is an (x, y, r) float triple: a circle, or a point when r = 0.
+This module holds the two numeric bands, the one check of such objects,
+orientation predicates and the point-to-segment distance that the hull and
+witness code are built on.  All operations are pure functions on plain
+floats in double precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 TAU = math.tau
 
@@ -21,59 +21,21 @@ EPS_GEOM = 1e-9
 EPS_DECISION = 1e-6
 
 
-@dataclass(frozen=True)
-class Point2:
-    """Point (or free vector) in the plane."""
+def checked_objects(objs, nonempty: bool = False) -> tuple[tuple[float, float, float], ...]:
+    """The 2D objects ``objs`` as (x, y, r) float triples; a point is r = 0.
 
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
-
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Point2":
-        return Point2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Point2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def distance_to(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-
-def pt(x: float, y: float) -> Point2:
-    return Point2(x, y)
-
-
-@dataclass(frozen=True)
-class Circle2:
-    """Circle with nonnegative radius; radius 0 denotes a point generator."""
-
-    center: Point2
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
-
-
-def circle(x: float, y: float, r: float) -> Circle2:
-    return Circle2(Point2(x, y), r)
+    Raises ValueError on a coordinate that is not finite, on a radius that
+    is negative or not finite, and, with ``nonempty``, on an empty list.
+    """
+    out = tuple([(float(x), float(y), float(r)) for x, y, r in objs])
+    for x, y, r in out:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        if not 0.0 <= r < math.inf:
+            raise ValueError(f"radius must be finite and >= 0, got {r}")
+    if nonempty and not out:
+        raise ValueError("generator list must be nonempty")
+    return out
 
 
 def _cross(ax, ay, bx, by, cx, cy) -> float:

@@ -2,9 +2,10 @@
 
 Top-level object: ``schema`` must be "carousel/1"; ``kind`` picks the
 geometry payload.  2D entries are [x, y, r] triples, 3D entries are
-[x, y, z, r]; sites and bare points must carry r = 0.  ``seed`` is
-optional.  Validation is strict: unknown keys are rejected so fixtures stay
-diff-able.  The numeric bands are fixed (``planar.EPS_GEOM`` and
+[x, y, z, r]; sites and bare points must carry r = 0.  A 2D scenario's
+five entries are kept as one row of (x, y, r) float triples, the form every
+2D procedure takes.  ``seed`` is optional.  Validation is strict: unknown
+keys are rejected so fixtures stay diff-able.  The numeric bands are fixed (``planar.EPS_GEOM`` and
 ``planar.EPS_DECISION``), so no scenario field sets them.
 """
 
@@ -16,8 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, SchemaError
-from .planar import Circle2, Point2
-from .witness import CarouselInstance
 
 SCHEMA_TAG = "carousel/1"
 
@@ -35,10 +34,15 @@ KINDS = tuple(_KIND_KEYS)
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario.
+
+    ``row`` holds a 2D kind's five (x, y, r) objects b0, b1, b2, u0, u1:
+    the sites and then the circles, or the five circles of corollary2d.
+    """
+
     kind: str
     seed: int | None
-    sites: tuple[Point2, ...] = ()
-    circles: tuple[Circle2, ...] = ()
+    row: tuple[tuple[float, float, float], ...] = ()
     j: int = 0
     k: int = 0
     side: float = 1.0
@@ -46,11 +50,6 @@ class Scenario:
     t: int = 3
     arc_radius_factor: float = 10.0
     raw: dict = field(default_factory=dict, compare=False)
-
-    def instance(self) -> CarouselInstance:
-        if self.kind not in ("theorem2d", "sweep"):
-            raise SchemaError(f"kind {self.kind!r} has no carousel instance")
-        return CarouselInstance(self.sites, self.circles[0], self.circles[1])
 
 
 def _num(v, where: str) -> float:
@@ -65,13 +64,13 @@ def _num(v, where: str) -> float:
     return f
 
 
-def _entry2d(v, where: str) -> Circle2:
+def _entry2d(v, where: str) -> tuple[float, float, float]:
     if not isinstance(v, list) or len(v) != 3:
         raise SchemaError(f"{where}: expected [x, y, r]")
     x, y, r = (_num(c, where) for c in v)
     if r < 0.0:
         raise SchemaError(f"{where}: radius must be >= 0")
-    return Circle2(Point2(x, y), r)
+    return x, y, r
 
 
 def _array2d(data, key: str, count: int, point_only: bool = False):
@@ -83,7 +82,7 @@ def _array2d(data, key: str, count: int, point_only: bool = False):
     out = []
     for i, v in enumerate(arr):
         c = _entry2d(v, f"{key}[{i}]")
-        if point_only and c.radius != 0.0:
+        if point_only and c[2] != 0.0:
             raise SchemaError(f"{key}[{i}]: must have radius 0")
         out.append(c)
     return tuple(out)
@@ -119,9 +118,7 @@ def parse_scenario(data: dict) -> Scenario:
     kwargs = dict(kind=kind, seed=seed, raw=data)
 
     if kind in ("theorem2d", "sweep"):
-        sites = _array2d(data, "sites", 3, point_only=True)
-        kwargs["sites"] = tuple(c.center for c in sites)
-        kwargs["circles"] = _array2d(data, "circles", 2)
+        kwargs["row"] = _array2d(data, "sites", 3, point_only=True) + _array2d(data, "circles", 2)
         if kind == "sweep":
             for key, hi in (("j", 2), ("k", 1)):
                 if key in data:
@@ -130,11 +127,10 @@ def parse_scenario(data: dict) -> Scenario:
                         raise SchemaError(f"{key} must be an integer in 0..{hi}")
                     kwargs[key] = v
     elif kind == "points2d":
-        sites = _array2d(data, "sites", 3, point_only=True)
-        kwargs["sites"] = tuple(c.center for c in sites)
-        kwargs["circles"] = _array2d(data, "circles", 2, point_only=True)
+        kwargs["row"] = (_array2d(data, "sites", 3, point_only=True)
+                         + _array2d(data, "circles", 2, point_only=True))
     elif kind == "corollary2d":
-        kwargs["circles"] = _array2d(data, "circles", 5)
+        kwargs["row"] = _array2d(data, "circles", 5)
     elif kind == "sphere3_ex41":
         kwargs["side"] = _num(data.get("side", 1.0), "side")
         kwargs["r"] = _num(data.get("r", 0.1), "r")

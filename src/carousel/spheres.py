@@ -296,12 +296,13 @@ def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np
     return u[best_at], np.isfinite(best)
 
 
-def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
+def spheres_in_hull3(centers, radii, inclusions) -> tuple[Containment3Result, ...]:
     """Decide a set of sphere inclusions among the same spheres and points.
 
-    ``objects`` are spheres (radius 0 for points).  Each inclusion is a pair
-    (target index, indices it also excludes); its generators are the other
-    objects, in object order.  The slack of direction u is
+    The objects are spheres (radius 0 for points): their (n, 3) ``centers``
+    and (n,) ``radii``, which must be finite, with every radius >= 0.  Each
+    inclusion is a pair (target index, indices it also excludes); its
+    generators are the other objects, in object order.  The slack of direction u is
     max_g(d_g.u + r_g) - r_t with d_g the offset of generator g's centre
     from the target's.  Its minimum over the unit sphere lies at a critical
     point of the envelope: a face minimum of one generator, the minimum of a
@@ -316,19 +317,20 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     verdict compares the normalised slack with EPS_DECISION, so it does not
     change when the whole input is scaled.  The witness direction is a
     minimiser: ties go to the first candidate in the order face, pair,
-    triple +, triple -, fixed.  Results come in the order of ``inclusions``.
+    triple +, triple -, fixed.  Results come in the order of ``inclusions``;
+    no inclusion gives ().
     """
+    c = np.array(centers, dtype=float).reshape(-1, 3)
+    rad = np.array(radii, dtype=float).reshape(-1)
+    if len(rad) != len(c):
+        raise ValueError(f"{len(c)} centres but {len(rad)} radii")
+    if not np.isfinite(c).all():
+        raise ValueError("centres must be finite")
+    if not (np.isfinite(rad) & (rad >= 0.0)).all():
+        raise ValueError("radii must be finite and >= 0")
     inclusions = list(inclusions)
     if not inclusions:
         return ()
-    objects = list(objects)
-    c = np.array([o.center for o in objects], dtype=float)
-    rad = np.array([o.radius for o in objects], dtype=float)
-    return _inclusions_in_hull3(c, rad, inclusions)
-
-
-def _inclusions_in_hull3(c: np.ndarray, rad: np.ndarray, inclusions):
-    """``spheres_in_hull3`` on the objects' (n, 3) centres and (n,) radii."""
     n = len(rad)
     targets = np.array([target for target, _ in inclusions], dtype=np.intp)
     removed_at, removed_ids = [], []
@@ -400,7 +402,8 @@ def sphere_in_hull3(target: Sphere3, gens) -> Containment3Result:
     This is the one-inclusion case of ``spheres_in_hull3``: the target and
     its generators are the objects, and the target is the only one removed.
     """
-    return spheres_in_hull3([target, *gens], [(0, ())])[0]
+    objects = [target, *gens]
+    return spheres_in_hull3([o.center for o in objects], [o.radius for o in objects], [(0, ())])[0]
 
 
 # -- projection reduction ------------------------------------------------------
@@ -550,7 +553,7 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     radii = np.array([r, r, 0.0, 0.0, 0.0, 0.0])
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
     outcomes = []
-    for (j, k), res in zip(pairs, _inclusions_in_hull3(centers, radii, inclusions)):
+    for (j, k), res in zip(pairs, spheres_in_hull3(centers, radii, inclusions)):
         if j == 3:
             cert = _projection_certificate(*_ex41_target_gens((p_m1, p_0), r, v, j, k), plane)
             res = Containment3Result(res.contained, res.slack, res.witness_direction, cert)
@@ -650,9 +653,7 @@ def example_4_2(
     # drops the target and vertex j
     pairs = [(j, pos) for j in range(4) for pos in range(t)]
     inclusions = [(pos, (t + j,)) for j, pos in pairs]
-    results = _inclusions_in_hull3(
-        np.array([*centers, *v]), np.array(radii + [0.0] * 4), inclusions
-    )
+    results = spheres_in_hull3([*centers, *v], radii + [0.0] * 4, inclusions)
     outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
 
     return Example42Report(

@@ -1,16 +1,17 @@
 """Deterministic SVG figures for scenarios.
 
-World coordinates are emitted with y negated (SVG y grows downward), so a
-counterclockwise world arc uses sweep flag 0.  All numbers are printed with
-a fixed format, which keeps output byte-identical for identical input.
+Circles are (x, y, r) float triples and points (x, y) pairs, as the
+procedures they draw take and return them.  World coordinates are emitted
+with y negated (SVG y grows downward), so a counterclockwise world arc uses
+sweep flag 0.  All numbers are printed with a fixed format, which keeps
+output byte-identical for identical input.
 """
 
 from __future__ import annotations
 
 import math
 
-from .hull import ArcPiece, GeneratorSet, HullBoundary, hull_boundary
-from .planar import Circle2, Point2
+from .hull import ArcPiece, HullBoundary, hull_boundary
 from .scenario import Scenario
 from .spheres import (
     _ex41_target_gens,
@@ -21,7 +22,6 @@ from .spheres import (
     project_to_plane,
 )
 from .witness import (
-    corollary_witness_search,
     pair_generators,
     scaled_instance,
     two_carousel_points,
@@ -34,13 +34,14 @@ def _f(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _xy(p: Point2) -> str:
-    return f"{_f(p.x)} {_f(-p.y)}"
+def _xy(p) -> str:
+    return f"{_f(p[0])} {_f(-p[1])}"
 
 
-def _polar(o: Point2, r: float, theta: float) -> Point2:
-    """The point at angle theta on the circle of radius r about o."""
-    return Point2(o.x + r * math.cos(theta), o.y + r * math.sin(theta))
+def _polar(c, theta: float) -> tuple[float, float]:
+    """The point at angle theta on the circle (x, y, r)."""
+    x, y, r = c
+    return x + r * math.cos(theta), y + r * math.sin(theta)
 
 
 class _Canvas:
@@ -57,35 +58,36 @@ class _Canvas:
         self.min_y = min(self.min_y, y - pad)
         self.max_y = max(self.max_y, y + pad)
 
-    def circle(self, c: Circle2, stroke: str, width: float = 0.02, dash: str | None = None,
+    def circle(self, c, stroke: str, width: float = 0.02, dash: str | None = None,
                fill: str = "none"):
-        self.bump(c.center.x, c.center.y, c.radius)
+        x, y, r = c
+        self.bump(x, y, r)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<circle cx="{_f(c.center.x)}" cy="{_f(-c.center.y)}" r="{_f(c.radius)}" '
+            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(r)}" '
             f'fill="{fill}" stroke="{stroke}" stroke-width="{_f(width)}"{dash_attr}/>'
         )
 
-    def dot(self, p: Point2, r: float = 0.06, fill: str = "#000000"):
-        self.bump(p.x, p.y, r)
+    def dot(self, p, r: float = 0.06, fill: str = "#000000"):
+        x, y = p[0], p[1]
+        self.bump(x, y, r)
         self.elements.append(
-            f'<circle cx="{_f(p.x)}" cy="{_f(-p.y)}" r="{_f(r)}" fill="{fill}"/>'
+            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(r)}" fill="{fill}"/>'
         )
 
-    def line(self, a: Point2, b: Point2, stroke: str, width: float = 0.02,
-             dash: str | None = None):
-        self.bump(a.x, a.y)
-        self.bump(b.x, b.y)
+    def line(self, a, b, stroke: str, width: float = 0.02, dash: str | None = None):
+        self.bump(a[0], a[1])
+        self.bump(b[0], b[1])
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<line x1="{_f(a.x)}" y1="{_f(-a.y)}" x2="{_f(b.x)}" y2="{_f(-b.y)}" '
+            f'<line x1="{_f(a[0])}" y1="{_f(-a[1])}" x2="{_f(b[0])}" y2="{_f(-b[1])}" '
             f'stroke="{stroke}" stroke-width="{_f(width)}"{dash_attr}/>'
         )
 
     def polygon(self, pts, stroke: str, fill: str = "none", width: float = 0.02):
         for p in pts:
-            self.bump(p.x, p.y)
-        body = " ".join(f"{_f(p.x)},{_f(-p.y)}" for p in pts)
+            self.bump(p[0], p[1])
+        body = " ".join(f"{_f(p[0])},{_f(-p[1])}" for p in pts)
         self.elements.append(
             f'<polygon points="{body}" fill="{fill}" stroke="{stroke}" '
             f'stroke-width="{_f(width)}"/>'
@@ -100,13 +102,10 @@ class _Canvas:
             f'stroke-width="{_f(width)}"{dash_attr}{op_attr}/>'
         )
 
-    def marker(self, p: Point2, size: float = 0.12, stroke: str = "#cc0000"):
-        a = Point2(p.x - size, p.y - size)
-        b = Point2(p.x + size, p.y + size)
-        c = Point2(p.x - size, p.y + size)
-        d = Point2(p.x + size, p.y - size)
-        self.line(a, b, stroke, width=0.035)
-        self.line(c, d, stroke, width=0.035)
+    def marker(self, p, size: float = 0.12, stroke: str = "#cc0000"):
+        x, y = p
+        self.line((x - size, y - size), (x + size, y + size), stroke, width=0.035)
+        self.line((x - size, y + size), (x + size, y - size), stroke, width=0.035)
 
     def text(self, label: str):
         # rendered after bounds are known; stored raw
@@ -145,16 +144,16 @@ class _Canvas:
         return "\n".join(out) + "\n"
 
 
-def hull_path_d(gens: GeneratorSet, boundary: HullBoundary) -> str:
-    """SVG path for a hull boundary chain (arcs as A commands, segments as L)."""
-    glist = list(gens.generators)
+def hull_path_d(gens, boundary: HullBoundary) -> str:
+    """SVG path for the hull boundary chain of ``gens`` (arcs as A commands, segments as L)."""
+    glist = list(gens)
     pieces = boundary.pieces
     if len(pieces) == 1 and isinstance(pieces[0], ArcPiece):
         p = pieces[0]
         g = glist[p.generator]
-        r = g.radius
+        r = g[2]
         start = p.start
-        mid = _polar(g.center, r, p.start_angle + math.pi)
+        mid = _polar(g, p.start_angle + math.pi)
         return (
             f"M {_xy(start)} A {_f(r)} {_f(r)} 0 0 0 {_xy(mid)} "
             f"A {_f(r)} {_f(r)} 0 0 0 {_xy(start)} Z"
@@ -162,7 +161,7 @@ def hull_path_d(gens: GeneratorSet, boundary: HullBoundary) -> str:
     parts = [f"M {_xy(pieces[0].start)}"]
     for p in pieces:
         if isinstance(p, ArcPiece):
-            r = glist[p.generator].radius
+            r = glist[p.generator][2]
             laf = 1 if p.width > math.pi else 0
             parts.append(f"A {_f(r)} {_f(r)} 0 {laf} 0 {_xy(p.end)}")
         else:
@@ -171,10 +170,10 @@ def hull_path_d(gens: GeneratorSet, boundary: HullBoundary) -> str:
     return " ".join(parts)
 
 
-def _fill_hull(canvas: _Canvas, gens: GeneratorSet):
+def _fill_hull(canvas: _Canvas, gens):
     boundary = hull_boundary(gens)
     for g in gens:
-        canvas.bump(g.center.x, g.center.y, g.radius)
+        canvas.bump(*g)
     if boundary.pieces:  # a hull that is a single point has no chain to draw
         canvas.path(hull_path_d(gens, boundary), fill="#d9d9d9", stroke="#707070",
                     width=0.02, opacity=0.8)
@@ -191,8 +190,10 @@ def _draw_circles(canvas: _Canvas, circles):
         canvas.circle(c, "#303030")
 
 
-def _witness_figure(witnesses, bases, u0: Circle2, u1: Circle2, draw_bases) -> _Canvas:
+def _render_witness(scenario: Scenario) -> _Canvas:
     """The best witness's hull under the bases and both circles, for theorem and corollary."""
+    *bases, u0, u1 = scenario.row
+    witnesses = witness_search(scenario.row)
     canvas = _Canvas()
     if witnesses:
         best = witnesses[0]
@@ -203,53 +204,41 @@ def _witness_figure(witnesses, bases, u0: Circle2, u1: Circle2, draw_bases) -> _
         )
     else:
         canvas.text("no witness found")
+    draw_bases = _draw_sites if scenario.kind == "theorem2d" else _draw_circles
     draw_bases(canvas, bases)
     canvas.circle(u0, "#1f77b4")
     canvas.circle(u1, "#2ca02c")
     return canvas
 
 
-def _render_theorem(scenario: Scenario) -> _Canvas:
-    inst = scenario.instance()
-    return _witness_figure(witness_search(inst), inst.sites, inst.u0, inst.u1, _draw_sites)
-
-
-def _render_corollary(scenario: Scenario) -> _Canvas:
-    *cs, u0, u1 = scenario.circles
-    witnesses = corollary_witness_search(*cs, u0, u1)
-    return _witness_figure(witnesses, cs, u0, u1, _draw_circles)
-
-
 def _render_points(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
-    sites = scenario.sites
-    b0 = scenario.circles[0].center
-    b1 = scenario.circles[1].center
-    w, _ = two_carousel_points(sites, b0, b1)
-    gens = pair_generators(Circle2((b0, b1)[w.k], 0.0), sites, w.j)
-    canvas.polygon([g.center for g in gens], stroke="#707070", fill="#d9d9d9")
-    _draw_sites(canvas, sites)
-    canvas.dot(b0, fill="#1f77b4")
-    canvas.dot(b1, fill="#2ca02c")
+    row = scenario.row
+    w, _ = two_carousel_points(row)
+    gens = pair_generators(row[3 + w.k], row[:3], w.j)
+    canvas.polygon(gens, stroke="#707070", fill="#d9d9d9")
+    _draw_sites(canvas, row[:3])
+    canvas.dot(row[3], fill="#1f77b4")
+    canvas.dot(row[4], fill="#2ca02c")
     canvas.text(f"witness j={w.j} k={w.k} slack={w.slack:.6f}")
     return canvas
 
 
 def _render_sweep(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
-    inst = scenario.instance()
+    row = scenario.row
     j, k = scenario.j, scenario.k
-    rep = xi_sweep_fixed(inst, j, k)
-    scaled = scaled_instance(inst, rep.xi_star)
-    _fill_hull(canvas, pair_generators(scaled.circle(k), inst.sites, j))
-    _draw_sites(canvas, inst.sites)
-    canvas.circle(inst.u0, "#9ecae1", dash="0.05,0.05")
-    canvas.circle(inst.u1, "#a1d99b", dash="0.05,0.05")
-    canvas.circle(scaled.circle(k), "#1f77b4")
-    target = scaled.circle(1 - k)
+    rep = xi_sweep_fixed(row, j, k)
+    scaled = scaled_instance(row, rep.xi_star)
+    _fill_hull(canvas, pair_generators(scaled[3 + k], row[:3], j))
+    _draw_sites(canvas, row[:3])
+    canvas.circle(row[3], "#9ecae1", dash="0.05,0.05")
+    canvas.circle(row[4], "#a1d99b", dash="0.05,0.05")
+    canvas.circle(scaled[3 + k], "#1f77b4")
+    target = scaled[4 - k]
     canvas.circle(target, "#2ca02c")
     if rep.touch_direction is not None:
-        canvas.marker(_polar(target.center, target.radius, rep.touch_direction))
+        canvas.marker(_polar(target, rep.touch_direction))
     canvas.text(
         f"j={j} k={k} xi*={rep.xi_star:.6f} slack={rep.slack_at_xi_star:.2e} "
         f"tangency={rep.tangency.value}"
@@ -266,13 +255,13 @@ def _draw_section(canvas: _Canvas, verts, side: float):
     b, c, _, _ = axis_points(*verts)
     plane = plane_through(b, verts[2], verts[3])
 
-    def section(p, r: float = 0.0) -> Circle2:
+    def section(p, r: float = 0.0) -> tuple[float, float, float]:
         x, y = project_to_plane(p, plane)
-        return Circle2(Point2(x / side, y / side), r / side)
+        return x / side, y / side, r / side
 
-    tri = [section(q).center for q in (b, verts[2], verts[3])]
+    tri = [section(q)[:2] for q in (b, verts[2], verts[3])]
     canvas.polygon(tri, stroke="#303030")
-    return section, tri, section(c).center
+    return section, tri, section(c)[:2]
 
 
 def _render_ex41(scenario: Scenario) -> _Canvas:
@@ -282,7 +271,7 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
     # hull for the case that leaves out vertex 3, with the k=0 generator sphere
     centers = [s.center for s in rep.spheres]
     _, gens = _ex41_target_gens(centers, rep.r, rep.vertices, 3, 0)
-    _fill_hull(canvas, GeneratorSet(tuple(section(*g) for g in gens)))
+    _fill_hull(canvas, [section(*g) for g in gens])
     canvas.circle(section(centers[0], rep.r), "#1f77b4")
     canvas.circle(section(centers[1], rep.r), "#2ca02c")
     for q in tri:
@@ -303,20 +292,20 @@ def _render_ex42(scenario: Scenario) -> _Canvas:
     for c in circles:
         canvas.circle(c, "#1f77b4")
     guide = section(rep.arc_center, rep.arc_radius)
-    o2, arc_radius = guide.center, guide.radius
-    angles = [math.atan2(c.center.y - o2.y, c.center.x - o2.x) for c in circles]
+    ox, oy, arc_radius = guide
+    angles = [math.atan2(y - oy, x - ox) for x, y, _ in circles]
     lo = min(angles)
     hi = max(angles)
     spread = max(hi - lo, 0.02)
     lo -= 0.4 * spread
     hi += 0.4 * spread
-    a0 = _polar(o2, arc_radius, lo)
-    a1 = _polar(o2, arc_radius, hi)
+    a0 = _polar(guide, lo)
+    a1 = _polar(guide, hi)
     laf = 1 if hi - lo > math.pi else 0
     d = f"M {_xy(a0)} A {_f(arc_radius)} {_f(arc_radius)} 0 {laf} 0 {_xy(a1)}"
     canvas.path(d, fill="none", stroke="#707070", width=0.01, dash="0.03,0.03")
-    canvas.bump(a0.x, a0.y)
-    canvas.bump(a1.x, a1.y)
+    canvas.bump(*a0)
+    canvas.bump(*a1)
     canvas.text(
         f"t={rep.t} spheres; all refuted: {str(rep.all_refuted).lower()}; "
         f"max tangency residual {max(rep.tangency_residuals):.2e}"
@@ -325,8 +314,8 @@ def _render_ex42(scenario: Scenario) -> _Canvas:
 
 
 _RENDERERS = {
-    "theorem2d": _render_theorem,
-    "corollary2d": _render_corollary,
+    "theorem2d": _render_witness,
+    "corollary2d": _render_witness,
     "points2d": _render_points,
     "sweep": _render_sweep,
     "sphere3_ex41": _render_ex41,

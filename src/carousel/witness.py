@@ -1,17 +1,21 @@
 """Weak carousel procedures over a triangle of sites and two circles.
 
-An instance holds three sites A0, A1, A2 and two circles u0, u1 inside their
-hull.  A witness is a pair (j, k) such that u_(1-k) lies in the convex hull
-of u_k together with the two sites other than A_j.  The xi-sweep scales both
-circles about their own centers by a common factor and finds the supremum
-of the scales at which a fixed (j, k) witness still holds.  The target can
+An instance is a row of five (x, y, r) objects: three sites A0, A1, A2
+(radius 0; the bases b0, b1, b2) and two circles u0, u1 inside their hull,
+or for the corollary three generator circles in place of the sites.  Every
+public procedure takes the row as a scenario file lists it or a draw returns
+it, and checks its floats with ``planar.checked_objects``.  A witness is a
+pair (j, k) such that u_(1-k) lies in the convex hull of u_k together with
+the two sites other than A_j.  The xi-sweep scales both circles about their
+own centers by a common factor and finds the supremum of the scales at
+which a fixed (j, k) witness still holds.  The target can
 only reach the hull boundary by touching the front arc of u_k, the base
 side between the two kept sites, a site vertex or a leg, and each of these
 happens at a closed-form scale, so the sweep enumerates those events and
 reads the tangency off the family of the event where the inclusion fails.
 Its hypothesis checks and probes hand plain (dx, dy, dr) terms to the
-envelope loop of ``circle_in_hull``, so a probe builds no scaled instance,
-generator set or containment result, and its slack is bitwise theirs.
+envelope loop of ``circle_in_hull``, so a probe builds no scaled row,
+generator list or containment result, and its slack is bitwise theirs.
 
 Seeded instances are drawn on plain floats, as rows of five (x, y, r)
 objects.  A block of seeds is drawn in rounds, and each round decides the
@@ -19,8 +23,8 @@ pending rejection-sampling query of every seed in one ``circles_in_hulls``
 call; the witness search decides such rows directly.  It decides a row's
 eight inclusions as two targets, u0 and u1, each against the other circle
 and the three bases under four subsets of them, so each target's antipodes
-and crossings are computed once for its four inclusions.  The one-seed
-draws build point and circle objects from their row.
+and crossings are computed once for its four inclusions.  A one-seed draw
+returns its block row as a tuple of five float triples.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,30 +42,17 @@ from .errors import (
     InvalidInstance,
     NotInterior,
 )
-from .hull import GeneratorSet, _envelope_min, circle_in_hull, circles_in_hulls
+from .hull import _envelope_min, circle_in_hull, circles_in_hulls
 from .planar import (
     EPS_DECISION,
     EPS_GEOM,
-    Circle2,
-    Point2,
     _cross,
     _orientation,
     _point_segment_distance,
+    checked_objects,
 )
 
 JK_PAIRS = tuple((j, k) for j in (0, 1, 2) for k in (0, 1))
-
-
-@dataclass(frozen=True)
-class CarouselInstance:
-    """Three sites plus two circles satisfying the containment hypotheses."""
-
-    sites: tuple[Point2, Point2, Point2]
-    u0: Circle2
-    u1: Circle2
-
-    def circle(self, k: int) -> Circle2:
-        return self.u0 if k == 0 else self.u1
 
 
 @dataclass(frozen=True)
@@ -108,28 +99,41 @@ def _require_inside(k: int, contained: bool, slack: float, hull: str) -> None:
         raise InvalidInstance(f"u{k} is not inside the {hull} hull (slack {slack:.3g})")
 
 
-def validate_instance(inst: CarouselInstance) -> None:
-    """Check the carousel hypotheses; raises InvalidInstance otherwise.
+def _checked_row(row) -> tuple:
+    """A row's five (x, y, r) objects as float triples, checked as ``checked_objects`` does."""
+    objs = checked_objects(row)
+    if len(objs) != 5:
+        raise ValueError(f"a row holds 5 objects, got {len(objs)}")
+    return objs
 
-    Each u_k is decided as ``circle_in_hull`` decides it against the sites
-    as radius-0 generators, from the same floats, without building them.
+
+def _sites_row(row) -> tuple:
+    """A checked row whose bases are sites: radius-0 objects b0, b1, b2."""
+    objs = _checked_row(row)
+    if any(r != 0.0 for _, _, r in objs[:3]):
+        raise InvalidInstance("sites must have radius 0")
+    return objs
+
+
+def validate_instance(row) -> None:
+    """Check the carousel hypotheses of a row of sites b0, b1, b2 and circles u0, u1.
+
+    Raises InvalidInstance when they fail.  Each u_k is decided as
+    ``circle_in_hull`` decides it against the sites, from the same floats.
     """
-    row = [_xyr(obj) for obj in (*inst.sites, inst.u0, inst.u1)]
+    row = _sites_row(row)
     _check_collinear(row)
     for k, (tx, ty, tr) in enumerate(row[3:]):
         slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
         _require_inside(k, slack >= -EPS_DECISION, slack, "site")
 
 
-def scaled_instance(inst: CarouselInstance, zeta: float) -> CarouselInstance:
-    """Shrink both circles about their own centers by factor zeta in [0, 1]."""
+def scaled_instance(row, zeta: float) -> tuple:
+    """The row with both circles shrunk about their own centers by factor zeta in [0, 1]."""
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    return replace(
-        inst,
-        u0=Circle2(inst.u0.center, zeta * inst.u0.radius),
-        u1=Circle2(inst.u1.center, zeta * inst.u1.radius),
-    )
+    *bases, (x0, y0, r0), (x1, y1, r1) = row
+    return (*bases, (x0, y0, zeta * r0), (x1, y1, zeta * r1))
 
 
 def _others(items, j: int) -> tuple:
@@ -137,14 +141,13 @@ def _others(items, j: int) -> tuple:
     return tuple(x for i, x in enumerate(items) if i != j)
 
 
-def pair_generators(own: Circle2, bases, j: int) -> GeneratorSet:
+def pair_generators(own, bases, j: int) -> tuple:
     """Generators of a (j, k) inclusion: u_k plus the bases other than base j.
 
-    Bases are the three sites (points, taken as radius-0 circles) or the
-    three generator circles of the corollary.
+    All are (x, y, r) objects; the bases are the three sites (radius 0) or
+    the three generator circles of the corollary.
     """
-    kept = tuple(b if isinstance(b, Circle2) else Circle2(b, 0.0) for b in _others(bases, j))
-    return GeneratorSet((own,) + kept)
+    return checked_objects((own, *_others(bases, j)))
 
 
 # The eight inclusions of an instance over its objects b0, b1, b2, u0, u1
@@ -161,12 +164,6 @@ _SUBSETS = np.array([[False, True, True, True]] + [
 _ORDER = np.array([0, 4] + [4 * (1 - k) + 1 + j for j, k in JK_PAIRS])
 # Per (j, k): the objects of its inclusion, target u_(1-k) first.
 _PAIR_OBJECTS = {(j, k): (4 - k, 3 + k, *_others(range(3), j)) for j, k in JK_PAIRS}
-
-
-def _xyr(obj) -> tuple[float, float, float]:
-    if isinstance(obj, Circle2):
-        return obj.center.x, obj.center.y, obj.radius
-    return obj.x, obj.y, 0.0
 
 
 def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,28 +244,22 @@ def pair_inclusions_rows(rows, pairs) -> tuple[list, list]:
     return slack.tolist(), inside.tolist()
 
 
-def witness_search(inst: CarouselInstance) -> list[Witness]:
+def witness_search(row) -> list[Witness]:
     """All (j, k) pairs whose inclusion holds, sorted by descending slack.
 
-    The one-row case of ``witness_searches_rows``.
+    ``row`` holds the (x, y, r) objects b0, b1, b2, u0, u1.  The one-row
+    case of ``witness_searches_rows``, so its bases are sites when their
+    radii are all 0 and generator circles otherwise.
     """
-    row = [_xyr(o) for o in (*inst.sites, inst.u0, inst.u1)]
-    return witness_searches_rows(_block([row]))[0]
+    return witness_searches_rows(_block([_checked_row(row)]))[0]
 
 
-def corollary_witness_search(
-    c0: Circle2,
-    c1: Circle2,
-    c2: Circle2,
-    u0: Circle2,
-    u1: Circle2,
-) -> list[Witness]:
-    """Witness search with three circle generators instead of point sites.
+def corollary_witness_search(row) -> list[Witness]:
+    """Witness search on a row of three generator circles c0, c1, c2, then u0 and u1.
 
-    The one-row case of ``witness_searches_rows``.
+    The one-row case of ``witness_searches_rows``, as ``witness_search`` is.
     """
-    row = [_xyr(o) for o in (c0, c1, c2, u0, u1)]
-    return witness_searches_rows(_block([row]))[0]
+    return witness_searches_rows(_block([_checked_row(row)]))[0]
 
 
 def _strictly_inside(p, tri) -> bool:
@@ -302,39 +293,35 @@ def point_decomposition(row) -> tuple[int, int]:
         if not _strictly_inside(p, sites):
             raise NotInterior(f"{name} is not strictly inside the site triangle")
 
+    # b1's side of each cevian b0 -> A_i, read once; b1 is strictly inside
+    # the site triangle, so the sides of two cevians place it
+    ref = _orientation(*sites[0], *sites[1], *sites[2])
+    side = [_orientation(x0, y0, ax, ay, x1, y1) for ax, ay in sites]
     for j in range(3):
-        tri = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
-        if _strictly_inside(b1, tri):
+        if side[(j + 1) % 3] == ref and side[(j + 2) % 3] == -ref:
             return j, 0
 
     # b1 sits on one of the three segments from b0 to a site
     for j in range(3):
         ax, ay = sites[j]
-        if _orientation(x0, y0, ax, ay, x1, y1) == 0:
+        if side[j] == 0:
             t = (x1 - x0) * (ax - x0) + (y1 - y0) * (ay - y0)
             if 0.0 < t < (ax - x0) * (ax - x0) + (ay - y0) * (ay - y0):
                 return j, 1
-
-    # numerical fringe: fall back to closed sub-triangle membership
-    for j in range(3):
-        (ax, ay), (bx, by), (cx, cy) = (b0, sites[(j + 1) % 3], sites[(j + 2) % 3])
-        ref = _orientation(ax, ay, bx, by, cx, cy)
-        signs = (
-            _orientation(ax, ay, bx, by, x1, y1),
-            _orientation(bx, by, cx, cy, x1, y1),
-            _orientation(cx, cy, ax, ay, x1, y1),
-        )
-        if ref != 0 and all(s == 0 or s == ref for s in signs):
-            return j, 0
     raise NotInterior("b1 could not be located in the decomposition")
 
 
-def two_carousel_points(sites, b0: Point2, b1: Point2) -> tuple[Witness, bool]:
-    """The pair ``point_decomposition`` names, with its inclusion's slack and verdict."""
-    j, k = point_decomposition([_xyr(o) for o in (*sites, b0, b1)])
-    pts = (b0, b1)
-    gens = pair_generators(Circle2(pts[k], 0.0), sites, j)
-    res = circle_in_hull(Circle2(pts[1 - k], 0.0), gens)
+def two_carousel_points(row) -> tuple[Witness, bool]:
+    """The pair ``point_decomposition`` names, with its inclusion's slack and verdict.
+
+    ``row`` holds the sites A0, A1, A2 and then the points b0, b1, all of
+    radius 0.
+    """
+    row = _sites_row(row)
+    if row[3][2] != 0.0 or row[4][2] != 0.0:
+        raise InvalidInstance("b0 and b1 must have radius 0")
+    j, k = point_decomposition(row)
+    res = circle_in_hull(row[4 - k], pair_generators(row[3 + k], row[:3], j))
     return Witness(j, k, res.slack), res.contained
 
 
@@ -345,31 +332,31 @@ EVENT_TIE = 1e-12
 _EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 
 
-def _sweep_envelope(inst: CarouselInstance, j: int, k: int, zeta: float) -> tuple[float, float]:
+def _sweep_envelope(row, j: int, k: int, zeta: float) -> tuple[float, float]:
     """Slack of the scaled (j, k) inclusion at scale zeta and the first angle attaining it."""
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    own, target = inst.circle(k), inst.circle(1 - k)
-    tx, ty = target.center.x, target.center.y
-    tr = zeta * target.radius
-    terms = [(own.center.x - tx, own.center.y - ty, zeta * own.radius - tr)]
-    terms += [(s.x - tx, s.y - ty, 0.0 - tr) for s in _others(inst.sites, j)]
+    (ox, oy, orad), (tx, ty, trad) = row[3 + k], row[4 - k]
+    tr = zeta * trad
+    terms = [(ox - tx, oy - ty, zeta * orad - tr)]
+    terms += [(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in _others(row[:3], j)]
     return _envelope_min(terms)
 
 
-def sweep_slack(inst: CarouselInstance, j: int, k: int, zeta: float) -> float:
+def sweep_slack(row, j: int, k: int, zeta: float) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta.
 
-    Bitwise ``circle_in_hull(scaled.circle(1 - k), pair_generators(
-    scaled.circle(k), scaled.sites, j)).slack`` with ``scaled =
-    scaled_instance(inst, zeta)``: the envelope terms come from the centres
-    and the zeta-scaled radii by the same float operations, without building
-    the scaled instance or its generators.
+    ``row`` holds the sites b0, b1, b2 and the circles u0, u1.  Bitwise
+    ``circle_in_hull(scaled[4 - k], pair_generators(scaled[3 + k],
+    scaled[:3], j)).slack`` with ``scaled = scaled_instance(row, zeta)``:
+    the envelope terms come from the centres and the zeta-scaled radii by
+    the same float operations, without building the scaled row or its
+    generators.
     """
-    return _sweep_envelope(inst, j, k, zeta)[0]
+    return _sweep_envelope(_sites_row(row), j, k, zeta)[0]
 
 
-def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Tangency]]:
+def sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
     """Scales in (0, 1) where the scaled target can touch a hull piece, ascending.
 
     With target u_(1-k) = (c_t, r_t), kept circle u_k = (c_k, r_k) and sites
@@ -383,21 +370,21 @@ def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Ta
     Events closer than EVENT_TIE merge into one, whose family is the first in
     the order leg, front arc, base side.
     """
-    own, target = inst.circle(k), inst.circle(1 - k)
-    ckx, cky, rk = own.center.x, own.center.y, own.radius
-    ctx, cty, rt = target.center.x, target.center.y, target.radius
-    a, b = _others(inst.sites, j)
+    row = _sites_row(row)
+    (ckx, cky, rk), (ctx, cty, rt) = row[3 + k], row[4 - k]
+    kept = [(x, y) for x, y, _ in _others(row[:3], j)]
+    (ax, ay), (bx, by) = kept
     events = []
     if rk > rt:
         events.append((math.hypot(ctx - ckx, cty - cky) / (rk - rt), Tangency.FRONT_ARC))
     if rt > 0.0:
-        bx, by = b.x - a.x, b.y - a.y
-        cross = bx * (cty - a.y) - by * (ctx - a.x)
-        events.append((abs(cross) / math.hypot(bx, by) / rt, Tangency.BASE_SIDE))
-        events += [(math.hypot(s.x - ctx, s.y - cty) / rt, Tangency.LEG) for s in (a, b)]
-    for s in (a, b):
-        kx, ky = s.x - ckx, s.y - cky  # s - c_k
-        tx, ty = s.x - ctx, s.y - cty  # s - c_t
+        ex, ey = bx - ax, by - ay
+        cross = ex * (cty - ay) - ey * (ctx - ax)
+        events.append((abs(cross) / math.hypot(ex, ey) / rt, Tangency.BASE_SIDE))
+        events += [(math.hypot(sx - ctx, sy - cty) / rt, Tangency.LEG) for sx, sy in kept]
+    for sx, sy in kept:
+        kx, ky = sx - ckx, sy - cky  # s - c_k
+        tx, ty = sx - ctx, sy - cty  # s - c_t
         wx, wy = kx * rt - tx * rk, ky * rt - ty * rk
         n = math.hypot(wx, wy)
         if n == 0.0:
@@ -414,19 +401,22 @@ def sweep_events(inst: CarouselInstance, j: int, k: int) -> list[tuple[float, Ta
     return merged
 
 
-def _tangency_at_zero(inst: CarouselInstance, j: int, k: int) -> Tangency:
+def _tangency_at_zero(row, j: int, k: int) -> Tangency:
     """Side of the triangle c_k, a, b nearest the target's centre; legs win ties."""
-    ck, ct = inst.circle(k).center, inst.circle(1 - k).center
-    a, b = _others(inst.sites, j)
-    if _orientation(ck.x, ck.y, a.x, a.y, b.x, b.y) == 0:
+    (kx, ky, _), (tx, ty, _) = row[3 + k], row[4 - k]
+    kept = [(x, y) for x, y, _ in _others(row[:3], j)]
+    (ax, ay), (bx, by) = kept
+    if _orientation(kx, ky, ax, ay, bx, by) == 0:
         return Tangency.BASE_SIDE
-    leg = min(_point_segment_distance(ct.x, ct.y, ck.x, ck.y, s.x, s.y) for s in (a, b))
-    base = _point_segment_distance(ct.x, ct.y, a.x, a.y, b.x, b.y)
+    leg = min(_point_segment_distance(tx, ty, kx, ky, sx, sy) for sx, sy in kept)
+    base = _point_segment_distance(tx, ty, ax, ay, bx, by)
     return Tangency.LEG if leg <= base + EPS_GEOM else Tangency.BASE_SIDE
 
 
-def xi_sweep_fixed(inst: CarouselInstance, j: int, k: int) -> XiSweepReport:
+def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
     """Supremum scale at which the fixed (j, k) inclusion still holds.
+
+    ``row`` holds the sites b0, b1, b2 and the circles u0, u1.
 
     The slack can change sign only at one of the tangency events of
     ``sweep_events``, so it keeps one sign between consecutive events.  One
@@ -440,18 +430,19 @@ def xi_sweep_fixed(inst: CarouselInstance, j: int, k: int) -> XiSweepReport:
     """
     if j not in (0, 1, 2) or k not in (0, 1):
         raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
-    validate_instance(inst)
-    events = sweep_events(inst, j, k)
+    row = _sites_row(row)
+    validate_instance(row)
+    events = sweep_events(row, j, k)
     edges = [0.0] + [zeta for zeta, _ in events] + [1.0]
     for i in range(len(edges) - 1):
-        if sweep_slack(inst, j, k, 0.5 * (edges[i] + edges[i + 1])) < 0.0:
+        if sweep_slack(row, j, k, 0.5 * (edges[i] + edges[i + 1])) < 0.0:
             break
     else:
-        slack, _ = _sweep_envelope(inst, j, k, 1.0)
+        slack, _ = _sweep_envelope(row, j, k, 1.0)
         return XiSweepReport(j, k, 1.0, slack, Tangency.NONE_AT_ONE, None)
     xi = edges[i]
-    tangency = events[i - 1][1] if i else _tangency_at_zero(inst, j, k)
-    slack, touch = _sweep_envelope(inst, j, k, xi)
+    tangency = events[i - 1][1] if i else _tangency_at_zero(row, j, k)
+    slack, touch = _sweep_envelope(row, j, k, xi)
     return XiSweepReport(j, k, xi, slack, tangency, touch)
 
 
@@ -628,53 +619,33 @@ def random_points_instances(seeds) -> np.ndarray:
     return _block([_points_row(seed) for seed in seeds])
 
 
-def _point(obj) -> Point2:
-    return Point2(obj[0], obj[1])
+def _row_of(block_row) -> tuple:
+    """One row of a block as a tuple of five (x, y, r) float triples."""
+    return tuple(map(tuple, block_row.tolist()))
 
 
-def _circle(obj) -> Circle2:
-    return Circle2(Point2(obj[0], obj[1]), obj[2])
-
-
-def instance_of_row(row) -> CarouselInstance:
-    """The instance of a row: three sites, then u0 and u1."""
-    b0, b1, b2, u0, u1 = np.asarray(row).tolist()
-    return CarouselInstance((_point(b0), _point(b1), _point(b2)), _circle(u0), _circle(u1))
-
-
-def corollary_of_row(row) -> tuple[Circle2, ...]:
-    """The corollary instance of a row: generator circles c0, c1, c2, then u0 and u1."""
-    return tuple(_circle(obj) for obj in np.asarray(row).tolist())
-
-
-def points_of_row(row):
-    """The points instance of a row: the sites, then the points b0 and b1."""
-    a0, a1, a2, b0, b1 = (_point(obj) for obj in np.asarray(row).tolist())
-    return (a0, a1, a2), b0, b1
-
-
-def random_instance(seed: int) -> CarouselInstance:
-    """Deterministic valid instance from a seed.
+def random_instance(seed: int) -> tuple:
+    """Deterministic valid row (b0, b1, b2, u0, u1) of sites and circles from a seed.
 
     Sites are sampled in the COORD_RANGE square with a sliver rejection;
     circle centers and radii are rejection-sampled until both hypothesis
     inclusions hold with slack above MIN_HYPOTHESIS_SLACK.  The one-seed
     case of ``random_instances``.
     """
-    return instance_of_row(random_instances([seed])[0])
+    return _row_of(random_instances([seed])[0])
 
 
-def random_points_instance(seed: int):
-    """Deterministic triangle plus two distinct interior points.
+def random_points_instance(seed: int) -> tuple:
+    """Deterministic row (A0, A1, A2, b0, b1): a triangle plus two distinct interior points.
 
     The one-seed case of ``random_points_instances``.
     """
-    return points_of_row(random_points_instances([seed])[0])
+    return _row_of(random_points_instances([seed])[0])
 
 
-def random_corollary_instance(seed: int):
-    """Deterministic corollary instance: three circle generators plus two circles.
+def random_corollary_instance(seed: int) -> tuple:
+    """Deterministic corollary row (c0, c1, c2, u0, u1): three generator circles plus two circles.
 
     The one-seed case of ``random_corollary_instances``.
     """
-    return corollary_of_row(random_corollary_instances([seed])[0])
+    return _row_of(random_corollary_instances([seed])[0])

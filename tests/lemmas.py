@@ -6,16 +6,64 @@ clearance to round-edged angles (the unbounded convex region spanned by a
 circle as seen from an outside focus).  ``tests/test_planar.py`` unit-tests
 them, and the acceptance suite's homothety-composition and
 perspective-inclusion campaigns run on them; ``_perspective_config`` and
-``reangle_boundary_samples`` draw the perspective campaign's inputs.
+``reangle_boundary_samples`` draw the perspective campaign's inputs.  The
+constructions work on their own ``Point2`` vectors, with the arithmetic they
+use, and ``Circle2`` circles; the package itself has plain (x, y, r) triples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from carousel.errors import CarouselError
-from carousel.planar import EPS_GEOM, TAU, Circle2, Point2, _point_segment_distance, pt
+from carousel.planar import EPS_GEOM, TAU, _point_segment_distance
+
+
+class Point2(NamedTuple):
+    """Point (or free vector) in the plane, with vector arithmetic."""
+
+    x: float
+    y: float
+
+    def __add__(self, other: "Point2") -> "Point2":
+        return Point2(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "Point2") -> "Point2":
+        return Point2(self.x - other.x, self.y - other.y)
+
+    def __mul__(self, s: float) -> "Point2":
+        return Point2(self.x * s, self.y * s)
+
+    __rmul__ = __mul__
+
+    def dot(self, other: "Point2") -> float:
+        return self.x * other.x + self.y * other.y
+
+    def cross(self, other: "Point2") -> float:
+        return self.x * other.y - self.y * other.x
+
+    def norm(self) -> float:
+        return math.hypot(self.x, self.y)
+
+    def distance_to(self, other: "Point2") -> float:
+        return math.hypot(self.x - other.x, self.y - other.y)
+
+
+class Circle2(NamedTuple):
+    """Circle of the lemma constructions; radius 0 is a point."""
+
+    center: Point2
+    radius: float
+
+
+def pt(x: float, y: float) -> Point2:
+    return Point2(x, y)
+
+
+def circle(x: float, y: float, r: float) -> Circle2:
+    return Circle2(Point2(x, y), r)
 
 
 class FocusInsideOrOn(CarouselError):

@@ -1,4 +1,4 @@
-"""Seeded instance draws as first written, on ``Point2`` and ``Circle2`` objects.
+"""Seeded instance draws as first written, on ``Point2`` vectors, one query at a time.
 
 ``witness.random_instance`` and its siblings now draw on plain floats, a
 block of seeds at a time, with the rejection-sampling queries of a round
@@ -6,7 +6,8 @@ decided in one set-level call; the tests check that they return exactly
 these instances, bit for bit, and raise the same errors.  Kept only as a
 reference.  The draw ranges, fixed constants in ``witness``, are a
 ``DrawConfig`` here, so that the tests can draw under other ranges and set
-the constants to match with ``set_witness_constants``.
+the constants to match with ``set_witness_constants``.  A draw returns the
+row of five (x, y, r) float triples that the package's draws return.
 """
 
 import math
@@ -15,10 +16,9 @@ from dataclasses import dataclass, fields
 
 from carousel import witness
 from carousel.errors import GenerationExhausted
-from carousel.hull import GeneratorSet, circle_in_hull
-from carousel.planar import Circle2, Point2, _point_segment_distance
-from carousel.witness import CarouselInstance
-from reference_hull import sites_as_generators
+from carousel.hull import circle_in_hull
+from carousel.planar import _point_segment_distance
+from lemmas import Point2
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,14 @@ def _edge_clearance(p, sites):
     )
 
 
+def _xyr(p, r=0.0):
+    return (p.x, p.y, r)
+
+
 def random_instance(seed, config=DrawConfig()):
     rng = random.Random(seed)
     sites = _sample_triangle(rng, config)
-    site_gens = sites_as_generators(sites)
+    site_gens = [_xyr(s) for s in sites]
     r_lo, r_hi = config.radius_range
     floor = config.min_hypothesis_slack
     circles = []
@@ -88,10 +92,10 @@ def random_instance(seed, config=DrawConfig()):
         if room <= r_lo:
             continue
         radius = rng.uniform(r_lo, min(r_hi, room))
-        cand = Circle2(center, radius)
+        cand = _xyr(center, radius)
         if circle_in_hull(cand, site_gens).slack > floor:
             circles.append(cand)
-    return CarouselInstance(sites, circles[0], circles[1])
+    return (*site_gens, *circles)
 
 
 def random_points_instance(seed, config=DrawConfig()):
@@ -110,7 +114,7 @@ def random_points_instance(seed, config=DrawConfig()):
         if pts and pts[0].distance_to(p) <= 1e-6:
             continue
         pts.append(p)
-    return sites, pts[0], pts[1]
+    return tuple(_xyr(p) for p in (*sites, *pts))
 
 
 def random_corollary_instance(seed, config=DrawConfig()):
@@ -126,16 +130,15 @@ def random_corollary_instance(seed, config=DrawConfig()):
         a, b, c = centers
         if abs((b - a).cross(c - a)) < 0.04 * (hi - lo) ** 2:
             continue
-        cs = tuple(Circle2(p, rng.uniform(0.2, 2.0)) for p in centers)
-        base = GeneratorSet(cs)
+        cs = tuple(_xyr(p, rng.uniform(0.2, 2.0)) for p in centers)
         us = []
         inner_tries = 0
         while len(us) < 2 and inner_tries < 200:
             inner_tries += 1
             center = _interior_point(rng, centers)
             radius = rng.uniform(0.0, 1.5)
-            cand = Circle2(center, radius)
-            if circle_in_hull(cand, base).slack > floor:
+            cand = _xyr(center, radius)
+            if circle_in_hull(cand, cs).slack > floor:
                 us.append(cand)
         if len(us) == 2:
-            return cs[0], cs[1], cs[2], us[0], us[1]
+            return (*cs, *us)

@@ -6,42 +6,38 @@ gap between consecutive pieces of the chain, ``hull_area`` and
 ``hull_polygon_area`` the exact and the sampled hull area.  The closed-form
 coverage arcs and their uncovered gaps are an independent cross-check of the
 kernel's slack: the target is contained iff the arcs of its generators cover
-every direction.
+every direction.  Circles and points are (x, y, r) triples, as the package
+takes them.
 """
 
 import math
 
 import numpy as np
 
-from carousel.hull import ArcPiece, GeneratorSet, HullBoundary
+from carousel.hull import ArcPiece, HullBoundary
 from carousel.oracle import DEFAULT_SAMPLES, sample_hull_polygon
-from carousel.planar import Circle2
 
 TAU = math.tau
 
 
-def sites_as_generators(sites) -> GeneratorSet:
-    return GeneratorSet(tuple(Circle2(s, 0.0) for s in sites))
-
-
-def support(gens: GeneratorSet, theta: float) -> float:
+def support(gens, theta: float) -> float:
     """Support value of the hull in direction theta: max of center.u + radius."""
     c = math.cos(theta)
     s = math.sin(theta)
-    return max(g.center.x * c + g.center.y * s + g.radius for g in gens)
+    return max(x * c + y * s + r for x, y, r in gens)
 
 
-def boundary_support(gens: GeneratorSet, boundary: HullBoundary, theta: float) -> float:
+def boundary_support(gens, boundary: HullBoundary, theta: float) -> float:
     """Support of the boundary chain: arcs contribute their sub-arc maximum."""
     glist = list(gens)
     c = math.cos(theta)
     s = math.sin(theta)
     best = -math.inf
     for p in boundary.pieces:
-        v = max(p.start.x * c + p.start.y * s, p.end.x * c + p.end.y * s)
+        v = max(p.start[0] * c + p.start[1] * s, p.end[0] * c + p.end[1] * s)
         if isinstance(p, ArcPiece) and (theta - p.start_angle) % TAU <= p.width:
-            g = glist[p.generator]
-            v = g.center.x * c + g.center.y * s + g.radius
+            x, y, r = glist[p.generator]
+            v = x * c + y * s + r
         best = max(best, v)
     return best
 
@@ -52,44 +48,45 @@ def chain_closure_error(boundary: HullBoundary) -> float:
         return 0.0
     worst = 0.0
     for cur, nxt in zip(boundary.pieces, boundary.pieces[1:] + (boundary.pieces[0],)):
-        worst = max(worst, cur.end.distance_to(nxt.start))
+        worst = max(worst, math.dist(cur.end, nxt.start))
     return worst
 
 
-def hull_area(gens: GeneratorSet, boundary: HullBoundary) -> float:
+def hull_area(gens, boundary: HullBoundary) -> float:
     """Exact hull area from the boundary chain: shoelace plus arc-segment bulges."""
     glist = list(gens)
     if len(boundary.pieces) == 1 and isinstance(boundary.pieces[0], ArcPiece):
-        g = glist[boundary.pieces[0].generator]
-        return math.pi * g.radius * g.radius
+        r = glist[boundary.pieces[0].generator][2]
+        return math.pi * r * r
     verts = [p.start for p in boundary.pieces]
-    area = 0.5 * sum(a.cross(b) for a, b in zip(verts, verts[1:] + verts[:1]))
+    area = 0.5 * sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(verts, verts[1:] + verts[:1]))
     for p in boundary.pieces:
         if isinstance(p, ArcPiece):
-            r = glist[p.generator].radius
+            r = glist[p.generator][2]
             area += 0.5 * r * r * (p.width - math.sin(p.width))
     return area
 
 
-def hull_polygon_area(gens: GeneratorSet, samples: int = DEFAULT_SAMPLES) -> float:
+def hull_polygon_area(gens, samples: int = DEFAULT_SAMPLES) -> float:
     """Area of the densely inscribed hull polygon (independent area estimate)."""
     x, y = sample_hull_polygon(gens, samples).T
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
 
-def coverage_arc(g: Circle2, target: Circle2) -> tuple[float, float] | None:
+def coverage_arc(g, target) -> tuple[float, float] | None:
     """Directions where generator ``g`` alone satisfies the support inequality.
 
     With d the center distance, phi the direction from the target center to
-    the generator center and delta = target.radius - g.radius, the set is
+    the generator center and delta = r_target - r_g, the set is
     every direction, (0, tau), when delta <= -d, None (no direction) when
     delta > d, and otherwise the closed arc (phi - alpha, phi + alpha) with
     alpha = arccos(delta / d).
     """
-    dx = g.center.x - target.center.x
-    dy = g.center.y - target.center.y
+    (gx, gy, gr), (tx, ty, tr) = g, target
+    dx = gx - tx
+    dy = gy - ty
     d = math.hypot(dx, dy)
-    delta = target.radius - g.radius
+    delta = tr - gr
     if delta <= -d:
         return 0.0, TAU
     if delta > d or d == 0.0:

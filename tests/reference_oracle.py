@@ -23,10 +23,11 @@ def _angle_tables(m):
 
 
 def circle_samples(c, m=DEFAULT_SAMPLES):
-    if c.radius <= 0.0:
-        return np.array([[c.center.x, c.center.y]])
+    x, y, r = c
+    if r <= 0.0:
+        return np.array([[x, y]])
     cos_t, sin_t, _, _ = _angle_tables(m)
-    return np.column_stack((c.center.x + c.radius * cos_t, c.center.y + c.radius * sin_t))
+    return np.column_stack((x + r * cos_t, y + r * sin_t))
 
 
 def _outer_chain(a, b, pts):
@@ -44,9 +45,9 @@ def _outer_chain(a, b, pts):
 def sample_hull_polygon(gens, samples=DEFAULT_SAMPLES):
     m = samples
     cos_t, sin_t, cos_b, sin_b = _angle_tables(m)
-    cx = np.array([[g.center.x] for g in gens], dtype=float)
-    cy = np.array([[g.center.y] for g in gens], dtype=float)
-    r = np.array([[g.radius] for g in gens], dtype=float)
+    cx = np.array([[x] for x, _, _ in gens], dtype=float)
+    cy = np.array([[y] for _, y, _ in gens], dtype=float)
+    r = np.array([[r] for _, _, r in gens], dtype=float)
     xs = (cx + r * cos_t).ravel()
     ys = (cy + r * sin_t).ravel()
 

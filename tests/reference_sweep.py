@@ -2,18 +2,18 @@
 
 ``witness.sweep_events`` now computes the same events on plain floats; the
 tests check that it returns exactly these events, bit for bit.  Kept only as
-a reference.
+a reference.  It takes the row of (x, y, r) objects b0, b1, b2, u0, u1 that
+the package takes, and reads it into the vectors of ``lemmas.Point2``.
 """
 
-from carousel.planar import Point2
 from carousel.witness import _EVENT_RANK, EVENT_TIE, Tangency, _others
+from lemmas import Point2
 
 
-def sweep_events(inst, j, k):
-    own, target = inst.circle(k), inst.circle(1 - k)
-    ck, rk = own.center, own.radius
-    ct, rt = target.center, target.radius
-    a, b = _others(inst.sites, j)
+def sweep_events(row, j, k):
+    (ckx, cky, rk), (ctx, cty, rt) = row[3 + k], row[4 - k]
+    ck, ct = Point2(ckx, cky), Point2(ctx, cty)
+    a, b = (Point2(x, y) for x, y, _ in _others(row[:3], j))
     events = []
     if rk > rt:
         events.append((ct.distance_to(ck) / (rk - rt), Tangency.FRONT_ARC))

@@ -13,12 +13,8 @@ import numpy as np
 import pytest
 
 from carousel import (
-    Circle2,
-    GeneratorSet,
-    Point2,
     Tangency,
     circle_in_hull,
-    pt,
     random_instance,
     sweep_slack,
     two_carousel_points,
@@ -30,11 +26,13 @@ from carousel import (
 from carousel.cli import main
 from carousel.fuzz import random_containment_query, run_fuzz
 from carousel.oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
-from carousel.witness import JK_PAIRS, points_of_row, random_points_instances
+from carousel.witness import JK_PAIRS, random_points_instances
 
 from lemmas import (
+    Point2,
     _perspective_config,
     homothety_conjugate,
+    pt,
     reangle_boundary_samples,
     reangle_clearance,
     reangle_contains,
@@ -83,13 +81,10 @@ def test_circle_generator_fuzz_1k():
 
 def test_point_pair_fuzz_10k():
     failures = 0
-    for row in random_points_instances(range(10_000)):
-        sites, b0, b1 = points_of_row(row)
-        w, _ = two_carousel_points(sites, b0, b1)
-        pts = (b0, b1)
-        kept = tuple(Circle2(s, 0.0) for i, s in enumerate(sites) if i != w.j)
-        gens = GeneratorSet((Circle2(pts[w.k], 0.0),) + kept)
-        if not circle_in_hull(Circle2(pts[1 - w.k], 0.0), gens).contained:
+    for row in random_points_instances(range(10_000)).tolist():
+        w, _ = two_carousel_points(row)
+        kept = [s for i, s in enumerate(row[:3]) if i != w.j]
+        if not circle_in_hull(row[4 - w.k], [row[3 + w.k], *kept]).contained:
             failures += 1
     announce("point-pair-fuzz", failures == 0, f"10000 pairs, {failures} disagreements")
     assert failures == 0
@@ -241,13 +236,11 @@ def test_example_4_2_every_t():
 
 def _slack_curve(inst, j, k, zetas):
     """Vectorized exact slack over a scale grid, reimplemented independently."""
-    own = inst.circle(k)
-    tgt = inst.circle(1 - k)
-    kept = [s for i, s in enumerate(inst.sites) if i != j]
-    ct = tgt.center
-    gx = np.array([own.center.x - ct.x, kept[0].x - ct.x, kept[1].x - ct.x])
-    gy = np.array([own.center.y - ct.y, kept[0].y - ct.y, kept[1].y - ct.y])
-    slope = np.array([own.radius - tgt.radius, -tgt.radius, -tgt.radius])
+    (ox, oy, orad), (tx, ty, trad) = inst[3 + k], inst[4 - k]
+    (ax, ay, _), (bx, by, _) = [s for i, s in enumerate(inst[:3]) if i != j]
+    gx = np.array([ox - tx, ax - tx, bx - tx])
+    gy = np.array([oy - ty, ay - ty, by - ty])
+    slope = np.array([orad - trad, -trad, -trad])
     drs = zetas[:, None] * slope[None, :]  # (nz, 3)
 
     cands = [np.zeros_like(zetas)]

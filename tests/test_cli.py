@@ -69,7 +69,8 @@ class TestSchema:
     def test_roundtrip_minimal(self):
         sc = parse_scenario(THEOREM)
         assert sc.kind == "theorem2d"
-        assert len(sc.sites) == 3 and len(sc.circles) == 2
+        assert sc.row == tuple(tuple(float(v) for v in obj)
+                               for obj in THEOREM["sites"] + THEOREM["circles"])
 
     def test_schema_tag_required(self):
         with pytest.raises(SchemaError):
@@ -177,14 +178,10 @@ class TestCheckVerb:
         assert (report["witness"]["j"], report["witness"]["k"]) == (1, 1)
         assert report["witness"]["slack"] < -EPS_DECISION
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 1: the decomposition rule reads each cevian's absolute-band "
-        "orientation twice, in different argument orders, and locates b1 in neither",
-    )
     def test_points_fringe_is_located(self):
-        # both points pass the interiority test, and theorem2d verifies them
+        # both points pass the interiority test, and theorem2d verifies them;
+        # b1 lies within the orientation band of one cevian, and the side of
+        # each cevian read once places it in a sub-triangle
         data = {
             **POINTS,
             "sites": [[-3495.044769918209, -7015.892409932034, 0],
@@ -397,16 +394,15 @@ class TestFuzzVerb:
     def test_failure_dump_roundtrips(self, tmp_path):
         # exercise the dump path directly with a fabricated record
         from carousel.scenario import row_scenario_dict
-        from carousel.witness import instance_of_row, random_instances
+        from carousel.witness import random_instance, random_instances
 
         row = random_instances([3])[0]
-        inst = instance_of_row(row)
         dump = row_scenario_dict("theorem2d", row, 3)
         path = tmp_path / "dump.json"
         path.write_text(canonical_json(dump), encoding="utf-8")
         sc = load_scenario(path)
         assert sc.kind == "theorem2d"
-        assert sc.instance() == inst
+        assert sc.row == random_instance(3)
         assert main(["check", str(path)]) == 0
 
     @pytest.mark.parametrize("kind, digest", [
@@ -707,14 +703,14 @@ class TestRenderVerb:
             "be86a13c06e1e3e5e1bcd1a6b20d139aa0dc6728e73022db28a6089a890ee139"
         )
         sc = load_scenario(path)
-        rep = xi_sweep_fixed(sc.instance(), sc.j, sc.k)
-        target = scaled_instance(sc.instance(), rep.xi_star).circle(1 - sc.k)
+        rep = xi_sweep_fixed(sc.row, sc.j, sc.k)
+        tx, ty, tr = scaled_instance(sc.row, rep.xi_star)[4 - sc.k]
         stroke = ET.parse(out).getroot().findall(f"{SVG_NS}line[@stroke='#cc0000']")[0]
         x1, y1, x2, y2 = (float(stroke.get(a)) for a in ("x1", "y1", "x2", "y2"))
         centre = (0.5 * (x1 + x2), -0.5 * (y1 + y2))
         assert centre == pytest.approx((
-            target.center.x + target.radius * math.cos(rep.touch_direction),
-            target.center.y + target.radius * math.sin(rep.touch_direction),
+            tx + tr * math.cos(rep.touch_direction),
+            ty + tr * math.sin(rep.touch_direction),
         ), abs=1e-6)
         assert centre == pytest.approx((2.2507, 1.6098), abs=1e-4)
 

@@ -13,7 +13,6 @@ from carousel.fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
 from carousel.reports import canonical_json
 from carousel.scenario import parse_scenario
 from carousel.witness import (
-    _xyr,
     random_corollary_instance,
     random_corollary_instances,
     random_instance,
@@ -25,18 +24,9 @@ from carousel.witness import (
 SEEDS = range(5000)
 
 
-def _hex(objs) -> list[str]:
-    """Every coordinate of a draw's objects, as float.hex, points with radius 0."""
-    return [v.hex() for obj in objs for v in _xyr(obj)]
-
-
-def _objects(kind, draw) -> tuple:
-    if kind == "theorem2d":
-        return (*draw.sites, draw.u0, draw.u1)
-    if kind == "points2d":
-        sites, b0, b1 = draw
-        return (*sites, b0, b1)
-    return tuple(draw)
+def _hex(row) -> list[str]:
+    """Every coordinate of a drawn row's (x, y, r) objects, as float.hex."""
+    return [v.hex() for obj in row for v in obj]
 
 
 # kind: (reference one-seed draw, one-seed draw, block draw)
@@ -58,7 +48,7 @@ DRAWS = {
 @pytest.fixture(scope="module")
 def reference_hex():
     return {
-        kind: [_hex(_objects(kind, ref(seed))) for seed in SEEDS]
+        kind: [_hex(ref(seed)) for seed in SEEDS]
         for kind, (ref, _, _) in DRAWS.items()
     }
 
@@ -73,11 +63,12 @@ class TestDrawsMatchReference:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_one_seed_draws_are_bitwise_the_reference(self, kind, reference_hex):
         _, one, _ = DRAWS[kind]
-        assert [_hex(_objects(kind, one(seed))) for seed in SEEDS] == reference_hex[kind]
+        assert [_hex(one(seed)) for seed in SEEDS] == reference_hex[kind]
 
     def test_one_seed_draws_keep_their_types(self):
         inst = random_instance(3)
         assert inst == reference_draws.random_instance(3)
+        assert all(type(obj) is tuple and type(v) is float for obj in inst for v in obj)
         assert random_corollary_instance(3) == reference_draws.random_corollary_instance(3)
         assert random_points_instance(3) == reference_draws.random_points_instance(3)
 
@@ -187,13 +178,7 @@ class TestFuzzBlocks:
         for failure in rep.failures:
             sc = parse_scenario(failure["scenario"])
             assert (sc.kind, sc.seed) == (kind, failure["seed"])
-            if kind == "theorem2d":
-                rebuilt = sc.instance()
-            elif kind == "corollary2d":
-                rebuilt = sc.circles
-            else:
-                rebuilt = (sc.sites, *(c.center for c in sc.circles))
-            assert rebuilt == DRAWS[kind][1](failure["seed"])
+            assert sc.row == DRAWS[kind][1](failure["seed"])
         assert sum(b["count"] for b in rep.slack_histogram) == 0
 
 

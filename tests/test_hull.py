@@ -6,20 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from carousel import (
-    ArcPiece,
-    Circle2,
-    GeneratorSet,
-    Point2,
-    SegmentPiece,
-    circle,
-    circle_in_hull,
-    hull_boundary,
-    pt,
-)
+from carousel import ArcPiece, SegmentPiece, circle_in_hull, hull_boundary
 from carousel.fuzz import random_containment_query
 from carousel.planar import EPS_DECISION
-from lemmas import tangent_points_from_point
+from lemmas import circle, pt, tangent_points_from_point
 from reference_hull import (
     boundary_support,
     chain_closure_error,
@@ -35,27 +25,27 @@ TAU = math.tau
 
 class TestSupport:
     def test_unit_circle(self):
-        assert support(GeneratorSet((circle(0, 0, 1),)), 0.0) == pytest.approx(1.0)
+        assert support(((0, 0, 1),), 0.0) == pytest.approx(1.0)
 
     def test_two_points(self):
-        gens = GeneratorSet((circle(0, 0, 0), circle(2, 0, 0)))
+        gens = ((0, 0, 0), (2, 0, 0))
         assert support(gens, 0.0) == pytest.approx(2.0)
 
     def test_leftward_winner(self):
-        gens = GeneratorSet((circle(0, 0, 1), circle(3, 0, 0.5)))
+        gens = ((0, 0, 1), (3, 0, 0.5))
         assert support(gens, math.pi) == pytest.approx(1.0)
 
 
 class TestCoverageArc:
     def test_point_generator_closed_form(self):
         alpha = math.acos(1 / 3)
-        assert coverage_arc(circle(3, 0, 0), circle(0, 0, 1)) == pytest.approx((-alpha, alpha))
+        assert coverage_arc((3, 0, 0), (0, 0, 1)) == pytest.approx((-alpha, alpha))
 
     def test_concentric_larger_is_full(self):
-        assert coverage_arc(circle(0, 0, 2), circle(0, 0, 1)) == (0.0, TAU)
+        assert coverage_arc((0, 0, 2), (0, 0, 1)) == (0.0, TAU)
 
     def test_small_point_is_empty(self):
-        assert coverage_arc(circle(0.5, 0, 0), circle(0, 0, 1)) is None
+        assert coverage_arc((0.5, 0, 0), (0, 0, 1)) is None
 
     def test_against_dense_angle_scan(self):
         # membership in the closed-form arc must match the raw inequality
@@ -64,11 +54,11 @@ class TestCoverageArc:
         cos_t = np.cos(thetas)
         sin_t = np.sin(thetas)
         for _ in range(25):
-            g = circle(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 2))
-            tgt = circle(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 2))
+            g = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 2))
+            tgt = (rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(0, 2))
             arc = coverage_arc(g, tgt)
-            lhs = (g.center.x - tgt.center.x) * cos_t + (g.center.y - tgt.center.y) * sin_t
-            holds = lhs >= (tgt.radius - g.radius)
+            lhs = (g[0] - tgt[0]) * cos_t + (g[1] - tgt[1]) * sin_t
+            holds = lhs >= (tgt[2] - g[2])
             lo, hi = arc or (0.0, -1.0)
             member = (thetas - lo) % TAU <= hi - lo
             # disagreements may only hug the arc endpoints
@@ -83,19 +73,19 @@ class TestCoverageArc:
 
 class TestCircleInHull:
     def test_self_inclusion(self):
-        res = circle_in_hull(circle(0, 0, 1), GeneratorSet((circle(0, 0, 1),)))
+        res = circle_in_hull((0, 0, 1), ((0, 0, 1),))
         assert res.contained
         assert res.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_larger_concentric(self):
-        res = circle_in_hull(circle(0, 0, 2), GeneratorSet((circle(0, 0, 1),)))
+        res = circle_in_hull((0, 0, 2), ((0, 0, 1),))
         assert not res.contained
         assert res.slack == pytest.approx(-1.0)
         assert res.witness_direction is not None
 
     def test_uncovered_gap_location(self):
-        target, gens = circle(0, 0, 1), (circle(3, 0, 0), circle(-2, 0, 1.5))
-        res = circle_in_hull(target, GeneratorSet(gens))
+        target, gens = (0, 0, 1), ((3, 0, 0), (-2, 0, 1.5))
+        res = circle_in_hull(target, gens)
         assert not res.contained
         gaps = uncovered_gaps([coverage_arc(g, target) for g in gens])
         lo = math.acos(1 / 3)
@@ -107,38 +97,38 @@ class TestCircleInHull:
     def test_incircle_touches_all_sides(self):
         s = 4 - 2 * math.sqrt(2)
         res = circle_in_hull(
-            circle(s, s, s),
-            GeneratorSet((circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0))),
+            (s, s, s),
+            ((0, 0, 0), (4, 0, 0), (0, 4, 0)),
         )
         assert res.contained
         assert abs(res.slack) < 1e-9
 
     def test_point_target_in_triangle(self):
-        gens = GeneratorSet((circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0)))
-        assert circle_in_hull(circle(1, 1, 0), gens).contained
-        assert not circle_in_hull(circle(3, 3, 0), gens).contained
+        gens = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
+        assert circle_in_hull((1, 1, 0), gens).contained
+        assert not circle_in_hull((3, 3, 0), gens).contained
 
 
 def _dense_slack(target, gens, m=3600):
     """Least support slack over m equally spaced directions."""
     theta = np.arange(m) * (TAU / m)
-    tc = target.center
-    d = np.array([(g.center.x - tc.x, g.center.y - tc.y) for g in gens])
-    dr = np.array([g.radius - target.radius for g in gens])
+    tx, ty, tr = target
+    d = np.array([(x - tx, y - ty) for x, y, _ in gens])
+    dr = np.array([r - tr for _, _, r in gens])
     vals = np.outer(d[:, 0], np.cos(theta)) + np.outer(d[:, 1], np.sin(theta)) + dr[:, None]
     return float(vals.max(axis=0).min())
 
 
 DEGENERATE_QUERIES = {
     "one generator concentric": (
-        circle(0, 0, 1), (circle(0, 0, 0.5), circle(3, 0, 0), circle(-1, 2, 0.2))
+        (0, 0, 1), ((0, 0, 0.5), (3, 0, 0), (-1, 2, 0.2))
     ),
-    "every generator concentric": (circle(1, 2, 1), (circle(1, 2, 0.5), circle(1, 2, 2))),
+    "every generator concentric": ((1, 2, 1), ((1, 2, 0.5), (1, 2, 2))),
     "duplicate generators": (
-        circle(0.5, 0.2, 0.7), (circle(3, 0, 1), circle(3, 0, 1), circle(-2, 1, 0))
+        (0.5, 0.2, 0.7), ((3, 0, 1), (3, 0, 1), (-2, 1, 0))
     ),
-    "single point generator": (circle(1.5, 0.5, 0.25), (circle(2, 1, 0),)),
-    "points only": (circle(1, 1, 0), (circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0))),
+    "single point generator": ((1.5, 0.5, 0.25), ((2, 1, 0),)),
+    "points only": ((1, 1, 0), ((0, 0, 0), (4, 0, 0), (0, 4, 0))),
 }
 
 
@@ -151,7 +141,7 @@ class TestCriticalAngles:
         dense = _dense_slack(target, gens)
         # a dense direction is at most half a grid step from the minimiser,
         # where the envelope climbs no faster than its largest amplitude
-        amp = max(g.center.distance_to(target.center) for g in gens)
+        amp = max(math.dist(g[:2], target[:2]) for g in gens)
         assert res.slack <= dense + 1e-12
         assert dense - res.slack <= amp * math.pi / 3600 + 1e-12
         assert res.contained == (res.slack >= -EPS_DECISION)
@@ -163,11 +153,11 @@ class TestCriticalAngles:
     @pytest.mark.parametrize("name", sorted(DEGENERATE_QUERIES))
     def test_degenerate(self, name):
         target, gens = DEGENERATE_QUERIES[name]
-        self._check(target, GeneratorSet(gens))
+        self._check(target, gens)
 
     def test_every_generator_concentric_is_exact(self):
         target, gens = DEGENERATE_QUERIES["every generator concentric"]
-        res = circle_in_hull(target, GeneratorSet(gens))
+        res = circle_in_hull(target, gens)
         assert res.contained and res.slack == 1.0
 
 
@@ -178,12 +168,12 @@ def near_tangency_queries(n_seeds):
     """
     for seed in range(n_seeds):
         target, gens = random_containment_query(seed)
-        tangent = target.radius + circle_in_hull(target, gens).slack
+        tangent = target[2] + circle_in_hull(target, gens).slack
         if tangent < 1e-3:
             continue
         for k in range(3, 8):
             for offset in (10.0**-k, -(10.0**-k)):
-                yield Circle2(target.center, tangent + offset), gens, offset
+                yield (*target[:2], tangent + offset), gens, offset
 
 
 class TestVerdictRule:
@@ -201,24 +191,24 @@ class TestVerdictRule:
 class TestMinSlack:
     """The slack of ``circle_in_hull``: the least support surplus over directions."""
 
-    UNIT = GeneratorSet((circle(0, 0, 1),))
+    UNIT = ((0, 0, 1),)
 
     def test_concentric(self):
-        assert circle_in_hull(circle(0, 0, 0.5), self.UNIT).slack == pytest.approx(0.5)
+        assert circle_in_hull((0, 0, 0.5), self.UNIT).slack == pytest.approx(0.5)
 
     def test_equality(self):
-        assert circle_in_hull(circle(0, 0, 1), self.UNIT).slack == pytest.approx(0.0)
+        assert circle_in_hull((0, 0, 1), self.UNIT).slack == pytest.approx(0.0)
 
     def test_offset(self):
-        assert circle_in_hull(circle(0.2, 0, 0.5), self.UNIT).slack == pytest.approx(0.3)
+        assert circle_in_hull((0.2, 0, 0.5), self.UNIT).slack == pytest.approx(0.3)
 
 
 def _random_query(rng, n_max=5):
     def c():
         r = 0.0 if rng.random() < 0.25 else rng.uniform(0, 3)
-        return circle(rng.uniform(-10, 10), rng.uniform(-10, 10), r)
+        return (rng.uniform(-10, 10), rng.uniform(-10, 10), r)
 
-    return c(), GeneratorSet(tuple(c() for _ in range(rng.randint(1, n_max))))
+    return c(), tuple(c() for _ in range(rng.randint(1, n_max)))
 
 
 class TestSlackProperties:
@@ -226,9 +216,9 @@ class TestSlackProperties:
         rng = random.Random(31)
         for _ in range(200):
             target, gens = _random_query(rng)
-            extra = circle(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 3))
+            extra = (rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 3))
             s0 = circle_in_hull(target, gens).slack
-            s1 = circle_in_hull(target, GeneratorSet(gens.generators + (extra,))).slack
+            s1 = circle_in_hull(target, gens + (extra,)).slack
             assert s1 >= s0 - 1e-12
 
     def test_similarity_invariance(self):
@@ -236,26 +226,21 @@ class TestSlackProperties:
         for _ in range(100):
             target, gens = _random_query(rng)
             ang = rng.uniform(0, TAU)
-            off = pt(rng.uniform(-10, 10), rng.uniform(-10, 10))
+            off = (rng.uniform(-10, 10), rng.uniform(-10, 10))
             s = rng.uniform(0.2, 5.0)
             ca, sa = math.cos(ang), math.sin(ang)
 
-            def rigid(p):
-                return Point2(ca * p.x - sa * p.y + off.x, sa * p.x + ca * p.y + off.y)
+            def rigid(c):
+                x, y, r = c
+                return ca * x - sa * y + off[0], sa * x + ca * y + off[1], r
 
-            def scaled(p):
-                return Point2(s * p.x, s * p.y)
+            def scaled(c):
+                return tuple(s * v for v in c)
 
             base = circle_in_hull(target, gens).slack
-            moved = circle_in_hull(
-                Circle2(rigid(target.center), target.radius),
-                GeneratorSet(tuple(Circle2(rigid(g.center), g.radius) for g in gens)),
-            ).slack
+            moved = circle_in_hull(rigid(target), [rigid(g) for g in gens]).slack
             assert moved == pytest.approx(base, abs=1e-9)
-            grown = circle_in_hull(
-                Circle2(scaled(target.center), s * target.radius),
-                GeneratorSet(tuple(Circle2(scaled(g.center), s * g.radius) for g in gens)),
-            ).slack
+            grown = circle_in_hull(scaled(target), [scaled(g) for g in gens]).slack
             assert grown == pytest.approx(s * base, rel=1e-9, abs=1e-9)
 
     def test_coverage_slack_consistency(self):
@@ -273,15 +258,13 @@ class TestSlackProperties:
         # growing the circle generator only raises the support
         rng = random.Random(34)
         for _ in range(50):
-            sites = [pt(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(2)]
-            cen = pt(rng.uniform(-8, 8), rng.uniform(-8, 8))
+            sites = [(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(2)]
+            cen = (rng.uniform(-8, 8), rng.uniform(-8, 8))
             r = rng.uniform(0.2, 2.0)
-            target = circle(rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(0, 1))
+            target = (rng.uniform(-8, 8), rng.uniform(-8, 8), rng.uniform(0, 1))
             prev = -math.inf
             for zeta in np.linspace(0.0, 1.0, 11):
-                gens = GeneratorSet(
-                    (Circle2(cen, zeta * r),) + tuple(Circle2(s, 0.0) for s in sites)
-                )
+                gens = [(*cen, zeta * r)] + [(*site, 0.0) for site in sites]
                 s = circle_in_hull(target, gens).slack
                 assert s >= prev - 1e-12
                 prev = s
@@ -289,7 +272,7 @@ class TestSlackProperties:
 
 class TestHullBoundary:
     def test_single_circle(self):
-        b = hull_boundary(GeneratorSet((circle(0, 0, 1),)))
+        b = hull_boundary(((0, 0, 1),))
         assert len(b.pieces) == 1
         piece = b.pieces[0]
         assert isinstance(piece, ArcPiece)
@@ -297,14 +280,14 @@ class TestHullBoundary:
 
     def test_point_triangle(self):
         b = hull_boundary(
-            GeneratorSet((circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0)))
+            ((0, 0, 0), (4, 0, 0), (0, 4, 0))
         )
         assert len(b.pieces) == 3
         assert all(isinstance(p, SegmentPiece) for p in b.pieces)
         assert chain_closure_error(b) < 1e-12
 
     def test_round_backed_trapezoid(self):
-        gens = GeneratorSet((circle(0, 0, 0), circle(4, 0, 0), circle(2, 2, 1)))
+        gens = ((0, 0, 0), (4, 0, 0), (2, 2, 1))
         b = hull_boundary(gens)
         arcs = [p for p in b.pieces if isinstance(p, ArcPiece)]
         segs = [p for p in b.pieces if isinstance(p, SegmentPiece)]
@@ -317,15 +300,15 @@ class TestHullBoundary:
             for t in tangent_points_from_point(site, c):
                 expected.add((round(t.x, 9), round(t.y, 9)))
         arc = arcs[0]
-        for endpoint in (arc.start, arc.end):
-            assert (round(endpoint.x, 9), round(endpoint.y, 9)) in expected
+        for x, y in (arc.start, arc.end):
+            assert (round(x, 9), round(y, 9)) in expected
         # area against the densely sampled polygon hull
         exact = hull_area(gens, b)
         sampled = hull_polygon_area(gens)
         assert abs(exact - sampled) / exact < 1e-3
 
     def test_stadium(self):
-        gens = GeneratorSet((circle(0, 0, 1), circle(4, 0, 1)))
+        gens = ((0, 0, 1), (4, 0, 1))
         b = hull_boundary(gens)
         arcs = [p for p in b.pieces if isinstance(p, ArcPiece)]
         segs = [p for p in b.pieces if isinstance(p, SegmentPiece)]
@@ -333,40 +316,38 @@ class TestHullBoundary:
         assert hull_area(gens, b) == pytest.approx(math.pi + 8.0)
 
     def test_interior_generators_omitted(self):
-        gens = GeneratorSet((circle(0, 0, 2), circle(0.2, 0, 0.3), circle(0, 0.1, 0)))
+        gens = ((0, 0, 2), (0.2, 0, 0.3), (0, 0.1, 0))
         b = hull_boundary(gens)
-        assert b.pieces == (ArcPiece(0, 0.0, TAU, pt(2, 0), pt(2, 0)),)
+        assert b.pieces == (ArcPiece(0, 0.0, TAU, (2, 0), (2, 0)),)
 
     def test_degenerate_single_point(self):
-        b = hull_boundary(GeneratorSet((circle(1, 2, 0),)))
+        b = hull_boundary(((1, 2, 0),))
         assert b.pieces == ()
         assert chain_closure_error(b) == 0.0
 
     def test_degenerate_collinear_points(self):
         b = hull_boundary(
-            GeneratorSet((circle(0, 0, 0), circle(1, 1, 0), circle(3, 3, 0)))
+            ((0, 0, 0), (1, 1, 0), (3, 3, 0))
         )
         assert len(b.pieces) == 2
         assert all(isinstance(p, SegmentPiece) for p in b.pieces)
         there, back = b.pieces
-        assert (there.start, there.end) == (pt(0, 0), pt(3, 3))
-        assert (back.start, back.end) == (pt(3, 3), pt(0, 0))
+        assert (there.start, there.end) == ((0, 0), (3, 3))
+        assert (back.start, back.end) == ((3, 3), (0, 0))
         assert chain_closure_error(b) == 0.0
 
     def test_boundary_support_matches_support(self):
         rng = random.Random(35)
         for _ in range(25):
             n = rng.randint(1, 6)
-            gens = GeneratorSet(
-                tuple(
-                    circle(
-                        rng.uniform(-10, 10),
-                        rng.uniform(-10, 10),
-                        0.0 if rng.random() < 0.3 else rng.uniform(0, 3),
-                    )
-                    for _ in range(n)
+            gens = [
+                (
+                    rng.uniform(-10, 10),
+                    rng.uniform(-10, 10),
+                    0.0 if rng.random() < 0.3 else rng.uniform(0, 3),
                 )
-            )
+                for _ in range(n)
+            ]
             b = hull_boundary(gens)
             if not b.pieces:
                 continue
@@ -384,7 +365,7 @@ class TestHullBoundary:
             [(2, 3), (4, -3), (4, -3)],
             [(-1, -2), (3, 6), (1, 2), (3, 6), (0, 0)],
         ):
-            gens = GeneratorSet(tuple(circle(x, y, 0) for x, y in pts))
+            gens = [(x, y, 0) for x, y in pts]
             b = hull_boundary(gens)
             assert len(b.pieces) == 2
             assert all(isinstance(p, SegmentPiece) for p in b.pieces)
@@ -396,7 +377,7 @@ class TestHullBoundary:
                 )
 
     def test_chain_total_turning(self):
-        gens = GeneratorSet((circle(0, 0, 0), circle(4, 0, 0), circle(2, 2, 1)))
+        gens = ((0, 0, 0), (4, 0, 0), (2, 2, 1))
         b = hull_boundary(gens)
         # arc sweep angles plus exterior turns at junctions total one full turn
         turning = sum(p.width for p in b.pieces if isinstance(p, ArcPiece))
@@ -404,12 +385,12 @@ class TestHullBoundary:
         def heading_in(p):
             if isinstance(p, ArcPiece):
                 return p.end_angle + math.pi / 2
-            return math.atan2(p.end.y - p.start.y, p.end.x - p.start.x)
+            return math.atan2(p.end[1] - p.start[1], p.end[0] - p.start[0])
 
         def heading_out(p):
             if isinstance(p, ArcPiece):
                 return p.start_angle + math.pi / 2
-            return math.atan2(p.end.y - p.start.y, p.end.x - p.start.x)
+            return math.atan2(p.end[1] - p.start[1], p.end[0] - p.start[0])
 
         pieces = list(b.pieces)
         for cur, nxt in zip(pieces, pieces[1:] + pieces[:1]):

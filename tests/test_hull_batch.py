@@ -7,24 +7,15 @@ import struct
 import numpy as np
 import pytest
 
-from carousel import (
-    Circle2,
-    GeneratorSet,
-    InvalidInstance,
-    circle,
-    circle_in_hull,
-)
+from carousel import InvalidInstance, circle_in_hull
 from carousel import hull, witness
 from carousel.hull import circles_in_hulls
 from carousel.witness import (
     JK_PAIRS,
     Witness,
     pair_generators,
-    corollary_of_row,
-    instance_of_row,
     pair_inclusions_rows,
     point_decomposition,
-    points_of_row,
     random_corollary_instances,
     random_instances,
     random_points_instances,
@@ -37,8 +28,8 @@ def _bits(x: float) -> bytes:
 
 
 def _arrays(queries):
-    targets = [(t.center.x, t.center.y, t.radius) for t, _ in queries]
-    gens = [[(g.center.x, g.center.y, g.radius) for g in gs] for _, gs in queries]
+    targets = [t for t, _ in queries]
+    gens = [gs for _, gs in queries]
     return np.array(targets, dtype=float), np.array(gens, dtype=float)
 
 
@@ -52,58 +43,58 @@ def _assert_matches_scalar(queries):
             assert _bits(th) == _bits(res.witness_direction), (target, gens)
 
 
-def _random_circle(rng: random.Random, lo: float = -10.0, hi: float = 10.0) -> Circle2:
+def _random_circle(rng: random.Random, lo: float = -10.0, hi: float = 10.0) -> tuple:
     r = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 3.0)
-    return circle(rng.uniform(lo, hi), rng.uniform(lo, hi), r)
+    return (rng.uniform(lo, hi), rng.uniform(lo, hi), r)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
 def test_matches_scalar_on_random_queries(g):
     rng = random.Random(100 + g)
     queries = [
-        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(g))))
+        (_random_circle(rng), tuple(_random_circle(rng) for _ in range(g)))
         for _ in range(4000)
     ]
     _assert_matches_scalar(queries)
 
 
 def _degenerate_queries():
-    unit = circle(0, 0, 1)
+    unit = (0, 0, 1)
     # generators whose radii differ by exactly their distance: |x| = 1 on
     # both sides, internally tangent (3-4-5 offsets keep every value exact)
-    tangent_in = (circle(0, 0, 1), circle(3, 4, 6))
-    tangent_out = (circle(0, 0, 6), circle(3, 4, 1))
-    points = (circle(0, 0, 0), circle(4, 0, 0), circle(0, 4, 0))
+    tangent_in = ((0, 0, 1), (3, 4, 6))
+    tangent_out = ((0, 0, 6), (3, 4, 1))
+    points = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
     cases = [
         (unit, (unit,)),  # the target itself
-        (unit, (circle(0, 0, 2),)),  # concentric, larger
-        (circle(0, 0, 2), (unit,)),  # concentric, smaller
+        (unit, ((0, 0, 2),)),  # concentric, larger
+        ((0, 0, 2), (unit,)),  # concentric, smaller
         (unit, (unit, unit, unit)),  # duplicates of the target
-        (circle(1, 1, 0.5), (unit, unit, circle(3, 0, 1))),  # duplicate generators
-        (circle(0, 0, 0), (circle(0, 0, 0),)),  # a point on itself
-        (circle(1, 1, 0), points),  # points only, inside
-        (circle(2, 2, 0), points),  # points only, on the hypotenuse
-        (circle(5, 5, 0), points),  # points only, outside
-        (circle(1, 1, 0.5), points),
-        (circle(0, 0, 0), (circle(0, 0, 0), circle(1, 0, 0))),  # point at a segment's end
-        (circle(1, 1, 0), tangent_in),
-        (circle(1, 1, 0), tangent_out),
-        (circle(3, 4, 1), tangent_in),
-        (circle(0, 0, 6), tangent_out),
-        (circle(0, 0, 1), tangent_in + (circle(3, 4, 6),)),
-        (circle(3, 4, 0), (circle(0, 0, 0), circle(6, 8, 0))),  # on a segment
-        (circle(0, 0, 5), (circle(0, 0, 5), circle(3, 4, 0))),  # point on the circle
+        ((1, 1, 0.5), (unit, unit, (3, 0, 1))),  # duplicate generators
+        ((0, 0, 0), ((0, 0, 0),)),  # a point on itself
+        ((1, 1, 0), points),  # points only, inside
+        ((2, 2, 0), points),  # points only, on the hypotenuse
+        ((5, 5, 0), points),  # points only, outside
+        ((1, 1, 0.5), points),
+        ((0, 0, 0), ((0, 0, 0), (1, 0, 0))),  # point at a segment's end
+        ((1, 1, 0), tangent_in),
+        ((1, 1, 0), tangent_out),
+        ((3, 4, 1), tangent_in),
+        ((0, 0, 6), tangent_out),
+        ((0, 0, 1), tangent_in + ((3, 4, 6),)),
+        ((3, 4, 0), ((0, 0, 0), (6, 8, 0))),  # on a segment
+        ((0, 0, 5), ((0, 0, 5), (3, 4, 0))),  # point on the circle
     ]
     # a generator concentric with the target flattens the envelope, so the
     # least slack ties over a range of angles and the first one must win
-    cases += [(unit, (circle(0, 0, r), circle(d, 0, 0))) for r in (0.25, 0.5) for d in range(2, 10)]
+    cases += [(unit, ((0, 0, r), (d, 0, 0))) for r in (0.25, 0.5) for d in range(2, 10)]
     return cases
 
 
 def test_matches_scalar_on_degenerate_queries():
     by_size = {}
     for target, gens in _degenerate_queries():
-        by_size.setdefault(len(gens), []).append((target, GeneratorSet(gens)))
+        by_size.setdefault(len(gens), []).append((target, gens))
     for queries in by_size.values():
         _assert_matches_scalar(queries)
 
@@ -115,16 +106,16 @@ def test_matches_scalar_when_translated_tangent_pairs_round():
     for _ in range(500):
         ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
         k = rng.uniform(0.1, 3.0)
-        gens = (circle(ox, oy, k), circle(ox + 3 * k, oy + 4 * k, 6 * k), circle(ox, oy, 0))
-        queries.append((circle(ox + rng.uniform(-1, 1), oy + rng.uniform(-1, 1), 0.0),
-                        GeneratorSet(gens)))
+        gens = ((ox, oy, k), (ox + 3 * k, oy + 4 * k, 6 * k), (ox, oy, 0))
+        queries.append(((ox + rng.uniform(-1, 1), oy + rng.uniform(-1, 1), 0.0),
+                        gens))
     _assert_matches_scalar(queries)
 
 
 def test_any_split_into_blocks_gives_the_same_arrays(monkeypatch):
     rng = random.Random(3)
     queries = [
-        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(3))))
+        (_random_circle(rng), tuple(_random_circle(rng) for _ in range(3)))
         for _ in range(600)
     ]
     targets, gens = _arrays(queries)
@@ -169,7 +160,7 @@ def _all_subsets(g: int) -> np.ndarray:
 def test_subsets_match_one_subset_calls_on_random_rows(g, candidate_path):
     rng = random.Random(200 + g)
     targets, gens = _arrays([
-        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(g))))
+        (_random_circle(rng), tuple(_random_circle(rng) for _ in range(g)))
         for _ in range(400)
     ])
     for _ in range(4):
@@ -181,12 +172,12 @@ def test_subsets_match_one_subset_calls_on_random_rows(g, candidate_path):
 def test_subsets_match_one_subset_calls_on_degenerate_rows(candidate_path):
     # a subset's envelope is flat from its first own candidate on, and a
     # third object's antipode, not the subset's own, lies before it
-    unit = circle(0, 0, 1)
-    flat = [(unit, (circle(0, 0, r), circle(d, 0, 0), circle(1, -2, 0)))
+    unit = (0, 0, 1)
+    flat = [(unit, ((0, 0, r), (d, 0, 0), (1, -2, 0)))
             for r in (0.25, 0.5) for d in (3, 5, 8)]
     by_size = {}
     for target, gens in _degenerate_queries() + flat:
-        by_size.setdefault(len(gens), []).append((target, GeneratorSet(gens)))
+        by_size.setdefault(len(gens), []).append((target, gens))
     for g, queries in by_size.items():
         _assert_subsets_match_one_subset_calls(*_arrays(queries), _all_subsets(g))
 
@@ -197,16 +188,16 @@ def test_subsets_match_one_subset_calls_on_translated_tangent_pairs(candidate_pa
     for _ in range(500):
         ox, oy = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
         k = rng.uniform(0.1, 3.0)
-        gens = (circle(ox, oy, k), circle(ox + 3 * k, oy + 4 * k, 6 * k), circle(ox, oy, 0))
-        queries.append((circle(ox + rng.uniform(-1, 1), oy + rng.uniform(-1, 1), 0.0),
-                        GeneratorSet(gens)))
+        gens = ((ox, oy, k), (ox + 3 * k, oy + 4 * k, 6 * k), (ox, oy, 0))
+        queries.append(((ox + rng.uniform(-1, 1), oy + rng.uniform(-1, 1), 0.0),
+                        gens))
     _assert_subsets_match_one_subset_calls(*_arrays(queries), _all_subsets(3))
 
 
 def test_any_split_into_blocks_gives_the_same_subset_arrays(monkeypatch):
     rng = random.Random(4)
     targets, gens = _arrays([
-        (_random_circle(rng), GeneratorSet(tuple(_random_circle(rng) for _ in range(4))))
+        (_random_circle(rng), tuple(_random_circle(rng) for _ in range(4)))
         for _ in range(300)
     ])
     subsets = _all_subsets(4)
@@ -232,26 +223,26 @@ def _after(x: float) -> float:
 
 def test_guards_match_scalar_at_their_boundaries(candidate_path):
     tiny = hull._TINY
-    origin = circle(0, 0, 0)
+    origin = (0, 0, 0)
     # an offset whose hypot is exactly _TINY has no antipode; one ulp longer has one
-    short = [(origin, (circle(tiny, 0, 0),)), (origin, (circle(0, tiny, 0),))]
-    long_ = [(origin, (circle(_after(tiny), 0, 0),)), (origin, (circle(0, _after(tiny), 0),))]
-    assert [math.hypot(g[0].center.x, g[0].center.y) for _, g in short] == [tiny, tiny]
+    short = [(origin, ((tiny, 0, 0),)), (origin, ((0, tiny, 0),))]
+    long_ = [(origin, ((_after(tiny), 0, 0),)), (origin, ((0, _after(tiny), 0),))]
+    assert [math.hypot(g[0][0], g[0][1]) for _, g in short] == [tiny, tiny]
     # pairs with |dr / rho| exactly 1 cross, tangentially; one ulp above 1 they do not
     tangent = [
-        (circle(0, 0, 2), (circle(0, 0, 1), circle(-6, -8, 11), circle(-1, -4, 1.5))),
-        (circle(0, 0, 2.5), (circle(3, 0, 0), circle(3, -5, 5), circle(0, 0, 0.5),
-                             circle(1, -3, 0))),
-        (circle(0, 0, 2.5), (circle(3, -5, 5), circle(3, 0, 0), circle(0, 0, 0.5),
-                             circle(1, -3, 0))),
+        ((0, 0, 2), ((0, 0, 1), (-6, -8, 11), (-1, -4, 1.5))),
+        ((0, 0, 2.5), ((3, 0, 0), (3, -5, 5), (0, 0, 0.5),
+                             (1, -3, 0))),
+        ((0, 0, 2.5), ((3, -5, 5), (3, 0, 0), (0, 0, 0.5),
+                             (1, -3, 0))),
     ]
-    apart = [(t, (gs[0], circle(gs[1].center.x, gs[1].center.y, _after(gs[1].radius)), *gs[2:]))
+    apart = [(t, (gs[0], (gs[1][0], gs[1][1], _after(gs[1][2])), *gs[2:]))
              for t, gs in tangent[:2]]
-    apart.append((tangent[2][0], (circle(3, -5, _after(5)),) + tangent[2][1][1:]))
+    apart.append((tangent[2][0], ((3, -5, _after(5)),) + tangent[2][1][1:]))
 
     def ratio(target, gens):
-        (xi, yi, ri), (xj, yj, rj) = [(g.center.x - target.center.x, g.center.y - target.center.y,
-                                       g.radius - target.radius) for g in gens[:2]]
+        (xi, yi, ri), (xj, yj, rj) = [(g[0] - target[0], g[1] - target[1], g[2] - target[2])
+                                      for g in gens[:2]]
         return (rj - ri) / math.hypot(xi - xj, yi - yj)
 
     assert [ratio(*q) for q in tangent] == [1.0, 1.0, -1.0]
@@ -260,11 +251,11 @@ def test_guards_match_scalar_at_their_boundaries(candidate_path):
         for queries in pair:
             by_size = {}
             for target, gens in queries:
-                by_size.setdefault(len(gens), []).append((target, GeneratorSet(gens)))
+                by_size.setdefault(len(gens), []).append((target, gens))
             for group in by_size.values():
                 _assert_matches_scalar(group)
         # each boundary decides something: the two sides give different results
-        scalar = [[circle_in_hull(t, GeneratorSet(gs)) for t, gs in side] for side in pair]
+        scalar = [[circle_in_hull(t, gs) for t, gs in side] for side in pair]
         assert all((a.slack, a.witness_direction) != (b.slack, b.witness_direction)
                    for a, b in zip(*scalar))
 
@@ -331,26 +322,22 @@ def test_best_slack_is_none_without_a_witness(monkeypatch):
 
 def test_theorem_search_matches_scalar_pairs():
     rows = random_instances(range(3000))
-    for row, got in zip(rows, witness_searches_rows(rows)):
-        inst = instance_of_row(row)
-        assert _key(got) == _key(_scalar_witness_pairs(inst.sites, (inst.u0, inst.u1)))
+    for row, got in zip(rows.tolist(), witness_searches_rows(rows)):
+        assert _key(got) == _key(_scalar_witness_pairs(row[:3], row[3:]))
 
 
 def test_corollary_search_matches_scalar_pairs():
     rows = random_corollary_instances(range(3000))
-    for row, got in zip(rows, witness_searches_rows(rows)):
-        cs = corollary_of_row(row)
-        assert _key(got) == _key(_scalar_witness_pairs(cs[:3], cs[3:]))
+    for row, got in zip(rows.tolist(), witness_searches_rows(rows)):
+        assert _key(got) == _key(_scalar_witness_pairs(row[:3], row[3:]))
 
 
 def test_point_inclusions_match_scalar():
     rows = random_points_instances(range(3000))
     pairs = [point_decomposition(row) for row in rows.tolist()]
     slacks, inside = pair_inclusions_rows(rows, pairs)
-    for row, (j, k), slack, ok in zip(rows, pairs, slacks, inside):
-        sites, b0, b1 = points_of_row(row)
-        pts = (Circle2(b0, 0.0), Circle2(b1, 0.0))
-        res = circle_in_hull(pts[1 - k], pair_generators(pts[k], sites, j))
+    for row, (j, k), slack, ok in zip(rows.tolist(), pairs, slacks, inside):
+        res = circle_in_hull(row[4 - k], pair_generators(row[3 + k], row[:3], j))
         assert (_bits(slack), ok) == (_bits(res.slack), res.contained)
 
 

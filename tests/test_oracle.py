@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import reference_oracle
 
-from carousel import GeneratorSet, circle, circle_in_hull
+from carousel import circle_in_hull
 from carousel.fuzz import random_containment_query
 from carousel.oracle import (
     DEFAULT_SAMPLES,
@@ -23,19 +23,19 @@ from reference_hull import hull_polygon_area
 
 
 def test_target_equals_generator():
-    gens = GeneratorSet((circle(1, 2, 1.5),))
-    assert sampling_oracle_contains(circle(1, 2, 1.5), gens)
+    gens = ((1, 2, 1.5),)
+    assert sampling_oracle_contains((1, 2, 1.5), gens)
 
 
 def test_far_target_rejected():
-    gens = GeneratorSet((circle(0, 0, 1),))
-    assert not sampling_oracle_contains(circle(10, 0, 1), gens)
+    gens = ((0, 0, 1),)
+    assert not sampling_oracle_contains((10, 0, 1), gens)
 
 
 def test_clear_containment():
-    gens = GeneratorSet((circle(0, 0, 0), circle(10, 0, 0), circle(0, 10, 0)))
-    assert sampling_oracle_contains(circle(2, 2, 0.5), gens)
-    assert not sampling_oracle_contains(circle(2, 2, 5.0), gens)
+    gens = ((0, 0, 0), (10, 0, 0), (0, 10, 0))
+    assert sampling_oracle_contains((2, 2, 0.5), gens)
+    assert not sampling_oracle_contains((2, 2, 5.0), gens)
 
 
 def test_polygon_point_membership():
@@ -54,16 +54,16 @@ def test_zero_length_segment_is_its_point():
 
 def test_degenerate_generators():
     # a single point and a pair of points still answer sensibly
-    one = GeneratorSet((circle(1, 1, 0),))
-    assert sampling_oracle_contains(circle(1, 1, 0), one)
-    assert not sampling_oracle_contains(circle(2, 1, 0), one)
-    two = GeneratorSet((circle(0, 0, 0), circle(4, 0, 0)))
-    assert sampling_oracle_contains(circle(2, 0, 0), two)
-    assert not sampling_oracle_contains(circle(2, 1, 0), two)
+    one = ((1, 1, 0),)
+    assert sampling_oracle_contains((1, 1, 0), one)
+    assert not sampling_oracle_contains((2, 1, 0), one)
+    two = ((0, 0, 0), (4, 0, 0))
+    assert sampling_oracle_contains((2, 0, 0), two)
+    assert not sampling_oracle_contains((2, 1, 0), two)
 
 
 def test_polygon_is_counterclockwise():
-    poly = sample_hull_polygon(GeneratorSet((circle(0, 0, 1), circle(3, 0, 1))))
+    poly = sample_hull_polygon(((0, 0, 1), (3, 0, 1)))
     area2 = 0.0
     for a, b in zip(poly, np.roll(poly, -1, axis=0)):
         area2 += a[0] * b[1] - a[1] * b[0]
@@ -146,12 +146,12 @@ def _tie_heavy_query(seed):
         if gens and roll < 0.3:
             gens.append(rng.choice(gens))
         elif gens and roll < 0.6:
-            c = rng.choice(gens).center
-            gens.append(circle(c.x, c.y, rng.choice((0.0, 1.0, 2.0))))
+            x, y, _ = rng.choice(gens)
+            gens.append((x, y, rng.choice((0.0, 1.0, 2.0))))
         else:
-            gens.append(circle(rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((0.0, 1.0, 1.0, 2.0))))
-    target = circle(rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((0.0, 0.5, 1.0)))
-    return target, GeneratorSet(tuple(gens))
+            gens.append((rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((0.0, 1.0, 1.0, 2.0))))
+    target = (rng.randint(-2, 2), rng.randint(-2, 2), rng.choice((0.0, 0.5, 1.0)))
+    return target, tuple(gens)
 
 
 def test_matches_qhull_on_ties():
@@ -169,8 +169,8 @@ def test_matches_qhull_on_ties():
 def test_matches_qhull_where_a_point_sits_on_a_circle(circles):
     # the point and a circle sample coincide up to rounding, so the owner
     # changes at a chord of length ~1e-16 whose direction is noise
-    gens = GeneratorSet(tuple(circle(*c) for c in circles))
-    _assert_matches_qhull(circle(1, 0, 0.5), gens, tol=1e-12)
+    gens = tuple(circles)
+    _assert_matches_qhull((1, 0, 0.5), gens, tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -185,35 +185,35 @@ def test_matches_qhull_where_a_point_sits_on_a_circle(circles):
     ids=["one-point", "two-points", "three-collinear", "duplicate-point", "duplicate-and-one"],
 )
 def test_degenerate_clouds_keep_the_extremes(circles, expected):
-    gens = GeneratorSet(tuple(circle(*c) for c in circles))
+    gens = tuple(circles)
     assert sample_hull_polygon(gens).tolist() == expected
     assert hull_polygon_area(gens) == 0.0
 
 
 def test_descending_segment_keeps_both_ends():
     # projected on the per-axis spread (2, 2), every point of this segment ties
-    gens = GeneratorSet((circle(0, 2, 0), circle(2, 0, 0), circle(1, 1, 0)))
+    gens = ((0, 2, 0), (2, 0, 0), (1, 1, 0))
     assert sample_hull_polygon(gens).tolist() == [[0.0, 2.0], [2.0, 0.0]]
-    assert sampling_oracle_contains(circle(0, 2, 0), gens)
-    assert sampling_oracle_contains(circle(1.5, 0.5, 0), gens)
-    assert not sampling_oracle_contains(circle(1, 1.5, 0), gens)
+    assert sampling_oracle_contains((0, 2, 0), gens)
+    assert sampling_oracle_contains((1.5, 0.5, 0), gens)
+    assert not sampling_oracle_contains((1, 1.5, 0), gens)
 
 
 @pytest.mark.parametrize("samples", [-1, 0, 1, 2])
 def test_fewer_than_three_samples_rejected(samples):
     # at one sample, three points used to give the one-vertex polygon [[0, 1]]
     # and an interior point read as outside
-    gens = GeneratorSet((circle(0, 0, 0), circle(1, 0, 0), circle(0, 1, 0)))
+    gens = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
     with pytest.raises(ValueError, match="at least 3 samples"):
         sample_hull_polygon(gens, samples)
     with pytest.raises(ValueError, match="at least 3 samples"):
-        sampling_oracle_contains(circle(0.2, 0.2, 0), gens, samples)
-    assert sampling_oracle_contains(circle(0.2, 0.2, 0), gens, 3)
+        sampling_oracle_contains((0.2, 0.2, 0), gens, samples)
+    assert sampling_oracle_contains((0.2, 0.2, 0), gens, 3)
 
 
 def test_single_circle_is_every_sample_in_order():
-    c = circle(1, 2, 1.5)
-    poly = sample_hull_polygon(GeneratorSet((c,)))
+    c = (1, 2, 1.5)
+    poly = sample_hull_polygon((c,))
     assert np.array_equal(poly, _circle_samples(c, DEFAULT_SAMPLES))
     assert set(map(tuple, poly.tolist())) == set(map(tuple, _qhull_polygon((c,)).tolist()))
 
@@ -320,13 +320,13 @@ def test_matches_reference_on_its_boundary(band, seeds):
                 return _extreme_samples_pass(ours, target, DEFAULT_SAMPLES, _ABSOLUTE_BAND)
             return sampling_oracle_contains(target, gens)
 
-        cx = sum(g.center.x for g in gens) / len(gens)
-        cy = sum(g.center.y for g in gens) / len(gens)
+        cx = sum(g[0] for g in gens) / len(gens)
+        cy = sum(g[1] for g in gens) / len(gens)
         angle = random.Random(seed).uniform(0.0, 2.0 * math.pi)
         ux, uy = math.cos(angle), math.sin(angle)
         rays = [
-            (lambda r: circle(cx, cy, r), (0.0, 0.0, 1.0)),
-            (lambda t: circle(cx + t * ux, cy + t * uy, 0.0), (ux, uy, 0.0)),
+            (lambda r: (cx, cy, r), (0.0, 0.0, 1.0)),
+            (lambda t: (cx + t * ux, cy + t * uy, 0.0), (ux, uy, 0.0)),
         ]
         for make, step in rays:
             guess = _all_edges_boundary(ref, (cx, cy), step, band_of(make(0.0)))
@@ -356,10 +356,10 @@ def test_verdicts_do_not_change_under_scale_and_translation():
                 dx, dy = rng.uniform(-reach, reach) * scale, rng.uniform(-reach, reach) * scale
 
                 def moved(c):
-                    x, y = c.center.x * scale + dx, c.center.y * scale + dy
-                    return circle(x, y, c.radius * scale)
+                    x, y, r = c
+                    return x * scale + dx, y * scale + dy, r * scale
 
-                moved_gens = GeneratorSet(tuple(moved(g) for g in gens))
+                moved_gens = [moved(g) for g in gens]
                 assert sampling_oracle_contains(moved(target), moved_gens) == verdict, (
                     seed,
                     scale,
@@ -374,11 +374,11 @@ def test_shifted_copy_stays_refuted_far_from_the_origin(offset, scale):
     # a unit circle moved by 0.01 off its only generator, or off the top of a
     # hull of three circles, stays refuted wherever the input sits
     def at(x, y, r):
-        return circle((offset + x) * scale, y * scale, r * scale)
+        return ((offset + x) * scale, y * scale, r * scale)
 
-    one = GeneratorSet((at(0, 0, 1),))
+    one = (at(0, 0, 1),)
     assert sampling_oracle_contains(at(0, 0, 1), one)
     assert not sampling_oracle_contains(at(0.01, 0, 1), one)
-    three = GeneratorSet((at(-3, 0, 1), at(3, 0, 1), at(0, 4, 1)))
+    three = (at(-3, 0, 1), at(3, 0, 1), at(0, 4, 1))
     assert sampling_oracle_contains(at(0, 4, 1), three)
     assert not sampling_oracle_contains(at(0, 4.01, 1), three)

@@ -1,29 +1,114 @@
-"""Planar tests: the package's orientation predicate, and the lemma helpers of
-``lemmas.py`` (homotheties, tangents, round-edged angles)."""
+"""Planar tests: the package's object check and orientation predicate, and the
+lemma helpers of ``lemmas.py`` (homotheties, tangents, round-edged angles)."""
 
 import math
 import random
 
 import pytest
 
-from carousel import Circle2, Point2, circle, pt
-from carousel.planar import _orientation
+from carousel import (
+    circle_in_hull,
+    corollary_witness_search,
+    hull_boundary,
+    sweep_slack,
+    two_carousel_points,
+    witness_search,
+    xi_sweep_fixed,
+)
+from carousel.oracle import sampling_oracle_contains
+from carousel.planar import _orientation, checked_objects
+from carousel.witness import pair_generators, sweep_events, validate_instance
 from lemmas import (
+    Circle2,
     DegenerateRadius,
     EqualRadii,
     FocusInsideOrOn,
     Homothety,
     NestedCircles,
+    Point2,
     _perspective_config,
+    circle,
     external_homothety_center,
     homothety_apply,
     homothety_apply_circle,
     homothety_conjugate,
+    pt,
     reangle_boundary_samples,
     reangle_clearance,
     reangle_contains,
     tangent_points_from_point,
 )
+
+BAD_OBJECTS = {
+    "nan x": (math.nan, 0.0, 1.0),
+    "inf y": (0.0, -math.inf, 1.0),
+    "negative radius": (0.0, 0.0, -1e-300),
+    "infinite radius": (0.0, 0.0, math.inf),
+    "nan radius": (0.0, 0.0, math.nan),
+}
+
+
+class TestCheckedObjects:
+    def test_float_triples_out(self):
+        got = checked_objects([(1, 2, 0), [3.5, -4, 2]])
+        assert got == ((1.0, 2.0, 0.0), (3.5, -4.0, 2.0))
+        assert all(type(v) is float for obj in got for v in obj)
+
+    @pytest.mark.parametrize("name", sorted(BAD_OBJECTS))
+    def test_rejects_non_finite_and_negative_radius(self, name):
+        with pytest.raises(ValueError, match="must be finite"):
+            checked_objects([(0, 0, 0), BAD_OBJECTS[name]])
+
+    def test_empty(self):
+        assert checked_objects([]) == ()
+        with pytest.raises(ValueError, match="nonempty"):
+            checked_objects([], nonempty=True)
+
+
+GOOD = (0.5, 0.5, 0.1)
+SITES = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
+POINTS_ROW = (*SITES, (1, 1, 0), (2, 1, 0))
+ROW = (*SITES, (1, 1, 0.2), (2, 1, 0.1))
+
+
+def _with(row, at, bad):
+    return tuple(bad if i == at else obj for i, obj in enumerate(row))
+
+
+# every public 2D entry, called with the bad object in the place ``at`` of its input
+ENTRIES = {
+    "circle_in_hull target": lambda bad: circle_in_hull(bad, SITES),
+    "circle_in_hull generator": lambda bad: circle_in_hull(GOOD, _with(SITES, 1, bad)),
+    "hull_boundary": lambda bad: hull_boundary(_with(SITES, 2, bad)),
+    "oracle target": lambda bad: sampling_oracle_contains(bad, SITES),
+    "oracle generator": lambda bad: sampling_oracle_contains(GOOD, _with(SITES, 0, bad)),
+    "pair_generators own": lambda bad: pair_generators(bad, SITES, 0),
+    "pair_generators base": lambda bad: pair_generators(GOOD, _with(SITES, 2, bad), 0),
+    "witness_search": lambda bad: witness_search(_with(ROW, 4, bad)),
+    "corollary_witness_search": lambda bad: corollary_witness_search(_with(ROW, 0, bad)),
+    "two_carousel_points": lambda bad: two_carousel_points(_with(POINTS_ROW, 3, bad)),
+    "validate_instance": lambda bad: validate_instance(_with(ROW, 1, bad)),
+    "xi_sweep_fixed": lambda bad: xi_sweep_fixed(_with(ROW, 3, bad), 0, 0),
+    "sweep_slack": lambda bad: sweep_slack(_with(ROW, 4, bad), 0, 0, 0.5),
+    "sweep_events": lambda bad: sweep_events(_with(ROW, 2, bad), 0, 0),
+}
+
+
+class TestEntriesCheckTheirObjects:
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("name", sorted(BAD_OBJECTS))
+    def test_bad_object_raises_value_error(self, entry, name):
+        with pytest.raises(ValueError, match="must be finite"):
+            ENTRIES[entry](BAD_OBJECTS[name])
+
+    @pytest.mark.parametrize("call", [
+        lambda: circle_in_hull(GOOD, []),
+        lambda: hull_boundary([]),
+        lambda: sampling_oracle_contains(GOOD, []),
+    ], ids=["circle_in_hull", "hull_boundary", "oracle"])
+    def test_empty_generator_list_raises_value_error(self, call):
+        with pytest.raises(ValueError, match="nonempty"):
+            call()
 
 
 def close(a: Point2, b: Point2, tol=1e-12) -> bool:

@@ -15,6 +15,11 @@ from reference3d import reference
 ULP_BOUND = 1e-15
 
 
+def kernel(objects, inclusions):
+    """``spheres_in_hull3`` on the centres and radii of Sphere3 objects."""
+    return spheres_in_hull3([o.center for o in objects], [o.radius for o in objects], inclusions)
+
+
 def assert_matches_reference(target, gens, res):
     """Same verdict and slack as the reference; the witness is one of its
     candidate directions and attains its slack there."""
@@ -77,21 +82,39 @@ def random_set(seed: int):
 
 class TestSetEntryPoint:
     def test_no_inclusions(self):
-        assert spheres_in_hull3([Sphere3((0, 0, 0), 1.0)], []) == ()
+        assert spheres_in_hull3([(0, 0, 0)], [1.0], []) == ()
+        assert spheres_in_hull3(np.zeros((0, 3)), np.zeros(0), []) == ()
 
     def test_every_object_removed_is_an_error(self):
         objects = [Sphere3((0, 0, 0), 1.0), Sphere3((1, 0, 0), 0.0)]
-        with pytest.raises(ValueError):
-            spheres_in_hull3(objects, [(0, (1,))])
+        with pytest.raises(ValueError, match="nonempty"):
+            kernel(objects, [(0, (1,))])
         with pytest.raises(ValueError):
             sphere_in_hull3(objects[0], [])
+
+    @pytest.mark.parametrize("centers, radii", [
+        ([(0, 0, 0), (1, np.nan, 0)], [1.0, 0.0]),
+        ([(0, 0, 0), (1, 0, -np.inf)], [1.0, 0.0]),
+        ([(0, 0, 0), (1, 0, 0)], [1.0, np.inf]),
+        ([(0, 0, 0), (1, 0, 0)], [np.nan, 0.0]),
+        ([(0, 0, 0), (1, 0, 0)], [1.0, -1e-300]),
+    ], ids=["nan-centre", "inf-centre", "inf-radius", "nan-radius", "negative-radius"])
+    def test_rejects_what_sphere3_rejects(self, centers, radii):
+        # checked before the inclusions are read, as a Sphere3 is checked when built
+        for inclusions in ([(0, ())], []):
+            with pytest.raises(ValueError, match="must be finite"):
+                spheres_in_hull3(centers, radii, inclusions)
+
+    def test_rejects_a_radius_count_that_is_not_the_centre_count(self):
+        with pytest.raises(ValueError, match="radii"):
+            spheres_in_hull3([(0, 0, 0), (1, 0, 0)], [1.0], [(0, ())])
 
     def test_removed_object_is_not_a_generator(self):
         # the big ball holds the target; without it two points cannot
         target = Sphere3((0, 0, 0), 0.1)
         ball = Sphere3((0, 0, 0), 1.0)
         points = [Sphere3((1, 0, 0), 0.0), Sphere3((-1, 0, 0), 0.0)]
-        with_ball, without = spheres_in_hull3([target, ball, *points], [(0, ()), (0, (1,))])
+        with_ball, without = kernel([target, ball, *points], [(0, ()), (0, (1,))])
         assert with_ball.contained and with_ball.slack == pytest.approx(0.9)
         assert not without.contained and without.slack == pytest.approx(-0.1)
 
@@ -99,16 +122,16 @@ class TestSetEntryPoint:
         rng = random.Random(7)
         objects = [Sphere3(_point(rng, 2.0), rng.uniform(0.0, 1.0)) for _ in range(6)]
         inclusions = [(0, ()), (1, (0, 2)), (2, (0,)), (0, (1,)), (5, ()), (3, (4, 5, 0))]
-        results = spheres_in_hull3(objects, inclusions)
+        results = kernel(objects, inclusions)
         assert_set_matches_reference(objects, inclusions, results)
 
     def test_slack_scales_linearly_from_1e_minus_6_to_1e6(self):
         for seed in range(20):
             objects, inclusions = random_set(seed)
-            base = spheres_in_hull3(objects, inclusions)
+            base = kernel(objects, inclusions)
             for e in range(-6, 7):
                 s = 10.0**e
-                scaled = spheres_in_hull3(
+                scaled = kernel(
                     [Sphere3(tuple(x * s for x in o.center), o.radius * s) for o in objects],
                     inclusions,
                 )
@@ -145,7 +168,7 @@ class TestReferenceEquivalence:
     def test_random_sets(self):
         for seed in range(300):
             objects, inclusions = random_set(seed)
-            assert_set_matches_reference(objects, inclusions, spheres_in_hull3(objects, inclusions))
+            assert_set_matches_reference(objects, inclusions, kernel(objects, inclusions))
 
 
 @functools.lru_cache(maxsize=4)
