@@ -3,6 +3,13 @@
 Verbs: check, fuzz, oracle, sweep, repro3d, render.  Reports go to stdout or
 to -o as canonical JSON; human summaries and timings go to stderr so the
 machine-readable stream stays reproducible byte for byte.
+
+The parsers are built once per process.  When the first argument names a
+verb, the rest goes straight to that verb's parser, which is what the
+top-level parser would hand it, and arguments it leaves over are rejected
+by the top-level parser as before; any other command line (no verb, ``-h``,
+an unknown verb) takes the full parse.  Both give the same namespace, usage
+lines and exit code 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from .harness import (
     write_report,
 )
 from .reports import TOOL_INFO, canonical_json
-from .scenario import decode_scenario, load_scenario, parse_scenario, scenario_kind
+from .scenario import (
+    build_scenario,
+    decode_scenario,
+    load_scenario,
+    parse_scenario,
+    scenario_kind,
+)
 from .svgfig import render_svg
 
 
@@ -40,8 +53,9 @@ def _trial_count(text: str) -> int:
     return n
 
 
-@functools.cache  # built once per process: parse_args leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built once per process: parse_args leaves the parsers unchanged
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each verb's subparser, by verb."""
     parser = argparse.ArgumentParser(
         prog="carousel",
         description="verify carousel witnesses, sweep critical scales, and "
@@ -84,7 +98,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", type=Path)
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    return parser
+    return parser, dict(sub.choices)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace of ``_build_parser().parse_args(argv)``, parsing a verb's arguments once."""
+    parser, verbs = _build_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in verbs:
+        return parser.parse_args(argv)
+    args, extras = verbs[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.verb = argv[0]
+    return args
 
 
 def _verdict(report: dict) -> str:
@@ -142,7 +173,9 @@ def _cmd_sweep(args) -> int:
     if kind not in ("sweep", "theorem2d"):
         raise SchemaError(f"sweep needs a sweep/theorem2d scenario, got {kind!r}")
     overrides = {key: v for key, v in (("j", args.j), ("k", args.k)) if v is not None}
-    report, code = run_scenario_obj(parse_scenario({**data, "kind": "sweep", **overrides}))
+    # the kind is checked once: a sweep allows every field of a theorem2d scenario, and j, k
+    data = {**data, "kind": "sweep", **overrides}
+    report, code = run_scenario_obj(build_scenario("sweep", data))
     _emit(report, args.output)
     if "sweep" in report:
         print(f"sweep: xi_star={report['sweep']['xi_star']}", file=sys.stderr)
@@ -183,7 +216,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     start = time.perf_counter()
     try:
         code = _COMMANDS[args.verb](args)

@@ -52,28 +52,29 @@ class Scenario:
     raw: dict = field(default_factory=dict, compare=False)
 
 
-def _num(v, where: str) -> float:
+def _where(key: str, i: int | None) -> str:
+    return key if i is None else f"{key}[{i}]"
+
+
+def _num(v, key: str, i: int | None = None) -> float:
+    """A finite number of field ``key`` (of its entry i, if given) as a float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{where}: expected a number, got {v!r}")
+        raise SchemaError(f"{_where(key, i)}: expected a number, got {v!r}")
     try:
         f = float(v)
     except OverflowError:  # a JSON integer beyond float range
         f = math.inf
     if not math.isfinite(f):
-        raise SchemaError(f"{where}: number must be finite")
+        raise SchemaError(f"{_where(key, i)}: number must be finite")
     return f
 
 
-def _entry2d(v, where: str) -> tuple[float, float, float]:
-    if not isinstance(v, list) or len(v) != 3:
-        raise SchemaError(f"{where}: expected [x, y, r]")
-    x, y, r = (_num(c, where) for c in v)
-    if r < 0.0:
-        raise SchemaError(f"{where}: radius must be >= 0")
-    return x, y, r
-
-
 def _array2d(data, key: str, count: int, point_only: bool = False):
+    """Field ``key`` as ``count`` (x, y, r) float triples.
+
+    Each entry is checked in one pass, and its location ``key[i]`` is
+    spelled only in the message of an error.
+    """
     if key not in data:
         raise SchemaError(f"missing field {key!r}")
     arr = data[key]
@@ -81,10 +82,14 @@ def _array2d(data, key: str, count: int, point_only: bool = False):
         raise SchemaError(f"field {key!r} must be a list of {count} entries")
     out = []
     for i, v in enumerate(arr):
-        c = _entry2d(v, f"{key}[{i}]")
-        if point_only and c[2] != 0.0:
+        if not isinstance(v, list) or len(v) != 3:
+            raise SchemaError(f"{key}[{i}]: expected [x, y, r]")
+        x, y, r = _num(v[0], key, i), _num(v[1], key, i), _num(v[2], key, i)
+        if r < 0.0:
+            raise SchemaError(f"{key}[{i}]: radius must be >= 0")
+        if point_only and r != 0.0:
             raise SchemaError(f"{key}[{i}]: must have radius 0")
-        out.append(c)
+        out.append((x, y, r))
     return tuple(out)
 
 
@@ -106,8 +111,11 @@ def scenario_kind(data) -> str:
 
 def parse_scenario(data: dict) -> Scenario:
     """Validate a decoded scenario object and build the typed payload."""
-    kind = scenario_kind(data)
+    return build_scenario(scenario_kind(data), data)
 
+
+def build_scenario(kind: str, data: dict) -> Scenario:
+    """Validate and build the payload of a decoded object whose ``scenario_kind`` is ``kind``."""
     seed = None
     if "seed" in data:
         s = data["seed"]
@@ -151,14 +159,18 @@ def parse_scenario(data: dict) -> Scenario:
 
 
 def decode_scenario(path: str | Path):
-    """Read and decode a scenario file, without validating it."""
+    """Read and decode a UTF-8 JSON scenario file, without validating it.
+
+    A file that cannot be read, is not UTF-8, is not JSON or nests too
+    deeply for the decoder raises ParseError.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -121,7 +121,11 @@ def validate_instance(row) -> None:
     Raises InvalidInstance when they fail.  Each u_k is decided as
     ``circle_in_hull`` decides it against the sites, from the same floats.
     """
-    row = _sites_row(row)
+    _validate_sites_row(_sites_row(row))
+
+
+def _validate_sites_row(row) -> None:
+    """``validate_instance`` on a row that ``_sites_row`` has checked."""
     _check_collinear(row)
     for k, (tx, ty, tr) in enumerate(row[3:]):
         slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
@@ -370,7 +374,11 @@ def sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
     Events closer than EVENT_TIE merge into one, whose family is the first in
     the order leg, front arc, base side.
     """
-    row = _sites_row(row)
+    return _sweep_events(_sites_row(row), j, k)
+
+
+def _sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
+    """``sweep_events`` on a row that ``_sites_row`` has checked."""
     (ckx, cky, rk), (ctx, cty, rt) = row[3 + k], row[4 - k]
     kept = [(x, y) for x, y, _ in _others(row[:3], j)]
     (ax, ay), (bx, by) = kept
@@ -426,16 +434,17 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
     zeta = 0 on, xi_star = 0 and the tangency is the side of the point hull
     nearest the target's centre.  When no interval fails, xi_star = 1 with
     no tangency.  The slack at xi_star and the touch direction come from
-    one envelope evaluation there.
+    one envelope evaluation there.  The row is checked once, and the
+    hypothesis checks, the events and the probes all read its checked floats.
     """
     if j not in (0, 1, 2) or k not in (0, 1):
         raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
     row = _sites_row(row)
-    validate_instance(row)
-    events = sweep_events(row, j, k)
+    _validate_sites_row(row)
+    events = _sweep_events(row, j, k)
     edges = [0.0] + [zeta for zeta, _ in events] + [1.0]
     for i in range(len(edges) - 1):
-        if sweep_slack(row, j, k, 0.5 * (edges[i] + edges[i + 1])) < 0.0:
+        if _sweep_envelope(row, j, k, 0.5 * (edges[i] + edges[i + 1]))[0] < 0.0:
             break
     else:
         slack, _ = _sweep_envelope(row, j, k, 1.0)

@@ -1,5 +1,6 @@
 """Scenario schema, CLI verbs, exit codes, report and SVG determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ from carousel.planar import EPS_DECISION
 from carousel.reports import canonical_json
 from carousel.scenario import load_scenario, parse_scenario
 from carousel.witness import scaled_instance, xi_sweep_fixed
+from test_readme import CLI_LINES
 
 THEOREM = {
     "schema": "carousel/1",
@@ -53,6 +55,9 @@ EX41 = {"schema": "carousel/1", "kind": "sphere3_ex41", "side": 1.0, "r": 0.1}
 EX42 = {"schema": "carousel/1", "kind": "sphere3_ex42", "t": 4}
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# a file that is not UTF-8, and JSON nested deeper than the decoder can go
+UNDECODABLE = [b"\xff\xfe{}", b"[" * 200_000]
 
 
 def sha256_of(path: Path) -> str:
@@ -142,6 +147,19 @@ class TestSchema:
         p.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError):
             load_scenario(p)
+
+    @pytest.mark.parametrize("verb", ["check", "sweep", "render"])
+    @pytest.mark.parametrize("raw", UNDECODABLE, ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_file_is_an_input_error(self, tmp_path, capsys, raw, verb):
+        p = tmp_path / "bad.json"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_scenario(p)
+        out = ["-o", str(tmp_path / "fig.svg")] if verb == "render" else []
+        assert main([verb, str(p), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {p}: ")
+        assert "Traceback" not in err
 
 
 class TestCheckVerb:
@@ -625,6 +643,39 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
 
 
+def _parse_outcome(parse, argv, capsys):
+    """What a parse gives: its namespace, or its exit code, and what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *CLI_LINES,
+    ["sweep", "f.json", "--bogus"],
+    ["fuzz", "--kind", "no-such-kind", "--n", "3"],
+    ["oracle"],
+    ["fuzz", "--n", "0"],
+    ["sweep"],
+    ["sweep", "--help"],
+    ["no-such-verb"],
+    [],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_verb_dispatch_parses_as_the_full_parser(capsys, argv):
+    from carousel import cli
+
+    full = _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == full
+    result, _, err = full
+    if not isinstance(result, argparse.Namespace) and result != 0:
+        assert result == 2
+        usage, *_, error = err.splitlines()
+        assert usage.startswith("usage: carousel") and ": error: " in error
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_out(self):
         import carousel
@@ -636,7 +687,13 @@ class TestStartup:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["oracle", "--n", "0"], 2)])
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["oracle", "--n", "0"], 2),
+        (["sweep", str(SCENARIOS / "sweep_leg_tangency.json"), "--j", "0", "--k", "0"], 0),
+        (["sweep", "--help"], 0),
+        (["sweep", "--bogus"], 2),
+    ])
     def test_python_dash_m_runs_the_cli(self, argv, code):
         import carousel
 

@@ -428,24 +428,24 @@ class TestFloatSweep:
     def test_envelope_evaluations_per_sweep(self, monkeypatch):
         # 2 hypothesis checks, one probe per interval up to the first that
         # fails (all of them when none does) and the final evaluation, which
-        # reads the slack and touch direction without going through
-        # sweep_slack; no object-level containment query is made
-        calls = {"envelope": 0, "sweep_slack": 0}
-        envelope_min, slack_of = witness._envelope_min, witness.sweep_slack
+        # reads the slack and touch direction; the row is checked once, and
+        # no object-level containment query is made
+        calls = {"envelope": 0, "checked": 0}
+        envelope_min, checked = witness._envelope_min, witness.checked_objects
 
         def counted_envelope(terms):
             calls["envelope"] += 1
             return envelope_min(terms)
 
-        def counted_slack(*args):
-            calls["sweep_slack"] += 1
-            return slack_of(*args)
+        def counted_checked(*args, **kwargs):
+            calls["checked"] += 1
+            return checked(*args, **kwargs)
 
         def forbidden(*args):
             raise AssertionError("the sweep must not build containment queries")
 
         monkeypatch.setattr(witness, "_envelope_min", counted_envelope)
-        monkeypatch.setattr(witness, "sweep_slack", counted_slack)
+        monkeypatch.setattr(witness, "checked_objects", counted_checked)
         monkeypatch.setattr(hull, "circle_in_hull", forbidden)
         monkeypatch.setattr(witness, "circle_in_hull", forbidden)
         for inst in self.insts[:100]:
@@ -453,12 +453,12 @@ class TestFloatSweep:
                 edges = [0.0, *(z for z, _ in sweep_events(inst, j, k)), 1.0]
                 mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
                 probes = next(
-                    (i + 1 for i, z in enumerate(mids) if slack_of(inst, j, k, z) < 0.0),
+                    (i + 1 for i, z in enumerate(mids) if sweep_slack(inst, j, k, z) < 0.0),
                     len(mids),
                 )
-                calls.update(envelope=0, sweep_slack=0)
+                calls.update(envelope=0, checked=0)
                 xi_sweep_fixed(inst, j, k)
-                assert calls == {"envelope": 2 + probes + 1, "sweep_slack": probes}
+                assert calls == {"envelope": 2 + probes + 1, "checked": 1}
 
 
 class TestZeroRadiusShortcut:
