@@ -19,7 +19,7 @@ from .reports import (
     witness_to_dict,
 )
 from .scenario import Scenario
-from .spheres import Example41Report, Example42Report, example_4_1, example_4_2
+from .spheres import example_4_1, example_4_2
 from .witness import two_carousel_points, witness_search, xi_sweep_fixed
 
 EXIT_VERIFIED = 0
@@ -51,18 +51,15 @@ def _run_sweep(scenario: Scenario) -> tuple[dict, int]:
     return _judged({"sweep": sweep_to_dict(rep)}, "critical scale located", True)
 
 
-def _example_report(rep: Example41Report | Example42Report, claim: str) -> tuple[dict, int]:
-    to_dict = example41_to_dict if isinstance(rep, Example41Report) else example42_to_dict
-    return _judged({"example": to_dict(rep)}, claim, rep.all_refuted)
-
-
 def _run_ex41(scenario: Scenario) -> tuple[dict, int]:
-    return _example_report(example_4_1(scenario.side, scenario.r), "all 8 inclusions refuted")
+    rep = example_4_1(scenario.side, scenario.r)
+    return _judged({"example": example41_to_dict(rep)}, "all 8 inclusions refuted", rep.all_refuted)
 
 
 def _run_ex42(scenario: Scenario) -> tuple[dict, int]:
     rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
-    return _example_report(rep, "every sphere refuted against the others")
+    claim = "every sphere refuted against the others"
+    return _judged({"example": example42_to_dict(rep)}, claim, rep.all_refuted)
 
 
 _RUNNERS = {

@@ -18,12 +18,11 @@ non-containment.
 rows with the same number of objects in one array pass, each row against
 one or more subsets of its objects that all rows share.  A row's candidate
 angles are built once, from all its objects, by the formulas of
-``_antipodes`` and ``_crossings``: their own loops for a few rows, ``math``
-over whole columns with the guards in numpy for more.  Each subset's
-envelope is read at its own candidates only, in bounded blocks of rows, so
-every result is bitwise the one-query kernel's on that subset, and a
-caller may batch its queries, or share one target's candidates among its
-queries, without changing any report.
+``_critical_angles``, with ``math`` over whole columns and the guards in
+numpy.  Each subset's envelope is read at its own candidates only, in
+bounded blocks of rows, so every result is bitwise the one-query kernel's
+on that subset, and a caller may batch its queries, or share one target's
+candidates among its queries, without changing any report.
 
 The same switch-angle machinery yields the hull boundary as a cyclic chain
 of circular arcs and common external tangent segments, used for rendering.
@@ -46,9 +45,6 @@ _TINY = 1e-15
 # Elements in the largest temporary of ``circles_in_hulls`` (subsets x
 # their objects x rows x candidate angles); rows go in blocks of about this size.
 _BLOCK = 1 << 15
-# Below this many offset elements, ``circles_in_hulls`` builds its candidates
-# with the scalar loops, which cost less than numpy's calls for a few rows.
-_FEW = 256
 
 
 @dataclass(frozen=True)
@@ -66,64 +62,40 @@ class ContainmentResult:
     witness_direction: float | None = None
 
 
-def _antipodes(offsets, fill=None) -> list[float]:
-    """Where each sinusoid x cos + y sin + r is least: the angle antipodal to (x, y).
-
-    ``offsets`` are (x, y, r) triples.  An offset no longer than _TINY has
-    no such angle and is skipped, or stands as ``fill`` when one is given,
-    so that an array row keeps one entry per offset.
-    """
-    out = []
-    for x, y, _ in offsets:
-        if math.hypot(x, y) > _TINY:
-            out.append(math.atan2(y, x) + math.pi)
-        elif fill is not None:
-            out.append(fill)
-    return out
-
-
-def _crossings(diffs, fill=None) -> list[float]:
-    """Both angles where two sinusoids cross, pair by pair, not reduced mod tau.
-
-    ``diffs`` are (xi - xj, yi - yj, rj - ri) triples of sinusoids
-    x cos + y sin + r.  A pair with distinct centres and |rj - ri| at most
-    their distance contributes base + delta, then base - delta; any other
-    pair is skipped, or contributes ``fill`` twice when one is given.
-    """
-    out = []
-    for ax, ay, dr in diffs:
-        rho = math.hypot(ax, ay)
-        if rho > _TINY:
-            x = dr / rho
-            if -1.0 <= x <= 1.0:
-                base = math.atan2(ay, ax)
-                delta = math.acos(x)
-                out.append(base + delta)
-                out.append(base - delta)
-                continue
-        if fill is not None:
-            out.append(fill)
-            out.append(fill)
-    return out
-
-
 def _switch_angles(terms) -> list[float]:
-    """Angles where two of the sinusoids (x, y, r) cross, pairs i < j in order."""
-    return _crossings([
-        (xi - xj, yi - yj, rj - ri)
-        for i, (xi, yi, ri) in enumerate(terms)
-        for xj, yj, rj in terms[i + 1 :]
-    ])
+    """Both angles where two of the sinusoids (x, y, r) cross, pairs i < j in order.
+
+    A pair with distinct centres and |rj - ri| at most their distance
+    contributes base + delta, then base - delta, not reduced mod tau; any
+    other pair has no crossing.
+    """
+    out = []
+    for i, (xi, yi, ri) in enumerate(terms):
+        for xj, yj, rj in terms[i + 1 :]:
+            ax = xi - xj
+            ay = yi - yj
+            rho = math.hypot(ax, ay)
+            if rho > _TINY:
+                x = (rj - ri) / rho
+                if -1.0 <= x <= 1.0:
+                    base = math.atan2(ay, ax)
+                    delta = math.acos(x)
+                    out.append(base + delta)
+                    out.append(base - delta)
+    return out
 
 
 def _critical_angles(terms) -> list[float]:
     """Angles where max_g(dx cos + dy sin + dr) can take its minimum, ascending mod tau.
 
     An envelope of sinusoids is smallest at one sinusoid's own minimum (the
-    direction antipodal to its centre offset) or where two of them cross;
-    theta = 0 stands in when every centre coincides with the target's.
+    direction antipodal to its centre offset, for an offset longer than
+    _TINY) or where two of them cross; theta = 0 stands in when every centre
+    coincides with the target's.
     """
-    cands = [0.0, *_antipodes(terms), *_switch_angles(terms)]
+    cands = [0.0]
+    cands += [math.atan2(y, x) + math.pi for x, y, _ in terms if math.hypot(x, y) > _TINY]
+    cands += _switch_angles(terms)
     return sorted([c % TAU for c in cands])
 
 
@@ -190,33 +162,25 @@ def _candidates(offsets: np.ndarray, g: int) -> np.ndarray:
 
     ``offsets`` is an (m, g + p, 3) array: a row's g offsets (x, y, r) and
     then its p pair differences (xi - xj, yi - yj, rj - ri).  The angles
-    are those of ``_antipodes`` and ``_crossings``, with 0.0 for each one
-    that a guard rejects.  A few offsets go through those functions
-    themselves, because numpy's cost per call exceeds their loop's.  More
-    are taken column by column: the ``math`` functions over whole columns
-    and the guards in numpy, with base - delta as base + (-delta), which
-    rounds alike.
+    are those of ``_critical_angles``, unsorted, with 0.0 for each one that
+    a guard rejects.  They are taken column by column: the ``math``
+    functions over whole columns and the guards in numpy, with base - delta
+    as base + (-delta), which rounds alike.
     """
     m = len(offsets)
-    if offsets.size < _FEW:
-        cands = np.array([
-            [0.0, *_antipodes(row[:g], 0.0), *_crossings(row[g:], 0.0)]
-            for row in offsets.tolist()
-        ])
-    else:
-        x, y, _ = offsets.reshape(-1, 3).T.tolist()
-        length = _column(math.hypot, x, y).reshape(m, -1)
-        angle = _column(math.atan2, y, x).reshape(m, -1)
-        apart = length > _TINY
-        ratio = offsets[:, g:, 2] / np.where(apart[:, g:], length[:, g:], 1.0)
-        meet = apart[:, g:] & (np.abs(ratio) <= 1.0)
-        delta = _column(math.acos, np.where(meet, ratio, 0.0).ravel().tolist())
-        crossing = angle[:, g:, None] + delta.reshape(m, -1, 1) * _SIGNS
-        cands = np.concatenate([
-            np.zeros((m, 1)),
-            np.where(apart[:, :g], angle[:, :g] + math.pi, 0.0),
-            np.where(meet[..., None], crossing, 0.0).reshape(m, -1),
-        ], axis=1)
+    x, y, _ = offsets.reshape(-1, 3).T.tolist()
+    length = _column(math.hypot, x, y).reshape(m, -1)
+    angle = _column(math.atan2, y, x).reshape(m, -1)
+    apart = length > _TINY
+    ratio = offsets[:, g:, 2] / np.where(apart[:, g:], length[:, g:], 1.0)
+    meet = apart[:, g:] & (np.abs(ratio) <= 1.0)
+    delta = _column(math.acos, np.where(meet, ratio, 0.0).ravel().tolist())
+    crossing = angle[:, g:, None] + delta.reshape(m, -1, 1) * _SIGNS
+    cands = np.concatenate([
+        np.zeros((m, 1)),
+        np.where(apart[:, :g], angle[:, :g] + math.pi, 0.0),
+        np.where(meet[..., None], crossing, 0.0).reshape(m, -1),
+    ], axis=1)
     cands %= TAU
     return cands
 
@@ -271,13 +235,20 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
     the subset's objects in row order: hypot, atan2 and acos are taken from
     ``math`` over whole columns, because their numpy versions round
     differently, while the arithmetic, ``%``, cos and sin round alike in
-    both.  Rows go in blocks, so the temporaries stay bounded.
+    both.  Rows go in blocks, so the temporaries stay bounded.  A
+    coordinate that is not finite, or a radius that is negative or not
+    finite, in a target or a generator, raises ValueError.
     """
     targets = np.asarray(targets, dtype=float)
     gens = np.asarray(gens, dtype=float)
     n, g, _ = gens.shape
     if g < 1:
         raise ValueError("generator sets must be nonempty")
+    for objs in (targets, gens):
+        if not (np.isfinite(objs).all() and (objs[..., 2] >= 0.0).all()):
+            if not np.isfinite(objs[..., :2]).all():
+                raise ValueError("coordinates must be finite")
+            raise ValueError("radii must be finite and >= 0")
     key = None
     if subsets is not None:
         subsets = np.asarray(subsets, dtype=bool)
@@ -344,6 +315,7 @@ class HullBoundary:
 
 
 def _point_on(g, theta: float) -> tuple[float, float]:
+    """The point at angle theta on the circle (x, y, r)."""
     x, y, r = g
     return x + r * math.cos(theta), y + r * math.sin(theta)
 

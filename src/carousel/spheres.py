@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
-from .hull import ContainmentResult, _envelope_min
+from .hull import ContainmentResult, circle_in_hull
 from .planar import EPS_DECISION
 
 # -- float triples -------------------------------------------------------------
@@ -436,16 +436,12 @@ def project_to_plane(p, plane) -> tuple[float, float]:
 
 
 def _projection_certificate(target, gens, plane) -> ContainmentResult:
-    """The exact 2D test of the projected (centre, radius) pairs, on ``circle_in_hull``'s terms."""
-    (tc, tr) = target
-    tx, ty = project_to_plane(tc, plane)
-    terms = []
-    for gc, gr in gens:
-        x, y = project_to_plane(gc, plane)
-        terms.append((x - tx, y - ty, gr - tr))
-    best, best_theta = _envelope_min(terms)
-    contained = best >= -EPS_DECISION
-    return ContainmentResult(contained, best, None if contained else best_theta)
+    """``circle_in_hull`` on the projections of the (centre, radius) pairs into the plane."""
+    tc, tr = target
+    return circle_in_hull(
+        (*project_to_plane(tc, plane), tr),
+        [(*project_to_plane(gc, plane), gr) for gc, gr in gens],
+    )
 
 
 def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
@@ -462,8 +458,6 @@ def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
     if abs(_dot3(e1, e2)) > 1e-9:
         raise DegenerateBasis("basis vectors are not orthogonal")
     gens = [(g.center, g.radius) for g in gens]
-    if not gens:
-        raise ValueError("generator set must be nonempty")
     return _projection_certificate((target.center, target.radius), gens, plane)
 
 

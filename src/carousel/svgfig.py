@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .hull import ArcPiece, HullBoundary, hull_boundary
+from .hull import ArcPiece, HullBoundary, _point_on, hull_boundary
 from .scenario import Scenario
 from .spheres import (
     _ex41_target_gens,
@@ -36,12 +36,6 @@ def _f(v: float) -> str:
 
 def _xy(p) -> str:
     return f"{_f(p[0])} {_f(-p[1])}"
-
-
-def _polar(c, theta: float) -> tuple[float, float]:
-    """The point at angle theta on the circle (x, y, r)."""
-    x, y, r = c
-    return x + r * math.cos(theta), y + r * math.sin(theta)
 
 
 class _Canvas:
@@ -153,7 +147,7 @@ def hull_path_d(gens, boundary: HullBoundary) -> str:
         g = glist[p.generator]
         r = g[2]
         start = p.start
-        mid = _polar(g, p.start_angle + math.pi)
+        mid = _point_on(g, p.start_angle + math.pi)
         return (
             f"M {_xy(start)} A {_f(r)} {_f(r)} 0 0 0 {_xy(mid)} "
             f"A {_f(r)} {_f(r)} 0 0 0 {_xy(start)} Z"
@@ -238,7 +232,7 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     target = scaled[4 - k]
     canvas.circle(target, "#2ca02c")
     if rep.touch_direction is not None:
-        canvas.marker(_polar(target, rep.touch_direction))
+        canvas.marker(_point_on(target, rep.touch_direction))
     canvas.text(
         f"j={j} k={k} xi*={rep.xi_star:.6f} slack={rep.slack_at_xi_star:.2e} "
         f"tangency={rep.tangency.value}"
@@ -299,8 +293,8 @@ def _render_ex42(scenario: Scenario) -> _Canvas:
     spread = max(hi - lo, 0.02)
     lo -= 0.4 * spread
     hi += 0.4 * spread
-    a0 = _polar(guide, lo)
-    a1 = _polar(guide, hi)
+    a0 = _point_on(guide, lo)
+    a1 = _point_on(guide, hi)
     laf = 1 if hi - lo > math.pi else 0
     d = f"M {_xy(a0)} A {_f(arc_radius)} {_f(arc_radius)} 0 {laf} 0 {_xy(a1)}"
     canvas.path(d, fill="none", stroke="#707070", width=0.01, dash="0.03,0.03")

@@ -133,14 +133,32 @@ def test_rejects_empty_generator_sets():
         circles_in_hulls(np.zeros((2, 3)), np.zeros((2, 0, 3)))
 
 
+# (column, value, message): a coordinate or a radius that no object may hold
+_BAD_VALUES = [
+    (0, math.nan, "coordinates must be finite"),
+    (1, -math.inf, "coordinates must be finite"),
+    (2, -1.0, "radii must be finite and >= 0"),
+    (2, math.nan, "radii must be finite and >= 0"),
+    (2, math.inf, "radii must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("col, value, message", _BAD_VALUES)
+@pytest.mark.parametrize("in_gens", [False, True], ids=["target", "generator"])
+def test_rejects_objects_that_are_not_finite_or_have_negative_radii(in_gens, col, value, message):
+    targets = np.array([[0.0, 0.0, 0.5], [1.0, 1.0, 0.0]])
+    gens = np.array([[[0.0, 0.0, 1.0], [3.0, 0.0, 0.0]]] * 2)
+    if in_gens:
+        gens[1, 1, col] = value
+    else:
+        targets[1, col] = value
+    with pytest.raises(ValueError, match=message):
+        circles_in_hulls(targets, gens)
+    with pytest.raises(ValueError, match=message):
+        circles_in_hulls(targets, gens, subsets=[[True, False], [True, True]])
+
+
 # -- subset form ----------------------------------------------------------------
-
-
-@pytest.fixture(params=["loops", "columns"])
-def candidate_path(request, monkeypatch):
-    """Build the candidates with the scalar loops everywhere, or column by column."""
-    monkeypatch.setattr(hull, "_FEW", 10**9 if request.param == "loops" else 0)
-    return request.param
 
 
 def _assert_subsets_match_one_subset_calls(targets, gens, subsets):
@@ -157,7 +175,7 @@ def _all_subsets(g: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
-def test_subsets_match_one_subset_calls_on_random_rows(g, candidate_path):
+def test_subsets_match_one_subset_calls_on_random_rows(g):
     rng = random.Random(200 + g)
     targets, gens = _arrays([
         (_random_circle(rng), tuple(_random_circle(rng) for _ in range(g)))
@@ -169,7 +187,7 @@ def test_subsets_match_one_subset_calls_on_random_rows(g, candidate_path):
         _assert_subsets_match_one_subset_calls(targets, gens, np.array(picked))
 
 
-def test_subsets_match_one_subset_calls_on_degenerate_rows(candidate_path):
+def test_subsets_match_one_subset_calls_on_degenerate_rows():
     # a subset's envelope is flat from its first own candidate on, and a
     # third object's antipode, not the subset's own, lies before it
     unit = (0, 0, 1)
@@ -182,7 +200,7 @@ def test_subsets_match_one_subset_calls_on_degenerate_rows(candidate_path):
         _assert_subsets_match_one_subset_calls(*_arrays(queries), _all_subsets(g))
 
 
-def test_subsets_match_one_subset_calls_on_translated_tangent_pairs(candidate_path):
+def test_subsets_match_one_subset_calls_on_translated_tangent_pairs():
     rng = random.Random(7)
     queries = []
     for _ in range(500):
@@ -221,7 +239,7 @@ def _after(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
-def test_guards_match_scalar_at_their_boundaries(candidate_path):
+def test_guards_match_scalar_at_their_boundaries():
     tiny = hull._TINY
     origin = (0, 0, 0)
     # an offset whose hypot is exactly _TINY has no antipode; one ulp longer has one
@@ -360,3 +378,18 @@ def test_first_case_breaking_a_hypothesis_raises():
     with pytest.raises(InvalidInstance, match="u0 is not inside the generator hull"):
         search(cs)
     assert witness_searches_rows(np.zeros((0, 5, 3))) == []
+
+
+@pytest.mark.parametrize("col, value, message", _BAD_VALUES)
+def test_rows_entries_reject_what_the_kernel_rejects(col, value, message):
+    rows = random_instances(range(3))
+    rows[2, 4, col] = value  # u1 of the last row
+    with pytest.raises(ValueError, match=message):
+        witness_searches_rows(rows)
+    with pytest.raises(ValueError, match=message):
+        witness.best_witness_slacks_rows(rows)
+    points = random_points_instances(range(3))
+    pairs = [point_decomposition(row) for row in points.tolist()]
+    points[2, 4, col] = value  # b1 of the last row
+    with pytest.raises(ValueError, match=message):
+        pair_inclusions_rows(points, pairs)
