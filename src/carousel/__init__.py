@@ -1,16 +1,17 @@
 """Circle/sphere convex-hull containment toolkit.
 
 2D objects are (x, y, r) float triples, a point having r = 0, and a carousel
-instance is the row of five of them b0, b1, b2, u0, u1.
+instance is the row of five of them b0, b1, b2, u0, u1.  A 3D object is
+an (x, y, z, r) float quadruple in the same way.
 2D: support-function containment of circles in hulls of circles and points,
 one query or a set of queries per call, with witness-direction certificates,
 and hull boundary construction.  Carousel procedures: witness search over a
 triangle of sites (one instance or a set of rows per call), the point-only
 decomposition rule, and the xi-sweep locating the critical scale of a fixed
 witness.  3D: exact sphere-in-hull containment by enumerating the critical
-directions of the support slack, one set of inclusions per call, and the
-tetrahedron counterexample constructions, with exact 2D projection
-certificates.
+directions of the support slack, one set of inclusions among the rows of an
+(n, 4) array per call, and the tetrahedron counterexample constructions,
+with exact 2D projection certificates.
 """
 
 __version__ = "0.1.0"
@@ -41,7 +42,6 @@ from .spheres import (
     Containment3Result,
     Example41Report,
     Example42Report,
-    Sphere3,
     axis_points,
     example_4_1,
     example_4_2,

@@ -146,7 +146,7 @@ def example41_to_dict(rep: Example41Report) -> dict:
         "side": rep.side,
         "r": rep.r,
         "face_distances": [list(d) for d in rep.face_distances],
-        "centers": [list(s.center) for s in rep.spheres],
+        "centers": [list(s[:3]) for s in rep.spheres],
         **_refutations_to_dict(rep),
     }
 
@@ -159,7 +159,7 @@ def example42_to_dict(rep: Example42Report) -> dict:
         "arc_center": list(rep.arc_center),
         "arc_radius": rep.arc_radius,
         "sphere_indices": list(rep.sphere_indices),
-        "spheres": [[*s.center, s.radius] for s in rep.spheres],
+        "spheres": [list(s) for s in rep.spheres],
         "tangency_residuals": list(rep.tangency_residuals),
         "interior_margins": list(rep.interior_margins),
         **_refutations_to_dict(rep),

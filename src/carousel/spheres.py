@@ -1,8 +1,8 @@
 """3D counterexample constructions and sphere-hull containment testing.
 
-Points and free vectors are plain (x, y, z) float triples, and a
-``Sphere3`` holds its centre as one.  The tetrahedron is embedded as
-alternating vertices of the cube [0, side]^3, which makes every
+Points and free vectors are plain (x, y, z) float triples, and a sphere is
+an (x, y, z, r) float quadruple, a point having r = 0.  The tetrahedron is
+embedded as alternating vertices of the cube [0, side]^3, which makes every
 construction coordinate rational.  A length whose square leaves the normal
 float range is rescaled by its largest coordinate, so a scaled copy of an
 example builds as long as its coordinates and their products stay finite.
@@ -13,10 +13,10 @@ generators, minima of pairwise equality circles, vertices of generator
 triples), and all of them are enumerated, so a containment verdict and a
 non-containment verdict with its negative-slack witness direction are both
 proofs.  One kernel, ``spheres_in_hull3``, decides a whole set of inclusions
-among the same objects in one array pass: the triple vertices do not depend
-on the target, so they are enumerated once and shared, and each example
-makes one call.  An orthogonal projection to a plane reduces to the exact 2D
-containment test and soundly refutes 3D inclusions.
+among the rows of one (n, 4) array in one array pass: the triple vertices do
+not depend on the target, so they are enumerated once and shared, and each
+example makes one call.  An orthogonal projection to a plane reduces to the
+exact 2D containment test and soundly refutes 3D inclusions.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
 from .hull import ContainmentResult, circle_in_hull
 from .planar import EPS_DECISION
 
-# -- float triples -------------------------------------------------------------
-# A helper that returns a vector refuses a non-finite result.
+# -- float triples and quadruples ------------------------------------------------
+# A helper that returns a vector or a radius refuses a non-finite result.
 
 Vec3 = tuple[float, float, float]
+Vec4 = tuple[float, float, float, float]  # a sphere (x, y, z, r)
 
 _MIN_NORMAL = sys.float_info.min
 
@@ -45,6 +46,17 @@ def _finite3(x: float, y: float, z: float) -> Vec3:
     if math.isfinite(x) and math.isfinite(y) and math.isfinite(z):
         return x, y, z
     raise ValueError(f"coordinates must be finite, got {(x, y, z)}")
+
+
+def _finite_radius(r: float) -> float:
+    if math.isfinite(r) and r >= 0.0:
+        return r
+    raise ValueError(f"radius must be finite and >= 0, got {r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _add3(a, b):
@@ -89,22 +101,6 @@ def _unit3(a):
 
 
 @dataclass(frozen=True)
-class Sphere3:
-    """Sphere with nonnegative radius; radius 0 denotes a point."""
-
-    center: Vec3
-    radius: float
-
-    def __post_init__(self):
-        center = tuple(map(float, self.center))
-        if len(center) != 3:
-            raise ValueError(f"centre must have 3 coordinates, got {len(center)}")
-        object.__setattr__(self, "center", _finite3(*center))
-        if not (math.isfinite(self.radius) and self.radius >= 0.0):
-            raise ValueError(f"radius must be finite and >= 0, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class Containment3Result:
     """3D verdict from the exact slack minimum; refutations carry its direction."""
 
@@ -116,11 +112,8 @@ class Containment3Result:
 
 def tetrahedron_from_cube(side: float) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Regular tetrahedron on alternating vertices of the cube [0, side]^3."""
-    if side <= 0.0:
-        raise ValueError(f"side must be positive, got {side}")
-    s = side
-    # every coordinate is 0 or s, so checking one vertex checks them all
-    return (0.0, 0.0, 0.0), _finite3(s, s, 0.0), (s, 0.0, s), (0.0, s, s)
+    _require_positive("side", side)
+    return (0.0, 0.0, 0.0), (side, side, 0.0), (side, 0.0, side), (0.0, side, side)
 
 
 def axis_points(a0, a1, a2, a3):
@@ -296,12 +289,13 @@ def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np
     return u[best_at], np.isfinite(best)
 
 
-def spheres_in_hull3(centers, radii, inclusions) -> tuple[Containment3Result, ...]:
+def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     """Decide a set of sphere inclusions among the same spheres and points.
 
-    The objects are spheres (radius 0 for points): their (n, 3) ``centers``
-    and (n,) ``radii``, which must be finite, with every radius >= 0.  Each
-    inclusion is a pair (target index, indices it also excludes); its
+    The objects are the rows of one (n, 4) array of (x, y, z, r) spheres
+    (radius 0 for points), which must be finite, with every radius >= 0;
+    any other shape raises ValueError.  Each inclusion is a pair (target
+    index, indices it also excludes), every index an integer in 0..n-1; its
     generators are the other objects, in object order.  The slack of direction u is
     max_g(d_g.u + r_g) - r_t with d_g the offset of generator g's centre
     from the target's.  Its minimum over the unit sphere lies at a critical
@@ -320,10 +314,10 @@ def spheres_in_hull3(centers, radii, inclusions) -> tuple[Containment3Result, ..
     triple +, triple -, fixed.  Results come in the order of ``inclusions``;
     no inclusion gives ().
     """
-    c = np.array(centers, dtype=float).reshape(-1, 3)
-    rad = np.array(radii, dtype=float).reshape(-1)
-    if len(rad) != len(c):
-        raise ValueError(f"{len(c)} centres but {len(rad)} radii")
+    objs = np.array(objects, dtype=float)
+    if objs.ndim != 2 or objs.shape[1] != 4:
+        raise ValueError(f"objects must be (n, 4): (x, y, z, r) rows, got shape {objs.shape}")
+    c, rad = objs[:, :3], objs[:, 3]
     if not np.isfinite(c).all():
         raise ValueError("centres must be finite")
     if not (np.isfinite(rad) & (rad >= 0.0)).all():
@@ -332,14 +326,13 @@ def spheres_in_hull3(centers, radii, inclusions) -> tuple[Containment3Result, ..
     if not inclusions:
         return ()
     n = len(rad)
-    targets = np.array([target for target, _ in inclusions], dtype=np.intp)
-    removed_at, removed_ids = [], []
-    for q, (target, excluded) in enumerate(inclusions):
-        dropped = (target, *excluded)
-        removed_at += [q] * len(dropped)
-        removed_ids += dropped
     removed = np.zeros((len(inclusions), n), dtype=bool)
-    removed[removed_at, removed_ids] = True
+    for q, (target, excluded) in enumerate(inclusions):
+        for i in (target, *excluded):
+            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+                raise ValueError(f"inclusion {(target, excluded)}: indices must be in 0..{n - 1}")
+            removed[q, i] = True
+    targets = np.array([target for target, _ in inclusions], dtype=np.intp)
     counts = n - removed.sum(axis=1)
     sizes = sorted(set(counts.tolist()))
     if sizes[0] == 0:
@@ -396,14 +389,13 @@ def spheres_in_hull3(centers, radii, inclusions) -> tuple[Containment3Result, ..
     return tuple(results)
 
 
-def sphere_in_hull3(target: Sphere3, gens) -> Containment3Result:
-    """Decide one sphere's containment in the hull of spheres and points.
+def sphere_in_hull3(target, gens) -> Containment3Result:
+    """Decide one (x, y, z, r) sphere's containment in the hull of spheres and points.
 
     This is the one-inclusion case of ``spheres_in_hull3``: the target and
     its generators are the objects, and the target is the only one removed.
     """
-    objects = [target, *gens]
-    return spheres_in_hull3([o.center for o in objects], [o.radius for o in objects], [(0, ())])[0]
+    return spheres_in_hull3([target, *gens], [(0, ())])[0]
 
 
 # -- projection reduction ------------------------------------------------------
@@ -436,16 +428,13 @@ def project_to_plane(p, plane) -> tuple[float, float]:
 
 
 def _projection_certificate(target, gens, plane) -> ContainmentResult:
-    """``circle_in_hull`` on the projections of the (centre, radius) pairs into the plane."""
-    tc, tr = target
-    return circle_in_hull(
-        (*project_to_plane(tc, plane), tr),
-        [(*project_to_plane(gc, plane), gr) for gc, gr in gens],
-    )
+    """``circle_in_hull`` on the projections of (x, y, z, r) spheres into the plane."""
+    target, *gens = [(*project_to_plane((x, y, z), plane), r) for x, y, z, r in (target, *gens)]
+    return circle_in_hull(target, gens)
 
 
-def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
-    """Project spheres orthogonally into a plane and run the exact 2D test.
+def projection_reduction(target, gens, plane) -> ContainmentResult:
+    """Project (x, y, z, r) spheres orthogonally into a plane and run the exact 2D test.
 
     Projection commutes with convex hulls, so a 2D non-containment exactly
     refutes the 3D inclusion.  A 2D containment says nothing about 3D and is
@@ -457,8 +446,7 @@ def projection_reduction(target: Sphere3, gens, plane) -> ContainmentResult:
             raise DegenerateBasis(f"{name} is not a unit vector")
     if abs(_dot3(e1, e2)) > 1e-9:
         raise DegenerateBasis("basis vectors are not orthogonal")
-    gens = [(g.center, g.radius) for g in gens]
-    return _projection_certificate((target.center, target.radius), gens, plane)
+    return _projection_certificate(target, gens, plane)
 
 
 # -- counterexample reproductions ----------------------------------------------
@@ -495,7 +483,7 @@ class Example41Report:
     side: float
     r: float
     vertices: tuple[Vec3, Vec3, Vec3, Vec3]
-    spheres: tuple[Sphere3, Sphere3]  # (S_-1, S_0), centred on P_-1 and P_0
+    spheres: tuple[Vec4, Vec4]  # (S_-1, S_0), centred on P_-1 and P_0
     face_distances: tuple[tuple[float, ...], tuple[float, ...]]
     outcomes: tuple[PairOutcome, ...]
 
@@ -504,16 +492,16 @@ class Example41Report:
         return all(not o.result.contained for o in self.outcomes)
 
 
-def _ex41_target_gens(centers, r: float, vertices, j: int, k: int):
-    """Target and generators of Example 4.1's inclusion (j, k), as (centre, radius) pairs.
+def _ex41_target_gens(spheres, vertices, j: int, k: int):
+    """Target and generators of Example 4.1's inclusion (j, k), as (x, y, z, r) spheres.
 
-    ``centers`` are those of S_-1 and S_0.  k names the generator sphere
-    (0 for S_0, -1 for S_-1), the target is the other one, and every vertex
-    but A_j follows the generator sphere.
+    ``spheres`` are S_-1 and S_0.  k names the generator sphere (0 for S_0,
+    -1 for S_-1), the target is the other one, and every vertex but A_j
+    follows the generator sphere.
     """
-    c_m1, c_0 = centers
-    gen, target = (c_0, c_m1) if k == 0 else (c_m1, c_0)
-    return (target, r), [(gen, r), *[(vertices[i], 0.0) for i in range(4) if i != j]]
+    s_m1, s_0 = spheres
+    gen, target = (s_0, s_m1) if k == 0 else (s_m1, s_0)
+    return target, [gen, *[(*vertices[i], 0.0) for i in range(4) if i != j]]
 
 
 def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
@@ -525,9 +513,11 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     certificate in the plane through A2, A3 and the axis endpoint B.  The
     spheres must clear every face by EPS_DECISION * side.  A side and
     radius whose construction overflows or underflows raise
-    ConstructionFailed.
+    ConstructionFailed; a side or radius that is not finite and > 0 raises
+    ValueError.
     """
     v = tetrahedron_from_cube(side)
+    _require_positive("r", r)
     try:
         b, _, p_m1, p_0 = axis_points(*v)
         planes = _face_planes(v)
@@ -537,19 +527,18 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
                 raise PreconditionRadius(
                     f"radius {r} does not fit strictly inside (min face distance {min(dists):.6g})"
                 )
-        spheres = (Sphere3(p_m1, r), Sphere3(p_0, r))
         plane = plane_through(b, v[2], v[3])
     except ValueError as exc:
         raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
+    spheres = ((*p_m1, r), (*p_0, r))
     # objects: S_-1, S_0, A0..A3; k = 0 keeps S_0 as generator, so S_-1 is the target
     pairs = [(j, k) for j in range(4) for k in (-1, 0)]
-    centers = np.array([p_m1, p_0, *v])
-    radii = np.array([r, r, 0.0, 0.0, 0.0, 0.0])
+    objects = [*spheres, *[(*a, 0.0) for a in v]]
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
     outcomes = []
-    for (j, k), res in zip(pairs, spheres_in_hull3(centers, radii, inclusions)):
+    for (j, k), res in zip(pairs, spheres_in_hull3(objects, inclusions)):
         if j == 3:
-            cert = _projection_certificate(*_ex41_target_gens((p_m1, p_0), r, v, j, k), plane)
+            cert = _projection_certificate(*_ex41_target_gens(spheres, v, j, k), plane)
             res = Containment3Result(res.contained, res.slack, res.witness_direction, cert)
         outcomes.append(PairOutcome(j, k, res))
     return Example41Report(
@@ -573,7 +562,7 @@ class Example42Report:
     arc_center: Vec3
     arc_radius: float
     sphere_indices: tuple[int, ...]  # -1, 0, 1, ..., t-2
-    spheres: tuple[Sphere3, ...]
+    spheres: tuple[Vec4, ...]
     tangency_residuals: tuple[float, ...]
     interior_margins: tuple[float, ...]
     outcomes: tuple[PairOutcome, ...]
@@ -599,11 +588,13 @@ def example_4_2(
     poke out of the tetrahedron, all radii shrink by a common offset (which
     preserves the tangencies, against a concentric arc) until every sphere
     is strictly inside; failing that raises ConstructionFailed, as does a
-    construction that overflows or underflows.
+    construction that overflows or underflows.  A side or radius that is
+    not finite and > 0 raises ValueError.
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     v = tetrahedron_from_cube(side)
+    _require_positive("r", r)
     try:
         b, c, p_m1, p_0 = axis_points(*v)
         bc = _sub3(c, b)
@@ -636,7 +627,7 @@ def example_4_2(
             )
         arc_radius = dist_end + base_r
         radii = [base_r + bulge for bulge in bulges]
-        spheres = tuple(Sphere3(ci, ri) for ci, ri in zip(centers, radii))
+        spheres = tuple((*ci, _finite_radius(ri)) for ci, ri in zip(centers, radii))
     except ValueError as exc:
         raise ConstructionFailed(f"the construction leaves the float range ({exc})") from exc
 
@@ -647,7 +638,7 @@ def example_4_2(
     # drops the target and vertex j
     pairs = [(j, pos) for j in range(4) for pos in range(t)]
     inclusions = [(pos, (t + j,)) for j, pos in pairs]
-    results = spheres_in_hull3([*centers, *v], radii + [0.0] * 4, inclusions)
+    results = spheres_in_hull3([*spheres, *[(*a, 0.0) for a in v]], inclusions)
     outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
 
     return Example42Report(

@@ -243,19 +243,19 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
 def _draw_section(canvas: _Canvas, verts, side: float):
     """Draw the section triangle (B, A2, A3) in units of the side.
 
-    Returns the map from a (centre, radius) pair to its section circle in
+    Returns the map from an (x, y, z, r) sphere to its section circle in
     those units, the triangle's corners and the section point of C.
     """
     b, c, _, _ = axis_points(*verts)
     plane = plane_through(b, verts[2], verts[3])
 
-    def section(p, r: float = 0.0) -> tuple[float, float, float]:
-        x, y = project_to_plane(p, plane)
-        return x / side, y / side, r / side
+    def section(sphere) -> tuple[float, float, float]:
+        x, y = project_to_plane(sphere[:3], plane)
+        return x / side, y / side, sphere[3] / side
 
-    tri = [section(q)[:2] for q in (b, verts[2], verts[3])]
+    tri = [section((*q, 0.0))[:2] for q in (b, verts[2], verts[3])]
     canvas.polygon(tri, stroke="#303030")
-    return section, tri, section(c)[:2]
+    return section, tri, section((*c, 0.0))[:2]
 
 
 def _render_ex41(scenario: Scenario) -> _Canvas:
@@ -263,11 +263,10 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
     rep = example_4_1(scenario.side, scenario.r)
     section, tri, _ = _draw_section(canvas, rep.vertices, rep.side)
     # hull for the case that leaves out vertex 3, with the k=0 generator sphere
-    centers = [s.center for s in rep.spheres]
-    _, gens = _ex41_target_gens(centers, rep.r, rep.vertices, 3, 0)
-    _fill_hull(canvas, [section(*g) for g in gens])
-    canvas.circle(section(centers[0], rep.r), "#1f77b4")
-    canvas.circle(section(centers[1], rep.r), "#2ca02c")
+    _, gens = _ex41_target_gens(rep.spheres, rep.vertices, 3, 0)
+    _fill_hull(canvas, [section(g) for g in gens])
+    canvas.circle(section(rep.spheres[0]), "#1f77b4")
+    canvas.circle(section(rep.spheres[1]), "#2ca02c")
     for q in tri:
         canvas.dot(q)
     worst = max(o.result.slack for o in rep.outcomes) / rep.side
@@ -282,10 +281,10 @@ def _render_ex42(scenario: Scenario) -> _Canvas:
     rep = example_4_2(scenario.t, scenario.arc_radius_factor, scenario.side, scenario.r)
     section, tri, c2 = _draw_section(canvas, rep.vertices, rep.side)
     canvas.line(tri[0], c2, "#909090", dash="0.02,0.02")
-    circles = [section(s.center, s.radius) for s in rep.spheres]
+    circles = [section(s) for s in rep.spheres]
     for c in circles:
         canvas.circle(c, "#1f77b4")
-    guide = section(rep.arc_center, rep.arc_radius)
+    guide = section((*rep.arc_center, rep.arc_radius))
     ox, oy, arc_radius = guide
     angles = [math.atan2(y - oy, x - ox) for x, y, _ in circles]
     lo = min(angles)

@@ -145,12 +145,19 @@ def _others(items, j: int) -> tuple:
     return tuple(x for i, x in enumerate(items) if i != j)
 
 
+def _check_jk(j: int, k: int = 0) -> None:
+    """Refuse a base index j outside 0..2 or a circle index k outside 0..1 (k = 0: j alone)."""
+    if j not in (0, 1, 2) or k not in (0, 1):
+        raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
+
+
 def pair_generators(own, bases, j: int) -> tuple:
     """Generators of a (j, k) inclusion: u_k plus the bases other than base j.
 
     All are (x, y, r) objects; the bases are the three sites (radius 0) or
-    the three generator circles of the corollary.
+    the three generator circles of the corollary.  A bad j raises ValueError.
     """
+    _check_jk(j)
     return checked_objects((own, *_others(bases, j)))
 
 
@@ -355,8 +362,9 @@ def sweep_slack(row, j: int, k: int, zeta: float) -> float:
     scaled[:3], j)).slack`` with ``scaled = scaled_instance(row, zeta)``:
     the envelope terms come from the centres and the zeta-scaled radii by
     the same float operations, without building the scaled row or its
-    generators.
+    generators.  A bad (j, k) raises ValueError.
     """
+    _check_jk(j, k)
     return _sweep_envelope(_sites_row(row), j, k, zeta)[0]
 
 
@@ -372,8 +380,9 @@ def sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
         both circles: u is perpendicular to r_t (s - c_k) - r_k (s - c_t) and
         zeta = (s - c_k).u / r_k, or (s - c_t).u / r_t when r_k = 0.
     Events closer than EVENT_TIE merge into one, whose family is the first in
-    the order leg, front arc, base side.
+    the order leg, front arc, base side.  A bad (j, k) raises ValueError.
     """
+    _check_jk(j, k)
     return _sweep_events(_sites_row(row), j, k)
 
 
@@ -437,8 +446,7 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
     one envelope evaluation there.  The row is checked once, and the
     hypothesis checks, the events and the probes all read its checked floats.
     """
-    if j not in (0, 1, 2) or k not in (0, 1):
-        raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
+    _check_jk(j, k)
     row = _sites_row(row)
     _validate_sites_row(row)
     events = _sweep_events(row, j, k)

@@ -52,8 +52,8 @@ def icosphere_directions(level: int) -> np.ndarray:
 
 
 def probe_slack(target, gens, level: int) -> float:
-    """Least support slack over the level-`level` icosphere directions."""
+    """Least support slack over the level-`level` icosphere directions, on (x, y, z, r) spheres."""
     probe = icosphere_directions(level)
-    mat = np.array([g.center for g in gens]) - np.array(target.center)
-    radii = np.array([g.radius for g in gens])
-    return float((probe @ mat.T + radii).max(axis=1).min()) - target.radius
+    gens = np.array(gens, dtype=float)
+    mat = gens[:, :3] - np.array(target[:3], dtype=float)
+    return float((probe @ mat.T + gens[:, 3]).max(axis=1).min()) - target[3]

@@ -108,12 +108,14 @@ class Reference:
 
 
 def reference(target, gens, eps_decision: float = 1e-6) -> Reference:
-    d = np.array([g.center for g in gens], dtype=float) - np.array(target.center)
-    r = np.array([g.radius for g in gens], dtype=float)
-    scale = max(float(_norm(d).max()), float(r.max()), target.radius) or 1.0
+    """Decide one inclusion of an (x, y, z, r) target in the hull of (x, y, z, r) generators."""
+    gens = np.array(gens, dtype=float)
+    d = gens[:, :3] - np.array(target[:3], dtype=float)
+    r = gens[:, 3]
+    scale = max(float(_norm(d).max()), float(r.max()), target[3]) or 1.0
     d /= scale
     r /= scale
-    rt = target.radius / scale
+    rt = target[3] / scale
     cands = np.concatenate(
         [_face_minima(d), _pair_circle_minima(d, r), _triple_vertices(d, r), [(1.0, 0.0, 0.0)]]
     )

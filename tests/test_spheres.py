@@ -9,7 +9,6 @@ import pytest
 from carousel import (
     DegenerateBasis,
     PreconditionRadius,
-    Sphere3,
     axis_points,
     example_4_1,
     example_4_2,
@@ -47,7 +46,7 @@ class TestTetrahedron:
 
     @pytest.mark.parametrize("side", [math.nan, math.inf])
     def test_side_must_be_finite(self, side):
-        with pytest.raises(ValueError, match="coordinates must be finite"):
+        with pytest.raises(ValueError, match="side must be finite and > 0"):
             tetrahedron_from_cube(side)
 
 
@@ -62,18 +61,6 @@ class TestFloatTriples:
         assert _unit3((3e-200, 0.0, 4e-200)) == pytest.approx((0.6, 0.0, 0.8), rel=1e-15)
         with pytest.raises(ValueError, match="zero vector"):
             _unit3((0.0, 0.0, 0.0))
-
-
-class TestSphere3:
-    def test_centre_is_stored_as_three_floats(self):
-        s = Sphere3([1, 2, 3], 0.5)
-        assert s.center == (1.0, 2.0, 3.0)
-        assert all(type(v) is float for v in s.center)
-
-    @pytest.mark.parametrize("center", [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0)])
-    def test_centre_must_be_three_finite_coordinates(self, center):
-        with pytest.raises(ValueError):
-            Sphere3(center, 1.0)
 
 
 class TestAxisPoints:
@@ -110,21 +97,21 @@ def assert_matches_probe(target, gens, slack):
     assert slack <= sampled + 1e-12
     # at a kink minimum the sampled value is off by at most
     # |gradient| * grid spacing (level-5 spacing is under 0.05 rad)
-    grad = max(math.dist(g.center, target.center) for g in gens)
+    grad = max(math.dist(g[:3], target[:3]) for g in gens)
     assert sampled - slack <= 0.05 * grad + 1e-9
 
 
 class TestSphereInHull3:
     def test_concentric_contained(self):
-        t = Sphere3((0.5, 0.5, 0.5), 0.1)
-        g = Sphere3((0.5, 0.5, 0.5), 0.2)
+        t = (0.5, 0.5, 0.5, 0.1)
+        g = (0.5, 0.5, 0.5, 0.2)
         res = sphere_in_hull3(t, [g])
         assert res.contained
         assert res.slack == pytest.approx(0.1)
 
     def test_concentric_not_contained(self):
-        t = Sphere3((0.5, 0.5, 0.5), 0.3)
-        g = Sphere3((0.5, 0.5, 0.5), 0.2)
+        t = (0.5, 0.5, 0.5, 0.3)
+        g = (0.5, 0.5, 0.5, 0.2)
         res = sphere_in_hull3(t, [g])
         assert not res.contained
         assert res.slack == pytest.approx(-0.1)
@@ -134,48 +121,45 @@ class TestSphereInHull3:
         # slack of one generator is r_g - r_t - |c_g - c_t| exactly
         rng = random.Random(51)
         for _ in range(50):
-            t = Sphere3(tuple(rng.uniform(-5, 5) for _ in range(3)), rng.uniform(0, 2))
-            g = Sphere3(tuple(rng.uniform(-5, 5) for _ in range(3)), rng.uniform(0, 2))
+            t = (*(rng.uniform(-5, 5) for _ in range(3)), rng.uniform(0, 2))
+            g = (*(rng.uniform(-5, 5) for _ in range(3)), rng.uniform(0, 2))
             res = sphere_in_hull3(t, [g])
-            expected = g.radius - t.radius - math.dist(g.center, t.center)
+            expected = g[3] - t[3] - math.dist(g[:3], t[:3])
             assert res.slack == pytest.approx(expected, abs=1e-12)
 
     def test_witness_direction_certifies(self):
         verts = tetrahedron_from_cube(1.0)
         _, _, p_m1, p_0 = axis_points(*verts)
-        target = Sphere3(p_m1, 0.1)
-        gens = [Sphere3(p_0, 0.1)] + [Sphere3(verts[i], 0.0) for i in range(3)]
+        target = (*p_m1, 0.1)
+        gens = [(*p_0, 0.1)] + [(*verts[i], 0.0) for i in range(3)]
         res = sphere_in_hull3(target, gens)
         assert not res.contained
         ux, uy, uz = res.witness_direction
         assert math.hypot(ux, math.hypot(uy, uz)) == pytest.approx(1.0)
         direct = max(
-            (g.center[0] - target.center[0]) * ux
-            + (g.center[1] - target.center[1]) * uy
-            + (g.center[2] - target.center[2]) * uz
-            + g.radius
+            (g[0] - target[0]) * ux + (g[1] - target[1]) * uy + (g[2] - target[2]) * uz + g[3]
             for g in gens
-        ) - target.radius
+        ) - target[3]
         assert direct == pytest.approx(res.slack, abs=1e-12)
         assert direct < 0
 
     def test_search_not_above_dense_sampling(self):
         rng = random.Random(52)
         for _ in range(20):
-            t = Sphere3(tuple(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
+            t = (*(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
             gens = [
-                Sphere3(tuple(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
+                (*(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
                 for _ in range(rng.randint(1, 6))
             ]
             assert_matches_probe(t, gens, sphere_in_hull3(t, gens).slack)
 
     def test_similarity_covariance(self):
         rng = random.Random(53)
-        t = Sphere3((0.3, 0.4, 0.5), 0.2)
+        t = (0.3, 0.4, 0.5, 0.2)
         gens = [
-            Sphere3((0.0, 0.0, 0.0), 0.5),
-            Sphere3((1.0, 0.2, -0.3), 0.4),
-            Sphere3((0.1, 1.1, 0.4), 0.0),
+            (0.0, 0.0, 0.0, 0.5),
+            (1.0, 0.2, -0.3, 0.4),
+            (0.1, 1.1, 0.4, 0.0),
         ]
         base = sphere_in_hull3(t, gens).slack
         for _ in range(10):
@@ -197,23 +181,21 @@ class TestSphereInHull3:
                 return tuple(scale * (R @ np.array(p)) + off)
 
             moved = sphere_in_hull3(
-                Sphere3(move(t.center, 1.0), t.radius),
-                [Sphere3(move(g.center, 1.0), g.radius) for g in gens],
+                (*move(t[:3], 1.0), t[3]), [(*move(g[:3], 1.0), g[3]) for g in gens]
             ).slack
             assert moved == pytest.approx(base, abs=1e-9)
             grown = sphere_in_hull3(
-                Sphere3(tuple(s * v for v in t.center), s * t.radius),
-                [Sphere3(tuple(s * v for v in g.center), s * g.radius) for g in gens],
+                tuple(s * v for v in t), [tuple(s * v for v in g) for g in gens]
             ).slack
             assert grown == pytest.approx(s * base, rel=1e-9, abs=1e-9)
 
     def test_slack_scales_linearly_from_1e_minus_6_to_1e6(self):
         rng = random.Random(54)
         for _ in range(30):
-            t = Sphere3(tuple(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
+            t = (*(rng.uniform(-2, 2) for _ in range(3)), rng.uniform(0, 1))
             gens = [
-                Sphere3(
-                    tuple(rng.uniform(-2, 2) for _ in range(3)),
+                (
+                    *(rng.uniform(-2, 2) for _ in range(3)),
                     0.0 if rng.random() < 0.3 else rng.uniform(0, 1.5),
                 )
                 for _ in range(rng.randint(1, 8))
@@ -222,27 +204,26 @@ class TestSphereInHull3:
             for e in range(-6, 7):
                 s = 10.0**e
                 scaled = sphere_in_hull3(
-                    Sphere3(tuple(v * s for v in t.center), t.radius * s),
-                    [Sphere3(tuple(v * s for v in g.center), g.radius * s) for g in gens],
+                    tuple(v * s for v in t), [tuple(v * s for v in g) for g in gens]
                 ).slack
                 assert scaled == pytest.approx(s * base, rel=1e-9)
 
 
 class TestDegenerateInputs:
     def test_duplicate_centre_equal_radii(self):
-        target = Sphere3((0.2, 0.1, 0.3), 0.2)
-        a = Sphere3((1.0, 0.0, 0.0), 0.4)
-        rest = [Sphere3((-1.0, 0.5, 0.0), 0.3), Sphere3((0.0, -1.0, 1.0), 0.0)]
+        target = (0.2, 0.1, 0.3, 0.2)
+        a = (1.0, 0.0, 0.0, 0.4)
+        rest = [(-1.0, 0.5, 0.0, 0.3), (0.0, -1.0, 1.0, 0.0)]
         res = sphere_in_hull3(target, [a, a] + rest)
         assert res.slack == pytest.approx(sphere_in_hull3(target, [a] + rest).slack, abs=1e-12)
         assert_matches_probe(target, [a, a] + rest, res.slack)
 
     def test_duplicate_centre_different_radii(self):
         # the smaller sphere lies inside the larger and changes nothing
-        target = Sphere3((0.2, 0.1, 0.3), 0.2)
-        small = Sphere3((1.0, 0.0, 0.0), 0.1)
-        big = Sphere3((1.0, 0.0, 0.0), 0.5)
-        rest = [Sphere3((-1.0, 0.5, 0.0), 0.3), Sphere3((0.0, -1.0, 1.0), 0.0)]
+        target = (0.2, 0.1, 0.3, 0.2)
+        small = (1.0, 0.0, 0.0, 0.1)
+        big = (1.0, 0.0, 0.0, 0.5)
+        rest = [(-1.0, 0.5, 0.0, 0.3), (0.0, -1.0, 1.0, 0.0)]
         res = sphere_in_hull3(target, [small, big] + rest)
         assert res.slack == pytest.approx(sphere_in_hull3(target, [big] + rest).slack, abs=1e-12)
         assert_matches_probe(target, [small, big] + rest, res.slack)
@@ -251,8 +232,8 @@ class TestDegenerateInputs:
     def test_collinear_centres_closed_form(self, c):
         # equal spheres on a segment: their hull is a capsule, so the slack
         # is R - r_t - dist(centre, segment); all triple planes are parallel
-        gens = [Sphere3((x, 0.0, 0.0), 0.5) for x in (0.0, 1.0, 2.0)]
-        target = Sphere3(c, 0.1)
+        gens = [(x, 0.0, 0.0, 0.5) for x in (0.0, 1.0, 2.0)]
+        target = (*c, 0.1)
         x = min(max(c[0], 0.0), 2.0)
         dist = math.hypot(c[0] - x, math.hypot(c[1], c[2]))
         res = sphere_in_hull3(target, gens)
@@ -260,27 +241,27 @@ class TestDegenerateInputs:
         assert_matches_probe(target, gens, res.slack)
 
     def test_collinear_centres_unequal_radii(self):
-        target = Sphere3((0.8, 0.7, -0.2), 0.3)
+        target = (0.8, 0.7, -0.2, 0.3)
         gens = [
-            Sphere3((0.0, 0.0, 0.0), 0.2),
-            Sphere3((1.0, 1.0, 1.0), 0.6),
-            Sphere3((2.0, 2.0, 2.0), 0.3),
-            Sphere3((1.0, -1.0, 0.0), 0.0),
+            (0.0, 0.0, 0.0, 0.2),
+            (1.0, 1.0, 1.0, 0.6),
+            (2.0, 2.0, 2.0, 0.3),
+            (1.0, -1.0, 0.0, 0.0),
         ]
         assert_matches_probe(target, gens, sphere_in_hull3(target, gens).slack)
 
     def test_generator_concentric_with_target(self):
-        target = Sphere3((0.5, 0.5, 0.5), 0.2)
-        ball = Sphere3((0.5, 0.5, 0.5), 0.3)
+        target = (0.5, 0.5, 0.5, 0.2)
+        ball = (0.5, 0.5, 0.5, 0.3)
         # a point at distance 2 leaves the side facing away bounded by the ball
-        res = sphere_in_hull3(target, [ball, Sphere3((2.5, 0.5, 0.5), 0.0)])
+        res = sphere_in_hull3(target, [ball, (2.5, 0.5, 0.5, 0.0)])
         assert res.slack == pytest.approx(0.1, abs=1e-12)
-        gens = [ball, Sphere3((1.5, 0.0, 0.5), 0.4), Sphere3((0.0, 1.2, 0.0), 0.1)]
+        gens = [ball, (1.5, 0.0, 0.5, 0.4), (0.0, 1.2, 0.0, 0.1)]
         assert_matches_probe(target, gens, sphere_in_hull3(target, gens).slack)
 
     def test_all_generators_concentric(self):
-        target = Sphere3((1.0, 2.0, 3.0), 0.5)
-        gens = [Sphere3((1.0, 2.0, 3.0), r) for r in (0.2, 0.4, 0.0)]
+        target = (1.0, 2.0, 3.0, 0.5)
+        gens = [(1.0, 2.0, 3.0, r) for r in (0.2, 0.4, 0.0)]
         res = sphere_in_hull3(target, gens)
         assert res.slack == pytest.approx(-0.1, abs=1e-12)
         assert not res.contained
@@ -289,29 +270,27 @@ class TestDegenerateInputs:
         # target at the centroid of the regular tetrahedron on the unit cube:
         # the slack is the inradius 1/(2 sqrt 3) minus the target radius
         verts = tetrahedron_from_cube(1.0)
-        target = Sphere3((0.5, 0.5, 0.5), 0.1)
-        gens = [Sphere3(v, 0.0) for v in verts]
+        target = (0.5, 0.5, 0.5, 0.1)
+        gens = [(*v, 0.0) for v in verts]
         res = sphere_in_hull3(target, gens)
         assert res.slack == pytest.approx(1 / (2 * math.sqrt(3)) - 0.1, abs=1e-12)
         assert_matches_probe(target, gens, res.slack)
 
     def test_single_point_generator(self):
-        target = Sphere3((0.0, 0.0, 0.0), 0.25)
-        res = sphere_in_hull3(target, [Sphere3((0.0, 3.0, 4.0), 0.0)])
+        target = (0.0, 0.0, 0.0, 0.25)
+        res = sphere_in_hull3(target, [(0.0, 3.0, 4.0, 0.0)])
         assert res.slack == pytest.approx(-5.25, abs=1e-12)
         assert res.witness_direction == pytest.approx((0.0, -0.6, -0.8), abs=1e-12)
 
     def test_single_point_on_point_target(self):
         # every length is zero: the hull is the target itself
         p = (1.0, 1.0, 1.0)
-        res = sphere_in_hull3(Sphere3(p, 0.0), [Sphere3(p, 0.0)])
+        res = sphere_in_hull3((*p, 0.0), [(*p, 0.0)])
         assert res.contained
         assert res.slack == 0.0
 
     def test_result_fields_are_python_native(self):
-        res = sphere_in_hull3(
-            Sphere3((0.0, 0.0, 0.0), 1.0), [Sphere3((0.5, 0.0, 0.0), 0.2)]
-        )
+        res = sphere_in_hull3((0.0, 0.0, 0.0, 1.0), [(0.5, 0.0, 0.0, 0.2)])
         assert type(res.contained) is bool
         assert type(res.slack) is float
         assert all(type(c) is float for c in res.witness_direction)
@@ -320,27 +299,22 @@ class TestDegenerateInputs:
 class TestProjection:
     def test_projection_loses_depth(self):
         plane = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-        res = projection_reduction(
-            Sphere3((0, 0, 5), 1.0), [Sphere3((0, 0, 0), 2.0)], plane
-        )
+        res = projection_reduction((0, 0, 5, 1.0), [(0, 0, 0, 2.0)], plane)
         assert res.contained  # inconclusive for 3D; the 3D answer is not-contained
-        res3 = sphere_in_hull3(Sphere3((0, 0, 5), 1.0), [Sphere3((0, 0, 0), 2.0)])
+        res3 = sphere_in_hull3((0, 0, 5, 1.0), [(0, 0, 0, 2.0)])
         assert not res3.contained
 
     def test_far_generators_refuted_in_both(self):
         plane = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-        target = Sphere3((0, 0, 0), 1.0)
-        gens = [Sphere3((10, 0, 0), 1.0)]
+        target = (0, 0, 0, 1.0)
+        gens = [(10, 0, 0, 1.0)]
         assert not projection_reduction(target, gens, plane).contained
         assert not sphere_in_hull3(target, gens).contained
 
     def test_degenerate_basis(self):
         with pytest.raises(DegenerateBasis):
-            projection_reduction(
-                Sphere3((0, 0, 0), 1.0),
-                [Sphere3((1, 0, 0), 1.0)],
-                ((0, 0, 0), (1, 0, 0), (2, 0, 0)),
-            )
+            plane = ((0, 0, 0), (1, 0, 0), (2, 0, 0))
+            projection_reduction((0, 0, 0, 1.0), [(1, 0, 0, 1.0)], plane)
         with pytest.raises(DegenerateBasis):
             plane_through((0, 0, 0), (1, 0, 0), (2, 0, 0))
 
@@ -351,9 +325,7 @@ class TestProjection:
     ])
     def test_plane_basis_is_checked(self, e1, e2, message):
         with pytest.raises(DegenerateBasis, match=message):
-            projection_reduction(
-                Sphere3((0, 0, 0), 1.0), [Sphere3((1, 0, 0), 1.0)], ((0, 0, 0), e1, e2)
-            )
+            projection_reduction((0, 0, 0, 1.0), [(1, 0, 0, 1.0)], ((0, 0, 0), e1, e2))
 
     @pytest.mark.parametrize("side", [1e-13, 1e-100, 1e100])
     def test_plane_through_takes_scaled_copies(self, side):
@@ -420,30 +392,28 @@ class TestExample41:
         b, _, p_m1, p_0 = axis_points(*verts)
         plane = plane_through(b, verts[2], verts[3])
         origin, e1, e2 = plane
-        target = Sphere3(p_m1, 0.1)
-        gens = [Sphere3(p_0, 0.1)] + [Sphere3(verts[i], 0.0) for i in range(3)]
+        target = (*p_m1, 0.1)
+        gens = [(*p_0, 0.1)] + [(*verts[i], 0.0) for i in range(3)]
         res = sphere_in_hull3(target, gens)
         u = res.witness_direction
         in_plane = math.hypot(_dot3(u, e1), _dot3(u, e2))
         assert in_plane > 1e-9
         c, s = _dot3(u, e1) / in_plane, _dot3(u, e2) / in_plane
-        t2 = project_to_plane(target.center, plane)
+        t2 = project_to_plane(target[:3], plane)
         val = max(
-            (project_to_plane(g.center, plane)[0] - t2[0]) * c
-            + (project_to_plane(g.center, plane)[1] - t2[1]) * s
-            + g.radius
+            (project_to_plane(g[:3], plane)[0] - t2[0]) * c
+            + (project_to_plane(g[:3], plane)[1] - t2[1]) * s
+            + g[3]
             for g in gens
-        ) - target.radius
+        ) - target[3]
         assert val <= res.slack + 1e-6
 
     def test_slack_not_above_level6_probe(self):
         # the enumerated minimum is at or below every one of 40,962 directions
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
-            centers = [s.center for s in rep.spheres]
-            target, gens = _ex41_target_gens(centers, rep.r, rep.vertices, o.j, o.k)
-            spheres = [Sphere3(*g) for g in gens]
-            assert o.result.slack <= probe_slack(Sphere3(*target), spheres, 6) + 1e-12
+            target, gens = _ex41_target_gens(rep.spheres, rep.vertices, o.j, o.k)
+            assert o.result.slack <= probe_slack(target, gens, 6) + 1e-12
 
     def test_radius_too_large(self):
         with pytest.raises(PreconditionRadius):
@@ -474,6 +444,27 @@ class TestExample41:
         assert by_pair[(3, -1)] == pytest.approx(by_pair[(2, -1)], abs=1e-9)
 
 
+@pytest.mark.parametrize("build", [
+    example_4_1,
+    lambda side, r: example_4_2(3, side=side, r=r),
+], ids=["4.1", "4.2"])
+@pytest.mark.parametrize("side, r, name", [
+    (1.0, -0.1, "r"),
+    (1.0, 0.0, "r"),
+    (1.0, math.nan, "r"),
+    (1.0, math.inf, "r"),
+    (-1.0, 0.1, "side"),
+    (0.0, 0.1, "side"),
+    (math.nan, 0.1, "side"),
+    (math.inf, 0.1, "side"),
+])
+def test_examples_refuse_a_side_or_radius_that_is_not_finite_and_positive(build, side, r, name):
+    # refused up front as the argument it is, not as a construction failure
+    value = side if name == "side" else r
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value}$"):
+        build(side, r)
+
+
 class TestExample42:
     def test_t3_all_refuted(self):
         rep = example_4_2(3)
@@ -487,18 +478,18 @@ class TestExample42:
             assert max(rep.tangency_residuals) <= 1e-9
             assert min(rep.interior_margins) >= 1e-6
             # middle circles bulge toward the guide arc
-            radii = [s.radius for s in rep.spheres]
+            radii = [s[3] for s in rep.spheres]
             assert min(radii[2:] or [radii[0]]) >= radii[0] - 1e-12
             # pairwise non-nested
             for i in range(len(rep.spheres)):
                 for j in range(i + 1, len(rep.spheres)):
                     a, b = rep.spheres[i], rep.spheres[j]
-                    d = math.dist(a.center, b.center)
-                    assert d + min(a.radius, b.radius) > max(a.radius, b.radius)
+                    d = math.dist(a[:3], b[:3])
+                    assert d + min(a[3], b[3]) > max(a[3], b[3])
 
     def test_limit_radii_equalize(self):
         rep = example_4_2(3, arc_radius_factor=1000.0)
-        radii = [s.radius for s in rep.spheres]
+        radii = [s[3] for s in rep.spheres]
         assert (max(radii) - min(radii)) / min(radii) < 0.01
 
     def test_t_must_be_at_least_3(self):
@@ -510,7 +501,7 @@ class TestExample42:
         # keeping the guide-arc tangency and the interiority margin
         rep = example_4_2(3, r=1.0)
         assert rep.all_refuted
-        assert all(s.radius < 1.0 for s in rep.spheres)
+        assert all(s[3] < 1.0 for s in rep.spheres)
         assert max(rep.tangency_residuals) <= 1e-9
         assert min(rep.interior_margins) >= 1e-6 - 1e-12
 
@@ -519,5 +510,5 @@ class TestExample42:
         # at side 1, keeping the margin EPS_DECISION * side
         rep = example_4_2(3, side=1e-6)
         assert rep.all_refuted
-        assert all(s.radius < 0.1 for s in rep.spheres)
+        assert all(s[3] < 0.1 for s in rep.spheres)
         assert min(rep.interior_margins) >= 1e-12 - 1e-18

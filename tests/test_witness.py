@@ -310,6 +310,24 @@ class TestXiSweep:
         with pytest.raises(ValueError):
             xi_sweep_fixed(inst, 3, 0)
 
+    @pytest.mark.parametrize("j, k", [(-1, 0), (3, 0), (5, 1), (0, 2), (1, -1), (2, 1.5)])
+    @pytest.mark.parametrize("call", [
+        xi_sweep_fixed,
+        lambda row, j, k: sweep_slack(row, j, k, 0.5),
+        sweep_events,
+    ], ids=["xi_sweep_fixed", "sweep_slack", "sweep_events"])
+    def test_pair_outside_the_range_is_refused(self, call, j, k):
+        # a j outside 0..2 would keep all three sites: another inclusion
+        inst = (*SITES_466, (2, 2, 1), (2, 2, 0.5))
+        message = rf"^need j in 0\.\.2 and k in 0\.\.1, got \({j}, {k}\)$"
+        with pytest.raises(ValueError, match=message):
+            call(inst, j, k)
+
+    @pytest.mark.parametrize("j", [-1, 3, 5])
+    def test_pair_generators_refuses_a_base_outside_the_range(self, j):
+        with pytest.raises(ValueError, match=r"need j in 0\.\.2"):
+            pair_generators((2, 2, 1), SITES_466, j)
+
     def test_sites_must_have_radius_0(self):
         # the sweep's events and probes read the bases as points
         inst = (*SITES_466[:2], (0, 6, 0.5), (2, 2, 1), (2, 2, 0.5))
