@@ -11,7 +11,9 @@ decomposition rule, and the xi-sweep locating the critical scale of a fixed
 witness.  3D: exact sphere-in-hull containment by enumerating the critical
 directions of the support slack, one set of inclusions among the rows of an
 (n, 4) array per call, and the tetrahedron counterexample constructions,
-with exact 2D projection certificates.
+with exact 2D projection certificates on their outcomes.  Both kernels
+return ``ContainmentResult``, and ``hull_boundary`` returns the tuple of
+the boundary's pieces.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +33,6 @@ from .errors import (
 from .hull import (
     ArcPiece,
     ContainmentResult,
-    HullBoundary,
     SegmentPiece,
     circle_in_hull,
     circles_in_hulls,
@@ -39,7 +40,6 @@ from .hull import (
 )
 from .planar import EPS_DECISION, EPS_GEOM
 from .spheres import (
-    Containment3Result,
     Example41Report,
     Example42Report,
     axis_points,

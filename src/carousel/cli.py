@@ -101,12 +101,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     return parser, dict(sub.choices)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
-
-
 def _parse_args(argv) -> argparse.Namespace:
-    """The namespace of ``_build_parser().parse_args(argv)``, parsing a verb's arguments once."""
+    """``_build_parsers()[0].parse_args(argv)``, parsing a verb's arguments only once."""
     parser, verbs = _build_parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in verbs:

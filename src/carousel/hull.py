@@ -10,9 +10,9 @@ the minimum of an envelope of sinusoids; it is found exactly by evaluating
 the envelope at its critical angles (each generator's antipodal minimum and
 the pairwise switch angles), and it decides the verdict: contained iff
 slack >= -EPS_DECISION, an absolute band.  The 3D kernel compares the same
-band with the slack normalised by each inclusion's largest length instead.
-A direction that attains a negative slack is the certificate of a
-non-containment.
+band with the slack normalised by each inclusion's largest length instead,
+and returns the same ``ContainmentResult``.  A direction that attains a
+negative slack is the certificate of a non-containment.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
 rows with the same number of objects in one array pass, each row against
@@ -24,8 +24,9 @@ bounded blocks of rows, so every result is bitwise the one-query kernel's
 on that subset, and a caller may batch its queries, or share one target's
 candidates among its queries, without changing any report.
 
-The same switch-angle machinery yields the hull boundary as a cyclic chain
-of circular arcs and common external tangent segments, used for rendering.
+The same switch-angle machinery yields the hull boundary as a tuple of
+pieces, a cyclic chain of circular arcs and common external tangent
+segments, used for rendering.
 Every nonempty generator set has one: a hull that is a segment is its two
 tangent segments, there and back, and a hull that is a single point is the
 empty chain.
@@ -49,17 +50,18 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class ContainmentResult:
-    """Verdict plus certificate for one containment query.
+    """Verdict plus certificate for one containment query, in 2D or 3D.
 
     ``slack`` is the minimal support surplus over all directions and decides
-    the verdict: contained iff ``slack >= -EPS_DECISION``.
-    ``witness_direction`` (present iff not contained) attains that slack, so
-    it proves a non-containment.
+    the verdict: contained iff ``slack >= -EPS_DECISION`` (in 3D, the slack
+    normalised by the inclusion's largest length).  ``witness_direction``
+    (present iff not contained) attains that slack, so it proves a
+    non-containment: an angle in 2D, a unit (x, y, z) triple in 3D.
     """
 
     contained: bool
     slack: float
-    witness_direction: float | None = None
+    witness_direction: float | tuple[float, float, float] | None = None
 
 
 def _switch_angles(terms) -> list[float]:
@@ -307,21 +309,17 @@ class SegmentPiece:
     generators: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class HullBoundary:
-    """Counterclockwise cyclic chain of arcs and tangent segments; empty for a point."""
-
-    pieces: tuple
-
-
 def _point_on(g, theta: float) -> tuple[float, float]:
     """The point at angle theta on the circle (x, y, r)."""
     x, y, r = g
     return x + r * math.cos(theta), y + r * math.sin(theta)
 
 
-def hull_boundary(gens) -> HullBoundary:
-    """Construct the hull boundary chain of the nonempty (x, y, r) objects ``gens``.
+def hull_boundary(gens) -> tuple[ArcPiece | SegmentPiece, ...]:
+    """The hull boundary of the nonempty (x, y, r) objects ``gens``, as its pieces.
+
+    The pieces form a counterclockwise cyclic chain of arcs and tangent
+    segments.
 
     Switch angles come from pairwise equalities of the support sinusoids and
     are merged when within 1e-12 of each other.  On each interval between
@@ -378,10 +376,10 @@ def hull_boundary(gens) -> HullBoundary:
         gen_i = runs[0][0]
         g = glist[gen_i]
         if g[2] <= 0.0:
-            return HullBoundary(())
+            return ()
         theta0 = runs[0][1] % TAU
         start = _point_on(g, theta0)
-        return HullBoundary((ArcPiece(gen_i, theta0, theta0 + TAU, start, start),))
+        return (ArcPiece(gen_i, theta0, theta0 + TAU, start, start),)
 
     pieces = []
     for (gen_i, lo, hi), (nxt_gen, _, _) in zip(runs, runs[1:] + runs[:1]):
@@ -392,4 +390,4 @@ def hull_boundary(gens) -> HullBoundary:
         p_to = _point_on(glist[nxt_gen], hi)
         if math.dist(p_from, p_to) > EPS_GEOM:
             pieces.append(SegmentPiece(p_from, p_to, (gen_i, nxt_gen)))
-    return HullBoundary(tuple(pieces))
+    return tuple(pieces)

@@ -16,7 +16,7 @@ import json
 
 from . import __version__
 from .hull import ContainmentResult
-from .spheres import Containment3Result, Example41Report, Example42Report
+from .spheres import Example41Report, Example42Report, PairOutcome
 from .witness import Witness, XiSweepReport
 
 TOOL_INFO = {"name": "carousel", "version": __version__}
@@ -99,6 +99,7 @@ def canonical_json(data) -> str:
 
 
 def containment_to_dict(res: ContainmentResult) -> dict:
+    """A 2D or 3D verdict; a 3D witness direction's tuple is written as an array."""
     return {
         "contained": res.contained,
         "slack": res.slack,
@@ -106,14 +107,10 @@ def containment_to_dict(res: ContainmentResult) -> dict:
     }
 
 
-def containment3_to_dict(res: Containment3Result) -> dict:
-    out = {
-        "contained": res.contained,
-        "slack": res.slack,
-        "witness_direction": list(res.witness_direction) if res.witness_direction else None,
-    }
-    if res.projection_certificate is not None:
-        out["projection_certificate"] = containment_to_dict(res.projection_certificate)
+def _outcome_to_dict(o: PairOutcome) -> dict:
+    out = {"j": o.j, "k": o.k, **containment_to_dict(o.result)}
+    if o.projection_certificate is not None:
+        out["projection_certificate"] = containment_to_dict(o.projection_certificate)
     return out
 
 
@@ -135,9 +132,7 @@ def _refutations_to_dict(rep: Example41Report | Example42Report) -> dict:
     """Whether an example refutes every inclusion, and each inclusion's outcome."""
     return {
         "all_refuted": rep.all_refuted,
-        "outcomes": [
-            {"j": o.j, "k": o.k, **containment3_to_dict(o.result)} for o in rep.outcomes
-        ],
+        "outcomes": [_outcome_to_dict(o) for o in rep.outcomes],
     }
 
 

@@ -15,8 +15,11 @@ non-containment verdict with its negative-slack witness direction are both
 proofs.  One kernel, ``spheres_in_hull3``, decides a whole set of inclusions
 among the rows of one (n, 4) array in one array pass: the triple vertices do
 not depend on the target, so they are enumerated once and shared, and each
-example makes one call.  An orthogonal projection to a plane reduces to the
-exact 2D containment test and soundly refutes 3D inclusions.
+example makes one call.  Its verdicts are the 2D kernel's ``ContainmentResult``,
+with a unit (x, y, z) witness direction.  An orthogonal projection to a plane
+reduces to the exact 2D containment test and soundly refutes 3D inclusions;
+Example 4.1 puts such a certificate on the outcome of each inclusion that
+leaves out vertex 3.
 """
 
 from __future__ import annotations
@@ -82,7 +85,10 @@ def _cross3(a, b):
 
 
 def _norm3(a) -> float:
-    """Length of a; rescaled by its largest coordinate when the square leaves the normal range."""
+    """Length of a; rescaled by its largest coordinate when the square leaves the normal range.
+
+    A length that overflows raises ValueError.
+    """
     dd = _dot3(a, a)
     if _MIN_NORMAL <= dd < math.inf:
         return math.sqrt(dd)
@@ -90,7 +96,10 @@ def _norm3(a) -> float:
     if m == 0.0:
         return 0.0
     x, y, z = a[0] / m, a[1] / m, a[2] / m
-    return m * math.sqrt(x * x + y * y + z * z)
+    n = m * math.sqrt(x * x + y * y + z * z)
+    if n == math.inf:
+        raise ValueError(f"length must be finite, got {n} for {a}")
+    return n
 
 
 def _unit3(a):
@@ -98,16 +107,6 @@ def _unit3(a):
     if n <= 0.0:
         raise ValueError("cannot normalize the zero vector")
     return _scale3(a, 1.0 / n)
-
-
-@dataclass(frozen=True)
-class Containment3Result:
-    """3D verdict from the exact slack minimum; refutations carry its direction."""
-
-    contained: bool
-    slack: float
-    witness_direction: Vec3 | None = None
-    projection_certificate: ContainmentResult | None = None
 
 
 def tetrahedron_from_cube(side: float) -> tuple[Vec3, Vec3, Vec3, Vec3]:
@@ -289,7 +288,7 @@ def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np
     return u[best_at], np.isfinite(best)
 
 
-def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
+def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
     """Decide a set of sphere inclusions among the same spheres and points.
 
     The objects are the rows of one (n, 4) array of (x, y, z, r) spheres
@@ -310,9 +309,10 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     constant.  Each inclusion is normalised by its largest length; the
     verdict compares the normalised slack with EPS_DECISION, so it does not
     change when the whole input is scaled.  The witness direction is a
-    minimiser: ties go to the first candidate in the order face, pair,
-    triple +, triple -, fixed.  Results come in the order of ``inclusions``;
-    no inclusion gives ().
+    minimiser, a unit (x, y, z) triple: ties go to the first candidate in
+    the order face, pair, triple +, triple -, fixed.  Results are the 2D
+    kernel's ``ContainmentResult``, in the order of ``inclusions``; no
+    inclusion gives ().
     """
     objs = np.array(objects, dtype=float)
     if objs.ndim != 2 or objs.shape[1] != 4:
@@ -340,7 +340,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     depth = min(n, n - sizes[0] + 1)
     triple_best, has_triple = _best_triple_vertices(c, rad, targets, removed, depth)
 
-    results: list[Containment3Result | None] = [None] * len(targets)
+    results: list[ContainmentResult | None] = [None] * len(targets)
     for g in sizes:
         group = np.flatnonzero(counts == g)
         gens = np.nonzero(~removed[group])[1].reshape(len(group), g)
@@ -381,7 +381,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
                 (unit_slack * scale).tolist(),
                 cands[rows, best].tolist(),
             ):
-                results[q] = Containment3Result(
+                results[q] = ContainmentResult(
                     contained=inside,
                     slack=slack,
                     witness_direction=None if inside else tuple(witness),
@@ -389,7 +389,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[Containment3Result, ...]:
     return tuple(results)
 
 
-def sphere_in_hull3(target, gens) -> Containment3Result:
+def sphere_in_hull3(target, gens) -> ContainmentResult:
     """Decide one (x, y, z, r) sphere's containment in the hull of spheres and points.
 
     This is the one-inclusion case of ``spheres_in_hull3``: the target and
@@ -471,9 +471,12 @@ def _face_distances(planes, p) -> list[float]:
 
 @dataclass(frozen=True)
 class PairOutcome:
+    """The kernel's verdict on inclusion (j, k); Example 4.1's j = 3 ones add a 2D certificate."""
+
     j: int
     k: int
-    result: Containment3Result
+    result: ContainmentResult
+    projection_certificate: ContainmentResult | None = None
 
 
 @dataclass(frozen=True)
@@ -492,16 +495,10 @@ class Example41Report:
         return all(not o.result.contained for o in self.outcomes)
 
 
-def _ex41_target_gens(spheres, vertices, j: int, k: int):
-    """Target and generators of Example 4.1's inclusion (j, k), as (x, y, z, r) spheres.
-
-    ``spheres`` are S_-1 and S_0.  k names the generator sphere (0 for S_0,
-    -1 for S_-1), the target is the other one, and every vertex but A_j
-    follows the generator sphere.
-    """
-    s_m1, s_0 = spheres
-    gen, target = (s_0, s_m1) if k == 0 else (s_m1, s_0)
-    return target, [gen, *[(*vertices[i], 0.0) for i in range(4) if i != j]]
+def _inclusion_objects(objects, inclusion):
+    """Target and generators, in object order, of the kernel inclusion (target, excluded)."""
+    target, excluded = inclusion
+    return objects[target], [o for i, o in enumerate(objects) if i != target and i not in excluded]
 
 
 def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
@@ -509,8 +506,9 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
 
     Every one of the 8 inclusions (choice of the vertex left out and of which
     sphere generates) is refuted by a negative-slack direction, and the
-    cases that leave out vertex 3 additionally carry an exact 2D projection
-    certificate in the plane through A2, A3 and the axis endpoint B.  The
+    outcomes that leave out vertex 3 additionally carry an exact 2D projection
+    certificate in the plane through A2, A3 and the axis endpoint B, taken
+    on the target and generators of the kernel's own inclusion.  The
     spheres must clear every face by EPS_DECISION * side.  A side and
     radius whose construction overflows or underflows raise
     ConstructionFailed; a side or radius that is not finite and > 0 raises
@@ -536,11 +534,11 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     objects = [*spheres, *[(*a, 0.0) for a in v]]
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
     outcomes = []
-    for (j, k), res in zip(pairs, spheres_in_hull3(objects, inclusions)):
+    for (j, k), inc, res in zip(pairs, inclusions, spheres_in_hull3(objects, inclusions)):
+        cert = None
         if j == 3:
-            cert = _projection_certificate(*_ex41_target_gens(spheres, v, j, k), plane)
-            res = Containment3Result(res.contained, res.slack, res.witness_direction, cert)
-        outcomes.append(PairOutcome(j, k, res))
+            cert = _projection_certificate(*_inclusion_objects(objects, inc), plane)
+        outcomes.append(PairOutcome(j, k, res, cert))
     return Example41Report(
         side=side,
         r=r,
@@ -588,13 +586,14 @@ def example_4_2(
     poke out of the tetrahedron, all radii shrink by a common offset (which
     preserves the tangencies, against a concentric arc) until every sphere
     is strictly inside; failing that raises ConstructionFailed, as does a
-    construction that overflows or underflows.  A side or radius that is
-    not finite and > 0 raises ValueError.
+    construction that overflows or underflows.  A side, radius or arc
+    radius factor that is not finite and > 0 raises ValueError.
     """
     if t < 3:
         raise ValueError(f"need t >= 3, got {t}")
     v = tetrahedron_from_cube(side)
     _require_positive("r", r)
+    _require_positive("arc_radius_factor", arc_radius_factor)
     try:
         b, c, p_m1, p_0 = axis_points(*v)
         bc = _sub3(c, b)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .hull import ArcPiece, HullBoundary, _point_on, hull_boundary
+from .hull import ArcPiece, _point_on, hull_boundary
 from .scenario import Scenario
 from .spheres import (
-    _ex41_target_gens,
+    _inclusion_objects,
     axis_points,
     example_4_1,
     example_4_2,
@@ -138,10 +138,9 @@ class _Canvas:
         return "\n".join(out) + "\n"
 
 
-def hull_path_d(gens, boundary: HullBoundary) -> str:
-    """SVG path for the hull boundary chain of ``gens`` (arcs as A commands, segments as L)."""
+def hull_path_d(gens, pieces) -> str:
+    """SVG path for the hull boundary pieces of ``gens`` (arcs as A commands, segments as L)."""
     glist = list(gens)
-    pieces = boundary.pieces
     if len(pieces) == 1 and isinstance(pieces[0], ArcPiece):
         p = pieces[0]
         g = glist[p.generator]
@@ -165,11 +164,11 @@ def hull_path_d(gens, boundary: HullBoundary) -> str:
 
 
 def _fill_hull(canvas: _Canvas, gens):
-    boundary = hull_boundary(gens)
+    pieces = hull_boundary(gens)
     for g in gens:
         canvas.bump(*g)
-    if boundary.pieces:  # a hull that is a single point has no chain to draw
-        canvas.path(hull_path_d(gens, boundary), fill="#d9d9d9", stroke="#707070",
+    if pieces:  # a hull that is a single point has no chain to draw
+        canvas.path(hull_path_d(gens, pieces), fill="#d9d9d9", stroke="#707070",
                     width=0.02, opacity=0.8)
 
 
@@ -262,8 +261,10 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     rep = example_4_1(scenario.side, scenario.r)
     section, tri, _ = _draw_section(canvas, rep.vertices, rep.side)
-    # hull for the case that leaves out vertex 3, with the k=0 generator sphere
-    _, gens = _ex41_target_gens(rep.spheres, rep.vertices, 3, 0)
+    # hull of example_4_1's inclusion (j, k) = (3, 0) among its objects S_-1,
+    # S_0, A0..A3: the target S_-1 and vertex A3 are left out
+    objects = [*rep.spheres, *[(*a, 0.0) for a in rep.vertices]]
+    _, gens = _inclusion_objects(objects, (0, (5,)))
     _fill_hull(canvas, [section(g) for g in gens])
     canvas.circle(section(rep.spheres[0]), "#1f77b4")
     canvas.circle(section(rep.spheres[1]), "#2ca02c")

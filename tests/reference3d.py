@@ -3,7 +3,8 @@
 This is the kernel as it was before the candidate directions were shared:
 every inclusion normalises its own offsets and enumerates its own face
 minima, pair-circle minima and generator-triple vertices.  It is kept only
-as a reference and runs one inclusion per call.
+as a reference and runs one inclusion per call.  ``ex41_target_gens`` reads
+the objects of one of Example 4.1's inclusions off the example's report.
 """
 
 import functools
@@ -12,8 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from carousel.spheres import _inclusion_objects
+
 _ZERO_NORM = 1e-15
 _ZERO_CROSS2 = 1e-18
+
+
+def ex41_target_gens(rep, j: int, k: int):
+    """Target and generators of Example 4.1's inclusion (j, k), in the kernel's object order.
+
+    The example's objects are S_-1, S_0, A0..A3; inclusion (j, k) leaves out
+    vertex A_j, and k = 0 keeps S_0 as generator, so S_-1 is the target.
+    """
+    objects = [*rep.spheres, *[(*a, 0.0) for a in rep.vertices]]
+    return _inclusion_objects(objects, (0 if k == 0 else 1, (2 + j,)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from carousel.hull import ArcPiece, HullBoundary
+from carousel.hull import ArcPiece
 from carousel.oracle import DEFAULT_SAMPLES, sample_hull_polygon
 
 TAU = math.tau
@@ -27,13 +27,13 @@ def support(gens, theta: float) -> float:
     return max(x * c + y * s + r for x, y, r in gens)
 
 
-def boundary_support(gens, boundary: HullBoundary, theta: float) -> float:
+def boundary_support(gens, pieces, theta: float) -> float:
     """Support of the boundary chain: arcs contribute their sub-arc maximum."""
     glist = list(gens)
     c = math.cos(theta)
     s = math.sin(theta)
     best = -math.inf
-    for p in boundary.pieces:
+    for p in pieces:
         v = max(p.start[0] * c + p.start[1] * s, p.end[0] * c + p.end[1] * s)
         if isinstance(p, ArcPiece) and (theta - p.start_angle) % TAU <= p.width:
             x, y, r = glist[p.generator]
@@ -42,25 +42,25 @@ def boundary_support(gens, boundary: HullBoundary, theta: float) -> float:
     return best
 
 
-def chain_closure_error(boundary: HullBoundary) -> float:
+def chain_closure_error(pieces) -> float:
     """Largest gap between a piece's end and the next piece's start, cyclically."""
-    if not boundary.pieces:
+    if not pieces:
         return 0.0
     worst = 0.0
-    for cur, nxt in zip(boundary.pieces, boundary.pieces[1:] + (boundary.pieces[0],)):
+    for cur, nxt in zip(pieces, pieces[1:] + pieces[:1]):
         worst = max(worst, math.dist(cur.end, nxt.start))
     return worst
 
 
-def hull_area(gens, boundary: HullBoundary) -> float:
+def hull_area(gens, pieces) -> float:
     """Exact hull area from the boundary chain: shoelace plus arc-segment bulges."""
     glist = list(gens)
-    if len(boundary.pieces) == 1 and isinstance(boundary.pieces[0], ArcPiece):
-        r = glist[boundary.pieces[0].generator][2]
+    if len(pieces) == 1 and isinstance(pieces[0], ArcPiece):
+        r = glist[pieces[0].generator][2]
         return math.pi * r * r
-    verts = [p.start for p in boundary.pieces]
+    verts = [p.start for p in pieces]
     area = 0.5 * sum(a[0] * b[1] - a[1] * b[0] for a, b in zip(verts, verts[1:] + verts[:1]))
-    for p in boundary.pieces:
+    for p in pieces:
         if isinstance(p, ArcPiece):
             r = glist[p.generator][2]
             area += 0.5 * r * r * (p.width - math.sin(p.width))

@@ -182,7 +182,7 @@ def test_example_4_1_reproduction():
         and o.result.witness_direction is not None
         for o in rep.outcomes
     )
-    certs = [o.result.projection_certificate for o in rep.outcomes if o.j == 3]
+    certs = [o.projection_certificate for o in rep.outcomes if o.j == 3]
     certs_ok = len(certs) == 2 and all(
         c is not None and not c.contained and -c.slack > 0 for c in certs
     )

@@ -244,6 +244,25 @@ class TestCheckVerb:
         assert report["example"]["all_refuted"] is True
         assert len(report["example"]["outcomes"]) == 8
 
+    # sha256 of each scenario file's check report; any change to them is listed in CHANGES.md
+    @pytest.mark.parametrize("name, digest", [
+        ("corollary_circles", "857ee420ce3bd9aff3ef77918ee0b09386791d2da803d9bd552f7c49c937e07e"),
+        ("points_decomposition",
+         "313469624b38016855bc657dc52f47f1fbe3009b2da9d01cc2a76def589de479"),
+        ("sphere_counterexample_41",
+         "8d2b6084dd452038cf0e0738db2d4e246c119cd58ab77b152326e302c85c9e23"),
+        ("sphere_counterexample_42",
+         "611a11e4aaafa6a40b6a50a7df4e7570144c891126a449efbd1a309a10453858"),
+        ("sweep_leg_tangency", "66e5f0527bdd2e33ae7ace7f7fab6806ee4161db1c55c4f0a5a46669bd98a0b0"),
+        ("theorem_concentric", "8a1ee61fb954c9a1e61cfbc6a9e61c3d425ad4136db3e792ea9bd5bd5224a001"),
+        ("theorem_point_on_site",
+         "53dbbf0a1308939e9e5a5059f9fcd4764f05af340dd39051bdb814789b6711f9"),
+    ])
+    def test_scenario_report_is_pinned(self, tmp_path, name, digest):
+        out = tmp_path / f"{name}.json"
+        assert main(["check", str(SCENARIOS / f"{name}.json"), "-o", str(out)]) == 0
+        assert sha256_of(out) == digest
+
     def test_malformed_exits_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("nope", encoding="utf-8")
@@ -288,9 +307,13 @@ class TestCheckVerb:
      "(coordinates must be finite, got (inf, -inf, nan))"),
     (["repro3d", "--example", "4.1", "--side", "1e-200", "--r", "1e-201"],
      "the construction leaves the float range (cannot normalize the zero vector)"),
+    (["repro3d", "--example", "4.2", "--t", "3", "--side", "1.01",
+      "--factor", "1.7798941929329858e+308"],
+     "the construction leaves the float range (length must be finite, got inf for "
+     "(1.2711610061536462e+308, -1.2711610061536462e+308, -0.16833333333333333))"),
 ], ids=["points-outside", "points-coincide", "ex41-radius", "repro3d-radius",
         "ex41-side-overflow", "ex41-scale-overflow", "ex42-scale-overflow",
-        "ex42-factor-overflow", "ex41-scale-underflow"])
+        "ex42-factor-overflow", "ex41-scale-underflow", "ex42-length-overflow"])
 def test_broken_hypothesis_of_every_kind_writes_input_error_report(
     tmp_path, capsys, argv, message
 ):
@@ -640,7 +663,7 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert main(["oracle", "--n", "3", "--seed", "2", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["trials"] == 3
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parsers() is cli._build_parsers()
 
 
 def _parse_outcome(parse, argv, capsys):
@@ -667,7 +690,7 @@ def _parse_outcome(parse, argv, capsys):
 def test_verb_dispatch_parses_as_the_full_parser(capsys, argv):
     from carousel import cli
 
-    full = _parse_outcome(cli._build_parser().parse_args, argv, capsys)
+    full = _parse_outcome(cli._build_parsers()[0].parse_args, argv, capsys)
     assert _parse_outcome(cli._parse_args, argv, capsys) == full
     result, _, err = full
     if not isinstance(result, argparse.Namespace) and result != 0:

@@ -270,11 +270,11 @@ class TestSlackProperties:
                 prev = s
 
 
-class TestHullBoundary:
+class TestBoundaryPieces:
     def test_single_circle(self):
         b = hull_boundary(((0, 0, 1),))
-        assert len(b.pieces) == 1
-        piece = b.pieces[0]
+        assert len(b) == 1
+        piece = b[0]
         assert isinstance(piece, ArcPiece)
         assert piece.width == pytest.approx(TAU)
 
@@ -282,15 +282,15 @@ class TestHullBoundary:
         b = hull_boundary(
             ((0, 0, 0), (4, 0, 0), (0, 4, 0))
         )
-        assert len(b.pieces) == 3
-        assert all(isinstance(p, SegmentPiece) for p in b.pieces)
+        assert len(b) == 3
+        assert all(isinstance(p, SegmentPiece) for p in b)
         assert chain_closure_error(b) < 1e-12
 
     def test_round_backed_trapezoid(self):
         gens = ((0, 0, 0), (4, 0, 0), (2, 2, 1))
         b = hull_boundary(gens)
-        arcs = [p for p in b.pieces if isinstance(p, ArcPiece)]
-        segs = [p for p in b.pieces if isinstance(p, SegmentPiece)]
+        arcs = [p for p in b if isinstance(p, ArcPiece)]
+        segs = [p for p in b if isinstance(p, SegmentPiece)]
         assert len(arcs) == 1 and len(segs) == 3
         assert chain_closure_error(b) < 1e-12
         # the two tangent legs end exactly at the tangent points from the base sites
@@ -310,28 +310,28 @@ class TestHullBoundary:
     def test_stadium(self):
         gens = ((0, 0, 1), (4, 0, 1))
         b = hull_boundary(gens)
-        arcs = [p for p in b.pieces if isinstance(p, ArcPiece)]
-        segs = [p for p in b.pieces if isinstance(p, SegmentPiece)]
+        arcs = [p for p in b if isinstance(p, ArcPiece)]
+        segs = [p for p in b if isinstance(p, SegmentPiece)]
         assert len(arcs) == 2 and len(segs) == 2
         assert hull_area(gens, b) == pytest.approx(math.pi + 8.0)
 
     def test_interior_generators_omitted(self):
         gens = ((0, 0, 2), (0.2, 0, 0.3), (0, 0.1, 0))
         b = hull_boundary(gens)
-        assert b.pieces == (ArcPiece(0, 0.0, TAU, (2, 0), (2, 0)),)
+        assert b == (ArcPiece(0, 0.0, TAU, (2, 0), (2, 0)),)
 
     def test_degenerate_single_point(self):
         b = hull_boundary(((1, 2, 0),))
-        assert b.pieces == ()
+        assert b == ()
         assert chain_closure_error(b) == 0.0
 
     def test_degenerate_collinear_points(self):
         b = hull_boundary(
             ((0, 0, 0), (1, 1, 0), (3, 3, 0))
         )
-        assert len(b.pieces) == 2
-        assert all(isinstance(p, SegmentPiece) for p in b.pieces)
-        there, back = b.pieces
+        assert len(b) == 2
+        assert all(isinstance(p, SegmentPiece) for p in b)
+        there, back = b
         assert (there.start, there.end) == ((0, 0), (3, 3))
         assert (back.start, back.end) == ((3, 3), (0, 0))
         assert chain_closure_error(b) == 0.0
@@ -349,7 +349,7 @@ class TestHullBoundary:
                 for _ in range(n)
             ]
             b = hull_boundary(gens)
-            if not b.pieces:
+            if not b:
                 continue
             assert chain_closure_error(b) < 1e-9
             for k in range(3600):
@@ -367,8 +367,8 @@ class TestHullBoundary:
         ):
             gens = [(x, y, 0) for x, y in pts]
             b = hull_boundary(gens)
-            assert len(b.pieces) == 2
-            assert all(isinstance(p, SegmentPiece) for p in b.pieces)
+            assert len(b) == 2
+            assert all(isinstance(p, SegmentPiece) for p in b)
             assert chain_closure_error(b) == 0.0
             for k in range(360):
                 theta = k * TAU / 360
@@ -380,7 +380,7 @@ class TestHullBoundary:
         gens = ((0, 0, 0), (4, 0, 0), (2, 2, 1))
         b = hull_boundary(gens)
         # arc sweep angles plus exterior turns at junctions total one full turn
-        turning = sum(p.width for p in b.pieces if isinstance(p, ArcPiece))
+        turning = sum(p.width for p in b if isinstance(p, ArcPiece))
 
         def heading_in(p):
             if isinstance(p, ArcPiece):
@@ -392,7 +392,7 @@ class TestHullBoundary:
                 return p.start_angle + math.pi / 2
             return math.atan2(p.end[1] - p.start[1], p.end[0] - p.start[0])
 
-        pieces = list(b.pieces)
+        pieces = list(b)
         for cur, nxt in zip(pieces, pieces[1:] + pieces[:1]):
             turn = math.remainder(heading_out(nxt) - heading_in(cur), TAU)
             assert turn > -1e-9  # convex boundary never turns clockwise

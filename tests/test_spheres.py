@@ -17,9 +17,10 @@ from carousel import (
     sphere_in_hull3,
     tetrahedron_from_cube,
 )
-from carousel.spheres import _dot3, _ex41_target_gens, _norm3, _unit3, project_to_plane
+from carousel.spheres import _dot3, _norm3, _unit3, project_to_plane
 
 from probe_grid import icosphere_directions, probe_slack
+from reference3d import ex41_target_gens
 
 
 class TestTetrahedron:
@@ -56,6 +57,11 @@ class TestFloatTriples:
         assert _norm3((0.0, 3e-200, 4e-200)) == pytest.approx(5e-200, rel=1e-15)
         assert _norm3((0.0, 0.0, 5e-324)) == 5e-324
         assert _norm3((0.0, 0.0, 0.0)) == 0.0
+
+    def test_a_length_that_overflows_raises(self):
+        # each coordinate is finite, but the length is not
+        with pytest.raises(ValueError, match=r"^length must be finite, got inf for \(1\.5e\+308, "):
+            _norm3((1.5e308, -1.5e308, 0.0))
 
     def test_tiny_vectors_normalize(self):
         assert _unit3((3e-200, 0.0, 4e-200)) == pytest.approx((0.6, 0.0, 0.8), rel=1e-15)
@@ -370,18 +376,18 @@ class TestExample41:
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
             if o.j == 3:
-                cert = o.result.projection_certificate
+                cert = o.projection_certificate
                 assert cert is not None
                 assert not cert.contained
                 assert -cert.slack > 1e-6  # strictly positive 2D gap
             else:
-                assert o.result.projection_certificate is None
+                assert o.projection_certificate is None
 
     def test_projection_soundness_bound(self):
         # in-plane slack can never beat the full 3D minimum
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
-            cert = o.result.projection_certificate
+            cert = o.projection_certificate
             if cert is not None:
                 assert o.result.slack <= cert.slack + 1e-6
 
@@ -412,7 +418,7 @@ class TestExample41:
         # the enumerated minimum is at or below every one of 40,962 directions
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
-            target, gens = _ex41_target_gens(rep.spheres, rep.vertices, o.j, o.k)
+            target, gens = ex41_target_gens(rep, o.j, o.k)
             assert o.result.slack <= probe_slack(target, gens, 6) + 1e-12
 
     def test_radius_too_large(self):
@@ -495,6 +501,13 @@ class TestExample42:
     def test_t_must_be_at_least_3(self):
         with pytest.raises(ValueError):
             example_4_2(2)
+
+    @pytest.mark.parametrize("factor", [0.0, -10.0, math.nan, math.inf])
+    def test_arc_radius_factor_must_be_finite_and_positive(self, factor):
+        # refused up front, as side and r are, not as a construction failure
+        message = f"^arc_radius_factor must be finite and > 0, got {factor}$"
+        with pytest.raises(ValueError, match=message):
+            example_4_2(3, factor)
 
     def test_oversized_radius_shrinks_to_fit(self):
         # requested end radius cannot fit; construction shrinks all radii,

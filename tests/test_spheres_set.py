@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 
 from carousel import example_4_1, example_4_2, sphere_in_hull3, spheres_in_hull3
-from carousel.spheres import _ex41_target_gens
-
-from reference3d import reference
+from reference3d import ex41_target_gens, reference
 
 # rounding bound on the slack, as a multiple of the inclusion's largest length
 ULP_BOUND = 1e-15
@@ -174,7 +172,7 @@ class TestReferenceEquivalence:
             r = side * rng.uniform(0.03, 0.15)
             rep = example_4_1(side, r)
             for o in rep.outcomes:
-                target, gens = _ex41_target_gens(rep.spheres, rep.vertices, o.j, o.k)
+                target, gens = ex41_target_gens(rep, o.j, o.k)
                 assert_matches_reference(target, gens, o.result)
 
     @pytest.mark.parametrize("factor", [5.0, 20.0, 50.0])
