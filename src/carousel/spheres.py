@@ -19,7 +19,9 @@ example makes one call.  Its verdicts are the 2D kernel's ``ContainmentResult``,
 with a unit (x, y, z) witness direction.  An orthogonal projection to a plane
 reduces to the exact 2D containment test and soundly refutes 3D inclusions;
 Example 4.1 puts such a certificate on the outcome of each inclusion that
-leaves out vertex 3.
+leaves out vertex 3.  Each example's report keeps the kernel's object rows
+and each outcome its kernel inclusion (target, excluded), so only the
+example constructions know the object order and the (j, k) to inclusion map.
 """
 
 from __future__ import annotations
@@ -475,6 +477,7 @@ class PairOutcome:
 
     j: int
     k: int
+    inclusion: tuple[int, tuple[int, ...]]  # the kernel's (target, excluded) in ``objects``
     result: ContainmentResult
     projection_certificate: ContainmentResult | None = None
 
@@ -488,6 +491,7 @@ class Example41Report:
     vertices: tuple[Vec3, Vec3, Vec3, Vec3]
     spheres: tuple[Vec4, Vec4]  # (S_-1, S_0), centred on P_-1 and P_0
     face_distances: tuple[tuple[float, ...], tuple[float, ...]]
+    objects: tuple[Vec4, ...]  # the kernel's rows: S_-1, S_0, then A0..A3 as points
     outcomes: tuple[PairOutcome, ...]
 
     @property
@@ -531,20 +535,21 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
     spheres = ((*p_m1, r), (*p_0, r))
     # objects: S_-1, S_0, A0..A3; k = 0 keeps S_0 as generator, so S_-1 is the target
     pairs = [(j, k) for j in range(4) for k in (-1, 0)]
-    objects = [*spheres, *[(*a, 0.0) for a in v]]
+    objects = (*spheres, *[(*a, 0.0) for a in v])
     inclusions = [(0 if k == 0 else 1, (2 + j,)) for j, k in pairs]
     outcomes = []
     for (j, k), inc, res in zip(pairs, inclusions, spheres_in_hull3(objects, inclusions)):
         cert = None
         if j == 3:
             cert = _projection_certificate(*_inclusion_objects(objects, inc), plane)
-        outcomes.append(PairOutcome(j, k, res, cert))
+        outcomes.append(PairOutcome(j, k, inc, res, cert))
     return Example41Report(
         side=side,
         r=r,
         vertices=v,
         spheres=spheres,
         face_distances=face_d,
+        objects=objects,
         outcomes=tuple(outcomes),
     )
 
@@ -563,6 +568,7 @@ class Example42Report:
     spheres: tuple[Vec4, ...]
     tangency_residuals: tuple[float, ...]
     interior_margins: tuple[float, ...]
+    objects: tuple[Vec4, ...]  # the kernel's rows: the spheres, then A0..A3 as points
     outcomes: tuple[PairOutcome, ...]
 
     @property
@@ -636,9 +642,10 @@ def example_4_2(
     # objects: the spheres in index order, then A0..A3; inclusion (j, k)
     # drops the target and vertex j
     pairs = [(j, pos) for j in range(4) for pos in range(t)]
+    objects = (*spheres, *[(*a, 0.0) for a in v])
     inclusions = [(pos, (t + j,)) for j, pos in pairs]
-    results = spheres_in_hull3([*spheres, *[(*a, 0.0) for a in v]], inclusions)
-    outcomes = [PairOutcome(j, indices[pos], res) for (j, pos), res in zip(pairs, results)]
+    results = zip(pairs, inclusions, spheres_in_hull3(objects, inclusions))
+    outcomes = tuple(PairOutcome(j, indices[pos], inc, res) for (j, pos), inc, res in results)
 
     return Example42Report(
         t=t,
@@ -651,5 +658,6 @@ def example_4_2(
         spheres=spheres,
         tangency_residuals=residuals,
         interior_margins=margins,
-        outcomes=tuple(outcomes),
+        objects=objects,
+        outcomes=outcomes,
     )

@@ -22,7 +22,7 @@ from .spheres import (
     project_to_plane,
 )
 from .witness import (
-    pair_generators,
+    pair_objects,
     scaled_instance,
     two_carousel_points,
     witness_search,
@@ -190,7 +190,7 @@ def _render_witness(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     if witnesses:
         best = witnesses[0]
-        _fill_hull(canvas, pair_generators((u0, u1)[best.k], bases, best.j))
+        _fill_hull(canvas, pair_objects(scenario.row, best.j, best.k)[1])
         canvas.text(
             f"witness j={best.j} k={best.k} slack={best.slack:.6f} "
             f"({len(witnesses)}/6 pairs hold)"
@@ -208,7 +208,7 @@ def _render_points(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     row = scenario.row
     w, _ = two_carousel_points(row)
-    gens = pair_generators(row[3 + w.k], row[:3], w.j)
+    _, gens = pair_objects(row, w.j, w.k)
     canvas.polygon(gens, stroke="#707070", fill="#d9d9d9")
     _draw_sites(canvas, row[:3])
     canvas.dot(row[3], fill="#1f77b4")
@@ -222,13 +222,12 @@ def _render_sweep(scenario: Scenario) -> _Canvas:
     row = scenario.row
     j, k = scenario.j, scenario.k
     rep = xi_sweep_fixed(row, j, k)
-    scaled = scaled_instance(row, rep.xi_star)
-    _fill_hull(canvas, pair_generators(scaled[3 + k], row[:3], j))
+    target, gens = pair_objects(scaled_instance(row, rep.xi_star), j, k)
+    _fill_hull(canvas, gens)
     _draw_sites(canvas, row[:3])
     canvas.circle(row[3], "#9ecae1", dash="0.05,0.05")
     canvas.circle(row[4], "#a1d99b", dash="0.05,0.05")
-    canvas.circle(scaled[3 + k], "#1f77b4")
-    target = scaled[4 - k]
+    canvas.circle(gens[0], "#1f77b4")
     canvas.circle(target, "#2ca02c")
     if rep.touch_direction is not None:
         canvas.marker(_point_on(target, rep.touch_direction))
@@ -261,10 +260,9 @@ def _render_ex41(scenario: Scenario) -> _Canvas:
     canvas = _Canvas()
     rep = example_4_1(scenario.side, scenario.r)
     section, tri, _ = _draw_section(canvas, rep.vertices, rep.side)
-    # hull of example_4_1's inclusion (j, k) = (3, 0) among its objects S_-1,
-    # S_0, A0..A3: the target S_-1 and vertex A3 are left out
-    objects = [*rep.spheres, *[(*a, 0.0) for a in rep.vertices]]
-    _, gens = _inclusion_objects(objects, (0, (5,)))
+    # hull of the generators of inclusion (j, k) = (3, 0), which leaves out A3
+    (drawn,) = [o for o in rep.outcomes if (o.j, o.k) == (3, 0)]
+    _, gens = _inclusion_objects(rep.objects, drawn.inclusion)
     _fill_hull(canvas, [section(g) for g in gens])
     canvas.circle(section(rep.spheres[0]), "#1f77b4")
     canvas.circle(section(rep.spheres[1]), "#2ca02c")

@@ -6,16 +6,19 @@ or for the corollary three generator circles in place of the sites.  Every
 public procedure takes the row as a scenario file lists it or a draw returns
 it, and checks its floats with ``planar.checked_objects``.  A witness is a
 pair (j, k) such that u_(1-k) lies in the convex hull of u_k together with
-the two sites other than A_j.  The xi-sweep scales both circles about their
-own centers by a common factor and finds the supremum of the scales at
-which a fixed (j, k) witness still holds.  The target can
-only reach the hull boundary by touching the front arc of u_k, the base
-side between the two kept sites, a site vertex or a leg, and each of these
-happens at a closed-form scale, so the sweep enumerates those events and
-reads the tangency off the family of the event where the inclusion fails.
-Its hypothesis checks and probes hand plain (dx, dy, dr) terms to the
-envelope loop of ``circle_in_hull``, so a probe builds no scaled row,
-generator list or containment result, and its slack is bitwise theirs.
+the two sites other than A_j.  ``pair_objects(row, j, k)`` reads that
+inclusion's target and generators off a row, from the one table of object
+indices that the one-pair rows entry, the sweep and the figures all read.
+The xi-sweep scales both circles about their own centers by a common factor
+and finds the supremum of the scales at which a fixed (j, k) witness still
+holds.  The target can only reach the hull boundary by touching the front
+arc of u_k, the base side between the two kept sites, a site vertex or a
+leg, and each of these happens at a closed-form scale, so the sweep
+enumerates those events and reads the tangency off the family of the event
+where the inclusion fails.  Its hypothesis checks and probes hand plain
+(dx, dy, dr) terms to the envelope loop of ``circle_in_hull``, so a probe
+builds no scaled row, generator list or containment result, and its slack
+is bitwise theirs.
 
 Seeded instances are drawn on plain floats, as rows of five (x, y, r)
 objects.  A block of seeds is drawn in rounds, and each round decides the
@@ -115,23 +118,6 @@ def _sites_row(row) -> tuple:
     return objs
 
 
-def validate_instance(row) -> None:
-    """Check the carousel hypotheses of a row of sites b0, b1, b2 and circles u0, u1.
-
-    Raises InvalidInstance when they fail.  Each u_k is decided as
-    ``circle_in_hull`` decides it against the sites, from the same floats.
-    """
-    _validate_sites_row(_sites_row(row))
-
-
-def _validate_sites_row(row) -> None:
-    """``validate_instance`` on a row that ``_sites_row`` has checked."""
-    _check_collinear(row)
-    for k, (tx, ty, tr) in enumerate(row[3:]):
-        slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
-        _require_inside(k, slack >= -EPS_DECISION, slack, "site")
-
-
 def scaled_instance(row, zeta: float) -> tuple:
     """The row with both circles shrunk about their own centers by factor zeta in [0, 1]."""
     if not 0.0 <= zeta <= 1.0:
@@ -140,32 +126,17 @@ def scaled_instance(row, zeta: float) -> tuple:
     return (*bases, (x0, y0, zeta * r0), (x1, y1, zeta * r1))
 
 
-def _others(items, j: int) -> tuple:
-    """The items other than item j, in order: the two sites other than A_j."""
-    return tuple(x for i, x in enumerate(items) if i != j)
-
-
-def _check_jk(j: int, k: int = 0) -> None:
-    """Refuse a base index j outside 0..2 or a circle index k outside 0..1 (k = 0: j alone)."""
+def _check_jk(j: int, k: int) -> None:
+    """Refuse a base index j outside 0..2 or a circle index k outside 0..1."""
     if j not in (0, 1, 2) or k not in (0, 1):
         raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
-
-
-def pair_generators(own, bases, j: int) -> tuple:
-    """Generators of a (j, k) inclusion: u_k plus the bases other than base j.
-
-    All are (x, y, r) objects; the bases are the three sites (radius 0) or
-    the three generator circles of the corollary.  A bad j raises ValueError.
-    """
-    _check_jk(j)
-    return checked_objects((own, *_others(bases, j)))
 
 
 # The eight inclusions of an instance over its objects b0, b1, b2, u0, u1
 # are decided as two targets, u0 and u1, each against the objects
 # (u_other, b0, b1, b2) and four subsets of them: the hypothesis {b0, b1, b2},
 # then for j = 0, 1, 2 the (j, k) inclusion with u_k the other circle, whose
-# objects u_k and the bases other than base j are in ``pair_generators`` order.
+# objects u_k and the bases other than base j are in ``pair_objects`` order.
 _OBJECTS = np.array([[4, 0, 1, 2], [3, 0, 1, 2]])
 _SUBSETS = np.array([[False, True, True, True]] + [
     [True] + [b != j for b in range(3)] for j in range(3)
@@ -174,7 +145,25 @@ _SUBSETS = np.array([[False, True, True, True]] + [
 # hypothesis u1, then the (j, k) of JK_PAIRS, whose target is u_(1-k).
 _ORDER = np.array([0, 4] + [4 * (1 - k) + 1 + j for j, k in JK_PAIRS])
 # Per (j, k): the objects of its inclusion, target u_(1-k) first.
-_PAIR_OBJECTS = {(j, k): (4 - k, 3 + k, *_others(range(3), j)) for j, k in JK_PAIRS}
+_PAIR_OBJECTS = {(j, k): (4 - k, 3 + k, *(b for b in range(3) if b != j)) for j, k in JK_PAIRS}
+
+
+def _pair(row, j: int, k: int) -> tuple:
+    """``pair_objects`` on a checked row and a checked (j, k)."""
+    target, *generators = (row[i] for i in _PAIR_OBJECTS[j, k])
+    return target, tuple(generators)
+
+
+def pair_objects(row, j: int, k: int) -> tuple:
+    """Target u_(1-k) and generators (u_k, then the bases other than b_j) of inclusion (j, k).
+
+    ``row`` holds the (x, y, r) objects b0, b1, b2, u0, u1, returned as float
+    triples.  Raises ValueError on a row that is not five objects that
+    ``checked_objects`` accepts, and on a j outside 0..2 or a k outside 0..1.
+    """
+    objs = _checked_row(row)
+    _check_jk(j, k)
+    return _pair(objs, j, k)
 
 
 def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +321,7 @@ def two_carousel_points(row) -> tuple[Witness, bool]:
     if row[3][2] != 0.0 or row[4][2] != 0.0:
         raise InvalidInstance("b0 and b1 must have radius 0")
     j, k = point_decomposition(row)
-    res = circle_in_hull(row[4 - k], pair_generators(row[3 + k], row[:3], j))
+    res = circle_in_hull(*pair_objects(row, j, k))
     return Witness(j, k, res.slack), res.contained
 
 
@@ -343,14 +332,15 @@ EVENT_TIE = 1e-12
 _EVENT_RANK = {Tangency.LEG: 0, Tangency.FRONT_ARC: 1, Tangency.BASE_SIDE: 2}
 
 
-def _sweep_envelope(row, j: int, k: int, zeta: float) -> tuple[float, float]:
-    """Slack of the scaled (j, k) inclusion at scale zeta and the first angle attaining it."""
+def _sweep_envelope(target, generators, zeta: float) -> tuple[float, float]:
+    """Slack of a ``pair_objects`` inclusion scaled by zeta and the first angle attaining it."""
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    (ox, oy, orad), (tx, ty, trad) = row[3 + k], row[4 - k]
+    tx, ty, trad = target
+    (ox, oy, orad), *sites = generators
     tr = zeta * trad
     terms = [(ox - tx, oy - ty, zeta * orad - tr)]
-    terms += [(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in _others(row[:3], j)]
+    terms += [(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in sites]
     return _envelope_min(terms)
 
 
@@ -358,21 +348,20 @@ def sweep_slack(row, j: int, k: int, zeta: float) -> float:
     """Slack of the scaled (j, k) inclusion at scale zeta.
 
     ``row`` holds the sites b0, b1, b2 and the circles u0, u1.  Bitwise
-    ``circle_in_hull(scaled[4 - k], pair_generators(scaled[3 + k],
-    scaled[:3], j)).slack`` with ``scaled = scaled_instance(row, zeta)``:
+    ``circle_in_hull(*pair_objects(scaled_instance(row, zeta), j, k)).slack``:
     the envelope terms come from the centres and the zeta-scaled radii by
     the same float operations, without building the scaled row or its
     generators.  A bad (j, k) raises ValueError.
     """
-    _check_jk(j, k)
-    return _sweep_envelope(_sites_row(row), j, k, zeta)[0]
+    return _sweep_envelope(*pair_objects(_sites_row(row), j, k), zeta)[0]
 
 
-def sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
+def _sweep_events(target, generators) -> list[tuple[float, Tangency]]:
     """Scales in (0, 1) where the scaled target can touch a hull piece, ascending.
 
     With target u_(1-k) = (c_t, r_t), kept circle u_k = (c_k, r_k) and sites
-    a, b other than A_j, the target touches at scale zeta
+    a, b other than A_j, as ``pair_objects`` returns them, the target
+    touches at scale zeta
       - the front arc when |c_t - c_k| = zeta (r_k - r_t),
       - the base side when dist(c_t, line ab) = zeta r_t,
       - a vertex s in {a, b} when |s - c_t| = zeta r_t (reported as a leg),
@@ -380,16 +369,11 @@ def sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
         both circles: u is perpendicular to r_t (s - c_k) - r_k (s - c_t) and
         zeta = (s - c_k).u / r_k, or (s - c_t).u / r_t when r_k = 0.
     Events closer than EVENT_TIE merge into one, whose family is the first in
-    the order leg, front arc, base side.  A bad (j, k) raises ValueError.
+    the order leg, front arc, base side.
     """
-    _check_jk(j, k)
-    return _sweep_events(_sites_row(row), j, k)
-
-
-def _sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
-    """``sweep_events`` on a row that ``_sites_row`` has checked."""
-    (ckx, cky, rk), (ctx, cty, rt) = row[3 + k], row[4 - k]
-    kept = [(x, y) for x, y, _ in _others(row[:3], j)]
+    ctx, cty, rt = target
+    (ckx, cky, rk), *sites = generators
+    kept = [(x, y) for x, y, _ in sites]
     (ax, ay), (bx, by) = kept
     events = []
     if rk > rt:
@@ -418,10 +402,11 @@ def _sweep_events(row, j: int, k: int) -> list[tuple[float, Tangency]]:
     return merged
 
 
-def _tangency_at_zero(row, j: int, k: int) -> Tangency:
+def _tangency_at_zero(target, generators) -> Tangency:
     """Side of the triangle c_k, a, b nearest the target's centre; legs win ties."""
-    (kx, ky, _), (tx, ty, _) = row[3 + k], row[4 - k]
-    kept = [(x, y) for x, y, _ in _others(row[:3], j)]
+    tx, ty, _ = target
+    (kx, ky, _), *sites = generators
+    kept = [(x, y) for x, y, _ in sites]
     (ax, ay), (bx, by) = kept
     if _orientation(kx, ky, ax, ay, bx, by) == 0:
         return Tangency.BASE_SIDE
@@ -435,31 +420,36 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
 
     ``row`` holds the sites b0, b1, b2 and the circles u0, u1.
 
-    The slack can change sign only at one of the tangency events of
-    ``sweep_events``, so it keeps one sign between consecutive events.  One
+    The slack can change sign only at one of the closed-form tangency events
+    of ``_sweep_events``, so it keeps one sign between consecutive events.  One
     probe at the midpoint of each interval, from zeta = 0 upward, finds the
     first interval on which the inclusion fails: xi_star is its left end and
     the tangency is the family of the event there.  When it fails from
     zeta = 0 on, xi_star = 0 and the tangency is the side of the point hull
     nearest the target's centre.  When no interval fails, xi_star = 1 with
     no tangency.  The slack at xi_star and the touch direction come from
-    one envelope evaluation there.  The row is checked once, and the
-    hypothesis checks, the events and the probes all read its checked floats.
+    one envelope evaluation there.  The row is checked once: the hypothesis
+    checks read its checked floats, and the events and the probes read them
+    as the (target, generators) of ``pair_objects``.
     """
     _check_jk(j, k)
     row = _sites_row(row)
-    _validate_sites_row(row)
-    events = _sweep_events(row, j, k)
+    _check_collinear(row)
+    for u, (tx, ty, tr) in enumerate(row[3:]):  # u0, u1 in the site hull, as circle_in_hull
+        slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
+        _require_inside(u, slack >= -EPS_DECISION, slack, "site")
+    pair = _pair(row, j, k)
+    events = _sweep_events(*pair)
     edges = [0.0] + [zeta for zeta, _ in events] + [1.0]
     for i in range(len(edges) - 1):
-        if _sweep_envelope(row, j, k, 0.5 * (edges[i] + edges[i + 1]))[0] < 0.0:
+        if _sweep_envelope(*pair, 0.5 * (edges[i] + edges[i + 1]))[0] < 0.0:
             break
     else:
-        slack, _ = _sweep_envelope(row, j, k, 1.0)
+        slack, _ = _sweep_envelope(*pair, 1.0)
         return XiSweepReport(j, k, 1.0, slack, Tangency.NONE_AT_ONE, None)
     xi = edges[i]
-    tangency = events[i - 1][1] if i else _tangency_at_zero(row, j, k)
-    slack, touch = _sweep_envelope(row, j, k, xi)
+    tangency = events[i - 1][1] if i else _tangency_at_zero(*pair)
+    slack, touch = _sweep_envelope(*pair, xi)
     return XiSweepReport(j, k, xi, slack, tangency, touch)
 
 

@@ -1,19 +1,20 @@
 """Tangency events of the xi-sweep as first written, on ``Point2`` vectors.
 
-``witness.sweep_events`` now computes the same events on plain floats; the
-tests check that it returns exactly these events, bit for bit.  Kept only as
+``witness._sweep_events`` now computes the same events on plain floats, from
+the (target, generators) of ``witness.pair_objects``; the tests check that
+it returns exactly these events, bit for bit.  Kept only as
 a reference.  It takes the row of (x, y, r) objects b0, b1, b2, u0, u1 that
 the package takes, and reads it into the vectors of ``lemmas.Point2``.
 """
 
-from carousel.witness import _EVENT_RANK, EVENT_TIE, Tangency, _others
+from carousel.witness import _EVENT_RANK, EVENT_TIE, Tangency
 from lemmas import Point2
 
 
 def sweep_events(row, j, k):
     (ckx, cky, rk), (ctx, cty, rt) = row[3 + k], row[4 - k]
     ck, ct = Point2(ckx, cky), Point2(ctx, cty)
-    a, b = (Point2(x, y) for x, y, _ in _others(row[:3], j))
+    a, b = (Point2(x, y) for i, (x, y, _) in enumerate(row[:3]) if i != j)
     events = []
     if rk > rt:
         events.append((ct.distance_to(ck) / (rk - rt), Tangency.FRONT_ARC))

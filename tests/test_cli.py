@@ -19,7 +19,7 @@ from carousel.harness import run_scenario_obj
 from carousel.planar import EPS_DECISION
 from carousel.reports import canonical_json
 from carousel.scenario import load_scenario, parse_scenario
-from carousel.witness import scaled_instance, xi_sweep_fixed
+from carousel.witness import pair_objects, scaled_instance, xi_sweep_fixed
 from test_readme import CLI_LINES
 
 THEOREM = {
@@ -784,7 +784,7 @@ class TestRenderVerb:
         )
         sc = load_scenario(path)
         rep = xi_sweep_fixed(sc.row, sc.j, sc.k)
-        tx, ty, tr = scaled_instance(sc.row, rep.xi_star)[4 - sc.k]
+        (tx, ty, tr), _ = pair_objects(scaled_instance(sc.row, rep.xi_star), sc.j, sc.k)
         stroke = ET.parse(out).getroot().findall(f"{SVG_NS}line[@stroke='#cc0000']")[0]
         x1, y1, x2, y2 = (float(stroke.get(a)) for a in ("x1", "y1", "x2", "y2"))
         centre = (0.5 * (x1 + x2), -0.5 * (y1 + y2))

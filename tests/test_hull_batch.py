@@ -13,8 +13,8 @@ from carousel.hull import circles_in_hulls
 from carousel.witness import (
     JK_PAIRS,
     Witness,
-    pair_generators,
     pair_inclusions_rows,
+    pair_objects,
     point_decomposition,
     random_corollary_instances,
     random_instances,
@@ -281,11 +281,11 @@ def test_guards_match_scalar_at_their_boundaries():
 # -- set-level witness search -------------------------------------------------
 
 
-def _scalar_witness_pairs(bases, us):
+def _scalar_witness_pairs(row):
     """The one-query-at-a-time search: one circle_in_hull per (j, k) pair."""
     found = []
     for j, k in JK_PAIRS:
-        res = circle_in_hull(us[1 - k], pair_generators(us[k], bases, j))
+        res = circle_in_hull(*pair_objects(row, j, k))
         if res.contained:
             found.append(Witness(j, k, res.slack))
     found.sort(key=lambda w: (-w.slack, w.j, w.k))
@@ -296,15 +296,6 @@ def _key(witnesses):
     return [(w.j, w.k, _bits(w.slack)) for w in witnesses]
 
 
-# The eight inclusions of a row b0, b1, b2, u0, u1 as (target, generators),
-# each its own one-subset call: the hypotheses u_k in the hull of the bases,
-# then the (j, k) of JK_PAIRS, u_(1-k) in the hull of u_k and the bases
-# other than base j.
-_INCLUSIONS = [(3, (0, 1, 2)), (4, (0, 1, 2))] + [
-    (4 - k, (3 + k, *(b for b in range(3) if b != j))) for j, k in JK_PAIRS
-]
-
-
 @pytest.mark.parametrize("draw, sites", [
     (random_instances, True), (random_corollary_instances, False),
 ])
@@ -313,8 +304,14 @@ def test_decide_matches_per_inclusion_calls(draw, sites):
     # the bases are read as sites exactly when their radii are all 0
     assert ((rows[:, :3, 2] == 0.0).all(axis=1) == sites).all()
     slack, inside = witness._decide(rows)
-    for col, (target, gens) in enumerate(_INCLUSIONS):
-        alone = circles_in_hulls(rows[:, target], rows[:, list(gens)])
+    # each inclusion its own one-subset call: the hypotheses u0 and u1 in the
+    # hull of the bases, then the (j, k) of JK_PAIRS as pair_objects reads them
+    columns = [(rows[:, u], rows[:, :3]) for u in (3, 4)]
+    for j, k in JK_PAIRS:
+        pairs = [pair_objects(row, j, k) for row in rows.tolist()]
+        columns.append((np.array([t for t, _ in pairs]), np.array([g for _, g in pairs])))
+    for col, (targets, gens) in enumerate(columns):
+        alone = circles_in_hulls(targets, gens)
         assert slack[:, col].tobytes() == alone[0].tobytes()
         assert inside[:, col].tobytes() == alone[1].tobytes()
     best = witness.best_witness_slacks_rows(rows)
@@ -341,13 +338,13 @@ def test_best_slack_is_none_without_a_witness(monkeypatch):
 def test_theorem_search_matches_scalar_pairs():
     rows = random_instances(range(3000))
     for row, got in zip(rows.tolist(), witness_searches_rows(rows)):
-        assert _key(got) == _key(_scalar_witness_pairs(row[:3], row[3:]))
+        assert _key(got) == _key(_scalar_witness_pairs(row))
 
 
 def test_corollary_search_matches_scalar_pairs():
     rows = random_corollary_instances(range(3000))
     for row, got in zip(rows.tolist(), witness_searches_rows(rows)):
-        assert _key(got) == _key(_scalar_witness_pairs(row[:3], row[3:]))
+        assert _key(got) == _key(_scalar_witness_pairs(row))
 
 
 def test_point_inclusions_match_scalar():
@@ -355,7 +352,7 @@ def test_point_inclusions_match_scalar():
     pairs = [point_decomposition(row) for row in rows.tolist()]
     slacks, inside = pair_inclusions_rows(rows, pairs)
     for row, (j, k), slack, ok in zip(rows.tolist(), pairs, slacks, inside):
-        res = circle_in_hull(row[4 - k], pair_generators(row[3 + k], row[:3], j))
+        res = circle_in_hull(*pair_objects(row, j, k))
         assert (_bits(slack), ok) == (_bits(res.slack), res.contained)
 
 

@@ -17,7 +17,7 @@ from carousel import (
 )
 from carousel.oracle import sampling_oracle_contains
 from carousel.planar import _orientation, checked_objects
-from carousel.witness import pair_generators, sweep_events, validate_instance
+from carousel.witness import pair_objects
 from lemmas import (
     Circle2,
     DegenerateRadius,
@@ -82,15 +82,16 @@ ENTRIES = {
     "hull_boundary": lambda bad: hull_boundary(_with(SITES, 2, bad)),
     "oracle target": lambda bad: sampling_oracle_contains(bad, SITES),
     "oracle generator": lambda bad: sampling_oracle_contains(GOOD, _with(SITES, 0, bad)),
-    "pair_generators own": lambda bad: pair_generators(bad, SITES, 0),
-    "pair_generators base": lambda bad: pair_generators(GOOD, _with(SITES, 2, bad), 0),
+    "pair_objects b0": lambda bad: pair_objects(_with(ROW, 0, bad), 0, 0),
+    "pair_objects b1": lambda bad: pair_objects(_with(ROW, 1, bad), 0, 0),
+    "pair_objects b2": lambda bad: pair_objects(_with(ROW, 2, bad), 0, 0),
+    "pair_objects u0": lambda bad: pair_objects(_with(ROW, 3, bad), 0, 0),
+    "pair_objects u1": lambda bad: pair_objects(_with(ROW, 4, bad), 0, 0),
     "witness_search": lambda bad: witness_search(_with(ROW, 4, bad)),
     "corollary_witness_search": lambda bad: corollary_witness_search(_with(ROW, 0, bad)),
     "two_carousel_points": lambda bad: two_carousel_points(_with(POINTS_ROW, 3, bad)),
-    "validate_instance": lambda bad: validate_instance(_with(ROW, 1, bad)),
     "xi_sweep_fixed": lambda bad: xi_sweep_fixed(_with(ROW, 3, bad), 0, 0),
     "sweep_slack": lambda bad: sweep_slack(_with(ROW, 4, bad), 0, 0, 0.5),
-    "sweep_events": lambda bad: sweep_events(_with(ROW, 2, bad), 0, 0),
 }
 
 

@@ -1,11 +1,17 @@
-"""The README's examples run as written: the library sketch and every CLI line."""
+"""The README's examples run as written: the library sketch and every CLI line.
 
+The prose of the library sketch names only functions and types that exist.
+"""
+
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import carousel
 from carousel.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,6 +35,18 @@ def test_library_sketch_runs(capsys):
     (sketch,) = _blocks("python")
     exec(compile(sketch, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "True"
+
+
+def test_library_sketch_names_only_package_attributes():
+    # every backticked call-like name, `name(` or `module.name(`, of the section
+    section = README.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(?:\w+\.)*(\w+)\(", section))
+    modules = [carousel] + [
+        importlib.import_module(f"carousel.{m.name}")
+        for m in pkgutil.iter_modules(carousel.__path__)
+    ]
+    assert len(named) >= 10
+    assert sorted(n for n in named if not any(hasattr(m, n) for m in modules)) == []
 
 
 def test_every_verb_has_a_line():

@@ -17,10 +17,9 @@ from carousel import (
     sphere_in_hull3,
     tetrahedron_from_cube,
 )
-from carousel.spheres import _dot3, _norm3, _unit3, project_to_plane
+from carousel.spheres import _dot3, _inclusion_objects, _norm3, _unit3, project_to_plane
 
 from probe_grid import icosphere_directions, probe_slack
-from reference3d import ex41_target_gens
 
 
 class TestTetrahedron:
@@ -372,6 +371,16 @@ class TestExample41:
                 round(2 / (3 * math.sqrt(3)), 9),
             ]
 
+    def test_each_inclusion_leaves_out_its_target_and_vertex_j(self):
+        # k = 0 keeps S_0 as generator, so S_-1 is the target; k = -1 the reverse
+        rep = example_4_1(1.0, 0.1)
+        s_m1, s_0 = rep.spheres
+        for o in rep.outcomes:
+            target, gens = _inclusion_objects(rep.objects, o.inclusion)
+            kept, other = (s_0, s_m1) if o.k == 0 else (s_m1, s_0)
+            assert target == other
+            assert gens == [kept, *((*a, 0.0) for i, a in enumerate(rep.vertices) if i != o.j)]
+
     def test_projection_certificates_for_j3(self):
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
@@ -418,7 +427,7 @@ class TestExample41:
         # the enumerated minimum is at or below every one of 40,962 directions
         rep = example_4_1(1.0, 0.1)
         for o in rep.outcomes:
-            target, gens = ex41_target_gens(rep, o.j, o.k)
+            target, gens = _inclusion_objects(rep.objects, o.inclusion)
             assert o.result.slack <= probe_slack(target, gens, 6) + 1e-12
 
     def test_radius_too_large(self):

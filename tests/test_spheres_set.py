@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from carousel import example_4_1, example_4_2, sphere_in_hull3, spheres_in_hull3
-from reference3d import ex41_target_gens, reference
+from carousel.spheres import _inclusion_objects
+from reference3d import reference
 
 # rounding bound on the slack, as a multiple of the inclusion's largest length
 ULP_BOUND = 1e-15
@@ -172,7 +173,7 @@ class TestReferenceEquivalence:
             r = side * rng.uniform(0.03, 0.15)
             rep = example_4_1(side, r)
             for o in rep.outcomes:
-                target, gens = ex41_target_gens(rep, o.j, o.k)
+                target, gens = _inclusion_objects(rep.objects, o.inclusion)
                 assert_matches_reference(target, gens, o.result)
 
     @pytest.mark.parametrize("factor", [5.0, 20.0, 50.0])
@@ -185,6 +186,7 @@ class TestReferenceEquivalence:
                     (*rep.vertices[i], 0.0) for i in range(4) if i != o.j
                 ]
                 assert_matches_reference(rep.spheres[pos], gens, o.result)
+                assert _inclusion_objects(rep.objects, o.inclusion) == (rep.spheres[pos], gens)
 
     def test_random_sets(self):
         for seed in range(300):

@@ -26,11 +26,9 @@ from carousel import hull, witness
 from carousel.oracle import sampling_oracle_contains
 from carousel.witness import (
     JK_PAIRS,
+    pair_objects,
     random_corollary_instance,
     random_points_instance,
-    sweep_events,
-    pair_generators,
-    validate_instance,
 )
 
 # instances are rows of (x, y, r) objects: sites b0, b1, b2 (radius 0), then u0, u1
@@ -39,9 +37,13 @@ SITES_8 = ((0, 0, 0), (8, 0, 0), (0, 8, 0))
 SITES_4 = ((0, 0, 0), (4, 0, 0), (0, 4, 0))
 
 
+def _events(inst, j, k):
+    """The sweep's tangency events of an instance's (j, k) inclusion."""
+    return witness._sweep_events(*pair_objects(inst, j, k))
+
+
 def reverify(inst, w) -> bool:
-    res = circle_in_hull(inst[4 - w.k], pair_generators(inst[3 + w.k], inst[:3], w.j))
-    return res.contained
+    return circle_in_hull(*pair_objects(inst, w.j, w.k)).contained
 
 
 class TestScaledInstance:
@@ -245,7 +247,7 @@ class TestXiSweep:
         leg_point = a1 + 5 * Point2(-math.cos(2 * half), math.sin(2 * half))
         own = leg_point + z0 * Point2(-math.sin(2 * half), -math.cos(2 * half))
         inst = (*SITES_8, (*own, 1.0), (*corner, 0.4 / z0))
-        assert [family for _, family in sweep_events(inst, 2, 0)] == [Tangency.LEG]
+        assert [family for _, family in _events(inst, 2, 0)] == [Tangency.LEG]
         rep = xi_sweep_fixed(inst, 2, 0)
         assert rep.xi_star == pytest.approx(z0, abs=1e-12)
         assert rep.tangency is Tangency.LEG
@@ -254,7 +256,7 @@ class TestXiSweep:
         # a point target only gains room as u_k grows: here it is outside the
         # triangle u_k, A0, A1 at zeta = 0 and enters u_k at the front-arc event
         inst = (*SITES_8, (2, 2, 1.5), (2, 3.2, 0.0))
-        assert (pytest.approx(0.8), Tangency.FRONT_ARC) in sweep_events(inst, 2, 0)
+        assert (pytest.approx(0.8), Tangency.FRONT_ARC) in _events(inst, 2, 0)
         assert sweep_slack(inst, 2, 0, 0.8) == pytest.approx(0.0, abs=1e-12)
         rep = xi_sweep_fixed(inst, 2, 0)
         assert (rep.xi_star, rep.tangency) == (0.0, Tangency.LEG)
@@ -314,8 +316,8 @@ class TestXiSweep:
     @pytest.mark.parametrize("call", [
         xi_sweep_fixed,
         lambda row, j, k: sweep_slack(row, j, k, 0.5),
-        sweep_events,
-    ], ids=["xi_sweep_fixed", "sweep_slack", "sweep_events"])
+        pair_objects,
+    ], ids=["xi_sweep_fixed", "sweep_slack", "pair_objects"])
     def test_pair_outside_the_range_is_refused(self, call, j, k):
         # a j outside 0..2 would keep all three sites: another inclusion
         inst = (*SITES_466, (2, 2, 1), (2, 2, 0.5))
@@ -323,19 +325,16 @@ class TestXiSweep:
         with pytest.raises(ValueError, match=message):
             call(inst, j, k)
 
-    @pytest.mark.parametrize("j", [-1, 3, 5])
-    def test_pair_generators_refuses_a_base_outside_the_range(self, j):
-        with pytest.raises(ValueError, match=r"need j in 0\.\.2"):
-            pair_generators((2, 2, 1), SITES_466, j)
+    def test_pair_objects_refuses_a_row_without_5_objects(self):
+        with pytest.raises(ValueError, match="a row holds 5 objects, got 4"):
+            pair_objects((*SITES_466, (2, 2, 1)), 0, 0)
 
     def test_sites_must_have_radius_0(self):
         # the sweep's events and probes read the bases as points
         inst = (*SITES_466[:2], (0, 6, 0.5), (2, 2, 1), (2, 2, 0.5))
         for call in (
-            lambda: validate_instance(inst),
             lambda: xi_sweep_fixed(inst, 0, 0),
             lambda: sweep_slack(inst, 0, 0, 0.5),
-            lambda: sweep_events(inst, 0, 0),
         ):
             with pytest.raises(InvalidInstance, match="sites must have radius 0"):
                 call()
@@ -348,10 +347,8 @@ class TestXiSweep:
                 assert (rep.touch_direction is None) == (rep.tangency is Tangency.NONE_AT_ONE)
                 if rep.touch_direction is None:
                     continue
-                scaled = scaled_instance(inst, rep.xi_star)
-                tx, ty, tr = scaled[4 - k]
-                terms = [(x - tx, y - ty, r - tr)
-                         for x, y, r in pair_generators(scaled[3 + k], scaled[:3], j)]
+                (tx, ty, tr), gens = pair_objects(scaled_instance(inst, rep.xi_star), j, k)
+                terms = [(x - tx, y - ty, r - tr) for x, y, r in gens]
                 slack, theta = hull._envelope_min(terms)
                 assert _bits(slack) == _bits(rep.slack_at_xi_star), (inst, j, k)
                 assert _bits(theta) == _bits(rep.touch_direction), (inst, j, k)
@@ -403,14 +400,11 @@ class TestFloatSweep:
         checked = 0
         for inst in self.insts + self.unchecked:
             for j, k in JK_PAIRS:
-                events = [z for z, _ in sweep_events(inst, j, k)]
+                events = [z for z, _ in _events(inst, j, k)]
                 edges = [0.0, *events, 1.0]
                 zetas = edges + [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
                 for zeta in zetas:
-                    scaled = scaled_instance(inst, zeta)
-                    ref = circle_in_hull(
-                        scaled[4 - k], pair_generators(scaled[3 + k], scaled[:3], j)
-                    ).slack
+                    ref = circle_in_hull(*pair_objects(scaled_instance(inst, zeta), j, k)).slack
                     assert _bits(sweep_slack(inst, j, k, zeta)) == _bits(ref), (inst, j, k, zeta)
                     checked += 1
         assert checked > 15_000
@@ -418,7 +412,7 @@ class TestFloatSweep:
     def test_events_match_point2_reference(self):
         for inst in self.insts + self.unchecked:
             for j, k in JK_PAIRS:
-                got = sweep_events(inst, j, k)
+                got = _events(inst, j, k)
                 ref = reference_sweep.sweep_events(inst, j, k)
                 assert [(_bits(z), f) for z, f in got] == [(_bits(z), f) for z, f in ref]
 
@@ -431,11 +425,11 @@ class TestFloatSweep:
             bad = (*inst[:4], u1)
             res = circle_in_hull(u1, inst[:3])
             if res.contained:
-                validate_instance(bad)
+                xi_sweep_fixed(bad, 0, 0)
             else:
                 msg = f"u1 is not inside the site hull (slack {res.slack:.3g})"
                 with pytest.raises(InvalidInstance) as exc:
-                    validate_instance(bad)
+                    xi_sweep_fixed(bad, 0, 0)
                 assert str(exc.value) == msg
 
     @pytest.mark.parametrize("zeta", [-1e-300, -0.5, 1.0000000000000002, 2.0, math.nan])
@@ -468,7 +462,7 @@ class TestFloatSweep:
         monkeypatch.setattr(witness, "circle_in_hull", forbidden)
         for inst in self.insts[:100]:
             for j, k in JK_PAIRS:
-                edges = [0.0, *(z for z, _ in sweep_events(inst, j, k)), 1.0]
+                edges = [0.0, *(z for z, _ in _events(inst, j, k)), 1.0]
                 mids = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
                 probes = next(
                     (i + 1 for i, z in enumerate(mids) if sweep_slack(inst, j, k, z) < 0.0),
