@@ -2,21 +2,23 @@
 
 Each trial derives its own seed from the campaign seed, so trials are pure
 and order-independent.  A campaign goes in blocks of seeds.  A block draws
-its instances as rows of floats, in rounds: one set-level call decides the
-pending rejection-sampling query of every seed still drawing
-(``random_instances`` and its siblings).  One more such call then decides
-all their inclusions (``best_witness_slacks_rows``, which reads each
-trial's best witness slack from the slack and verdict arrays, or
-``pair_inclusions_rows`` for the points kind, whose decomposition names
-the one inclusion to solve).  A trial that fails dumps its scenario
-straight from its row.  The set-level kernel is bitwise equal
-to the one-query kernel and each trial's result depends only on its seed,
-so blocks merge sorted by seed into the same report whatever their size.
-CAROUSEL_THREADS (an environment variable) caps the parallel workers that
-blocks are spread over; unset means single-threaded, and a pool gets no
-more workers than it has blocks or the machine has CPUs.  Wall time is
-measured but kept out of the serialized report so identical inputs produce
-byte-identical files.
+its instances as rows of floats (``random_instances`` and its siblings).
+Theorem and points draws place their objects in closed form, with no
+solve; only corollary draws go in rounds, one set-level call deciding the
+pending rejection-sampling query of every seed still drawing.  One
+set-level call then decides all their inclusions
+(``best_witness_slacks_rows``, which reads each trial's best witness
+slack from the slack and verdict arrays, or ``pair_inclusions_rows`` for
+the points kind, whose decomposition names the one inclusion to solve).
+A trial that fails dumps its scenario straight from its row.  The
+set-level kernel is bitwise equal to the one-query kernel and each
+trial's result depends only on its seed, so blocks merge sorted by seed
+into the same report whatever their size.  CAROUSEL_THREADS (an
+environment variable) caps the parallel workers that blocks are spread
+over; unset means single-threaded, and a pool gets no more workers than
+it has blocks or the machine has CPUs.  Wall time is measured but kept
+out of the serialized report so identical inputs produce byte-identical
+files.
 """
 
 from __future__ import annotations

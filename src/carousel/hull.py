@@ -217,6 +217,15 @@ def _layout(g: int, subsets: bytes | None):
     return tables
 
 
+def _check_values(*arrays) -> None:
+    """Refuse objects, radius last, with a coordinate or radius not finite or a radius < 0."""
+    for objs in arrays:
+        if not (np.isfinite(objs).all() and (objs[..., -1] >= 0.0).all()):
+            if not np.isfinite(objs[..., :-1]).all():
+                raise ValueError("coordinates must be finite")
+            raise ValueError("radii must be finite and >= 0")
+
+
 def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decide a set of containment queries in one array pass, as ``circle_in_hull`` does each.
 
@@ -237,20 +246,20 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
     the subset's objects in row order: hypot, atan2 and acos are taken from
     ``math`` over whole columns, because their numpy versions round
     differently, while the arithmetic, ``%``, cos and sin round alike in
-    both.  Rows go in blocks, so the temporaries stay bounded.  A
-    coordinate that is not finite, or a radius that is negative or not
-    finite, in a target or a generator, raises ValueError.
+    both.  Rows go in blocks, so the temporaries stay bounded.  Arrays of
+    other shapes, a coordinate that is not finite, or a radius that is
+    negative or not finite, in a target or a generator, raise ValueError.
     """
     targets = np.asarray(targets, dtype=float)
     gens = np.asarray(gens, dtype=float)
+    if gens.ndim != 3 or gens.shape[2] != 3 or targets.shape != (len(gens), 3):
+        raise ValueError(
+            f"need (n, 3) targets and (n, g, 3) generators, got {targets.shape} and {gens.shape}"
+        )
     n, g, _ = gens.shape
     if g < 1:
         raise ValueError("generator sets must be nonempty")
-    for objs in (targets, gens):
-        if not (np.isfinite(objs).all() and (objs[..., 2] >= 0.0).all()):
-            if not np.isfinite(objs[..., :2]).all():
-                raise ValueError("coordinates must be finite")
-            raise ValueError("radii must be finite and >= 0")
+    _check_values(targets, gens)
     key = None
     if subsets is not None:
         subsets = np.asarray(subsets, dtype=bool)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
-from .hull import ContainmentResult, circle_in_hull
+from .hull import ContainmentResult, _check_values, circle_in_hull
 from .planar import EPS_DECISION
 
 # -- float triples and quadruples ------------------------------------------------
@@ -319,11 +319,8 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
     objs = np.array(objects, dtype=float)
     if objs.ndim != 2 or objs.shape[1] != 4:
         raise ValueError(f"objects must be (n, 4): (x, y, z, r) rows, got shape {objs.shape}")
+    _check_values(objs)
     c, rad = objs[:, :3], objs[:, 3]
-    if not np.isfinite(c).all():
-        raise ValueError("centres must be finite")
-    if not (np.isfinite(rad) & (rad >= 0.0)).all():
-        raise ValueError("radii must be finite and >= 0")
     inclusions = list(inclusions)
     if not inclusions:
         return ()

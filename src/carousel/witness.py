@@ -21,7 +21,10 @@ builds no scaled row, generator list or containment result, and its slack
 is bitwise theirs.
 
 Seeded instances are drawn on plain floats, as rows of five (x, y, r)
-objects.  A block of seeds is drawn in rounds, and each round decides the
+objects.  Theorem and points draws place their objects in closed form,
+with no solve: a circle centred in the site triangle lies in it with slack
+its edge clearance less its radius.  Only corollary draws, whose hull of
+three circles has no such form, go in rounds, each round deciding the
 pending rejection-sampling query of every seed in one ``circles_in_hulls``
 call; the witness search decides such rows directly.  It decides a row's
 eight inclusions as two targets, u0 and u1, each against the other circle
@@ -127,9 +130,10 @@ def scaled_instance(row, zeta: float) -> tuple:
 
 
 def _check_jk(j: int, k: int) -> None:
-    """Refuse a base index j outside 0..2 or a circle index k outside 0..1."""
-    if j not in (0, 1, 2) or k not in (0, 1):
-        raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
+    """Refuse a base index j or a circle index k that is not an integer in 0..2 or 0..1."""
+    for i, top in ((j, 2), (k, 1)):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i <= top:
+            raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
 
 
 # The eight inclusions of an instance over its objects b0, b1, b2, u0, u1
@@ -159,11 +163,20 @@ def pair_objects(row, j: int, k: int) -> tuple:
 
     ``row`` holds the (x, y, r) objects b0, b1, b2, u0, u1, returned as float
     triples.  Raises ValueError on a row that is not five objects that
-    ``checked_objects`` accepts, and on a j outside 0..2 or a k outside 0..1.
+    ``checked_objects`` accepts, and on a j or k that is not an integer (a
+    bool is not one) in 0..2 or 0..1.
     """
     objs = _checked_row(row)
     _check_jk(j, k)
     return _pair(objs, j, k)
+
+
+def _rows_array(rows) -> np.ndarray:
+    """Rows as an (n, 5, 3) float array; any other shape raises ValueError."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 3 or rows.shape[1:] != (5, 3):
+        raise ValueError(f"rows must be (n, 5, 3): five (x, y, r) objects, got {rows.shape}")
+    return rows
 
 
 def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +217,9 @@ def witness_searches_rows(rows) -> list[list[Witness]]:
     circles otherwise.  The two hypothesis inclusions and six (j, k)
     inclusions of all rows are decided in one ``circles_in_hulls`` call,
     and the first row that breaks a hypothesis raises InvalidInstance.
+    Rows of any other shape raise ValueError.
     """
+    rows = _rows_array(rows)
     if not len(rows):
         return []
     slack, inside = _decide(rows)
@@ -224,6 +239,7 @@ def best_witness_slacks_rows(rows) -> list[float | None]:
     The slack of the first witness of ``witness_searches_rows``, read from
     the same decision without building the witness lists.
     """
+    rows = _rows_array(rows)
     if not len(rows):
         return []
     slack, inside = _decide(rows)
@@ -236,10 +252,18 @@ def pair_inclusions_rows(rows, pairs) -> tuple[list, list]:
     """Slack and verdict of one named (j, k) inclusion per row, from one kernel call.
 
     Rows are as for ``witness_searches_rows``; u0 and u1 may be points.
+    ``pairs`` holds one (j, k) per row, each checked as ``pair_objects``
+    checks it; a count that differs from the rows' raises ValueError.
     """
+    rows = _rows_array(rows)
+    pairs = list(pairs)
+    if len(pairs) != len(rows):
+        raise ValueError(f"need one (j, k) per row: {len(rows)} rows, {len(pairs)} pairs")
+    for j, k in pairs:
+        _check_jk(j, k)
     if not len(rows):
         return [], []
-    objs = rows[np.arange(len(rows))[:, None], [_PAIR_OBJECTS[p] for p in pairs]]
+    objs = rows[np.arange(len(rows))[:, None], [_PAIR_OBJECTS[j, k] for j, k in pairs]]
     slack, inside, _ = circles_in_hulls(objs[:, 0], objs[:, 1:])
     return slack.tolist(), inside.tolist()
 
@@ -321,7 +345,7 @@ def two_carousel_points(row) -> tuple[Witness, bool]:
     if row[3][2] != 0.0 or row[4][2] != 0.0:
         raise InvalidInstance("b0 and b1 must have radius 0")
     j, k = point_decomposition(row)
-    res = circle_in_hull(*pair_objects(row, j, k))
+    res = circle_in_hull(*_pair(row, j, k))
     return Witness(j, k, res.slack), res.contained
 
 
@@ -353,7 +377,8 @@ def sweep_slack(row, j: int, k: int, zeta: float) -> float:
     the same float operations, without building the scaled row or its
     generators.  A bad (j, k) raises ValueError.
     """
-    return _sweep_envelope(*pair_objects(_sites_row(row), j, k), zeta)[0]
+    _check_jk(j, k)
+    return _sweep_envelope(*_pair(_sites_row(row), j, k), zeta)[0]
 
 
 def _sweep_events(target, generators) -> list[tuple[float, Tangency]]:
@@ -433,6 +458,7 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
     as the (target, generators) of ``pair_objects``.
     """
     _check_jk(j, k)
+    j, k = int(j), int(k)  # a numpy integer reports as an int
     row = _sites_row(row)
     _check_collinear(row)
     for u, (tx, ty, tr) in enumerate(row[3:]):  # u0, u1 in the site hull, as circle_in_hull
@@ -456,13 +482,14 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
 # -- seeded instance generation ----------------------------------------------
 #
 # An instance is drawn on plain floats, as a flat row of five (x, y, r)
-# objects b0, b1, b2, u0, u1.  A draw that rejection-samples circles is a
-# generator over its seed's own random.Random: it yields each candidate
-# query as a flat row of the target and its three generators and is sent
-# back the slack.  ``_draw_rounds`` runs a block of draws in rounds and
-# decides each round's pending queries in one ``circles_in_hulls`` call,
-# whose slack is bitwise ``circle_in_hull``'s, so a draw makes the same
-# random draws in the same order in any block.
+# objects b0, b1, b2, u0, u1, from its seed's own random.Random.  Theorem
+# and points draws are plain row functions.  The corollary draw is a
+# generator: it yields each candidate query as a flat row of the target
+# and its three generators and is sent back the slack.  ``_draw_rounds``
+# runs a block of such draws in rounds and decides each round's pending
+# queries in one ``circles_in_hulls`` call, whose slack is bitwise
+# ``circle_in_hull``'s, so a draw makes the same random draws in the same
+# order in any block.
 
 COORD_RANGE = (-10.0, 10.0)  # sites and corollary centres, in both coordinates
 RADIUS_RANGE = (0.0, 3.0)  # radii of the theorem's circles u0 and u1
@@ -506,12 +533,10 @@ def _as_points(sites) -> tuple[float, ...]:
     return ax, ay, 0.0, bx, by, 0.0, cx, cy, 0.0
 
 
-def _instance_draw(seed: int):
+def _instance_row(seed: int) -> tuple[float, ...]:
     rng = random.Random(seed)
     sites = _sample_triangle(rng)
-    gens = _as_points(sites)
     r_lo, r_hi = RADIUS_RANGE
-    floor = MIN_HYPOTHESIS_SLACK
     us = ()
     tries = 0
     while len(us) < 6:
@@ -519,13 +544,12 @@ def _instance_draw(seed: int):
         if tries > MAX_TRIES:
             raise GenerationExhausted(f"no admissible circle after {MAX_TRIES} rejections")
         x, y = _interior_point(rng, sites)
-        room = _edge_clearance(x, y, sites) - floor
+        # a circle centred in the triangle lies in it with slack clearance - r
+        room = _edge_clearance(x, y, sites) - MIN_HYPOTHESIS_SLACK
         if room <= r_lo:
             continue
-        cand = (x, y, rng.uniform(r_lo, min(r_hi, room)))
-        if (yield cand + gens) > floor:
-            us += cand
-    return gens + us
+        us += (x, y, rng.uniform(r_lo, min(r_hi, room)))
+    return _as_points(sites) + us
 
 
 def _corollary_draw(seed: int):
@@ -574,7 +598,7 @@ def _points_row(seed: int) -> tuple[float, ...]:
 
 
 def _draw_rounds(draws) -> np.ndarray:
-    """The rows of a block of draws, whose queries are decided a round at a time.
+    """The rows of a block of rejection-sampling draws, their queries decided by rounds.
 
     Each round sends every live draw the slack of its last query and
     collects its next one, then decides them all in one kernel call.  A
@@ -612,8 +636,8 @@ def _block(rows) -> np.ndarray:
 
 
 def random_instances(seeds) -> np.ndarray:
-    """Rows (b0, b1, b2, u0, u1) of ``random_instance`` for each seed, drawn in rounds."""
-    return _draw_rounds([_instance_draw(seed) for seed in seeds])
+    """Rows (b0, b1, b2, u0, u1) of ``random_instance`` for each seed."""
+    return _block([_instance_row(seed) for seed in seeds])
 
 
 def random_corollary_instances(seeds) -> np.ndarray:
@@ -634,10 +658,11 @@ def _row_of(block_row) -> tuple:
 def random_instance(seed: int) -> tuple:
     """Deterministic valid row (b0, b1, b2, u0, u1) of sites and circles from a seed.
 
-    Sites are sampled in the COORD_RANGE square with a sliver rejection;
-    circle centers and radii are rejection-sampled until both hypothesis
-    inclusions hold with slack above MIN_HYPOTHESIS_SLACK.  The one-seed
-    case of ``random_instances``.
+    Sites are sampled in the COORD_RANGE square with a sliver rejection.
+    Each circle is centred in the triangle with a radius below its edge
+    clearance less MIN_HYPOTHESIS_SLACK, so both hypothesis inclusions hold
+    with slack above that floor, with no solve.  The one-seed case of
+    ``random_instances``.
     """
     return _row_of(random_instances([seed])[0])
 

@@ -1,4 +1,4 @@
-"""Seeded draws in rounds, the fuzz blocks built on them, and the worker count."""
+"""Seeded draws, the fuzz blocks built on them, and the worker count."""
 
 import math
 import os
@@ -7,7 +7,7 @@ import pytest
 import reference_draws
 from reference_draws import DrawConfig, set_witness_constants
 
-from carousel import fuzz
+from carousel import fuzz, witness
 from carousel.errors import GenerationExhausted
 from carousel.fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
 from carousel.reports import canonical_json
@@ -117,27 +117,37 @@ class TestExhaustion:
             "could not sample interior points",
         } <= msgs
 
-    def test_block_raises_the_first_failure_in_seed_order(self, monkeypatch):
-        # a seed that fails after a solve fails in a later round than one
-        # whose triangle fails before any; the block still raises the error
-        # of its first failing seed, as drawing one seed at a time does
-        cfg = DrawConfig(max_tries=2)
-        solves = []
-        solve = reference_draws.circle_in_hull
-        monkeypatch.setattr(
-            reference_draws, "circle_in_hull", lambda *args: solves.append(1) or solve(*args)
-        )
+    def test_block_raises_the_first_failure_in_seed_order(self):
+        # a draw that fails after a query fails in a later round than one
+        # that fails before any; the block still raises the error of its
+        # first failing draw, as drawing one seed at a time does
+        query = (1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 4.0, 0.0)
 
-        def failure(seed):
-            solves.clear()
-            return _outcome(reference_draws.random_instance, seed, cfg), len(solves)
+        def late():
+            slack = yield query
+            assert slack > 0.0
+            raise GenerationExhausted("late")
 
-        failures = {seed: failure(seed) for seed in range(2000)}
-        late = next(s for s, (msg, n) in failures.items() if msg and "circle" in msg and n)
-        early = next(s for s, (msg, n) in failures.items() if msg and "triangle" in msg)
-        set_witness_constants(monkeypatch, cfg)
-        assert _outcome(random_instances, [late, early]) == failures[late][0]
-        assert _outcome(random_instances, [early, late]) == failures[early][0]
+        def early():
+            raise GenerationExhausted("early")
+            yield  # a generator, as the draws are
+
+        assert _outcome(witness._draw_rounds, [late(), early()]) == "late"
+        assert _outcome(witness._draw_rounds, [early(), late()]) == "early"
+
+
+class TestClosedFormDraws:
+    def test_theorem_draws_make_no_solve(self, monkeypatch, reference_hex):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a theorem2d draw called the kernel")
+
+        monkeypatch.setattr(witness, "circles_in_hulls", no_solve)
+        rows = random_instances(range(2000)).reshape(2000, 15).tolist()
+        assert [[v.hex() for v in row] for row in rows] == reference_hex["theorem2d"][:2000]
+
+    def test_hypotheses_clear_the_floor(self):
+        slack, _ = witness._decide(random_instances(range(20_000)))
+        assert (slack[:, :2] > witness.MIN_HYPOTHESIS_SLACK).all()
 
 
 def test_histogram_bins_each_bound_with_the_slacks_above_it():

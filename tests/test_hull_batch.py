@@ -133,6 +133,18 @@ def test_rejects_empty_generator_sets():
         circles_in_hulls(np.zeros((2, 3)), np.zeros((2, 0, 3)))
 
 
+@pytest.mark.parametrize("targets, gens", [
+    (np.zeros((1, 3)), np.zeros((2, 3, 3))),  # one target for two rows
+    (np.zeros(3), np.zeros((1, 3, 3))),  # a target that is not a row
+    (np.zeros((2, 4)), np.zeros((2, 3, 3))),
+    (np.zeros((2, 3)), np.zeros((2, 3, 4))),
+    (np.zeros((2, 3)), np.zeros((2, 3))),
+], ids=["short-targets", "flat-target", "wide-targets", "wide-generators", "flat-generators"])
+def test_rejects_arrays_of_other_shapes(targets, gens):
+    with pytest.raises(ValueError, match=r"^need \(n, 3\) targets and \(n, g, 3\) generators"):
+        circles_in_hulls(targets, gens)
+
+
 # (column, value, message): a coordinate or a radius that no object may hold
 _BAD_VALUES = [
     (0, math.nan, "coordinates must be finite"),
@@ -390,3 +402,36 @@ def test_rows_entries_reject_what_the_kernel_rejects(col, value, message):
     points[2, 4, col] = value  # b1 of the last row
     with pytest.raises(ValueError, match=message):
         pair_inclusions_rows(points, pairs)
+
+
+def test_rows_entries_read_nested_lists_as_arrays():
+    rows = random_instances(range(4))
+    nested = rows.tolist()
+    assert witness_searches_rows(nested) == witness_searches_rows(rows)
+    assert witness.best_witness_slacks_rows(nested) == witness.best_witness_slacks_rows(rows)
+    points = random_points_instances(range(4))
+    pairs = [point_decomposition(row) for row in points.tolist()]
+    assert pair_inclusions_rows(points.tolist(), pairs) == pair_inclusions_rows(points, pairs)
+    assert pair_inclusions_rows(points, np.array(pairs)) == pair_inclusions_rows(points, pairs)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 3), (2, 5, 2), (5, 3), (2, 5, 3, 1)])
+def test_rows_entries_reject_rows_of_other_shapes(shape):
+    rows = np.zeros(shape)
+    message = r"^rows must be \(n, 5, 3\)"
+    for entry in (witness_searches_rows, witness.best_witness_slacks_rows):
+        with pytest.raises(ValueError, match=message):
+            entry(rows)
+    with pytest.raises(ValueError, match=message):
+        pair_inclusions_rows(rows, [(0, 0)] * len(rows))
+
+
+def test_pair_inclusions_rows_needs_one_checked_pair_per_row():
+    rows = random_points_instances(range(2))
+    with pytest.raises(ValueError, match=r"^need one \(j, k\) per row: 2 rows, 1 pairs$"):
+        pair_inclusions_rows(rows, [(0, 0)])
+    with pytest.raises(ValueError, match=r"^need one \(j, k\) per row: 0 rows, 1 pairs$"):
+        pair_inclusions_rows(np.zeros((0, 5, 3)), [(0, 0)])
+    for bad in ((3, 0), (0, 2), (-1, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError, match=r"^need j in 0\.\.2 and k in 0\.\.1"):
+            pair_inclusions_rows(rows, [(0, 0), bad])

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import reference_sweep
 from lemmas import Point2
@@ -24,6 +25,7 @@ from carousel import (
 )
 from carousel import hull, witness
 from carousel.oracle import sampling_oracle_contains
+from carousel.reports import canonical_json, sweep_to_dict
 from carousel.witness import (
     JK_PAIRS,
     pair_objects,
@@ -312,18 +314,33 @@ class TestXiSweep:
         with pytest.raises(ValueError):
             xi_sweep_fixed(inst, 3, 0)
 
-    @pytest.mark.parametrize("j, k", [(-1, 0), (3, 0), (5, 1), (0, 2), (1, -1), (2, 1.5)])
+    @pytest.mark.parametrize("j, k", [
+        (-1, 0), (3, 0), (5, 1), (0, 2), (1, -1), (2, 1.5),
+        (True, 0), (0, False), (1.0, 0), (0, 0.0), (2, True),
+    ])
     @pytest.mark.parametrize("call", [
         xi_sweep_fixed,
         lambda row, j, k: sweep_slack(row, j, k, 0.5),
         pair_objects,
     ], ids=["xi_sweep_fixed", "sweep_slack", "pair_objects"])
     def test_pair_outside_the_range_is_refused(self, call, j, k):
-        # a j outside 0..2 would keep all three sites: another inclusion
+        # a j outside 0..2 would keep all three sites: another inclusion; a
+        # bool or float equal to an index would be reported as given
         inst = (*SITES_466, (2, 2, 1), (2, 2, 0.5))
         message = rf"^need j in 0\.\.2 and k in 0\.\.1, got \({j}, {k}\)$"
         with pytest.raises(ValueError, match=message):
             call(inst, j, k)
+
+    def test_numpy_integer_pair_is_accepted(self):
+        inst = (*SITES_466, (2, 2, 1), (2, 2, 0.5))
+        for j, k in JK_PAIRS:
+            rep = xi_sweep_fixed(inst, np.int64(j), np.int32(k))
+            assert rep == xi_sweep_fixed(inst, j, k)
+            assert type(rep.j) is int and type(rep.k) is int  # the report serialises
+            assert canonical_json(sweep_to_dict(rep)) == canonical_json(
+                sweep_to_dict(xi_sweep_fixed(inst, j, k))
+            )
+            assert pair_objects(inst, np.intp(j), np.int8(k)) == pair_objects(inst, j, k)
 
     def test_pair_objects_refuses_a_row_without_5_objects(self):
         with pytest.raises(ValueError, match="a row holds 5 objects, got 4"):
