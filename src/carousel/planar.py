@@ -5,6 +5,11 @@ This module holds the two numeric bands, the one check of such objects,
 orientation predicates and the point-to-segment distance that the hull and
 witness code are built on.  All operations are pure functions on plain
 floats in double precision.
+
+Every orientation that a 2D branch reads is the sign of ``_orientation``;
+only the sampling oracle keeps its own cross products, to stay independent
+of the kernel's code.  ``witness.point_decomposition`` reads its row
+unchecked, and both its callers pass it a checked row.
 """
 
 from __future__ import annotations

@@ -296,8 +296,9 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
     The objects are the rows of one (n, 4) array of (x, y, z, r) spheres
     (radius 0 for points), which must be finite, with every radius >= 0;
     any other shape raises ValueError.  Each inclusion is a pair (target
-    index, indices it also excludes), every index an integer in 0..n-1; its
-    generators are the other objects, in object order.  The slack of direction u is
+    index, sequence of the indices it also excludes), every index an integer
+    in 0..n-1, and anything else raises ValueError; its generators are the
+    other objects, in object order.  The slack of direction u is
     max_g(d_g.u + r_g) - r_t with d_g the offset of generator g's centre
     from the target's.  Its minimum over the unit sphere lies at a critical
     point of the envelope: a face minimum of one generator, the minimum of a
@@ -326,8 +327,13 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
         return ()
     n = len(rad)
     removed = np.zeros((len(inclusions), n), dtype=bool)
-    for q, (target, excluded) in enumerate(inclusions):
-        for i in (target, *excluded):
+    for q, inclusion in enumerate(inclusions):
+        try:
+            target, excluded = inclusion
+            indices = (target, *excluded)
+        except (TypeError, ValueError):
+            raise ValueError(f"inclusion {inclusion!r} is not (index, sequence of indices)") from None
+        for i in indices:
             if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
                 raise ValueError(f"inclusion {(target, excluded)}: indices must be in 0..{n - 1}")
             removed[q, i] = True
@@ -470,7 +476,11 @@ def _face_distances(planes, p) -> list[float]:
 
 @dataclass(frozen=True)
 class PairOutcome:
-    """The kernel's verdict on inclusion (j, k); Example 4.1's j = 3 ones add a 2D certificate."""
+    """The kernel's verdict on inclusion (j, k); Example 4.1's j = 3 ones add a 2D certificate.
+
+    j is the vertex A_j left out.  k is Example 4.1's generating sphere S_k, the target being the
+    other (k = 0 has target S_-1), and Example 4.2's target itself: -1, 0, 1, ..., t-2.
+    """
 
     j: int
     k: int
@@ -592,8 +602,9 @@ def example_4_2(
     construction that overflows or underflows.  A side, radius or arc
     radius factor that is not finite and > 0 raises ValueError.
     """
-    if t < 3:
-        raise ValueError(f"need t >= 3, got {t}")
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 3:
+        raise ValueError(f"need an integer t >= 3, got {t!r}")
+    t = int(t)  # a numpy integer reports as an int
     v = tetrahedron_from_cube(side)
     _require_positive("r", r)
     _require_positive("arc_radius_factor", arc_radius_factor)

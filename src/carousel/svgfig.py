@@ -184,7 +184,7 @@ def _draw_circles(canvas: _Canvas, circles):
 
 
 def _render_witness(scenario: Scenario) -> _Canvas:
-    """The best witness's hull under the bases and both circles, for theorem and corollary."""
+    """The best witness's hull under the bases, sites iff their radii are 0, and both circles."""
     *bases, u0, u1 = scenario.row
     witnesses = witness_search(scenario.row)
     canvas = _Canvas()
@@ -197,7 +197,7 @@ def _render_witness(scenario: Scenario) -> _Canvas:
         )
     else:
         canvas.text("no witness found")
-    draw_bases = _draw_sites if scenario.kind == "theorem2d" else _draw_circles
+    draw_bases = _draw_sites if all(r == 0.0 for _, _, r in bases) else _draw_circles
     draw_bases(canvas, bases)
     canvas.circle(u0, "#1f77b4")
     canvas.circle(u1, "#2ca02c")

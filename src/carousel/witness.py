@@ -195,10 +195,8 @@ def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slack = slack.reshape(n, 8).take(_ORDER, axis=1)
     inside = inside.reshape(n, 8).take(_ORDER, axis=1)
     sites = (rows[:, :3, 2] == 0.0).all(axis=1)
-    # the rows _check_collinear rejects, with _cross's products rounded alike
-    legs = rows[:, 1:3, :2] - rows[:, :1, :2]  # b1 - b0 and b2 - b0
-    cross = legs[:, 0] * legs[:, 1, ::-1]
-    flat = np.abs(cross[:, 0] - cross[:, 1]) <= EPS_GEOM
+    # the rows _check_collinear rejects, by the same _orientation
+    flat = np.array([_orientation(*abc) == 0 for abc in rows[:, :3, :2].reshape(n, 6).tolist()])
     bad = (flat & (rows[:, 3:, 2] > 0.0).any(axis=1) & sites) | ~(inside[:, 0] & inside[:, 1])
     if bad.any():
         i = int(bad.argmax())
@@ -286,19 +284,6 @@ def corollary_witness_search(row) -> list[Witness]:
     return witness_searches_rows(_block([_checked_row(row)]))[0]
 
 
-def _strictly_inside(p, tri) -> bool:
-    (ax, ay), (bx, by), (cx, cy) = tri
-    px, py = p
-    ref = _orientation(ax, ay, bx, by, cx, cy)
-    if ref == 0:
-        return False
-    return (
-        _orientation(ax, ay, bx, by, px, py) == ref
-        and _orientation(bx, by, cx, cy, px, py) == ref
-        and _orientation(cx, cy, ax, ay, px, py) == ref
-    )
-
-
 def point_decomposition(row) -> tuple[int, int]:
     """The (j, k) pair the triangle decomposition through b0 names for b1.
 
@@ -313,13 +298,19 @@ def point_decomposition(row) -> tuple[int, int]:
     (x0, y0), (x1, y1) = b0, b1
     if math.hypot(x0 - x1, y0 - y1) <= EPS_GEOM:
         raise CoincidentPoints("the two interior points coincide")
-    for p, name in ((b0, "b0"), (b1, "b1")):
-        if not _strictly_inside(p, sites):
+    # a point is strictly inside when it turns as the site triangle does from each edge
+    (ax, ay), (bx, by), (cx, cy) = sites
+    ref = _orientation(ax, ay, bx, by, cx, cy)
+    for (px, py), name in ((b0, "b0"), (b1, "b1")):
+        if ref == 0 or not (
+            _orientation(ax, ay, bx, by, px, py) == ref
+            and _orientation(bx, by, cx, cy, px, py) == ref
+            and _orientation(cx, cy, ax, ay, px, py) == ref
+        ):
             raise NotInterior(f"{name} is not strictly inside the site triangle")
 
     # b1's side of each cevian b0 -> A_i, read once; b1 is strictly inside
     # the site triangle, so the sides of two cevians place it
-    ref = _orientation(*sites[0], *sites[1], *sites[2])
     side = [_orientation(x0, y0, ax, ay, x1, y1) for ax, ay in sites]
     for j in range(3):
         if side[(j + 1) % 3] == ref and side[(j + 2) % 3] == -ref:
@@ -404,9 +395,8 @@ def _sweep_events(target, generators) -> list[tuple[float, Tangency]]:
     if rk > rt:
         events.append((math.hypot(ctx - ckx, cty - cky) / (rk - rt), Tangency.FRONT_ARC))
     if rt > 0.0:
-        ex, ey = bx - ax, by - ay
-        cross = ex * (cty - ay) - ey * (ctx - ax)
-        events.append((abs(cross) / math.hypot(ex, ey) / rt, Tangency.BASE_SIDE))
+        base = abs(_cross(ax, ay, bx, by, ctx, cty)) / math.hypot(bx - ax, by - ay)
+        events.append((base / rt, Tangency.BASE_SIDE))
         events += [(math.hypot(sx - ctx, sy - cty) / rt, Tangency.LEG) for sx, sy in kept]
     for sx, sy in kept:
         kx, ky = sx - ckx, sy - cky  # s - c_k
@@ -497,13 +487,17 @@ MIN_HYPOTHESIS_SLACK = 0.01  # least slack of a drawn hypothesis inclusion
 MAX_TRIES = 10_000  # rejections a draw may make before it gives up
 
 
+def _sliver(ax, ay, bx, by, cx, cy) -> bool:
+    """Whether drawn sites are a sliver: twice their area is below 4% of COORD_RANGE's square."""
+    lo, hi = COORD_RANGE
+    return abs(_cross(ax, ay, bx, by, cx, cy)) < 0.04 * (hi - lo) ** 2
+
+
 def _sample_triangle(rng: random.Random):
     lo, hi = COORD_RANGE
-    span = hi - lo
-    min_cross = 0.04 * span * span  # reject slivers; keeps placement feasible
     for _ in range(MAX_TRIES):
         ax, ay, bx, by, cx, cy = [rng.uniform(lo, hi) for _ in range(6)]
-        if abs(_cross(ax, ay, bx, by, cx, cy)) >= min_cross:
+        if not _sliver(ax, ay, bx, by, cx, cy):
             return (ax, ay), (bx, by), (cx, cy)
     raise GenerationExhausted("could not sample a non-degenerate triangle")
 
@@ -563,7 +557,7 @@ def _corollary_draw(seed: int):
             raise GenerationExhausted("could not sample corollary generators")
         centers = tuple((rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(3))
         (ax, ay), (bx, by), (cx, cy) = centers
-        if abs(_cross(ax, ay, bx, by, cx, cy)) < 0.04 * (hi - lo) ** 2:
+        if _sliver(ax, ay, bx, by, cx, cy):
             continue
         gens = (ax, ay, rng.uniform(0.2, 2.0), bx, by, rng.uniform(0.2, 2.0),
                 cx, cy, rng.uniform(0.2, 2.0))

@@ -19,6 +19,7 @@ from carousel.harness import run_scenario_obj
 from carousel.planar import EPS_DECISION
 from carousel.reports import canonical_json
 from carousel.scenario import load_scenario, parse_scenario
+from carousel.svgfig import render_svg
 from carousel.witness import pair_objects, scaled_instance, xi_sweep_fixed
 from test_readme import CLI_LINES
 
@@ -228,6 +229,19 @@ class TestCheckVerb:
         theorem = run({**THEOREM, "sites": sites, "circles": circles})
         corollary = run({**COROLLARY, "circles": sites + circles})
         assert corollary == theorem
+
+    @pytest.mark.parametrize("sites, circles", [
+        ([[0, 0, 0], [8, 0, 0], [0, 8, 0]], [[2, 2, 0.4], [2.5, 2.5, 1.2]]),
+        (THEOREM["sites"], THEOREM["circles"]),
+        ([[0, 0, 0], [2, 0, 0], [5, 0, 0]], [[1, 0, 0], [3, 0, 0]]),
+    ], ids=["general", "concentric", "collinear-points"])
+    def test_corollary_with_point_generators_draws_the_theorem_figure(self, sites, circles):
+        # bases of radius 0 are drawn as sites, a triangle with dots, as they are decided
+        theorem = render_svg(parse_scenario({**THEOREM, "sites": sites, "circles": circles}))
+        corollary = render_svg(parse_scenario({**COROLLARY, "circles": sites + circles}))
+        title = "<title>carousel theorem2d</title>"
+        assert theorem.count(title) == 1 and "<polygon " in theorem
+        assert corollary == theorem.replace(title, "<title>carousel corollary2d</title>")
 
     def test_ex42_small_side_verified(self, tmp_path):
         # the interiority margin is EPS_DECISION * side, so side 1e-6 fits

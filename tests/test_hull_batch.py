@@ -389,6 +389,58 @@ def test_first_case_breaking_a_hypothesis_raises():
     assert witness_searches_rows(np.zeros((0, 5, 3))) == []
 
 
+def _near_collinear_rows():
+    """Site rows whose third site sits 0, 1e-12, 5e-10, 2e-9 or 1e-8 off the others' line.
+
+    The sites are (0, 0), (1, 0) and (0.5, offset), so twice the triangle's
+    area is the offset itself, then the same rows moved by (3.7, -1.3), where
+    the cross product rounds.  u0 and u1 lie on the base A0A1, both of radius
+    0, of 1e-9 (inside the decision band, so only the collinear test refuses
+    them) or of 0.1.
+    """
+    rows = []
+    for dx, dy in ((0.0, 0.0), (3.7, -1.3)):
+        for off in (0.0, 1e-12, 5e-10, 2e-9, 1e-8):
+            for r in (0.0, 1e-9, 0.1):
+                rows.append([[dx, dy, 0.0], [1.0 + dx, dy, 0.0], [0.5 + dx, off + dy, 0.0],
+                             [0.25 + dx, dy, r], [0.75 + dx, dy, r]])
+    return rows
+
+
+def _outcome(entry, rows):
+    """What an entry returns on rows, or the message of the InvalidInstance it raises."""
+    try:
+        return entry(rows)
+    except InvalidInstance as exc:
+        return str(exc)
+
+
+def test_collinear_sites_are_decided_as_check_collinear_decides_them():
+    good = random_instances([1])[0].tolist()
+    refused = []
+    for row in _near_collinear_rows():
+        message = _outcome(witness._check_collinear, row)
+        refused.append(message is not None)
+        found = _outcome(witness_searches_rows, [row])
+        best = _outcome(witness.best_witness_slacks_rows, [row])
+        one = _outcome(witness.witness_search, row)
+        if message is not None:
+            assert found == best == one == message
+        elif isinstance(found, str):
+            assert best == one == found == "u0 is not inside the site hull (slack -0.1)"
+        else:
+            assert found == [one] and best == [one[0].slack]
+        # a bad row in the middle of a block raises its own error
+        block = _outcome(witness_searches_rows, [good, good, row, good])
+        if isinstance(found, str):
+            assert block == found
+        else:
+            assert block == witness_searches_rows([good, good]) + found + [block[0]]
+    # rows of radius 0 are never refused; those of positive radius are while
+    # twice the area is within EPS_GEOM, at offsets 0, 1e-12 and 5e-10
+    assert refused == ([False, True, True] * 3 + [False] * 6) * 2
+
+
 @pytest.mark.parametrize("col, value, message", _BAD_VALUES)
 def test_rows_entries_reject_what_the_kernel_rejects(col, value, message):
     rows = random_instances(range(3))

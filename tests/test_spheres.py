@@ -17,6 +17,7 @@ from carousel import (
     sphere_in_hull3,
     tetrahedron_from_cube,
 )
+from carousel.reports import canonical_json, example42_to_dict
 from carousel.spheres import _dot3, _inclusion_objects, _norm3, _unit3, project_to_plane
 
 from probe_grid import icosphere_directions, probe_slack
@@ -510,6 +511,19 @@ class TestExample42:
     def test_t_must_be_at_least_3(self):
         with pytest.raises(ValueError):
             example_4_2(2)
+
+    @pytest.mark.parametrize("t", [4.0, True, "4", None, np.float64(4.0)])
+    def test_t_must_be_an_integer(self, t):
+        # refused by the rule the 2D (j, k) check uses: a bool is not an integer
+        with pytest.raises(ValueError, match=r"^need an integer t >= 3, got "):
+            example_4_2(t)
+
+    def test_numpy_integer_t_reports_as_an_int(self):
+        rep = example_4_2(np.int64(4))
+        assert type(rep.t) is int and rep == example_4_2(4)
+        assert canonical_json(example42_to_dict(rep)) == canonical_json(
+            example42_to_dict(example_4_2(4))
+        )
 
     @pytest.mark.parametrize("factor", [0.0, -10.0, math.nan, math.inf])
     def test_arc_radius_factor_must_be_finite_and_positive(self, factor):

@@ -130,6 +130,15 @@ class TestSetEntryPoint:
         with pytest.raises(ValueError, match=r"^inclusion .*: indices must be in 0\.\.3$"):
             spheres_in_hull3(objects, [(0, ()), inclusion])
 
+    @pytest.mark.parametrize("inclusion", [
+        (0, 5), 0, [0], (0,), (0, (1,), 2), None,
+    ], ids=["int-excluded", "int", "one-item-list", "one-item-tuple", "three-items", "none"])
+    def test_rejects_an_inclusion_that_is_not_an_index_and_indices(self, inclusion):
+        objects = [(0, 0, 0, 1.0), (1, 0, 0, 0.0), (0, 1, 0, 0.0), (0, 0, 1, 0.0)]
+        message = r"^inclusion .* is not \(index, sequence of indices\)$"
+        with pytest.raises(ValueError, match=message):
+            spheres_in_hull3(objects, [(0, ()), inclusion])
+
     def test_numpy_integer_indices_are_indices(self):
         objects = [(0, 0, 0, 0.1), (0, 0, 0, 1.0), (1, 0, 0, 0.0), (-1, 0, 0, 0.0)]
         got = spheres_in_hull3(objects, [(np.int64(0), (np.intp(1),))])

@@ -189,6 +189,55 @@ class TestTwoCarouselPoints:
             two_carousel_points(((0, 0, 1), *SITES_4[1:], (1, 1, 0), (2, 1, 0)))
 
 
+class TestPointDecompositionBoundary:
+    """Points on, at or within EPS_GEOM of the site triangle's boundary or a cevian."""
+
+    B0 = "b0 is not strictly inside the site triangle"
+    B1 = "b1 is not strictly inside the site triangle"
+
+    @staticmethod
+    def run(sites, b0, b1):
+        try:
+            return witness.point_decomposition((*sites, (*b0, 0), (*b1, 0)))
+        except NotInterior as exc:
+            return str(exc)
+
+    # SITES_4's edges A0A1 (y = 0) and A1A2 (x + y = 4) have cross products
+    # 4 y and 4 (4 - x - y), so an offset d from them is orientation 0 iff 4 d <= EPS_GEOM
+    @pytest.mark.parametrize("b0, b1, expected", [
+        ((2, 0), (1, 1), B0),  # on an edge
+        ((1, 1), (2, 2), B1),
+        ((4, 0), (1, 1), B0),  # at a vertex
+        ((1, 1), (0, 0), B1),
+        ((1, 1e-10), (1, 1), B0),  # within EPS_GEOM of an edge
+        ((1, 1), (1, 2.5e-10), B1),
+        ((1, 1), (3 - 1e-10, 1), B1),
+        ((1, 1e-9), (1, 1), (0, 0)),  # just past the band
+        ((1, 1), (3 - 1e-9, 1), (0, 0)),
+        ((1, 1), (0.5, 0.5), (0, 1)),  # on the cevian from b0 to A0
+        ((1, 1), (0.5, 0.5 + 1e-10), (0, 1)),  # within EPS_GEOM of it
+        ((1, 1), (0.5, 0.5 + 1e-8), (1, 0)),
+        ((1, 1), (0.5, 0.5 - 1e-8), (2, 0)),
+    ])
+    def test_counterclockwise_sites(self, b0, b1, expected):
+        assert self.run(SITES_4, b0, b1) == expected
+
+    def test_clockwise_sites(self):
+        # the same triangle listed clockwise: A_j becomes A_(2-j)
+        sites = SITES_4[::-1]
+        assert self.run(sites, (2, 0), (1, 1)) == self.B0
+        assert self.run(sites, (1, 1), (1, 2.5e-10)) == self.B1
+        assert self.run(sites, (1, 1), (0.5, 0.5 + 1e-10)) == (2, 1)
+        assert self.run(sites, (1, 1), (0.5, 0.5 + 1e-8)) == (1, 0)
+        assert self.run(sites, (1, 1), (0.5, 0.5 - 1e-8)) == (0, 0)
+
+    @pytest.mark.parametrize("third", [(5, 0), (5, 4e-10)], ids=["collinear", "in-band"])
+    def test_sites_of_orientation_0_hold_no_interior_point(self, third):
+        sites = ((0, 0, 0), (2, 0, 0), (*third, 0))
+        assert self.run(sites, (1, 0), (3, 0)) == self.B0
+        assert self.run(sites, (1, 1e-12), (3, 1e-12)) == self.B0
+
+
 class TestXiSweep:
     def test_concentric_never_binds(self):
         inst = (*SITES_466, (2, 2, 1), (2, 2, 0.5))
