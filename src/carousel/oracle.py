@@ -16,30 +16,60 @@ radius-0 generator is its centre for every i).  Over that arc the hull of the
 whole cloud therefore coincides with the hull of the k samples numbered i.
 A running comparison over the generators names, at each boundary normal
 theta_i + pi/m, the first generator a_i whose support is largest there.
-Where a_(i-1) = a_i, arc i contributes the single vertex "sample i of a_i",
-taken from a_i's centre and radius alone; only where they differ are the k
-samples numbered i built, and the outer chain between the two owners'
-samples, which a quickhull step over at most k points finds, is the arc's
-contribution.  Concatenated in arc order, the pieces are the
-counterclockwise vertex list of the sampled hull.  This is exact for the
-sampled polygons, not an approximation of them: it yields the vertices of
-the hull of the full k*m point cloud, at O(k*m) arithmetic in arrays of
-length m.  In floating point it may keep a vertex that lies on a hull edge up
-to rounding, which a general hull code drops; such a vertex does not change
-the polygon.  A cloud that spans no area comes out as its two extreme points
-or as its single point, which ``polygon_contains_points`` treats as a
-segment or a point.
+Where a_(i-1) = a_i, arc i contributes the single vertex "sample i of a_i";
+only where they differ are the k samples numbered i built, and the outer
+chain between the two owners' samples, which a quickhull step over at most k
+points finds, is the arc's contribution.  The boundary is kept in that
+compact form: a cyclic list of runs (g, first, last), the samples first..last
+of one generator g, each followed by the chain vertices found where the
+owner changes.  ``sample_hull_polygon`` expands it into the counterclockwise
+vertex list of the sampled hull.  This is exact for the sampled polygons, not
+an approximation of them: it yields the vertices of the hull of the full k*m
+point cloud, at O(k*m) arithmetic in arrays of length m.  In floating point
+it may keep a vertex that lies on a hull edge up to rounding, which a general
+hull code drops; such a vertex does not change the polygon.  A cloud that
+spans no area comes out as its two extreme points or as its single point,
+which ``polygon_contains_points`` treats as a segment or a point.
 
 A convex polygon lies inside another iff, for every edge of the outer one,
 the inner one's vertex extreme along that edge's outward normal lies inside
 the edge (Preparata & Shamos, *Computational Geometry*, 1985, ch. 2).  The
 target's samples form a regular m-gon on the same angle grid, so for the edge
-a -> b with outward normal phi, (b - a) x (q_i - a) equals
-(b - a) x (c - a) - r |b - a| cos(theta_i - phi) and is least at the grid
-angle nearest phi.  The oracle therefore checks each hull edge only at the two
-target samples whose angles bracket phi (a radius-0 target only at its
-centre), O(number of hull vertices) work in place of locating all m target
-samples.
+a -> b with outward normal psi, (b - a) x (q_i - a) equals
+(b - a) x (c - a) - r |b - a| cos(theta_i - psi) and is least at the grid
+angle nearest psi.  The oracle therefore checks an edge only at the two
+target samples whose angles bracket psi (a radius-0 target only at its
+centre).
+
+It checks every edge that joins two runs or lies on a chain, and only a few
+edges of each run, read off the compact boundary without building the
+polygon.  Edge i of a run of the generator (c_g, r_g) joins samples i - 1 and
+i; its outward normal psi_i = theta_(i-1) + pi/m lies midway between the two
+target samples that bracket it, and both give the edge the exact value
+
+    V_i = -2 r_g sin(pi/m) [|d| cos(psi_i - phi) + (r_t - r_g) cos(pi/m)],
+
+with d = c_t - c_g and phi its angle; every other target sample gives more.
+Along a run V_i is therefore a sinusoid in psi_i, least where cos(psi_i - phi)
+is largest: at the edge nearest phi, or at the run's end nearest phi when phi
+lies outside the run.  The computed value of an edge differs from its exact
+value by at most delta = 2^-45 L D, with L and D (below) bounded over g and
+the target alone: a sample coordinate lies within 20 u L of its exact point
+(u = 2^-53, the rounding of the tables' angles included), and the cross
+product, whose factors are at most D long, adds at most
+8 D (20 u L) + 8 u D^2 <= 176 u L D.  An edge whose V_i exceeds the run's
+least by more than 2 delta thus computes above the edge that attains it, and
+cannot decide the verdict.  The others have cos(psi_i - phi) within
+delta / (r_g sin(pi/m) |d|) of the run's largest: one arc around phi, found
+with one acos, clipped to the run and widened by one edge on each side for
+the rounding of that arithmetic.  It holds 1 to 3 edges on typical input and
+grows to the whole run as |d| -> 0; at d = 0 the whole run is checked.  The
+argument needs each run edge's computed normal to fall between samples i - 1
+and i, as its exact one does.  That holds when the edge, 2 r_g sin(pi/m)
+long, is long beside the rounding of its ends:
+r_g sin(pi/m) sin(pi/(2m)) >= 2^-47 L.  The run of a smaller circle, whose
+samples may coincide in floats, is checked edge by edge at the samples that
+bracket each computed normal, as every edge of the full polygon was.
 
 Membership is decided with bands that follow the rounding error.  With L
 the largest coordinate magnitude the input reaches (|centre coordinate| +
@@ -58,6 +88,7 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +101,12 @@ ORACLE_SLACK_BAND = 1e-4
 
 # membership band at unit length scale (see the module docstring)
 _BAND = 1e-12
+# at unit length scale (see the module docstring): delta, the bound on the
+# rounding of an edge's cross product, in units of L D, and the least
+# r_g sin(pi/m) sin(pi/(2m)), in units of L, at which a run's computed edge
+# normals are sure to lie between the edge's two samples
+_ROUNDING = 2.0**-45
+_NOISE = 2.0**-47
 
 
 @functools.cache
@@ -80,6 +117,13 @@ def _angle_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+@functools.cache
+def _angle_lists(m: int) -> tuple[list, list]:
+    """cos and sin of the sample angles theta_i as lists of floats."""
+    cos_t, sin_t, _, _ = _angle_tables(m)
+    return cos_t.tolist(), sin_t.tolist()
 
 
 def _circle_samples(c, m: int) -> np.ndarray:
@@ -111,18 +155,34 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
-def sample_hull_polygon(gens, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Counterclockwise vertex array of the hull polygon of all samples of the (x, y, r) ``gens``.
+def _sample_count(samples) -> int:
+    """``samples`` as an int; ValueError unless it is an integer of at least 3 (a bool is none)."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 3:
+        raise ValueError(f"need at least 3 samples per circle, as an integer, got {samples!r}")
+    return int(samples)
 
-    Raises ValueError for fewer than 3 samples per circle: an arc of normals
-    then spans half the circle or more, and a single owner no longer means a
-    single vertex.
+
+class _Boundary(NamedTuple):
+    """The sampled hull's boundary, counterclockwise, and the (k, 3) array of its generators.
+
+    ``runs[j]`` = (g, first, last) stands for the samples first..last of
+    generator g (sample numbers mod m, first < last), and ``chains[j]`` for
+    the (x, y) vertices strictly between run j's last sample and run j+1's
+    first.  With no owner change there is one run, (g, 0, m), all of g's
+    samples with sample 0 at both ends, and one empty chain.
     """
-    if samples < 3:
-        raise ValueError(f"need at least 3 samples per circle, got {samples}")
-    m = samples
+
+    m: int
+    gens: np.ndarray
+    runs: list
+    chains: list
+
+
+def _sampled_boundary(gens, m: int) -> _Boundary:
+    """The runs and chains of the hull of all m samples of the (x, y, r) ``gens``."""
     cos_t, sin_t, cos_b, sin_b = _angle_tables(m)
-    cx, cy, r = np.array(gens, dtype=float).reshape(-1, 3).T
+    gens = np.array(gens, dtype=float).reshape(-1, 3)
+    cx, cy, r = gens.T
 
     # owner[i]: the first generator whose support is largest at normal
     # theta_i + pi/m (np.argmax's tie rule, hence the strict comparison)
@@ -133,28 +193,54 @@ def sample_hull_polygon(gens, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
         support = cx[g] * cos_b + cy[g] * sin_b + r[g] * h
         np.putmask(owner, support > best, g)
         np.maximum(best, support, out=best)
-    # arc i's vertex where its owner does not change: sample i of the owner
-    x = cx[owner] + r[owner] * cos_t
-    y = cy[owner] + r[owner] * sin_t
+    changes = np.flatnonzero(owner != _prev(owner)).tolist()
+    if not changes:
+        return _Boundary(m, gens, [(int(owner[0]), 0, m)], [[]])
 
-    xs, ys, start = [], [], 0
-    for i in np.flatnonzero(owner != _prev(owner)).tolist():
+    rows = gens.tolist()
+    cos_l, sin_l = _angle_lists(m)
+    runs, chains = [], []
+    for first, last in zip(changes, changes[1:] + [changes[0] + m]):
         # the k samples numbered i, as (x, y, generator) triples
-        xi, yi = cx + r * cos_t[i], cy + r * sin_t[i]
-        column = list(zip(xi.tolist(), yi.tolist(), range(len(r))))
+        i = last % m
+        nx, ny = cos_l[i], sin_l[i]
+        column = [(x + radius * nx, y + radius * ny, g) for g, (x, y, radius) in enumerate(rows)]
         a, b = column[owner[i - 1]], column[owner[i]]
         # the chain's vertices reach at least the lower end's support at
         # theta_i; this drops interior points that would pass as "right" of a
         # chord whose ends coincide up to rounding
-        nx, ny = cos_t[i], sin_t[i]
         level = min(a[0] * nx + a[1] * ny, b[0] * nx + b[1] * ny)
         front = [p for p in column if p[0] * nx + p[1] * ny >= level]
-        chain = [a] + _outer_chain(a, b, front)
-        xs += [x[start:i], [p[0] for p in chain]]
-        ys += [y[start:i], [p[1] for p in chain]]
-        start = i
-    x = np.concatenate(xs + [x[start:]])
-    y = np.concatenate(ys + [y[start:]])
+        runs.append((int(owner[first]), first, last))
+        chains.append([p[:2] for p in _outer_chain(a, b, front)])
+    return _Boundary(m, gens, runs, chains)
+
+
+def sample_hull_polygon(gens, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
+    """Counterclockwise vertex array of the hull polygon of all samples of the (x, y, r) ``gens``.
+
+    Raises ValueError unless ``samples`` is an integer of at least 3: with
+    fewer an arc of normals spans half the circle or more, and a single owner
+    no longer means a single vertex.
+    """
+    return _polygon(_sampled_boundary(gens, _sample_count(samples)))
+
+
+def _polygon(hull: _Boundary) -> np.ndarray:
+    """The boundary's vertex array: every run expanded, consecutive repeats dropped."""
+    m, gens, runs, chains = hull
+    cx, cy, r = gens.T
+    cos_t, sin_t, _, _ = _angle_tables(m)
+    xs, ys = [], []
+    for (g, first, last), chain in zip(runs, chains):
+        i = np.arange(first, last + 1) % m
+        xs += [cx[g] + r[g] * cos_t[i], [p[0] for p in chain]]
+        ys += [cy[g] + r[g] * sin_t[i], [p[1] for p in chain]]
+    # the array starts at sample 0 of the last run, which it numbers m
+    start = sum(map(len, xs[:-2])) + m - runs[-1][1]
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    x = np.concatenate((x[start:], x[:start]))
+    y = np.concatenate((y[start:], y[:start]))
     # drop consecutive repeats; a collinear cloud keeps its two ends, and a
     # cloud of one point, where every row repeats, keeps that point
     keep = (x != _prev(x)) | (y != _prev(y))
@@ -191,19 +277,110 @@ def _membership_bands(target, gens) -> tuple[float, float]:
     return _BAND * reach, _BAND * reach * extent
 
 
-def _extreme_samples_pass(poly: np.ndarray, target, m: int, band: float) -> bool:
-    """True iff every edge a -> b of the ccw polygon (>= 3 vertices) has
+def _run_edges(first: int, last: int, generator, target, m: int) -> list | None:
+    """Numbers i of the edges of a run of ``generator``'s samples first..last
+    (edge i joins sample i - 1 to sample i) that can be the run's least:
+    those within the arc around phi that the module docstring derives, one
+    edge wider on each side.  None where the whole run must be checked, each
+    edge at its own computed normal.
+    """
+    gx, gy, rg = generator
+    tx, ty, tr = target
+    dx, dy = tx - gx, ty - gy
+    d = math.hypot(dx, dy)
+    # at least this pair's L and D (see the module docstring)
+    reach = max(abs(gx), abs(gy), abs(tx), abs(ty)) + max(rg, tr)
+    extent = max(abs(dx), abs(dy)) + 2.0 * max(rg, tr)
+    s = math.sin(math.pi / m)
+    # the bounds hold where no product of D-long factors over- or underflows
+    if not (d > 0.0 and 2.0**-1000 <= reach * extent and extent <= 2.0**500):
+        return None
+    if rg * s * math.sin(math.pi / (2 * m)) < _NOISE * reach:
+        return None
+    units = m / (2.0 * math.pi)  # edge numbers per radian
+    n = last - first
+    # phi's place among the run's edges, counted from edge first + 1
+    rho = (math.atan2(dy, dx) * units + 0.5 - (first + 1)) % m
+    near = abs(rho - round(rho)) if rho <= n - 1 else min(rho - (n - 1), m - rho)
+    # delta / (r_g sin(pi/m) |d|), as ratios that neither underflow nor divide by 0
+    floor = math.cos(near / units) - _ROUNDING * (reach / rg) * (extent / d) / s
+    w = math.acos(floor) * units + 1.0 if floor > -1.0 else m
+    if 2.0 * w >= m:
+        return None
+    lo, hi = math.ceil(rho - w), math.floor(rho + w)
+    if 0 <= lo and hi < n:
+        return list(range(first + 1 + lo, first + 2 + hi))
+    # the arc [rho - w, rho + w] is shorter than the circle, so its edge
+    # numbers mod m are distinct; keep those of the run
+    return [
+        first + 1 + k - shift
+        for shift in (-m, 0, m)
+        for k in range(max(lo, shift), min(hi, shift + n - 1) + 1)
+    ]
+
+
+def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
+    """True iff every edge a -> b of the boundary's polygon has
     (b - a) x (q - a) >= -band at the target samples q extreme along its
     outward normal: the two whose angles bracket the normal's, or the centre
     of a radius-0 target.  The cross product is evaluated as
-    (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term.
+    (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term, on every
+    edge that joins two runs or lies on a chain, and, inside each run, on
+    the edges ``_run_edges`` names; no other run edge can be less.
     """
-    a = _prev(poly)  # edge j runs from a[j] to poly[j]
-    ax, ay = a.T
-    ex, ey = (poly - a).T
+    m, gens, runs, chains = hull
+    rows = gens.tolist()
+    cos_l, sin_l = _angle_lists(m)
+    # edges as (ax, ay, bx, by), with the grid index below the outward
+    # normal where it is known and the joins' found from their normals
+    edges, below, joins = [], [], []
+    for (g, first, last), chain, (h, start, _) in zip(runs, chains, runs[1:] + runs[:1]):
+        x, y, r = rows[g]
+        if r > 0.0:
+            numbers = _run_edges(first, last, rows[g], target, m)
+            if numbers is None:
+                if not _run_pass(x, y, r, first, last, target, m, band):
+                    return False
+            else:  # samples i - 1 and i bracket the normal of edge i
+                for i in numbers:
+                    p, q = (i - 1) % m, i % m
+                    edges.append((x + r * cos_l[p], y + r * sin_l[p], x + r * cos_l[q], y + r * sin_l[q]))
+                    below.append(p)
+        # from this run's last sample through its chain to the next run's first
+        i = last % m
+        path = [(x + r * cos_l[i], y + r * sin_l[i]), *chain]
+        x, y, r = rows[h]
+        path.append((x + r * cos_l[start], y + r * sin_l[start]))
+        joins += [(*a, *b) for a, b in zip(path, path[1:])]
+    tx, ty, tr = target
+    edges += joins
+    if tr <= 0.0:
+        return all((bx - ax) * (ty - ay) - (by - ay) * (tx - ax) >= -band for ax, ay, bx, by in edges)
+    # the joins' grid index at or below the outward normal (ey, -ex), as
+    # ``_run_pass`` finds it; numpy's arctan2, so each bit is the same
+    normals = np.arctan2([-(bx - ax) for ax, _, bx, _ in joins], [by - ay for _, ay, _, by in joins])
+    units = m / (2.0 * math.pi)
+    below += [math.floor(t * units) for t in normals.tolist()]
+    for (ax, ay, bx, by), i in zip(edges, below):
+        ex, ey = bx - ax, by - ay
+        for j in (i % m, (i + 1) % m):
+            if not ex * (ty + tr * sin_l[j] - ay) - ey * (tx + tr * cos_l[j] - ax) >= -band:
+                return False
+    return True
+
+
+def _run_pass(x: float, y: float, r: float, first: int, last: int, target, m: int,
+              band: float) -> bool:
+    """The edge test of ``_boundary_pass`` on every edge of the run of the
+    circle (x, y, r)'s samples first..last, with the grid index below each
+    edge's outward normal found from the computed normal.
+    """
+    cos_t, sin_t, _, _ = _angle_tables(m)
+    i = np.arange(first + 1, last + 1)
+    ax, ay = x + r * cos_t[(i - 1) % m], y + r * sin_t[(i - 1) % m]
+    ex, ey = x + r * cos_t[i % m] - ax, y + r * sin_t[i % m] - ay
     tx, ty, tr = target
     if tr > 0.0:
-        cos_t, sin_t, _, _ = _angle_tables(m)
         # grid index at or below the outward normal (ey, -ex); it lies in
         # [-m/2 - 1, m/2], so for m >= 3 it and the next one index the
         # tables cyclically
@@ -214,19 +391,41 @@ def _extreme_samples_pass(poly: np.ndarray, target, m: int, band: float) -> bool
     return all(np.all(ex * (qy - ay) - ey * (qx - ax) >= -band) for qx, qy in extremes)
 
 
+def _three_vertices(hull: _Boundary) -> bool:
+    """True if three distinct points are among the run ends, the samples a
+    third and two thirds along each run, and the chain vertices; the polygon
+    then has at least three vertices.
+    """
+    m, gens, runs, chains = hull
+    cos_l, sin_l = _angle_lists(m)
+    rows = gens.tolist()
+    points = set()
+    for (g, first, last), chain in zip(runs, chains):
+        x, y, r = rows[g]
+        n = last - first
+        for i in (first, first + n // 3, first + 2 * n // 3, last):
+            points.add((x + r * cos_l[i % m], y + r * sin_l[i % m]))
+        points.update(chain)
+        if len(points) >= 3:
+            return True
+    return False
+
+
 def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bool:
     """True iff every sampled target point lies in the sampled hull polygon.
 
     ``target`` and each of the nonempty ``gens`` are (x, y, r) objects.
-    Raises ValueError on an object that ``checked_objects`` refuses, and for
-    fewer than 3 samples, as ``sample_hull_polygon``.
+    Raises ValueError on an object that ``checked_objects`` refuses, and on
+    a ``samples`` that ``sample_hull_polygon`` refuses.
     """
     (target,) = checked_objects((target,))
     gens = checked_objects(gens, nonempty=True)
-    poly = sample_hull_polygon(gens, samples)
+    samples = _sample_count(samples)
+    hull = _sampled_boundary(gens, samples)
     distance_band, cross_band = _membership_bands(target, gens)
-    if len(poly) < 3:
-        queries = _circle_samples(target, samples)
-        return bool(np.all(polygon_contains_points(poly, queries, distance_band)))
-    return _extreme_samples_pass(poly, target, samples, cross_band)
-
+    if not _three_vertices(hull):
+        poly = _polygon(hull)
+        if len(poly) < 3:
+            queries = _circle_samples(target, samples)
+            return bool(np.all(polygon_contains_points(poly, queries, distance_band)))
+    return _boundary_pass(hull, target, cross_band)

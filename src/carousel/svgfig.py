@@ -179,8 +179,12 @@ def _draw_sites(canvas: _Canvas, sites):
 
 
 def _draw_circles(canvas: _Canvas, circles):
+    """Each object by its own radius: a dot for a point, a circle otherwise."""
     for c in circles:
-        canvas.circle(c, "#303030")
+        if c[2] == 0.0:
+            canvas.dot(c)
+        else:
+            canvas.circle(c, "#303030")
 
 
 def _render_witness(scenario: Scenario) -> _Canvas:

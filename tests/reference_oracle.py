@@ -6,6 +6,11 @@ table, one argmax over generators names each boundary normal's owner, and
 every target sample is located in the polygon by the angle of its wedge
 around the centroid and checked against the single facing edge, with the
 absolute band ``eps``.  It is kept only as a reference.
+
+``extreme_samples_pass`` is the oracle's edge test as it was before each
+run of one generator's samples was checked only at the edges that can be
+its least: every edge of the full polygon, at the target samples that
+bracket its outward normal.
 """
 
 import functools
@@ -104,3 +109,26 @@ def polygon_contains_points(poly, queries, eps=1e-12):
 def sampling_oracle_contains(target, gens, samples=DEFAULT_SAMPLES):
     poly = sample_hull_polygon(gens, samples)
     return bool(np.all(polygon_contains_points(poly, circle_samples(target, samples))))
+
+
+def extreme_samples_pass(poly, target, m, band):
+    """True iff every edge a -> b of the ccw polygon (>= 3 vertices) has
+    (b - a) x (q - a) >= -band at the target samples q extreme along its
+    outward normal: the two whose angles bracket the normal's, or the centre
+    of a radius-0 target.  The cross product is evaluated as
+    (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term.
+    """
+    a = np.concatenate((poly[-1:], poly[:-1]))  # edge j runs from a[j] to poly[j]
+    ax, ay = a.T
+    ex, ey = (poly - a).T
+    tx, ty, tr = target
+    if tr > 0.0:
+        cos_t, sin_t, _, _ = _angle_tables(m)
+        # grid index at or below the outward normal (ey, -ex); it lies in
+        # [-m/2 - 1, m/2], so for m >= 3 it and the next one index the
+        # tables cyclically
+        below = np.floor(np.arctan2(-ex, ey) * (m / (2.0 * math.pi))).astype(np.intp)
+        extremes = [(tx + tr * cos_t[i], ty + tr * sin_t[i]) for i in (below, below + 1)]
+    else:
+        extremes = [(tx, ty)]
+    return all(np.all(ex * (qy - ay) - ey * (qx - ax) >= -band) for qx, qy in extremes)

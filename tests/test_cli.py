@@ -243,6 +243,16 @@ class TestCheckVerb:
         assert theorem.count(title) == 1 and "<polygon " in theorem
         assert corollary == theorem.replace(title, "<title>carousel corollary2d</title>")
 
+    def test_corollary_point_generator_beside_circles_is_a_dot(self):
+        # each base is drawn by its own radius: c0, a point, is a dot and
+        # not an invisible circle of radius 0; the others stay circles
+        svg = render_svg(parse_scenario({**COROLLARY, "circles": [
+            [0, 0, 0], [8, 0, 1], [0, 8, 1], [2, 2, 0.4], [2.5, 2.5, 1.2]]}))
+        assert 'r="0.000000"' not in svg
+        assert '<circle cx="0.000000" cy="-0.000000" r="0.060000" fill="#000000"/>' in svg
+        assert svg.count('stroke="#303030"') == 2
+        assert "<polygon " not in svg  # no site triangle: two bases are circles
+
     def test_ex42_small_side_verified(self, tmp_path):
         # the interiority margin is EPS_DECISION * side, so side 1e-6 fits
         path = write(tmp_path, "e.json", {**EX42, "side": 1e-6})

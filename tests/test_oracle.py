@@ -12,9 +12,10 @@ from carousel.fuzz import random_containment_query
 from carousel.oracle import (
     DEFAULT_SAMPLES,
     ORACLE_SLACK_BAND,
+    _boundary_pass,
     _circle_samples,
-    _extreme_samples_pass,
     _membership_bands,
+    _sampled_boundary,
     polygon_contains_points,
     sample_hull_polygon,
     sampling_oracle_contains,
@@ -211,6 +212,26 @@ def test_fewer_than_three_samples_rejected(samples):
     assert sampling_oracle_contains((0.2, 0.2, 0), gens, 3)
 
 
+@pytest.mark.parametrize("samples", [4.0, 3.5, True, False, "7", None])
+def test_samples_must_be_an_integer(samples):
+    # a float count used to escape as numpy's TypeError, and a bool is no count
+    gens = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+    with pytest.raises(ValueError, match="at least 3 samples per circle, as an integer"):
+        sample_hull_polygon(gens, samples)
+    with pytest.raises(ValueError, match="at least 3 samples per circle, as an integer"):
+        sampling_oracle_contains((0.2, 0.2, 0), gens, samples)
+
+
+@pytest.mark.parametrize("samples", [np.int64(7), np.int32(4), np.uint16(60)])
+def test_numpy_integer_samples_are_counts(samples):
+    gens = ((0, 0, 1), (3, 0, 0.5), (0, 3, 0))
+    assert sample_hull_polygon(gens, samples).tobytes() == sample_hull_polygon(gens, int(samples)).tobytes()
+    for target in ((1, 1, 0.3), (2, 2, 1.0)):
+        assert sampling_oracle_contains(target, gens, samples) == sampling_oracle_contains(
+            target, gens, int(samples)
+        )
+
+
 def test_single_circle_is_every_sample_in_order():
     c = (1, 2, 1.5)
     poly = sample_hull_polygon((c,))
@@ -242,7 +263,8 @@ def _assert_matches_reference(target, gens, samples=DEFAULT_SAMPLES):
     assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
     if len(poly) >= 3:  # the edge test at the reference's absolute band
         expected = _reference_verdict(ref, target, samples)
-        assert _extreme_samples_pass(poly, target, samples, _ABSOLUTE_BAND) == expected
+        hull = _sampled_boundary(gens, samples)
+        assert _boundary_pass(hull, target, _ABSOLUTE_BAND) == expected
     # the oracle itself, at its own band, against the reference at that band
     band = _oracle_band(target, gens, len(ref))
     expected = _reference_verdict(ref, target, samples, band)
@@ -310,14 +332,14 @@ def test_matches_reference_on_its_boundary(band, seeds):
         ref = reference_oracle.sample_hull_polygon(gens)
         if len(ref) < 3:
             continue
-        ours = sample_hull_polygon(gens)
+        ours = _sampled_boundary(gens, DEFAULT_SAMPLES)
 
         def band_of(target):
             return _ABSOLUTE_BAND if band == "absolute" else _oracle_band(target, gens, len(ref))
 
         def ours_inside(target):
             if band == "absolute":
-                return _extreme_samples_pass(ours, target, DEFAULT_SAMPLES, _ABSOLUTE_BAND)
+                return _boundary_pass(ours, target, _ABSOLUTE_BAND)
             return sampling_oracle_contains(target, gens)
 
         cx = sum(g[0] for g in gens) / len(gens)
@@ -382,3 +404,128 @@ def test_shifted_copy_stays_refuted_far_from_the_origin(offset, scale):
     three = (at(-3, 0, 1), at(3, 0, 1), at(0, 4, 1))
     assert sampling_oracle_contains(at(0, 4, 1), three)
     assert not sampling_oracle_contains(at(0, 4.01, 1), three)
+
+
+# -- the run windows against every edge of the full polygon --------------------
+#
+# Inside a run of one generator's samples only the edges that can be the
+# run's least are evaluated.  These families put the target where that choice
+# matters: on the edge test's own boundary (bisected to adjacent floats), with
+# the least edge at a run end, in a run through sample 0, in a single run, in
+# a wide window, and where a generator's samples coincide in floats.
+
+
+def _edge_test_agrees(gens, target, m):
+    """The windowed test and every edge of the full polygon agree at the
+    reference's absolute band and at the oracle's band.
+    """
+    poly = sample_hull_polygon(gens, m)
+    hull = _sampled_boundary(gens, m)
+    for band in (_ABSOLUTE_BAND, _oracle_band(target, gens, len(poly))):
+        expected = reference_oracle.extreme_samples_pass(poly, target, m, band)
+        assert _boundary_pass(hull, target, band) == expected, (gens, target, m, band)
+
+
+def _flips(gens, make, m, lo, hi):
+    """Parameters t about where the full-polygon test of make(t) flips, at
+    either band: both sides of each flip as adjacent floats, and 1e-13 beyond.
+    """
+    poly = sample_hull_polygon(gens, m)
+    out = []
+    for band_of in (lambda t: _ABSOLUTE_BAND, lambda t: _oracle_band(make(t), gens, len(poly))):
+
+        def inside(t):
+            return reference_oracle.extreme_samples_pass(poly, make(t), m, band_of(t))
+
+        a, b = lo, hi
+        assert inside(a) and not inside(b), (gens, m, a, b)
+        while True:
+            mid = 0.5 * (a + b)
+            if mid in (a, b):
+                break
+            a, b = (mid, b) if inside(mid) else (a, mid)
+        out += [a, b, a - 1e-13 * abs(a), b + 1e-13 * abs(b)]
+    return out
+
+
+def _assert_windows_on_flips(gens, make, m, lo, hi):
+    for t in _flips(gens, make, m, lo, hi):
+        _edge_test_agrees(gens, make(t), m)
+
+
+_COARSE = [3, 4, 7]
+
+
+@pytest.mark.parametrize("m", [DEFAULT_SAMPLES, *_COARSE])
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (3.7, -1.3), (1e3, 2e3)])
+def test_windows_on_a_concentric_target(centre, m):
+    # every edge of the generator's run has the same exact value, so the
+    # window is the whole run; equal radius and one ulp either side
+    x, y = centre
+    r = 1.5
+    for gens in (((x, y, r),), ((x, y, r), (x + 4, y + 1, 0.5), (x - 1, y + 3, 1.0))):
+        for rt in (math.nextafter(r, 0.0), r, math.nextafter(r, 9.0)):
+            _edge_test_agrees(gens, (x, y, rt), m)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_SAMPLES, *_COARSE])
+def test_windows_when_the_least_run_edge_is_a_run_end(m):
+    # phi, the direction from each generator's centre to the target's, lies
+    # outside that generator's run: the run's least edges are at its ends,
+    # beside the join to the other run, on both sides and at both bands
+    gens = ((0.0, 0.0, 1.0), (4.0, 0.0, 1.0))
+    for cx in (0.2, 1.0, 2.0, 3.8):
+        for cy in (0.0, 0.05, -0.3):
+            _assert_windows_on_flips(gens, lambda t: (cx, cy, t), m, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_SAMPLES, *_COARSE])
+def test_windows_in_a_run_through_sample_zero(m):
+    # the right-hand circle owns the normals about theta = 0, so its run
+    # wraps from the last sample numbers through sample 0
+    gens = ((0.0, 0.0, 1.0), (-4.0, 0.5, 1.2), (-2.0, -3.0, 0.0))
+    for angle in (0.0, 1e-9, -0.3, 0.4, 2.0 * math.pi / m, math.pi / m):
+        ux, uy = math.cos(angle), math.sin(angle)
+        _assert_windows_on_flips(gens, lambda t: (t * ux, t * uy, 0.4), m, 0.0, 2.0)
+        _assert_windows_on_flips(gens, lambda t: (-0.5 * ux, -0.5 * uy, t), m, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_SAMPLES, *_COARSE])
+def test_windows_on_a_single_generator(m):
+    # one run, no owner change; a near-concentric target widens the window
+    gens = ((1.0, 2.0, 1.5),)
+    rng = random.Random(5)
+    for offset in (1e-12, 1e-9, 1e-6, 1e-3, 0.3):
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        cx, cy = 1.0 + offset * math.cos(angle), 2.0 + offset * math.sin(angle)
+        _assert_windows_on_flips(gens, lambda t: (cx, cy, t), m, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("m", [DEFAULT_SAMPLES, *_COARSE])
+@pytest.mark.parametrize("y", [0.0, 1e3])
+def test_windows_where_samples_coincide(y, m):
+    # a radius-1e-13 generator at x = 1e3: its consecutive samples coincide
+    # in floats or differ by an ulp, so its edges' directions are noise
+    gens = ((1e3, y, 1e-13), (1e3 + 2.0, y + 1.0, 0.5), (1e3 + 1.0, y - 2.0, 0.0))
+    for angle in (math.pi, 0.9 * math.pi, -0.8 * math.pi):
+        ux, uy = math.cos(angle), math.sin(angle)
+        _assert_windows_on_flips(
+            gens, lambda t: (1e3 + 1.0 + t * ux, y + t * uy, 1e-14), m, 0.0, 2.0
+        )
+    _assert_windows_on_flips(gens, lambda t: (1e3, y, t), m, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("gen, m", [((1e3, 1e3, 6e-14), DEFAULT_SAMPLES), ((1e3, 3.0, 3e-14), 4)])
+def test_a_polygon_the_probe_points_miss(gen, m):
+    # the run's ends and the samples a third and two thirds along it take
+    # fewer than three values, but all the samples make a polygon of more
+    # than two vertices, which the oracle then builds to tell
+    gens = (gen,)
+    ref = reference_oracle.sample_hull_polygon(gens, m)
+    assert len(ref) > 2
+    x, y, r = gen
+    # the edge test passes a point 1e-6 away, where the band, 1e-12 L D, is
+    # long beside these edges; as a point or segment it would be outside
+    for target in ((x, y, 0.0), (x, y, r), (x, y, 2 * r), (x + 1e-6, y, 0.0), (x, y - 1e-6, 0.0)):
+        band = _oracle_band(target, gens, len(ref))
+        assert sampling_oracle_contains(target, gens, m) == _reference_verdict(ref, target, m, band)
