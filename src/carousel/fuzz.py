@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from .hull import circle_in_hull
 from .oracle import ORACLE_SLACK_BAND, sampling_oracle_contains
+from .planar import is_integer
 from .scenario import row_scenario_dict
 from .witness import (
     best_witness_slacks_rows,
@@ -130,16 +131,27 @@ def _map(fn, jobs: list, chunksize: int = 1) -> list:
         return list(pool.map(fn, jobs, chunksize=chunksize))
 
 
+def _campaign_args(n, seed) -> tuple[int, int]:
+    """``n`` and ``seed`` as ints; ValueError unless both are integers (a bool
+    is none) and n >= 1.  A numpy integer is taken as an int.
+    """
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"need an integer n >= 1, got {n!r}")
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(n), int(seed)
+
+
 def run_fuzz(n: int, seed: int, kind: str) -> FuzzReport:
     """Run n seeded trials of one claim kind; any failure is a finding.
 
     Every failure dumps as a self-contained scenario object inside the
     report, ready to be written to a file and re-checked in one command.
+    Raises ValueError on an unknown kind and where ``_campaign_args`` does.
     """
     if kind not in FUZZ_KINDS:
         raise ValueError(f"kind must be one of {FUZZ_KINDS}, got {kind!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n, seed = _campaign_args(n, seed)
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
     size = min(_SEED_BLOCK, -(-n // _worker_count(n)))  # every worker gets a block
@@ -204,9 +216,11 @@ def _oracle_trial(seed: int) -> tuple[int, bool, bool, float]:
 
 
 def run_oracle_check(n: int, seed: int) -> OracleReport:
-    """Compare the support-slack predicate with the sampling-polygon oracle."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """Compare the support-slack predicate with the sampling-polygon oracle.
+
+    Raises ValueError where ``_campaign_args`` does.
+    """
+    n, seed = _campaign_args(n, seed)
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
     results = _map(_oracle_trial, seeds, chunksize=16)

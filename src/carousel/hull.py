@@ -8,11 +8,12 @@ the target circle is contained iff every direction satisfies the support
 inequality.  The slack, the least support surplus over all directions, is
 the minimum of an envelope of sinusoids; it is found exactly by evaluating
 the envelope at its critical angles (each generator's antipodal minimum and
-the pairwise switch angles), and it decides the verdict: contained iff
-slack >= -EPS_DECISION, an absolute band.  The 3D kernel compares the same
-band with the slack normalised by each inclusion's largest length instead,
-and returns the same ``ContainmentResult``.  A direction that attains a
-negative slack is the certificate of a non-containment.
+the pairwise switch angles), and it decides the verdict by the one rule,
+``planar.contained``: contained iff slack >= -EPS_DECISION, an absolute
+band.  The 3D kernel passes that rule the slack normalised by each
+inclusion's largest length instead, and returns the same
+``ContainmentResult``.  A direction that attains a negative slack is the
+certificate of a non-containment.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
 rows with the same number of objects in one array pass, each row against
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .planar import EPS_DECISION, EPS_GEOM, TAU, checked_objects
+from .planar import EPS_GEOM, TAU, checked_objects, contained
 
 _TINY = 1e-15
 # Elements in the largest temporary of ``circles_in_hulls`` (subsets x
@@ -53,10 +54,11 @@ class ContainmentResult:
     """Verdict plus certificate for one containment query, in 2D or 3D.
 
     ``slack`` is the minimal support surplus over all directions and decides
-    the verdict: contained iff ``slack >= -EPS_DECISION`` (in 3D, the slack
-    normalised by the inclusion's largest length).  ``witness_direction``
-    (present iff not contained) attains that slack, so it proves a
-    non-containment: an angle in 2D, a unit (x, y, z) triple in 3D.
+    the verdict by ``planar.contained``: contained iff
+    ``slack >= -EPS_DECISION`` (in 3D, the slack normalised by the
+    inclusion's largest length).  ``witness_direction`` (present iff not
+    contained) attains that slack, so it proves a non-containment: an angle
+    in 2D, a unit (x, y, z) triple in 3D.
     """
 
     contained: bool
@@ -131,9 +133,9 @@ def circle_in_hull(target, gens) -> ContainmentResult:
     ``target`` and each of the nonempty ``gens`` are (x, y, r) objects.
 
     The slack is minimised exactly over the critical angles of the support
-    gap, and the target is contained iff that slack is at least
-    ``-EPS_DECISION``.  The band is absolute here; in 3D,
-    ``spheres_in_hull3`` compares it with the slack normalised by each
+    gap, and the target is contained iff ``planar.contained`` holds of it:
+    the slack is at least ``-EPS_DECISION``.  The band is absolute here; in
+    3D, ``spheres_in_hull3`` passes the rule the slack normalised by each
     inclusion's largest length.  The first critical angle attaining the
     minimum is the witness direction of a non-containment.  Points are the
     radius-0 special case on either side.
@@ -142,11 +144,11 @@ def circle_in_hull(target, gens) -> ContainmentResult:
     best, best_theta = _envelope_min(
         [(x - tx, y - ty, r - tr) for x, y, r in checked_objects(gens, nonempty=True)]
     )
-    contained = best >= -EPS_DECISION
+    inside = contained(best)
     return ContainmentResult(
-        contained=contained,
+        contained=inside,
         slack=best,
-        witness_direction=None if contained else best_theta,
+        witness_direction=None if inside else best_theta,
     )
 
 
@@ -231,7 +233,7 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
 
     ``targets`` is an (n, 3) array of circles (x, y, r) and ``gens`` an
     (n, g, 3) array of each row's g >= 1 objects.  Returns each query's
-    slack, verdict (``slack >= -EPS_DECISION``) and witness angle, the
+    slack, verdict (``planar.contained(slack)``) and witness angle, the
     first critical angle in ascending order that attains the slack; it is a
     witness only where the verdict is False.
 
@@ -285,7 +287,7 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
         least = env.min(axis=2)
         slack[lo : lo + m] = least.T
         theta[lo : lo + m] = np.where(env == least[..., None], cands, np.inf).min(axis=2).T
-    inside = slack >= -EPS_DECISION
+    inside = contained(slack)
     if subsets is None:
         return slack.ravel(), inside.ravel(), theta.ravel()
     return slack, inside, theta

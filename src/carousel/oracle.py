@@ -63,13 +63,12 @@ cannot decide the verdict.  The others have cos(psi_i - phi) within
 delta / (r_g sin(pi/m) |d|) of the run's largest: one arc around phi, found
 with one acos, clipped to the run and widened by one edge on each side for
 the rounding of that arithmetic.  It holds 1 to 3 edges on typical input and
-grows to the whole run as |d| -> 0; at d = 0 the whole run is checked.  The
-argument needs each run edge's computed normal to fall between samples i - 1
-and i, as its exact one does.  That holds when the edge, 2 r_g sin(pi/m)
-long, is long beside the rounding of its ends:
-r_g sin(pi/m) sin(pi/(2m)) >= 2^-47 L.  The run of a smaller circle, whose
-samples may coincide in floats, is checked edge by edge at the samples that
-bracket each computed normal, as every edge of the full polygon was.
+grows to the whole run as |d| -> 0.  The argument needs each run edge's
+computed normal to fall between samples i - 1 and i, as its exact one does,
+so r_g sin(pi/m) sin(pi/(2m)) >= 2^-47 L: the edge must be long beside the
+rounding of its ends.  Where no arc is named (d = 0, a smaller circle, or an
+arc of half the circle or more), every run edge is checked as a join is, at
+the two target samples that bracket its computed normal.
 
 Membership is decided with bands that follow the rounding error.  With L
 the largest coordinate magnitude the input reaches (|centre coordinate| +
@@ -79,9 +78,12 @@ distance to a 1- or 2-vertex polygon at <= 1e-12 L.  A sample coordinate is
 rounded to about 1e-16 L, and a cross product (b - a) x (q - a), whose factors
 are at most about D long, to about 1e-16 L D.  A pair of vertices that
 coincide up to rounding makes an edge whose direction is noise, so the band is
-not taken relative to the edge's own length.  Uniformly scaling the input
-leaves every verdict unchanged; moving it away from the origin widens the
-bands only as fast as the rounding error grows, in proportion to L.
+not taken relative to the edge's own length.  An input whose L or largest
+magnitude leaves [2^-256, 2^256] is first divided by the power of two that
+brings that magnitude to [1/2, 1), exact but where a number turns subnormal,
+so neither L D nor a cross product overflows: uniformly scaling the input
+leaves every verdict unchanged at every finite scale.  Moving it away from
+the origin widens the bands only as the rounding grows, with L.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .planar import checked_objects
+from .planar import checked_objects, is_integer
 
 DEFAULT_SAMPLES = 3600
 
@@ -107,6 +109,7 @@ _BAND = 1e-12
 # normals are sure to lie between the edge's two samples
 _ROUNDING = 2.0**-45
 _NOISE = 2.0**-47
+_WINDOW = 2.0**256  # an input that leaves [1 / _WINDOW, _WINDOW] is normalised
 
 
 @functools.cache
@@ -155,9 +158,21 @@ def _prev(a: np.ndarray) -> np.ndarray:
     return np.concatenate((a[-1:], a[:-1]))
 
 
+def _normalised(circles) -> tuple[list, int]:
+    """The (x, y, r) ``circles`` divided by 2^e, and e: 0 where their largest
+    coordinate or radius magnitude is 0 or in [1 / _WINDOW, _WINDOW], else
+    the e that brings it into [1/2, 1).
+    """
+    size = max(max(abs(x), abs(y), r) for x, y, r in circles) if circles else 0.0
+    if size == 0.0 or 1.0 / _WINDOW <= size <= _WINDOW:
+        return circles, 0
+    e = math.frexp(size)[1]
+    return [(math.ldexp(x, -e), math.ldexp(y, -e), math.ldexp(r, -e)) for x, y, r in circles], e
+
+
 def _sample_count(samples) -> int:
     """``samples`` as an int; ValueError unless it is an integer of at least 3 (a bool is none)."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 3:
+    if not is_integer(samples) or samples < 3:
         raise ValueError(f"need at least 3 samples per circle, as an integer, got {samples!r}")
     return int(samples)
 
@@ -223,7 +238,9 @@ def sample_hull_polygon(gens, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
     fewer an arc of normals spans half the circle or more, and a single owner
     no longer means a single vertex.
     """
-    return _polygon(_sampled_boundary(gens, _sample_count(samples)))
+    samples = _sample_count(samples)
+    gens, e = _normalised(np.array(gens, dtype=float).reshape(-1, 3).tolist())
+    return np.ldexp(_polygon(_sampled_boundary(gens, samples)), e)
 
 
 def _polygon(hull: _Boundary) -> np.ndarray:
@@ -292,8 +309,8 @@ def _run_edges(first: int, last: int, generator, target, m: int) -> list | None:
     reach = max(abs(gx), abs(gy), abs(tx), abs(ty)) + max(rg, tr)
     extent = max(abs(dx), abs(dy)) + 2.0 * max(rg, tr)
     s = math.sin(math.pi / m)
-    # the bounds hold where no product of D-long factors over- or underflows
-    if not (d > 0.0 and 2.0**-1000 <= reach * extent and extent <= 2.0**500):
+    # the bounds hold where no product of D-long factors underflows; none overflows
+    if not (d > 0.0 and 2.0**-1000 <= reach * extent):
         return None
     if rg * s * math.sin(math.pi / (2 * m)) < _NOISE * reach:
         return None
@@ -326,7 +343,8 @@ def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
     of a radius-0 target.  The cross product is evaluated as
     (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term, on every
     edge that joins two runs or lies on a chain, and, inside each run, on
-    the edges ``_run_edges`` names; no other run edge can be less.
+    the edges ``_run_edges`` names; no other run edge can be less.  Where it
+    names none, every edge of the run is evaluated as a join is.
     """
     m, gens, runs, chains = hull
     rows = gens.tolist()
@@ -338,9 +356,9 @@ def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
         x, y, r = rows[g]
         if r > 0.0:
             numbers = _run_edges(first, last, rows[g], target, m)
-            if numbers is None:
-                if not _run_pass(x, y, r, first, last, target, m, band):
-                    return False
+            if numbers is None:  # every edge, tested as the joins are
+                run = [(x + r * cos_l[i % m], y + r * sin_l[i % m]) for i in range(first, last + 1)]
+                joins += [(*a, *b) for a, b in zip(run, run[1:])]
             else:  # samples i - 1 and i bracket the normal of edge i
                 for i in numbers:
                     p, q = (i - 1) % m, i % m
@@ -356,8 +374,8 @@ def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
     edges += joins
     if tr <= 0.0:
         return all((bx - ax) * (ty - ay) - (by - ay) * (tx - ax) >= -band for ax, ay, bx, by in edges)
-    # the joins' grid index at or below the outward normal (ey, -ex), as
-    # ``_run_pass`` finds it; numpy's arctan2, so each bit is the same
+    # the joins' grid index at or below the outward normal (ey, -ex), from
+    # numpy's arctan2, whose bits do not depend on the element's place
     normals = np.arctan2([-(bx - ax) for ax, _, bx, _ in joins], [by - ay for _, ay, _, by in joins])
     units = m / (2.0 * math.pi)
     below += [math.floor(t * units) for t in normals.tolist()]
@@ -367,28 +385,6 @@ def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
             if not ex * (ty + tr * sin_l[j] - ay) - ey * (tx + tr * cos_l[j] - ax) >= -band:
                 return False
     return True
-
-
-def _run_pass(x: float, y: float, r: float, first: int, last: int, target, m: int,
-              band: float) -> bool:
-    """The edge test of ``_boundary_pass`` on every edge of the run of the
-    circle (x, y, r)'s samples first..last, with the grid index below each
-    edge's outward normal found from the computed normal.
-    """
-    cos_t, sin_t, _, _ = _angle_tables(m)
-    i = np.arange(first + 1, last + 1)
-    ax, ay = x + r * cos_t[(i - 1) % m], y + r * sin_t[(i - 1) % m]
-    ex, ey = x + r * cos_t[i % m] - ax, y + r * sin_t[i % m] - ay
-    tx, ty, tr = target
-    if tr > 0.0:
-        # grid index at or below the outward normal (ey, -ex); it lies in
-        # [-m/2 - 1, m/2], so for m >= 3 it and the next one index the
-        # tables cyclically
-        below = np.floor(np.arctan2(-ex, ey) * (m / (2.0 * math.pi))).astype(np.intp)
-        extremes = [(tx + tr * cos_t[i], ty + tr * sin_t[i]) for i in (below, below + 1)]
-    else:
-        extremes = [(tx, ty)]
-    return all(np.all(ex * (qy - ay) - ey * (qx - ax) >= -band) for qx, qy in extremes)
 
 
 def _three_vertices(hull: _Boundary) -> bool:
@@ -421,8 +417,11 @@ def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bo
     (target,) = checked_objects((target,))
     gens = checked_objects(gens, nonempty=True)
     samples = _sample_count(samples)
-    hull = _sampled_boundary(gens, samples)
     distance_band, cross_band = _membership_bands(target, gens)
+    if not _BAND / _WINDOW <= distance_band <= _BAND * _WINDOW:  # L leaves the window
+        (target, *gens), _ = _normalised((target, *gens))
+        distance_band, cross_band = _membership_bands(target, gens)
+    hull = _sampled_boundary(gens, samples)
     if not _three_vertices(hull):
         poly = _polygon(hull)
         if len(poly) < 3:

@@ -1,10 +1,11 @@
 """Exact-leaning 2D primitives.
 
 A 2D object is an (x, y, r) float triple: a circle, or a point when r = 0.
-This module holds the two numeric bands, the one check of such objects,
+This module holds the two numeric bands, the one rule that turns a slack
+into a verdict, the one check of such objects and of an integer argument,
 orientation predicates and the point-to-segment distance that the hull and
-witness code are built on.  All operations are pure functions on plain
-floats in double precision.
+witness code are built on.  The geometric operations are pure functions on
+plain floats in double precision.
 
 Every orientation that a 2D branch reads is the sign of ``_orientation``;
 only the sampling oracle keeps its own cross products, to stay independent
@@ -16,14 +17,29 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 TAU = math.tau
 
 
 # Absolute band for geometric residuals: orientations, tangencies, coincidences.
 EPS_GEOM = 1e-9
-# Verdict band, in 2D and 3D alike: an inclusion is contained iff its slack >= -EPS_DECISION;
-# the 3D rule compares the slack normalised by the inclusion's largest length.
+# Verdict band, in 2D and 3D alike: ``contained`` is the one rule that reads it.
 EPS_DECISION = 1e-6
+
+
+def contained(slack):
+    """The verdict of an inclusion's slack: contained iff ``slack >= -EPS_DECISION``.
+
+    Elementwise on arrays.  Every 2D and 3D verdict is this rule; the 3D
+    kernel passes the slack normalised by the inclusion's largest length.
+    """
+    return slack >= -EPS_DECISION
+
+
+def is_integer(v) -> bool:
+    """True iff ``v`` is an ``int`` or a numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def checked_objects(objs, nonempty: bool = False) -> tuple[tuple[float, float, float], ...]:

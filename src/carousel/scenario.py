@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ParseError, SchemaError
+from .planar import is_integer
 
 SCHEMA_TAG = "carousel/1"
 
@@ -119,9 +120,9 @@ def build_scenario(kind: str, data: dict) -> Scenario:
     seed = None
     if "seed" in data:
         s = data["seed"]
-        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < 2**64:
+        if not is_integer(s) or not 0 <= s < 2**64:
             raise SchemaError("seed must be an unsigned 64-bit integer")
-        seed = s
+        seed = int(s)
 
     kwargs = dict(kind=kind, seed=seed, raw=data)
 
@@ -131,9 +132,9 @@ def build_scenario(kind: str, data: dict) -> Scenario:
             for key, hi in (("j", 2), ("k", 1)):
                 if key in data:
                     v = data[key]
-                    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v <= hi:
+                    if not is_integer(v) or not 0 <= v <= hi:
                         raise SchemaError(f"{key} must be an integer in 0..{hi}")
-                    kwargs[key] = v
+                    kwargs[key] = int(v)
     elif kind == "points2d":
         kwargs["row"] = (_array2d(data, "sites", 3, point_only=True)
                          + _array2d(data, "circles", 2, point_only=True))
@@ -146,9 +147,9 @@ def build_scenario(kind: str, data: dict) -> Scenario:
             raise SchemaError("side and r must be positive")
     elif kind == "sphere3_ex42":
         tval = data.get("t", 3)
-        if isinstance(tval, bool) or not isinstance(tval, int) or tval < 3:
+        if not is_integer(tval) or tval < 3:
             raise SchemaError("t must be an integer >= 3")
-        kwargs["t"] = tval
+        kwargs["t"] = int(tval)
         kwargs["arc_radius_factor"] = _num(data.get("arc_radius_factor", 10.0), "arc_radius_factor")
         kwargs["side"] = _num(data.get("side", 1.0), "side")
         kwargs["r"] = _num(data.get("r", 0.1), "r")

@@ -16,12 +16,14 @@ proofs.  One kernel, ``spheres_in_hull3``, decides a whole set of inclusions
 among the rows of one (n, 4) array in one array pass: the triple vertices do
 not depend on the target, so they are enumerated once and shared, and each
 example makes one call.  Its verdicts are the 2D kernel's ``ContainmentResult``,
-with a unit (x, y, z) witness direction.  An orthogonal projection to a plane
-reduces to the exact 2D containment test and soundly refutes 3D inclusions;
-Example 4.1 puts such a certificate on the outcome of each inclusion that
-leaves out vertex 3.  Each example's report keeps the kernel's object rows
-and each outcome its kernel inclusion (target, excluded), so only the
-example constructions know the object order and the (j, k) to inclusion map.
+with a unit (x, y, z) witness direction, and come from the 2D rule,
+``planar.contained``, applied to each inclusion's normalised slack.  An
+orthogonal projection to a plane reduces to the exact 2D containment test
+and soundly refutes 3D inclusions; Example 4.1 puts such a certificate on
+the outcome of each inclusion that leaves out vertex 3.  Each example's
+report keeps the kernel's object rows and each outcome its kernel inclusion
+(target, excluded), so only the example constructions know the object order
+and the (j, k) to inclusion map.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
 from .hull import ContainmentResult, _check_values, circle_in_hull
-from .planar import EPS_DECISION
+from .planar import EPS_DECISION, contained, is_integer
 
 # -- float triples and quadruples ------------------------------------------------
 # A helper that returns a vector or a radius refuses a non-finite result.
@@ -310,9 +312,9 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
     Boissonnat et al., CGTA 6, 1996).  One fixed direction is added for
     generators that are all concentric with the target, whose envelope is
     constant.  Each inclusion is normalised by its largest length; the
-    verdict compares the normalised slack with EPS_DECISION, so it does not
-    change when the whole input is scaled.  The witness direction is a
-    minimiser, a unit (x, y, z) triple: ties go to the first candidate in
+    verdict is ``planar.contained`` of the normalised slack, the 2D rule, so
+    it does not change when the whole input is scaled.  The witness
+    direction is a minimiser, a unit (x, y, z) triple: ties go to the first candidate in
     the order face, pair, triple +, triple -, fixed.  Results are the 2D
     kernel's ``ContainmentResult``, in the order of ``inclusions``; no
     inclusion gives ().
@@ -334,7 +336,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
         except (TypeError, ValueError):
             raise ValueError(f"inclusion {inclusion!r} is not (index, sequence of indices)") from None
         for i in indices:
-            if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+            if not is_integer(i) or not 0 <= i < n:
                 raise ValueError(f"inclusion {(target, excluded)}: indices must be in 0..{n - 1}")
             removed[q, i] = True
     targets = np.array([target for target, _ in inclusions], dtype=np.intp)
@@ -379,10 +381,9 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
             rows = np.arange(len(qs))
             best = np.argmin(envelope, axis=1)
             unit_slack = envelope[rows, best] - rt
-            contained = unit_slack >= -EPS_DECISION
             for q, inside, slack, witness in zip(
                 qs.tolist(),
-                contained.tolist(),
+                contained(unit_slack).tolist(),
                 (unit_slack * scale).tolist(),
                 cands[rows, best].tolist(),
             ):
@@ -602,7 +603,7 @@ def example_4_2(
     construction that overflows or underflows.  A side, radius or arc
     radius factor that is not finite and > 0 raises ValueError.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 3:
+    if not is_integer(t) or t < 3:
         raise ValueError(f"need an integer t >= 3, got {t!r}")
     t = int(t)  # a numpy integer reports as an int
     v = tetrahedron_from_cube(side)

@@ -50,12 +50,13 @@ from .errors import (
 )
 from .hull import _envelope_min, circle_in_hull, circles_in_hulls
 from .planar import (
-    EPS_DECISION,
     EPS_GEOM,
     _cross,
     _orientation,
     _point_segment_distance,
     checked_objects,
+    contained,
+    is_integer,
 )
 
 JK_PAIRS = tuple((j, k) for j in (0, 1, 2) for k in (0, 1))
@@ -100,8 +101,8 @@ def _check_collinear(row) -> None:
         raise InvalidInstance("collinear sites admit only radius-0 circles")
 
 
-def _require_inside(k: int, contained: bool, slack: float, hull: str) -> None:
-    if not contained:
+def _require_inside(k: int, inside: bool, slack: float, hull: str) -> None:
+    if not inside:
         raise InvalidInstance(f"u{k} is not inside the {hull} hull (slack {slack:.3g})")
 
 
@@ -132,7 +133,7 @@ def scaled_instance(row, zeta: float) -> tuple:
 def _check_jk(j: int, k: int) -> None:
     """Refuse a base index j or a circle index k that is not an integer in 0..2 or 0..1."""
     for i, top in ((j, 2), (k, 1)):
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i <= top:
+        if not is_integer(i) or not 0 <= i <= top:
             raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
 
 
@@ -453,7 +454,7 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
     _check_collinear(row)
     for u, (tx, ty, tr) in enumerate(row[3:]):  # u0, u1 in the site hull, as circle_in_hull
         slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
-        _require_inside(u, slack >= -EPS_DECISION, slack, "site")
+        _require_inside(u, contained(slack), slack, "site")
     pair = _pair(row, j, k)
     events = _sweep_events(*pair)
     edges = [0.0] + [zeta for zeta, _ in events] + [1.0]

@@ -533,14 +533,43 @@ class TestOracleVerb:
         assert "need at least 1 trial" in err
         assert "Traceback" not in err
 
+    # sha256 of the canonical report of ``oracle --n 300 --seed 1`` as first
+    # written by the oracle that located every target sample; any change to
+    # it is listed in CHANGES.md
+    DIGEST_300 = "eb125602925acdab27899936082c5f60f618799657febe93521b8e86c7c9c876"
+
     def test_report_is_pinned(self, tmp_path):
-        # sha256 of the canonical report as first written by the oracle that
-        # located every target sample; any change to it is listed in CHANGES.md
         out = tmp_path / "rep.json"
         assert main(["oracle", "--n", "300", "--seed", "1", "-o", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "eb125602925acdab27899936082c5f60f618799657febe93521b8e86c7c9c876"
-        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST_300
+
+    def test_workers_change_no_report(self, tmp_path, monkeypatch):
+        # a real pool of 2 worker processes, whatever the machine's CPU count
+        from concurrent.futures import ProcessPoolExecutor
+
+        from carousel import fuzz
+
+        sizes = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(fuzz, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        reports = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("CAROUSEL_THREADS", threads)
+            out = tmp_path / f"rep_{threads}.json"
+            assert main(["oracle", "--n", "300", "--seed", "1", "-o", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert sizes == [2]
+        assert reports[1] == reports[0]
+        assert hashlib.sha256(reports[1]).hexdigest() == self.DIGEST_300
 
 
 class TestRepro3dVerb:

@@ -3,6 +3,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 import reference_draws
 from reference_draws import DrawConfig, set_witness_constants
@@ -190,6 +191,33 @@ class TestFuzzBlocks:
             assert (sc.kind, sc.seed) == (kind, failure["seed"])
             assert sc.row == DRAWS[kind][1](failure["seed"])
         assert sum(b["count"] for b in rep.slack_histogram) == 0
+
+
+CAMPAIGNS = {
+    "fuzz": lambda n, seed: run_fuzz(n, seed, "theorem2d"),
+    "oracle": run_oracle_check,
+}
+
+
+class TestCampaignArguments:
+    @pytest.mark.parametrize("campaign", CAMPAIGNS)
+    @pytest.mark.parametrize("n, seed", [
+        (True, 0), (5.0, 0), ("3", 0), (3, 2.5), (3, True), (3, "1"), (3, None),
+    ])
+    def test_non_integers_are_refused(self, campaign, n, seed):
+        with pytest.raises(ValueError, match="integer"):
+            CAMPAIGNS[campaign](n, seed)
+
+    @pytest.mark.parametrize("campaign", CAMPAIGNS)
+    @pytest.mark.parametrize("n, seed", [
+        (np.int64(3), 1), (3, np.int64(1)), (np.int32(3), np.int64(-5)), (np.uint8(3), np.uint64(7)),
+    ])
+    def test_numpy_integers_are_ints(self, monkeypatch, campaign, n, seed):
+        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+        report = CAMPAIGNS[campaign](n, seed).to_dict()
+        assert (type(report["trials"]), type(report["seed"])) == (int, int)
+        expected = CAMPAIGNS[campaign](int(n), int(seed)).to_dict()
+        assert canonical_json(report) == canonical_json(expected)
 
 
 class _InlinePool:

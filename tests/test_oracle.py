@@ -406,6 +406,34 @@ def test_shifted_copy_stays_refuted_far_from_the_origin(offset, scale):
     assert not sampling_oracle_contains(at(0, 4.01, 1), three)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("samples", [DEFAULT_SAMPLES, 7])
+def test_copies_scaled_by_a_power_of_two_keep_every_bit(samples):
+    # 2^k times a desk-scale query is exact, and so is dividing it back, so
+    # the verdict is the unit copy's and the polygon its 2^k multiple, also
+    # where the cross products and L D of the unscaled arithmetic would over-
+    # or underflow (from about 2^500 on)
+    for seed in range(300):
+        target, gens = random_containment_query(seed)
+        verdict = sampling_oracle_contains(target, gens, samples)
+        poly = sample_hull_polygon(gens, samples)
+        for k in (-900, -500, 500, 900):
+            def scaled(c):
+                return tuple(math.ldexp(v, k) for v in c)
+
+            big = [scaled(g) for g in gens]
+            assert sampling_oracle_contains(scaled(target), big, samples) == verdict, (seed, k)
+            assert sample_hull_polygon(big, samples).tobytes() == np.ldexp(poly, k).tobytes(), (seed, k)
+
+
+def test_far_out_circles_keep_their_verdict():
+    # at 1e299 the target lies in the hull of the two circles, as at unit scale
+    gens = [(1e300, 0.0, 5e299), (-1e300, 0.0, 5e299)]
+    assert circle_in_hull((0.0, 0.0, 1e299), gens).contained
+    assert sampling_oracle_contains((0.0, 0.0, 1e299), gens)
+    assert sampling_oracle_contains((0.0, 0.0, 1.0), [(10.0, 0.0, 5.0), (-10.0, 0.0, 5.0)])
+
+
 # -- the run windows against every edge of the full polygon --------------------
 #
 # Inside a run of one generator's samples only the edges that can be the

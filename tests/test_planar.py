@@ -8,6 +8,7 @@ import pytest
 
 from carousel import (
     circle_in_hull,
+    circles_in_hulls,
     corollary_witness_search,
     hull_boundary,
     sweep_slack,
@@ -15,8 +16,11 @@ from carousel import (
     witness_search,
     xi_sweep_fixed,
 )
+from carousel import planar
+from carousel.errors import InvalidInstance
 from carousel.oracle import sampling_oracle_contains
 from carousel.planar import _orientation, checked_objects
+from carousel.spheres import spheres_in_hull3
 from carousel.witness import pair_objects
 from lemmas import (
     Circle2,
@@ -114,6 +118,28 @@ class TestEntriesCheckTheirObjects:
 
 def close(a: Point2, b: Point2, tol=1e-12) -> bool:
     return a.distance_to(b) <= tol
+
+
+@pytest.mark.parametrize("band", [planar.EPS_DECISION, 1e-3])
+def test_every_verdict_reads_the_one_band(monkeypatch, band):
+    # a slack of about -5e-4 is contained exactly when the band is wider,
+    # in each caller, since each reads planar.contained and no copy of the band
+    monkeypatch.setattr(planar, "EPS_DECISION", band)
+    inside = band > 5e-4
+    res = circle_in_hull((0.0, 0.0, 1.0005), [(0.0, 0.0, 1.0)])
+    assert res.contained == inside and res.slack == pytest.approx(-5e-4)
+    slack, verdict, _ = circles_in_hulls([(0.0, 0.0, 1.0005)], [[(0.0, 0.0, 1.0)]])
+    assert verdict.tolist() == [inside] and slack[0] == pytest.approx(-5e-4)
+    # the sweep's hypothesis check: u0 crosses the side x = 0 by 5e-4
+    row = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.25, 0.3, 0.2505), (0.3, 0.2, 0.05))
+    if inside:
+        assert xi_sweep_fixed(row, 0, 0).xi_star >= 0.0
+    else:
+        with pytest.raises(InvalidInstance, match="u0 is not inside the site hull"):
+            xi_sweep_fixed(row, 0, 0)
+    # slack -0.5, normalised by the inclusion's largest length 1000.5
+    (res,) = spheres_in_hull3([(0.0, 0.0, 0.0, 1000.5), (0.0, 0.0, 0.0, 1000.0)], [(0, ())])
+    assert res.contained == inside and res.slack == pytest.approx(-0.5)
 
 
 class TestHomothety:
