@@ -258,16 +258,21 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
         raise ValueError(
             f"need (n, 3) targets and (n, g, 3) generators, got {targets.shape} and {gens.shape}"
         )
-    n, g, _ = gens.shape
+    g = gens.shape[1]
     if g < 1:
         raise ValueError("generator sets must be nonempty")
     _check_values(targets, gens)
-    key = None
     if subsets is not None:
         subsets = np.asarray(subsets, dtype=bool)
         if subsets.ndim != 2 or subsets.shape[1] != g:
             raise ValueError(f"subsets must be a (q, {g}) boolean array")
-        key = subsets.tobytes()
+    return _circles_in_hulls(targets, gens, subsets)
+
+
+def _circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``circles_in_hulls`` unchecked, on float arrays the program builds from finite draws."""
+    n, g, _ = gens.shape
+    key = None if subsets is None else subsets.tobytes()
     first, second, members, own = _layout(g, key)
     q, size = members.shape
     slack = np.empty((n, q))

@@ -22,14 +22,15 @@ chain between the two owners' samples, which a quickhull step over at most k
 points finds, is the arc's contribution.  The boundary is kept in that
 compact form: a cyclic list of runs (g, first, last), the samples first..last
 of one generator g, each followed by the chain vertices found where the
-owner changes.  ``sample_hull_polygon`` expands it into the counterclockwise
-vertex list of the sampled hull.  This is exact for the sampled polygons, not
-an approximation of them: it yields the vertices of the hull of the full k*m
-point cloud, at O(k*m) arithmetic in arrays of length m.  In floating point
-it may keep a vertex that lies on a hull edge up to rounding, which a general
-hull code drops; such a vertex does not change the polygon.  A cloud that
-spans no area comes out as its two extreme points or as its single point,
-which ``polygon_contains_points`` treats as a segment or a point.
+owner changes.  This is exact for the sampled polygons, not an approximation
+of them: its vertices are those of the hull of the full k*m point cloud, at
+O(k*m) arithmetic in arrays of length m.  In floating point it may keep a
+vertex that lies on a hull edge up to rounding, which a general hull code
+drops; such a vertex does not change the polygon.  Only where a few sample
+points of the runs and the chain vertices take fewer than three values is
+the boundary expanded into its vertex list; a cloud that spans no area then
+comes out as its two extreme points or as its single point, and the target's
+samples are tested by their distance to that segment or point.
 
 A convex polygon lies inside another iff, for every edge of the outer one,
 the inner one's vertex extreme along that edge's outward normal lies inside
@@ -159,11 +160,11 @@ def _prev(a: np.ndarray) -> np.ndarray:
 
 
 def _normalised(circles) -> tuple[list, int]:
-    """The (x, y, r) ``circles`` divided by 2^e, and e: 0 where their largest
-    coordinate or radius magnitude is 0 or in [1 / _WINDOW, _WINDOW], else
-    the e that brings it into [1/2, 1).
+    """The nonempty (x, y, r) ``circles`` divided by 2^e, and e: 0 where
+    their largest coordinate or radius magnitude is 0 or in
+    [1 / _WINDOW, _WINDOW], else the e that brings it into [1/2, 1).
     """
-    size = max(max(abs(x), abs(y), r) for x, y, r in circles) if circles else 0.0
+    size = max(max(abs(x), abs(y), r) for x, y, r in circles)
     if size == 0.0 or 1.0 / _WINDOW <= size <= _WINDOW:
         return circles, 0
     e = math.frexp(size)[1]
@@ -231,18 +232,6 @@ def _sampled_boundary(gens, m: int) -> _Boundary:
     return _Boundary(m, gens, runs, chains)
 
 
-def sample_hull_polygon(gens, samples: int = DEFAULT_SAMPLES) -> np.ndarray:
-    """Counterclockwise vertex array of the hull polygon of all samples of the (x, y, r) ``gens``.
-
-    Raises ValueError unless ``samples`` is an integer of at least 3: with
-    fewer an arc of normals spans half the circle or more, and a single owner
-    no longer means a single vertex.
-    """
-    samples = _sample_count(samples)
-    gens, e = _normalised(np.array(gens, dtype=float).reshape(-1, 3).tolist())
-    return np.ldexp(_polygon(_sampled_boundary(gens, samples)), e)
-
-
 def _polygon(hull: _Boundary) -> np.ndarray:
     """The boundary's vertex array: every run expanded, consecutive repeats dropped."""
     m, gens, runs, chains = hull
@@ -265,7 +254,7 @@ def _polygon(hull: _Boundary) -> np.ndarray:
     return np.column_stack((x[keep], y[keep]))
 
 
-def polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float) -> np.ndarray:
+def _polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float) -> np.ndarray:
     """Membership of query points in a polygon of 1 or 2 vertices: a point or a segment.
 
     A query is in when its distance to the point or segment is at most eps.
@@ -325,10 +314,9 @@ def _run_edges(first: int, last: int, generator, target, m: int) -> list | None:
     if 2.0 * w >= m:
         return None
     lo, hi = math.ceil(rho - w), math.floor(rho + w)
-    if 0 <= lo and hi < n:
-        return list(range(first + 1 + lo, first + 2 + hi))
     # the arc [rho - w, rho + w] is shorter than the circle, so its edge
-    # numbers mod m are distinct; keep those of the run
+    # numbers mod m are distinct; keep those of the run, shifted by a whole
+    # turn where the arc leaves it (shift 0 for an arc inside the run)
     return [
         first + 1 + k - shift
         for shift in (-m, 0, m)
@@ -411,8 +399,10 @@ def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bo
     """True iff every sampled target point lies in the sampled hull polygon.
 
     ``target`` and each of the nonempty ``gens`` are (x, y, r) objects.
-    Raises ValueError on an object that ``checked_objects`` refuses, and on
-    a ``samples`` that ``sample_hull_polygon`` refuses.
+    Raises ValueError on an object that ``checked_objects`` refuses, and
+    unless ``samples`` is an integer of at least 3: with fewer an arc of
+    normals spans half the circle or more, and a single owner no longer
+    means a single vertex.
     """
     (target,) = checked_objects((target,))
     gens = checked_objects(gens, nonempty=True)
@@ -426,5 +416,5 @@ def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bo
         poly = _polygon(hull)
         if len(poly) < 3:
             queries = _circle_samples(target, samples)
-            return bool(np.all(polygon_contains_points(poly, queries, distance_band)))
+            return bool(np.all(_polygon_contains_points(poly, queries, distance_band)))
     return _boundary_pass(hull, target, cross_band)

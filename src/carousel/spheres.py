@@ -490,8 +490,16 @@ class PairOutcome:
     projection_certificate: ContainmentResult | None = None
 
 
+class _Outcomes:
+    """The claim both example reports make of their ``outcomes``."""
+
+    @property
+    def all_refuted(self) -> bool:
+        return all(not o.result.contained for o in self.outcomes)
+
+
 @dataclass(frozen=True)
-class Example41Report:
+class Example41Report(_Outcomes):
     """Outcome of the two-sphere tetrahedron check over all 8 (j, k) pairs."""
 
     side: float
@@ -501,10 +509,6 @@ class Example41Report:
     face_distances: tuple[tuple[float, ...], tuple[float, ...]]
     objects: tuple[Vec4, ...]  # the kernel's rows: S_-1, S_0, then A0..A3 as points
     outcomes: tuple[PairOutcome, ...]
-
-    @property
-    def all_refuted(self) -> bool:
-        return all(not o.result.contained for o in self.outcomes)
 
 
 def _inclusion_objects(objects, inclusion):
@@ -563,7 +567,7 @@ def example_4_1(side: float = 1.0, r: float = 0.1) -> Example41Report:
 
 
 @dataclass(frozen=True)
-class Example42Report:
+class Example42Report(_Outcomes):
     """Chain of spheres tangent to a common guide arc inside the tetrahedron."""
 
     t: int
@@ -578,10 +582,6 @@ class Example42Report:
     interior_margins: tuple[float, ...]
     objects: tuple[Vec4, ...]  # the kernel's rows: the spheres, then A0..A3 as points
     outcomes: tuple[PairOutcome, ...]
-
-    @property
-    def all_refuted(self) -> bool:
-        return all(not o.result.contained for o in self.outcomes)
 
 
 def example_4_2(

@@ -25,7 +25,7 @@ objects.  Theorem and points draws place their objects in closed form,
 with no solve: a circle centred in the site triangle lies in it with slack
 its edge clearance less its radius.  Only corollary draws, whose hull of
 three circles has no such form, go in rounds, each round deciding the
-pending rejection-sampling query of every seed in one ``circles_in_hulls``
+pending rejection-sampling query of every seed in one unchecked kernel
 call; the witness search decides such rows directly.  It decides a row's
 eight inclusions as two targets, u0 and u1, each against the other circle
 and the three bases under four subsets of them, so each target's antipodes
@@ -48,7 +48,7 @@ from .errors import (
     InvalidInstance,
     NotInterior,
 )
-from .hull import _envelope_min, circle_in_hull, circles_in_hulls
+from .hull import _circles_in_hulls, _envelope_min, circle_in_hull, circles_in_hulls
 from .planar import (
     EPS_GEOM,
     _cross,
@@ -478,9 +478,9 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
 # generator: it yields each candidate query as a flat row of the target
 # and its three generators and is sent back the slack.  ``_draw_rounds``
 # runs a block of such draws in rounds and decides each round's pending
-# queries in one ``circles_in_hulls`` call, whose slack is bitwise
-# ``circle_in_hull``'s, so a draw makes the same random draws in the same
-# order in any block.
+# queries in one call of the unchecked core of ``circles_in_hulls`` (the
+# draws are finite), whose slack is bitwise ``circle_in_hull``'s, so a draw
+# makes the same random draws in the same order in any block.
 
 COORD_RANGE = (-10.0, 10.0)  # sites and corollary centres, in both coordinates
 RADIUS_RANGE = (0.0, 3.0)  # radii of the theorem's circles u0 and u1
@@ -619,7 +619,7 @@ def _draw_rounds(draws) -> np.ndarray:
         live = asked
         if queries:
             q = np.array(queries, dtype=float)
-            slacks = circles_in_hulls(q[:, :3], q[:, 3:].reshape(-1, 3, 3))[0].tolist()
+            slacks = _circles_in_hulls(q[:, :3], q[:, 3:].reshape(-1, 3, 3))[0].tolist()
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return _block(rows)

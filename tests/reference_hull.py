@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from carousel.hull import ArcPiece
-from carousel.oracle import DEFAULT_SAMPLES, sample_hull_polygon
+from reference_oracle import DEFAULT_SAMPLES, sample_hull_polygon
 
 TAU = math.tau
 

@@ -1,11 +1,18 @@
 """Sampling oracle that tests check the owner-only construction against.
 
-This is the oracle as it was before the hull was built from each normal's
-owner alone: every sample of every generator is materialised as a (k, m)
-table, one argmax over generators names each boundary normal's owner, and
-every target sample is located in the polygon by the angle of its wedge
-around the centroid and checked against the single facing edge, with the
-absolute band ``eps``.  It is kept only as a reference.
+``sample_hull_polygon`` is the package oracle's sampled hull as a
+counterclockwise vertex array: its boundary of runs and chains, expanded.
+The oracle itself never builds that array for a hull of three or more
+vertices, so the tests that pin polygon bytes assemble it here from the
+oracle's private pieces.
+
+``cloud_polygon`` and ``sampling_oracle_contains`` are the oracle as it was
+before the hull was built from each normal's owner alone: every sample of
+every generator is materialised as a (k, m) table, one argmax over
+generators names each boundary normal's owner, and every target sample is
+located in the polygon by the angle of its wedge around the centroid and
+checked against the single facing edge, with the absolute band ``eps``.
+They are kept only as a reference.
 
 ``extreme_samples_pass`` is the oracle's edge test as it was before each
 run of one generator's samples was checked only at the edges that can be
@@ -18,7 +25,20 @@ import math
 
 import numpy as np
 
+from carousel import oracle
+
 DEFAULT_SAMPLES = 3600
+
+
+def sample_hull_polygon(gens, samples=DEFAULT_SAMPLES):
+    """Counterclockwise vertex array of the oracle's hull of all samples of
+    the nonempty (x, y, r) ``gens``, at every finite scale.
+
+    Raises ValueError where the oracle refuses ``samples``.
+    """
+    samples = oracle._sample_count(samples)
+    gens, e = oracle._normalised(np.array(gens, dtype=float).reshape(-1, 3).tolist())
+    return np.ldexp(oracle._polygon(oracle._sampled_boundary(gens, samples)), e)
 
 
 @functools.cache
@@ -47,7 +67,7 @@ def _outer_chain(a, b, pts):
     return _outer_chain(a, far, rest) + [far] + _outer_chain(far, b, rest)
 
 
-def sample_hull_polygon(gens, samples=DEFAULT_SAMPLES):
+def cloud_polygon(gens, samples=DEFAULT_SAMPLES):
     m = samples
     cos_t, sin_t, cos_b, sin_b = _angle_tables(m)
     cx = np.array([[x] for x, _, _ in gens], dtype=float)
@@ -107,7 +127,7 @@ def polygon_contains_points(poly, queries, eps=1e-12):
 
 
 def sampling_oracle_contains(target, gens, samples=DEFAULT_SAMPLES):
-    poly = sample_hull_polygon(gens, samples)
+    poly = cloud_polygon(gens, samples)
     return bool(np.all(polygon_contains_points(poly, circle_samples(target, samples))))
 
 

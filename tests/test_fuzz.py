@@ -143,6 +143,7 @@ class TestClosedFormDraws:
             raise AssertionError("a theorem2d draw called the kernel")
 
         monkeypatch.setattr(witness, "circles_in_hulls", no_solve)
+        monkeypatch.setattr(witness, "_circles_in_hulls", no_solve)
         rows = random_instances(range(2000)).reshape(2000, 15).tolist()
         assert [[v.hex() for v in row] for row in rows] == reference_hex["theorem2d"][:2000]
 

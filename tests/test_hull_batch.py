@@ -170,6 +170,19 @@ def test_rejects_objects_that_are_not_finite_or_have_negative_radii(in_gens, col
         circles_in_hulls(targets, gens, subsets=[[True, False], [True, True]])
 
 
+@pytest.mark.parametrize("col, value, message", [_BAD_VALUES[0], _BAD_VALUES[2]],
+                         ids=["nan-coordinate", "negative-radius"])
+def test_the_draws_skip_the_check_but_no_public_entry_does(col, value, message):
+    # the corollary draws call the kernel's unchecked core; the entries
+    # that take a caller's arrays keep their value check
+    rows = random_instances(range(3))
+    rows[1, 3, col] = value  # u0 of the second row
+    with pytest.raises(ValueError, match=message):
+        circles_in_hulls(rows[:, 3], rows[:, :3])
+    with pytest.raises(ValueError, match=message):
+        witness.best_witness_slacks_rows(rows)
+
+
 # -- subset form ----------------------------------------------------------------
 
 

@@ -15,12 +15,12 @@ from carousel.oracle import (
     _boundary_pass,
     _circle_samples,
     _membership_bands,
+    _polygon_contains_points,
     _sampled_boundary,
-    polygon_contains_points,
-    sample_hull_polygon,
     sampling_oracle_contains,
 )
 from reference_hull import hull_polygon_area
+from reference_oracle import sample_hull_polygon
 
 
 def test_target_equals_generator():
@@ -50,7 +50,7 @@ def test_polygon_point_membership():
 def test_zero_length_segment_is_its_point():
     poly = np.array([[0.0, 1.0], [0.0, 1.0]])
     queries = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.5]])
-    assert polygon_contains_points(poly, queries, 1e-12).tolist() == [True, False, False]
+    assert _polygon_contains_points(poly, queries, 1e-12).tolist() == [True, False, False]
 
 
 def test_degenerate_generators():
@@ -259,7 +259,7 @@ def _oracle_band(target, gens, vertices):
 
 def _assert_matches_reference(target, gens, samples=DEFAULT_SAMPLES):
     poly = sample_hull_polygon(gens, samples)
-    ref = reference_oracle.sample_hull_polygon(gens, samples)
+    ref = reference_oracle.cloud_polygon(gens, samples)
     assert poly.shape == ref.shape and poly.tobytes() == ref.tobytes()
     if len(poly) >= 3:  # the edge test at the reference's absolute band
         expected = _reference_verdict(ref, target, samples)
@@ -329,7 +329,7 @@ def test_matches_reference_on_its_boundary(band, seeds):
     checked = 0
     for seed in range(300):
         _, gens = random_containment_query(seed)
-        ref = reference_oracle.sample_hull_polygon(gens)
+        ref = reference_oracle.cloud_polygon(gens)
         if len(ref) < 3:
             continue
         ours = _sampled_boundary(gens, DEFAULT_SAMPLES)
@@ -424,6 +424,30 @@ def test_copies_scaled_by_a_power_of_two_keep_every_bit(samples):
             big = [scaled(g) for g in gens]
             assert sampling_oracle_contains(scaled(target), big, samples) == verdict, (seed, k)
             assert sample_hull_polygon(big, samples).tobytes() == np.ldexp(poly, k).tobytes(), (seed, k)
+
+
+# one generator (c, c, r) of radius 1e-16 to 1e-5, and a point d to its right
+_TINY_CIRCLE_GRID = [
+    ((c + d, c, 0.0), ((c, c, 10.0**e),))
+    for c in (0.0, 1e3)
+    for e in range(-16, -4)
+    for d in (1e-3, 0.1, 10.0)
+]
+
+
+def test_the_kernel_refutes_every_far_point_of_a_tiny_circle():
+    assert len(_TINY_CIRCLE_GRID) == 72
+    assert not any(circle_in_hull(t, gens).contained for t, gens in _TINY_CIRCLE_GRID)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the cross band, 1e-12 L D, does not shrink with an edge's length, so the "
+    "short edges of a tiny circle pass far points (ROADMAP item 22)",
+)
+def test_a_tiny_circle_contains_no_far_point():
+    contained = [(t, gens) for t, gens in _TINY_CIRCLE_GRID if sampling_oracle_contains(t, gens)]
+    assert contained == []
 
 
 def test_far_out_circles_keep_their_verdict():
@@ -549,7 +573,7 @@ def test_a_polygon_the_probe_points_miss(gen, m):
     # fewer than three values, but all the samples make a polygon of more
     # than two vertices, which the oracle then builds to tell
     gens = (gen,)
-    ref = reference_oracle.sample_hull_polygon(gens, m)
+    ref = reference_oracle.cloud_polygon(gens, m)
     assert len(ref) > 2
     x, y, r = gen
     # the edge test passes a point 1e-6 away, where the band, 1e-12 L D, is
