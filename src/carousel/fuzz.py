@@ -28,7 +28,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .hull import circle_in_hull
@@ -127,6 +126,10 @@ def _map(fn, jobs: list, chunksize: int = 1) -> list:
     workers = _worker_count(-(-len(jobs) // chunksize))
     if workers == 1:
         return [fn(job) for job in jobs]
+    # imported here: the process pool pulls in multiprocessing, a large share
+    # of importing the package, and only a parallel run needs it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=chunksize))
 

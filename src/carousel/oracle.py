@@ -14,8 +14,9 @@ a translated, scaled copy of one regular m-gon, so for every outer normal
 within pi/m of theta_i, sample i is the support point of every generator (a
 radius-0 generator is its centre for every i).  Over that arc the hull of the
 whole cloud therefore coincides with the hull of the k samples numbered i.
-A running comparison over the generators names, at each boundary normal
-theta_i + pi/m, the first generator a_i whose support is largest there.
+The owner a_i of the boundary normal psi_i = theta_i + pi/m is the first
+generator whose support x_g cos psi_i + y_g sin psi_i + r_g h (h = cos(pi/m)),
+evaluated as written over the tables' cos and sin, is largest there.
 Where a_(i-1) = a_i, arc i contributes the single vertex "sample i of a_i";
 only where they differ are the k samples numbered i built, and the outer
 chain between the two owners' samples, which a quickhull step over at most k
@@ -23,14 +24,59 @@ points finds, is the arc's contribution.  The boundary is kept in that
 compact form: a cyclic list of runs (g, first, last), the samples first..last
 of one generator g, each followed by the chain vertices found where the
 owner changes.  This is exact for the sampled polygons, not an approximation
-of them: its vertices are those of the hull of the full k*m point cloud, at
-O(k*m) arithmetic in arrays of length m.  In floating point it may keep a
-vertex that lies on a hull edge up to rounding, which a general hull code
-drops; such a vertex does not change the polygon.  Only where a few sample
-points of the runs and the chain vertices take fewer than three values is
-the boundary expanded into its vertex list; a cloud that spans no area then
-comes out as its two extreme points or as its single point, and the target's
-samples are tested by their distance to that segment or point.
+of them: its vertices are those of the hull of the full k*m point cloud.  In
+floating point it may keep a vertex that lies on a hull edge up to rounding,
+which a general hull code drops; such a vertex does not change the polygon.
+Only where a few sample points of the runs and the chain vertices take fewer
+than three values is the boundary expanded into its vertex list; a cloud
+that spans no area then comes out as its two extreme points or as its single
+point, and the target's samples are tested by their distance to that segment
+or point.
+
+The owners are read off the exact envelope of the k supports, and the
+support expression is evaluated only at the normals where rounding could
+name another owner.  The support of o less that of g is the sinusoid
+
+    D_og(psi) = A cos(psi - phi_og) + B,
+
+with A = |c_o - c_g|, phi_og the angle of c_o - c_g and B = (r_o - r_g) h.
+The envelope is the support function of the hull of k discs, which has at
+most 2k - 1 arcs (D. Rappaport, *A convex hull algorithm for discs, and
+applications*, Comput. Geom. 1, 1992).  A walk starts at normal 0's owner
+and steps to the nearest downward zero phi_og + acos(-B/A) ahead, of the
+current owner against each other generator; a walk that has not closed
+after 2k - 1 steps leaves every normal uncertain.  Each run of the walk is
+then certified against every other generator g: g cannot take a normal of
+the run if the least D_og over the run's arc, one cos at the arc point
+farthest from phi_og, exceeds tau R, with R = max_g (|x_g| + |y_g| + r_g)
+and tau = 2^-42 (below).  Where it does not, one acos gives the arc where
+D_og <= tau R; widened by one normal on each side and clipped to the run,
+its normals join the uncertain set U.  At the normals of U alone the
+supports are evaluated as written, the first maximum winning.  A degenerate
+input, such as near-concentric generators of equal radius or a walk that
+does not close, puts every normal in U, which is the comparison at every
+normal.  A generator equal to an earlier one has the same support bits and
+is never the first maximum, so the stage runs on the distinct generators.
+
+tau bounds the rounding (u = 2^-53).  A computed support lies within
+gamma_3 (|x| + |y| + r) <= 3.01 u R of its exact value at the table's cos
+and sin, which are at most 1 in magnitude, as h is.  Those entries lie
+within 30 u of the cos and sin of the exact normal angle: the table's angle
+i fl(2 pi/m) + fl(pi/m) is within gamma_4 2 pi < 26 u of it, and numpy's
+cos and sin add at most 4 u.  So a difference of supports moves by at most
+30 u (|x_o - x_g| + |y_o - y_g|) <= 60 u R, and the computed supports of o
+and g compare as the sign of D_og says wherever D_og > 67 u R.  The computed
+least of D_og is within 300 u R of the exact least over the run's arc: A (at
+most 2 R) and B (at most R) are within 2 u of exact, phi_og within 5 u, the
+arc point's angle, through its conversion to and from normal positions,
+within 128 u, and the cos and the two operations after it add at most 4 u
+of A.  A least above tau R thus certifies the run wherever
+tau >= 67 u + 300 u, which is below 2^-44; tau = 2^-42 keeps a factor of
+four beyond that for the libm functions, whose error no standard bounds.  A
+product that underflows is off by at most 2^-1075 more, so R is taken as at
+least 2^-1000, where tau R exceeds a dozen of those.  The acos of an
+uncertain arc is off by at most sqrt(8 u) < 1.1e-7 radians, less than one
+normal below m = 5 * 10^7, and the widening covers it.
 
 A convex polygon lies inside another iff, for every edge of the outer one,
 the inner one's vertex extreme along that edge's outward normal lies inside
@@ -110,6 +156,9 @@ _BAND = 1e-12
 # normals are sure to lie between the edge's two samples
 _ROUNDING = 2.0**-45
 _NOISE = 2.0**-47
+# tau, the bound on the rounding of a difference of two supports, in units
+# of the generators' reach R (see the module docstring)
+_TAU = 2.0**-42
 _WINDOW = 2.0**256  # an input that leaves [1 / _WINDOW, _WINDOW] is normalised
 
 
@@ -128,6 +177,13 @@ def _angle_lists(m: int) -> tuple[list, list]:
     """cos and sin of the sample angles theta_i as lists of floats."""
     cos_t, sin_t, _, _ = _angle_tables(m)
     return cos_t.tolist(), sin_t.tolist()
+
+
+@functools.cache
+def _normal_zero(m: int) -> tuple[float, float, float]:
+    """cos and sin of the boundary normal pi/m, as the tables hold them, and cos(pi/m)."""
+    _, _, cos_b, sin_b = _angle_tables(m)
+    return float(cos_b[0]), float(sin_b[0]), math.cos(math.pi / m)
 
 
 def _circle_samples(c, m: int) -> np.ndarray:
@@ -194,40 +250,153 @@ class _Boundary(NamedTuple):
     chains: list
 
 
+def _owner_changes(rows: list, m: int) -> list:
+    """(i, g) for each boundary normal i at which the owner changes, g the
+    owner from i on, in ascending i; [(0, g)] where g owns every normal.
+
+    The owner of normal i is the first of the (x, y, r) ``rows`` whose
+    support x cos_b[i] + y sin_b[i] + r h, evaluated as written with
+    h = cos(pi/m), is largest.  It is read off the exact envelope of the
+    supports, and the expression is evaluated only at the normals where
+    rounding could name another generator (see the module docstring).
+    """
+    # a generator equal to an earlier one has the same support bits, so it is
+    # never the first maximum: the stage runs on the distinct generators
+    distinct = {}
+    for g, row in enumerate(rows):
+        distinct.setdefault(tuple(row), g)
+    if len(distinct) < len(rows):
+        names = list(distinct.values())
+        return [(i, names[g]) for i, g in _owner_changes(list(distinct), m)]
+    k = len(rows)
+    if k == 1:
+        return [(0, 0)]
+    c0, s0, h = _normal_zero(m)
+    at_zero = [x * c0 + y * s0 + r * h for x, y, r in rows]
+    o = at_zero.index(max(at_zero))
+    units = m / (2.0 * math.pi)  # normal positions per radian; normal i is at i
+    half = 0.5 * m
+    # the support of o less that of g is B - A cos((t - q) / units) at
+    # position t, least at q: rivals[o] holds (A, q mod m, B) for each g, and
+    # downs[o] (z, g) for each g that overtakes o, at the downward zero z
+    rivals = [[] for _ in range(k)]
+    downs = [[] for _ in range(k)]
+    for i, (xi, yi, ri) in enumerate(rows):
+        for j in range(i + 1, k):
+            xj, yj, rj = rows[j]
+            a = math.hypot(xi - xj, yi - yj)
+            p = math.atan2(yi - yj, xi - xj) * units - 0.5
+            b = (ri - rj) * h
+            rivals[i].append((a, (p + half) % m, b))
+            rivals[j].append((a, p % m, -b))
+            if a > abs(b):
+                w = math.acos(-b / a) * units
+                downs[i].append(((p + w) % m, j))
+                downs[j].append(((p - w) % m, i))
+
+    # the walk: from normal 0's owner to the nearest downward zero ahead; the
+    # exact envelope changes owner at most 2k - 1 times in a turn.  Each run
+    # is (first normal, owner), a later run at the same normal replacing it
+    walk, t = [(0, o)], 0.0
+    for _ in range(2 * k):
+        step, ahead = m - t, None
+        for z, g in downs[o]:
+            d = (z - t) % m
+            if 0.0 < d < step:
+                step, ahead = d, g
+        if ahead is None:
+            break
+        t += step
+        o = ahead
+        first = math.ceil(t)
+        if first == walk[-1][0]:
+            walk[-1] = (first, o)
+        elif first < m:
+            walk.append((first, o))
+    else:  # the walk did not close: every normal is uncertain
+        return _read_owners(rows, m, walk, [(0, m - 1)])
+
+    # U, as inclusive ranges of normals: each run is certified against every
+    # other generator, and where that fails, the normals the generator could
+    # take join U
+    uncertain = []
+    bound = _TAU * max(2.0**-1000, *(abs(x) + abs(y) + r for x, y, r in rows))
+    for (first, o), (end, _) in zip(walk, walk[1:] + [(m, o)]):
+        last = end - 1
+        for a, q, b in rivals[o]:
+            if first <= q <= last:
+                least = b - a
+            else:  # at the run's end nearest q
+                e = first if (first - q) % m < (q - last) % m else last
+                least = b - a * math.cos((e - q) / units)
+            if least > bound:
+                continue
+            # the arc |t - q| <= w where the difference is at most the bound,
+            # widened by one normal on each side and clipped to the run
+            c = (b - bound) / a if a > 0.0 else -1.0
+            w = math.acos(min(c, 1.0)) * units + 1.0 if c > -1.0 else m
+            if 2.0 * w >= m:
+                uncertain.append((first, last))
+                continue
+            for shift in (-m, 0, m):
+                lo, hi = max(math.ceil(q - w + shift), first), min(math.floor(q + w + shift), last)
+                if lo <= hi:
+                    uncertain.append((lo, hi))
+    return _read_owners(rows, m, walk, uncertain)
+
+
+def _read_owners(rows: list, m: int, walk: list, uncertain: list) -> list:
+    """``_owner_changes``'s result from the walk's runs, (first normal,
+    owner) in ascending order from normal 0, and the inclusive ranges
+    ``uncertain`` of normals, where the supports are evaluated as written.
+    """
+    if uncertain:
+        firsts = [i for i, _ in walk]
+        owner = np.repeat([g for _, g in walk], np.diff(firsts + [m]))
+        mask = np.zeros(m, dtype=bool)
+        for lo, hi in uncertain:
+            mask[lo : hi + 1] = True
+        # the first maximum wins, hence the strict comparison
+        _, _, cos_b, sin_b = _angle_tables(m)
+        cos_u, sin_u = cos_b[mask], sin_b[mask]
+        cx, cy, r = np.array(rows).T
+        h = math.cos(math.pi / m)
+        found = np.zeros(len(cos_u), dtype=np.intp)
+        best = cx[0] * cos_u + cy[0] * sin_u + r[0] * h
+        for g in range(1, len(r)):
+            support = cx[g] * cos_u + cy[g] * sin_u + r[g] * h
+            np.putmask(found, support > best, g)
+            np.maximum(best, support, out=best)
+        owner[mask] = found
+        walk = [(i, int(owner[i])) for i in np.flatnonzero(owner != _prev(owner)).tolist()]
+        walk = walk or [(0, int(owner[0]))]
+    changes = [(i, g) for (_, before), (i, g) in zip(walk[-1:] + walk[:-1], walk) if g != before]
+    return changes or walk[:1]
+
+
 def _sampled_boundary(gens, m: int) -> _Boundary:
     """The runs and chains of the hull of all m samples of the (x, y, r) ``gens``."""
-    cos_t, sin_t, cos_b, sin_b = _angle_tables(m)
     gens = np.array(gens, dtype=float).reshape(-1, 3)
-    cx, cy, r = gens.T
-
-    # owner[i]: the first generator whose support is largest at normal
-    # theta_i + pi/m (np.argmax's tie rule, hence the strict comparison)
-    h = math.cos(math.pi / m)
-    owner = np.zeros(m, dtype=np.intp)
-    best = cx[0] * cos_b + cy[0] * sin_b + r[0] * h
-    for g in range(1, len(r)):
-        support = cx[g] * cos_b + cy[g] * sin_b + r[g] * h
-        np.putmask(owner, support > best, g)
-        np.maximum(best, support, out=best)
-    changes = np.flatnonzero(owner != _prev(owner)).tolist()
-    if not changes:
-        return _Boundary(m, gens, [(int(owner[0]), 0, m)], [[]])
-
     rows = gens.tolist()
+    changes = _owner_changes(rows, m)
+    if len(changes) == 1:
+        return _Boundary(m, gens, [(changes[0][1], 0, m)], [[]])
+
     cos_l, sin_l = _angle_lists(m)
     runs, chains = [], []
-    for first, last in zip(changes, changes[1:] + [changes[0] + m]):
+    ends = changes[1:] + [(changes[0][0] + m, changes[0][1])]
+    for (first, owner), (last, after) in zip(changes, ends):
         # the k samples numbered i, as (x, y, generator) triples
         i = last % m
         nx, ny = cos_l[i], sin_l[i]
         column = [(x + radius * nx, y + radius * ny, g) for g, (x, y, radius) in enumerate(rows)]
-        a, b = column[owner[i - 1]], column[owner[i]]
+        a, b = column[owner], column[after]
         # the chain's vertices reach at least the lower end's support at
         # theta_i; this drops interior points that would pass as "right" of a
         # chord whose ends coincide up to rounding
         level = min(a[0] * nx + a[1] * ny, b[0] * nx + b[1] * ny)
         front = [p for p in column if p[0] * nx + p[1] * ny >= level]
-        runs.append((int(owner[first]), first, last))
+        runs.append((owner, first, last))
         chains.append([p[:2] for p in _outer_chain(a, b, front)])
     return _Boundary(m, gens, runs, chains)
 
@@ -416,5 +585,9 @@ def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bo
         poly = _polygon(hull)
         if len(poly) < 3:
             queries = _circle_samples(target, samples)
+            if len(poly) == 1:  # a point hull: two opposite samples refute most targets first
+                probe = queries[[0, len(queries) // 2]]
+                if not np.all(_polygon_contains_points(poly, probe, distance_band)):
+                    return False
             return bool(np.all(_polygon_contains_points(poly, queries, distance_band)))
     return _boundary_pass(hull, target, cross_band)

@@ -14,6 +14,13 @@ located in the polygon by the angle of its wedge around the centroid and
 checked against the single facing edge, with the absolute band ``eps``.
 They are kept only as a reference.
 
+``loop_owners`` and ``loop_boundary`` are the oracle's owner stage as it
+was before the owners were read off the exact envelope of the supports: k
+passes of numpy work over all m boundary normals, each keeping the first
+generator whose computed support is largest.  ``loop_boundary`` builds the
+runs and chains from them with the oracle's own chain step; the oracle's
+boundary must equal it bit for bit.
+
 ``extreme_samples_pass`` is the oracle's edge test as it was before each
 run of one generator's samples was checked only at the edges that can be
 its least: every edge of the full polygon, at the target samples that
@@ -152,3 +159,50 @@ def extreme_samples_pass(poly, target, m, band):
     else:
         extremes = [(tx, ty)]
     return all(np.all(ex * (qy - ay) - ey * (qx - ax) >= -band) for qx, qy in extremes)
+
+
+def loop_owners(gens, m):
+    """owner[i]: the first of the (x, y, r) ``gens`` whose support is largest
+    at normal theta_i + pi/m, evaluated as the oracle evaluates it.
+    """
+    _, _, cos_b, sin_b = oracle._angle_tables(m)
+    cx, cy, r = np.array(gens, dtype=float).reshape(-1, 3).T
+    h = math.cos(math.pi / m)
+    owner = np.zeros(m, dtype=np.intp)
+    best = cx[0] * cos_b + cy[0] * sin_b + r[0] * h
+    for g in range(1, len(r)):
+        support = cx[g] * cos_b + cy[g] * sin_b + r[g] * h
+        np.putmask(owner, support > best, g)
+        np.maximum(best, support, out=best)
+    return owner
+
+
+def loop_owner_changes(gens, m):
+    """``oracle._owner_changes``'s (i, g) list, read off ``loop_owners``."""
+    owner = loop_owners(gens, m)
+    changes = np.flatnonzero(owner != np.roll(owner, 1)).tolist()
+    return [(i, int(owner[i])) for i in changes] or [(0, int(owner[0]))]
+
+
+def loop_boundary(gens, m):
+    """The runs and chains of the hull of all m samples of the (x, y, r)
+    ``gens``, from ``loop_owners`` and the oracle's chain step.
+    """
+    gens = np.array(gens, dtype=float).reshape(-1, 3)
+    owner = loop_owners(gens, m)
+    changes = np.flatnonzero(owner != np.roll(owner, 1)).tolist()
+    if not changes:
+        return oracle._Boundary(m, gens, [(int(owner[0]), 0, m)], [[]])
+    rows = gens.tolist()
+    cos_l, sin_l = oracle._angle_lists(m)
+    runs, chains = [], []
+    for first, last in zip(changes, changes[1:] + [changes[0] + m]):
+        i = last % m
+        nx, ny = cos_l[i], sin_l[i]
+        column = [(x + radius * nx, y + radius * ny, g) for g, (x, y, radius) in enumerate(rows)]
+        a, b = column[owner[i - 1]], column[owner[i]]
+        level = min(a[0] * nx + a[1] * ny, b[0] * nx + b[1] * ny)
+        front = [p for p in column if p[0] * nx + p[1] * ny >= level]
+        runs.append((int(owner[first]), first, last))
+        chains.append([p[:2] for p in oracle._outer_chain(a, b, front)])
+    return oracle._Boundary(m, gens, runs, chains)

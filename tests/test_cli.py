@@ -544,10 +544,10 @@ class TestOracleVerb:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST_300
 
     def test_workers_change_no_report(self, tmp_path, monkeypatch):
-        # a real pool of 2 worker processes, whatever the machine's CPU count
+        # a real pool of 2 worker processes, whatever the machine's CPU count;
+        # the campaign imports the pool class when it starts one
+        import concurrent.futures
         from concurrent.futures import ProcessPoolExecutor
-
-        from carousel import fuzz
 
         sizes = []
 
@@ -556,7 +556,7 @@ class TestOracleVerb:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(fuzz, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         reports = []
         for threads in (None, "2"):
@@ -758,6 +758,17 @@ class TestStartup:
 
         src = Path(carousel.__file__).resolve().parents[1]
         probe = "import sys, carousel.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # only a run with CAROUSEL_THREADS starts a pool, and imports it then
+        import carousel
+
+        src = Path(carousel.__file__).resolve().parents[1]
+        probe = "import sys, carousel.cli; print('concurrent.futures.process' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(src)}
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)

@@ -1,5 +1,6 @@
 """Seeded draws, the fuzz blocks built on them, and the worker count."""
 
+import concurrent.futures
 import math
 import os
 
@@ -259,7 +260,7 @@ class TestWorkerCount:
 
     def test_pools_are_no_larger_than_their_work(self, monkeypatch):
         monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.setattr(fuzz, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: 128)
         monkeypatch.setenv("CAROUSEL_THREADS", "64")
         parallel = canonical_json(run_fuzz(10, 1, "theorem2d").to_dict())  # 10 one-seed blocks

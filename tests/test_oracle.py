@@ -15,6 +15,7 @@ from carousel.oracle import (
     _boundary_pass,
     _circle_samples,
     _membership_bands,
+    _owner_changes,
     _polygon_contains_points,
     _sampled_boundary,
     sampling_oracle_contains,
@@ -581,3 +582,77 @@ def test_a_polygon_the_probe_points_miss(gen, m):
     for target in ((x, y, 0.0), (x, y, r), (x, y, 2 * r), (x + 1e-6, y, 0.0), (x, y - 1e-6, 0.0)):
         band = _oracle_band(target, gens, len(ref))
         assert sampling_oracle_contains(target, gens, m) == _reference_verdict(ref, target, m, band)
+
+
+# -- the owner stage against the loop -----------------------------------------
+#
+# The owners are read off the exact envelope of the supports, and the
+# support expression is evaluated only where rounding could name another
+# generator.  Runs and chains must equal those of the loop over every normal
+# bit for bit: on ties at integer coordinates, where owner changes fall on
+# normals, on near-concentric and duplicate generators, where supports
+# nearly or exactly coincide, and over twenty-four orders of magnitude.
+
+
+def _near_concentric_gens(seed):
+    """Generators about one centre, 1e-16 to 1e-1 apart, with equal, offset or free radii."""
+    rng = random.Random(seed)
+    x, y, r = rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 3)
+    gens = [(x, y, r)]
+    for _ in range(rng.randint(1, 4)):
+        offset = 10.0 ** rng.uniform(-16, -1)
+        angle = rng.uniform(0, 2 * math.pi)
+        radius = rng.choice((r, r + offset, max(r - offset, 0.0), rng.uniform(0, 3)))
+        gens.append((x + offset * math.cos(angle), y + offset * math.sin(angle), radius))
+    rng.shuffle(gens)
+    return tuple(gens)
+
+
+def _duplicate_gens(seed):
+    """A random query's generators with 1 to 3 of them repeated."""
+    gens = list(random_containment_query(seed)[1])
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+    return tuple(gens)
+
+
+def _scaled_gens(seed):
+    """A random query's generators scaled by 1e-12 to 1e12."""
+    scale = 10.0 ** random.Random(seed).uniform(-12, 12)
+    return tuple((x * scale, y * scale, r * scale) for x, y, r in random_containment_query(seed)[1])
+
+
+_OWNER_FAMILIES = {
+    "random": lambda seed: random_containment_query(seed)[1],
+    "ties": lambda seed: _tie_heavy_query(seed)[1],
+    "near-concentric": _near_concentric_gens,
+    "duplicates": _duplicate_gens,
+    "scaled": _scaled_gens,
+}
+
+
+@pytest.mark.parametrize("m", [3, 4, 6, 7, 12, 60, 1000, 3599, DEFAULT_SAMPLES])
+@pytest.mark.parametrize("family", sorted(_OWNER_FAMILIES))
+def test_owner_runs_and_chains_match_the_loop(family, m):
+    for seed in range(400):
+        gens = _OWNER_FAMILIES[family](seed)
+        hull, ref = _sampled_boundary(gens, m), reference_oracle.loop_boundary(gens, m)
+        assert (hull.runs, hull.chains) == (ref.runs, ref.chains), (family, m, seed)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("samples", [DEFAULT_SAMPLES, 7])
+def test_owner_changes_keep_every_bit_at_powers_of_two(samples):
+    # the owner stage gets an input scaled by 2^k where the oracle does not
+    # normalise it, and 2^+-900 where it does; down to 2^-900 every support
+    # is the unit copy's times 2^k, so every owner is the same, and below it
+    # supports underflow, so only the loop itself says which owner is first
+    for seed in range(300):
+        gens = random_containment_query(seed)[1]
+        expected = reference_oracle.loop_owner_changes(gens, samples)
+        for k in (-1070, -1060, -1040, -900, -500, -200, 200, 500, 900):
+            big = [tuple(math.ldexp(v, k) for v in g) for g in gens]
+            loop = reference_oracle.loop_owner_changes(big, samples)
+            assert _owner_changes(big, samples) == loop, (seed, k)
+            assert k < -900 or loop == expected, (seed, k)
