@@ -117,6 +117,24 @@ rounding of its ends.  Where no arc is named (d = 0, a smaller circle, or an
 arc of half the circle or more), every run edge is checked as a join is, at
 the two target samples that bracket its computed normal.
 
+Most targets outside are refuted before the boundary is built.  Let normal
+at be the one nearest the direction from the generators' centroid to the
+target's centre; the probe goes on only where the target leads there,
+t . u + r_t above every generator's support, and where one generator g of
+positive radius owns the four normals at - 1 .. at + 2, each read with the
+first-maximum rule that the walk uses at normal 0.  Samples at, at + 1 and
+at + 2 of g then lie in one run of g, and the two edges between them are
+edges of that run.  It requires the three samples to be distinct, so the
+polygon has three vertices or more and the full path ends in the edge test
+below, not in the distance test.  It tests the two edges as joins are
+tested, at the target samples that bracket each computed normal, and
+returns False where one fails.  The full pass then fails too: where it
+names no window for g's run, it tests that edge itself, in the same way;
+where it names one, every run edge's computed normal lies between its two
+samples, so the edge is tested as the windowed edges are, and an edge
+outside the window computes above the run's least edge, which is inside
+it.  Where the probe does not refute, the boundary is built as below.
+
 Membership is decided with bands that follow the rounding error.  With L
 the largest coordinate magnitude the input reaches (|centre coordinate| +
 radius over the generators and the target) and D its extent (the longer side
@@ -250,6 +268,14 @@ class _Boundary(NamedTuple):
     chains: list
 
 
+def _owner_at(rows: list, c: float, s: float, h: float) -> int:
+    """The first of the (x, y, r) ``rows`` whose support x c + y s + r h,
+    evaluated as written, is largest: the owner of the normal (c, s).
+    """
+    support = [x * c + y * s + r * h for x, y, r in rows]
+    return support.index(max(support))
+
+
 def _owner_changes(rows: list, m: int) -> list:
     """(i, g) for each boundary normal i at which the owner changes, g the
     owner from i on, in ascending i; [(0, g)] where g owns every normal.
@@ -272,8 +298,7 @@ def _owner_changes(rows: list, m: int) -> list:
     if k == 1:
         return [(0, 0)]
     c0, s0, h = _normal_zero(m)
-    at_zero = [x * c0 + y * s0 + r * h for x, y, r in rows]
-    o = at_zero.index(max(at_zero))
+    o = _owner_at(rows, c0, s0, h)
     units = m / (2.0 * math.pi)  # normal positions per radian; normal i is at i
     half = 0.5 * m
     # the support of o less that of g is B - A cos((t - q) / units) at
@@ -408,11 +433,16 @@ def _polygon(hull: _Boundary) -> np.ndarray:
     cos_t, sin_t, _, _ = _angle_tables(m)
     xs, ys = [], []
     for (g, first, last), chain in zip(runs, chains):
-        i = np.arange(first, last + 1) % m
+        if r[g] > 0.0:
+            i = np.arange(first, last + 1) % m
+        else:  # a point repeats its sample first, the only one that can be
+            # kept, and sample m of the last run, where the array starts
+            i = np.array([first, 0] if last >= m else [first])
         xs += [cx[g] + r[g] * cos_t[i], [p[0] for p in chain]]
         ys += [cy[g] + r[g] * sin_t[i], [p[1] for p in chain]]
     # the array starts at sample 0 of the last run, which it numbers m
-    start = sum(map(len, xs[:-2])) + m - runs[-1][1]
+    g, first, _ = runs[-1]
+    start = sum(map(len, xs[:-2])) + (m - first if r[g] > 0.0 else 1)
     x, y = np.concatenate(xs), np.concatenate(ys)
     x = np.concatenate((x[start:], x[:start]))
     y = np.concatenate((y[start:], y[:start]))
@@ -497,11 +527,10 @@ def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
     """True iff every edge a -> b of the boundary's polygon has
     (b - a) x (q - a) >= -band at the target samples q extreme along its
     outward normal: the two whose angles bracket the normal's, or the centre
-    of a radius-0 target.  The cross product is evaluated as
-    (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term, on every
-    edge that joins two runs or lies on a chain, and, inside each run, on
-    the edges ``_run_edges`` names; no other run edge can be less.  Where it
-    names none, every edge of the run is evaluated as a join is.
+    of a radius-0 target.  ``_edges_pass`` evaluates it on every edge that
+    joins two runs or lies on a chain, and, inside each run, on the edges
+    ``_run_edges`` names; no other run edge can be less.  Where it names
+    none, every edge of the run is evaluated as a join is.
     """
     m, gens, runs, chains = hull
     rows = gens.tolist()
@@ -527,15 +556,27 @@ def _boundary_pass(hull: _Boundary, target, band: float) -> bool:
         x, y, r = rows[h]
         path.append((x + r * cos_l[start], y + r * sin_l[start]))
         joins += [(*a, *b) for a, b in zip(path, path[1:])]
+    return _edges_pass(edges, below, joins, target, m, band)
+
+
+def _edges_pass(edges: list, below: list, joins: list, target, m: int, band: float) -> bool:
+    """True iff every edge a -> b, as (ax, ay, bx, by), of ``edges`` and
+    ``joins`` has (b - a) x (q - a) >= -band at the target samples q that
+    bracket its outward normal, or at the centre of a radius-0 target.  The
+    samples of ``edges``' normals are ``below[j]`` and the next; the joins'
+    are found from their computed normals.  The cross product is evaluated
+    as (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term.
+    """
     tx, ty, tr = target
-    edges += joins
+    edges = edges + joins
     if tr <= 0.0:
         return all((bx - ax) * (ty - ay) - (by - ay) * (tx - ax) >= -band for ax, ay, bx, by in edges)
+    cos_l, sin_l = _angle_lists(m)
     # the joins' grid index at or below the outward normal (ey, -ex), from
     # numpy's arctan2, whose bits do not depend on the element's place
     normals = np.arctan2([-(bx - ax) for ax, _, bx, _ in joins], [by - ay for _, ay, _, by in joins])
     units = m / (2.0 * math.pi)
-    below += [math.floor(t * units) for t in normals.tolist()]
+    below = below + [math.floor(t * units) for t in normals.tolist()]
     for (ax, ay, bx, by), i in zip(edges, below):
         ex, ey = bx - ax, by - ay
         for j in (i % m, (i + 1) % m):
@@ -564,6 +605,41 @@ def _three_vertices(hull: _Boundary) -> bool:
     return False
 
 
+def _refuted_at_one_edge(target, gens, m: int, band: float) -> bool:
+    """True where two edges of the sampled hull, found without building its
+    boundary, fail ``_edges_pass``, and so ``_boundary_pass`` fails too (see
+    the module docstring); False where they pass or cannot be found so.
+
+    The edges join samples at, at + 1 and at + 2 of the one generator of
+    positive radius that owns the normals at - 1 .. at + 2, where normal at
+    is the one nearest the direction from the generators' centroid to the
+    target's centre, and the target leads every generator's support there.
+    """
+    tx, ty, tr = target
+    dx = tx - sum(x for x, _, _ in gens) / len(gens)
+    dy = ty - sum(y for _, y, _ in gens) / len(gens)
+    if dx == 0.0 and dy == 0.0:
+        return False
+    at = round(math.atan2(dy, dx) * (m / (2.0 * math.pi)) - 0.5) % m
+    _, _, cos_b, sin_b = _angle_tables(m)
+    h = math.cos(math.pi / m)
+    c, s = float(cos_b[at]), float(sin_b[at])
+    if not tx * c + ty * s + tr > max(x * c + y * s + r * h for x, y, r in gens):
+        return False
+    normals = [(at + j) % m for j in (-1, 0, 1, 2)]
+    owners = {_owner_at(gens, float(cos_b[i]), float(sin_b[i]), h) for i in normals}
+    if len(owners) > 1:
+        return False
+    x, y, r = gens[owners.pop()]
+    if r <= 0.0:
+        return False
+    cos_l, sin_l = _angle_lists(m)
+    p, q, o = [(x + r * cos_l[i], y + r * sin_l[i]) for i in normals[1:]]
+    if len({p, q, o}) < 3:
+        return False
+    return not _edges_pass([], [], [(*p, *q), (*q, *o)], target, m, band)
+
+
 def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bool:
     """True iff every sampled target point lies in the sampled hull polygon.
 
@@ -580,6 +656,8 @@ def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bo
     if not _BAND / _WINDOW <= distance_band <= _BAND * _WINDOW:  # L leaves the window
         (target, *gens), _ = _normalised((target, *gens))
         distance_band, cross_band = _membership_bands(target, gens)
+    if _refuted_at_one_edge(target, gens, samples, cross_band):
+        return False
     hull = _sampled_boundary(gens, samples)
     if not _three_vertices(hull):
         poly = _polygon(hull)

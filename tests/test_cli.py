@@ -537,11 +537,25 @@ class TestOracleVerb:
     # written by the oracle that located every target sample; any change to
     # it is listed in CHANGES.md
     DIGEST_300 = "eb125602925acdab27899936082c5f60f618799657febe93521b8e86c7c9c876"
+    # and of ``oracle --n 1000`` at seeds 1-5
+    DIGESTS_1000 = {
+        1: "b64902904008e8b3e65e4efa35e357962ea76d2e0c01f7207b4acc51d893c650",
+        2: "86562e24ef7508d0d03b005564379a14011b50d5932537fc41363cf263a63972",
+        3: "bac84b0241b59e34eac2d3c56ba27fef2411f630ebf9b6e48c723471a2f88052",
+        4: "db440fcf5d6e6712abee861143e93b5bdae9661529b24d2ae3db2ad7d790de23",
+        5: "72fda9d3c722d1084e099330ee777e94d97a0ee2a2f7858624076b2d0305b0c2",
+    }
 
     def test_report_is_pinned(self, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["oracle", "--n", "300", "--seed", "1", "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST_300
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS_1000))
+    def test_reports_of_a_thousand_trials_are_pinned(self, tmp_path, seed):
+        out = tmp_path / "rep.json"
+        assert main(["oracle", "--n", "1000", "--seed", str(seed), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS_1000[seed]
 
     def test_workers_change_no_report(self, tmp_path, monkeypatch):
         # a real pool of 2 worker processes, whatever the machine's CPU count;

@@ -17,6 +17,7 @@ from carousel.oracle import (
     _membership_bands,
     _owner_changes,
     _polygon_contains_points,
+    _refuted_at_one_edge,
     _sampled_boundary,
     sampling_oracle_contains,
 )
@@ -656,3 +657,76 @@ def test_owner_changes_keep_every_bit_at_powers_of_two(samples):
             loop = reference_oracle.loop_owner_changes(big, samples)
             assert _owner_changes(big, samples) == loop, (seed, k)
             assert k < -900 or loop == expected, (seed, k)
+
+
+# -- the one-edge probe ------------------------------------------------------
+#
+# Before it builds the boundary, the oracle tests two edges of one owner's
+# run, found from four owners alone, and returns False where either fails.
+# Wherever it does, the full pass must fail too, on the polygon of three or
+# more vertices that the full path would test.
+
+
+def _probe_queries(family, seed):
+    if family == "random":
+        return random_containment_query(seed)
+    if family == "ties":
+        return _tie_heavy_query(seed)
+    rng = random.Random(seed)
+    if family == "near-concentric":
+        gens = _near_concentric_gens(seed)
+        x, y, r = gens[0]
+        offset, angle = 10.0 ** rng.uniform(-14, 0), rng.uniform(0, 2 * math.pi)
+        centre = (x + offset * math.cos(angle), y + offset * math.sin(angle))
+        return (*centre, r * rng.uniform(0.5, 1.5)), gens
+    if family == "duplicates":
+        return random_containment_query(seed)[0], _duplicate_gens(seed)
+    k = rng.randint(-60, 60)  # 2^k-scaled
+    target, gens = random_containment_query(seed)
+    target, *gens = [tuple(math.ldexp(v, k) for v in c) for c in (target, *gens)]
+    return target, tuple(gens)
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 60, 3599, DEFAULT_SAMPLES])
+@pytest.mark.parametrize("family", sorted(_OWNER_FAMILIES))
+def test_the_probe_refutes_only_where_the_full_pass_fails(family, m):
+    refuted = 0
+    for seed in range(200):
+        target, gens = _probe_queries(family, seed)
+        _, band = _membership_bands(target, gens)
+        if _refuted_at_one_edge(target, gens, m, band):
+            refuted += 1
+            assert len(sample_hull_polygon(gens, m)) >= 3, (family, m, seed)
+            hull = _sampled_boundary(gens, m)
+            assert not _boundary_pass(hull, target, band), (family, m, seed)
+    assert refuted > 0
+
+
+def test_the_probe_refutes_most_campaign_queries():
+    # 578 of these seeds; about two thirds of the targets outside
+    refuted = 0
+    for seed in range(1000):
+        target, gens = random_containment_query(seed)
+        _, band = _membership_bands(target, gens)
+        refuted += _refuted_at_one_edge(target, gens, DEFAULT_SAMPLES, band)
+    assert refuted >= 500
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 60])
+def test_the_probe_holds_at_the_full_pass_flip(m):
+    # the campaign targets' radii bisected to where the full pass flips, as
+    # adjacent floats: the probe must pass the side that the full pass holds
+    def full(target, gens):
+        return _boundary_pass(_sampled_boundary(gens, m), target, _membership_bands(target, gens)[1])
+
+    for seed in range(200):
+        (x, y, _), gens = random_containment_query(seed)
+        lo, hi = 0.0, 10.0
+        if not full((x, y, lo), gens) or full((x, y, hi), gens):
+            continue
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if full((x, y, mid), gens) else (lo, mid)
+        for target in ((x, y, lo), (x, y, hi)):
+            band = _membership_bands(target, gens)[1]
+            if _refuted_at_one_edge(target, gens, m, band):
+                assert not full(target, gens), (seed, target)
