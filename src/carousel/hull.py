@@ -31,6 +31,10 @@ segments, used for rendering.
 Every nonempty generator set has one: a hull that is a segment is its two
 tangent segments, there and back, and a hull that is a single point is the
 empty chain.
+
+``circle_in_hull`` and ``hull_boundary`` run on plain floats and never
+touch numpy; the set entry ``circles_in_hulls`` and its helpers import it
+when they first run, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .planar import EPS_GEOM, TAU, checked_objects, contained
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TINY = 1e-15
 # Elements in the largest temporary of ``circles_in_hulls`` (subsets x
@@ -154,11 +160,9 @@ def circle_in_hull(target, gens) -> ContainmentResult:
 
 def _column(fn, *cols: list) -> np.ndarray:
     """A ``math`` function over whole columns of Python floats, as an array."""
+    import numpy as np
+
     return np.fromiter(map(fn, *cols), float, len(cols[0]))
-
-
-_SIGNS = np.array([1.0, -1.0])
-_FLIP = np.array([1.0, 1.0, -1.0])
 
 
 def _candidates(offsets: np.ndarray, g: int) -> np.ndarray:
@@ -171,6 +175,8 @@ def _candidates(offsets: np.ndarray, g: int) -> np.ndarray:
     functions over whole columns and the guards in numpy, with base - delta
     as base + (-delta), which rounds alike.
     """
+    import numpy as np
+
     m = len(offsets)
     x, y, _ = offsets.reshape(-1, 3).T.tolist()
     length = _column(math.hypot, x, y).reshape(m, -1)
@@ -179,7 +185,7 @@ def _candidates(offsets: np.ndarray, g: int) -> np.ndarray:
     ratio = offsets[:, g:, 2] / np.where(apart[:, g:], length[:, g:], 1.0)
     meet = apart[:, g:] & (np.abs(ratio) <= 1.0)
     delta = _column(math.acos, np.where(meet, ratio, 0.0).ravel().tolist())
-    crossing = angle[:, g:, None] + delta.reshape(m, -1, 1) * _SIGNS
+    crossing = angle[:, g:, None] + delta.reshape(m, -1, 1) * np.array([1.0, -1.0])
     cands = np.concatenate([
         np.zeros((m, 1)),
         np.where(apart[:, :g], angle[:, :g] + math.pi, 0.0),
@@ -200,6 +206,8 @@ def _layout(g: int, subsets: bytes | None):
     array of each subset's own candidates: theta = 0, the antipodes of its
     objects and the crossings of its pairs.  All are read-only.
     """
+    import numpy as np
+
     if subsets is None:
         sets = np.ones((1, g), bool)
     else:
@@ -221,6 +229,8 @@ def _layout(g: int, subsets: bytes | None):
 
 def _check_values(*arrays) -> None:
     """Refuse objects, radius last, with a coordinate or radius not finite or a radius < 0."""
+    import numpy as np
+
     for objs in arrays:
         if not (np.isfinite(objs).all() and (objs[..., -1] >= 0.0).all()):
             if not np.isfinite(objs[..., :-1]).all():
@@ -252,6 +262,8 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
     other shapes, a coordinate that is not finite, or a radius that is
     negative or not finite, in a target or a generator, raise ValueError.
     """
+    import numpy as np
+
     targets = np.asarray(targets, dtype=float)
     gens = np.asarray(gens, dtype=float)
     if gens.ndim != 3 or gens.shape[2] != 3 or targets.shape != (len(gens), 3):
@@ -271,6 +283,8 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
 
 def _circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``circles_in_hulls`` unchecked, on float arrays the program builds from finite draws."""
+    import numpy as np
+
     n, g, _ = gens.shape
     key = None if subsets is None else subsets.tobytes()
     first, second, members, own = _layout(g, key)
@@ -281,7 +295,7 @@ def _circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarr
     for lo in range(0, n, step):
         terms = gens[lo : lo + step] - targets[lo : lo + step, None, :]
         m = len(terms)
-        flip = terms * _FLIP  # -ri - (-rj) is rj - ri, exactly
+        flip = terms * np.array([1.0, 1.0, -1.0])  # -ri - (-rj) is rj - ri, exactly
         pairs = flip.take(first, axis=1) - flip.take(second, axis=1)
         cands = _candidates(np.concatenate([terms, pairs], axis=1), g)
         c = np.cos(cands)

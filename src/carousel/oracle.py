@@ -149,17 +149,22 @@ brings that magnitude to [1/2, 1), exact but where a number turns subnormal,
 so neither L D nor a cross product overflows: uniformly scaling the input
 leaves every verdict unchanged at every finite scale.  Moving it away from
 the origin widens the bands only as the rounding grows, with L.
+
+The angle tables, the owner comparisons and the polygon are numpy arrays;
+each function that builds or reads them imports numpy when it first runs,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .planar import checked_objects, is_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SAMPLES = 3600
 
@@ -183,6 +188,8 @@ _WINDOW = 2.0**256  # an input that leaves [1 / _WINDOW, _WINDOW] is normalised
 @functools.cache
 def _angle_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """cos/sin of the sample angles theta_i and of the boundary normals theta_i + pi/m."""
+    import numpy as np
+
     ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
     tables = (np.cos(ang), np.sin(ang), np.cos(ang + math.pi / m), np.sin(ang + math.pi / m))
     for table in tables:
@@ -205,6 +212,8 @@ def _normal_zero(m: int) -> tuple[float, float, float]:
 
 
 def _circle_samples(c, m: int) -> np.ndarray:
+    import numpy as np
+
     x, y, r = c
     if r <= 0.0:
         return np.array([[x, y]])
@@ -230,6 +239,8 @@ def _outer_chain(a, b, pts: list) -> list:
 
 def _prev(a: np.ndarray) -> np.ndarray:
     """Cyclic predecessor of each element: a[i - 1]."""
+    import numpy as np
+
     return np.concatenate((a[-1:], a[:-1]))
 
 
@@ -375,6 +386,8 @@ def _read_owners(rows: list, m: int, walk: list, uncertain: list) -> list:
     owner) in ascending order from normal 0, and the inclusive ranges
     ``uncertain`` of normals, where the supports are evaluated as written.
     """
+    import numpy as np
+
     if uncertain:
         firsts = [i for i, _ in walk]
         owner = np.repeat([g for _, g in walk], np.diff(firsts + [m]))
@@ -401,6 +414,8 @@ def _read_owners(rows: list, m: int, walk: list, uncertain: list) -> list:
 
 def _sampled_boundary(gens, m: int) -> _Boundary:
     """The runs and chains of the hull of all m samples of the (x, y, r) ``gens``."""
+    import numpy as np
+
     gens = np.array(gens, dtype=float).reshape(-1, 3)
     rows = gens.tolist()
     changes = _owner_changes(rows, m)
@@ -428,6 +443,8 @@ def _sampled_boundary(gens, m: int) -> _Boundary:
 
 def _polygon(hull: _Boundary) -> np.ndarray:
     """The boundary's vertex array: every run expanded, consecutive repeats dropped."""
+    import numpy as np
+
     m, gens, runs, chains = hull
     cx, cy, r = gens.T
     cos_t, sin_t, _, _ = _angle_tables(m)
@@ -458,6 +475,8 @@ def _polygon_contains_points(poly: np.ndarray, queries: np.ndarray, eps: float) 
 
     A query is in when its distance to the point or segment is at most eps.
     """
+    import numpy as np
+
     ab = poly[-1] - poly[0]
     denom = float(ab @ ab)
     if denom == 0.0:  # one vertex, or a zero-length segment: its one point
@@ -567,6 +586,8 @@ def _edges_pass(edges: list, below: list, joins: list, target, m: int, band: flo
     are found from their computed normals.  The cross product is evaluated
     as (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term.
     """
+    import numpy as np
+
     tx, ty, tr = target
     edges = edges + joins
     if tr <= 0.0:
@@ -649,6 +670,8 @@ def sampling_oracle_contains(target, gens, samples: int = DEFAULT_SAMPLES) -> bo
     normals spans half the circle or more, and a single owner no longer
     means a single vertex.
     """
+    import numpy as np
+
     (target,) = checked_objects((target,))
     gens = checked_objects(gens, nonempty=True)
     samples = _sample_count(samples)

@@ -11,13 +11,16 @@ Every orientation that a 2D branch reads is the sign of ``_orientation``;
 only the sampling oracle keeps its own cross products, to stay independent
 of the kernel's code.  ``witness.point_decomposition`` reads its row
 unchecked, and both its callers pass it a checked row.
+
+Nothing here imports numpy.  ``is_integer`` accepts numpy integers by
+looking numpy up in ``sys.modules``: where numpy is not loaded, no numpy
+integer exists to test.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 TAU = math.tau
 
@@ -39,7 +42,10 @@ def contained(slack):
 
 def is_integer(v) -> bool:
     """True iff ``v`` is an ``int`` or a numpy integer, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if isinstance(v, int):
+        return not isinstance(v, bool)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(v, np.integer)
 
 
 def checked_objects(objs, nonempty: bool = False) -> tuple[tuple[float, float, float], ...]:

@@ -24,6 +24,10 @@ the outcome of each inclusion that leaves out vertex 3.  Each example's
 report keeps the kernel's object rows and each outcome its kernel inclusion
 (target, excluded), so only the example constructions know the object order
 and the (j, k) to inclusion map.
+
+The constructions and the projection certificates run on plain floats; the
+kernel and its helpers import numpy when they first run, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -33,12 +37,14 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConstructionFailed, DegenerateBasis, PreconditionRadius
 from .hull import ContainmentResult, _check_values, circle_in_hull
 from .planar import EPS_DECISION, contained, is_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # -- float triples and quadruples ------------------------------------------------
 # A helper that returns a vector or a radius refuses a non-finite result.
@@ -134,14 +140,26 @@ _ZERO_CROSS2 = 1e-18  # below this |n1 x n2|^2 a triple's two planes are paralle
 # Elements in one kernel temporary (inclusions x candidates x generators, or
 # inclusions x directions); inclusions and directions go in blocks this size.
 _BLOCK = 1 << 15
-# The candidate for a constant envelope (every generator concentric with the
-# target); it also fills the rows of rejected candidates before masking.
-_FIXED = np.array([1.0, 0.0, 0.0])
+
+
+@functools.cache
+def _fixed() -> np.ndarray:
+    """The candidate for a constant envelope (every generator concentric with
+    the target), read-only; it also fills the rows of rejected candidates
+    before masking.
+    """
+    import numpy as np
+
+    out = np.array([1.0, 0.0, 0.0])
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=32)
 def _index_tuples(n: int, k: int) -> np.ndarray:
     """The C(n, k) index k-tuples as k read-only rows of a (k, C(n, k)) array."""
+    import numpy as np
+
     idx = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
     out = idx.reshape(-1, k).T.copy()
     out.setflags(write=False)
@@ -153,11 +171,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.sqrt(_dot(a, a))
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # along the last axis; np.cross and np.stack cost several times more on arrays this small
+    import numpy as np
+
     out = np.empty(a.shape)
     np.subtract(a[..., 1] * b[..., 2], a[..., 2] * b[..., 1], out=out[..., 0])
     np.subtract(a[..., 2] * b[..., 0], a[..., 0] * b[..., 2], out=out[..., 1])
@@ -171,6 +193,8 @@ def _face_minima(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``d`` holds the centre offsets along its second-last axis; the mask
     rejects the concentric generators, whose rows are placeholders.
     """
+    import numpy as np
+
     norm = _norm(d)
     keep = norm > _ZERO_NORM
     return -d / np.where(keep, norm, 1.0)[..., None], keep
@@ -186,6 +210,8 @@ def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     Pairs come in combination order along the second-last axis; the mask
     rejects concentric pairs and circles that miss the sphere.
     """
+    import numpy as np
+
     i, j = _index_tuples(r.shape[-1], 2)
     di, dj = d[..., i, :], d[..., j, :]
     b = r[..., j] - r[..., i]
@@ -225,6 +251,8 @@ def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     circle instead.  Returns every + vertex, then every - vertex, in
     combination order, and the rows (i, j, k) they belong to.
     """
+    import numpy as np
+
     tri = _index_tuples(len(r), 3)
     i, j, k = tri
     n1 = c[i] - c[j]
@@ -260,6 +288,8 @@ def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np
     contain a removed object are not its candidates.  Ties go to the first vertex in
     enumeration order.  Vertices go in blocks, so memory stays bounded.
     """
+    import numpy as np
+
     cn = c - c.sum(axis=0) / len(c)  # c.mean(axis=0), without its Python overhead
     scale = max(float(_norm(cn).max()), float(r.max())) or 1.0
     cn /= scale
@@ -267,7 +297,7 @@ def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np
     u, tri = _triple_vertices(cn, rn)
     m = len(removed)
     if not len(u):
-        return np.tile(_FIXED, (m, 1)), np.zeros(m, dtype=bool)
+        return np.tile(_fixed(), (m, 1)), np.zeros(m, dtype=bool)
     u /= _norm(u)[:, None]
     best = np.full(m, np.inf)
     best_at = np.zeros(m, dtype=np.intp)
@@ -319,6 +349,8 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
     kernel's ``ContainmentResult``, in the order of ``inclusions``; no
     inclusion gives ().
     """
+    import numpy as np
+
     objs = np.array(objects, dtype=float)
     if objs.ndim != 2 or objs.shape[1] != 4:
         raise ValueError(f"objects must be (n, 4): (x, y, z, r) rows, got shape {objs.shape}")
@@ -345,6 +377,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
     if sizes[0] == 0:
         raise ValueError("generator list must be nonempty")
     depth = min(n, n - sizes[0] + 1)
+    fixed_dir = _fixed()
     triple_best, has_triple = _best_triple_vertices(c, rad, targets, removed, depth)
 
     results: list[ContainmentResult | None] = [None] * len(targets)
@@ -366,13 +399,13 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
             rt = rt / scale
             face, face_keep = _face_minima(d)
             pair, pair_keep = _pair_circle_minima(d, r)
-            fixed = _FIXED[None, None].repeat(len(qs), axis=0)
+            fixed = fixed_dir[None, None].repeat(len(qs), axis=0)
             cands = np.concatenate([face, pair, triple_best[qs][:, None, :], fixed], axis=1)
             keep = np.concatenate(
                 [face_keep, pair_keep, has_triple[qs][:, None], np.ones((len(qs), 1), bool)],
                 axis=1,
             )
-            cands = np.where(keep[..., None], cands, _FIXED)
+            cands = np.where(keep[..., None], cands, fixed_dir)
             cands /= _norm(cands)[..., None]
             envelope = cands @ d.transpose(0, 2, 1)
             envelope += r[:, None, :]

@@ -31,16 +31,20 @@ eight inclusions as two targets, u0 and u1, each against the other circle
 and the three bases under four subsets of them, so each target's antipodes
 and crossings are computed once for its four inclusions.  A one-seed draw
 returns its block row as a tuple of five float triples.
+
+The sweep, the point decomposition and ``sweep_slack`` run on plain floats
+and never touch numpy.  The rows entries and the draws build arrays, and
+import numpy when they first run, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     CoincidentPoints,
@@ -58,6 +62,9 @@ from .planar import (
     contained,
     is_integer,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 JK_PAIRS = tuple((j, k) for j in (0, 1, 2) for k in (0, 1))
 
@@ -137,18 +144,32 @@ def _check_jk(j: int, k: int) -> None:
             raise ValueError(f"need j in 0..2 and k in 0..1, got ({j}, {k})")
 
 
-# The eight inclusions of an instance over its objects b0, b1, b2, u0, u1
-# are decided as two targets, u0 and u1, each against the objects
-# (u_other, b0, b1, b2) and four subsets of them: the hypothesis {b0, b1, b2},
-# then for j = 0, 1, 2 the (j, k) inclusion with u_k the other circle, whose
-# objects u_k and the bases other than base j are in ``pair_objects`` order.
-_OBJECTS = np.array([[4, 0, 1, 2], [3, 0, 1, 2]])
-_SUBSETS = np.array([[False, True, True, True]] + [
-    [True] + [b != j for b in range(3)] for j in range(3)
-])
-# Columns of the (target, subset) results, in the order hypothesis u0,
-# hypothesis u1, then the (j, k) of JK_PAIRS, whose target is u_(1-k).
-_ORDER = np.array([0, 4] + [4 * (1 - k) + 1 + j for j, k in JK_PAIRS])
+@functools.cache
+def _inclusion_tables() -> tuple:
+    """The read-only tables by which ``_decide`` makes one kernel call of a row's eight inclusions.
+
+    They are decided as two targets, u0 and u1, each against the objects
+    (u_other, b0, b1, b2) and four subsets of them: the hypothesis
+    {b0, b1, b2}, then for j = 0, 1, 2 the (j, k) inclusion with u_k the
+    other circle, whose objects u_k and the bases other than base j are in
+    ``pair_objects`` order.  Returns each target's objects, the subsets, and
+    the columns of the (target, subset) results in the order hypothesis u0,
+    hypothesis u1, then the (j, k) of JK_PAIRS, whose target is u_(1-k).
+    """
+    import numpy as np
+
+    tables = (
+        np.array([[4, 0, 1, 2], [3, 0, 1, 2]]),
+        np.array([[False, True, True, True]] + [
+            [True] + [b != j for b in range(3)] for j in range(3)
+        ]),
+        np.array([0, 4] + [4 * (1 - k) + 1 + j for j, k in JK_PAIRS]),
+    )
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 # Per (j, k): the objects of its inclusion, target u_(1-k) first.
 _PAIR_OBJECTS = {(j, k): (4 - k, 3 + k, *(b for b in range(3) if b != j)) for j, k in JK_PAIRS}
 
@@ -174,6 +195,8 @@ def pair_objects(row, j: int, k: int) -> tuple:
 
 def _rows_array(rows) -> np.ndarray:
     """Rows as an (n, 5, 3) float array; any other shape raises ValueError."""
+    import numpy as np
+
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 3 or rows.shape[1:] != (5, 3):
         raise ValueError(f"rows must be (n, 5, 3): five (x, y, r) objects, got {rows.shape}")
@@ -189,12 +212,15 @@ def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     under circles of positive radius, and each u_k must lie in the hull of
     the bases.  A row's bases are sites iff their three radii are 0.
     """
+    import numpy as np
+
+    objects, subsets, order = _inclusion_tables()
     n = len(rows)
     slack, inside, _ = circles_in_hulls(
-        rows[:, 3:].reshape(-1, 3), rows.take(_OBJECTS, axis=1).reshape(-1, 4, 3), _SUBSETS
+        rows[:, 3:].reshape(-1, 3), rows.take(objects, axis=1).reshape(-1, 4, 3), subsets
     )
-    slack = slack.reshape(n, 8).take(_ORDER, axis=1)
-    inside = inside.reshape(n, 8).take(_ORDER, axis=1)
+    slack = slack.reshape(n, 8).take(order, axis=1)
+    inside = inside.reshape(n, 8).take(order, axis=1)
     sites = (rows[:, :3, 2] == 0.0).all(axis=1)
     # the rows _check_collinear rejects, by the same _orientation
     flat = np.array([_orientation(*abc) == 0 for abc in rows[:, :3, :2].reshape(n, 6).tolist()])
@@ -238,6 +264,8 @@ def best_witness_slacks_rows(rows) -> list[float | None]:
     The slack of the first witness of ``witness_searches_rows``, read from
     the same decision without building the witness lists.
     """
+    import numpy as np
+
     rows = _rows_array(rows)
     if not len(rows):
         return []
@@ -254,6 +282,8 @@ def pair_inclusions_rows(rows, pairs) -> tuple[list, list]:
     ``pairs`` holds one (j, k) per row, each checked as ``pair_objects``
     checks it; a count that differs from the rows' raises ValueError.
     """
+    import numpy as np
+
     rows = _rows_array(rows)
     pairs = list(pairs)
     if len(pairs) != len(rows):
@@ -601,6 +631,8 @@ def _draw_rounds(draws) -> np.ndarray:
     first such draw in block order is raised at the end, as drawing the
     block one seed after another would raise it.
     """
+    import numpy as np
+
     rows = [None] * len(draws)
     failures = []
     live = list(enumerate(draws))
@@ -627,6 +659,8 @@ def _draw_rounds(draws) -> np.ndarray:
 
 def _block(rows) -> np.ndarray:
     """Rows of five (x, y, r) objects, nested or flat, as an (n, 5, 3) array."""
+    import numpy as np
+
     return np.array(rows, dtype=float).reshape(len(rows), 5, 3)
 
 

@@ -766,43 +766,81 @@ def test_verb_dispatch_parses_as_the_full_parser(capsys, argv):
         assert usage.startswith("usage: carousel") and ": error: " in error
 
 
+def _fresh(args, **kwargs) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports carousel from this checkout."""
+    import carousel
+
+    src = Path(carousel.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("CAROUSEL_THREADS", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, **kwargs)
+
+
+# ``python -m carousel`` with its argv, printing last whether numpy was imported
+_NUMPY_PROBE = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('numpy' in sys.modules))\n"
+    "runpy.run_module('carousel', run_name='__main__', alter_sys=True)\n"
+)
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_out(self):
-        import carousel
-
-        src = Path(carousel.__file__).resolve().parents[1]
         probe = "import sys, carousel.cli; print('scipy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
 
     def test_cli_import_leaves_the_process_pool_out(self):
         # only a run with CAROUSEL_THREADS starts a pool, and imports it then
-        import carousel
-
-        src = Path(carousel.__file__).resolve().parents[1]
         probe = "import sys, carousel.cli; print('concurrent.futures.process' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
+
+    def test_cli_import_leaves_numpy_out(self):
+        # numpy is imported by the first function that builds an array
+        probe = "import sys, carousel, carousel.cli; print('numpy' in sys.modules)"
+        assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "theorem_concentric.json"],
+        ["check", "corollary_circles.json"],
+        ["repro3d", "--example", "4.1"],
+        ["repro3d", "--example", "4.2", "--t", "5"],
+        ["oracle", "--n", "20", "--seed", "3"],
+        *(["fuzz", "--n", "20", "--seed", "3", "--kind", kind]
+          for kind in ("theorem2d", "corollary2d", "points2d")),
+    ], ids=" ".join)
+    def test_numpy_verbs_import_it_when_they_run(self, capsys, monkeypatch, argv):
+        # from a cold start numpy is first imported inside the job; the verb
+        # must still exit 0 and print what it prints in process
+        argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+        done = _fresh(["-c", _NUMPY_PROBE, *argv])
+        assert done.returncode == 0, done.stderr
+        *report, imported = done.stdout.splitlines(keepends=True)
+        assert imported == "True\n"
+        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+        assert main(argv) == 0
+        assert "".join(report) == capsys.readouterr().out
 
     @pytest.mark.parametrize("argv, code", [
         (["--help"], 0),
         (["oracle", "--n", "0"], 2),
-        (["sweep", str(SCENARIOS / "sweep_leg_tangency.json"), "--j", "0", "--k", "0"], 0),
+        (["sweep", "sweep_leg_tangency.json", "--j", "0", "--k", "0"], 0),
         (["sweep", "--help"], 0),
         (["sweep", "--bogus"], 2),
+        (["sweep", "sweep_leg_tangency.json", "--j", "1", "--k", "0"], 0),
+        (["check", "sweep_leg_tangency.json"], 0),
+        (["render", "sweep_leg_tangency.json", "-o", "out.svg"], 0),
+        (["check", "points_decomposition.json"], 0),
+        (["render", "points_decomposition.json", "-o", "out.svg"], 0),
     ])
-    def test_python_dash_m_runs_the_cli(self, argv, code):
-        import carousel
-
-        src = Path(carousel.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-m", "carousel", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+    def test_python_dash_m_runs_the_cli(self, tmp_path, argv, code):
+        # none of these builds an array: the sweep and the points
+        # decomposition run on plain floats, and so do the figures of their
+        # scenarios and every usage path, so none may load numpy
+        argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+        done = _fresh(["-c", _NUMPY_PROBE, *argv], cwd=tmp_path)
         assert done.returncode == code, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 SVG_NS = "{http://www.w3.org/2000/svg}"

@@ -1,9 +1,11 @@
-"""Planar tests: the package's object check and orientation predicate, and the
-lemma helpers of ``lemmas.py`` (homotheties, tangents, round-edged angles)."""
+"""Planar tests: the package's object check, integer-argument check and
+orientation predicate, and the lemma helpers of ``lemmas.py`` (homotheties,
+tangents, round-edged angles)."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 
 from carousel import (
@@ -19,7 +21,7 @@ from carousel import (
 from carousel import planar
 from carousel.errors import InvalidInstance
 from carousel.oracle import sampling_oracle_contains
-from carousel.planar import _orientation, checked_objects
+from carousel.planar import _orientation, checked_objects, is_integer
 from carousel.spheres import spheres_in_hull3
 from carousel.witness import pair_objects
 from lemmas import (
@@ -298,6 +300,19 @@ class TestExternalHomothetyCenter:
             assert abs(img.radius - c2.radius) < 1e-9
             assert F.distance_to(c1.center) > c1.radius
             assert F.distance_to(c2.center) > c2.radius
+
+
+class TestIsInteger:
+    # numpy integers are looked up in sys.modules, which holds numpy here
+    @pytest.mark.parametrize("v", [0, -3, 2**80, np.int64(7), np.uint8(255)], ids=repr)
+    def test_integers_accepted(self, v):
+        assert is_integer(v)
+
+    @pytest.mark.parametrize(
+        "v", [True, False, np.bool_(True), 1.0, np.float64(1.0), "1", None], ids=repr
+    )
+    def test_others_refused(self, v):
+        assert not is_integer(v)
 
 
 class TestOrientation:

@@ -10,6 +10,9 @@ its directory.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -29,6 +32,20 @@ def test_every_traced_layer_resolves_to_a_function():
         module, func = name.rsplit(".", 1)
         target = getattr(importlib.import_module(f"carousel.{module}"), func, None)
         assert callable(target), name
+
+
+def test_cli_import_loads_every_traced_module():
+    # the tracer looks each layer's module up in sys.modules and never imports
+    # it, so every one must come with carousel.cli, in a fresh interpreter
+    modules = sorted({name.rsplit(".", 1)[0] for name in _tracing()["LAYERS"]})
+    probe = (
+        "import sys, carousel.cli\n"
+        "print(*[m for m in sys.argv[1:] if 'carousel.' + m not in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(TRACING.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe, *modules], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == ""
 
 
 def test_traced_run_of_every_verb(tmp_path, monkeypatch):
