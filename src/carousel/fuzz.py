@@ -4,9 +4,9 @@ Each trial derives its own seed from the campaign seed, so trials are pure
 and order-independent.  A campaign goes in blocks of seeds.  A block draws
 its instances as rows of floats (``random_instances`` and its siblings).
 Theorem and points draws place their objects in closed form, with no
-solve; only corollary draws go in rounds, one set-level call deciding the
-pending rejection-sampling query of every seed still drawing.  One
-set-level call then decides all their inclusions
+solve, and corollary draws keep most of their rejection-sampled circles by
+a closed-form bound on the slack, solving the rest one at a time on the
+scalar kernel loop.  One set-level call then decides all their inclusions
 (``best_witness_slacks_rows``, which reads each trial's best witness
 slack from the slack and verdict arrays, or ``pair_inclusions_rows`` for
 the points kind, whose decomposition names the one inclusion to solve).
@@ -102,7 +102,7 @@ def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
     ]
 
 
-# Trials per block: a block's instances are drawn in rounds and then decided
+# Trials per block: a block's instances are drawn seed by seed and then decided
 # in one set-level call, and the blocks are what the parallel path distributes.
 _SEED_BLOCK = 500
 

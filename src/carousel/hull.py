@@ -17,13 +17,14 @@ certificate of a non-containment.
 
 ``circle_in_hull`` decides one query; ``circles_in_hulls`` decides a set of
 rows with the same number of objects in one array pass, each row against
-one or more subsets of its objects that all rows share.  A row's candidate
-angles are built once, from all its objects, by the formulas of
-``_critical_angles``, with ``math`` over whole columns and the guards in
-numpy.  Each subset's envelope is read at its own candidates only, in
-bounded blocks of rows, so every result is bitwise the one-query kernel's
-on that subset, and a caller may batch its queries, or share one target's
-candidates among its queries, without changing any report.
+one or more subsets of its objects that all rows share, and checks the
+shapes and values of every call.  A row's candidate angles are built once,
+from all its objects, by the formulas of ``_critical_angles``, with
+``math`` over whole columns and the guards in numpy.  Each subset's
+envelope is read at its own candidates only, in bounded blocks of rows, so
+every result is bitwise the one-query kernel's on that subset, and a caller
+may batch its queries, or share one target's candidates among its queries,
+without changing any report.
 
 The same switch-angle machinery yields the hull boundary as a tuple of
 pieces, a cyclic chain of circular arcs and common external tangent
@@ -278,14 +279,7 @@ def circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarra
         subsets = np.asarray(subsets, dtype=bool)
         if subsets.ndim != 2 or subsets.shape[1] != g:
             raise ValueError(f"subsets must be a (q, {g}) boolean array")
-    return _circles_in_hulls(targets, gens, subsets)
-
-
-def _circles_in_hulls(targets, gens, subsets=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``circles_in_hulls`` unchecked, on float arrays the program builds from finite draws."""
-    import numpy as np
-
-    n, g, _ = gens.shape
+    n = len(gens)
     key = None if subsets is None else subsets.tobytes()
     first, second, members, own = _layout(g, key)
     q, size = members.shape

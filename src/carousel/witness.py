@@ -20,17 +20,20 @@ where the inclusion fails.  Its hypothesis checks and probes hand plain
 builds no scaled row, generator list or containment result, and its slack
 is bitwise theirs.
 
-Seeded instances are drawn on plain floats, as rows of five (x, y, r)
-objects.  Theorem and points draws place their objects in closed form,
-with no solve: a circle centred in the site triangle lies in it with slack
-its edge clearance less its radius.  Only corollary draws, whose hull of
-three circles has no such form, go in rounds, each round deciding the
-pending rejection-sampling query of every seed in one unchecked kernel
-call; the witness search decides such rows directly.  It decides a row's
-eight inclusions as two targets, u0 and u1, each against the other circle
-and the three bases under four subsets of them, so each target's antipodes
-and crossings are computed once for its four inclusions.  A one-seed draw
-returns its block row as a tuple of five float triples.
+Seeded instances are drawn on plain floats, one plain row function per
+kind, as rows of five (x, y, r) objects.  Theorem and points draws place
+their objects in closed form, with no solve: a circle centred in the site
+triangle lies in it with slack its edge clearance less its radius.  A
+corollary draw keeps a circle centred in the triangle of its three
+generators' centres by a closed-form lower bound on its slack, that
+clearance plus the least generator radius less its own, and takes the
+scalar envelope loop of ``circle_in_hull`` only where the bound is too
+weak, so no draw calls the batch kernel.  The witness search decides a
+row's eight inclusions as two targets, u0 and u1, each against the other
+circle and the three bases under four subsets of them, so each target's
+antipodes and crossings are computed once for its four inclusions.  A
+block draw stacks its seeds' rows into an array; a one-seed draw returns
+its row as a tuple of five float triples.
 
 The sweep, the point decomposition and ``sweep_slack`` run on plain floats
 and never touch numpy.  The rows entries and the draws build arrays, and
@@ -52,7 +55,7 @@ from .errors import (
     InvalidInstance,
     NotInterior,
 )
-from .hull import _circles_in_hulls, _envelope_min, circle_in_hull, circles_in_hulls
+from .hull import _envelope_min, circle_in_hull, circles_in_hulls
 from .planar import (
     EPS_GEOM,
     _cross,
@@ -222,9 +225,12 @@ def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slack = slack.reshape(n, 8).take(order, axis=1)
     inside = inside.reshape(n, 8).take(order, axis=1)
     sites = (rows[:, :3, 2] == 0.0).all(axis=1)
-    # the rows _check_collinear rejects, by the same _orientation
-    flat = np.array([_orientation(*abc) == 0 for abc in rows[:, :3, :2].reshape(n, 6).tolist()])
-    bad = (flat & (rows[:, 3:, 2] > 0.0).any(axis=1) & sites) | ~(inside[:, 0] & inside[:, 1])
+    # the rows _check_collinear rejects, by the same _orientation, read
+    # only where sites carry a circle of positive radius
+    flat = np.zeros(n, bool)
+    asked = np.flatnonzero(sites & (rows[:, 3:, 2] > 0.0).any(axis=1))
+    flat[asked] = [_orientation(*abc) == 0 for abc in rows[asked, :3, :2].reshape(-1, 6).tolist()]
+    bad = flat | ~(inside[:, 0] & inside[:, 1])
     if bad.any():
         i = int(bad.argmax())
         if sites[i]:
@@ -503,14 +509,9 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
 # -- seeded instance generation ----------------------------------------------
 #
 # An instance is drawn on plain floats, as a flat row of five (x, y, r)
-# objects b0, b1, b2, u0, u1, from its seed's own random.Random.  Theorem
-# and points draws are plain row functions.  The corollary draw is a
-# generator: it yields each candidate query as a flat row of the target
-# and its three generators and is sent back the slack.  ``_draw_rounds``
-# runs a block of such draws in rounds and decides each round's pending
-# queries in one call of the unchecked core of ``circles_in_hulls`` (the
-# draws are finite), whose slack is bitwise ``circle_in_hull``'s, so a draw
-# makes the same random draws in the same order in any block.
+# objects b0, b1, b2, u0, u1, from its seed's own random.Random, by a plain
+# row function.  A block draw stacks its seeds' rows; a one-seed draw
+# groups its row into five float triples.
 
 COORD_RANGE = (-10.0, 10.0)  # sites and corollary centres, in both coordinates
 RADIUS_RANGE = (0.0, 3.0)  # radii of the theorem's circles u0 and u1
@@ -577,7 +578,30 @@ def _instance_row(seed: int) -> tuple[float, ...]:
     return _as_points(sites) + us
 
 
-def _corollary_draw(seed: int):
+def _slack_bound(x: float, y: float, r: float, gens) -> float:
+    """Lower bound on the slack ``circle_in_hull`` computes for circle (x, y, r) in ``gens``' hull.
+
+    ``gens`` are three generator circles and (x, y) is drawn in the
+    triangle T of their centres.  The hull of the discs contains T grown by
+    their least radius r_min, so the exact slack is at least
+    d + r_min - r, with d the distance from (x, y) to the edges of T.  The
+    bound is that sum less a margin for rounding.  Let M be the largest
+    |coordinate| of COORD_RANGE plus 2, the largest radius drawn; every
+    centre, offset and radius is then at most 2M in size.  The drawn centre
+    lies within 10 ulp(M) of T, its computed edge distance within 20 ulp(M)
+    of d, the computed slack (offsets, cos, sin and sums, all rounded)
+    within 30 ulp(M) below the exact one, and the sum here rounds twice
+    more: well under 1e-13 M in all.  The margin, 1e-12 M, covers that
+    tenfold, so a bound above the floor proves a computed slack above it.
+    M is read from COORD_RANGE when the bound is taken.
+    """
+    (ax, ay, ar), (bx, by, br), (cx, cy, cr) = gens
+    lo, hi = COORD_RANGE
+    margin = 1e-12 * (max(abs(lo), abs(hi)) + 2.0)
+    return _edge_clearance(x, y, ((ax, ay), (bx, by), (cx, cy))) + min(ar, br, cr) - r - margin
+
+
+def _corollary_row(seed: int) -> tuple[float, ...]:
     rng = random.Random(seed)
     lo, hi = COORD_RANGE
     floor = MIN_HYPOTHESIS_SLACK
@@ -590,17 +614,21 @@ def _corollary_draw(seed: int):
         (ax, ay), (bx, by), (cx, cy) = centers
         if _sliver(ax, ay, bx, by, cx, cy):
             continue
-        gens = (ax, ay, rng.uniform(0.2, 2.0), bx, by, rng.uniform(0.2, 2.0),
-                cx, cy, rng.uniform(0.2, 2.0))
+        gens = tuple((gx, gy, rng.uniform(0.2, 2.0)) for gx, gy in centers)
         us = ()
         inner_tries = 0
         while len(us) < 6 and inner_tries < 200:
             inner_tries += 1
-            cand = (*_interior_point(rng, centers), rng.uniform(0.0, 1.5))
-            if (yield cand + gens) > floor:
-                us += cand
+            x, y = _interior_point(rng, centers)
+            r = rng.uniform(0.0, 1.5)
+            # the bound accepts most candidates; the rest take the slack
+            # of circle_in_hull, bitwise, from its envelope loop
+            if _slack_bound(x, y, r, gens) > floor or _envelope_min(
+                [(gx - x, gy - y, gr - r) for gx, gy, gr in gens]
+            )[0] > floor:
+                us += (x, y, r)
         if len(us) == 6:
-            return gens + us
+            return gens[0] + gens[1] + gens[2] + us
 
 
 def _points_row(seed: int) -> tuple[float, ...]:
@@ -622,41 +650,6 @@ def _points_row(seed: int) -> tuple[float, ...]:
     return _as_points(sites) + pts
 
 
-def _draw_rounds(draws) -> np.ndarray:
-    """The rows of a block of rejection-sampling draws, their queries decided by rounds.
-
-    Each round sends every live draw the slack of its last query and
-    collects its next one, then decides them all in one kernel call.  A
-    draw that runs out of tries does not stop the others; the error of the
-    first such draw in block order is raised at the end, as drawing the
-    block one seed after another would raise it.
-    """
-    import numpy as np
-
-    rows = [None] * len(draws)
-    failures = []
-    live = list(enumerate(draws))
-    slacks = [None] * len(live)  # sending None starts a draw
-    while live:
-        asked, queries = [], []
-        for (i, draw), slack in zip(live, slacks):
-            try:
-                queries.append(draw.send(slack))
-            except StopIteration as done:
-                rows[i] = done.value
-            except GenerationExhausted as exc:
-                failures.append((i, exc))
-            else:
-                asked.append((i, draw))
-        live = asked
-        if queries:
-            q = np.array(queries, dtype=float)
-            slacks = _circles_in_hulls(q[:, :3], q[:, 3:].reshape(-1, 3, 3))[0].tolist()
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return _block(rows)
-
-
 def _block(rows) -> np.ndarray:
     """Rows of five (x, y, r) objects, nested or flat, as an (n, 5, 3) array."""
     import numpy as np
@@ -671,17 +664,12 @@ def random_instances(seeds) -> np.ndarray:
 
 def random_corollary_instances(seeds) -> np.ndarray:
     """Rows (c0, c1, c2, u0, u1) of ``random_corollary_instance`` for each seed."""
-    return _draw_rounds([_corollary_draw(seed) for seed in seeds])
+    return _block([_corollary_row(seed) for seed in seeds])
 
 
 def random_points_instances(seeds) -> np.ndarray:
     """Rows (A0, A1, A2, b0, b1) of ``random_points_instance`` for each seed, radii 0."""
     return _block([_points_row(seed) for seed in seeds])
-
-
-def _row_of(block_row) -> tuple:
-    """One row of a block as a tuple of five (x, y, r) float triples."""
-    return tuple(map(tuple, block_row.tolist()))
 
 
 def random_instance(seed: int) -> tuple:
@@ -693,7 +681,8 @@ def random_instance(seed: int) -> tuple:
     with slack above that floor, with no solve.  The one-seed case of
     ``random_instances``.
     """
-    return _row_of(random_instances([seed])[0])
+    row = _instance_row(seed)
+    return tuple(row[i : i + 3] for i in range(0, 15, 3))
 
 
 def random_points_instance(seed: int) -> tuple:
@@ -701,12 +690,19 @@ def random_points_instance(seed: int) -> tuple:
 
     The one-seed case of ``random_points_instances``.
     """
-    return _row_of(random_points_instances([seed])[0])
+    row = _points_row(seed)
+    return tuple(row[i : i + 3] for i in range(0, 15, 3))
 
 
 def random_corollary_instance(seed: int) -> tuple:
     """Deterministic corollary row (c0, c1, c2, u0, u1): three generator circles plus two circles.
 
-    The one-seed case of ``random_corollary_instances``.
+    The generator centres are sampled as the theorem's sites are.  Each
+    circle is centred in their triangle and kept when its slack in the
+    generators' hull exceeds MIN_HYPOTHESIS_SLACK: ``_slack_bound`` shows
+    that for most candidates with no solve, and the envelope loop of
+    ``circle_in_hull`` decides the rest.  The one-seed case of
+    ``random_corollary_instances``.
     """
-    return _row_of(random_corollary_instances([seed])[0])
+    row = _corollary_row(seed)
+    return tuple(row[i : i + 3] for i in range(0, 15, 3))

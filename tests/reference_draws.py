@@ -1,11 +1,11 @@
 """Seeded instance draws as first written, on ``Point2`` vectors, one query at a time.
 
-``witness.random_instance`` and its siblings now draw on plain floats, a
-block of seeds at a time.  Their theorem draw places each circle in closed
-form, with no solve, where this one accepts it by a ``circle_in_hull``
-solve, and only their corollary draw decides the rejection-sampling
-queries of a round in one set-level call; the tests check that they return
-exactly these instances, bit for bit, and raise the same errors.  Kept
+``witness.random_instance`` and its siblings now draw on plain floats.
+Their theorem draw places each circle in closed form, with no solve, where
+this one accepts it by a ``circle_in_hull`` solve, and their corollary draw
+accepts most circles by a closed-form bound on the slack and solves only
+the rest; the tests check that they return exactly these instances, bit
+for bit, and raise the same errors.  Kept
 only as a reference.  The draw ranges, fixed constants in ``witness``, are
 a ``DrawConfig`` here, so that the tests can draw under other ranges and
 set the constants to match with ``set_witness_constants``.  A draw returns

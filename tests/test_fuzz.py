@@ -12,6 +12,7 @@ from reference_draws import DrawConfig, set_witness_constants
 from carousel import fuzz, witness
 from carousel.errors import GenerationExhausted
 from carousel.fuzz import FUZZ_KINDS, run_fuzz, run_oracle_check
+from carousel.hull import circle_in_hull
 from carousel.reports import canonical_json
 from carousel.scenario import parse_scenario
 from carousel.witness import (
@@ -119,24 +120,6 @@ class TestExhaustion:
             "could not sample interior points",
         } <= msgs
 
-    def test_block_raises_the_first_failure_in_seed_order(self):
-        # a draw that fails after a query fails in a later round than one
-        # that fails before any; the block still raises the error of its
-        # first failing draw, as drawing one seed at a time does
-        query = (1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 4.0, 0.0)
-
-        def late():
-            slack = yield query
-            assert slack > 0.0
-            raise GenerationExhausted("late")
-
-        def early():
-            raise GenerationExhausted("early")
-            yield  # a generator, as the draws are
-
-        assert _outcome(witness._draw_rounds, [late(), early()]) == "late"
-        assert _outcome(witness._draw_rounds, [early(), late()]) == "early"
-
 
 class TestClosedFormDraws:
     def test_theorem_draws_make_no_solve(self, monkeypatch, reference_hex):
@@ -144,13 +127,62 @@ class TestClosedFormDraws:
             raise AssertionError("a theorem2d draw called the kernel")
 
         monkeypatch.setattr(witness, "circles_in_hulls", no_solve)
-        monkeypatch.setattr(witness, "_circles_in_hulls", no_solve)
         rows = random_instances(range(2000)).reshape(2000, 15).tolist()
         assert [[v.hex() for v in row] for row in rows] == reference_hex["theorem2d"][:2000]
 
     def test_hypotheses_clear_the_floor(self):
         slack, _ = witness._decide(random_instances(range(20_000)))
         assert (slack[:, :2] > witness.MIN_HYPOTHESIS_SLACK).all()
+
+    def test_corollary_draws_make_no_batch_call(self, monkeypatch, reference_hex):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a corollary2d draw called the batch kernel")
+
+        monkeypatch.setattr(witness, "circles_in_hulls", no_batch)
+        rows = random_corollary_instances(range(2000)).reshape(2000, 15).tolist()
+        assert [[v.hex() for v in row] for row in rows] == reference_hex["corollary2d"][:2000]
+
+    def test_the_bound_decides_most_corollary_candidates(self, monkeypatch):
+        calls = {"_envelope_min": 0, "_interior_point": 0}
+
+        def counted(name):
+            fn = getattr(witness, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(witness, name, counted(name))
+        random_corollary_instances(range(1000))
+        assert 0 < 3 * calls["_envelope_min"] <= calls["_interior_point"]
+
+    def test_corollary_hypotheses_clear_the_floor(self):
+        slack, _ = witness._decide(random_corollary_instances(range(20_000)))
+        assert (slack[:, :2] > witness.MIN_HYPOTHESIS_SLACK).all()
+
+    def test_the_bound_holds_at_the_floor(self):
+        # each drawn circle's radius moved so that the bound lies 1e-12 to
+        # 1e-3 above or below the floor: the bound never exceeds the slack
+        # circle_in_hull computes, so a bound above the floor proves the slack is
+        floor = witness.MIN_HYPOTHESIS_SLACK
+        offsets = [sign * 10.0**-e for e in range(3, 13) for sign in (1.0, -1.0)]
+        accepted = 0
+        for row in random_corollary_instances(range(300)).tolist():
+            gens = [tuple(g) for g in row[:3]]
+            for x, y, _ in row[3:]:
+                at_zero = witness._slack_bound(x, y, 0.0, gens)
+                for offset in offsets:
+                    r = at_zero - floor - offset
+                    bound = witness._slack_bound(x, y, r, gens)
+                    slack = circle_in_hull((x, y, r), gens).slack
+                    assert bound <= slack, (row, r)
+                    if bound > floor:
+                        accepted += 1
+                        assert slack > floor, (row, r)
+        assert accepted >= 300 * 2 * 10
 
 
 def test_histogram_bins_each_bound_with_the_slacks_above_it():

@@ -26,7 +26,6 @@ UNREACHED = {
     "oracle._normalised": "divides an input whose size leaves [2^-256, 2^256]; no verb draws one",
     "scenario._where": "words a schema error, which no valid scenario raises",
     "scenario.row_scenario_dict": "dumps a fuzz failure as a scenario; these campaigns have none",
-    "witness._row_of": "unpacks the block row of a one-seed draw; the verbs draw in blocks",
 }
 
 
