@@ -75,7 +75,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p.add_argument("--dump-dir", type=Path, default=None,
                    help="write one scenario file per failure here")
 
-    p = sub.add_parser("oracle", help="cross-check the predicate against the sampling oracle")
+    p = sub.add_parser("oracle", help="cross-check the float predicate against its exact decision")
     p.add_argument("--n", type=_trial_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", type=Path, default=None)

@@ -1,4 +1,4 @@
-"""Seeded fuzz campaigns and the oracle cross-check.
+"""Seeded fuzz campaigns and the exact oracle cross-check.
 
 Each trial derives its own seed from the campaign seed, so trials are pure
 and order-independent.  A campaign goes in blocks of seeds.  A block draws
@@ -219,9 +219,14 @@ def _oracle_trial(seed: int) -> tuple[int, bool, bool, float]:
 
 
 def run_oracle_check(n: int, seed: int) -> OracleReport:
-    """Compare the support-slack predicate with the sampling-polygon oracle.
+    """Compare the float kernel's verdict with the oracle's exact one.
 
-    Raises ValueError where ``_campaign_args`` does.
+    Each trial is one ``random_containment_query``.  ``circle_in_hull``
+    decides it with its slack band, and ``sampling_oracle_contains`` decides
+    it exactly on integers, so every disagreement is a verdict that the
+    kernel got wrong.  One within ORACLE_SLACK_BAND of a zero slack is what
+    the kernel's float band allows; one outside it fails the run.  Raises
+    ValueError where ``_campaign_args`` does.
     """
     n, seed = _campaign_args(n, seed)
     start = time.perf_counter()

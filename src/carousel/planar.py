@@ -7,9 +7,10 @@ orientation predicates and the point-to-segment distance that the hull and
 witness code are built on.  The geometric operations are pure functions on
 plain floats in double precision.
 
-Every orientation that a 2D branch reads is the sign of ``_orientation``;
-only the sampling oracle keeps its own cross products, to stay independent
-of the kernel's code.  ``witness.point_decomposition`` reads its row
+Every orientation that a 2D branch reads is the sign of ``_orientation``.
+The exact oracle (``oracle.py``) reads no float sign at all: it decides on
+integers, so that it stays independent of the kernel's code, and it shares
+only ``checked_objects`` with it.  ``witness.point_decomposition`` reads its row
 unchecked, and both its callers pass it a checked row.
 
 Nothing here imports numpy.  ``is_integer`` accepts numpy integers by

@@ -26,8 +26,8 @@ report keeps the kernel's object rows and each outcome its kernel inclusion
 and the (j, k) to inclusion map.
 
 The constructions and the projection certificates run on plain floats; the
-kernel and its helpers import numpy when they first run, so importing this
-module does not load it.
+kernel imports numpy when it first runs and passes it to its array helpers,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -170,37 +170,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
 
-def _norm(a: np.ndarray) -> np.ndarray:
-    import numpy as np
-
+def _norm(np, a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # along the last axis; np.cross and np.stack cost several times more on arrays this small
-    import numpy as np
-
-    out = np.empty(a.shape)
-    np.subtract(a[..., 1] * b[..., 2], a[..., 2] * b[..., 1], out=out[..., 0])
-    np.subtract(a[..., 2] * b[..., 0], a[..., 0] * b[..., 2], out=out[..., 1])
-    np.subtract(a[..., 0] * b[..., 1], a[..., 1] * b[..., 0], out=out[..., 2])
-    return out
-
-
-def _face_minima(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _face_minima(np, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum direction -d_g/|d_g| of each generator, and which are off the target's centre.
 
     ``d`` holds the centre offsets along its second-last axis; the mask
     rejects the concentric generators, whose rows are placeholders.
     """
-    import numpy as np
-
-    norm = _norm(d)
+    norm = _norm(np, d)
     keep = norm > _ZERO_NORM
     return -d / np.where(keep, norm, 1.0)[..., None], keep
 
 
-def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_circle_minima(np, d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum of each pair's shared value on its equality circle, and which pairs have one.
 
     Generators i, j tie on the circle n.u = r_j - r_i, n = d_i - d_j, of the
@@ -210,13 +195,11 @@ def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     Pairs come in combination order along the second-last axis; the mask
     rejects concentric pairs and circles that miss the sphere.
     """
-    import numpy as np
-
     i, j = _index_tuples(r.shape[-1], 2)
     di, dj = d[..., i, :], d[..., j, :]
     b = r[..., j] - r[..., i]
     n = di - dj
-    nn = _norm(n)
+    nn = _norm(np, n)
     nonzero = nn > _ZERO_NORM
     keep = nonzero & (np.abs(b) <= nn)
     nn = np.where(nonzero, nn, 1.0)
@@ -224,21 +207,21 @@ def _pair_circle_minima(d: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nd
     c0 = b / nn
     rho = np.sqrt(np.maximum(0.0, 1.0 - c0 * c0))
     p = di - _dot(di, n)[..., None] * n
-    pn = _norm(p)
+    pn = _norm(np, p)
     flat = pn <= _ZERO_NORM
     if flat.any():
         # for flat pairs: the coordinate axis least aligned with n, made
         # orthogonal to it, is a unit vector in the circle's plane
         axis = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
         q = axis - _dot(axis, n)[..., None] * n
-        q /= _norm(q)[..., None]
+        q /= _norm(np, q)[..., None]
         step = np.where(flat[..., None], q, -p / np.where(flat, 1.0, pn)[..., None])
     else:
         step = -p / pn[..., None]
     return c0[..., None] * n + rho[..., None] * step, keep
 
 
-def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _triple_vertices(np, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both directions where each triple of objects shares one value, with the triple.
 
     The tie planes n1.u = b1 and n2.u = b2 of the pairs (i, j) and (i, k),
@@ -251,13 +234,15 @@ def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     circle instead.  Returns every + vertex, then every - vertex, in
     combination order, and the rows (i, j, k) they belong to.
     """
-    import numpy as np
-
     tri = _index_tuples(len(r), 3)
     i, j, k = tri
     n1 = c[i] - c[j]
     n2 = c[i] - c[k]
-    w = _cross(n1, n2)
+    # w = n1 x n2; np.cross and np.stack cost several times more on arrays this small
+    w = np.empty(n1.shape)
+    np.subtract(n1[:, 1] * n2[:, 2], n1[:, 2] * n2[:, 1], out=w[:, 0])
+    np.subtract(n1[:, 2] * n2[:, 0], n1[:, 0] * n2[:, 2], out=w[:, 1])
+    np.subtract(n1[:, 0] * n2[:, 1], n1[:, 1] * n2[:, 0], out=w[:, 2])
     cc = _dot(w, w)  # the Gram determinant of n1, n2
     parallel = cc <= _ZERO_CROSS2
     cc[parallel] = 1.0  # any divisor: these rows are dropped below
@@ -277,7 +262,7 @@ def _triple_vertices(c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate([base + zw, base - zw]), np.concatenate([tri, tri])
 
 
-def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np.ndarray]:
+def _best_triple_vertices(np, c, r, targets, removed, depth) -> tuple[np.ndarray, np.ndarray]:
     """Each inclusion's least-slack triple vertex and whether it has one.
 
     All objects are centred and normalised by their largest length, so the
@@ -288,17 +273,15 @@ def _best_triple_vertices(c, r, targets, removed, depth) -> tuple[np.ndarray, np
     contain a removed object are not its candidates.  Ties go to the first vertex in
     enumeration order.  Vertices go in blocks, so memory stays bounded.
     """
-    import numpy as np
-
     cn = c - c.sum(axis=0) / len(c)  # c.mean(axis=0), without its Python overhead
-    scale = max(float(_norm(cn).max()), float(r.max())) or 1.0
+    scale = max(float(_norm(np, cn).max()), float(r.max())) or 1.0
     cn /= scale
     rn = r / scale
-    u, tri = _triple_vertices(cn, rn)
+    u, tri = _triple_vertices(np, cn, rn)
     m = len(removed)
     if not len(u):
         return np.tile(_fixed(), (m, 1)), np.zeros(m, dtype=bool)
-    u /= _norm(u)[:, None]
+    u /= _norm(np, u)[:, None]
     best = np.full(m, np.inf)
     best_at = np.zeros(m, dtype=np.intp)
     rows = np.arange(m)
@@ -378,7 +361,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
         raise ValueError("generator list must be nonempty")
     depth = min(n, n - sizes[0] + 1)
     fixed_dir = _fixed()
-    triple_best, has_triple = _best_triple_vertices(c, rad, targets, removed, depth)
+    triple_best, has_triple = _best_triple_vertices(np, c, rad, targets, removed, depth)
 
     results: list[ContainmentResult | None] = [None] * len(targets)
     for g in sizes:
@@ -392,13 +375,13 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
             d = c[gi] - c[targets[qs]][:, None, :]
             r = rad[gi]
             rt = rad[targets[qs]]
-            scale = np.maximum(np.maximum(_norm(d).max(axis=1), r.max(axis=1)), rt)
+            scale = np.maximum(np.maximum(_norm(np, d).max(axis=1), r.max(axis=1)), rt)
             scale[scale == 0.0] = 1.0
             d /= scale[:, None, None]
             r /= scale[:, None]
             rt = rt / scale
-            face, face_keep = _face_minima(d)
-            pair, pair_keep = _pair_circle_minima(d, r)
+            face, face_keep = _face_minima(np, d)
+            pair, pair_keep = _pair_circle_minima(np, d, r)
             fixed = fixed_dir[None, None].repeat(len(qs), axis=0)
             cands = np.concatenate([face, pair, triple_best[qs][:, None, :], fixed], axis=1)
             keep = np.concatenate(
@@ -406,7 +389,7 @@ def spheres_in_hull3(objects, inclusions) -> tuple[ContainmentResult, ...]:
                 axis=1,
             )
             cands = np.where(keep[..., None], cands, fixed_dir)
-            cands /= _norm(cands)[..., None]
+            cands /= _norm(np, cands)[..., None]
             envelope = cands @ d.transpose(0, 2, 1)
             envelope += r[:, None, :]
             envelope = envelope.max(axis=2)

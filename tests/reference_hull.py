@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from carousel.hull import ArcPiece
-from reference_oracle import DEFAULT_SAMPLES, sample_hull_polygon
+from reference_oracle import DEFAULT_SAMPLES, cloud_polygon
 
 TAU = math.tau
 
@@ -69,7 +69,7 @@ def hull_area(gens, pieces) -> float:
 
 def hull_polygon_area(gens, samples: int = DEFAULT_SAMPLES) -> float:
     """Area of the densely inscribed hull polygon (independent area estimate)."""
-    x, y = sample_hull_polygon(gens, samples).T
+    x, y = cloud_polygon(gens, samples).T
     return 0.5 * float(x @ np.roll(y, -1) - y @ np.roll(x, -1))
 
 

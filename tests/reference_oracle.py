@@ -1,51 +1,31 @@
-"""Sampling oracle that tests check the owner-only construction against.
+"""Sampling oracle that the tests check the package's exact oracle against.
 
-``sample_hull_polygon`` is the package oracle's sampled hull as a
-counterclockwise vertex array: its boundary of runs and chains, expanded.
-The oracle itself never builds that array for a hull of three or more
-vertices, so the tests that pin polygon bytes assemble it here from the
-oracle's private pieces.
+``cloud_polygon`` is the hull of every generator circle sampled at the same
+m angles theta_i = 2 pi i / m: every sample of every generator is
+materialised as a (k, m) table, one argmax over generators names each
+boundary normal's owner, and a tiny quickhull joins two owners' samples
+where the owner changes.  ``sampling_oracle_contains`` locates every target
+sample in that polygon by the angle of its wedge around the centroid and
+checks it against the single facing edge, with the absolute band ``eps``.
+Both polygons are inscribed in their circles, so within about
+r (1 - cos(pi/m)) of tangency it may disagree with the exact decision
+either way.  It enumerates no candidate directions of the support gap, so
+it checks the exact oracle independently of that argument.
 
-``cloud_polygon`` and ``sampling_oracle_contains`` are the oracle as it was
-before the hull was built from each normal's owner alone: every sample of
-every generator is materialised as a (k, m) table, one argmax over
-generators names each boundary normal's owner, and every target sample is
-located in the polygon by the angle of its wedge around the centroid and
-checked against the single facing edge, with the absolute band ``eps``.
-They are kept only as a reference.
-
-``loop_owners`` and ``loop_boundary`` are the oracle's owner stage as it
-was before the owners were read off the exact envelope of the supports: k
-passes of numpy work over all m boundary normals, each keeping the first
-generator whose computed support is largest.  ``loop_boundary`` builds the
-runs and chains from them with the oracle's own chain step; the oracle's
-boundary must equal it bit for bit.
-
-``extreme_samples_pass`` is the oracle's edge test as it was before each
-run of one generator's samples was checked only at the edges that can be
-its least: every edge of the full polygon, at the target samples that
-bracket its outward normal.
+``equal_radii_contains`` decides the inputs whose generators share one
+radius R exactly, in rationals, with no band: their hull is the hull P of
+the centres grown by R, so a target of radius r >= R is contained iff its
+disk of radius r - R lies in P, and one of radius r < R iff its centre lies
+within R - r of P.  It too enumerates no candidate directions.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from carousel import oracle
-
 DEFAULT_SAMPLES = 3600
-
-
-def sample_hull_polygon(gens, samples=DEFAULT_SAMPLES):
-    """Counterclockwise vertex array of the oracle's hull of all samples of
-    the nonempty (x, y, r) ``gens``, at every finite scale.
-
-    Raises ValueError where the oracle refuses ``samples``.
-    """
-    samples = oracle._sample_count(samples)
-    gens, e = oracle._normalised(np.array(gens, dtype=float).reshape(-1, 3).tolist())
-    return np.ldexp(oracle._polygon(oracle._sampled_boundary(gens, samples)), e)
 
 
 @functools.cache
@@ -138,71 +118,52 @@ def sampling_oracle_contains(target, gens, samples=DEFAULT_SAMPLES):
     return bool(np.all(polygon_contains_points(poly, circle_samples(target, samples))))
 
 
-def extreme_samples_pass(poly, target, m, band):
-    """True iff every edge a -> b of the ccw polygon (>= 3 vertices) has
-    (b - a) x (q - a) >= -band at the target samples q extreme along its
-    outward normal: the two whose angles bracket the normal's, or the centre
-    of a radius-0 target.  The cross product is evaluated as
-    (b_x - a_x)(q_y - a_y) - (b_y - a_y)(q_x - a_x), term for term.
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _exact_hull(points):
+    """The vertices of the hull of rational ``points``, counterclockwise, with
+    no three collinear; one point, or the two ends of a segment, if it is flat.
     """
-    a = np.concatenate((poly[-1:], poly[:-1]))  # edge j runs from a[j] to poly[j]
-    ax, ay = a.T
-    ex, ey = (poly - a).T
-    tx, ty, tr = target
-    if tr > 0.0:
-        cos_t, sin_t, _, _ = _angle_tables(m)
-        # grid index at or below the outward normal (ey, -ex); it lies in
-        # [-m/2 - 1, m/2], so for m >= 3 it and the next one index the
-        # tables cyclically
-        below = np.floor(np.arctan2(-ex, ey) * (m / (2.0 * math.pi))).astype(np.intp)
-        extremes = [(tx + tr * cos_t[i], ty + tr * sin_t[i]) for i in (below, below + 1)]
-    else:
-        extremes = [(tx, ty)]
-    return all(np.all(ex * (qy - ay) - ey * (qx - ax) >= -band) for qx, qy in extremes)
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    chains = []
+    for run in (pts, pts[::-1]):
+        chain = []
+        for p in run:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return chains[0] + chains[1]
 
 
-def loop_owners(gens, m):
-    """owner[i]: the first of the (x, y, r) ``gens`` whose support is largest
-    at normal theta_i + pi/m, evaluated as the oracle evaluates it.
-    """
-    _, _, cos_b, sin_b = oracle._angle_tables(m)
-    cx, cy, r = np.array(gens, dtype=float).reshape(-1, 3).T
-    h = math.cos(math.pi / m)
-    owner = np.zeros(m, dtype=np.intp)
-    best = cx[0] * cos_b + cy[0] * sin_b + r[0] * h
-    for g in range(1, len(r)):
-        support = cx[g] * cos_b + cy[g] * sin_b + r[g] * h
-        np.putmask(owner, support > best, g)
-        np.maximum(best, support, out=best)
-    return owner
+def _distance2_to_segment(c, a, b):
+    ex, ey = b[0] - a[0], b[1] - a[1]
+    e2 = ex * ex + ey * ey
+    t = 0 if e2 == 0 else min(max(((c[0] - a[0]) * ex + (c[1] - a[1]) * ey) / e2, 0), 1)
+    dx, dy = c[0] - a[0] - t * ex, c[1] - a[1] - t * ey
+    return dx * dx + dy * dy
 
 
-def loop_owner_changes(gens, m):
-    """``oracle._owner_changes``'s (i, g) list, read off ``loop_owners``."""
-    owner = loop_owners(gens, m)
-    changes = np.flatnonzero(owner != np.roll(owner, 1)).tolist()
-    return [(i, int(owner[i])) for i in changes] or [(0, int(owner[0]))]
-
-
-def loop_boundary(gens, m):
-    """The runs and chains of the hull of all m samples of the (x, y, r)
-    ``gens``, from ``loop_owners`` and the oracle's chain step.
-    """
-    gens = np.array(gens, dtype=float).reshape(-1, 3)
-    owner = loop_owners(gens, m)
-    changes = np.flatnonzero(owner != np.roll(owner, 1)).tolist()
-    if not changes:
-        return oracle._Boundary(m, gens, [(int(owner[0]), 0, m)], [[]])
-    rows = gens.tolist()
-    cos_l, sin_l = oracle._angle_lists(m)
-    runs, chains = [], []
-    for first, last in zip(changes, changes[1:] + [changes[0] + m]):
-        i = last % m
-        nx, ny = cos_l[i], sin_l[i]
-        column = [(x + radius * nx, y + radius * ny, g) for g, (x, y, radius) in enumerate(rows)]
-        a, b = column[owner[i - 1]], column[owner[i]]
-        level = min(a[0] * nx + a[1] * ny, b[0] * nx + b[1] * ny)
-        front = [p for p in column if p[0] * nx + p[1] * ny >= level]
-        runs.append((int(owner[first]), first, last))
-        chains.append([p[:2] for p in oracle._outer_chain(a, b, front)])
-    return oracle._Boundary(m, gens, runs, chains)
+def equal_radii_contains(target, gens):
+    """Exact verdict for ``gens`` that all have one radius, in rationals."""
+    (radius,) = {Fraction(r) for _, _, r in gens}
+    cx, cy, r = (Fraction(v) for v in target)
+    c = (cx, cy)
+    poly = _exact_hull([(Fraction(x), Fraction(y)) for x, y, _ in gens])
+    edges = list(zip(poly, poly[1:] + poly[:1]))
+    if r >= radius:
+        rho = r - radius
+        if len(poly) < 3:
+            return rho == 0 and _distance2_to_segment(c, poly[0], poly[-1]) == 0
+        for a, b in edges:
+            cross = _cross(a, b, c)  # |b - a| times the distance of c inside ab
+            if cross < 0 or cross * cross < rho * rho * ((b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2):
+                return False
+        return True
+    if len(poly) >= 3 and all(_cross(a, b, c) >= 0 for a, b in edges):
+        return True
+    return min(_distance2_to_segment(c, a, b) for a, b in edges) <= (radius - r) ** 2

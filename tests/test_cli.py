@@ -805,7 +805,6 @@ class TestStartup:
         ["check", "corollary_circles.json"],
         ["repro3d", "--example", "4.1"],
         ["repro3d", "--example", "4.2", "--t", "5"],
-        ["oracle", "--n", "20", "--seed", "3"],
         *(["fuzz", "--n", "20", "--seed", "3", "--kind", kind]
           for kind in ("theorem2d", "corollary2d", "points2d")),
     ], ids=" ".join)
@@ -832,11 +831,14 @@ class TestStartup:
         (["render", "sweep_leg_tangency.json", "-o", "out.svg"], 0),
         (["check", "points_decomposition.json"], 0),
         (["render", "points_decomposition.json", "-o", "out.svg"], 0),
+        (["oracle", "--n", "20", "--seed", "3"], 0),
     ])
     def test_python_dash_m_runs_the_cli(self, tmp_path, argv, code):
         # none of these builds an array: the sweep and the points
         # decomposition run on plain floats, and so do the figures of their
-        # scenarios and every usage path, so none may load numpy
+        # scenarios and every usage path, and the oracle verb decides each
+        # query on exact integers after one scalar kernel call, so none may
+        # load numpy
         argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
         done = _fresh(["-c", _NUMPY_PROBE, *argv], cwd=tmp_path)
         assert done.returncode == code, done.stderr

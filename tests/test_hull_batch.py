@@ -172,9 +172,9 @@ def test_rejects_objects_that_are_not_finite_or_have_negative_radii(in_gens, col
 
 @pytest.mark.parametrize("col, value, message", [_BAD_VALUES[0], _BAD_VALUES[2]],
                          ids=["nan-coordinate", "negative-radius"])
-def test_the_draws_skip_the_check_but_no_public_entry_does(col, value, message):
-    # the kernel has no unchecked core, and no draw calls it; the entries
-    # that take a caller's arrays keep their value check
+def test_the_array_entries_refuse_a_bad_value_in_a_drawn_row(col, value, message):
+    # a drawn row that a caller spoils is checked again by the kernel and by
+    # the rows entry: neither has an unchecked core
     rows = random_instances(range(3))
     rows[1, 3, col] = value  # u0 of the second row
     with pytest.raises(ValueError, match=message):

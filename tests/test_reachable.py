@@ -23,7 +23,6 @@ ROOT = TRACING.parents[1]
 # package functions that no verb calls, each with the reason it stays
 UNREACHED = {
     "cli.run": "the console-script entry: it calls main on sys.argv and exits the process",
-    "oracle._normalised": "divides an input whose size leaves [2^-256, 2^256]; no verb draws one",
     "scenario._where": "words a schema error, which no valid scenario raises",
     "scenario.row_scenario_dict": "dumps a fuzz failure as a scenario; these campaigns have none",
 }
@@ -47,8 +46,6 @@ def _verb_argvs() -> list:
     argvs += [["sweep", str(sweep), "--j", str(j), "--k", str(k)] for j in range(3) for k in range(2)]
     argvs += [["fuzz", "--kind", kind, "--n", "5", "--seed", "3"]
               for kind in ("theorem2d", "corollary2d", "points2d")]
-    # seeds 3-32: seed 32's hull is one point, which takes the oracle's
-    # 1- and 2-vertex path
     argvs += [["oracle", "--n", "30", "--seed", "3"]]
     argvs += [["repro3d", "--example", "4.1"], ["repro3d", "--example", "4.2"]]
     return argvs
