@@ -6,12 +6,13 @@ an (x, y, z, r) float quadruple in the same way.
 2D: support-function containment of circles in hulls of circles and points,
 one query or a set of queries per call, with witness-direction certificates,
 and hull boundary construction.  Carousel procedures: witness search over a
-triangle of sites (one instance or a set of rows per call), the point-only
-decomposition rule, and the xi-sweep locating the critical scale of a fixed
-witness.  3D: exact sphere-in-hull containment by enumerating the critical
-directions of the support slack, one set of inclusions among the rows of an
-(n, 4) array per call, and the tetrahedron counterexample constructions,
-with exact 2D projection certificates on their outcomes.  Both kernels
+triangle of sites (one row on the scalar kernel, or a block of rows through
+``circles_in_hulls``), the point-only decomposition rule, and the xi-sweep
+locating the critical scale of a fixed witness.  3D: exact sphere-in-hull
+containment by enumerating the critical directions of the support slack,
+one set of inclusions among the rows of an (n, 4) array per call, and the
+tetrahedron counterexample constructions, with exact 2D projection
+certificates on their outcomes.  Both kernels
 return ``ContainmentResult``, and ``hull_boundary`` returns the tuple of
 the boundary's pieces.
 """

@@ -10,8 +10,10 @@ scalar kernel loop.  One set-level call then decides all their inclusions
 (``best_witness_slacks_rows``, which reads each trial's best witness
 slack from the slack and verdict arrays, or ``pair_inclusions_rows`` for
 the points kind, whose decomposition names the one inclusion to solve).
-A trial that fails dumps its scenario straight from its row.  The
-set-level kernel is bitwise equal to the one-query kernel and each
+Only these blocks use ``circles_in_hulls``: a one-row search, as in
+``check`` and ``render``, runs on the scalar kernel.  A trial that fails
+dumps its scenario straight from its row.  The set-level kernel is
+bitwise equal to the one-query kernel and each
 trial's result depends only on its seed, so blocks merge sorted by seed
 into the same report whatever their size.  CAROUSEL_THREADS (an
 environment variable) caps the parallel workers that blocks are spread

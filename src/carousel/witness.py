@@ -8,7 +8,8 @@ it, and checks its floats with ``planar.checked_objects``.  A witness is a
 pair (j, k) such that u_(1-k) lies in the convex hull of u_k together with
 the two sites other than A_j.  ``pair_objects(row, j, k)`` reads that
 inclusion's target and generators off a row, from the one table of object
-indices that the one-pair rows entry, the sweep and the figures all read.
+indices that the witness search, the one-pair rows entry, the sweep and the
+figures all read.
 The xi-sweep scales both circles about their own centers by a common factor
 and finds the supremum of the scales at which a fixed (j, k) witness still
 holds.  The target can only reach the hull boundary by touching the front
@@ -28,16 +29,19 @@ corollary draw keeps a circle centred in the triangle of its three
 generators' centres by a closed-form lower bound on its slack, that
 clearance plus the least generator radius less its own, and takes the
 scalar envelope loop of ``circle_in_hull`` only where the bound is too
-weak, so no draw calls the batch kernel.  The witness search decides a
-row's eight inclusions as two targets, u0 and u1, each against the other
-circle and the three bases under four subsets of them, so each target's
-antipodes and crossings are computed once for its four inclusions.  A
-block draw stacks its seeds' rows into an array; a one-seed draw returns
-its row as a tuple of five float triples.
+weak, so no draw calls the batch kernel.  A block draw stacks its seeds'
+rows into an array; a one-seed draw returns its row as a tuple of five
+float triples.
 
-The sweep, the point decomposition and ``sweep_slack`` run on plain floats
-and never touch numpy.  The rows entries and the draws build arrays, and
-import numpy when they first run, so importing this module does not load it.
+A one-row witness search checks the two hypotheses with
+``_check_hypotheses``, as the sweep and the block decision do, and decides
+its six (j, k) inclusions with ``circle_in_hull``.  Only the block entries
+call ``circles_in_hulls``; ``best_witness_slacks_rows`` decides a row's
+eight inclusions as two targets, u0 and u1, each against the other circle
+and the three bases under four subsets of them.  The witness searches, the
+point decomposition, the sweep and ``sweep_slack`` run on plain floats and
+never touch numpy; the block entries and draws import it when they first
+run, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -104,16 +108,23 @@ class XiSweepReport:
     touch_direction: float | None
 
 
-def _check_collinear(row) -> None:
-    """Raise if a row's sites b0, b1, b2 are collinear and u0 or u1 has a radius."""
-    (ax, ay, _), (bx, by, _), (cx, cy, _), u0, u1 = row
-    if _orientation(ax, ay, bx, by, cx, cy) == 0 and (u0[2] > 0.0 or u1[2] > 0.0):
+def _check_hypotheses(row) -> None:
+    """Raise InvalidInstance if a checked row breaks a hypothesis, the first in this order.
+
+    Sites (bases of radius 0) that are collinear admit only radius-0
+    circles, and u0, then u1, must lie in the hull of the bases, by the
+    slack of ``circle_in_hull``'s envelope loop.
+    """
+    bases = row[:3]
+    sites = all(r == 0.0 for _, _, r in bases)
+    (ax, ay, _), (bx, by, _), (cx, cy, _) = bases
+    if sites and _orientation(ax, ay, bx, by, cx, cy) == 0 and (row[3][2] > 0.0 or row[4][2] > 0.0):
         raise InvalidInstance("collinear sites admit only radius-0 circles")
-
-
-def _require_inside(k: int, inside: bool, slack: float, hull: str) -> None:
-    if not inside:
-        raise InvalidInstance(f"u{k} is not inside the {hull} hull (slack {slack:.3g})")
+    for k, (tx, ty, tr) in enumerate(row[3:]):
+        slack, _ = _envelope_min([(x - tx, y - ty, r - tr) for x, y, r in bases])
+        if not contained(slack):
+            hull = "site" if sites else "generator"
+            raise InvalidInstance(f"u{k} is not inside the {hull} hull (slack {slack:.3g})")
 
 
 def _checked_row(row) -> tuple:
@@ -210,10 +221,10 @@ def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slack and verdict of the eight inclusions of every row, from one kernel call.
 
     The results are (n, 8) arrays, the two hypotheses first and then the
-    (j, k) of JK_PAIRS.  Rows are checked in order, and the first that
-    breaks a hypothesis raises InvalidInstance: sites must not be collinear
-    under circles of positive radius, and each u_k must lie in the hull of
-    the bases.  A row's bases are sites iff their three radii are 0.
+    (j, k) of JK_PAIRS.  The first row that breaks a hypothesis raises the
+    InvalidInstance of ``_check_hypotheses``, run on that row alone; if the
+    scalar check passes a row that the block refused, the two disagree and
+    RuntimeError is raised, never a result.
     """
     import numpy as np
 
@@ -224,51 +235,26 @@ def _decide(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     )
     slack = slack.reshape(n, 8).take(order, axis=1)
     inside = inside.reshape(n, 8).take(order, axis=1)
+    # the rows _check_hypotheses refuses as collinear, by the same
+    # _orientation, read only where sites carry a circle of positive radius
     sites = (rows[:, :3, 2] == 0.0).all(axis=1)
-    # the rows _check_collinear rejects, by the same _orientation, read
-    # only where sites carry a circle of positive radius
     flat = np.zeros(n, bool)
     asked = np.flatnonzero(sites & (rows[:, 3:, 2] > 0.0).any(axis=1))
     flat[asked] = [_orientation(*abc) == 0 for abc in rows[asked, :3, :2].reshape(-1, 6).tolist()]
     bad = flat | ~(inside[:, 0] & inside[:, 1])
     if bad.any():
         i = int(bad.argmax())
-        if sites[i]:
-            _check_collinear(rows[i].tolist())
-        for k in (0, 1):
-            _require_inside(k, inside[i, k], slack[i, k], "site" if sites[i] else "generator")
+        _check_hypotheses(rows[i].tolist())
+        raise RuntimeError(f"the block refused row {i}, which the hypothesis check passes")
     return slack, inside
-
-
-def witness_searches_rows(rows) -> list[list[Witness]]:
-    """Each row's (j, k) pairs whose inclusion holds, by descending slack.
-
-    ``rows`` is an (n, 5, 3) array of the (x, y, r) objects b0, b1, b2, u0,
-    u1; a row's bases are sites when their radii are all 0 and generator
-    circles otherwise.  The two hypothesis inclusions and six (j, k)
-    inclusions of all rows are decided in one ``circles_in_hulls`` call,
-    and the first row that breaks a hypothesis raises InvalidInstance.
-    Rows of any other shape raise ValueError.
-    """
-    rows = _rows_array(rows)
-    if not len(rows):
-        return []
-    slack, inside = _decide(rows)
-    out = []
-    for row_slack, row_inside in zip(slack[:, 2:].tolist(), inside[:, 2:].tolist()):
-        found = [
-            Witness(j, k, s) for (j, k), s, ok in zip(JK_PAIRS, row_slack, row_inside) if ok
-        ]
-        found.sort(key=lambda w: (-w.slack, w.j, w.k))
-        out.append(found)
-    return out
 
 
 def best_witness_slacks_rows(rows) -> list[float | None]:
     """Each row's largest (j, k) slack among the inclusions that hold, or None if none holds.
 
-    The slack of the first witness of ``witness_searches_rows``, read from
-    the same decision without building the witness lists.
+    ``rows`` is an (n, 5, 3) array of rows as ``witness_search`` takes
+    them, and the result is the slack of its first witness, from one
+    ``circles_in_hulls`` call for all rows.  Other shapes raise ValueError.
     """
     import numpy as np
 
@@ -284,7 +270,7 @@ def best_witness_slacks_rows(rows) -> list[float | None]:
 def pair_inclusions_rows(rows, pairs) -> tuple[list, list]:
     """Slack and verdict of one named (j, k) inclusion per row, from one kernel call.
 
-    Rows are as for ``witness_searches_rows``; u0 and u1 may be points.
+    Rows are as for ``best_witness_slacks_rows``; u0 and u1 may be points.
     ``pairs`` holds one (j, k) per row, each checked as ``pair_objects``
     checks it; a count that differs from the rows' raises ValueError.
     """
@@ -306,19 +292,30 @@ def pair_inclusions_rows(rows, pairs) -> tuple[list, list]:
 def witness_search(row) -> list[Witness]:
     """All (j, k) pairs whose inclusion holds, sorted by descending slack.
 
-    ``row`` holds the (x, y, r) objects b0, b1, b2, u0, u1.  The one-row
-    case of ``witness_searches_rows``, so its bases are sites when their
-    radii are all 0 and generator circles otherwise.
+    ``row`` holds the (x, y, r) objects b0, b1, b2, u0, u1; its bases are
+    sites when their radii are all 0 and generator circles otherwise.  One
+    ``circle_in_hull`` call a (j, k) pair, on plain floats; each slack is
+    bitwise the one ``best_witness_slacks_rows`` reads from a block.
     """
-    return witness_searches_rows(_block([_checked_row(row)]))[0]
+    row = _checked_row(row)
+    _check_hypotheses(row)
+    found = []
+    for j, k in JK_PAIRS:
+        res = circle_in_hull(*_pair(row, j, k))
+        if res.contained:
+            found.append(Witness(j, k, res.slack))
+    found.sort(key=lambda w: (-w.slack, w.j, w.k))
+    return found
 
 
 def corollary_witness_search(row) -> list[Witness]:
     """Witness search on a row of three generator circles c0, c1, c2, then u0 and u1.
 
-    The one-row case of ``witness_searches_rows``, as ``witness_search`` is.
+    ``witness_search`` itself, which reads bases of positive radius as
+    generator circles; the name stays because the benchmark's tracer wraps
+    it as a layer.
     """
-    return witness_searches_rows(_block([_checked_row(row)]))[0]
+    return witness_search(row)
 
 
 def point_decomposition(row) -> tuple[int, int]:
@@ -480,17 +477,14 @@ def xi_sweep_fixed(row, j: int, k: int) -> XiSweepReport:
     zeta = 0 on, xi_star = 0 and the tangency is the side of the point hull
     nearest the target's centre.  When no interval fails, xi_star = 1 with
     no tangency.  The slack at xi_star and the touch direction come from
-    one envelope evaluation there.  The row is checked once: the hypothesis
-    checks read its checked floats, and the events and the probes read them
-    as the (target, generators) of ``pair_objects``.
+    one envelope evaluation there.  The row is checked once:
+    ``_check_hypotheses`` reads its checked floats, and the events and the
+    probes read them as the (target, generators) of ``pair_objects``.
     """
     _check_jk(j, k)
     j, k = int(j), int(k)  # a numpy integer reports as an int
     row = _sites_row(row)
-    _check_collinear(row)
-    for u, (tx, ty, tr) in enumerate(row[3:]):  # u0, u1 in the site hull, as circle_in_hull
-        slack, _ = _envelope_min([(sx - tx, sy - ty, 0.0 - tr) for sx, sy, _ in row[:3]])
-        _require_inside(u, contained(slack), slack, "site")
+    _check_hypotheses(row)
     pair = _pair(row, j, k)
     events = _sweep_events(*pair)
     edges = [0.0] + [zeta for zeta, _ in events] + [1.0]

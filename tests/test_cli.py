@@ -785,7 +785,37 @@ _NUMPY_PROBE = (
 )
 
 
+# each one-row 2D library entry on a scenario's row, printing last whether numpy was imported
+_ONE_ROW_PROBE = """
+import sys
+from pathlib import Path
+from carousel import (circle_in_hull, corollary_witness_search, hull_boundary,
+                      two_carousel_points, witness_search, xi_sweep_fixed)
+from carousel.oracle import sampling_oracle_contains
+from carousel.scenario import load_scenario
+from carousel.witness import pair_objects
+
+def row(name):
+    return load_scenario(Path(sys.argv[1], name)).row
+
+theorem = row("theorem_concentric.json")
+assert witness_search(theorem) and witness_search(row("theorem_point_on_site.json"))
+assert corollary_witness_search(row("corollary_circles.json"))
+assert two_carousel_points(row("points_decomposition.json"))[1]
+assert xi_sweep_fixed(row("sweep_leg_tangency.json"), 0, 0).xi_star > 0.0
+target, gens = pair_objects(theorem, 1, 0)
+assert circle_in_hull(target, gens).contained and hull_boundary(gens)
+assert sampling_oracle_contains(target, gens)
+print("numpy" in sys.modules)
+"""
+
+
 class TestStartup:
+    def test_one_row_library_entries_leave_numpy_out(self):
+        # a one-row search or sweep and a one-query solve run on plain floats
+        done = _fresh(["-c", _ONE_ROW_PROBE, str(SCENARIOS)], check=True)
+        assert done.stdout.strip() == "False"
+
     def test_cli_import_leaves_scipy_out(self):
         probe = "import sys, carousel.cli; print('scipy' in sys.modules)"
         assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
@@ -801,8 +831,6 @@ class TestStartup:
         assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
 
     @pytest.mark.parametrize("argv", [
-        ["check", "theorem_concentric.json"],
-        ["check", "corollary_circles.json"],
         ["repro3d", "--example", "4.1"],
         ["repro3d", "--example", "4.2", "--t", "5"],
         *(["fuzz", "--n", "20", "--seed", "3", "--kind", kind]
@@ -832,13 +860,17 @@ class TestStartup:
         (["check", "points_decomposition.json"], 0),
         (["render", "points_decomposition.json", "-o", "out.svg"], 0),
         (["oracle", "--n", "20", "--seed", "3"], 0),
+        (["check", "theorem_concentric.json"], 0),
+        (["render", "theorem_concentric.json", "-o", "out.svg"], 0),
+        (["check", "corollary_circles.json"], 0),
+        (["render", "corollary_circles.json", "-o", "out.svg"], 0),
     ])
     def test_python_dash_m_runs_the_cli(self, tmp_path, argv, code):
-        # none of these builds an array: the sweep and the points
-        # decomposition run on plain floats, and so do the figures of their
-        # scenarios and every usage path, and the oracle verb decides each
-        # query on exact integers after one scalar kernel call, so none may
-        # load numpy
+        # none of these builds an array: the witness search, the sweep and
+        # the points decomposition run on plain floats, and so do the
+        # figures of their scenarios and every usage path, and the oracle
+        # verb decides each query on exact integers after one scalar kernel
+        # call, so none may load numpy
         argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
         done = _fresh(["-c", _NUMPY_PROBE, *argv], cwd=tmp_path)
         assert done.returncode == code, done.stderr

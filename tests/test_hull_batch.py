@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from carousel import InvalidInstance, circle_in_hull
+from carousel import ContainmentResult, InvalidInstance, circle_in_hull
 from carousel import hull, witness
 from carousel.hull import circles_in_hulls
 from carousel.witness import (
@@ -19,7 +19,7 @@ from carousel.witness import (
     random_corollary_instances,
     random_instances,
     random_points_instances,
-    witness_searches_rows,
+    witness_search,
 )
 
 
@@ -303,22 +303,26 @@ def test_guards_match_scalar_at_their_boundaries():
                    for a, b in zip(*scalar))
 
 
-# -- set-level witness search -------------------------------------------------
+# -- the block decision against the one-row search -------------------------
+#
+# witness_search decides a row's inclusions one circle_in_hull call at a time,
+# and the block decision all of them in one circles_in_hulls call, so each
+# comparison below is between the two kernels.
 
 
-def _scalar_witness_pairs(row):
-    """The one-query-at-a-time search: one circle_in_hull per (j, k) pair."""
-    found = []
-    for j, k in JK_PAIRS:
-        res = circle_in_hull(*pair_objects(row, j, k))
-        if res.contained:
-            found.append(Witness(j, k, res.slack))
-    found.sort(key=lambda w: (-w.slack, w.j, w.k))
-    return found
+def _block_witnesses(rows):
+    """Each row's witness list as the block decision gives it, by descending slack."""
+    slack, inside = witness._decide(rows)
+    out = []
+    for row_slack, row_inside in zip(slack[:, 2:].tolist(), inside[:, 2:].tolist()):
+        found = [Witness(j, k, s) for (j, k), s, ok in zip(JK_PAIRS, row_slack, row_inside) if ok]
+        found.sort(key=lambda w: (-w.slack, w.j, w.k))
+        out.append(found)
+    return out
 
 
 def _key(witnesses):
-    return [(w.j, w.k, _bits(w.slack)) for w in witnesses]
+    return [(w.j, w.k, w.slack.hex()) for w in witnesses]
 
 
 @pytest.mark.parametrize("draw, sites", [
@@ -339,10 +343,10 @@ def test_decide_matches_per_inclusion_calls(draw, sites):
         alone = circles_in_hulls(targets, gens)
         assert slack[:, col].tobytes() == alone[0].tobytes()
         assert inside[:, col].tobytes() == alone[1].tobytes()
+    # the best slack is the first witness of the one-row search
     best = witness.best_witness_slacks_rows(rows)
-    found = witness.witness_searches_rows(rows)
     assert [None if s is None else _bits(s) for s in best] == [
-        _bits(ws[0].slack) if ws else None for ws in found
+        _bits(ws[0].slack) if ws else None for ws in map(witness_search, rows.tolist())
     ]
 
 
@@ -355,21 +359,22 @@ def test_best_slack_is_none_without_a_witness(monkeypatch):
         inside[:, 1:] = False  # keep the hypotheses, refute every (j, k)
         return slack, inside, theta
 
+    def refuted(target, gens):
+        res = circle_in_hull(target, gens)
+        return ContainmentResult(False, res.slack, 0.0)
+
     monkeypatch.setattr(witness, "circles_in_hulls", no_pair_holds)
+    monkeypatch.setattr(witness, "circle_in_hull", refuted)
     assert witness.best_witness_slacks_rows(rows) == [None] * 20
-    assert witness.witness_searches_rows(rows) == [[]] * 20
+    assert [witness_search(row) for row in rows.tolist()] == [[]] * 20
 
 
-def test_theorem_search_matches_scalar_pairs():
-    rows = random_instances(range(3000))
-    for row, got in zip(rows.tolist(), witness_searches_rows(rows)):
-        assert _key(got) == _key(_scalar_witness_pairs(row))
-
-
-def test_corollary_search_matches_scalar_pairs():
-    rows = random_corollary_instances(range(3000))
-    for row, got in zip(rows.tolist(), witness_searches_rows(rows)):
-        assert _key(got) == _key(_scalar_witness_pairs(row))
+@pytest.mark.parametrize("draw", [random_instances, random_corollary_instances],
+                         ids=["theorem2d", "corollary2d"])
+def test_block_witness_lists_match_the_one_row_search(draw):
+    rows = draw(range(3000))
+    for row, got in zip(rows.tolist(), _block_witnesses(rows)):
+        assert _key(got) == _key(witness_search(row))
 
 
 def test_point_inclusions_match_scalar():
@@ -381,25 +386,46 @@ def test_point_inclusions_match_scalar():
         assert (_bits(slack), ok) == (_bits(res.slack), res.contained)
 
 
-def test_first_case_breaking_a_hypothesis_raises():
-    def search(*rows):
-        return witness_searches_rows(np.array(rows, dtype=float))
+def test_first_case_breaking_a_hypothesis_raises_what_the_one_row_search_raises():
+    def raised(entry, arg):
+        with pytest.raises(InvalidInstance) as exc:
+            entry(arg)
+        return str(exc.value)
 
     good = random_instances([1])[0].tolist()
     outside = good[:4] + [[100, 100, 1]]
     collinear = [[0, 0, 0], [2, 0, 0], [5, 0, 0], [1, 0, 0.1], [3, 0, 0]]
-    with pytest.raises(InvalidInstance, match="u1 is not inside the site hull"):
-        search(good, outside, collinear)
-    with pytest.raises(InvalidInstance, match="collinear"):
-        search(good, collinear, outside)
-    # a radius within the decision band keeps the hypotheses on collinear sites
+    # a radius within the decision band keeps u0 in the hull of collinear sites
     thin = collinear[:3] + [[1, 0, 1e-9], [3, 0, 0]]
-    with pytest.raises(InvalidInstance, match="collinear"):
-        search(good, thin)
     cs = [[0, 0, 1], [8, 0, 1], [0, 8, 1], [7, 7, 0.5], [2, 2, 0.5]]
-    with pytest.raises(InvalidInstance, match="u0 is not inside the generator hull"):
-        search(cs)
-    assert witness_searches_rows(np.zeros((0, 5, 3))) == []
+    cases = [
+        ([good, outside, collinear], "u1 is not inside the site hull"),
+        ([good, collinear, outside], "collinear sites admit only radius-0 circles"),
+        ([good, thin], "collinear sites admit only radius-0 circles"),
+        ([cs], "u0 is not inside the generator hull"),
+        ([good, cs, good], "u0 is not inside the generator hull"),
+    ]
+    for rows, message in cases:
+        block = raised(witness.best_witness_slacks_rows, np.array(rows, dtype=float))
+        assert block.startswith(message)
+        # the first bad row raises in the one-row search, with the same words
+        first = next(row for row in rows if row is not good)
+        assert block == raised(witness_search, first)
+    assert witness.best_witness_slacks_rows(np.zeros((0, 5, 3))) == []
+
+
+def test_a_row_the_block_refuses_and_the_check_passes_is_an_internal_error(monkeypatch):
+    rows = random_instances(range(4))
+    real = circles_in_hulls
+
+    def refuse_row_2(targets, gens, subsets):
+        slack, inside, theta = real(targets, gens, subsets)
+        inside.reshape(4, 2, 4)[2, 0, 0] = False  # row 2's u0 hypothesis
+        return slack, inside, theta
+
+    monkeypatch.setattr(witness, "circles_in_hulls", refuse_row_2)
+    with pytest.raises(RuntimeError, match="the block refused row 2"):
+        witness.best_witness_slacks_rows(rows)
 
 
 def _near_collinear_rows():
@@ -428,27 +454,22 @@ def _outcome(entry, rows):
         return str(exc)
 
 
-def test_collinear_sites_are_decided_as_check_collinear_decides_them():
+def test_collinear_sites_are_decided_as_the_one_row_search_decides_them():
     good = random_instances([1])[0].tolist()
+    best_of = witness.best_witness_slacks_rows
     refused = []
     for row in _near_collinear_rows():
-        message = _outcome(witness._check_collinear, row)
-        refused.append(message is not None)
-        found = _outcome(witness_searches_rows, [row])
-        best = _outcome(witness.best_witness_slacks_rows, [row])
-        one = _outcome(witness.witness_search, row)
-        if message is not None:
-            assert found == best == one == message
-        elif isinstance(found, str):
-            assert best == one == found == "u0 is not inside the site hull (slack -0.1)"
+        one = _outcome(witness_search, row)
+        refused.append(one == "collinear sites admit only radius-0 circles")
+        best = _outcome(best_of, [row])
+        block = _outcome(best_of, [good, good, row, good])
+        if isinstance(one, str):
+            assert refused[-1] or one == "u0 is not inside the site hull (slack -0.1)"
+            # the row raises its own error, alone or in the middle of a block
+            assert best == block == one
         else:
-            assert found == [one] and best == [one[0].slack]
-        # a bad row in the middle of a block raises its own error
-        block = _outcome(witness_searches_rows, [good, good, row, good])
-        if isinstance(found, str):
-            assert block == found
-        else:
-            assert block == witness_searches_rows([good, good]) + found + [block[0]]
+            assert best == [one[0].slack]
+            assert block == best_of([good, good]) + best + [block[0]]
     # rows of radius 0 are never refused; those of positive radius are while
     # twice the area is within EPS_GEOM, at offsets 0, 1e-12 and 5e-10
     assert refused == ([False, True, True] * 3 + [False] * 6) * 2
@@ -458,8 +479,6 @@ def test_collinear_sites_are_decided_as_check_collinear_decides_them():
 def test_rows_entries_reject_what_the_kernel_rejects(col, value, message):
     rows = random_instances(range(3))
     rows[2, 4, col] = value  # u1 of the last row
-    with pytest.raises(ValueError, match=message):
-        witness_searches_rows(rows)
     with pytest.raises(ValueError, match=message):
         witness.best_witness_slacks_rows(rows)
     points = random_points_instances(range(3))
@@ -472,8 +491,8 @@ def test_rows_entries_reject_what_the_kernel_rejects(col, value, message):
 def test_rows_entries_read_nested_lists_as_arrays():
     rows = random_instances(range(4))
     nested = rows.tolist()
-    assert witness_searches_rows(nested) == witness_searches_rows(rows)
     assert witness.best_witness_slacks_rows(nested) == witness.best_witness_slacks_rows(rows)
+    assert list(map(witness_search, nested)) == list(map(witness_search, rows))
     points = random_points_instances(range(4))
     pairs = [point_decomposition(row) for row in points.tolist()]
     assert pair_inclusions_rows(points.tolist(), pairs) == pair_inclusions_rows(points, pairs)
@@ -484,9 +503,8 @@ def test_rows_entries_read_nested_lists_as_arrays():
 def test_rows_entries_reject_rows_of_other_shapes(shape):
     rows = np.zeros(shape)
     message = r"^rows must be \(n, 5, 3\)"
-    for entry in (witness_searches_rows, witness.best_witness_slacks_rows):
-        with pytest.raises(ValueError, match=message):
-            entry(rows)
+    with pytest.raises(ValueError, match=message):
+        witness.best_witness_slacks_rows(rows)
     with pytest.raises(ValueError, match=message):
         pair_inclusions_rows(rows, [(0, 0)] * len(rows))
 
