@@ -15,10 +15,8 @@ Only these blocks use ``circles_in_hulls``: a one-row search, as in
 dumps its scenario straight from its row.  The set-level kernel is
 bitwise equal to the one-query kernel and each
 trial's result depends only on its seed, so blocks merge sorted by seed
-into the same report whatever their size.  CAROUSEL_THREADS (an
-environment variable) caps the parallel workers that blocks are spread
-over; unset means single-threaded, and a pool gets no more workers than
-it has blocks or the machine has CPUs.  Wall time is measured but kept
+into the same report whatever their size.  A campaign runs its blocks
+one after another in the calling process.  Wall time is measured but kept
 out of the serialized report so identical inputs produce byte-identical
 files.
 """
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -86,9 +83,8 @@ def _histogram(slacks: list[float]) -> tuple[dict, ...]:
     return tuple(bins)
 
 
-def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
+def _run_block(kind: str, seeds: list[int]) -> list[tuple[int, float | None, dict | None]]:
     """Each seed's best witness slack, or None and the scenario of its drawn row."""
-    kind, seeds = args
     if kind == "points2d":
         rows = random_points_instances(seeds)
         pairs = [point_decomposition(row) for row in rows.tolist()]
@@ -105,35 +101,8 @@ def _run_block(args) -> list[tuple[int, float | None, dict | None]]:
 
 
 # Trials per block: a block's instances are drawn seed by seed and then decided
-# in one set-level call, and the blocks are what the parallel path distributes.
+# in one set-level call, so the block size bounds the arrays of that call.
 _SEED_BLOCK = 500
-
-
-def _worker_count(tasks: int) -> int:
-    """Workers for ``tasks`` parallel tasks: CAROUSEL_THREADS, at most one per task and CPU.
-
-    A pool that forks starts all of its workers on the first task, so a
-    larger count would only start idle processes.
-    """
-    raw = os.environ.get("CAROUSEL_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, min(n, tasks, os.cpu_count() or 1))
-
-
-def _map(fn, jobs: list, chunksize: int = 1) -> list:
-    """``fn`` over ``jobs`` in order, over parallel workers when CAROUSEL_THREADS asks."""
-    workers = _worker_count(-(-len(jobs) // chunksize))
-    if workers == 1:
-        return [fn(job) for job in jobs]
-    # imported here: the process pool pulls in multiprocessing, a large share
-    # of importing the package, and only a parallel run needs it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunksize))
 
 
 def _campaign_args(n, seed) -> tuple[int, int]:
@@ -159,10 +128,11 @@ def run_fuzz(n: int, seed: int, kind: str) -> FuzzReport:
     n, seed = _campaign_args(n, seed)
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
-    size = min(_SEED_BLOCK, -(-n // _worker_count(n)))  # every worker gets a block
-    jobs = [(kind, seeds[i : i + size]) for i in range(0, n, size)]
-    blocks = _map(_run_block, jobs)
-    results = sorted((r for block in blocks for r in block), key=lambda r: r[0])
+    results = [
+        r for i in range(0, n, _SEED_BLOCK) for r in _run_block(kind, seeds[i : i + _SEED_BLOCK])
+    ]
+    # seeds that wrap past 2**64 sort ahead of the ones before the wrap
+    results.sort(key=lambda r: r[0])
     slacks = [r[1] for r in results if r[1] is not None]
     failures = tuple(
         {"seed": r[0], "scenario": r[2]} for r in results if r[2] is not None
@@ -233,7 +203,7 @@ def run_oracle_check(n: int, seed: int) -> OracleReport:
     n, seed = _campaign_args(n, seed)
     start = time.perf_counter()
     seeds = [(seed + i) % 2**64 for i in range(n)]
-    results = _map(_oracle_trial, seeds, chunksize=16)
+    results = [_oracle_trial(s) for s in seeds]
     results.sort(key=lambda r: r[0])
     disagreements = tuple(
         {"seed": s, "predicate": a, "oracle": o, "slack": slack}

@@ -52,10 +52,21 @@ def is_integer(v) -> bool:
 def checked_objects(objs, nonempty: bool = False) -> tuple[tuple[float, float, float], ...]:
     """The 2D objects ``objs`` as (x, y, r) float triples; a point is r = 0.
 
-    Raises ValueError on a coordinate that is not finite, on a radius that
-    is negative or not finite, and, with ``nonempty``, on an empty list.
+    Raises ValueError on an entry that is not three numbers, on a coordinate
+    that is not finite, on a radius that is negative or not finite, and,
+    with ``nonempty``, on an empty list.
     """
-    out = tuple([(float(x), float(y), float(r)) for x, y, r in objs])
+    try:
+        out = tuple([(float(x), float(y), float(r)) for x, y, r in objs])
+    except (TypeError, ValueError):
+        # a second pass names the entry; a one-shot iterator is already spent
+        for i, obj in enumerate(objs):
+            try:
+                x, y, r = obj
+                float(x), float(y), float(r)
+            except (TypeError, ValueError):
+                raise ValueError(f"object {i} must be three numbers (x, y, r), got {obj!r}") from None
+        raise ValueError("objects must be three numbers (x, y, r) each") from None
     for x, y, r in out:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"coordinates must be finite, got ({x}, {y})")

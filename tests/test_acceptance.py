@@ -43,8 +43,7 @@ def announce(name: str, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def test_witness_existence_fuzz_10k(monkeypatch):
-    monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+def test_witness_existence_fuzz_10k():
     start = time.perf_counter()
     rep = run_fuzz(10_000, 20260810, "theorem2d")
     elapsed = time.perf_counter() - start
@@ -340,8 +339,7 @@ SWEEP_SCENARIO = {
 }
 
 
-def test_cli_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+def test_cli_determinism(tmp_path):
     theorem = tmp_path / "theorem.json"
     theorem.write_text(json.dumps(THEOREM_SCENARIO), encoding="utf-8")
     sweep = tmp_path / "sweep.json"

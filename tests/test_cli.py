@@ -487,11 +487,10 @@ class TestFuzzVerb:
         ("corollary2d", "12f01bb0e76ca72094d3b5b69f7684cdd95417d49603c19c51ec0b73838270e7"),
         ("points2d", "96080963568d0dc499b69c44f1bc3b8d00985a9f9ab194df62dc415a0719776b"),
     ])
-    def test_10k_report_is_pinned(self, tmp_path, monkeypatch, kind, digest):
+    def test_10k_report_is_pinned(self, tmp_path, kind, digest):
         # sha256 of the canonical report as written when every instance was
         # drawn one seed and one rejection query at a time; any change to it
         # is listed in CHANGES.md
-        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
         out = tmp_path / "rep.json"
         assert main(["fuzz", "--kind", kind, "--n", "10000", "--seed", "1", "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -504,16 +503,6 @@ class TestFuzzVerb:
         err = capsys.readouterr().err
         assert "need at least 1 trial" in err
         assert "Traceback" not in err
-
-    def test_workers_change_no_report(self, monkeypatch):
-        # each kind runs once serially and once on a pool of 2 processes
-        from carousel.fuzz import FUZZ_KINDS, run_fuzz
-
-        for kind in FUZZ_KINDS:
-            monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
-            serial = canonical_json(run_fuzz(200, 5, kind).to_dict())
-            monkeypatch.setenv("CAROUSEL_THREADS", "2")
-            assert canonical_json(run_fuzz(200, 5, kind).to_dict()) == serial
 
 
 class TestOracleVerb:
@@ -556,34 +545,6 @@ class TestOracleVerb:
         out = tmp_path / "rep.json"
         assert main(["oracle", "--n", "1000", "--seed", str(seed), "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS_1000[seed]
-
-    def test_workers_change_no_report(self, tmp_path, monkeypatch):
-        # a real pool of 2 worker processes, whatever the machine's CPU count;
-        # the campaign imports the pool class when it starts one
-        import concurrent.futures
-        from concurrent.futures import ProcessPoolExecutor
-
-        sizes = []
-
-        class Pool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        reports = []
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("CAROUSEL_THREADS", threads)
-            out = tmp_path / f"rep_{threads}.json"
-            assert main(["oracle", "--n", "300", "--seed", "1", "-o", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert sizes == [2]
-        assert reports[1] == reports[0]
-        assert hashlib.sha256(reports[1]).hexdigest() == self.DIGEST_300
 
 
 class TestRepro3dVerb:
@@ -772,7 +733,6 @@ def _fresh(args, **kwargs) -> subprocess.CompletedProcess:
 
     src = Path(carousel.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    env.pop("CAROUSEL_THREADS", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=60, **kwargs)
 
@@ -783,6 +743,21 @@ _NUMPY_PROBE = (
     "atexit.register(lambda: print('numpy' in sys.modules))\n"
     "runpy.run_module('carousel', run_name='__main__', alter_sys=True)\n"
 )
+
+
+# every fuzz kind and the oracle, in process with CAROUSEL_THREADS set to argv[1]
+# (unset when empty), printing last which process-pool modules were imported
+_CAMPAIGN_PROBE = """
+import os, sys
+os.environ.pop("CAROUSEL_THREADS", None)
+if sys.argv[1]:
+    os.environ["CAROUSEL_THREADS"] = sys.argv[1]
+from carousel.cli import main
+for kind in ("theorem2d", "corollary2d", "points2d"):
+    assert main(["fuzz", "--kind", kind, "--n", "1000", "--seed", "1"]) == 0
+assert main(["oracle", "--n", "300", "--seed", "1"]) == 0
+print(*[m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules])
+"""
 
 
 # each one-row 2D library entry on a scenario's row, printing last whether numpy was imported
@@ -821,9 +796,19 @@ class TestStartup:
         assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
 
     def test_cli_import_leaves_the_process_pool_out(self):
-        # only a run with CAROUSEL_THREADS starts a pool, and imports it then
+        # no verb starts a process, so nothing imports the pool
         probe = "import sys, carousel.cli; print('concurrent.futures.process' in sys.modules)"
         assert _fresh(["-c", probe], check=True).stdout.strip() == "False"
+
+    def test_campaigns_start_no_process(self):
+        # set or unset, CAROUSEL_THREADS starts no pool: every campaign runs
+        # in this process and writes the bytes of an unset run
+        reports = [_fresh(["-c", _CAMPAIGN_PROBE, threads], check=True).stdout
+                   for threads in ("2", "")]
+        *report, loaded = reports[0].splitlines(keepends=True)
+        assert loaded == "\n"
+        assert reports[1] == reports[0]
+        assert '"verb": "oracle"' in "".join(report)
 
     def test_cli_import_leaves_numpy_out(self):
         # numpy is imported by the first function that builds an array
@@ -836,7 +821,7 @@ class TestStartup:
         *(["fuzz", "--n", "20", "--seed", "3", "--kind", kind]
           for kind in ("theorem2d", "corollary2d", "points2d")),
     ], ids=" ".join)
-    def test_numpy_verbs_import_it_when_they_run(self, capsys, monkeypatch, argv):
+    def test_numpy_verbs_import_it_when_they_run(self, capsys, argv):
         # from a cold start numpy is first imported inside the job; the verb
         # must still exit 0 and print what it prints in process
         argv = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
@@ -844,7 +829,6 @@ class TestStartup:
         assert done.returncode == 0, done.stderr
         *report, imported = done.stdout.splitlines(keepends=True)
         assert imported == "True\n"
-        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
         assert main(argv) == 0
         assert "".join(report) == capsys.readouterr().out
 

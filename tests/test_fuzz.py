@@ -1,8 +1,6 @@
-"""Seeded draws, the fuzz blocks built on them, and the worker count."""
+"""Seeded draws, the fuzz blocks built on them, and the campaigns' arguments."""
 
-import concurrent.futures
 import math
-import os
 
 import numpy as np
 import pytest
@@ -199,7 +197,6 @@ def test_histogram_bins_each_bound_with_the_slacks_above_it():
 class TestFuzzBlocks:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_block_size_changes_no_report(self, monkeypatch, kind):
-        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
         reports = set()
         for size in (1, 7, 500):
             monkeypatch.setattr(fuzz, "_SEED_BLOCK", size)
@@ -209,7 +206,6 @@ class TestFuzzBlocks:
     @pytest.mark.parametrize("kind", FUZZ_KINDS)
     def test_failures_dump_the_drawn_instance(self, monkeypatch, kind):
         # no natural seed lacks a witness, so the decision is made to say so
-        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
         monkeypatch.setattr(
             fuzz, "best_witness_slacks_rows", lambda rows: [None] * len(rows)
         )
@@ -246,59 +242,8 @@ class TestCampaignArguments:
     @pytest.mark.parametrize("n, seed", [
         (np.int64(3), 1), (3, np.int64(1)), (np.int32(3), np.int64(-5)), (np.uint8(3), np.uint64(7)),
     ])
-    def test_numpy_integers_are_ints(self, monkeypatch, campaign, n, seed):
-        monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
+    def test_numpy_integers_are_ints(self, campaign, n, seed):
         report = CAMPAIGNS[campaign](n, seed).to_dict()
         assert (type(report["trials"]), type(report["seed"])) == (int, int)
         expected = CAMPAIGNS[campaign](int(n), int(seed)).to_dict()
         assert canonical_json(report) == canonical_json(expected)
-
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the size asked for, starts no process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
-
-
-class TestWorkerCount:
-    def test_capped_by_tasks_and_cpus(self, monkeypatch):
-        monkeypatch.setenv("CAROUSEL_THREADS", "64")
-        cpus = os.cpu_count() or 1
-        assert fuzz._worker_count(10) == min(10, cpus)
-        assert fuzz._worker_count(1) == 1
-        assert fuzz._worker_count(10**6) == min(64, cpus)
-        monkeypatch.setattr(os, "cpu_count", lambda: 128)
-        assert fuzz._worker_count(10) == 10
-        assert fuzz._worker_count(10**6) == 64
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert fuzz._worker_count(10) == 1
-
-    @pytest.mark.parametrize("raw", ["", "0", "-3", "many"])
-    def test_unset_or_invalid_is_serial(self, monkeypatch, raw):
-        monkeypatch.setenv("CAROUSEL_THREADS", raw)
-        assert fuzz._worker_count(10) == 1
-
-    def test_pools_are_no_larger_than_their_work(self, monkeypatch):
-        monkeypatch.setattr(_InlinePool, "sizes", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 128)
-        monkeypatch.setenv("CAROUSEL_THREADS", "64")
-        parallel = canonical_json(run_fuzz(10, 1, "theorem2d").to_dict())  # 10 one-seed blocks
-        oracle = run_oracle_check(40, 1).to_dict()  # 3 chunks of up to 16 trials
-        assert _InlinePool.sizes == [10, 3]
-        monkeypatch.delenv("CAROUSEL_THREADS")
-        assert canonical_json(run_fuzz(10, 1, "theorem2d").to_dict()) == parallel
-        assert run_oracle_check(40, 1).to_dict() == oracle
-        assert _InlinePool.sizes == [10, 3]

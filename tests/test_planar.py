@@ -117,6 +117,26 @@ class TestEntriesCheckTheirObjects:
         with pytest.raises(ValueError, match="nonempty"):
             call()
 
+    # each call and the index of its first entry that is not three numbers
+    @pytest.mark.parametrize("call, index", [
+        (lambda: witness_search([0.0] * 15), 0),
+        (lambda: xi_sweep_fixed([0.0] * 15, 0, 0), 0),
+        (lambda: sweep_slack([0.0] * 15, 0, 0, 0.5), 0),
+        (lambda: pair_objects([0.0] * 15, 0, 0), 0),
+        (lambda: two_carousel_points([0.0] * 15), 0),
+        (lambda: circle_in_hull((0, 0, 1), [1.0, 2.0, 3.0]), 0),
+        (lambda: circle_in_hull((0, 0, 1), [None]), 0),
+        (lambda: hull_boundary([1.0, 2.0, 3.0]), 0),
+        (lambda: sampling_oracle_contains(GOOD, [1.0, 2.0, 3.0]), 0),
+        (lambda: checked_objects([(0, 0, 0), (1, 2)]), 1),
+        (lambda: checked_objects([(0, 0, 0), GOOD, "abc"]), 2),
+    ], ids=["witness_search", "xi_sweep_fixed", "sweep_slack", "pair_objects",
+            "two_carousel_points", "circle_in_hull flat", "circle_in_hull None",
+            "hull_boundary", "oracle", "checked_objects pair", "checked_objects str"])
+    def test_entry_not_three_numbers_raises_value_error(self, call, index):
+        with pytest.raises(ValueError, match=f"object {index} must be three numbers"):
+            call()
+
 
 def close(a: Point2, b: Point2, tol=1e-12) -> bool:
     return a.distance_to(b) <= tol

@@ -74,8 +74,7 @@ def _called_by_verbs(functions: dict, tmp_path) -> set:
     return called
 
 
-def test_every_package_function_is_reached_or_named(tmp_path, monkeypatch):
-    monkeypatch.setenv("CAROUSEL_THREADS", "1")  # every job in this process
+def test_every_package_function_is_reached_or_named(tmp_path):
     functions = _package_functions()
     layers = set(_tracing()["LAYERS"])
     assert set(UNREACHED) <= set(functions), set(UNREACHED) - set(functions)

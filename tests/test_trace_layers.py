@@ -48,13 +48,12 @@ def test_cli_import_loads_every_traced_module():
     assert done.stdout.strip() == ""
 
 
-def test_traced_run_of_every_verb(tmp_path, monkeypatch):
+def test_traced_run_of_every_verb(tmp_path):
     # the tracer wraps every layer around one job of each verb, reads the
     # outcome of circle_in_hull, sphere_in_hull3 and witness_search from
     # their return values, and counts one cli.main call per job
     from carousel import cli
 
-    monkeypatch.delenv("CAROUSEL_THREADS", raising=False)
     root = TRACING.parents[1]
     scenarios = sorted((root / "scenarios").glob("*.json"))
     sweep = root / "scenarios" / "sweep_leg_tangency.json"
